@@ -22,6 +22,7 @@ from .ensemble import (
     AveragedDensity,
     DecoherenceReport,
     EnsembleConfig,
+    EnsemblePhases,
     averaged_density_analytic,
     decoherence_factor_analytic,
     decoherence_report,
@@ -97,6 +98,7 @@ __all__ = [
     # ensemble
     "EnsembleConfig",
     "AveragedDensity",
+    "EnsemblePhases",
     "DecoherenceReport",
     "run_ensemble",
     "averaged_density_analytic",
@@ -140,4 +142,4 @@ __all__ = [
     "ResourceLimitError",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

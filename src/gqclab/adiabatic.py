@@ -369,23 +369,6 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     )
 
 
-def _total_field(h: QubitHamiltonian, noise: NoisePath, t: np.ndarray) -> np.ndarray:
-    """B_a(t) plus the noise projected onto its coupling axis, shape (n, 3)."""
-    b = h.schedule.field(t)
-    samples = np.stack(
-        [
-            np.interp(t, noise.time_grid, noise.samples[:, c])
-            for c in range(noise.spec.dimension)
-        ],
-        axis=-1,
-    )
-    if noise.spec.dimension == 1:
-        b = b + samples * np.asarray(h.noise_operator_axis)
-    else:
-        b = b + samples
-    return b
-
-
 def _su2_apply(b: np.ndarray, coupling: float, eps: float, psi: np.ndarray):
     """Apply exp(+i (gamma eps / 2) b . sigma) to a batch of spinors.
 
@@ -404,13 +387,6 @@ def _su2_apply(b: np.ndarray, coupling: float, eps: float, psi: np.ndarray):
     rot1 = (nx + 1j * ny) * psi[..., 0] - nz * psi[..., 1]
     out = cos_x * psi + 1j * sin_x[..., None] * np.stack([rot0, rot1], axis=-1)
     return out
-
-
-def _su2_matrix(b: np.ndarray, coupling: float, eps: float) -> np.ndarray:
-    """Slice propagators exp(+i (gamma eps / 2) b . sigma), shape (..., 2, 2)."""
-    e0 = _su2_apply(b, coupling, eps, np.broadcast_to([1.0 + 0j, 0.0], b.shape[:-1] + (2,)))
-    e1 = _su2_apply(b, coupling, eps, np.broadcast_to([0.0, 1.0 + 0j], b.shape[:-1] + (2,)))
-    return np.stack([e0, e1], axis=-1)
 
 
 def evolve_exact(
@@ -437,13 +413,19 @@ def evolve_exact_batch(
 ) -> np.ndarray:
     """Vectorized ``evolve_exact`` over a batch of noise realizations.
 
-    noise_samples has shape (n_real, n_times, dim); returns final states of
-    shape (n_real, hilbert_dim).
+    noise_samples has shape (n_real, n_times, dim).  psi0 is one state of
+    shape (hilbert_dim,) or column states of shape (hilbert_dim, m); the
+    final states have shape (n_real,) + psi0.shape.  The slice loop runs
+    over single-qubit spinors only: two uncoupled qubits driven by the same
+    field and the same noise evolve under u x u, with the single-qubit
+    propagator u computed once per call.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h.n_levels,):
-        raise ValueError(f"psi0 must have shape ({h.n_levels},)")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if psi0.ndim not in (1, 2) or psi0.shape[0] != h.n_levels:
+        raise ValueError(
+            f"psi0 must have shape ({h.n_levels},) or ({h.n_levels}, m)"
+        )
+    if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
         raise ValueError("psi0 must be normalized")
     if h.qubit_count == 2 and not h.uniform_cone_angles():
         raise ValueError(
@@ -465,34 +447,26 @@ def evolve_exact_batch(
     b_det = h.schedule.field(mids)  # (slices, 3)
     axis = np.asarray(h.noise_operator_axis)
     dim = noise_samples.shape[-1]
-    # midpoint noise by linear interpolation on the path grid
-    noise_mid = np.stack(
-        [
-            np.stack(
-                [np.interp(mids, t, noise_samples[i, :, c]) for c in range(dim)],
-                axis=-1,
-            )
-            for i in range(n_real)
-        ]
-    )  # (n_real, slices, dim)
+    # midpoint noise by linear interpolation on the path grid, written with
+    # np.interp's own formula slope * (x - xp[j]) + fp[j] so the bits match
+    j = np.searchsorted(t, mids, side="right") - 1
+    slope = np.diff(noise_samples, axis=1) / np.diff(t)[:, None]
+    noise_mid = slope[:, j] * (mids - t[j])[:, None] + noise_samples[:, j]
 
+    # spinor columns (n_real, m, 2): psi0 itself, or the basis states whose
+    # images are the columns of the single-qubit propagator u
+    cols = (psi0 if h.qubit_count == 1 else np.eye(2, dtype=complex)).reshape(2, -1)
+    psi = np.broadcast_to(cols.T, (n_real,) + cols.T.shape).copy()
+    for k in range(slices):
+        b = b_det[k] + (noise_mid[:, k] * axis if dim == 1 else noise_mid[:, k])
+        psi = _su2_apply(b[:, None], h.coupling, eps, psi)
+    u = psi.swapaxes(-1, -2)
     if h.qubit_count == 1:
-        psi = np.broadcast_to(psi0, (n_real, 2)).copy()
-        for j in range(slices):
-            b = b_det[j] + (
-                noise_mid[:, j] * axis if dim == 1 else noise_mid[:, j]
-            )
-            psi = _su2_apply(b, h.coupling, eps, psi)
-        return psi
-
-    # two uncoupled qubits driven by the same field and the same noise:
-    # U_slice = u x u with u the single-qubit slice propagator
-    psi = np.broadcast_to(psi0, (n_real, 4)).reshape(n_real, 2, 2).copy()
-    for j in range(slices):
-        b = b_det[j] + (noise_mid[:, j] * axis if dim == 1 else noise_mid[:, j])
-        u = _su2_matrix(b, h.coupling, eps)  # (n_real, 2, 2)
-        psi = u @ psi @ u.swapaxes(-1, -2)
-    return psi.reshape(n_real, 4)
+        return u.reshape((n_real,) + psi0.shape)
+    # amplitude matrix Psi[i1, i2] of each column evolves as u Psi u^T
+    pairs = psi0.reshape((2, 2) + psi0.shape[1:])
+    out = np.einsum("nai,nbj,ij...->nab...", u, u, pairs)
+    return out.reshape((n_real,) + psi0.shape)
 
 
 def stochastic_phase_batch(

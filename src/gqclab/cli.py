@@ -27,12 +27,17 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .adiabatic import ControlSchedule, QubitHamiltonian, eigenframe
-from .ensemble import EnsembleConfig, ENGINES, decoherence_report
+from .ensemble import (
+    ENGINES,
+    EnsembleConfig,
+    _check_noise_elements,
+    decoherence_report,
+)
 from .errors import AdiabaticityError, ConfigError, ResourceLimitError
 from .gate import PulseSequence, bell_gate_run, calibrate_level_cone_angles
 from .noise import NoiseSpec, make_noise_path, split_seed, estimate_autocorrelation
@@ -71,7 +76,6 @@ _SCHEMA = {
         "engine": False,
         "noise_dt": False,
         "substeps": False,
-        "frame_points": False,
     },
     "gate-fidelity": {
         "coupling": True,
@@ -329,12 +333,7 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
             v = _as_number(raw[key], key, errors, minimum=0, strict_min=True)
             if v is not None:
                 params[key] = v
-    for key, lo in (
-        ("realizations", 2),
-        ("cycles", 1),
-        ("substeps", 1),
-        ("frame_points", 64),
-    ):
+    for key, lo in (("realizations", 2), ("cycles", 1), ("substeps", 1)):
         if key in schema and key in raw:
             v = _as_int(raw[key], key, errors, minimum=lo)
             if v is not None:
@@ -386,6 +385,8 @@ def _run_noise_validate(p):
     if lags is None:
         # nearest representable multiples of {0, 1, 2, 3} tau_c
         lags = sorted({round(k * tau_c / dt) * dt for k in range(4)})
+    n_t = int(round(p["duration"] / dt)) + 1
+    _check_noise_elements(p["realizations"], n_t, spec.dimension)
     paths = [
         make_noise_path(spec, p["duration"], dt, split_seed(p["master_seed"], i))
         for i in range(p["realizations"])
@@ -563,13 +564,6 @@ def _write_rows(rows, out_path, fmt):
             writer.writerow(_format_cell(v) for v in row.values())
 
 
-def _version() -> str:
-    try:
-        return metadata.version("gqclab")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment: write the table and its run manifest.
 
@@ -585,7 +579,7 @@ def run(config: ExperimentConfig) -> dict:
     _write_rows(rows, out_path, fmt)
     manifest = {
         "tool": "gqclab",
-        "version": _version(),
+        "version": __version__,
         "experiment": config.experiment,
         "config": dict(p, out=out_path),
         "derived": derived,

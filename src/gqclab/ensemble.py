@@ -29,18 +29,18 @@ from scipy.signal import fftconvolve
 
 from .adiabatic import (
     EigenFrame,
-    PhaseRecord,
     QubitHamiltonian,
     eigenframe,
     evolve_exact_batch,
     stochastic_phase_batch,
 )
 from .errors import ResourceLimitError
-from .noise import NoiseSpec, make_noise_ensemble, split_seed
+from .noise import NoiseSpec, make_noise_ensemble
 
 __all__ = [
     "EnsembleConfig",
     "AveragedDensity",
+    "EnsemblePhases",
     "DecoherenceReport",
     "run_ensemble",
     "averaged_density_analytic",
@@ -127,6 +127,18 @@ class AveragedDensity:
 
 
 @dataclass(frozen=True)
+class EnsemblePhases:
+    """Adiabatic phases of every level along every noise path of a run.
+
+    gamma_a  (n_levels,) deterministic phase, identical across realizations
+    gamma_s  (n_levels, n_real) stochastic phase per level and realization
+    """
+
+    gamma_a: np.ndarray
+    gamma_s: np.ndarray
+
+
+@dataclass(frozen=True)
 class DecoherenceReport:
     """Monte Carlo estimate vs closed form for one level pair."""
 
@@ -139,18 +151,26 @@ class DecoherenceReport:
     overlap: float
 
 
-def _ensemble_noise(config: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid and noise samples (realizations, n_t, dim) for the run."""
-    h = config.hamiltonian
-    duration = h.schedule.duration
-    dt = config.dt
-    n_steps = int(round(duration / dt))
-    elements = config.realizations * (n_steps + 1) * config.noise.dimension
-    if elements > config.max_elements:
+def _check_noise_elements(
+    realizations: int, n_t: int, dimension: int, max_elements: int = MAX_ELEMENTS
+) -> None:
+    """Refuse, before allocating, a noise ensemble above ``max_elements``."""
+    elements = realizations * n_t * dimension
+    if elements > max_elements:
         raise ResourceLimitError(
             f"ensemble needs {elements} noise samples, above the bound "
-            f"{config.max_elements}; reduce realizations or coarsen noise_dt"
+            f"{max_elements}; reduce realizations or coarsen the noise step"
         )
+
+
+def _ensemble_noise(
+    config: EnsembleConfig, duration: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time grid and noise samples (realizations, n_t, dim) for the run."""
+    n_steps = int(round(duration / dt))
+    _check_noise_elements(
+        config.realizations, n_steps + 1, config.noise.dimension, config.max_elements
+    )
     t = np.arange(n_steps + 1) * dt
     if config.noise.variance == 0.0:
         samples = np.zeros((config.realizations, t.size, config.noise.dimension))
@@ -177,12 +197,12 @@ def _complex_mean_se(values: np.ndarray, axis=0):
 def run_ensemble(config: EnsembleConfig):
     """Average rho(t_f; k) over noise realizations.
 
-    Returns ``(AveragedDensity, phase_records)`` where the records hold
-    Gamma_a (identical across realizations) and the per-realization
-    Gamma_s for every level.  Results depend only on the configuration:
-    realization i always uses the i-th child of ``master_seed``, and the
-    accumulation is a pairwise-summed mean, so any parallel execution
-    schedule would produce the same bits.
+    Returns ``(AveragedDensity, EnsemblePhases)``: the averaged density
+    matrix with its standard errors, and the arrays Gamma_a of shape
+    (n_levels,) and Gamma_s of shape (n_levels, n_real).  Results depend
+    only on the configuration: realization i always uses the i-th child of
+    ``master_seed``, and the density is a plain ``np.mean`` of the
+    per-realization outer products along axis 0.
     """
     h = config.hamiltonian
     strict = config.strict_adiabatic or config.engine == "analytic_phase"
@@ -191,7 +211,7 @@ def run_ensemble(config: EnsembleConfig):
         ratio_max=config.ratio_max,
         strict=strict,
     )
-    t, samples = _ensemble_noise(config)
+    t, samples = _ensemble_noise(config, h.schedule.duration, config.dt)
     frame = eigenframe(h, t)
     c = config.amplitudes
 
@@ -216,20 +236,10 @@ def run_ensemble(config: EnsembleConfig):
     outer = amps[:, :, None] * amps[:, None, :].conj()
     matrix, se = _complex_mean_se(outer, axis=0)
 
-    records = [
-        PhaseRecord(
-            gamma_a=float(gamma_a[k]),
-            gamma_s=float(gamma_s[k, i]),
-            level_index=k,
-            realization_seed=split_seed(config.master_seed, i),
-        )
-        for i in range(config.realizations)
-        for k in range(h.n_levels)
-    ]
     density = AveragedDensity(
         matrix=matrix, standard_errors=se, realizations_used=config.realizations
     )
-    return density, records
+    return density, EnsemblePhases(gamma_a=gamma_a, gamma_s=gamma_s)
 
 
 def decoherence_factor_analytic(variance: float) -> float:
@@ -418,8 +428,8 @@ def decoherence_report(
     c = config.amplitudes
     if c[k] == 0 or c[j] == 0:
         raise ValueError("levels must have nonzero initial amplitudes")
-    density, records = run_ensemble(config)
-    gamma_a_kj = records[k].gamma_a - records[j].gamma_a
+    density, phases = run_ensemble(config)
+    gamma_a_kj = phases.gamma_a[k] - phases.gamma_a[j]
     reference = c[k] * np.conj(c[j]) * np.exp(-1j * gamma_a_kj)
     mc_factor = complex(density.matrix[k, j] / reference)
     mc_se = float(density.standard_errors[k, j] / abs(reference))

@@ -40,11 +40,12 @@ from .adiabatic import (
 from .ensemble import (
     EnsembleConfig,
     _complex_mean_se,
+    _ensemble_noise,
     decoherence_factor_analytic,
     overlap_integral,
     variance_analytic,
 )
-from .noise import NoisePath, make_noise_ensemble
+from .noise import NoisePath
 
 __all__ = [
     "PulseSequence",
@@ -202,36 +203,47 @@ def gate_phases(
         raise ValueError(
             f"noise path covers {noise.duration:g}, need {seq.duration:g}"
         )
-    gamma_a, gamma_s = _gate_phases_batch(seq, h, noise.time_grid, noise.samples[None], level)
+    t_local, _ = _segment_grid(seq, noise.dt)
+    gamma_s = _gate_gamma_s(seq, h, t_local, noise.samples[None], level)
     return PhaseRecord(
-        gamma_a=float(gamma_a),
+        gamma_a=float(_gate_gamma_a(seq, h, t_local)[_as_index(level)]),
         gamma_s=float(gamma_s[0]),
         level_index=_as_index(level),
         realization_seed=noise.seed,
     )
 
 
-def _gate_phases_batch(
+def _gate_gamma_a(
+    seq: PulseSequence, h: QubitHamiltonian, t_local: np.ndarray
+) -> np.ndarray:
+    """Deterministic Gamma_a(k) of the four levels, summed over the segments."""
+    gamma_a = np.zeros(4)
+    for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
+        frame = eigenframe(h_seg, t_local)
+        for level in range(4):
+            k_l = _as_index(level_index_map(level, l))
+            gamma_a[level] += float(
+                np.trapezoid(frame.energies[k_l] - frame.berry_rates[k_l], t_local)
+            )
+    return gamma_a
+
+
+def _gate_gamma_s(
     seq: PulseSequence,
     h: QubitHamiltonian,
-    time_grid: np.ndarray,
+    t_local: np.ndarray,
     samples: np.ndarray,
     level,
-):
-    """(Gamma_a, per-realization Gamma_s) for one level over a noise batch."""
-    t_local, n_seg = _segment_grid(seq, time_grid[1] - time_grid[0])
-    hams = _segment_hamiltonians(seq, h)
-    gamma_a = 0.0
+) -> np.ndarray:
+    """Per-realization Gamma_s for one level over a noise batch spanning 4T."""
+    n_seg = t_local.size - 1
     gamma_s = np.zeros(samples.shape[0])
-    for l in range(4):
+    for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
         k_l = _as_index(level_index_map(level, l))
-        frame = eigenframe(hams[l], t_local)
-        gamma_a += float(
-            np.trapezoid(frame.energies[k_l] - frame.berry_rates[k_l], t_local)
-        )
+        frame = eigenframe(h_seg, t_local)
         window = samples[:, l * n_seg : (l + 1) * n_seg + 1, :]
-        gamma_s += stochastic_phase_batch(hams[l], frame, window, k_l)
-    return gamma_a, gamma_s
+        gamma_s += stochastic_phase_batch(h_seg, frame, window, k_l)
+    return gamma_s
 
 
 def gate_overlap_sum(
@@ -268,15 +280,7 @@ def realized_conditional_phase(seq: PulseSequence, h: QubitHamiltonian) -> float
     phi = -[Gamma_a(11) - Gamma_a(10) - Gamma_a(01) + Gamma_a(00)].
     """
     t_local, _ = _segment_grid(seq, seq.period / 1024)
-    hams = _segment_hamiltonians(seq, h)
-    gamma_a = np.zeros(4)
-    for l, h_seg in enumerate(hams):
-        frame = eigenframe(h_seg, t_local)
-        for level in range(4):
-            k_l = _as_index(level_index_map(level, l))
-            gamma_a[level] += float(
-                np.trapezoid(frame.energies[k_l] - frame.berry_rates[k_l], t_local)
-            )
+    gamma_a = _gate_gamma_a(seq, h, t_local)
     phi = -(gamma_a[3] - gamma_a[2] - gamma_a[1] + gamma_a[0])
     return float(np.mod(phi, 2.0 * np.pi))
 
@@ -335,59 +339,36 @@ def gate_onset_ratio(
 def _bell_exact_amplitudes(
     seq: PulseSequence,
     h: QubitHamiltonian,
-    time_grid: np.ndarray,
+    t_local: np.ndarray,
     samples: np.ndarray,
     c: np.ndarray,
     substeps: int,
 ) -> np.ndarray:
     """Exact segment-by-segment propagation with ideal pi-pulses.
 
-    Supported for uniform cone angles only (the per-level angles do not
-    define a single Hamiltonian).  Returns eigenbasis amplitudes at t_f.
+    Both qubits see the same field and noise, so a segment's two-qubit
+    propagator is u x u and the amplitude matrix Psi[i1, i2] evolves as
+    u Psi u^T.  Psi is kept in the eigenbasis at the segment boundaries
+    (azimuth 0), where the ideal pi-pulse swaps the target qubit's aligned
+    and anti-aligned levels.  Supported for uniform cone angles only (the
+    per-level angles do not define a single Hamiltonian).  Returns
+    eigenbasis amplitudes at t_f, shape (n_real, 4).
     """
     if not h.uniform_cone_angles():
         raise ValueError(
             "exact propagation of the gate requires uniform level_cone_angles"
         )
-    t_local, n_seg = _segment_grid(seq, time_grid[1] - time_grid[0])
-    hams = _segment_hamiltonians(seq, h)
-    frame0 = eigenframe(hams[0], t_local)
-    # single-qubit eigenbasis at the segment boundaries (azimuth back at 0):
-    # columns are the aligned and anti-aligned states
+    n_seg = t_local.size - 1
+    # columns: the aligned and anti-aligned single-qubit states at azimuth 0
     half = h.schedule.cone_angle / 2.0
-    v = np.array(
-        [[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]],
-        dtype=complex,
-    )
-    psi = np.broadcast_to(
-        frame0.states[:, 0, :].T @ c, (samples.shape[0], 4)
-    ).copy()
-    for l, h_seg in enumerate(hams):
+    v = np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
+    psi = np.broadcast_to(c.reshape(2, 2), (samples.shape[0], 2, 2))
+    for l, (sched, target) in enumerate(seq.segments):
+        one_qubit = replace(h, schedule=sched, qubit_count=1, level_cone_angles=None)
         window = samples[:, l * n_seg : (l + 1) * n_seg + 1, :]
-        psi = _propagate_segment(h_seg, t_local, window, psi, substeps)
-        # ideal pi-pulse: swap the target qubit's aligned/anti-aligned levels
-        target = seq.segments[l][1]
-        amps = v.conj().T @ psi.reshape(-1, 2, 2) @ v.conj()
-        amps = np.flip(amps, axis=target)
-        psi = (v @ amps @ v.T).reshape(-1, 4)
-    # after four flips every level is back; measure in the t = 0 eigenbasis
-    return psi @ frame0.states[:, 0, :].conj().T
-
-
-def _propagate_segment(h_seg, t_local, window, psi_batch, substeps):
-    """Batch-propagate arbitrary initial states through one segment."""
-    out = np.empty_like(psi_batch)
-    # evolve_exact_batch takes a single shared psi0; decompose by linearity
-    # over the 4 basis states (cheap: 4 propagations per segment).
-    basis_out = []
-    slices = (t_local.size - 1) * substeps
-    for b in range(4):
-        e = np.zeros(4, dtype=complex)
-        e[b] = 1.0
-        basis_out.append(evolve_exact_batch(h_seg, t_local, window, e, slices))
-    u_cols = np.stack(basis_out, axis=-1)  # (n, 4, 4): columns are U e_b
-    np.einsum("nij,nj->ni", u_cols, psi_batch, out=out)
-    return out
+        u = v.T @ evolve_exact_batch(one_qubit, t_local, window, v, n_seg * substeps)
+        psi = np.flip(u @ psi @ u.swapaxes(-1, -2), axis=target)
+    return psi.reshape(-1, 4)
 
 
 def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
@@ -415,22 +396,15 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
         ratio_max=config.ratio_max,
         strict=config.strict_adiabatic or config.engine == "analytic_phase",
     )
-    dt = config.dt
-    n_seg = int(round(seq.period / dt))
-    t = np.arange(4 * n_seg + 1) * (seq.period / n_seg)
-    if config.noise.variance == 0.0:
-        samples = np.zeros((config.realizations, t.size, config.noise.dimension))
-    else:
-        samples = make_noise_ensemble(
-            config.noise, 4.0 * seq.period, seq.period / n_seg,
-            config.master_seed, config.realizations,
-        )
+    t_local, n_seg = _segment_grid(seq, config.dt)
+    _, samples = _ensemble_noise(config, seq.duration, seq.period / n_seg)
+    gamma_a = _gate_gamma_a(seq, h, t_local)
 
     k_idx, j_idx = 0, 3
+    gamma_a_kj = gamma_a[k_idx] - gamma_a[j_idx]
     if config.engine == "analytic_phase":
-        ga_k, gs_k = _gate_phases_batch(seq, h, t, samples, BELL_LEVELS[0])
-        ga_j, gs_j = _gate_phases_batch(seq, h, t, samples, BELL_LEVELS[1])
-        gamma_a_kj = ga_k - ga_j
+        gs_k = _gate_gamma_s(seq, h, t_local, samples, BELL_LEVELS[0])
+        gs_j = _gate_gamma_s(seq, h, t_local, samples, BELL_LEVELS[1])
         phasors = np.exp(-1j * (gamma_a_kj + gs_k - gs_j))
         mc_factor, mc_se = _complex_mean_se(phasors)
         rho_kj = 0.5 * mc_factor
@@ -439,14 +413,11 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
         mc_factor = complex(mc_factor * np.exp(1j * gamma_a_kj))
         mc_se = float(mc_se)
     else:
-        amps = _bell_exact_amplitudes(seq, h, t, samples, c, config.substeps)
+        amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, config.substeps)
         outer = amps[:, :, None] * amps[:, None, :].conj()
         matrix, se = _complex_mean_se(outer, axis=0)
         fidelity = float(np.real(bell.conj() @ matrix @ bell))
         fid_se = float(np.hypot(se[k_idx, j_idx], 0.0))
-        ga_k, _ = _gate_phases_batch(seq, h, t, samples[:1] * 0.0, BELL_LEVELS[0])
-        ga_j, _ = _gate_phases_batch(seq, h, t, samples[:1] * 0.0, BELL_LEVELS[1])
-        gamma_a_kj = ga_k - ga_j
         reference = 0.5 * np.exp(-1j * gamma_a_kj)
         mc_factor = complex(matrix[k_idx, j_idx] / reference)
         mc_se = float(se[k_idx, j_idx] / abs(reference))

@@ -15,6 +15,8 @@ from gqclab import (
     adiabatic_phases,
     eigenframe,
     evolve_exact,
+    evolve_exact_batch,
+    make_noise_ensemble,
     make_noise_path,
 )
 
@@ -183,6 +185,35 @@ def test_evolve_exact_errors():
         evolve_exact(h, noise, np.array([1.0, 1.0]), slices=400)  # unnormalized
     with pytest.raises(ResolutionError):
         evolve_exact(h, noise, np.array([1.0, 0.0]), slices=10)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_evolve_exact_two_qubits_matches_dense_expm(dimension, two_qubit_slice_product):
+    """u x u propagation equals dense 4x4 slice products of the two-qubit H."""
+    h = _hamiltonian(0.9, magnitude=30.0, qubit_count=2)
+    spec = NoiseSpec(variance=4.0, correlation_time=0.05, dimension=dimension)
+    t = np.arange(101) * 0.005
+    samples = make_noise_ensemble(spec, 0.5, 0.005, 3, 3)
+    psi0 = np.array([0.5, 0.5j, -0.1, np.sqrt(0.49)], dtype=complex)
+    slices = 200  # two slices per noise step exercise the interpolation
+    psi = evolve_exact_batch(h, t, samples, psi0, slices)
+    for path, final in zip(samples, psi):
+        reference = two_qubit_slice_product(h, t, path, slices) @ psi0
+        assert np.max(np.abs(final - reference)) < 1e-12
+
+
+def test_evolve_exact_column_states_give_unitary_propagator():
+    h = _hamiltonian(0.8, magnitude=10.0)
+    spec = NoiseSpec(variance=1.0, correlation_time=0.05)
+    t = np.arange(201) * 0.005
+    samples = make_noise_ensemble(spec, 1.0, 0.005, 5, 4)
+    u = evolve_exact_batch(h, t, samples, np.eye(2), 400)
+    assert u.shape == (4, 2, 2)
+    defect = u.conj().swapaxes(-1, -2) @ u - np.eye(2)
+    assert np.max(np.abs(defect)) < 1e-12
+    for b in range(2):
+        alone = evolve_exact_batch(h, t, samples, np.eye(2)[:, b], 400)
+        assert np.array_equal(u[:, :, b], alone)
 
 
 def test_adiabatic_phases_zero_noise_and_geometry():

@@ -2,12 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gqclab import ConfigError
 from gqclab.cli import main, validate_config
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 AGP_CONFIG = {
     "experiment": "agp-dephase",
@@ -21,6 +24,10 @@ AGP_CONFIG = {
     "realizations": 64,
     "master_seed": 9,
 }
+
+
+GATE_CONFIG = {key: v for key, v in AGP_CONFIG.items() if key != "cycles"}
+GATE_CONFIG["experiment"] = "gate-fidelity"
 
 
 def _write(tmp_path, name, payload):
@@ -39,12 +46,16 @@ def test_empty_config_reports_missing_experiment():
 
 
 def test_mutual_exclusions_and_unknown_keys_all_reported():
-    raw = dict(AGP_CONFIG, power_density=2.0, bandwidth=1.0, b0=3.0, bogus=1)
+    raw = dict(
+        AGP_CONFIG, power_density=2.0, bandwidth=1.0, b0=3.0, bogus=1,
+        frame_points=8192,
+    )
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     text = str(err.value)
     assert "mutually exclusive" in text
     assert "bogus" in text
+    assert "frame_points" in text
     # multiple independent problems are all reported at once
     assert len(err.value.errors) >= 3
 
@@ -96,14 +107,27 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
     assert code == 3
 
 
-def test_cli_resource_exit_code(tmp_path):
-    raw = dict(
-        AGP_CONFIG, correlation_time=1e-5, magnitude=10_000_000.0, sigma2=1.0
-    )
+@pytest.mark.parametrize(
+    "raw",
+    [
+        dict(AGP_CONFIG, correlation_time=1e-5, magnitude=10_000_000.0, sigma2=1.0),
+        dict(GATE_CONFIG, correlation_time=1e-5, magnitude=10_000_000.0, sigma2=1.0),
+        {
+            "experiment": "noise-validate",
+            "sigma2": 1.0,
+            "correlation_time": 0.05,
+            "duration": 400.0,
+            "dt": 0.005,
+            "realizations": 2,
+        },
+    ],
+    ids=["agp-dephase", "gate-fidelity", "noise-validate"],
+)
+def test_cli_resource_exit_code(tmp_path, raw):
     path = _write(tmp_path, "cfg.json", raw)
     out = str(tmp_path / "x.csv")
     code = main(
-        ["agp-dephase", "--config", path, "--out", out, "--realizations", "4096"]
+        [raw["experiment"], "--config", path, "--out", out, "--realizations", "4096"]
     )
     assert code == 4
 
@@ -131,6 +155,17 @@ def test_cli_agp_run_and_manifest_roundtrip(tmp_path):
     assert manifest["experiment"] == "agp-dephase"
     assert manifest["seeds"]["master_seed"] == 9
     assert "adiabaticity_ratios" in manifest["derived"]
+
+
+def test_manifest_records_the_package_version(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    raw = {"experiment": "shor-scan", "moduli": [15], "bases": [7], "variances": 0.0}
+    path = _write(tmp_path, "shor.json", raw)
+    out = str(tmp_path / "scan.csv")
+    assert main(["shor-scan", "--config", path, "--out", out]) == 0
+    manifest = json.loads(open(out + ".manifest.json").read())
+    with open(PYPROJECT, "rb") as f:
+        assert manifest["version"] == tomllib.load(f)["project"]["version"]
 
 
 def test_cli_threads_do_not_change_results(tmp_path):

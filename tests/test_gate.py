@@ -9,16 +9,19 @@ from gqclab import (
     NoiseSpec,
     QubitHamiltonian,
     PulseSequence,
+    ResourceLimitError,
     bell_gate_run,
     calibrate_level_cone_angles,
+    eigenframe,
     gate_onset_ratio,
     gate_overlap_sum,
     gate_phases,
     level_index_map,
     level_path,
+    make_noise_ensemble,
     make_noise_path,
 )
-from gqclab.gate import realized_conditional_phase
+from gqclab.gate import _bell_exact_amplitudes, realized_conditional_phase
 
 BELL = (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
 
@@ -203,6 +206,47 @@ def test_bell_gate_engines_agree_with_closed_form():
     a, e = results["analytic_phase"], results["exact_propagation"]
     combined = np.hypot(a.fidelity_standard_error, e.fidelity_standard_error)
     assert abs(a.fidelity - e.fidelity) < 3 * combined
+
+
+def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
+    """The u x u engine equals 4x4 slice products with 4x4 pi-pulses."""
+    h, seq = _setup(magnitude=60.0)
+    spec = NoiseSpec(variance=20.0, correlation_time=0.04)
+    n_seg = 250
+    t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
+    samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 4)
+    c = np.asarray(BELL, dtype=complex)
+    amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, substeps=1)
+
+    # pi-pulse: swap the aligned and anti-aligned states at azimuth 0
+    one_qubit = QubitHamiltonian(coupling=h.coupling, schedule=h.schedule)
+    aligned, anti = eigenframe(one_qubit, t_local).states[:, 0, :]
+    flip = np.outer(aligned, anti.conj()) + np.outer(anti, aligned.conj())
+    pulses = {1: np.kron(flip, np.eye(2)), 2: np.kron(np.eye(2), flip)}
+    basis = eigenframe(h, t_local).states[:, 0, :]  # rows: product levels at t = 0
+    for path, got in zip(samples, amps):
+        psi = basis.T @ c
+        for l, (sched, target) in enumerate(seq.segments):
+            window = path[l * n_seg : (l + 1) * n_seg + 1]
+            h_seg = QubitHamiltonian(
+                coupling=h.coupling, schedule=sched, qubit_count=2
+            )
+            u = two_qubit_slice_product(h_seg, t_local, window, n_seg)
+            psi = pulses[target] @ u @ psi
+        assert np.max(np.abs(basis.conj() @ psi - got)) < 1e-12
+
+
+def test_bell_gate_resource_bound():
+    h, seq = _setup()
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=1.0, correlation_time=0.04),
+        initial_amplitudes=BELL,
+        realizations=64,
+        max_elements=1000,
+    )
+    with pytest.raises(ResourceLimitError):
+        bell_gate_run(cfg, seq)
 
 
 def test_bell_gate_strong_noise_half_fidelity():
