@@ -22,7 +22,6 @@ from gqclab import (
     NoiseSpec,
     QubitHamiltonian,
     decoherence_report,
-    eigenframe,
     overlap_integral,
 )
 
@@ -37,13 +36,9 @@ def main():
     h = QubitHamiltonian(coupling=1.0, schedule=sched)
 
     # the overlap integral fixes how sigma^2 maps to phase variance
-    frame = eigenframe(h, np.linspace(0.0, 1.0, 8193))
-    i_kj = overlap_integral(
-        frame, h.noise_operators(1), NoiseSpec(1.0, TAU_C).kernel_profile,
-        (1, 0), 1.0,
-    )
-    print(f"overlap integral I = {i_kj:.5f} "
-          f"(closed form 4 tau_c T sin^2 = {4 * TAU_C * np.sin(THETA)**2:.5f})")
+    i_kj = overlap_integral(h, TAU_C, (1, 0))
+    print(f"overlap integral I = {i_kj:.5f} (tau_c << T limit "
+          f"4 tau_c T sin^2 = {4 * TAU_C * np.sin(THETA)**2:.5f})")
     sigma2_onset = 4 * (4 * np.pi**2) / i_kj
 
     print(f"{'sigma^2':>10} {'variance':>10} {'|D| MC':>10} "

@@ -9,8 +9,8 @@ Bell-state fidelity decays as
 
     F = 1/2 + cos(Gamma_a) D / 2,   D = exp(-variance / 2),
 
-with variance = gamma^2 sigma^2 (32 tau_c T_seg sin^2 theta) / 4 for
-slow noise. The gate is useless (F -> 1/2) once the variance reaches
+with variance -> gamma^2 sigma^2 (32 tau_c T_seg sin^2 theta) / 4 in
+the limit tau_c << T_seg. The gate is useless (F -> 1/2) once the variance reaches
 4 pi^2.
 """
 
@@ -48,9 +48,9 @@ def main():
           f"{realized_conditional_phase(seq, h_cal):.6f} (target pi/2)")
     print()
 
-    overlap = gate_overlap_sum(seq, h, NoiseSpec(1.0, TAU_C).kernel_profile)
+    overlap = gate_overlap_sum(seq, h, TAU_C)
     print(f"Bell overlap sum = {overlap:.5f} "
-          f"(closed form = {32 * TAU_C * np.sin(THETA)**2:.5f})")
+          f"(tau_c << T limit = {32 * TAU_C * np.sin(THETA)**2:.5f})")
     sigma2_onset = 4 * (4 * np.pi**2) / overlap
 
     print(f"{'sigma^2':>10} {'variance':>10} {'F MC':>8} {'F exact':>8} "

@@ -14,6 +14,7 @@ from .adiabatic import (
     PhaseRecord,
     QubitHamiltonian,
     adiabatic_phases,
+    deterministic_phases,
     eigenframe,
     evolve_exact,
     evolve_exact_batch,
@@ -94,6 +95,7 @@ __all__ = [
     "eigenframe",
     "evolve_exact",
     "evolve_exact_batch",
+    "deterministic_phases",
     "adiabatic_phases",
     # ensemble
     "EnsembleConfig",

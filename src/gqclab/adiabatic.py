@@ -48,6 +48,7 @@ __all__ = [
     "eigenframe",
     "evolve_exact",
     "evolve_exact_batch",
+    "deterministic_phases",
     "adiabatic_phases",
     "stochastic_phase_batch",
     "PAULI",
@@ -448,10 +449,15 @@ def evolve_exact_batch(
     axis = np.asarray(h.noise_operator_axis)
     dim = noise_samples.shape[-1]
     # midpoint noise by linear interpolation on the path grid, written with
-    # np.interp's own formula slope * (x - xp[j]) + fp[j] so the bits match
+    # np.interp's own formula slope * (x - xp[j]) + fp[j] so the bits match;
+    # in place, because these (n_real, slices) arrays set a run's peak memory
     j = np.searchsorted(t, mids, side="right") - 1
-    slope = np.diff(noise_samples, axis=1) / np.diff(t)[:, None]
-    noise_mid = slope[:, j] * (mids - t[j])[:, None] + noise_samples[:, j]
+    slope = np.diff(noise_samples, axis=1)
+    slope /= np.diff(t)[:, None]
+    noise_mid = slope[:, j]
+    del slope
+    noise_mid *= (mids - t[j])[:, None]
+    noise_mid += noise_samples[:, j]
 
     # spinor columns (n_real, m, 2): psi0 itself, or the basis states whose
     # images are the columns of the single-qubit propagator u
@@ -469,6 +475,16 @@ def evolve_exact_batch(
     return out.reshape((n_real,) + psi0.shape)
 
 
+def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:
+    """Gamma_a(k) = duration * (E_k - gamma_dot_k) for every level k.
+
+    Exact for a precessing schedule, on which both the energy and the
+    Berry connection are constant in t.  Returns shape (n_levels,).
+    """
+    frame = eigenframe(h, [0.0, duration])
+    return duration * (frame.energies[:, 0] - frame.berry_rates[:, 0])
+
+
 def stochastic_phase_batch(
     h: QubitHamiltonian,
     frame: EigenFrame,
@@ -483,8 +499,13 @@ def stochastic_phase_batch(
     """
     ops = h.noise_operators(noise_samples.shape[-1])
     okk = frame.operator_expectations(ops)[level]  # (dim, n_t)
-    integrand = -0.5 * h.coupling * np.einsum("ntc,ct->nt", noise_samples, okk)
-    return np.trapezoid(integrand, frame.times, axis=-1)
+    integrand = np.einsum("ntc,ct->nt", noise_samples, okk)
+    integrand *= -0.5 * h.coupling
+    # np.trapezoid's d * (y[1:] + y[:-1]) / 2.0, in place to hold peak memory
+    pairs = integrand[:, 1:] + integrand[:, :-1]
+    pairs *= np.diff(frame.times)
+    pairs /= 2.0
+    return pairs.sum(axis=-1)
 
 
 def adiabatic_phases(
@@ -496,12 +517,11 @@ def adiabatic_phases(
 ) -> PhaseRecord:
     """Analytic phases of the adiabatic limit for one noise realization.
 
-    Gamma_a = int [E_k(t) - gamma_dot_k(t)] dt over the path's duration
-    (the quadrature is exact here: both integrands are constant in t for a
-    precessing schedule); Gamma_s integrates the diagonal noise matrix
-    element along the supplied path.  Preconditions 1/(T Delta) and
-    1/(tau_c Delta) <= ratio_max are checked; violations warn, or raise
-    when ``strict``.
+    Gamma_a = int [E_k(t) - gamma_dot_k(t)] dt over the span of the path's
+    time grid, in closed form (``deterministic_phases``); Gamma_s
+    integrates the diagonal noise matrix element along the supplied path.
+    Preconditions 1/(T Delta) and 1/(tau_c Delta) <= ratio_max are checked;
+    violations warn, or raise when ``strict``.
     """
     if not 0 <= level < h.n_levels:
         raise ValueError(f"level must be in [0, {h.n_levels}), got {level}")
@@ -510,13 +530,11 @@ def adiabatic_phases(
         ratio_max=ratio_max,
         strict=strict,
     )
-    frame = eigenframe(h, noise.time_grid)
-    gamma_a = float(
-        np.trapezoid(frame.energies[level] - frame.berry_rates[level], frame.times)
-    )
+    gamma_a = float(deterministic_phases(h, noise.duration)[level])
     if noise.spec.variance == 0:
         gamma_s = 0.0
     else:
+        frame = eigenframe(h, noise.time_grid)
         gamma_s = float(
             stochastic_phase_batch(h, frame, noise.samples[None], level)[0]
         )

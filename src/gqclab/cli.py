@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .adiabatic import ControlSchedule, QubitHamiltonian, eigenframe
+from .adiabatic import ControlSchedule, QubitHamiltonian, deterministic_phases
 from .ensemble import (
     ENGINES,
     EnsembleConfig,
@@ -41,7 +41,7 @@ from .ensemble import (
 from .errors import AdiabaticityError, ConfigError, ResourceLimitError
 from .gate import PulseSequence, bell_gate_run, calibrate_level_cone_angles
 from .noise import NoiseSpec, make_noise_path, split_seed, estimate_autocorrelation
-from .shor import NoisyAmplitudeModel, ShorInstance, runtime_scaling
+from .shor import ShorInstance, runtime_scaling
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main"]
 
@@ -407,6 +407,21 @@ def _run_noise_validate(p):
     return rows, derived
 
 
+def _ensemble_config(p, h, sigma2, amplitudes):
+    """The EnsembleConfig of one sigma^2 point of an agp/gate sweep."""
+    return EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=sigma2, correlation_time=p["correlation_time"]),
+        initial_amplitudes=amplitudes,
+        realizations=p["realizations"],
+        master_seed=p["master_seed"],
+        engine=p.get("engine", "analytic_phase"),
+        noise_dt=p.get("noise_dt"),
+        substeps=p.get("substeps", 1),
+        strict_adiabatic=p["strict_adiabatic"],
+    )
+
+
 def _run_agp_dephase(p):
     schedule = ControlSchedule(
         magnitude=p["magnitude"],
@@ -415,23 +430,12 @@ def _run_agp_dephase(p):
         cycles=p["cycles"],
     )
     h = QubitHamiltonian(coupling=p["coupling"], schedule=schedule)
-    frame = eigenframe(h, np.linspace(0.0, schedule.duration, 4097))
-    gamma_a = np.trapezoid(frame.energies - frame.berry_rates, frame.times, axis=-1)
+    gamma_a = deterministic_phases(h, schedule.duration)
     gamma_a_kj = float(gamma_a[1] - gamma_a[0])
     amps = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
     rows = []
     for sigma2 in _sigma2_sweep(p):
-        cfg = EnsembleConfig(
-            hamiltonian=h,
-            noise=NoiseSpec(variance=sigma2, correlation_time=p["correlation_time"]),
-            initial_amplitudes=amps,
-            realizations=p["realizations"],
-            master_seed=p["master_seed"],
-            engine=p.get("engine", "analytic_phase"),
-            noise_dt=p.get("noise_dt"),
-            substeps=p.get("substeps", 1),
-            strict_adiabatic=p["strict_adiabatic"],
-        )
+        cfg = _ensemble_config(p, h, sigma2, amps)
         report = decoherence_report(cfg, levels=(1, 0), bandwidth=p["bandwidth"])
         rows.append(
             {
@@ -476,18 +480,7 @@ def _run_gate_fidelity(p):
     bell = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
     rows = []
     for sigma2 in _sigma2_sweep(p):
-        cfg = EnsembleConfig(
-            hamiltonian=h,
-            noise=NoiseSpec(variance=sigma2, correlation_time=p["correlation_time"]),
-            initial_amplitudes=bell,
-            realizations=p["realizations"],
-            master_seed=p["master_seed"],
-            engine=p.get("engine", "analytic_phase"),
-            noise_dt=p.get("noise_dt"),
-            substeps=p.get("substeps", 1),
-            strict_adiabatic=p["strict_adiabatic"],
-        )
-        result = bell_gate_run(cfg, seq)
+        result = bell_gate_run(_ensemble_config(p, h, sigma2, bell), seq)
         rows.append(
             {
                 "sigma2_field2": sigma2,
@@ -515,9 +508,6 @@ def _run_shor_scan(p):
         ShorInstance.build(n, y, offset=p.get("offset", 0))
         for n, y in zip(p["moduli"], p["bases"])
     ]
-    # runtime_scaling validates the variance/instance pairing internally
-    for inst, v in zip(instances, p["variances"]):
-        NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
     rows = runtime_scaling(instances, p["variances"])
     derived = {
         "instances": [

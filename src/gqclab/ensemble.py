@@ -22,14 +22,13 @@ P/V = sigma^2 * d_omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .adiabatic import (
-    EigenFrame,
     QubitHamiltonian,
+    deterministic_phases,
     eigenframe,
     evolve_exact_batch,
     stochastic_phase_batch,
@@ -215,7 +214,7 @@ def run_ensemble(config: EnsembleConfig):
     frame = eigenframe(h, t)
     c = config.amplitudes
 
-    gamma_a = np.trapezoid(frame.energies - frame.berry_rates, t, axis=-1)
+    gamma_a = deterministic_phases(h, t[-1] - t[0])
     gamma_s = np.stack(
         [
             stochastic_phase_batch(h, frame, samples, level)
@@ -260,64 +259,65 @@ def variance_analytic(
     return eta * coupling**2 * sigma2 * overlap / 4.0
 
 
-def _double_time_integral(
-    o_diff: np.ndarray, times: np.ndarray, kernel: Callable
-) -> float:
-    """sum_c int int o_c(t) o_c(t') f(t - t') dt dt' by trapezoid + FFT."""
-    n = times.size
-    dt = times[1] - times[0]
-    w = np.full(n, dt)
-    w[0] = w[-1] = dt / 2.0
-    lags = np.arange(-(n - 1), n) * dt
-    kern = np.asarray(kernel(lags), dtype=float)
-    total = 0.0
-    for comp in o_diff:
-        g = fftconvolve(w * comp, kern)[n - 1 : 2 * n - 1]
-        total += float(np.sum(w * comp * g))
-    return total
+def _window_integral(s: np.ndarray, period: float) -> np.ndarray:
+    """E(s) = int_0^T e^{s t} dt = (e^{sT} - 1) / s, and T at s = 0."""
+    nonzero = np.where(s == 0, 1.0, s)
+    return np.where(s == 0, period, np.expm1(s * period) / nonzero)
+
+
+def _kernel_gram(correlation_time: float, period: float) -> np.ndarray:
+    """int_0^T int_0^T f_p(t) f_q(t') exp(-|t - t'|/tau_c) dt dt'.
+
+    f = (1, cos wt, sin wt) with w = 2 pi / T.  With the exponentials
+    e^{i a t}, a in (-w, 0, w), the double integral is
+    K(a, b) = [E(i(a+b)) - E(ia - lam)]/(lam + ib)
+            + [E(i(a+b)) - E(ib - lam)]/(lam + ia),   lam = 1/tau_c,
+    from splitting the square at t = t'; the rows of ``w`` write
+    (1, cos, sin) in that exponential basis.
+    """
+    lam = 1.0 / correlation_time
+    alpha = 2j * np.pi / period * np.array([-1.0, 0.0, 1.0])
+    a, b = alpha[:, None], alpha[None, :]
+    both = _window_integral(a + b, period)
+    k = (both - _window_integral(a - lam, period)) / (lam + b) + (
+        both - _window_integral(b - lam, period)
+    ) / (lam + a)
+    w = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5j, 0.0, -0.5j]])
+    return np.real(w @ k @ w.T)
 
 
 def overlap_integral(
-    frame: EigenFrame,
-    operators: np.ndarray,
-    kernel: Callable,
+    h: QubitHamiltonian,
+    correlation_time: float,
     levels: tuple,
-    period: float,
-    rtol: float = 1e-3,
+    dimension: int = 1,
 ) -> float:
-    """Numerical I_kj for one control period.
+    """Exact I_kj over one control period T for the kernel exp(-|tau|/tau_c).
 
-    O_kj(t) = <E_k|O|E_k> - <E_j|O|E_j> is evaluated from the eigenframe
-    (component-wise for vector operators), and the double time integral is
-    done with trapezoid weights and an FFT convolution against the kernel.
-    The result must agree with the half-resolution grid to ``rtol``
-    relative, otherwise the frame grid is too coarse and a ValueError is
-    raised.
+    On a precessing schedule every noise component of
+    O_kj(t) = <E_k|O|E_k> - <E_j|O|E_j> is a + b cos(wt) + c sin(wt),
+    read off the eigenframe at t = 0, T/4 and T/2, so
+    I_kj = sum_c v_c^T G v_c with v_c = (a, b, c) and G the kernel's Gram
+    matrix of (1, cos, sin) on [0, T] (Kubo's line-shape integral with a
+    modulated integrand).  The finite-window terms in exp(-T/tau_c) are
+    kept: this is not the tau_c << T limit.
     """
     k, j = levels
     if k == j:
         raise ValueError("levels k and j must differ (I_kk is trivially zero)")
-    t = frame.times
-    if t[-1] < period * (1 - 1e-9):
-        raise ValueError("frame must cover the full period [0, T]")
-    n_t = int(round(period / (t[1] - t[0])))
-    t = t[: n_t + 1]
-    exp = frame.operator_expectations(np.asarray(operators))
-    o_diff = exp[k][:, : n_t + 1] - exp[j][:, : n_t + 1]
+    if correlation_time <= 0:
+        raise ValueError(f"correlation_time must be > 0, got {correlation_time}")
+    period = h.schedule.period
+    ops = h.noise_operators(dimension)
+    exp = eigenframe(h, period * np.array([0.0, 0.25, 0.5])).operator_expectations(ops)
+    g0, g1, g2 = np.moveaxis(exp[k] - exp[j], -1, 0)
+    mean = 0.5 * (g0 + g2)
+    v = np.stack([mean, 0.5 * (g0 - g2), g1 - mean], axis=-1)  # (n_comp, 3)
     # an integrand at the roundoff floor of the operator scale is exactly zero
-    ref = float(np.max(np.abs(operators)))
-    if float(np.max(np.abs(o_diff))) <= 1e-9 * ref:
+    if float(np.max(np.abs(v))) <= 1e-9 * float(np.max(np.abs(ops))):
         return 0.0
-
-    full = _double_time_integral(o_diff, t, kernel)
-    coarse = _double_time_integral(o_diff[:, ::2], t[::2], kernel)
-    scale = max(abs(full), abs(coarse), 1e-300)
-    if abs(full - coarse) > 10 * rtol * scale:
-        raise ValueError(
-            f"overlap integral not converged: {full:g} vs {coarse:g} on the "
-            "half grid; use a finer eigenframe time grid"
-        )
-    return full
+    gram = _kernel_gram(correlation_time, period)
+    return float(np.einsum("cp,pq,cq->", v, gram, v))
 
 
 def onset_ratio(
@@ -362,41 +362,30 @@ def transverse_magnetization(rho: AveragedDensity):
     return mx, my
 
 
-def averaged_density_analytic(
-    config: EnsembleConfig, frame_points: int = 8192
-) -> AveragedDensity:
+def averaged_density_analytic(config: EnsembleConfig) -> AveragedDensity:
     """Closed-form noise-averaged density matrix (no Monte Carlo).
 
     Entries follow rho_kj = c_k c_j* exp(-i Gamma_a(k,j)) exp(-Var_kj/2)
-    with Var_kj from the numerically evaluated overlap integral for each
-    level pair.  Standard errors are zero: this is the analytic limit the
-    Monte Carlo estimators converge to.
+    with Var_kj from the exact overlap integral for each level pair.
+    Standard errors are zero: this is the analytic limit the Monte Carlo
+    estimators converge to.
     """
     h = config.hamiltonian
     sched = h.schedule
-    t = np.linspace(0.0, sched.duration, frame_points * sched.cycles + 1)
-    frame = eigenframe(h, t)
-    gamma_a = np.trapezoid(frame.energies - frame.berry_rates, t, axis=-1)
-    ops = h.noise_operators(config.noise.dimension)
+    noise = config.noise
+    gamma_a = deterministic_phases(h, sched.duration)
     c = config.amplitudes
     n = h.n_levels
     matrix = np.zeros((n, n), dtype=complex)
-    one_period = eigenframe(h, np.linspace(0.0, sched.period, frame_points + 1))
     for k in range(n):
         for j in range(n):
             if k == j:
                 matrix[k, k] = abs(c[k]) ** 2
                 continue
             i_kj = overlap_integral(
-                one_period,
-                ops,
-                config.noise.kernel_profile,
-                (k, j),
-                sched.period,
+                h, noise.correlation_time, (k, j), noise.dimension
             )
-            var = variance_analytic(
-                sched.cycles, h.coupling, config.noise.variance, i_kj
-            )
+            var = variance_analytic(sched.cycles, h.coupling, noise.variance, i_kj)
             matrix[k, j] = (
                 c[k]
                 * np.conj(c[j])
@@ -414,12 +403,11 @@ def decoherence_report(
     config: EnsembleConfig,
     levels: tuple = (1, 0),
     bandwidth: float = 1.0,
-    frame_points: int = 8192,
 ) -> DecoherenceReport:
     """Monte Carlo decoherence factor vs the Gaussian closed form.
 
     Runs the configured ensemble, extracts D(k,j) from the averaged
-    off-diagonal, and compares with exp(-Var/2) built from the numerical
+    off-diagonal, and compares with exp(-Var/2) built from the exact
     overlap integral.  ``bandwidth`` fixes the power bookkeeping via
     P/V = sigma^2 * bandwidth (it cancels in the onset ratio).
     """
@@ -435,21 +423,11 @@ def decoherence_report(
     mc_se = float(density.standard_errors[k, j] / abs(reference))
 
     sched = h.schedule
-    one_period = eigenframe(h, np.linspace(0.0, sched.period, frame_points + 1))
-    i_kj = overlap_integral(
-        one_period,
-        h.noise_operators(config.noise.dimension),
-        config.noise.kernel_profile,
-        (k, j),
-        sched.period,
-    )
-    var = variance_analytic(sched.cycles, h.coupling, config.noise.variance, i_kj)
+    noise = config.noise
+    i_kj = overlap_integral(h, noise.correlation_time, (k, j), noise.dimension)
+    var = variance_analytic(sched.cycles, h.coupling, noise.variance, i_kj)
     ratio = onset_ratio(
-        config.noise.variance * bandwidth,
-        bandwidth,
-        h.coupling,
-        sched.cycles,
-        i_kj,
+        noise.variance * bandwidth, bandwidth, h.coupling, sched.cycles, i_kj
     )
     return DecoherenceReport(
         levels=(k, j),

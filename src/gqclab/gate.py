@@ -18,9 +18,9 @@ phase.
 
 Accumulated phases per level are sums of per-segment integrals; the
 stochastic phase difference of a level pair has variance
-(gamma^2 sigma^2 / 4) sum_l I^l_kj with per-segment overlap integrals, and
-for the Bell pair (00), (11) under rf power noise the closed-form sum is
-32 tau_c T sin^2(theta_0).
+(gamma^2 sigma^2 / 4) sum_l I^l_kj with per-segment overlap integrals,
+each in exact closed form.  For the Bell pair (00), (11) under rf power
+noise the sum tends to 32 tau_c T sin^2(theta_0) in the limit tau_c << T.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .adiabatic import (
     ControlSchedule,
     PhaseRecord,
     QubitHamiltonian,
+    deterministic_phases,
     eigenframe,
     evolve_exact_batch,
     stochastic_phase_batch,
@@ -205,26 +206,25 @@ def gate_phases(
         )
     t_local, _ = _segment_grid(seq, noise.dt)
     gamma_s = _gate_gamma_s(seq, h, t_local, noise.samples[None], level)
+    gamma_a = _gate_gamma_a(seq, h, t_local[-1] - t_local[0])
     return PhaseRecord(
-        gamma_a=float(_gate_gamma_a(seq, h, t_local)[_as_index(level)]),
+        gamma_a=float(gamma_a[_as_index(level)]),
         gamma_s=float(gamma_s[0]),
         level_index=_as_index(level),
         realization_seed=noise.seed,
     )
 
 
-def _gate_gamma_a(
-    seq: PulseSequence, h: QubitHamiltonian, t_local: np.ndarray
-) -> np.ndarray:
-    """Deterministic Gamma_a(k) of the four levels, summed over the segments."""
+def _gate_gamma_a(seq: PulseSequence, h: QubitHamiltonian, span: float) -> np.ndarray:
+    """Deterministic Gamma_a(k) of the four levels, summed over the segments.
+
+    ``span`` is the length of each segment's time grid.
+    """
     gamma_a = np.zeros(4)
     for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
-        frame = eigenframe(h_seg, t_local)
+        phases = deterministic_phases(h_seg, span)
         for level in range(4):
-            k_l = _as_index(level_index_map(level, l))
-            gamma_a[level] += float(
-                np.trapezoid(frame.energies[k_l] - frame.berry_rates[k_l], t_local)
-            )
+            gamma_a[level] += phases[_as_index(level_index_map(level, l))]
     return gamma_a
 
 
@@ -249,26 +249,24 @@ def _gate_gamma_s(
 def gate_overlap_sum(
     seq: PulseSequence,
     h: QubitHamiltonian,
-    kernel,
+    correlation_time: float,
     levels=BELL_LEVELS,
-    frame_points: int = 8192,
+    dimension: int = 1,
 ) -> float:
     """sum_l I^l_kj with O^l_kj(t) = O_{k_l k_l}(t) - O_{j_l j_l}(t).
 
-    Each segment integral has the same double-time form as the single-cycle
-    overlap integral, evaluated on the segment's own eigenframe.
+    Each segment integral is the exact single-period overlap integral of
+    the segment's own Hamiltonian (contour direction and level map).
     """
     k, j = levels
-    t_local = np.linspace(0.0, seq.period, frame_points + 1)
-    ops = h.noise_operators(1)
     total = 0.0
     for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
         k_l = _as_index(level_index_map(k, l))
         j_l = _as_index(level_index_map(j, l))
-        if k_l == j_l:
-            continue
-        frame = eigenframe(h_seg, t_local)
-        total += overlap_integral(frame, ops, kernel, (k_l, j_l), seq.period)
+        if k_l != j_l:
+            total += overlap_integral(
+                h_seg, correlation_time, (k_l, j_l), dimension
+            )
     return total
 
 
@@ -279,8 +277,7 @@ def realized_conditional_phase(seq: PulseSequence, h: QubitHamiltonian) -> float
     phase bilinear in the two qubit indices:
     phi = -[Gamma_a(11) - Gamma_a(10) - Gamma_a(01) + Gamma_a(00)].
     """
-    t_local, _ = _segment_grid(seq, seq.period / 1024)
-    gamma_a = _gate_gamma_a(seq, h, t_local)
+    gamma_a = _gate_gamma_a(seq, h, seq.period)
     phi = -(gamma_a[3] - gamma_a[2] - gamma_a[1] + gamma_a[0])
     return float(np.mod(phi, 2.0 * np.pi))
 
@@ -316,8 +313,8 @@ def gate_onset_ratio(
     """Bell-pair onset ratio (2 eta / pi^2)(gamma^2/d_omega)(P/V)(tau_c T sin^2 theta_0).
 
     Equals the Bell-state phase variance over (2 pi)^2 when the overlap sum
-    takes its rf-noise closed form 32 tau_c T sin^2(theta_0); >= 1 flags
-    loss of entanglement.
+    takes its rf-noise limit 32 tau_c T sin^2(theta_0), valid for
+    tau_c << T; >= 1 flags loss of entanglement.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
@@ -398,7 +395,7 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
     )
     t_local, n_seg = _segment_grid(seq, config.dt)
     _, samples = _ensemble_noise(config, seq.duration, seq.period / n_seg)
-    gamma_a = _gate_gamma_a(seq, h, t_local)
+    gamma_a = _gate_gamma_a(seq, h, t_local[-1] - t_local[0])
 
     k_idx, j_idx = 0, 3
     gamma_a_kj = gamma_a[k_idx] - gamma_a[j_idx]
@@ -417,13 +414,16 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
         outer = amps[:, :, None] * amps[:, None, :].conj()
         matrix, se = _complex_mean_se(outer, axis=0)
         fidelity = float(np.real(bell.conj() @ matrix @ bell))
-        fid_se = float(np.hypot(se[k_idx, j_idx], 0.0))
+        fid_se = float(se[k_idx, j_idx])
         reference = 0.5 * np.exp(-1j * gamma_a_kj)
         mc_factor = complex(matrix[k_idx, j_idx] / reference)
         mc_se = float(se[k_idx, j_idx] / abs(reference))
 
-    overlap_sum = gate_overlap_sum(seq, h, config.noise.kernel_profile)
-    variance = variance_analytic(1, h.coupling, config.noise.variance, overlap_sum)
+    noise = config.noise
+    overlap_sum = gate_overlap_sum(
+        seq, h, noise.correlation_time, dimension=noise.dimension
+    )
+    variance = variance_analytic(1, h.coupling, noise.variance, overlap_sum)
     # keep the reported factor strictly positive even when exp underflows
     d_analytic = max(decoherence_factor_analytic(variance), np.finfo(float).tiny)
     fid_closed = 0.5 + 0.5 * float(np.cos(gamma_a_kj)) * d_analytic

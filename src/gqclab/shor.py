@@ -55,8 +55,9 @@ __all__ = [
 #: exhaustive classical oracles are O(q) = O(N^2); keep N desk-scale
 MAX_MODULUS = 2**16
 
-#: Bell-pair overlap sum is 32 tau_c T sin^2(theta_0); the generic DFT gate
-#: uses the same constant so the onset condition is an exact identity.
+#: Bell-pair overlap sum in the limit tau_c << T is 32 tau_c T sin^2(theta_0);
+#: the generic DFT gate uses the same constant so the onset condition is an
+#: exact identity.
 DEFAULT_OVERLAP_CONSTANT = 32.0
 
 ONSET_VARIANCE = 4.0 * np.pi**2
@@ -200,8 +201,9 @@ def dft_phase_variance(
     """Stochastic phase variance of the full DFT: L(L-1)/2 gates' worth.
 
     Each gate contributes the four-segment overlap sum; pass ``overlap_sum``
-    to use a numerically evaluated one, otherwise the rf-noise closed form
-    overlap_constant * tau_c * T * sin^2(theta_0) is used.
+    to use an exact one (``gate_overlap_sum``), otherwise the rf-noise
+    limit overlap_constant * tau_c * T * sin^2(theta_0), valid for
+    tau_c << T, is used.
     """
     if bits < 2:
         raise ValueError(f"bits must be >= 2, got {bits}")

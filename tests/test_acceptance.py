@@ -52,22 +52,11 @@ def _qubit(theta=np.pi / 2, magnitude=200.0, period=1.0, cycles=1, **kw):
     return QubitHamiltonian(coupling=1.0, schedule=sched, **kw)
 
 
-def _numeric_overlap(h, tau_c, points=8193):
-    frame = eigenframe(h, np.linspace(0.0, h.schedule.period, points))
-    return overlap_integral(
-        frame,
-        h.noise_operators(1),
-        NoiseSpec(1.0, tau_c).kernel_profile,
-        (1, 0),
-        h.schedule.period,
-    )
-
-
 def test_criterion_01_decoherence_factor_law():
     """MC |D| from 4096 exact-propagation realizations matches exp(-v/2)."""
     h = _qubit()
     tau_c = 0.05
-    i_kj = _numeric_overlap(h, tau_c)
+    i_kj = overlap_integral(h, tau_c, (1, 0))
     for v in (0.5, 2.0, 8.0):
         sigma2 = 4.0 * v / i_kj
         cfg = EnsembleConfig(
@@ -87,21 +76,27 @@ def test_criterion_01_decoherence_factor_law():
           "v in {0.5, 2, 8} within 3 SE; analytic factor at 4 pi^2 is 2.67e-9")
 
 
-def test_criterion_02_overlap_integrals():
-    """Numerical overlap integrals reproduce the rf-noise closed forms."""
+def test_criterion_02_overlap_integrals(numeric_overlap, numeric_gate_overlap):
+    """Exact and numerical overlap integrals reproduce the rf-noise limits."""
     period = 1.0
     tau_c = period / 200.0
     for theta in (np.pi / 6, np.pi / 3, np.pi / 2):
         h = _qubit(theta=theta)
-        val = _numeric_overlap(h, tau_c, points=32_769)
         expected = 4 * tau_c * period * np.sin(theta) ** 2
-        assert abs(val - expected) < 0.05 * expected
+        for val in (
+            overlap_integral(h, tau_c, (1, 0)),
+            numeric_overlap(h, tau_c, steps=32_768),
+        ):
+            assert abs(val - expected) < 0.05 * expected
         # Bell-state four-segment sum
         h2 = _qubit(theta=theta, qubit_count=2)
         seq = PulseSequence.standard(h2.schedule)
-        total = gate_overlap_sum(seq, h2, NoiseSpec(1.0, tau_c).kernel_profile)
         bell_expected = 32 * tau_c * period * np.sin(theta) ** 2
-        assert abs(total - bell_expected) < 0.05 * bell_expected
+        for total in (
+            gate_overlap_sum(seq, h2, tau_c),
+            numeric_gate_overlap(seq, h2, tau_c),
+        ):
+            assert abs(total - bell_expected) < 0.05 * bell_expected
     print("PASS criterion 2: I_{+-} within 5% of 4 tau_c T sin^2(theta) and "
           "Bell sum within 5% of 32 tau_c T sin^2(theta) at tau_c = T/200")
 
@@ -125,7 +120,7 @@ def test_criterion_03_agp_dephasing():
     wrap = (np.angle(mx + 1j * my) + (gamma_a[1] - gamma_a[0])) % (2 * np.pi)
     assert min(wrap, 2 * np.pi - wrap) < 1e-6
     # at onset_ratio >= 1 the magnetization is unobservable
-    i_kj = _numeric_overlap(h, tau_c)
+    i_kj = overlap_integral(h, tau_c, (1, 0))
     sigma2 = 4.0 * ONSET_V / i_kj
     assert (
         onset_ratio(sigma2 * 1.0, 1.0, h.coupling, 1, i_kj) >= 1.0 - 1e-9
@@ -194,7 +189,7 @@ def test_criterion_05_gate_fidelity():
         < 3 * res_e.fidelity_standard_error
     )
     # strong noise: F -> 1/2 within 0.02 at variance >= 4 pi^2
-    overlap = gate_overlap_sum(seq, h, NoiseSpec(1.0, tau_c).kernel_profile)
+    overlap = gate_overlap_sum(seq, h, tau_c)
     sigma2 = 4.0 * ONSET_V / overlap
     res_s = bell_gate_run(config(sigma2, 4096, "analytic_phase"), seq)
     assert res_s.analytic_variance >= ONSET_V - 1e-6

@@ -13,6 +13,8 @@ from gqclab import (
     QubitHamiltonian,
     ResolutionError,
     adiabatic_phases,
+    calibrate_level_cone_angles,
+    deterministic_phases,
     eigenframe,
     evolve_exact,
     evolve_exact_batch,
@@ -214,6 +216,24 @@ def test_evolve_exact_column_states_give_unitary_propagator():
     for b in range(2):
         alone = evolve_exact_batch(h, t, samples, np.eye(2)[:, b], 400)
         assert np.array_equal(u[:, :, b], alone)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("calibrated", [False, True])
+def test_deterministic_phases_match_trapezoid(direction, calibrated):
+    """Closed-form Gamma_a equals the quadrature of E_k - gamma_dot_k."""
+    sched = ControlSchedule(200.0, np.pi / 3, 1.0, cycles=2, direction=direction)
+    angles = calibrate_level_cone_angles(1.0, np.pi / 3) if calibrated else None
+    h = QubitHamiltonian(
+        coupling=1.0,
+        schedule=sched,
+        qubit_count=2 if calibrated else 1,
+        level_cone_angles=angles,
+    )
+    t = np.linspace(0.0, 1.999, 1001)  # a span short of the duration
+    frame = eigenframe(h, t)
+    expected = np.trapezoid(frame.energies - frame.berry_rates, t, axis=-1)
+    assert np.allclose(deterministic_phases(h, t[-1]), expected, rtol=1e-13, atol=0)
 
 
 def test_adiabatic_phases_zero_noise_and_geometry():

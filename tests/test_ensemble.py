@@ -12,9 +12,9 @@ from gqclab import (
     QubitHamiltonian,
     ResourceLimitError,
     averaged_density_analytic,
+    calibrate_level_cone_angles,
     decoherence_factor_analytic,
     decoherence_report,
-    eigenframe,
     onset_ratio,
     overlap_integral,
     run_ensemble,
@@ -45,15 +45,8 @@ def _config(sigma2, tau_c=0.05, realizations=512, engine="analytic_phase", **kw)
 
 
 def _sigma2_for_variance(h, tau_c, v_target):
-    """sigma^2 that makes the numerically exact phase variance equal v."""
-    frame = eigenframe(h, np.linspace(0.0, h.schedule.period, 8193))
-    i_kj = overlap_integral(
-        frame,
-        h.noise_operators(1),
-        NoiseSpec(1.0, tau_c).kernel_profile,
-        (1, 0),
-        h.schedule.period,
-    )
+    """sigma^2 that makes the exact phase variance equal v."""
+    i_kj = overlap_integral(h, tau_c, (1, 0))
     return 4.0 * v_target / (h.schedule.cycles * h.coupling**2 * i_kj)
 
 
@@ -198,13 +191,12 @@ def test_variance_analytic_arithmetic():
         variance_analytic(0, 1.0, 1.0, 1.0)
 
 
-def test_overlap_integral_separable_trivial():
-    # theta = 0 with O = sigma_z: O_kj constant = -2, kernel identically 1
-    h = _hamiltonian(theta=0.0)
-    t = np.linspace(0.0, 1.0, 1025)
-    frame = eigenframe(h, t)
-    ops = np.array([[[1, 0], [0, -1]]], dtype=complex)
-    val = overlap_integral(frame, ops, lambda tau: np.ones_like(tau), (0, 1), 1.0)
+def test_overlap_integral_separable_trivial(numeric_overlap):
+    # theta = 0 with O = sigma_z: O_kj constant = -2; the numerical oracle's
+    # kernel exp(-|tau|/tau_c) is 1 to 1e-12 at tau_c = 1e12 T
+    sched = ControlSchedule(magnitude=200.0, cone_angle=0.0, period=1.0)
+    h = QubitHamiltonian(coupling=1.0, schedule=sched, noise_operator_axis=(0, 0, 1))
+    val = numeric_overlap(h, 1e12, (0, 1), steps=1024)
     assert abs(val - 4.0) < 1e-9  # c^2 T^2 with c = 2, T = 1
 
 
@@ -212,29 +204,50 @@ def test_overlap_integral_separable_trivial():
 def test_overlap_integral_nmr_closed_form(theta):
     h = _hamiltonian(theta=theta)
     tau_c = 1.0 / 1000.0
-    t = np.linspace(0.0, 1.0, 32_769)
-    frame = eigenframe(h, t)
-    val = overlap_integral(
-        frame,
-        h.noise_operators(1),
-        NoiseSpec(1.0, tau_c).kernel_profile,
-        (1, 0),
-        1.0,
-    )
+    val = overlap_integral(h, tau_c, (1, 0))
     expected = 4 * tau_c * 1.0 * np.sin(theta) ** 2
     assert abs(val - expected) < 0.05 * expected
 
 
+#: (qubits, calibrated angles, direction, noise axis, dimension, levels)
+OVERLAP_CASES = {
+    "1q": (1, False, "forward", (1.0, 0.0, 0.0), 1, (1, 0)),
+    "1q-reversed-tilted": (1, False, "reversed", (0.0, 0.6, 0.8), 1, (0, 1)),
+    "1q-vector": (1, False, "forward", (1.0, 0.0, 0.0), 3, (1, 0)),
+    "2q-bell": (2, False, "forward", (1.0, 0.0, 0.0), 1, (0, 3)),
+    "2q-calibrated-reversed": (2, True, "reversed", (1.0, 0.0, 0.0), 1, (0, 3)),
+    "2q-calibrated-vector": (2, True, "forward", (1.0, 0.0, 0.0), 3, (1, 3)),
+    "2q-calibrated-tilted": (2, True, "forward", (0.48, 0.6, 0.64), 1, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAP_CASES))
+@pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 3, np.pi / 2])
+@pytest.mark.parametrize("tau_ratio", [0.005, 0.04, 0.1, 0.5])
+def test_overlap_integral_matches_numerical_oracle(
+    numeric_overlap, case, theta, tau_ratio
+):
+    """Exact finite-window I_kj vs the Richardson value of the trapezoid oracle."""
+    qubits, calibrated, direction, axis, dimension, levels = OVERLAP_CASES[case]
+    period = 2.0
+    sched = ControlSchedule(200.0, theta, period, direction=direction)
+    angles = calibrate_level_cone_angles(1.0, theta) if calibrated else None
+    h = QubitHamiltonian(1.0, sched, axis, qubits, angles)
+    tau_c = tau_ratio * period
+    full = numeric_overlap(h, tau_c, levels, dimension, steps=8192)
+    half = numeric_overlap(h, tau_c, levels, dimension, steps=4096)
+    oracle = (4.0 * full - half) / 3.0  # the trapezoid error is O(dt^2)
+    exact = overlap_integral(h, tau_c, levels, dimension)
+    assert abs(exact - oracle) < 1e-6 * oracle
+
+
 def test_overlap_integral_zero_angle_and_errors():
     h = _hamiltonian(theta=0.0)
-    t = np.linspace(0.0, 1.0, 1025)
-    frame = eigenframe(h, t)
-    kernel = NoiseSpec(1.0, 0.01).kernel_profile
-    assert overlap_integral(frame, h.noise_operators(1), kernel, (0, 1), 1.0) == 0.0
+    assert overlap_integral(h, 0.01, (0, 1)) == 0.0
     with pytest.raises(ValueError):
-        overlap_integral(frame, h.noise_operators(1), kernel, (1, 1), 1.0)
+        overlap_integral(h, 0.01, (1, 1))
     with pytest.raises(ValueError):
-        overlap_integral(frame, h.noise_operators(1), kernel, (0, 1), 2.0)
+        overlap_integral(h, 0.0, (0, 1))
 
 
 def test_onset_ratio_identity_and_linearity():

@@ -164,9 +164,43 @@ def test_gate_is_diagonal_conditional_phase():
 def test_bell_overlap_sum_closed_form(theta):
     h, seq = _setup(theta=theta)
     tau_c = 1.0 / 256.0
-    total = gate_overlap_sum(seq, h, NoiseSpec(1.0, tau_c).kernel_profile)
+    total = gate_overlap_sum(seq, h, tau_c)
     expected = 32 * tau_c * seq.period * np.sin(theta) ** 2
     assert abs(total - expected) < 0.05 * expected
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("calibrated", [False, True])
+def test_gate_overlap_sum_matches_numerical_oracle(
+    numeric_gate_overlap, dimension, calibrated
+):
+    angles = calibrate_level_cone_angles(1.0, np.pi / 3) if calibrated else None
+    h, seq = _setup(angles=angles)
+    for levels in (((0, 0), (1, 1)), ((0, 1), (1, 1))):
+        full = numeric_gate_overlap(seq, h, 0.04, levels, dimension, steps=8192)
+        half = numeric_gate_overlap(seq, h, 0.04, levels, dimension, steps=4096)
+        oracle = (4.0 * full - half) / 3.0
+        exact = gate_overlap_sum(seq, h, 0.04, levels, dimension)
+        assert abs(exact - oracle) < 1e-6 * oracle
+
+
+def test_bell_gate_vector_noise_closed_form():
+    """The closed form uses the configured noise dimension (3 components)."""
+    h, seq = _setup()
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=20.0, correlation_time=0.04, dimension=3),
+        initial_amplitudes=BELL,
+        realizations=4096,
+        master_seed=31,
+        engine="analytic_phase",
+    )
+    res = bell_gate_run(cfg, seq)
+    assert res.overlap_sum == gate_overlap_sum(seq, h, 0.04, dimension=3)
+    assert (
+        abs(res.fidelity - res.fidelity_closed_form)
+        < 3 * res.fidelity_standard_error
+    )
 
 
 def test_bell_gate_noiseless_perfect_fidelity():
@@ -252,7 +286,7 @@ def test_bell_gate_resource_bound():
 def test_bell_gate_strong_noise_half_fidelity():
     h, seq = _setup()
     tau_c = 0.04
-    overlap = gate_overlap_sum(seq, h, NoiseSpec(1.0, tau_c).kernel_profile)
+    overlap = gate_overlap_sum(seq, h, tau_c)
     sigma2 = 4 * (4 * np.pi**2) / overlap  # variance exactly 4 pi^2
     cfg = EnsembleConfig(
         hamiltonian=h,
