@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .ensemble import (
 from .errors import AdiabaticityError, ConfigError, ResourceLimitError
 from .gate import PulseSequence, bell_gate_run, calibrate_level_cone_angles
 from .noise import NoiseSpec, make_noise_path, split_seed, estimate_autocorrelation
-from .shor import ShorInstance, runtime_scaling
+from .shor import MAX_MODULUS, ShorInstance, runtime_scaling
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main"]
 
@@ -230,6 +231,11 @@ def _validate_shor(raw, params, errors):
     if len(moduli) != len(bases):
         errors.append("moduli and bases must have the same length")
         return
+    for i, (n, y) in enumerate(zip(moduli, bases)):
+        if not 3 <= n <= MAX_MODULUS:
+            errors.append(f"moduli[{i}]: must be in [3, {MAX_MODULUS}], got {n}")
+        elif math.gcd(n, y) != 1:
+            errors.append(f"bases[{i}]: {y} is not co-prime with modulus {n}")
     if isinstance(variances, (int, float)) and not isinstance(variances, bool):
         variances = [float(variances)] * len(moduli)
     if not isinstance(variances, list) or len(variances) != len(moduli):
@@ -323,12 +329,7 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
     if exp in _GEOMETRY and not missing:
         _resolve_geometry(raw, params, errors)
 
-    for key in ("correlation_time", "duration", "dt", "period", "noise_dt"):
-        if key in schema and key in raw:
-            v = _as_number(raw[key], key, errors, minimum=0, strict_min=True)
-            if v is not None:
-                params[key] = v
-    for key in ("coupling",):
+    for key in ("correlation_time", "duration", "dt", "period", "noise_dt", "coupling"):
         if key in schema and key in raw:
             v = _as_number(raw[key], key, errors, minimum=0, strict_min=True)
             if v is not None:

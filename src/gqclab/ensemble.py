@@ -162,15 +162,21 @@ def _check_noise_elements(
         )
 
 
+def _grid_steps(duration: float, dt: float) -> int:
+    """Steps of a grid ending at ``duration``, none coarser than ``dt``."""
+    return int(np.ceil(duration / dt * (1.0 - 1e-12)))  # T / dt = n + ulp stays n
+
+
 def _ensemble_noise(
     config: EnsembleConfig, duration: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and noise samples (realizations, n_t, dim) for the run."""
-    n_steps = int(round(duration / dt))
+    n_steps = _grid_steps(duration, dt)
+    dt = duration / n_steps
     _check_noise_elements(
         config.realizations, n_steps + 1, config.noise.dimension, config.max_elements
     )
-    t = np.arange(n_steps + 1) * dt
+    t = np.linspace(0.0, duration, n_steps + 1)
     if config.noise.variance == 0.0:
         samples = np.zeros((config.realizations, t.size, config.noise.dimension))
     else:

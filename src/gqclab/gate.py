@@ -42,6 +42,7 @@ from .ensemble import (
     EnsembleConfig,
     _complex_mean_se,
     _ensemble_noise,
+    _grid_steps,
     decoherence_factor_analytic,
     overlap_integral,
     variance_analytic,
@@ -181,7 +182,7 @@ def _segment_hamiltonians(seq: PulseSequence, h: QubitHamiltonian):
 
 
 def _segment_grid(seq: PulseSequence, dt: float) -> tuple[np.ndarray, int]:
-    n_seg = int(round(seq.period / dt))
+    n_seg = _grid_steps(seq.period, dt)
     t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
     return t_local, n_seg
 

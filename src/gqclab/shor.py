@@ -20,7 +20,9 @@ the flat distribution 1/q (v -> infinity).  A measurement succeeds when
 its outcome c sits in the constructive window |r c - c' q| <= r/2 of some
 c' that is less than and co-prime with r; strong noise therefore drives
 the success probability to phi(r)/q ~ 1/(N log N) and the expected number
-of repetitions grows exponentially in log N.
+of repetitions grows exponentially in log N.  Each window holds exactly
+one outcome, so the accounting enumerates phi(r) outcomes, not all q; the
+exhaustive O(q) accounting and the literal DFT are test oracles.
 
 The DFT on L qubits costs L(L-1)/2 controlled-phase gates; each gate
 contributes the four-segment overlap sum of the geometric gate, giving the
@@ -30,10 +32,13 @@ variance v and the onset condition implemented here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .ensemble import MAX_ELEMENTS
+from .errors import ResourceLimitError
 
 __all__ = [
     "ShorInstance",
@@ -52,7 +57,7 @@ __all__ = [
     "gqc_onset",
 ]
 
-#: exhaustive classical oracles are O(q) = O(N^2); keep N desk-scale
+#: largest modulus: q <= 2^33 keeps r c and c' q within int64
 MAX_MODULUS = 2**16
 
 #: Bell-pair overlap sum in the limit tau_c << T is 32 tau_c T sin^2(theta_0);
@@ -91,9 +96,7 @@ def euler_phi(r: int) -> int:
     """Count of integers 1 <= m < r co-prime with r; phi(1) = 1."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if r == 1:
-        return 1
-    return sum(1 for m in range(1, r) if math.gcd(m, r) == 1)
+    return len(coprime_residues(r)) or 1
 
 
 def coprime_residues(r: int) -> tuple:
@@ -113,14 +116,9 @@ class ShorInstance:
     offset: int = 0
 
     def __post_init__(self):
-        n, y, r, q, L, l = (
-            self.modulus,
-            self.base,
-            self.period,
-            self.register_size,
-            self.bits,
-            self.offset,
-        )
+        n, y, r, q, L, l = astuple(self)
+        if not 3 <= n <= MAX_MODULUS:
+            raise ValueError(f"modulus must be in [3, {MAX_MODULUS}], got {n}")
         if math.gcd(y, n) != 1:
             raise ValueError(f"base {y} not co-prime with modulus {n}")
         if pow(y, r, n) != 1 or any(pow(y, s, n) == 1 for s in range(1, r)):
@@ -178,9 +176,8 @@ class NoisyAmplitudeModel:
 
 @dataclass(frozen=True)
 class SuccessReport:
-    """Per-outcome probabilities and the period-finding success budget."""
+    """The period-finding success budget and the outcomes that make it up."""
 
-    p_of_c: np.ndarray
     success_probability: float
     runs_needed: float
     regime: str
@@ -255,10 +252,17 @@ def amplitude_mc(
 
     Shares each realization's path phases across all requested c (one
     matrix product per chunk), so estimates at different c are correlated
-    but individually unbiased.
+    but individually unbiased.  The q/r paths make this O(N^2) wide for
+    small r, so it refuses, before allocating, more than MAX_ELEMENTS.
     """
     inst = model.instance
     c_values = np.asarray(c_values, dtype=int)
+    elements = inst.path_count * (c_values.size + chunk)
+    if elements > MAX_ELEMENTS:
+        raise ResourceLimitError(
+            f"amplitude_mc needs {elements} path amplitudes, above the bound "
+            f"{MAX_ELEMENTS}; ask for fewer outcomes or a smaller chunk"
+        )
     d = np.exp(1j * _path_phases(model, c_values)).T / np.sqrt(
         inst.path_count * inst.register_size
     )  # (paths, n_c)
@@ -305,55 +309,38 @@ def prob_averaged(model: NoisyAmplitudeModel, c) -> np.ndarray:
     return p if p.ndim else float(p)
 
 
-def _constructive_outcomes(inst: ShorInstance):
-    """Map each c to its nearest c' and keep the constructive, useful ones.
+def _useful_outcomes(inst: ShorInstance) -> np.ndarray:
+    """The outcomes c = round(c' q / r) for the c' co-prime with r, ascending.
 
-    Constructive interference needs |r c - c' q| <= r/2; the outcome is
-    useful when that unique c' is less than and co-prime with r.
+    The window |r c - c' q| <= r/2 is |c - c' q / r| <= 1/2, and c' q / r is
+    never a half-integer (that needs r = 2q, but r < N <= sqrt(q)), so each
+    window holds exactly round(c' q / r); as q > r, its nearest c' is c'.
     """
     q, r = inst.register_size, inst.period
-    c = np.arange(q)
-    c_prime = np.floor_divide(2 * r * c + q, 2 * q)  # round(r c / q)
-    constructive = np.abs(r * c - c_prime * q) * 2 <= r
-    good = set(coprime_residues(r))
-    useful = constructive & np.isin(c_prime, list(good) or [-1])
-    return c[useful], c_prime[useful]
+    c_prime = np.array(coprime_residues(r), dtype=np.int64)
+    return (2 * c_prime * q + r) // (2 * r)
 
 
 def success_probability(model: NoisyAmplitudeModel) -> SuccessReport:
     """Total probability that one run reveals the period.
 
-    Sums P(c) over the constructive outcomes whose c' is less than and
-    co-prime with r.  r = 1 has no valid c' at all and is flagged
-    degenerate with zero success probability.
+    Sums P(c), in ascending c, over the O(r) constructive outcomes whose c'
+    is less than and co-prime with r; the full distribution is
+    ``prob_averaged(model, np.arange(q))``.  r = 1 has no valid c' at all
+    and is flagged degenerate with zero success probability.
     """
     inst = model.instance
-    p = prob_averaged(model, np.arange(inst.register_size))
     v = model.path_phase_variance
-    if v == 0:
-        regime = "noiseless"
-    elif v >= ONSET_VARIANCE:
-        regime = "decohered"
-    else:
-        regime = "partial"
-    if inst.period == 1:
-        return SuccessReport(
-            p_of_c=p,
-            success_probability=0.0,
-            runs_needed=float("inf"),
-            regime=regime,
-            success_outcomes=(),
-            degenerate=True,
-        )
-    c_good, _ = _constructive_outcomes(inst)
-    p_suc = float(np.sum(p[c_good]))
+    regime = "noiseless" if v == 0 else "partial" if v < ONSET_VARIANCE else "decohered"
+    c_good = _useful_outcomes(inst)
+    p_suc = float(np.sum(prob_averaged(model, c_good)))
     runs = 1.0 / p_suc if p_suc > 0 else float("inf")
     return SuccessReport(
-        p_of_c=p,
         success_probability=p_suc,
         runs_needed=runs,
         regime=regime,
         success_outcomes=tuple(int(x) for x in c_good),
+        degenerate=inst.period == 1,
     )
 
 

@@ -11,6 +11,7 @@ from scipy.signal import fftconvolve
 from gqclab.adiabatic import PAULI, EigenFrame, eigenframe
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
+from gqclab.shor import ShorInstance, coprime_residues
 
 
 def _two_qubit_slice_product(h, time_grid, path, slices):
@@ -140,3 +141,23 @@ def numeric_overlap():
 @pytest.fixture
 def numeric_gate_overlap():
     return _numeric_gate_overlap
+
+
+def _constructive_outcomes(inst: ShorInstance):
+    """Map each c to its nearest c' and keep the constructive, useful ones.
+
+    Constructive interference needs |r c - c' q| <= r/2; the outcome is
+    useful when that unique c' is less than and co-prime with r.
+    """
+    q, r = inst.register_size, inst.period
+    c = np.arange(q)
+    c_prime = np.floor_divide(2 * r * c + q, 2 * q)  # round(r c / q)
+    constructive = np.abs(r * c - c_prime * q) * 2 <= r
+    good = set(coprime_residues(r))
+    useful = constructive & np.isin(c_prime, list(good) or [-1])
+    return c[useful], c_prime[useful]
+
+
+@pytest.fixture
+def constructive_outcomes():
+    return _constructive_outcomes

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqclab import ConfigError
+from gqclab import ConfigError, euler_phi
 from gqclab.cli import main, validate_config
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -238,6 +238,55 @@ def test_cli_shor_scan_oracle(tmp_path):
     assert row["period"] == "4" and row["register_size"] == "256"
     assert float(row["success_probability"]) == pytest.approx(0.5, abs=1e-12)
     assert row["regime"] == "noiseless"
+
+
+@pytest.mark.parametrize(
+    "moduli, bases, message",
+    [
+        ([70001], [2], "moduli[0]: must be in [3, 65536], got 70001"),
+        ([2], [1], "moduli[0]: must be in [3, 65536], got 2"),
+        ([15], [5], "bases[0]: 5 is not co-prime with modulus 15"),
+    ],
+    ids=["above-max-modulus", "below-three", "not-co-prime"],
+)
+def test_cli_shor_scan_rejects_invalid_instances(
+    tmp_path, capsys, moduli, bases, message
+):
+    raw = {"experiment": "shor-scan", "moduli": moduli, "bases": bases}
+    raw["variances"] = 0.0
+    path = _write(tmp_path, "shor.json", raw)
+    out = str(tmp_path / "scan.csv")
+    assert main(["shor-scan", "--config", path, "--out", out]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err.splitlines()
+
+
+def test_cli_shor_scan_reports_every_invalid_instance():
+    raw = {"moduli": [70001, 15, 21, 2], "bases": [2, 5, 2, 1], "variances": 0.0}
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw, experiment="shor-scan")
+    assert [e.split(":")[0] for e in err.value.errors] == [
+        "moduli[0]", "bases[1]", "moduli[3]"
+    ]
+
+
+def test_cli_shor_scan_at_the_largest_register(tmp_path):
+    # N = 65519: q = 2^32 and r = 32759, so only O(r) outcomes may be built
+    raw = {
+        "experiment": "shor-scan",
+        "moduli": [65519, 65519],
+        "bases": [2, 2],
+        "variances": [0.0, 4 * np.pi**2],
+    }
+    path = _write(tmp_path, "shor.json", raw)
+    out = str(tmp_path / "scan.csv")
+    assert main(["shor-scan", "--config", path, "--out", out]) == 0
+    with open(out) as f:
+        rows = list(csv.DictReader(f))
+    assert [r["register_size"] for r in rows] == [str(2**32)] * 2
+    assert [r["regime"] for r in rows] == ["noiseless", "decohered"]
+    # decohered: P_suc tends to phi(r)/q
+    p_flat = euler_phi(32759) / 2**32
+    assert float(rows[1]["success_probability"]) == pytest.approx(p_flat, rel=0.1)
 
 
 def test_cli_noise_validate_json_format(tmp_path):

@@ -15,12 +15,14 @@ from gqclab import (
     calibrate_level_cone_angles,
     decoherence_factor_analytic,
     decoherence_report,
+    deterministic_phases,
     onset_ratio,
     overlap_integral,
     run_ensemble,
     transverse_magnetization,
     variance_analytic,
 )
+from gqclab.ensemble import _ensemble_noise
 
 EQUAL = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -162,6 +164,17 @@ def test_resource_bound():
     cfg = _config(1.0, tau_c=0.05, realizations=2048, max_elements=1000)
     with pytest.raises(ResourceLimitError):
         run_ensemble(cfg)
+
+
+def test_noise_grid_ends_at_the_schedule_duration():
+    # T / dt = 333.3: the grid takes 334 steps of 1/334 and ends at T = 1
+    h = _hamiltonian(magnitude=400.0)
+    cfg = _config(1.0, tau_c=0.03, realizations=8, noise_dt=0.003, hamiltonian=h)
+    t, samples = _ensemble_noise(cfg, 1.0, cfg.dt)
+    assert t[-1] == 1.0 and t.size == samples.shape[1] == 335
+    assert np.max(np.diff(t)) <= 0.003
+    _, phases = run_ensemble(cfg)
+    assert np.array_equal(phases.gamma_a, deterministic_phases(h, 1.0))
 
 
 def test_decoherence_factor_analytic_values():

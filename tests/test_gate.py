@@ -21,7 +21,11 @@ from gqclab import (
     make_noise_ensemble,
     make_noise_path,
 )
-from gqclab.gate import _bell_exact_amplitudes, realized_conditional_phase
+from gqclab.gate import (
+    _bell_exact_amplitudes,
+    _segment_grid,
+    realized_conditional_phase,
+)
 
 BELL = (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
 
@@ -216,6 +220,21 @@ def test_bell_gate_noiseless_perfect_fidelity():
     assert abs(res.fidelity - 1.0) < 1e-9
     assert res.conditional_phase < 1e-9
     assert res.decoherence_factor == 1.0
+
+
+def test_bell_gate_grid_step_is_never_coarser_than_requested():
+    # P / dt = 333.3: 333 steps would exceed tau_c / 10 and be refused
+    h, seq = _setup()
+    t_local, n_seg = _segment_grid(seq, 0.003)
+    assert (n_seg, t_local[-1]) == (334, 1.0)
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=0.0, correlation_time=0.03),
+        initial_amplitudes=BELL,
+        realizations=8,
+        engine="analytic_phase",
+    )
+    assert abs(bell_gate_run(cfg, seq).fidelity - 1.0) < 1e-9
 
 
 def test_bell_gate_engines_agree_with_closed_form():

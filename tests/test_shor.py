@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gqclab import (
     NoisyAmplitudeModel,
+    ResourceLimitError,
     ShorInstance,
     amplitude_mc,
     amplitude_sample,
@@ -149,6 +150,13 @@ def test_amplitude_mc_matches_closed_form():
     assert np.all(np.abs(mean - p) < 3 * se)
 
 
+def test_amplitude_mc_refuses_work_above_the_element_bound():
+    inst = ShorInstance.build(65519, 2)  # q = 2^32, r = 32759: 131,110 paths
+    model = NoisyAmplitudeModel(instance=inst, path_phase_variance=1.0)
+    with pytest.raises(ResourceLimitError, match="amplitude_mc"):
+        amplitude_mc(model, [0, 1], n_samples=10, master_seed=0)
+
+
 def test_amplitude_sample_reproducible_and_bounded():
     inst = ShorInstance.build(15, 7)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=2.0)
@@ -172,7 +180,24 @@ def test_success_probability_noiseless_and_coprime_accounting():
     assert report.success_outcomes == expected
     # exact-divisor peaks carry 1/r each: P_suc = phi(r)/r
     assert abs(report.success_probability - euler_phi(r) / r) < 1e-12
-    assert abs(sum(report.p_of_c) - 1.0) < 1e-9
+    assert abs(sum(prob_averaged(model, np.arange(q))) - 1.0) < 1e-9
+
+
+#: every co-prime (N, y) with 3 <= N <= 64, and the benchmark's scan moduli
+ORACLE_PAIRS = [
+    (n, y) for n in range(3, 65) for y in range(1, n) if math.gcd(n, y) == 1
+] + [(n, 2) for n in (1023, 1517, 2021, 2047)]
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=str)
+def test_success_accounting_matches_exhaustive_oracle(pair, constructive_outcomes):
+    inst = ShorInstance.build(*pair)
+    model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.5)
+    report = success_probability(model)
+    oracle, _ = constructive_outcomes(inst)
+    assert report.success_outcomes == tuple(int(c) for c in oracle)
+    p = prob_averaged(model, np.arange(inst.register_size))
+    assert report.success_probability == float(np.sum(p[oracle]))
 
 
 def test_success_probability_decohered_limit():
