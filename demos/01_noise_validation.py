@@ -8,7 +8,7 @@ sigma^2 exp(-|t - t'| / tau_c).
 
 import numpy as np
 
-from gqclab import NoiseSpec, estimate_autocorrelation, make_noise_path, split_seed
+from gqclab import NoiseSpec, estimate_autocorrelation, make_noise_ensemble
 
 SIGMA2 = 1.5        # stationary variance of the field fluctuation  [field^2]
 TAU_C = 0.1         # correlation time                              [s]
@@ -19,17 +19,14 @@ PATHS = 64
 
 def main():
     spec = NoiseSpec(variance=SIGMA2, correlation_time=TAU_C)
-    seeds = [split_seed(7, i) for i in range(PATHS)]
-    paths = [make_noise_path(spec, DURATION, DT, seed=s) for s in seeds]
-
-    values = np.stack([p.samples for p in paths])
+    values = make_noise_ensemble(spec, DURATION, DT, master_seed=7, realizations=PATHS)
     print(f"ensemble of {PATHS} paths, {values.shape[1]} samples each")
     print(f"  sample mean      {values.mean():+.4f}   (target 0)")
     print(f"  sample variance  {values.var():.4f}   (target {SIGMA2})")
     print()
 
     lags = np.array([0.0, 0.5, 1.0, 2.0, 3.0]) * TAU_C
-    estimates = estimate_autocorrelation(paths, lags)
+    estimates = estimate_autocorrelation(values, DT, lags)
     print(f"{'lag/tau_c':>10} {'measured':>10} {'expected':>10} {'SE':>8}")
     for lag, est, se in estimates:
         expected = SIGMA2 * np.exp(-lag / TAU_C)

@@ -11,12 +11,9 @@ two are required to agree.
 from .adiabatic import (
     ControlSchedule,
     EigenFrame,
-    PhaseRecord,
     QubitHamiltonian,
-    adiabatic_phases,
     deterministic_phases,
     eigenframe,
-    evolve_exact,
     evolve_exact_batch,
 )
 from .ensemble import (
@@ -48,12 +45,10 @@ from .gate import (
     calibrate_level_cone_angles,
     gate_onset_ratio,
     gate_overlap_sum,
-    gate_phases,
     level_index_map,
     level_path,
 )
 from .noise import (
-    NoisePath,
     NoiseSpec,
     estimate_autocorrelation,
     make_noise_ensemble,
@@ -81,7 +76,6 @@ from .shor import (
 __all__ = [
     # noise
     "NoiseSpec",
-    "NoisePath",
     "make_noise_path",
     "make_noise_ensemble",
     "estimate_autocorrelation",
@@ -91,12 +85,9 @@ __all__ = [
     "ControlSchedule",
     "QubitHamiltonian",
     "EigenFrame",
-    "PhaseRecord",
     "eigenframe",
-    "evolve_exact",
     "evolve_exact_batch",
     "deterministic_phases",
-    "adiabatic_phases",
     # ensemble
     "EnsembleConfig",
     "AveragedDensity",
@@ -116,7 +107,6 @@ __all__ = [
     "GateResult",
     "level_index_map",
     "level_path",
-    "gate_phases",
     "bell_gate_run",
     "gate_onset_ratio",
     "gate_overlap_sum",

@@ -38,18 +38,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AdiabaticityError, DegeneracyError, ResolutionError
-from .noise import NoisePath
 
 __all__ = [
     "ControlSchedule",
     "QubitHamiltonian",
     "EigenFrame",
-    "PhaseRecord",
     "eigenframe",
-    "evolve_exact",
     "evolve_exact_batch",
     "deterministic_phases",
-    "adiabatic_phases",
     "stochastic_phase_batch",
     "PAULI",
 ]
@@ -233,20 +229,6 @@ class QubitHamiltonian:
         return ratios
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Accumulated phases for one level along one noise realization.
-
-    gamma_a  deterministic phase: (1/hbar) int [E_k(t) - hbar gamma_dot_k] dt
-    gamma_s  stochastic phase:    (1/hbar) int <E_k| H_s |E_k> dt
-    """
-
-    gamma_a: float
-    gamma_s: float
-    level_index: int
-    realization_seed: Optional[int] = None
-
-
 def _aligned_state(theta: float, phi: np.ndarray) -> np.ndarray:
     half = theta / 2.0
     return np.stack(
@@ -300,21 +282,6 @@ class EigenFrame:
             "kti,cij,ktj->kct", self.states.conj(), operators, self.states
         )
         return np.real(out)
-
-    def to_csv(self, path) -> None:
-        """Export (t, E_k, gamma_dot_k) columns for plotting."""
-        cols = [self.times]
-        names = ["t_s"]
-        for k in range(self.n_levels):
-            cols += [self.energies[k], self.berry_rates[k]]
-            names += [f"E{k}_rad_per_s", f"berry_rate{k}_rad_per_s"]
-        np.savetxt(
-            path,
-            np.column_stack(cols),
-            delimiter=",",
-            header=",".join(names),
-            comments="",
-        )
 
 
 def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
@@ -390,21 +357,6 @@ def _su2_apply(b: np.ndarray, coupling: float, eps: float, psi: np.ndarray):
     return out
 
 
-def evolve_exact(
-    h: QubitHamiltonian, noise: NoisePath, psi0, slices: int
-) -> np.ndarray:
-    """Propagate |psi0> through the full noisy Hamiltonian, no approximations.
-
-    The interval covered by the noise path is cut into ``slices`` pieces;
-    each piece uses the exact matrix exponential of the midpoint-sampled
-    Hamiltonian (closed-form SU(2), Kronecker product for two qubits).
-    Norm is preserved to 1e-10 by construction; accuracy improves as
-    O(slices^-2) and is validated by slice doubling in the tests.
-    """
-    psi = evolve_exact_batch(h, noise.time_grid, noise.samples[None], psi0, slices)
-    return psi[0]
-
-
 def evolve_exact_batch(
     h: QubitHamiltonian,
     time_grid: np.ndarray,
@@ -412,14 +364,19 @@ def evolve_exact_batch(
     psi0,
     slices: int,
 ) -> np.ndarray:
-    """Vectorized ``evolve_exact`` over a batch of noise realizations.
+    """Propagate psi0 through the full noisy Hamiltonian, no approximations.
 
-    noise_samples has shape (n_real, n_times, dim).  psi0 is one state of
-    shape (hilbert_dim,) or column states of shape (hilbert_dim, m); the
-    final states have shape (n_real,) + psi0.shape.  The slice loop runs
-    over single-qubit spinors only: two uncoupled qubits driven by the same
-    field and the same noise evolve under u x u, with the single-qubit
-    propagator u computed once per call.
+    noise_samples has shape (n_real, n_times, dim) on ``time_grid``.  psi0
+    is one state of shape (hilbert_dim,) or column states of shape
+    (hilbert_dim, m); the final states have shape (n_real,) + psi0.shape.
+    The interval covered by the grid is cut into ``slices`` pieces; each
+    piece uses the exact closed-form SU(2) exponential of the
+    midpoint-sampled Hamiltonian.  Norm is preserved to 1e-10 by
+    construction; accuracy improves as O(slices^-2) and is validated by
+    slice doubling in the tests.  The slice loop runs over single-qubit
+    spinors only: two uncoupled qubits driven by the same field and the
+    same noise evolve under u x u, with the single-qubit propagator u
+    computed once per call.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim not in (1, 2) or psi0.shape[0] != h.n_levels:
@@ -506,41 +463,3 @@ def stochastic_phase_batch(
     pairs *= np.diff(frame.times)
     pairs /= 2.0
     return pairs.sum(axis=-1)
-
-
-def adiabatic_phases(
-    h: QubitHamiltonian,
-    noise: NoisePath,
-    level: int,
-    ratio_max: float = ADIABATIC_RATIO_MAX,
-    strict: bool = False,
-) -> PhaseRecord:
-    """Analytic phases of the adiabatic limit for one noise realization.
-
-    Gamma_a = int [E_k(t) - gamma_dot_k(t)] dt over the span of the path's
-    time grid, in closed form (``deterministic_phases``); Gamma_s
-    integrates the diagonal noise matrix element along the supplied path.
-    Preconditions 1/(T Delta) and 1/(tau_c Delta) <= ratio_max are checked;
-    violations warn, or raise when ``strict``.
-    """
-    if not 0 <= level < h.n_levels:
-        raise ValueError(f"level must be in [0, {h.n_levels}), got {level}")
-    h.check_adiabatic(
-        correlation_time=noise.spec.correlation_time,
-        ratio_max=ratio_max,
-        strict=strict,
-    )
-    gamma_a = float(deterministic_phases(h, noise.duration)[level])
-    if noise.spec.variance == 0:
-        gamma_s = 0.0
-    else:
-        frame = eigenframe(h, noise.time_grid)
-        gamma_s = float(
-            stochastic_phase_batch(h, frame, noise.samples[None], level)[0]
-        )
-    return PhaseRecord(
-        gamma_a=gamma_a,
-        gamma_s=gamma_s,
-        level_index=level,
-        realization_seed=noise.seed,
-    )

@@ -39,9 +39,14 @@ from .ensemble import (
     _check_noise_elements,
     decoherence_report,
 )
-from .errors import AdiabaticityError, ConfigError, ResourceLimitError
+from .errors import (
+    AdiabaticityError,
+    ConfigError,
+    ResolutionError,
+    ResourceLimitError,
+)
 from .gate import PulseSequence, bell_gate_run, calibrate_level_cone_angles
-from .noise import NoiseSpec, make_noise_path, split_seed, estimate_autocorrelation
+from .noise import NoiseSpec, estimate_autocorrelation, make_noise_ensemble
 from .shor import MAX_MODULUS, ShorInstance, runtime_scaling
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main"]
@@ -255,14 +260,12 @@ def _validate_shor(raw, params, errors):
         params["offset"] = offset
 
 
-def validate_config(raw, experiment: str = None) -> ExperimentConfig:
-    """Full schema validation; raises ConfigError carrying every problem.
+def _config_mapping(raw) -> dict:
+    """A copy of the config mapping in ``raw``: JSON text or a parsed object.
 
-    ``raw`` is JSON text or an already-parsed mapping; a run manifest (a
-    mapping with a ``config`` key) is accepted and unwrapped, which is what
-    makes manifests re-runnable.
+    A run manifest (a mapping with a ``config`` key) is unwrapped to the
+    config it echoes, which is what makes manifests re-runnable.
     """
-    errors = []
     if isinstance(raw, str):
         try:
             raw = json.loads(raw) if raw.strip() else {}
@@ -271,8 +274,18 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     if "config" in raw and isinstance(raw["config"], dict):
-        raw = raw["config"]  # run manifest: unwrap the echoed config
-    raw = dict(raw)
+        raw = raw["config"]
+    return dict(raw)
+
+
+def validate_config(raw, experiment: str = None) -> ExperimentConfig:
+    """Full schema validation; raises ConfigError carrying every problem.
+
+    ``raw`` is JSON text, an already-parsed mapping or a run manifest (see
+    ``_config_mapping``).
+    """
+    errors = []
+    raw = _config_mapping(raw)
 
     exp = raw.pop("experiment", experiment)
     if exp is None:
@@ -326,6 +339,9 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
 
     if exp in _NOISE_POWER:
         _resolve_power(raw, params, errors)
+    if exp == "noise-validate" and isinstance(params.get("sigma2"), list):
+        key = "sigma2" if "sigma2" in raw else "power_density"
+        errors.append(f"{key}: noise-validate takes one value, not a list")
     if exp in _GEOMETRY and not missing:
         _resolve_geometry(raw, params, errors)
 
@@ -377,7 +393,7 @@ def _sigma2_sweep(params):
 
 def _run_noise_validate(p):
     spec = NoiseSpec(
-        variance=_sigma2_sweep(p)[0],
+        variance=p["sigma2"],
         correlation_time=p["correlation_time"],
         dimension=p.get("dimension", 1),
     )
@@ -388,12 +404,11 @@ def _run_noise_validate(p):
         lags = sorted({round(k * tau_c / dt) * dt for k in range(4)})
     n_t = int(round(p["duration"] / dt)) + 1
     _check_noise_elements(p["realizations"], n_t, spec.dimension)
-    paths = [
-        make_noise_path(spec, p["duration"], dt, split_seed(p["master_seed"], i))
-        for i in range(p["realizations"])
-    ]
+    samples = make_noise_ensemble(
+        spec, p["duration"], dt, p["master_seed"], p["realizations"]
+    )
     rows = []
-    for lag, est, se in estimate_autocorrelation(paths, lags):
+    for lag, est, se in estimate_autocorrelation(samples, dt, lags):
         rows.append(
             {
                 "lag_s": lag,
@@ -617,19 +632,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    raw = {}
+    text = ""
     if args.config:
         try:
             with open(args.config) as f:
-                raw = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+                text = f.read()
+        except OSError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if isinstance(raw, dict) and "config" in raw and isinstance(raw["config"], dict):
-            raw = raw["config"]
-    if not isinstance(raw, dict):
-        print("config error: config must be a JSON object", file=sys.stderr)
-        return 2
     overrides = {
         "master_seed": args.seed,
         "realizations": args.realizations,
@@ -638,14 +648,18 @@ def main(argv=None) -> int:
         "format": args.format,
         "strict_adiabatic": args.strict_adiabatic,
     }
-    raw = dict(raw)
-    raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
+        # overrides apply to the config a manifest echoes, not to the manifest
+        raw = _config_mapping(text)
+        raw.update({k: v for k, v in overrides.items() if v is not None})
         config = validate_config(raw, experiment=args.experiment)
         manifest = run(config)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except ResolutionError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AdiabaticityError as exc:
         print(f"adiabaticity violation: {exc}", file=sys.stderr)

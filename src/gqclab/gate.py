@@ -31,7 +31,6 @@ import numpy as np
 
 from .adiabatic import (
     ControlSchedule,
-    PhaseRecord,
     QubitHamiltonian,
     deterministic_phases,
     eigenframe,
@@ -47,7 +46,6 @@ from .ensemble import (
     overlap_integral,
     variance_analytic,
 )
-from .noise import NoisePath
 
 __all__ = [
     "PulseSequence",
@@ -55,7 +53,6 @@ __all__ = [
     "GateResult",
     "level_index_map",
     "level_path",
-    "gate_phases",
     "bell_gate_run",
     "gate_onset_ratio",
     "gate_overlap_sum",
@@ -185,35 +182,6 @@ def _segment_grid(seq: PulseSequence, dt: float) -> tuple[np.ndarray, int]:
     n_seg = _grid_steps(seq.period, dt)
     t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
     return t_local, n_seg
-
-
-def gate_phases(
-    seq: PulseSequence,
-    h: QubitHamiltonian,
-    noise: NoisePath,
-    level,
-) -> PhaseRecord:
-    """Gamma_a(k) and Gamma_s(k) summed over the four segments.
-
-    Segment l integrates over its own window with its own contour
-    direction, with the level advanced by the index map.  The noise path
-    must span all four windows.
-    """
-    if h.qubit_count != 2:
-        raise ValueError("the controlled-phase gate needs a two-qubit Hamiltonian")
-    if noise.duration < seq.duration * (1 - 1e-9):
-        raise ValueError(
-            f"noise path covers {noise.duration:g}, need {seq.duration:g}"
-        )
-    t_local, _ = _segment_grid(seq, noise.dt)
-    gamma_s = _gate_gamma_s(seq, h, t_local, noise.samples[None], level)
-    gamma_a = _gate_gamma_a(seq, h, t_local[-1] - t_local[0])
-    return PhaseRecord(
-        gamma_a=float(gamma_a[_as_index(level)]),
-        gamma_s=float(gamma_s[0]),
-        level_index=_as_index(level),
-        realization_seed=noise.seed,
-    )
 
 
 def _gate_gamma_a(seq: PulseSequence, h: QubitHamiltonian, span: float) -> np.ndarray:

@@ -24,7 +24,7 @@ master seed, so results never depend on generation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -33,7 +33,6 @@ from .errors import ResolutionError
 
 __all__ = [
     "NoiseSpec",
-    "NoisePath",
     "make_noise_path",
     "make_noise_ensemble",
     "estimate_autocorrelation",
@@ -52,14 +51,11 @@ class NoiseSpec:
     variance         stationary variance sigma^2 (field^2 units)
     correlation_time correlation time tau_c (seconds)
     dimension        1 for scalar rf noise, 3 for isotropic vector noise
-    kernel           normalized autocorrelation profile; only the
-                     exponential kernel exp(-|tau|/tau_c) is supported
     """
 
     variance: float
     correlation_time: float
     dimension: int = 1
-    kernel: str = "exponential"
 
     def __post_init__(self):
         if self.variance < 0:
@@ -70,68 +66,10 @@ class NoiseSpec:
             )
         if self.dimension not in (1, 3):
             raise ValueError(f"dimension must be 1 or 3, got {self.dimension}")
-        if self.kernel != "exponential":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
 
     def kernel_profile(self, tau):
         """Normalized fluctuation profile f(tau), with f(0) = 1."""
         return np.exp(-np.abs(np.asarray(tau, dtype=float)) / self.correlation_time)
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One realization of the noise on a uniform time grid.
-
-    ``samples`` has shape (n_times, dimension).  Regenerating with the same
-    (spec, duration, dt, seed) reproduces the samples bit-exactly.
-    """
-
-    spec: NoiseSpec
-    time_grid: np.ndarray
-    samples: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.samples.shape != (self.time_grid.size, self.spec.dimension):
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match grid "
-                f"({self.time_grid.size}, {self.spec.dimension})"
-            )
-
-    @property
-    def dt(self) -> float:
-        return float(self.time_grid[1] - self.time_grid[0])
-
-    @property
-    def duration(self) -> float:
-        return float(self.time_grid[-1] - self.time_grid[0])
-
-    def scaled(self, factor: float) -> "NoisePath":
-        """Path with samples multiplied by ``factor`` (for linearity checks)."""
-        return NoisePath(
-            spec=NoiseSpec(
-                variance=self.spec.variance * factor**2,
-                correlation_time=self.spec.correlation_time,
-                dimension=self.spec.dimension,
-                kernel=self.spec.kernel,
-            ),
-            time_grid=self.time_grid,
-            samples=self.samples * factor,
-            seed=self.seed,
-        )
-
-    def to_csv(self, path) -> None:
-        """Export as CSV columns (t, b_1, ..., b_dim)."""
-        header = "t_s," + ",".join(
-            f"b{i}_field" for i in range(self.spec.dimension)
-        )
-        np.savetxt(
-            path,
-            np.column_stack([self.time_grid, self.samples]),
-            delimiter=",",
-            header=header,
-            comments="",
-        )
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -152,9 +90,9 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _grid(duration: float, dt: float) -> np.ndarray:
-    n_steps = int(round(duration / dt))
-    return np.arange(n_steps + 1) * dt
+def _n_times(duration: float, dt: float) -> int:
+    """Points of the grid 0, dt, ..., duration."""
+    return int(round(duration / dt)) + 1
 
 
 def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:
@@ -171,33 +109,34 @@ def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:
 
 
 def _ou_from_normals(spec: NoiseSpec, xi: np.ndarray, dt: float) -> np.ndarray:
-    """Exact OU recursion applied along the first axis of ``xi``.
+    """Exact OU recursion along the time axis of ``xi``, shape (..., n_t, dim).
 
-    ``xi[0]`` seeds the stationary initial value; subsequent rows drive the
-    AR(1) update.  Implemented as a single IIR filter pass.
+    ``xi[..., 0, :]`` seeds the stationary initial value; later time steps
+    drive the AR(1) update.  The normals are scaled in place and filtered
+    along the contiguous time axis in a single IIR pass.
     """
     sigma = np.sqrt(spec.variance)
     a = np.exp(-dt / spec.correlation_time)
-    innovations = xi * (sigma * np.sqrt(1.0 - a * a))
-    innovations[0] = xi[0] * sigma  # stationary marginal at t = 0
-    return lfilter([1.0], [1.0, -a], innovations, axis=0)
+    xi[..., 1:, :] *= sigma * np.sqrt(1.0 - a * a)
+    xi[..., 0, :] *= sigma  # stationary marginal at t = 0
+    return lfilter([1.0], [1.0, -a], xi, axis=-2)
 
 
 def make_noise_path(
     spec: NoiseSpec, duration: float, dt: float, seed: int
-) -> NoisePath:
-    """Generate one noise realization on the grid 0, dt, ..., duration.
+) -> np.ndarray:
+    """One noise realization on the grid 0, dt, ..., duration.
 
-    The exact discretization has stationary marginal variance sigma^2 and
+    Returns the samples, shape (n_times, dimension).  The exact
+    discretization has stationary marginal variance sigma^2 and
     autocovariance sigma^2 exp(-|tau|/tau_c); the ``dimension`` components
-    are independent.
+    are independent.  The same (spec, duration, dt, seed) reproduces the
+    samples bit-exactly.
     """
     _check_resolution(spec, duration, dt)
-    t = _grid(duration, dt)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xi = rng.standard_normal((t.size, spec.dimension))
-    samples = _ou_from_normals(spec, xi, dt)
-    return NoisePath(spec=spec, time_grid=t, samples=samples, seed=seed)
+    xi = rng.standard_normal((_n_times(duration, dt), spec.dimension))
+    return _ou_from_normals(spec, xi, dt)
 
 
 def make_noise_ensemble(
@@ -216,36 +155,29 @@ def make_noise_ensemble(
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     _check_resolution(spec, duration, dt)
-    t = _grid(duration, dt)
-    xi = np.empty((realizations, t.size, spec.dimension))
+    xi = np.empty((realizations, _n_times(duration, dt), spec.dimension))
     for i in range(realizations):
-        xi[i] = realization_rng(master_seed, i).standard_normal(
-            (t.size, spec.dimension)
-        )
-    return _ou_from_normals(spec, np.moveaxis(xi, 1, 0), dt).swapaxes(0, 1)
+        realization_rng(master_seed, i).standard_normal(out=xi[i])
+    return _ou_from_normals(spec, xi, dt)
 
 
-def estimate_autocorrelation(paths, lags):
+def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
     """Unbiased autocovariance estimate, averaged over paths and time.
 
-    Returns a list of ``(lag, estimate, standard_error)``.  The estimator at
-    each lag is the mean over paths of the per-path time average of
-    ``x(t) . x(t + lag)`` (summed over components); the standard error is the
-    across-path scatter of those per-path means.  At lag 0 this equals the
-    (mean-zero) sample variance by construction.
+    ``samples`` is a noise ensemble of shape (n_paths, n_times, dim) on a
+    uniform grid of step ``dt``.  Returns a list of ``(lag, estimate,
+    standard_error)``.  The estimator at each lag is the mean over paths of
+    the per-path time average of ``x(t) . x(t + lag)`` (summed over
+    components); the standard error is the across-path scatter of those
+    per-path means.  At lag 0 this equals the (mean-zero) sample variance
+    by construction.
     """
-    if not paths:
-        raise ValueError("need at least one path")
-    ref = paths[0]
-    for p in paths[1:]:
-        if p.time_grid.shape != ref.time_grid.shape or not np.array_equal(
-            p.time_grid, ref.time_grid
-        ):
-            raise ValueError("all paths must share the same time grid")
-        if p.spec != ref.spec:
-            raise ValueError("all paths must share the same spec")
-    dt = ref.dt
-    n = ref.time_grid.size
+    samples = np.asarray(samples)
+    if samples.ndim != 3 or samples.shape[0] < 1:
+        raise ValueError(
+            "samples must have shape (n_paths, n_times, dim) with n_paths >= 1"
+        )
+    n_paths, n, dim = samples.shape
     out = []
     for lag in lags:
         m = int(round(lag / dt))
@@ -253,15 +185,17 @@ def estimate_autocorrelation(paths, lags):
             raise ValueError(f"lag {lag} is not representable on the grid")
         if not 0 <= m < n:
             raise ValueError(f"lag {lag} outside the path duration")
-        per_path = np.array(
-            [
-                np.mean(np.sum(p.samples[: n - m] * p.samples[m:], axis=1))
-                for p in paths
-            ]
-        )
+        per_path = np.empty(n_paths)
+        for i, x in enumerate(samples):
+            # summed component by component, which keeps the bits of a sum
+            # over axis 1 without a fresh (n, dim) product per path
+            prod = x[: n - m, 0] * x[m:, 0]
+            for c in range(1, dim):
+                prod += x[: n - m, c] * x[m:, c]
+            per_path[i] = np.mean(prod)
         est = float(np.mean(per_path))
-        if len(paths) > 1:
-            se = float(np.std(per_path, ddof=1) / np.sqrt(len(paths)))
+        if n_paths > 1:
+            se = float(np.std(per_path, ddof=1) / np.sqrt(n_paths))
         else:
             se = 0.0
         out.append((float(lag), est, se))

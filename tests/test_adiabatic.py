@@ -12,15 +12,14 @@ from gqclab import (
     NoiseSpec,
     QubitHamiltonian,
     ResolutionError,
-    adiabatic_phases,
     calibrate_level_cone_angles,
     deterministic_phases,
     eigenframe,
-    evolve_exact,
     evolve_exact_batch,
     make_noise_ensemble,
     make_noise_path,
 )
+from gqclab.adiabatic import stochastic_phase_batch
 
 
 def _hamiltonian(theta, magnitude=200.0, period=1.0, cycles=1, **kw):
@@ -30,9 +29,11 @@ def _hamiltonian(theta, magnitude=200.0, period=1.0, cycles=1, **kw):
     return QubitHamiltonian(coupling=1.0, schedule=sched, **kw)
 
 
-def _zero_noise(duration, dt=0.005, tau_c=0.05):
-    spec = NoiseSpec(variance=0.0, correlation_time=tau_c)
-    return make_noise_path(spec, duration, dt, seed=0)
+def _noise(duration, dt=0.005, variance=0.0, seed=0, tau_c=0.05):
+    """Time grid and one noise path as a batch of one, shape (1, n_t, 1)."""
+    spec = NoiseSpec(variance=variance, correlation_time=tau_c)
+    samples = make_noise_path(spec, duration, dt, seed)[None]
+    return np.arange(samples.shape[1]) * dt, samples
 
 
 def loop_berry_phase(states):
@@ -145,9 +146,9 @@ def test_two_qubit_eigenframe_product_structure():
 
 def test_evolve_exact_stationary_state():
     h = _hamiltonian(0.0)
-    noise = _zero_noise(1.0)
+    t, noise = _noise(1.0)
     psi0 = np.array([1.0, 0.0], dtype=complex)  # ground state for theta = 0
-    psi = evolve_exact(h, noise, psi0, slices=400)
+    [psi] = evolve_exact_batch(h, t, noise, psi0, slices=400)
     assert abs(abs(np.vdot(psi0, psi)) - 1.0) < 1e-10
     # pure dynamical phase: arg = -E_0 t = +gamma |B| t / 2
     assert abs(np.angle(np.vdot(psi0, psi)) - np.angle(np.exp(1j * 100.0))) < 1e-6
@@ -157,24 +158,23 @@ def test_evolve_exact_adiabatic_agreement():
     """Exact propagation reproduces the analytic adiabatic phase."""
     h = _hamiltonian(1.0, magnitude=20_000.0)
     assert h.gap * h.schedule.period >= 100
-    noise = _zero_noise(1.0, dt=0.005)
-    frame = eigenframe(h, noise.time_grid)
-    psi = evolve_exact(h, noise, frame.states[0, 0], slices=80_000)
+    t, noise = _noise(1.0, dt=0.005)
+    frame = eigenframe(h, t)
+    [psi] = evolve_exact_batch(h, t, noise, frame.states[0, 0], slices=80_000)
     overlap = np.vdot(frame.states[0, -1], psi)
     assert abs(abs(overlap) - 1.0) < 1e-4
-    rec = adiabatic_phases(h, noise, level=0)
-    phase_diff = (np.angle(overlap) + rec.gamma_a) % (2 * np.pi)
+    gamma_a = deterministic_phases(h, t[-1])[0]
+    phase_diff = (np.angle(overlap) + gamma_a) % (2 * np.pi)
     phase_diff = min(phase_diff, 2 * np.pi - phase_diff)
     assert phase_diff < 1e-3
 
 
 def test_evolve_exact_slice_doubling_converges():
     h = _hamiltonian(0.8, magnitude=10.0)
-    spec = NoiseSpec(variance=1.0, correlation_time=0.05)
-    noise = make_noise_path(spec, 1.0, 0.005, seed=4)
+    t, noise = _noise(1.0, variance=1.0, seed=4)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    a = evolve_exact(h, noise, psi0, slices=51200)
-    b = evolve_exact(h, noise, psi0, slices=102400)
+    [a] = evolve_exact_batch(h, t, noise, psi0, slices=51200)
+    [b] = evolve_exact_batch(h, t, noise, psi0, slices=102400)
     assert np.linalg.norm(a - b) < 1e-8
     # norm preservation
     assert abs(np.linalg.norm(b) - 1.0) < 1e-10
@@ -182,11 +182,11 @@ def test_evolve_exact_slice_doubling_converges():
 
 def test_evolve_exact_errors():
     h = _hamiltonian(1.0)
-    noise = _zero_noise(1.0)
-    with pytest.raises(ValueError):
-        evolve_exact(h, noise, np.array([1.0, 1.0]), slices=400)  # unnormalized
+    t, noise = _noise(1.0)
+    with pytest.raises(ValueError):  # unnormalized
+        evolve_exact_batch(h, t, noise, np.array([1.0, 1.0]), slices=400)
     with pytest.raises(ResolutionError):
-        evolve_exact(h, noise, np.array([1.0, 0.0]), slices=10)
+        evolve_exact_batch(h, t, noise, np.array([1.0, 0.0]), slices=10)
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
@@ -238,52 +238,50 @@ def test_deterministic_phases_match_trapezoid(direction, calibrated):
 
 def test_adiabatic_phases_zero_noise_and_geometry():
     h = _hamiltonian(np.pi / 3)
-    noise = _zero_noise(1.0)
-    rec = adiabatic_phases(h, noise, level=0)
-    assert rec.gamma_s == 0.0
+    t, noise = _noise(1.0)
+    [gamma_s] = stochastic_phase_batch(h, eigenframe(h, t), noise, 0)
+    assert gamma_s == 0.0
     # gamma_a = integral E_0 - berry rate: geometric part is +pi(1 - cos)
     dynamical = -0.5 * h.gap * 1.0
     geometric = -(-np.pi * (1.0 - np.cos(np.pi / 3)))
-    assert abs(rec.gamma_a - (dynamical + geometric)) < 1e-8
+    assert abs(deterministic_phases(h, t[-1])[0] - (dynamical + geometric)) < 1e-8
 
 
 def test_adiabatic_phases_transverse_noise_on_polar_state():
     # theta = 0 with O along x: diagonal noise element vanishes identically
     h = _hamiltonian(0.0)
-    spec = NoiseSpec(variance=2.0, correlation_time=0.05)
-    noise = make_noise_path(spec, 1.0, 0.005, seed=9)
-    rec = adiabatic_phases(h, noise, level=0)
-    assert abs(rec.gamma_s) < 1e-12
+    t, noise = _noise(1.0, variance=2.0, seed=9)
+    [gamma_s] = stochastic_phase_batch(h, eigenframe(h, t), noise, 0)
+    assert abs(gamma_s) < 1e-12
 
 
 def test_gamma_s_linear_in_noise():
     h = _hamiltonian(1.0)
-    spec = NoiseSpec(variance=1.0, correlation_time=0.05)
-    noise = make_noise_path(spec, 1.0, 0.005, seed=10)
-    rec1 = adiabatic_phases(h, noise, level=1)
-    rec3 = adiabatic_phases(h, noise.scaled(3.0), level=1)
-    assert np.isclose(rec3.gamma_s, 3.0 * rec1.gamma_s, rtol=1e-12)
-    assert np.isclose(rec3.gamma_a, rec1.gamma_a)
+    t, noise = _noise(1.0, variance=1.0, seed=10)
+    frame = eigenframe(h, t)
+    [gs1] = stochastic_phase_batch(h, frame, noise, 1)
+    [gs3] = stochastic_phase_batch(h, frame, 3.0 * noise, 1)
+    assert np.isclose(gs3, 3.0 * gs1, rtol=1e-12)
 
 
 def test_gamma_a_identical_across_realizations():
+    # Gamma_a is one value per level, whatever the noise; Gamma_s is one
+    # value per realization
     h = _hamiltonian(1.2)
     spec = NoiseSpec(variance=1.0, correlation_time=0.05)
-    recs = [
-        adiabatic_phases(h, make_noise_path(spec, 1.0, 0.005, seed=s), level=0)
-        for s in (1, 2, 3)
-    ]
-    assert len({r.gamma_a for r in recs}) == 1
-    assert len({r.gamma_s for r in recs}) == 3
+    samples = np.stack([make_noise_path(spec, 1.0, 0.005, seed=s) for s in (1, 2, 3)])
+    t = np.arange(samples.shape[1]) * 0.005
+    assert deterministic_phases(h, t[-1]).shape == (2,)
+    gamma_s = stochastic_phase_batch(h, eigenframe(h, t), samples, 0)
+    assert len(set(gamma_s)) == 3
 
 
 def test_adiabaticity_check_warns_or_raises():
     h = _hamiltonian(1.0, magnitude=1.0)  # gap 1, period 1: ratio 1 > 0.1
-    noise = _zero_noise(1.0)
     with pytest.warns(UserWarning, match="adiabaticity"):
-        adiabatic_phases(h, noise, level=0)
+        h.check_adiabatic(correlation_time=0.05)
     with pytest.raises(AdiabaticityError):
-        adiabatic_phases(h, noise, level=0, strict=True)
+        h.check_adiabatic(correlation_time=0.05, strict=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        adiabatic_phases(h, noise, level=0, ratio_max=25.0)  # relaxed: no warning
+        h.check_adiabatic(correlation_time=0.05, ratio_max=25.0)  # relaxed: no warning

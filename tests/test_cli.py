@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqclab import ConfigError, euler_phi
+from gqclab import ConfigError, NoiseSpec, euler_phi, make_noise_path, split_seed
 from gqclab.cli import main, validate_config
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -198,6 +198,115 @@ def test_cli_seed_override_changes_estimates(tmp_path):
         ) == 0
         outs.append(open(out, "rb").read())
     assert outs[0] != outs[1]
+
+
+def test_cli_seed_override_applies_to_a_manifest(tmp_path):
+    path = _write(tmp_path, "agp.json", dict(AGP_CONFIG, sigma2=10.0))
+    out1 = str(tmp_path / "a.csv")
+    assert main(["agp-dephase", "--config", path, "--out", out1]) == 0
+    out2 = str(tmp_path / "b.csv")
+    assert main(
+        ["agp-dephase", "--config", out1 + ".manifest.json", "--out", out2,
+         "--seed", "11"]
+    ) == 0
+    manifest = json.loads(open(out2 + ".manifest.json").read())
+    assert manifest["config"]["master_seed"] == 11
+    assert manifest["seeds"]["master_seed"] == 11
+    assert open(out1, "rb").read() != open(out2, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {
+            "experiment": "noise-validate",
+            "sigma2": 1.0,
+            "correlation_time": 0.05,
+            "duration": 10.0,
+            "dt": 0.1,
+            "realizations": 4,
+        },
+        dict(AGP_CONFIG, noise_dt=0.01),  # tau_c / 10 = 0.004
+    ],
+    ids=["noise-validate", "agp-dephase"],
+)
+def test_cli_coarse_noise_step_is_a_config_error(tmp_path, capsys, raw):
+    path = _write(tmp_path, "cfg.json", raw)
+    out = tmp_path / "x.csv"
+    assert main([raw["experiment"], "--config", path, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: dt = ")
+    assert "tau_c/10" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "power",
+    [{"sigma2": [1.0, 9.0]}, {"power_density": [1.0, 9.0], "bandwidth": 1.0}],
+    ids=["sigma2", "power_density"],
+)
+def test_cli_noise_validate_rejects_a_variance_list(tmp_path, capsys, power):
+    raw = {
+        "experiment": "noise-validate",
+        "correlation_time": 0.05,
+        "duration": 1.0,
+        "dt": 0.005,
+        "realizations": 4,
+        **power,
+    }
+    path = _write(tmp_path, "cfg.json", raw)
+    out = tmp_path / "x.csv"
+    assert main(["noise-validate", "--config", path, "--out", str(out)]) == 2
+    key = next(iter(power))
+    message = f"config error: {key}: noise-validate takes one value, not a list"
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dimension, duration, dt",
+    [(3, 2.0, 0.005), (1, 7.3, 0.003), (3, 7.3, 0.003)],
+    ids=["dimension-3", "non-integer-steps", "dimension-3-non-integer-steps"],
+)
+def test_cli_noise_validate_matches_the_per_path_definition(
+    tmp_path, dimension, duration, dt
+):
+    """Every cell equals, to the bit, the mean over paths of each path's time
+    mean of x(t) . x(t + lag), with the paths made one at a time."""
+    sigma2, tau_c, seed, n_paths = 2.0, 0.05, 3, 16
+    raw = {
+        "experiment": "noise-validate",
+        "sigma2": sigma2,
+        "correlation_time": tau_c,
+        "duration": duration,
+        "dt": dt,
+        "realizations": n_paths,
+        "master_seed": seed,
+        "dimension": dimension,
+    }
+    path = _write(tmp_path, "nv.json", raw)
+    out = str(tmp_path / "nv.csv")
+    assert main(["noise-validate", "--config", path, "--out", out]) == 0
+
+    spec = NoiseSpec(variance=sigma2, correlation_time=tau_c, dimension=dimension)
+    paths = [
+        make_noise_path(spec, duration, dt, split_seed(seed, i))
+        for i in range(n_paths)
+    ]
+    n = paths[0].shape[0]
+    expected = [["lag_s", "autocovariance_field2", "standard_error_field2",
+                 "expected_field2"]]
+    for lag in sorted({round(k * tau_c / dt) * dt for k in range(4)}):
+        m = round(lag / dt)
+        per_path = np.array(
+            [np.mean(np.sum(x[: n - m] * x[m:], axis=1)) for x in paths]
+        )
+        estimate = float(np.mean(per_path))
+        se = float(np.std(per_path, ddof=1) / np.sqrt(n_paths))
+        kernel = dimension * sigma2 * float(np.exp(-lag / tau_c))
+        expected.append([repr(float(v)) for v in (lag, estimate, se, kernel)])
+    with open(out, newline="") as f:
+        assert list(csv.reader(f)) == expected
 
 
 def test_cli_gate_fidelity_sweep(tmp_path):

@@ -15,14 +15,14 @@ from gqclab import (
     eigenframe,
     gate_onset_ratio,
     gate_overlap_sum,
-    gate_phases,
     level_index_map,
     level_path,
     make_noise_ensemble,
-    make_noise_path,
 )
 from gqclab.gate import (
     _bell_exact_amplitudes,
+    _gate_gamma_a,
+    _gate_gamma_s,
     _segment_grid,
     realized_conditional_phase,
 )
@@ -84,25 +84,16 @@ def test_pulse_sequence_structure():
 
 def test_gate_phases_zero_noise_and_short_path():
     h, seq = _setup()
-    spec = NoiseSpec(variance=0.0, correlation_time=0.04)
-    noise = make_noise_path(spec, 4.0, 0.004, seed=0)
-    rec = gate_phases(seq, h, noise, (0, 0))
-    assert rec.gamma_s == 0.0
-    short = make_noise_path(spec, 2.0, 0.004, seed=0)
-    with pytest.raises(ValueError):
-        gate_phases(seq, h, short, (0, 0))
+    t_local, n_seg = _segment_grid(seq, 0.004)
+    noise = np.zeros((1, 4 * n_seg + 1, 1))
+    [gamma_s] = _gate_gamma_s(seq, h, t_local, noise, (0, 0))
+    assert gamma_s == 0.0
 
 
 def test_uniform_angles_give_zero_conditional_phase():
     h, seq = _setup()
-    spec = NoiseSpec(variance=0.0, correlation_time=0.04)
-    noise = make_noise_path(spec, 4.0, 0.004, seed=0)
-    ga = {
-        k: gate_phases(seq, h, noise, k).gamma_a
-        for k in ((0, 0), (0, 1), (1, 0), (1, 1))
-    }
     # spin echo: every level accumulates zero net deterministic phase
-    for v in ga.values():
+    for v in _gate_gamma_a(seq, h, seq.period):
         assert abs(v) < 1e-9
     assert realized_conditional_phase(seq, h) < 1e-9
 
@@ -111,8 +102,6 @@ def test_gate_phases_solid_angle_oracle():
     """Per-segment phases reduce to solid-angle sums with calibrated angles."""
     angles = calibrate_level_cone_angles(1.0, np.pi / 3)
     h, seq = _setup(angles=angles)
-    spec = NoiseSpec(variance=0.0, correlation_time=0.04)
-    noise = make_noise_path(spec, 4.0, 0.004, seed=0)
 
     def solid_angle_gamma_a(level_bits):
         """Independent oracle: dynamical phases cancel over C/Cbar pairs;
@@ -129,9 +118,9 @@ def test_gate_phases_solid_angle_oracle():
             total += -orient * sign * np.pi * (1.0 - np.cos(theta))
         return total
 
+    gamma_a = _gate_gamma_a(seq, h, seq.period)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        rec = gate_phases(seq, h, noise, bits)
-        assert abs(rec.gamma_a - solid_angle_gamma_a(bits)) < 1e-8
+        assert abs(gamma_a[2 * bits[0] + bits[1]] - solid_angle_gamma_a(bits)) < 1e-8
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, np.pi / 2, np.pi])
@@ -152,14 +141,7 @@ def test_gate_is_diagonal_conditional_phase():
     phi = 1.3
     angles = calibrate_level_cone_angles(phi, np.pi / 3)
     h, seq = _setup(angles=angles)
-    spec = NoiseSpec(variance=0.0, correlation_time=0.04)
-    noise = make_noise_path(spec, 4.0, 0.004, seed=0)
-    ga = np.array(
-        [
-            gate_phases(seq, h, noise, (x, y)).gamma_a
-            for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))
-        ]
-    )
+    ga = _gate_gamma_a(seq, h, seq.period)  # levels 00, 01, 10, 11
     bilinear = -(ga[3] - ga[2] - ga[1] + ga[0])
     assert abs(bilinear % (2 * np.pi) - phi) < 1e-9
 

@@ -22,8 +22,6 @@ def test_spec_validation():
         NoiseSpec(variance=1.0, correlation_time=0.0)
     with pytest.raises(ValueError):
         NoiseSpec(variance=1.0, correlation_time=1.0, dimension=2)
-    with pytest.raises(ValueError):
-        NoiseSpec(variance=1.0, correlation_time=1.0, kernel="gaussian")
 
 
 def test_kernel_normalized_at_zero_lag():
@@ -35,16 +33,17 @@ def test_kernel_normalized_at_zero_lag():
 def test_zero_variance_gives_zero_path():
     spec = NoiseSpec(variance=0.0, correlation_time=1.0)
     path = make_noise_path(spec, 1.0, 0.01, seed=42)
-    assert np.all(path.samples == 0.0)
+    assert path.shape == (101, 1)
+    assert np.all(path == 0.0)
 
 
 def test_reproducibility_bit_exact():
     spec = NoiseSpec(variance=2.0, correlation_time=0.3, dimension=3)
     a = make_noise_path(spec, 5.0, 0.01, seed=123)
     b = make_noise_path(spec, 5.0, 0.01, seed=123)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
     c = make_noise_path(spec, 5.0, 0.01, seed=124)
-    assert not np.array_equal(a.samples, c.samples)
+    assert not np.array_equal(a, c)
 
 
 def test_resolution_error_names_bound():
@@ -61,22 +60,21 @@ def test_autocovariance_lag_ratio_is_exp_minus_one():
     # >= 1e6 samples; ratio of autocovariance at lag tau_c to lag 0
     spec = NoiseSpec(variance=1.0, correlation_time=1.0)
     path = make_noise_path(spec, 110_000.0, 0.1, seed=7)
-    assert path.samples.size >= 10**6
+    assert path.size >= 10**6
     (lag0, var0, _), (lag1, cov1, _) = estimate_autocorrelation(
-        [path], [0.0, 1.0]
+        path[None], 0.1, [0.0, 1.0]
     )
     ratio = cov1 / var0
     # standard error of the ratio over n effectively-independent blocks
-    n_eff = path.duration / (2 * spec.correlation_time)
+    n_eff = 110_000.0 / (2 * spec.correlation_time)
     se = 1.0 / np.sqrt(n_eff)
     assert abs(ratio - np.exp(-1.0)) < 3 * se
 
 
 def test_stationary_moments_vector_noise():
     spec = NoiseSpec(variance=2.5, correlation_time=0.05, dimension=3)
-    path = make_noise_path(spec, 2_000.0, 0.005, seed=11)
-    x = path.samples
-    n_eff = path.duration / (2 * spec.correlation_time)
+    x = make_noise_path(spec, 2_000.0, 0.005, seed=11)
+    n_eff = 2_000.0 / (2 * spec.correlation_time)
     se_mean = np.sqrt(spec.variance / n_eff)
     assert np.all(np.abs(x.mean(axis=0)) < 3 * se_mean)
     # cross-component covariance -> 0
@@ -92,20 +90,18 @@ def test_stationary_moments_vector_noise():
 def test_stationarity_halves_agree():
     spec = NoiseSpec(variance=1.0, correlation_time=0.1)
     path = make_noise_path(spec, 4_000.0, 0.01, seed=3)
-    half = path.samples.shape[0] // 2
-    v1 = path.samples[:half].var()
-    v2 = path.samples[half:].var()
-    n_eff = (path.duration / 2) / (2 * spec.correlation_time)
+    half = path.shape[0] // 2
+    v1 = path[:half].var()
+    v2 = path[half:].var()
+    n_eff = (4_000.0 / 2) / (2 * spec.correlation_time)
     se = spec.variance * np.sqrt(2.0 / n_eff)
     assert abs(v1 - v2) < 4 * np.sqrt(2) * se
 
 
 def test_mc_autocorrelation_matches_kernel():
     spec = NoiseSpec(variance=1.0, correlation_time=0.1)
-    paths = [
-        make_noise_path(spec, 10.0, 0.01, split_seed(99, i)) for i in range(200)
-    ]
-    results = estimate_autocorrelation(paths, [0.0, 0.3])
+    samples = make_noise_ensemble(spec, 10.0, 0.01, 99, 200)
+    results = estimate_autocorrelation(samples, 0.01, [0.0, 0.3])
     for (lag, est, se), expected in zip(results, [1.0, np.exp(-3.0)]):
         assert se > 0
         assert abs(est - expected) < 3 * se
@@ -113,27 +109,22 @@ def test_mc_autocorrelation_matches_kernel():
 
 def test_autocorrelation_zero_path_and_errors():
     spec = NoiseSpec(variance=0.0, correlation_time=1.0)
-    path = make_noise_path(spec, 1.0, 0.01, seed=0)
-    for lag, est, se in estimate_autocorrelation([path], [0.0, 0.5]):
+    path = make_noise_path(spec, 1.0, 0.01, seed=0)[None]
+    for lag, est, se in estimate_autocorrelation(path, 0.01, [0.0, 0.5]):
         assert est == 0.0 and se == 0.0
-    other = make_noise_path(
-        NoiseSpec(variance=0.0, correlation_time=1.0), 2.0, 0.01, seed=0
-    )
     with pytest.raises(ValueError):
-        estimate_autocorrelation([path, other], [0.0])
+        estimate_autocorrelation(path, 0.01, [0.005])  # not on the grid
     with pytest.raises(ValueError):
-        estimate_autocorrelation([path], [0.005])  # not on the grid
+        estimate_autocorrelation(path, 0.01, [5.0])  # beyond duration
     with pytest.raises(ValueError):
-        estimate_autocorrelation([path], [5.0])  # beyond duration
-    with pytest.raises(ValueError):
-        estimate_autocorrelation([], [0.0])
+        estimate_autocorrelation(path[:0], 0.01, [0.0])  # no paths
 
 
 def test_lag0_estimate_equals_sample_moment():
     spec = NoiseSpec(variance=1.5, correlation_time=0.2)
     path = make_noise_path(spec, 20.0, 0.02, seed=5)
-    [(_, est, _)] = estimate_autocorrelation([path], [0.0])
-    assert np.isclose(est, np.mean(path.samples**2), rtol=0, atol=1e-14)
+    [(_, est, _)] = estimate_autocorrelation(path[None], 0.02, [0.0])
+    assert np.isclose(est, np.mean(path**2), rtol=0, atol=1e-14)
 
 
 def test_ensemble_rows_match_split_seeds():
@@ -142,26 +133,7 @@ def test_ensemble_rows_match_split_seeds():
     assert ens.shape == (5, 201, 1)
     for i in range(5):
         path = make_noise_path(spec, 2.0, 0.01, split_seed(17, i))
-        assert np.array_equal(ens[i], path.samples)
-
-
-def test_scaled_path_linearity():
-    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
-    path = make_noise_path(spec, 1.0, 0.01, seed=2)
-    doubled = path.scaled(2.0)
-    assert np.array_equal(doubled.samples, 2.0 * path.samples)
-    assert doubled.spec.variance == 4.0
-
-
-def test_path_csv_export(tmp_path):
-    spec = NoiseSpec(variance=1.0, correlation_time=0.1, dimension=3)
-    path = make_noise_path(spec, 0.5, 0.01, seed=1)
-    out = tmp_path / "noise.csv"
-    path.to_csv(out)
-    header = out.read_text().splitlines()[0]
-    assert header == "t_s,b0_field,b1_field,b2_field"
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 1:], path.samples)
+        assert np.array_equal(ens[i], path)
 
 
 @given(
