@@ -39,14 +39,12 @@ from .errors import (
 )
 from .gate import (
     GateResult,
-    LevelPath,
     PulseSequence,
     bell_gate_run,
     calibrate_level_cone_angles,
     gate_onset_ratio,
     gate_overlap_sum,
     level_index_map,
-    level_path,
 )
 from .noise import (
     NoiseSpec,
@@ -61,7 +59,6 @@ from .shor import (
     ShorInstance,
     SuccessReport,
     amplitude_mc,
-    amplitude_sample,
     choose_q,
     coprime_residues,
     dft_phase_variance,
@@ -103,10 +100,8 @@ __all__ = [
     "decoherence_report",
     # gate
     "PulseSequence",
-    "LevelPath",
     "GateResult",
     "level_index_map",
-    "level_path",
     "bell_gate_run",
     "gate_onset_ratio",
     "gate_overlap_sum",
@@ -120,7 +115,6 @@ __all__ = [
     "euler_phi",
     "coprime_residues",
     "dft_phase_variance",
-    "amplitude_sample",
     "amplitude_mc",
     "prob_averaged",
     "success_probability",

@@ -28,6 +28,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,64 +47,16 @@ from .errors import (
     ResourceLimitError,
 )
 from .gate import PulseSequence, bell_gate_run, calibrate_level_cone_angles
-from .noise import NoiseSpec, estimate_autocorrelation, make_noise_ensemble
+from .noise import (
+    NoiseSpec,
+    _lag_steps,
+    _n_times,
+    estimate_autocorrelation,
+    make_noise_ensemble,
+)
 from .shor import MAX_MODULUS, ShorInstance, runtime_scaling
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main"]
-
-EXPERIMENTS = ("noise-validate", "agp-dephase", "gate-fidelity", "shor-scan")
-
-#: config keys shared by every experiment (None = no static default)
-_COMMON_KEYS = {
-    "experiment": None,
-    "master_seed": 0,
-    "threads": 1,
-    "strict_adiabatic": False,
-    "out": None,
-    "format": "csv",
-}
-
-#: physics keys per experiment: name -> required?
-_SCHEMA = {
-    "noise-validate": {
-        "correlation_time": True,
-        "duration": True,
-        "dt": True,
-        "realizations": True,
-        "dimension": False,
-        "lags": False,
-    },
-    "agp-dephase": {
-        "coupling": True,
-        "period": True,
-        "cycles": True,
-        "correlation_time": True,
-        "realizations": True,
-        "engine": False,
-        "noise_dt": False,
-        "substeps": False,
-    },
-    "gate-fidelity": {
-        "coupling": True,
-        "period": True,
-        "correlation_time": True,
-        "realizations": True,
-        "conditional_phase": False,
-        "engine": False,
-        "noise_dt": False,
-        "substeps": False,
-    },
-    "shor-scan": {
-        "moduli": True,
-        "bases": True,
-        "variances": True,
-        "offset": False,
-    },
-}
-
-#: experiments that take sigma^2 / (P/V, bandwidth) and field geometry
-_NOISE_POWER = {"noise-validate", "agp-dephase", "gate-fidelity"}
-_GEOMETRY = {"agp-dephase", "gate-fidelity"}
 
 
 @dataclass(frozen=True)
@@ -141,6 +94,103 @@ def _as_int(value, key, errors, minimum=None):
     return value
 
 
+def _as_type(value, key, errors, types, expected):
+    if not isinstance(value, types):
+        errors.append(f"{key}: expected {expected}")
+    return value
+
+
+def _as_choice(value, key, errors, choices):
+    # compares types too: True == 1 and 3.0 == 3, yet neither is a choice
+    if not any(type(value) is type(c) and value == c for c in choices):
+        allowed = " or ".join(map(repr, choices))
+        errors.append(f"{key}: must be {allowed}, got {value!r}")
+    return value
+
+
+def _as_list(value, key, errors, item):
+    """A non-empty list whose entries are each of kind ``item``."""
+    if not isinstance(value, list) or not value:
+        errors.append(f"{key}: expected a non-empty list")
+        return None
+    values = [item(v, f"{key}[{i}]", errors) for i, v in enumerate(value)]
+    return None if None in values else values
+
+
+_POSITIVE = partial(_as_number, minimum=0, strict_min=True)
+_NONNEGATIVE = partial(_as_number, minimum=0)
+_NONNEGATIVES = partial(_as_list, item=_NONNEGATIVE)
+_INTEGERS = partial(_as_list, item=_as_int)
+
+
+def _as_sweep(value, key, errors):
+    """A number >= 0, or a non-empty list of them."""
+    if isinstance(value, list):
+        return _NONNEGATIVES(value, key, errors)
+    return _NONNEGATIVE(value, key, errors)
+
+
+#: default markers: a _REQUIRED key must be given; an _OPTIONAL key stays
+#: absent unless given, since a null echoed in a manifest would not re-run
+_REQUIRED = object()
+_OPTIONAL = object()
+
+_COMMON = ("master_seed", "threads", "strict_adiabatic", "out", "format")
+_POWER = ("sigma2", "power_density", "bandwidth")
+_NOISE = ("correlation_time", "duration", "dt", "realizations", "dimension", "lags")
+_DRIVE = _POWER + ("cone_angle", "magnitude", "b0", "b_rf", "coupling", "period")
+_ENSEMBLE = ("correlation_time", "realizations", "engine", "noise_dt", "substeps")
+
+#: key -> (kind, default).  A kind checks one value, appends what is wrong
+#: to ``errors`` and returns the value to keep (None when it is wrong).
+_KEYS = {
+    "master_seed": (partial(_as_int, minimum=0), 0),
+    "threads": (partial(_as_int, minimum=1), 1),
+    "strict_adiabatic": (
+        partial(_as_type, types=bool, expected="true or false"), False
+    ),
+    "out": (partial(_as_type, types=(str, type(None)), expected="a path string"), None),
+    "format": (partial(_as_choice, choices=("csv", "json")), "csv"),
+    "sigma2": (_as_sweep, _OPTIONAL),
+    "power_density": (_as_sweep, _OPTIONAL),
+    "bandwidth": (_POSITIVE, 1.0),
+    "cone_angle": (_NONNEGATIVE, _OPTIONAL),
+    "magnitude": (_POSITIVE, _OPTIONAL),
+    "b0": (_as_number, _OPTIONAL),
+    "b_rf": (_NONNEGATIVE, _OPTIONAL),
+    "coupling": (_POSITIVE, _REQUIRED),
+    "period": (_POSITIVE, _REQUIRED),
+    "cycles": (partial(_as_int, minimum=1), _REQUIRED),
+    "correlation_time": (_POSITIVE, _REQUIRED),
+    "duration": (_POSITIVE, _REQUIRED),
+    "dt": (_POSITIVE, _REQUIRED),
+    "realizations": (partial(_as_int, minimum=2), _REQUIRED),
+    "dimension": (partial(_as_choice, choices=(1, 3)), 1),
+    "lags": (_NONNEGATIVES, _OPTIONAL),
+    "conditional_phase": (_as_number, 0.0),
+    "engine": (partial(_as_choice, choices=ENGINES), "analytic_phase"),
+    "noise_dt": (_POSITIVE, _OPTIONAL),
+    "substeps": (partial(_as_int, minimum=1), 1),
+    "moduli": (_INTEGERS, _REQUIRED),
+    "bases": (_INTEGERS, _REQUIRED),
+    "variances": (_as_sweep, _REQUIRED),
+    "offset": (partial(_as_int, minimum=0), 0),
+}
+
+#: experiment -> its schema, key -> (kind, default)
+_SCHEMA = {
+    exp: {key: _KEYS[key] for key in _COMMON + keys}
+    for exp, keys in (
+        ("noise-validate", _POWER + _NOISE),
+        ("agp-dephase", _DRIVE + ("cycles",) + _ENSEMBLE),
+        ("gate-fidelity", _DRIVE + ("conditional_phase",) + _ENSEMBLE),
+        ("shor-scan", ("moduli", "bases", "variances", "offset")),
+    )
+}
+
+EXPERIMENTS = tuple(_SCHEMA)
+
+
 def _resolve_power(raw, params, errors):
     """sigma^2 vs (power_density, bandwidth): mutually exclusive inputs.
 
@@ -154,29 +204,18 @@ def _resolve_power(raw, params, errors):
             "sigma2 and power_density are mutually exclusive "
             "(they are linked by power_density = sigma2 * bandwidth)"
         )
-        return
-    if not has_sigma2 and not has_power:
+    elif not has_sigma2 and not has_power:
         errors.append("one of sigma2 or (power_density, bandwidth) is required")
-        return
-    bandwidth = _as_number(
-        raw.get("bandwidth", 1.0), "bandwidth", errors, minimum=0, strict_min=True
-    )
-    if has_power and "bandwidth" not in raw:
+    elif has_power and "bandwidth" not in raw:
         errors.append("power_density requires bandwidth")
-        return
-    if bandwidth is None:
-        return
-    source_key = "sigma2" if has_sigma2 else "power_density"
-    value = raw[source_key]
-    values = value if isinstance(value, list) else [value]
-    out = []
-    for i, v in enumerate(values):
-        num = _as_number(v, f"{source_key}[{i}]", errors, minimum=0)
-        if num is None:
-            return
-        out.append(num if has_sigma2 else num / bandwidth)
-    params["bandwidth"] = bandwidth
-    params["sigma2"] = out if isinstance(value, list) else out[0]
+    elif has_power:
+        power, bandwidth = params.pop("power_density"), params["bandwidth"]
+        if power is not None and bandwidth is not None:
+            params["sigma2"] = (
+                [v / bandwidth for v in power]
+                if isinstance(power, list)
+                else power / bandwidth
+            )
 
 
 def _resolve_geometry(raw, params, errors):
@@ -191,13 +230,11 @@ def _resolve_geometry(raw, params, errors):
     has_fields = "b0" in raw or "b_rf" in raw
     if has_angle and has_fields:
         errors.append("(cone_angle, magnitude) and (b0, b_rf) are mutually exclusive")
-        return
-    if has_fields:
+    elif has_fields:
         if "b0" not in raw or "b_rf" not in raw:
             errors.append("b0 and b_rf must be given together")
             return
-        b0 = _as_number(raw["b0"], "b0", errors)
-        b_rf = _as_number(raw["b_rf"], "b_rf", errors, minimum=0)
+        b0, b_rf = params.pop("b0"), params.pop("b_rf")
         if b0 is None or b_rf is None:
             return
         longitudinal = b0 - b_rf
@@ -207,32 +244,17 @@ def _resolve_geometry(raw, params, errors):
             return
         params["cone_angle"] = float(np.arctan2(b_rf, longitudinal))
         params["magnitude"] = magnitude
-        return
-    if "cone_angle" not in raw or "magnitude" not in raw:
+    elif "cone_angle" not in raw or "magnitude" not in raw:
         errors.append("cone_angle and magnitude (or b0 and b_rf) are required")
-        return
-    angle = _as_number(raw["cone_angle"], "cone_angle", errors, minimum=0)
-    mag = _as_number(raw["magnitude"], "magnitude", errors, minimum=0, strict_min=True)
-    if angle is not None and angle > np.pi:
-        errors.append(f"cone_angle: must be <= pi, got {angle}")
-        angle = None
-    if angle is None or mag is None:
-        return
-    params["cone_angle"] = angle
-    params["magnitude"] = mag
+    elif params["cone_angle"] is not None and params["cone_angle"] > np.pi:
+        errors.append(f"cone_angle: must be <= pi, got {params['cone_angle']}")
 
 
-def _validate_shor(raw, params, errors):
-    moduli = raw.get("moduli")
-    bases = raw.get("bases")
-    variances = raw.get("variances")
-    for key, val in (("moduli", moduli), ("bases", bases)):
-        if not isinstance(val, list) or not val:
-            errors.append(f"{key}: expected a non-empty list of integers")
-            return
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in val):
-            errors.append(f"{key}: entries must be integers")
-            return
+def _validate_shor(params, errors):
+    """Co-prime instances within the modulus bound, one variance each."""
+    moduli, bases, variances = params["moduli"], params["bases"], params["variances"]
+    if moduli is None or bases is None or variances is None:
+        return
     if len(moduli) != len(bases):
         errors.append("moduli and bases must have the same length")
         return
@@ -241,23 +263,10 @@ def _validate_shor(raw, params, errors):
             errors.append(f"moduli[{i}]: must be in [3, {MAX_MODULUS}], got {n}")
         elif math.gcd(n, y) != 1:
             errors.append(f"bases[{i}]: {y} is not co-prime with modulus {n}")
-    if isinstance(variances, (int, float)) and not isinstance(variances, bool):
-        variances = [float(variances)] * len(moduli)
-    if not isinstance(variances, list) or len(variances) != len(moduli):
+    if not isinstance(variances, list):
+        params["variances"] = [variances] * len(moduli)
+    elif len(variances) != len(moduli):
         errors.append("variances: expected a number or one value per instance")
-        return
-    vs = []
-    for i, v in enumerate(variances):
-        num = _as_number(v, f"variances[{i}]", errors, minimum=0)
-        if num is None:
-            return
-        vs.append(num)
-    params["moduli"] = list(moduli)
-    params["bases"] = list(bases)
-    params["variances"] = vs
-    offset = _as_int(raw.get("offset", 0), "offset", errors, minimum=0)
-    if offset is not None:
-        params["offset"] = offset
 
 
 def _config_mapping(raw) -> dict:
@@ -276,6 +285,30 @@ def _config_mapping(raw) -> dict:
     if "config" in raw and isinstance(raw["config"], dict):
         raw = raw["config"]
     return dict(raw)
+
+
+def _noise_lags(p) -> list:
+    """The lags noise-validate estimates: the given ones, or by default the
+    grid points nearest 0, 1, 2 and 3 tau_c."""
+    if "lags" in p:
+        return p["lags"]
+    dt = p["dt"]
+    return sorted({round(k * p["correlation_time"] / dt) * dt for k in range(4)})
+
+
+def _check_noise_validate(raw, params, errors):
+    """One variance, and lags that lie on the grid within the duration."""
+    if isinstance(params.get("sigma2"), list):
+        key = "sigma2" if "sigma2" in raw else "power_density"
+        errors.append(f"{key}: noise-validate takes one value, not a list")
+    grid = [params.get(key) for key in ("correlation_time", "duration", "dt")]
+    if None in grid or params.get("lags", ()) is None:
+        return  # missing or invalid, and already reported
+    dt = params["dt"]
+    try:
+        _lag_steps(_noise_lags(params), dt, _n_times(params["duration"], dt))
+    except ValueError as exc:
+        errors.append(f"lags: {exc}")
 
 
 def validate_config(raw, experiment: str = None) -> ExperimentConfig:
@@ -298,87 +331,32 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
         )
 
     schema = _SCHEMA[exp]
-    known = set(schema) | set(_COMMON_KEYS) - {"experiment"}
-    if exp in _NOISE_POWER:
-        known |= {"sigma2", "power_density", "bandwidth"}
-    if exp in _GEOMETRY:
-        known |= {"cone_angle", "magnitude", "b0", "b_rf"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
         errors.append(f"unknown keys: {', '.join(unknown)}")
 
-    params = {}
-    for key, default in _COMMON_KEYS.items():
-        if key == "experiment":
-            continue
-        params[key] = raw.get(key, default)
-    if _as_int(params["master_seed"], "master_seed", errors, minimum=0) is None:
-        params["master_seed"] = 0
-    if _as_int(params["threads"], "threads", errors, minimum=1) is None:
-        params["threads"] = 1
-    if not isinstance(params["strict_adiabatic"], bool):
-        errors.append("strict_adiabatic: expected true or false")
-        params["strict_adiabatic"] = False
-    if params["format"] not in ("csv", "json"):
-        errors.append(f"format: must be 'csv' or 'json', got {params['format']!r}")
-    if params["out"] is not None and not isinstance(params["out"], str):
-        errors.append("out: expected a path string")
-
-    missing = [
-        key
-        for key, required in schema.items()
-        if required and key not in raw and key != "variances"
-    ]
-    if exp == "shor-scan" and "variances" not in raw:
-        missing.append("variances")
+    params, missing = {}, []
+    for key, (kind, default) in schema.items():
+        if key in raw:
+            params[key] = kind(raw[key], key, errors)
+        elif default is _REQUIRED:
+            missing.append(key)
+        elif default is not _OPTIONAL:
+            params[key] = default
     if missing:
         errors.append(
             f"{exp} requires: {', '.join(sorted(missing))} "
-            f"(full schema: {', '.join(sorted(schema))})"
+            f"(full schema: {', '.join(sorted(set(schema) - set(_COMMON)))})"
         )
 
-    if exp in _NOISE_POWER:
+    if "sigma2" in schema:
         _resolve_power(raw, params, errors)
-    if exp == "noise-validate" and isinstance(params.get("sigma2"), list):
-        key = "sigma2" if "sigma2" in raw else "power_density"
-        errors.append(f"{key}: noise-validate takes one value, not a list")
-    if exp in _GEOMETRY and not missing:
+    if "cone_angle" in schema and not missing:
         _resolve_geometry(raw, params, errors)
-
-    for key in ("correlation_time", "duration", "dt", "period", "noise_dt", "coupling"):
-        if key in schema and key in raw:
-            v = _as_number(raw[key], key, errors, minimum=0, strict_min=True)
-            if v is not None:
-                params[key] = v
-    for key, lo in (("realizations", 2), ("cycles", 1), ("substeps", 1)):
-        if key in schema and key in raw:
-            v = _as_int(raw[key], key, errors, minimum=lo)
-            if v is not None:
-                params[key] = v
-    if "dimension" in raw:
-        if raw["dimension"] in (1, 3):
-            params["dimension"] = raw["dimension"]
-        else:
-            errors.append(f"dimension: must be 1 or 3, got {raw['dimension']!r}")
-    if "lags" in raw:
-        if isinstance(raw["lags"], list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and x >= 0
-            for x in raw["lags"]
-        ):
-            params["lags"] = [float(x) for x in raw["lags"]]
-        else:
-            errors.append("lags: expected a list of nonnegative numbers")
-    if "engine" in raw:
-        if raw["engine"] in ENGINES:
-            params["engine"] = raw["engine"]
-        else:
-            errors.append(f"engine: must be one of {ENGINES}, got {raw['engine']!r}")
-    if "conditional_phase" in raw:
-        v = _as_number(raw["conditional_phase"], "conditional_phase", errors)
-        if v is not None:
-            params["conditional_phase"] = v
     if exp == "shor-scan" and not missing:
-        _validate_shor(raw, params, errors)
+        _validate_shor(params, errors)
+    if exp == "noise-validate":
+        _check_noise_validate(raw, params, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -395,14 +373,10 @@ def _run_noise_validate(p):
     spec = NoiseSpec(
         variance=p["sigma2"],
         correlation_time=p["correlation_time"],
-        dimension=p.get("dimension", 1),
+        dimension=p["dimension"],
     )
-    dt, tau_c = p["dt"], p["correlation_time"]
-    lags = p.get("lags")
-    if lags is None:
-        # nearest representable multiples of {0, 1, 2, 3} tau_c
-        lags = sorted({round(k * tau_c / dt) * dt for k in range(4)})
-    n_t = int(round(p["duration"] / dt)) + 1
+    dt, lags = p["dt"], _noise_lags(p)
+    n_t = _n_times(p["duration"], dt)
     _check_noise_elements(p["realizations"], n_t, spec.dimension)
     samples = make_noise_ensemble(
         spec, p["duration"], dt, p["master_seed"], p["realizations"]
@@ -431,9 +405,9 @@ def _ensemble_config(p, h, sigma2, amplitudes):
         initial_amplitudes=amplitudes,
         realizations=p["realizations"],
         master_seed=p["master_seed"],
-        engine=p.get("engine", "analytic_phase"),
+        engine=p["engine"],
         noise_dt=p.get("noise_dt"),
-        substeps=p.get("substeps", 1),
+        substeps=p["substeps"],
         strict_adiabatic=p["strict_adiabatic"],
     )
 
@@ -484,7 +458,7 @@ def _run_gate_fidelity(p):
         period=p["period"],
         cycles=1,
     )
-    phi = p.get("conditional_phase", 0.0)
+    phi = p["conditional_phase"]
     angles = calibrate_level_cone_angles(phi, p["cone_angle"]) if phi else None
     h = QubitHamiltonian(
         coupling=p["coupling"],
@@ -521,7 +495,7 @@ def _run_gate_fidelity(p):
 
 def _run_shor_scan(p):
     instances = [
-        ShorInstance.build(n, y, offset=p.get("offset", 0))
+        ShorInstance.build(n, y, offset=p["offset"])
         for n, y in zip(p["moduli"], p["bases"])
     ]
     rows = runtime_scaling(instances, p["variances"])

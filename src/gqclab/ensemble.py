@@ -34,7 +34,7 @@ from .adiabatic import (
     stochastic_phase_batch,
 )
 from .errors import ResourceLimitError
-from .noise import NoiseSpec, make_noise_ensemble
+from .noise import NoiseSpec, _check_resolution, make_noise_ensemble
 
 __all__ = [
     "EnsembleConfig",
@@ -176,6 +176,8 @@ def _ensemble_noise(
     _check_noise_elements(
         config.realizations, n_steps + 1, config.noise.dimension, config.max_elements
     )
+    # checked here too, so that a sigma^2 = 0 run rejects the grid it would use
+    _check_resolution(config.noise, duration, dt)
     t = np.linspace(0.0, duration, n_steps + 1)
     if config.noise.variance == 0.0:
         samples = np.zeros((config.realizations, t.size, config.noise.dimension))

@@ -49,10 +49,8 @@ from .ensemble import (
 
 __all__ = [
     "PulseSequence",
-    "LevelPath",
     "GateResult",
     "level_index_map",
-    "level_path",
     "bell_gate_run",
     "gate_onset_ratio",
     "gate_overlap_sum",
@@ -86,23 +84,6 @@ def level_index_map(k, j: int) -> tuple:
     flip1 = sum(range(1, j + 1)) % 2
     flip2 = sum(range(0, j)) % 2
     return (i1 ^ flip1, i2 ^ flip2)
-
-
-@dataclass(frozen=True)
-class LevelPath:
-    """Trajectory of a computational level through the four segments."""
-
-    start_level: tuple
-    path: tuple
-
-    def __post_init__(self):
-        if self.path[-1] != self.path[0]:
-            raise ValueError("pulse sequence must return the level to itself")
-
-
-def level_path(k) -> LevelPath:
-    k = _as_bits(k)
-    return LevelPath(start_level=k, path=tuple(level_index_map(k, j) for j in range(5)))
 
 
 @dataclass(frozen=True)
@@ -144,11 +125,6 @@ class PulseSequence:
     @property
     def duration(self) -> float:
         return 4.0 * self.period
-
-    def windows(self, t0: float = 0.0):
-        """Segment windows (t_0 + l T, t_0 + (l+1) T)."""
-        T = self.period
-        return [(t0 + l * T, t0 + (l + 1) * T) for l in range(4)]
 
 
 @dataclass(frozen=True)

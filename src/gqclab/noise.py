@@ -161,6 +161,23 @@ def make_noise_ensemble(
     return _ou_from_normals(spec, xi, dt)
 
 
+def _lag_steps(lags, dt: float, n_times: int) -> list:
+    """Grid steps m = lag / dt of each lag on a path of ``n_times`` points.
+
+    Raises ValueError for a lag that is not a multiple of ``dt`` or that
+    does not fit in the path.
+    """
+    steps = []
+    for lag in lags:
+        m = int(round(lag / dt))
+        if abs(m * dt - lag) > 1e-9 * max(dt, abs(lag)):
+            raise ValueError(f"lag {lag} is not representable on the grid")
+        if not 0 <= m < n_times:
+            raise ValueError(f"lag {lag} outside the path duration")
+        steps.append(m)
+    return steps
+
+
 def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
     """Unbiased autocovariance estimate, averaged over paths and time.
 
@@ -179,12 +196,7 @@ def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
         )
     n_paths, n, dim = samples.shape
     out = []
-    for lag in lags:
-        m = int(round(lag / dt))
-        if abs(m * dt - lag) > 1e-9 * max(dt, abs(lag)):
-            raise ValueError(f"lag {lag} is not representable on the grid")
-        if not 0 <= m < n:
-            raise ValueError(f"lag {lag} outside the path duration")
+    for lag, m in zip(lags, _lag_steps(lags, dt, n)):
         per_path = np.empty(n_paths)
         for i, x in enumerate(samples):
             # summed component by component, which keeps the bits of a sum

@@ -49,7 +49,6 @@ __all__ = [
     "euler_phi",
     "coprime_residues",
     "dft_phase_variance",
-    "amplitude_sample",
     "amplitude_mc",
     "prob_averaged",
     "success_probability",
@@ -147,31 +146,14 @@ class ShorInstance:
 
 @dataclass(frozen=True)
 class NoisyAmplitudeModel:
-    """Eq.-of-motion-free amplitude model of the noisy DFT output.
-
-    mode 'exact_divisor' insists r | q (the textbook interference sum);
-    'general' allows any instance, using A+1 paths.
-    """
+    """Eq.-of-motion-free amplitude model of the noisy DFT output (A+1 paths)."""
 
     instance: ShorInstance
     path_phase_variance: float
-    mode: str = "general"
 
     def __post_init__(self):
         if self.path_phase_variance < 0:
             raise ValueError("path_phase_variance must be >= 0")
-        if self.mode not in ("exact_divisor", "general"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        inst = self.instance
-        if self.mode == "exact_divisor" and inst.register_size % inst.period:
-            raise ValueError(
-                f"exact_divisor mode needs period | register size, got "
-                f"{inst.period} and {inst.register_size}"
-            )
-
-    @property
-    def eta(self) -> int:
-        return self.instance.gate_count
 
 
 @dataclass(frozen=True)
@@ -223,21 +205,6 @@ def _path_phases(model: NoisyAmplitudeModel, c) -> np.ndarray:
         / inst.register_size
         * (j * inst.period + inst.offset)
         * np.asarray(c)[..., None]
-    )
-
-
-def amplitude_sample(model: NoisyAmplitudeModel, c: int, seed: int) -> complex:
-    """One stochastic realization of the output amplitude f(c)."""
-    inst = model.instance
-    if not 0 <= c < inst.register_size:
-        raise ValueError(f"c must be in [0, {inst.register_size}), got {c}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gamma = rng.normal(
-        0.0, np.sqrt(model.path_phase_variance), size=inst.path_count
-    )
-    phases = _path_phases(model, c) + gamma
-    return complex(
-        np.sum(np.exp(1j * phases)) / np.sqrt(inst.path_count * inst.register_size)
     )
 
 

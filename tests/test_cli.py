@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from gqclab import ConfigError, NoiseSpec, euler_phi, make_noise_path, split_seed
 from gqclab.cli import main, validate_config
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 AGP_CONFIG = {
     "experiment": "agp-dephase",
@@ -28,6 +30,17 @@ AGP_CONFIG = {
 
 GATE_CONFIG = {key: v for key, v in AGP_CONFIG.items() if key != "cycles"}
 GATE_CONFIG["experiment"] = "gate-fidelity"
+
+NOISE_CONFIG = {
+    "experiment": "noise-validate",
+    "sigma2": 1.0,
+    "correlation_time": 0.05,
+    "duration": 1.0,
+    "dt": 0.005,
+    "realizations": 4,
+}
+
+SHOR_CONFIG = {"experiment": "shor-scan", "moduli": [15], "bases": [7], "variances": 0.0}
 
 
 def _write(tmp_path, name, payload):
@@ -63,6 +76,62 @@ def test_mutual_exclusions_and_unknown_keys_all_reported():
 def test_missing_parameters_name_the_schema():
     with pytest.raises(ConfigError, match="gate-fidelity requires"):
         validate_config({"experiment": "gate-fidelity", "sigma2": 1.0})
+
+
+def test_static_defaults_fill_params_and_unset_grids_stay_absent():
+    params = validate_config(GATE_CONFIG).params
+    assert params["engine"] == "analytic_phase"
+    assert params["substeps"] == 1
+    assert params["conditional_phase"] == 0.0
+    assert params["out"] is None
+    assert "noise_dt" not in params
+    assert "lags" not in validate_config(NOISE_CONFIG).params
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        (dict(NOISE_CONFIG, dimension=3.0), "dimension"),
+        (dict(NOISE_CONFIG, dimension=True), "dimension"),
+        (dict(AGP_CONFIG, engine="fast"), "engine"),
+        (dict(NOISE_CONFIG, format="xml"), "format"),
+        (dict(AGP_CONFIG, strict_adiabatic="yes"), "strict_adiabatic"),
+        (dict(NOISE_CONFIG, out=5), "out"),
+        (dict(AGP_CONFIG, substeps=0), "substeps"),
+        (dict(NOISE_CONFIG, realizations=1), "realizations"),
+        (dict(GATE_CONFIG, noise_dt=0), "noise_dt"),
+        (dict(GATE_CONFIG, conditional_phase="pi"), "conditional_phase"),
+        (dict(NOISE_CONFIG, lags=[-1]), "lags"),
+        (dict(NOISE_CONFIG, lags=[0.0123]), "lags"),
+        (dict(NOISE_CONFIG, lags=[2.0]), "lags"),
+        (dict(NOISE_CONFIG, lags=[]), "lags"),
+        (dict(NOISE_CONFIG, correlation_time=0.5), "lags"),
+        (dict(AGP_CONFIG, sigma2=[]), "sigma2"),
+        (dict(SHOR_CONFIG, offset=-1), "offset"),
+    ],
+    ids=[
+        "dimension-float", "dimension-bool", "engine", "format",
+        "strict_adiabatic", "out", "substeps", "realizations", "noise_dt",
+        "conditional_phase", "negative-lag", "off-grid-lag",
+        "lag-beyond-duration", "no-lags", "default-lag-beyond-duration",
+        "no-sigma2", "offset",
+    ],
+)
+def test_cli_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, raw, key):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "cfg.json", raw)
+    assert main([raw["experiment"], "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    # a list entry is named with its index, as in "lags[0]: ..."
+    assert any(re.match(rf"config error: {key}(\[\d+\])?: ", line) for line in lines)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_readme_configs_are_valid():
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        validate_config(block)
 
 
 def test_power_density_resolves_sigma2():
@@ -227,8 +296,9 @@ def test_cli_seed_override_applies_to_a_manifest(tmp_path):
             "realizations": 4,
         },
         dict(AGP_CONFIG, noise_dt=0.01),  # tau_c / 10 = 0.004
+        dict(AGP_CONFIG, sigma2=[0.0], noise_dt=0.01),
     ],
-    ids=["noise-validate", "agp-dephase"],
+    ids=["noise-validate", "agp-dephase", "agp-dephase-zero-noise"],
 )
 def test_cli_coarse_noise_step_is_a_config_error(tmp_path, capsys, raw):
     path = _write(tmp_path, "cfg.json", raw)

@@ -16,7 +16,6 @@ from gqclab import (
     gate_onset_ratio,
     gate_overlap_sum,
     level_index_map,
-    level_path,
     make_noise_ensemble,
 )
 from gqclab.gate import (
@@ -56,13 +55,16 @@ def test_index_map_matches_oracle_everywhere():
 
 
 def test_index_map_known_paths_and_closure():
-    assert level_path((0, 0)).path == ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
-    assert level_path((1, 1)).path == ((1, 1), (0, 1), (0, 0), (1, 0), (1, 1))
+    def path(k):
+        return [level_index_map(k, j) for j in range(5)]
+
+    assert path((0, 0)) == [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
+    assert path((1, 1)) == [(1, 1), (0, 1), (0, 0), (1, 0), (1, 1)]
     for k in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        path = level_path(k).path
-        assert path[4] == path[0]
+        steps = path(k)
+        assert steps[4] == steps[0]
         # each step flips exactly one qubit index
-        for a, b in zip(path, path[1:]):
+        for a, b in zip(steps, steps[1:]):
             assert (a[0] != b[0]) + (a[1] != b[1]) == 1
     with pytest.raises(ValueError):
         level_index_map((0, 0), 5)
@@ -71,7 +73,6 @@ def test_index_map_known_paths_and_closure():
 def test_pulse_sequence_structure():
     h, seq = _setup()
     assert seq.duration == 4.0
-    assert seq.windows() == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]
     # broken structures are rejected
     fwd = seq.segments[0][0]
     with pytest.raises(ValueError):

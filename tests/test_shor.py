@@ -12,7 +12,6 @@ from gqclab import (
     ResourceLimitError,
     ShorInstance,
     amplitude_mc,
-    amplitude_sample,
     choose_q,
     coprime_residues,
     dft_phase_variance,
@@ -93,27 +92,15 @@ def test_instance_invariants():
         ShorInstance(15, 7, 4, 128, 7)  # register too small
 
 
-def test_exact_divisor_mode():
-    inst = ShorInstance.build(15, 7)  # r = 4 divides q = 256
-    NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0, mode="exact_divisor")
-    inst21 = ShorInstance.build(21, 2)  # r = 6 does not divide 512
-    with pytest.raises(ValueError):
-        NoisyAmplitudeModel(
-            instance=inst21, path_phase_variance=0.0, mode="exact_divisor"
-        )
-
-
 def test_amplitude_noiseless_peaks_and_nulls():
-    inst = ShorInstance.build(15, 7)
-    model = NoisyAmplitudeModel(
-        instance=inst, path_phase_variance=0.0, mode="exact_divisor"
-    )
+    inst = ShorInstance.build(15, 7)  # r = 4 divides q = 256
+    model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0)
     # constructive c: r c = 0 mod q -> |f|^2 = 1/r
-    peak = amplitude_sample(model, 64, seed=0)
-    assert abs(abs(peak) ** 2 - 1.0 / inst.period) < 1e-12
+    peak = prob_averaged(model, 64)
+    assert abs(peak - 1.0 / inst.period) < 1e-12
     # destructive c: r c = q/2 mod q -> cancelling roots of unity
-    null = amplitude_sample(model, 32, seed=0)
-    assert abs(null) ** 2 < 1e-12
+    null = prob_averaged(model, 32)
+    assert null < 1e-12
 
 
 @pytest.mark.parametrize("pair", [(15, 7), (21, 2)])
@@ -155,16 +142,6 @@ def test_amplitude_mc_refuses_work_above_the_element_bound():
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=1.0)
     with pytest.raises(ResourceLimitError, match="amplitude_mc"):
         amplitude_mc(model, [0, 1], n_samples=10, master_seed=0)
-
-
-def test_amplitude_sample_reproducible_and_bounded():
-    inst = ShorInstance.build(15, 7)
-    model = NoisyAmplitudeModel(instance=inst, path_phase_variance=2.0)
-    a = amplitude_sample(model, 17, seed=5)
-    assert a == amplitude_sample(model, 17, seed=5)
-    assert a != amplitude_sample(model, 17, seed=6)
-    with pytest.raises(ValueError):
-        amplitude_sample(model, 256, seed=0)
 
 
 def test_success_probability_noiseless_and_coprime_accounting():
