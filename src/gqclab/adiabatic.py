@@ -46,8 +46,6 @@ __all__ = [
     "eigenframe",
     "evolve_exact_batch",
     "deterministic_phases",
-    "stochastic_phase_batch",
-    "PAULI",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -272,10 +270,6 @@ class EigenFrame:
     berry_rates: np.ndarray
     gap: float
 
-    @property
-    def n_levels(self) -> int:
-        return self.energies.shape[0]
-
     def operator_expectations(self, operators: np.ndarray) -> np.ndarray:
         """<E_k(t)| O_c |E_k(t)>, shape (n_levels, n_components, n_t)."""
         out = np.einsum(
@@ -364,33 +358,28 @@ def evolve_exact_batch(
     psi0,
     slices: int,
 ) -> np.ndarray:
-    """Propagate psi0 through the full noisy Hamiltonian, no approximations.
+    """Propagate a single-qubit psi0 through the full noisy Hamiltonian.
 
     noise_samples has shape (n_real, n_times, dim) on ``time_grid``.  psi0
-    is one state of shape (hilbert_dim,) or column states of shape
-    (hilbert_dim, m); the final states have shape (n_real,) + psi0.shape.
-    The interval covered by the grid is cut into ``slices`` pieces; each
-    piece uses the exact closed-form SU(2) exponential of the
-    midpoint-sampled Hamiltonian.  Norm is preserved to 1e-10 by
-    construction; accuracy improves as O(slices^-2) and is validated by
-    slice doubling in the tests.  The slice loop runs over single-qubit
-    spinors only: two uncoupled qubits driven by the same field and the
-    same noise evolve under u x u, with the single-qubit propagator u
-    computed once per call.
+    is one spinor of shape (2,) or column spinors of shape (2, m); the
+    final states have shape (n_real,) + psi0.shape.  The interval covered
+    by the grid is cut into ``slices`` pieces; each piece uses the exact
+    closed-form SU(2) exponential of the midpoint-sampled Hamiltonian.
+    Norm is preserved to 1e-10 by construction; accuracy improves as
+    O(slices^-2) and is validated by slice doubling in the tests.  Two
+    qubits under the same field and noise evolve under u x u, which
+    ``bell_gate_run`` composes from the columns of u.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim not in (1, 2) or psi0.shape[0] != h.n_levels:
+    if h.qubit_count != 1:
         raise ValueError(
-            f"psi0 must have shape ({h.n_levels},) or ({h.n_levels}, m)"
+            "exact propagation is single-qubit; bell_gate_run composes the "
+            "two-qubit propagator u x u"
         )
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim not in (1, 2) or psi0.shape[0] != 2:
+        raise ValueError("psi0 must have shape (2,) or (2, m)")
     if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
         raise ValueError("psi0 must be normalized")
-    if h.qubit_count == 2 and not h.uniform_cone_angles():
-        raise ValueError(
-            "exact propagation supports two qubits only with uniform "
-            "level_cone_angles (no effective coupling); use the analytic "
-            "phase engine otherwise"
-        )
     t = np.asarray(time_grid, dtype=float)
     n_steps = t.size - 1
     if slices < n_steps:
@@ -416,20 +405,12 @@ def evolve_exact_batch(
     noise_mid *= (mids - t[j])[:, None]
     noise_mid += noise_samples[:, j]
 
-    # spinor columns (n_real, m, 2): psi0 itself, or the basis states whose
-    # images are the columns of the single-qubit propagator u
-    cols = (psi0 if h.qubit_count == 1 else np.eye(2, dtype=complex)).reshape(2, -1)
-    psi = np.broadcast_to(cols.T, (n_real,) + cols.T.shape).copy()
+    cols = psi0.reshape(2, -1).T  # spinor columns (m, 2)
+    psi = np.broadcast_to(cols, (n_real,) + cols.shape).copy()
     for k in range(slices):
         b = b_det[k] + (noise_mid[:, k] * axis if dim == 1 else noise_mid[:, k])
         psi = _su2_apply(b[:, None], h.coupling, eps, psi)
-    u = psi.swapaxes(-1, -2)
-    if h.qubit_count == 1:
-        return u.reshape((n_real,) + psi0.shape)
-    # amplitude matrix Psi[i1, i2] of each column evolves as u Psi u^T
-    pairs = psi0.reshape((2, 2) + psi0.shape[1:])
-    out = np.einsum("nai,nbj,ij...->nab...", u, u, pairs)
-    return out.reshape((n_real,) + psi0.shape)
+    return psi.swapaxes(-1, -2).reshape((n_real,) + psi0.shape)
 
 
 def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:

@@ -311,6 +311,40 @@ def _check_noise_validate(raw, params, errors):
         errors.append(f"lags: {exc}")
 
 
+def _gate_hamiltonian(p) -> QubitHamiltonian:
+    """The two-qubit Hamiltonian of a gate-fidelity config, its level cone
+    angles calibrated to the conditional phase (none when that is 0)."""
+    schedule = ControlSchedule(
+        magnitude=p["magnitude"],
+        cone_angle=p["cone_angle"],
+        period=p["period"],
+        cycles=1,
+    )
+    phi = p["conditional_phase"]
+    angles = calibrate_level_cone_angles(phi, p["cone_angle"]) if phi else None
+    return QubitHamiltonian(
+        coupling=p["coupling"],
+        schedule=schedule,
+        qubit_count=2,
+        level_cone_angles=angles,
+    )
+
+
+def _check_gate_fidelity(params, errors):
+    """A conditional phase the cone angle can realize, and for the exact
+    engine one that leaves the level cone angles uniform."""
+    try:
+        h = _gate_hamiltonian(params)
+    except ValueError as exc:
+        errors.append(f"conditional_phase: {exc}")
+        return
+    if params["engine"] == "exact_propagation" and not h.uniform_cone_angles():
+        errors.append(
+            "conditional_phase: the exact_propagation engine needs uniform "
+            "level cone angles; use the analytic_phase engine"
+        )
+
+
 def validate_config(raw, experiment: str = None) -> ExperimentConfig:
     """Full schema validation; raises ConfigError carrying every problem.
 
@@ -357,6 +391,8 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
         _validate_shor(params, errors)
     if exp == "noise-validate":
         _check_noise_validate(raw, params, errors)
+    if exp == "gate-fidelity" and not errors:
+        _check_gate_fidelity(params, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -452,21 +488,9 @@ def _run_agp_dephase(p):
 
 
 def _run_gate_fidelity(p):
-    schedule = ControlSchedule(
-        magnitude=p["magnitude"],
-        cone_angle=p["cone_angle"],
-        period=p["period"],
-        cycles=1,
-    )
-    phi = p["conditional_phase"]
-    angles = calibrate_level_cone_angles(phi, p["cone_angle"]) if phi else None
-    h = QubitHamiltonian(
-        coupling=p["coupling"],
-        schedule=schedule,
-        qubit_count=2,
-        level_cone_angles=angles,
-    )
-    seq = PulseSequence.standard(schedule)
+    h = _gate_hamiltonian(p)
+    angles = h.level_cone_angles
+    seq = PulseSequence.standard(h.schedule)
     bell = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
     rows = []
     for sigma2 in _sigma2_sweep(p):

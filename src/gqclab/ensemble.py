@@ -34,7 +34,12 @@ from .adiabatic import (
     stochastic_phase_batch,
 )
 from .errors import ResourceLimitError
-from .noise import NoiseSpec, _check_resolution, make_noise_ensemble
+from .noise import (
+    RESOLUTION_FACTOR,
+    NoiseSpec,
+    _check_resolution,
+    make_noise_ensemble,
+)
 
 __all__ = [
     "EnsembleConfig",
@@ -77,9 +82,7 @@ class EnsembleConfig:
     engine: str = "exact_propagation"
     noise_dt: Optional[float] = None
     substeps: int = 1
-    ratio_max: float = 0.1
     strict_adiabatic: bool = False
-    max_elements: int = MAX_ELEMENTS
 
     def __post_init__(self):
         c = np.asarray(self.initial_amplitudes, dtype=complex)
@@ -105,7 +108,18 @@ class EnsembleConfig:
     def dt(self) -> float:
         if self.noise_dt is not None:
             return self.noise_dt
-        return self.noise.correlation_time / 10.0
+        return self.noise.correlation_time / RESOLUTION_FACTOR
+
+    def check_adiabatic(self) -> dict:
+        """Check the Hamiltonian against the adiabaticity bound.
+
+        Strict when ``strict_adiabatic`` is set, and always strict for the
+        analytic engine, whose phases hold only in the adiabatic limit.
+        """
+        return self.hamiltonian.check_adiabatic(
+            correlation_time=self.noise.correlation_time,
+            strict=self.strict_adiabatic or self.engine == "analytic_phase",
+        )
 
 
 @dataclass(frozen=True)
@@ -119,10 +133,6 @@ class AveragedDensity:
     matrix: np.ndarray
     standard_errors: np.ndarray
     realizations_used: int
-
-    @property
-    def n_levels(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -150,15 +160,13 @@ class DecoherenceReport:
     overlap: float
 
 
-def _check_noise_elements(
-    realizations: int, n_t: int, dimension: int, max_elements: int = MAX_ELEMENTS
-) -> None:
-    """Refuse, before allocating, a noise ensemble above ``max_elements``."""
+def _check_noise_elements(realizations: int, n_t: int, dimension: int) -> None:
+    """Refuse, before allocating, a noise ensemble above MAX_ELEMENTS."""
     elements = realizations * n_t * dimension
-    if elements > max_elements:
+    if elements > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"ensemble needs {elements} noise samples, above the bound "
-            f"{max_elements}; reduce realizations or coarsen the noise step"
+            f"{MAX_ELEMENTS}; reduce realizations or coarsen the noise step"
         )
 
 
@@ -173,9 +181,7 @@ def _ensemble_noise(
     """Time grid and noise samples (realizations, n_t, dim) for the run."""
     n_steps = _grid_steps(duration, dt)
     dt = duration / n_steps
-    _check_noise_elements(
-        config.realizations, n_steps + 1, config.noise.dimension, config.max_elements
-    )
+    _check_noise_elements(config.realizations, n_steps + 1, config.noise.dimension)
     # checked here too, so that a sigma^2 = 0 run rejects the grid it would use
     _check_resolution(config.noise, duration, dt)
     t = np.linspace(0.0, duration, n_steps + 1)
@@ -192,8 +198,6 @@ def _complex_mean_se(values: np.ndarray, axis=0):
     """Mean and combined real/imag standard error along ``axis``."""
     n = values.shape[axis]
     mean = np.mean(values, axis=axis)
-    if n < 2:
-        return mean, np.zeros_like(mean, dtype=float)
     se = np.sqrt(
         np.var(values.real, axis=axis, ddof=1)
         + np.var(values.imag, axis=axis, ddof=1)
@@ -212,12 +216,7 @@ def run_ensemble(config: EnsembleConfig):
     per-realization outer products along axis 0.
     """
     h = config.hamiltonian
-    strict = config.strict_adiabatic or config.engine == "analytic_phase"
-    h.check_adiabatic(
-        correlation_time=config.noise.correlation_time,
-        ratio_max=config.ratio_max,
-        strict=strict,
-    )
+    config.check_adiabatic()
     t, samples = _ensemble_noise(config, h.schedule.duration, config.dt)
     frame = eigenframe(h, t)
     c = config.amplitudes

@@ -6,6 +6,14 @@ apart: an under-resolved time grid, a level crossing, a violated adiabaticity
 precondition, a rejected configuration, and a blown resource budget.
 """
 
+__all__ = [
+    "ResolutionError",
+    "DegeneracyError",
+    "AdiabaticityError",
+    "ConfigError",
+    "ResourceLimitError",
+]
+
 
 class ResolutionError(ValueError):
     """Time step too coarse to resolve the requested dynamics."""

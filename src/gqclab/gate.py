@@ -333,11 +333,7 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
             "bell_gate_run is specific to (|00> + |11>)/sqrt(2); use "
             "run_ensemble for general states"
         )
-    h.check_adiabatic(
-        correlation_time=config.noise.correlation_time,
-        ratio_max=config.ratio_max,
-        strict=config.strict_adiabatic or config.engine == "analytic_phase",
-    )
+    config.check_adiabatic()
     t_local, n_seg = _segment_grid(seq, config.dt)
     _, samples = _ensemble_noise(config, seq.duration, seq.period / n_seg)
     gamma_a = _gate_gamma_a(seq, h, t_local[-1] - t_local[0])

@@ -99,7 +99,7 @@ def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if duration < dt:
-        raise ValueError(f"duration must be >= dt, got {duration} < {dt}")
+        raise ResolutionError(f"duration must be >= dt, got {duration} < {dt}")
     bound = spec.correlation_time / RESOLUTION_FACTOR
     if dt > bound * (1 + 1e-12):
         raise ResolutionError(

@@ -189,21 +189,6 @@ def test_evolve_exact_errors():
         evolve_exact_batch(h, t, noise, np.array([1.0, 0.0]), slices=10)
 
 
-@pytest.mark.parametrize("dimension", [1, 3])
-def test_evolve_exact_two_qubits_matches_dense_expm(dimension, two_qubit_slice_product):
-    """u x u propagation equals dense 4x4 slice products of the two-qubit H."""
-    h = _hamiltonian(0.9, magnitude=30.0, qubit_count=2)
-    spec = NoiseSpec(variance=4.0, correlation_time=0.05, dimension=dimension)
-    t = np.arange(101) * 0.005
-    samples = make_noise_ensemble(spec, 0.5, 0.005, 3, 3)
-    psi0 = np.array([0.5, 0.5j, -0.1, np.sqrt(0.49)], dtype=complex)
-    slices = 200  # two slices per noise step exercise the interpolation
-    psi = evolve_exact_batch(h, t, samples, psi0, slices)
-    for path, final in zip(samples, psi):
-        reference = two_qubit_slice_product(h, t, path, slices) @ psi0
-        assert np.max(np.abs(final - reference)) < 1e-12
-
-
 def test_evolve_exact_column_states_give_unitary_propagator():
     h = _hamiltonian(0.8, magnitude=10.0)
     spec = NoiseSpec(variance=1.0, correlation_time=0.05)

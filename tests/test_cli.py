@@ -311,6 +311,33 @@ def test_cli_coarse_noise_step_is_a_config_error(tmp_path, capsys, raw):
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            dict(GATE_CONFIG, engine="exact_propagation", cone_angle=1.0,
+                 conditional_phase=1.0),
+            "conditional_phase: the exact_propagation engine needs uniform",
+        ),
+        (
+            dict(GATE_CONFIG, cone_angle=3.0, conditional_phase=1.0),
+            "conditional_phase: cannot realize phi = 1 from base angle 3",
+        ),
+        (
+            dict(NOISE_CONFIG, duration=0.001, lags=[0.0]),
+            "duration must be >= dt, got 0.001 < 0.005",
+        ),
+    ],
+    ids=["exact-engine-calibrated-angles", "unrealizable-phase", "duration-below-dt"],
+)
+def test_cli_library_rules_are_config_errors(tmp_path, capsys, raw, message):
+    path = _write(tmp_path, "cfg.json", raw)
+    out = tmp_path / "x.csv"
+    assert main([raw["experiment"], "--config", path, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "power",
     [{"sigma2": [1.0, 9.0]}, {"power_density": [1.0, 9.0], "bandwidth": 1.0}],
     ids=["sigma2", "power_density"],

@@ -161,8 +161,25 @@ def test_analytic_engine_requires_adiabaticity():
 
 
 def test_resource_bound():
-    cfg = _config(1.0, tau_c=0.05, realizations=2048, max_elements=1000)
+    # 2048 paths of 10^6 + 1 points: far above MAX_ELEMENTS, refused unallocated
+    h = _hamiltonian(magnitude=1e7)  # keeps 1/(tau_c Delta) adiabatic
+    cfg = _config(1.0, tau_c=1e-5, realizations=2048, hamiltonian=h)
     with pytest.raises(ResourceLimitError):
+        run_ensemble(cfg)
+
+
+def test_exact_engine_two_qubit_run_is_refused():
+    """Two-qubit exact propagation is bell_gate_run's; run_ensemble refuses it."""
+    sched = ControlSchedule(magnitude=200.0, cone_angle=np.pi / 2, period=1.0)
+    h = QubitHamiltonian(coupling=1.0, schedule=sched, qubit_count=2)
+    cfg = _config(
+        1.0,
+        realizations=4,
+        engine="exact_propagation",
+        hamiltonian=h,
+        amplitudes=(0.5, 0.5, 0.5, 0.5),
+    )
+    with pytest.raises(ValueError, match="bell_gate_run"):
         run_ensemble(cfg)
 
 

@@ -245,14 +245,12 @@ def test_bell_gate_engines_agree_with_closed_form():
 
 
 def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
-    """The u x u engine equals 4x4 slice products with 4x4 pi-pulses."""
+    """The u x u engine equals 4x4 slice products with 4x4 pi-pulses, under
+    scalar and vector noise."""
     h, seq = _setup(magnitude=60.0)
-    spec = NoiseSpec(variance=20.0, correlation_time=0.04)
     n_seg = 250
     t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
-    samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 4)
     c = np.asarray(BELL, dtype=complex)
-    amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, substeps=1)
 
     # pi-pulse: swap the aligned and anti-aligned states at azimuth 0
     one_qubit = QubitHamiltonian(coupling=h.coupling, schedule=h.schedule)
@@ -260,26 +258,30 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
     flip = np.outer(aligned, anti.conj()) + np.outer(anti, aligned.conj())
     pulses = {1: np.kron(flip, np.eye(2)), 2: np.kron(np.eye(2), flip)}
     basis = eigenframe(h, t_local).states[:, 0, :]  # rows: product levels at t = 0
-    for path, got in zip(samples, amps):
-        psi = basis.T @ c
-        for l, (sched, target) in enumerate(seq.segments):
-            window = path[l * n_seg : (l + 1) * n_seg + 1]
-            h_seg = QubitHamiltonian(
-                coupling=h.coupling, schedule=sched, qubit_count=2
-            )
-            u = two_qubit_slice_product(h_seg, t_local, window, n_seg)
-            psi = pulses[target] @ u @ psi
-        assert np.max(np.abs(basis.conj() @ psi - got)) < 1e-12
+    for dimension in (1, 3):
+        spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
+        samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 4)
+        amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, substeps=1)
+        for path, got in zip(samples, amps):
+            psi = basis.T @ c
+            for l, (sched, target) in enumerate(seq.segments):
+                window = path[l * n_seg : (l + 1) * n_seg + 1]
+                h_seg = QubitHamiltonian(
+                    coupling=h.coupling, schedule=sched, qubit_count=2
+                )
+                u = two_qubit_slice_product(h_seg, t_local, window, n_seg)
+                psi = pulses[target] @ u @ psi
+            assert np.max(np.abs(basis.conj() @ psi - got)) < 1e-12
 
 
 def test_bell_gate_resource_bound():
-    h, seq = _setup()
+    # 4096 paths of 4 x 10^6 + 1 points: far above MAX_ELEMENTS, refused unallocated
+    h, seq = _setup(magnitude=1e7)  # keeps 1/(tau_c Delta) adiabatic
     cfg = EnsembleConfig(
         hamiltonian=h,
-        noise=NoiseSpec(variance=1.0, correlation_time=0.04),
+        noise=NoiseSpec(variance=1.0, correlation_time=1e-5),
         initial_amplitudes=BELL,
-        realizations=64,
-        max_elements=1000,
+        realizations=4096,
     )
     with pytest.raises(ResourceLimitError):
         bell_gate_run(cfg, seq)
