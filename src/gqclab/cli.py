@@ -191,6 +191,37 @@ _SCHEMA = {
 EXPERIMENTS = tuple(_SCHEMA)
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gqclab",
+        description="Noisy-control dephasing experiments on a geometric "
+        "quantum computer: noise validation, geometric-phase decoherence, "
+        "gate fidelity, and period-finding efficiency.",
+    )
+    sub = parser.add_subparsers(dest="experiment", required=True)
+    for name in EXPERIMENTS:
+        s = sub.add_parser(name)
+        s.add_argument("--config", help="JSON config file (or a run manifest)")
+        s.add_argument("--seed", type=int, help="override master_seed")
+        s.add_argument("--realizations", type=int, help="override realizations")
+        s.add_argument(
+            "--threads", type=int, help="worker bound; never affects results"
+        )
+        s.add_argument("--out", help="output table path")
+        s.add_argument("--format", choices=("csv", "json"), help="table format")
+        s.add_argument(
+            "--strict-adiabatic",
+            action="store_true",
+            default=None,
+            help="escalate adiabaticity warnings to errors (exit code 3)",
+        )
+    return parser
+
+
+#: built once, at import, so that main() does no argparse set-up (nor imports locale)
+_PARSER = _build_parser()
+
+
 def _resolve_power(raw, params, errors):
     """sigma^2 vs (power_density, bandwidth): mutually exclusive inputs.
 
@@ -601,35 +632,8 @@ def run(config: ExperimentConfig) -> dict:
     return manifest
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gqclab",
-        description="Noisy-control dephasing experiments on a geometric "
-        "quantum computer: noise validation, geometric-phase decoherence, "
-        "gate fidelity, and period-finding efficiency.",
-    )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        s = sub.add_parser(name)
-        s.add_argument("--config", help="JSON config file (or a run manifest)")
-        s.add_argument("--seed", type=int, help="override master_seed")
-        s.add_argument("--realizations", type=int, help="override realizations")
-        s.add_argument(
-            "--threads", type=int, help="worker bound; never affects results"
-        )
-        s.add_argument("--out", help="output table path")
-        s.add_argument("--format", choices=("csv", "json"), help="table format")
-        s.add_argument(
-            "--strict-adiabatic",
-            action="store_true",
-            default=None,
-            help="escalate adiabaticity warnings to errors (exit code 3)",
-        )
-    return parser
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     text = ""
     if args.config:
         try:

@@ -161,12 +161,16 @@ class DecoherenceReport:
 
 
 def _check_noise_elements(realizations: int, n_t: int, dimension: int) -> None:
-    """Refuse, before allocating, a noise ensemble above MAX_ELEMENTS."""
+    """Refuse, before allocating, noise samples above MAX_ELEMENTS.
+
+    ``n_t`` counts the noise grid points, or the propagation slices whose
+    midpoint noise the exact engine holds at once.
+    """
     elements = realizations * n_t * dimension
     if elements > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"ensemble needs {elements} noise samples, above the bound "
-            f"{MAX_ELEMENTS}; reduce realizations or coarsen the noise step"
+            f"{MAX_ELEMENTS}; reduce realizations or the number of time steps"
         )
 
 
@@ -236,6 +240,7 @@ def run_ensemble(config: EnsembleConfig):
     else:
         psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
         slices = (t.size - 1) * config.substeps
+        _check_noise_elements(config.realizations, slices, config.noise.dimension)
         psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
         amps = psi_f @ frame.states[:, -1, :].conj().T
 

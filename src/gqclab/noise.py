@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ResolutionError
 
@@ -42,6 +41,9 @@ __all__ = [
 
 #: dt must be at least this many times smaller than tau_c.
 RESOLUTION_FACTOR = 10.0
+
+#: time steps per contiguous buffer of the OU recursion
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,25 @@ def _ou_from_normals(spec: NoiseSpec, xi: np.ndarray, dt: float) -> np.ndarray:
     """Exact OU recursion along the time axis of ``xi``, shape (..., n_t, dim).
 
     ``xi[..., 0, :]`` seeds the stationary initial value; later time steps
-    drive the AR(1) update.  The normals are scaled in place and filtered
-    along the contiguous time axis in a single IIR pass.
+    drive the AR(1) update.  The result is written into ``xi``, which is
+    returned.  The update x[n] += a x[n-1] runs time-major on contiguous
+    blocks of ``_BLOCK`` steps, starting from a zero state: the same
+    floating-point operations as ``lfilter([1], [1, -a])``, so the same bits.
     """
     sigma = np.sqrt(spec.variance)
     a = np.exp(-dt / spec.correlation_time)
     xi[..., 1:, :] *= sigma * np.sqrt(1.0 - a * a)
     xi[..., 0, :] *= sigma  # stationary marginal at t = 0
-    return lfilter([1.0], [1.0, -a], xi, axis=-2)
+    x = np.moveaxis(xi, -2, 0)  # time-major view
+    prev = 0.0
+    for start in range(0, x.shape[0], _BLOCK):
+        block = x[start : start + _BLOCK].copy()
+        block[0] += a * prev
+        for n in range(1, block.shape[0]):
+            block[n] += a * block[n - 1]
+        x[start : start + _BLOCK] = block
+        prev = block[-1]
+    return xi
 
 
 def make_noise_path(

@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 
 from gqclab.adiabatic import PAULI, EigenFrame, eigenframe
 from gqclab.gate import BELL_LEVELS, level_index_map
@@ -43,6 +43,25 @@ def _two_qubit_slice_product(h, time_grid, path, slices):
 @pytest.fixture
 def two_qubit_slice_product():
     return _two_qubit_slice_product
+
+
+def _ou_reference(spec, xi, dt):
+    """OU samples from the normals ``xi`` (..., n_t, dim) by scipy's IIR filter.
+
+    The same scaling as ``noise._ou_from_normals``, then the AR(1) filter
+    ``lfilter([1], [1, -a])`` along the time axis; ``xi`` is left as it is.
+    """
+    sigma = np.sqrt(spec.variance)
+    a = np.exp(-dt / spec.correlation_time)
+    x = np.array(xi)
+    x[..., 1:, :] *= sigma * np.sqrt(1.0 - a * a)
+    x[..., 0, :] *= sigma
+    return lfilter([1.0], [1.0, -a], x, axis=-2)
+
+
+@pytest.fixture
+def ou_reference():
+    return _ou_reference
 
 
 def _double_time_integral(

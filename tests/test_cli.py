@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from gqclab.cli import main, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+SRC = ROOT / "src"
 
 AGP_CONFIG = {
     "experiment": "agp-dephase",
@@ -189,8 +193,17 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
             "dt": 0.005,
             "realizations": 2,
         },
+        # midpoint noise of 10^9 propagation slices per noise step
+        dict(AGP_CONFIG, engine="exact_propagation", substeps=10**9),
+        dict(GATE_CONFIG, engine="exact_propagation", substeps=10**9),
     ],
-    ids=["agp-dephase", "gate-fidelity", "noise-validate"],
+    ids=[
+        "agp-dephase",
+        "gate-fidelity",
+        "noise-validate",
+        "agp-dephase-substeps",
+        "gate-fidelity-substeps",
+    ],
 )
 def test_cli_resource_exit_code(tmp_path, raw):
     path = _write(tmp_path, "cfg.json", raw)
@@ -199,6 +212,43 @@ def test_cli_resource_exit_code(tmp_path, raw):
         [raw["experiment"], "--config", path, "--out", out, "--realizations", "4096"]
     )
     assert code == 4
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports gqclab from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, because this test session has scipy loaded
+    result = _fresh_python(
+        "import sys, gqclab.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_main_twice_in_one_process_matches_fresh_runs(tmp_path):
+    # main reuses one parser across calls
+    runs = [("agp-dephase", AGP_CONFIG), ("shor-scan", SHOR_CONFIG)]
+    for name, raw in runs:
+        path = _write(tmp_path, f"{name}.json", raw)
+        assert main([name, "--config", path, "--out", str(tmp_path / name)]) == 0
+    for name, _ in runs:
+        fresh = tmp_path / f"{name}-fresh"
+        argv = [name, "--config", str(tmp_path / f"{name}.json"), "--out", str(fresh)]
+        _fresh_python(
+            "import sys; from gqclab.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        )
+        assert (tmp_path / name).read_bytes() == fresh.read_bytes()
 
 
 def test_cli_agp_run_and_manifest_roundtrip(tmp_path):

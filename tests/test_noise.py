@@ -13,6 +13,7 @@ from gqclab import (
     make_noise_path,
     split_seed,
 )
+from gqclab.noise import _ou_from_normals
 
 
 def test_spec_validation():
@@ -133,6 +134,28 @@ def test_ensemble_rows_match_split_seeds():
     assert ens.shape == (5, 201, 1)
     for i in range(5):
         path = make_noise_path(spec, 2.0, 0.01, split_seed(17, i))
+        assert np.array_equal(ens[i], path)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("n_t", [2, 255, 256, 257, 513])
+def test_ou_recursion_matches_lfilter_bit_for_bit(ou_reference, n_t, dimension):
+    # n_t around the recursion's block length of 256 steps
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=dimension)
+    dt = 0.01
+    xi = np.random.default_rng(n_t).standard_normal((4, n_t, dimension))
+    batched = xi.copy()
+    assert _ou_from_normals(spec, batched, dt) is batched  # in place
+    assert np.array_equal(batched, ou_reference(spec, xi, dt))
+    # one path, shaped (n_t, dim) as make_noise_path passes it
+    single = _ou_from_normals(spec, xi[0].copy(), dt)
+    assert np.array_equal(single, ou_reference(spec, xi[0], dt))
+
+    duration = (n_t - 1) * dt
+    ens = make_noise_ensemble(spec, duration, dt, master_seed=17, realizations=3)
+    assert ens.shape == (3, n_t, dimension)
+    for i in range(3):
+        path = make_noise_path(spec, duration, dt, split_seed(17, i))
         assert np.array_equal(ens[i], path)
 
 
