@@ -56,6 +56,11 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 #: default ceiling for the adiabaticity ratios 1/(T Delta) and 1/(tau_c Delta)
 ADIABATIC_RATIO_MAX = 0.1
 
+#: propagation slices per vectorized Cayley-Klein pass of evolve_exact_batch;
+#: small enough that a block's complex arrays stay in cache at 8,192
+#: realizations (8 slices ran 1.5x faster there than 16)
+_SLICE_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class ControlSchedule:
@@ -331,24 +336,23 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     )
 
 
-def _su2_apply(b: np.ndarray, coupling: float, eps: float, psi: np.ndarray):
-    """Apply exp(+i (gamma eps / 2) b . sigma) to a batch of spinors.
+def _cayley_klein(bx, by, bz, scale: float):
+    """Cayley-Klein parameters of exp(+i scale b . sigma) = [[alpha, beta],
+    [-beta*, alpha*]], elementwise over field components of any shape.
 
-    ``b`` has shape (..., 3) and ``psi`` (..., 2); this is the exact
-    propagator of H = -(gamma/2) b . sigma over a step ``eps``.
+    With x = scale |b| and s = sin(x) / |b| (s = 0 at |b| = 0),
+    alpha = cos x + i s b_z and beta = s (b_y + i b_x).
     """
-    norm = np.linalg.norm(b, axis=-1)
-    x = 0.5 * coupling * eps * norm
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(norm[..., None] > 0, b / norm[..., None], 0.0)
-    cos_x = np.cos(x)[..., None]
-    sin_x = np.sin(x)
-    nx, ny, nz = unit[..., 0], unit[..., 1], unit[..., 2]
-    # (n . sigma) psi
-    rot0 = nz * psi[..., 0] + (nx - 1j * ny) * psi[..., 1]
-    rot1 = (nx + 1j * ny) * psi[..., 0] - nz * psi[..., 1]
-    out = cos_x * psi + 1j * sin_x[..., None] * np.stack([rot0, rot1], axis=-1)
-    return out
+    norm = np.sqrt(bx * bx + by * by + bz * bz)
+    x = scale * norm
+    s = np.divide(np.sin(x), norm, out=np.zeros_like(norm), where=norm > 0)
+    alpha = np.empty(norm.shape, complex)
+    alpha.real = np.cos(x)
+    alpha.imag = s * bz
+    beta = np.empty(norm.shape, complex)
+    beta.real = s * by
+    beta.imag = s * bx
+    return alpha, beta
 
 
 def evolve_exact_batch(
@@ -364,7 +368,8 @@ def evolve_exact_batch(
     is one spinor of shape (2,) or column spinors of shape (2, m); the
     final states have shape (n_real,) + psi0.shape.  The interval covered
     by the grid is cut into ``slices`` pieces; each piece uses the exact
-    closed-form SU(2) exponential of the midpoint-sampled Hamiltonian.
+    closed-form SU(2) exponential of the midpoint-sampled Hamiltonian,
+    H = -(gamma/2) b . sigma, as its Cayley-Klein pair (alpha, beta).
     Norm is preserved to 1e-10 by construction; accuracy improves as
     O(slices^-2) and is validated by slice doubling in the tests.  Two
     qubits under the same field and noise evolve under u x u, which
@@ -394,23 +399,40 @@ def evolve_exact_batch(
     b_det = h.schedule.field(mids)  # (slices, 3)
     axis = np.asarray(h.noise_operator_axis)
     dim = noise_samples.shape[-1]
-    # midpoint noise by linear interpolation on the path grid, written with
-    # np.interp's own formula slope * (x - xp[j]) + fp[j] so the bits match;
-    # in place, because these (n_real, slices) arrays set a run's peak memory
     j = np.searchsorted(t, mids, side="right") - 1
-    slope = np.diff(noise_samples, axis=1)
-    slope /= np.diff(t)[:, None]
-    noise_mid = slope[:, j]
-    del slope
-    noise_mid *= (mids - t[j])[:, None]
-    noise_mid += noise_samples[:, j]
+    offset = mids - t[j]
+    step = np.diff(t)
+    path_major = noise_samples.transpose(1, 0, 2)  # (n_times, n_real, dim) view
+    scale = 0.5 * h.coupling * eps
 
-    cols = psi0.reshape(2, -1).T  # spinor columns (m, 2)
-    psi = np.broadcast_to(cols, (n_real,) + cols.shape).copy()
-    for k in range(slices):
-        b = b_det[k] + (noise_mid[:, k] * axis if dim == 1 else noise_mid[:, k])
-        psi = _su2_apply(b[:, None], h.coupling, eps, psi)
-    return psi.swapaxes(-1, -2).reshape((n_real,) + psi0.shape)
+    # spinor components p0, p1 as contiguous (m, n_real) rows
+    psi = np.repeat(psi0.reshape(2, -1, 1), n_real, axis=2)
+    p0, p1 = psi
+    tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
+    for start in range(0, slices, _SLICE_BLOCK):
+        k = slice(start, start + _SLICE_BLOCK)
+        jk = j[k]
+        # midpoint noise (block, n_real, dim) by linear interpolation on the
+        # path grid, with np.interp's formula slope * (x - xp[j]) + fp[j]
+        lo = path_major[jk]
+        noise = path_major[jk + 1] - lo
+        noise /= step[jk, None, None]
+        noise *= offset[k, None, None]
+        noise += lo
+        b = [
+            b_det[k, c, None]
+            + (noise[..., 0] * axis[c] if dim == 1 else noise[..., c])
+            for c in range(3)
+        ]
+        alpha, beta = _cayley_klein(*b, scale)
+        for a, bt, ac, bc in zip(alpha, beta, alpha.conj(), beta.conj()):
+            np.multiply(a, p0, out=tmp0)
+            np.multiply(bt, p1, out=tmp1)
+            np.multiply(bc, p0, out=p0)
+            np.multiply(ac, p1, out=p1)
+            p1 -= p0  # alpha* p1 - beta* p0
+            np.add(tmp0, tmp1, out=p0)  # alpha p0 + beta p1
+    return psi.transpose(2, 0, 1).reshape((n_real,) + psi0.shape)
 
 
 def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:

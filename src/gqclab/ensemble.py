@@ -163,8 +163,10 @@ class DecoherenceReport:
 def _check_noise_elements(realizations: int, n_t: int, dimension: int) -> None:
     """Refuse, before allocating, noise samples above MAX_ELEMENTS.
 
-    ``n_t`` counts the noise grid points, or the propagation slices whose
-    midpoint noise the exact engine holds at once.
+    ``n_t`` counts the noise grid points, or the exact engine's propagation
+    slices: the engine holds the midpoint noise of a few slices at a time,
+    but its per-slice arrays grow with the slices and its work with
+    realizations x slices, which this bound caps.
     """
     elements = realizations * n_t * dimension
     if elements > MAX_ELEMENTS:

@@ -24,6 +24,7 @@ master seed, so results never depend on generation order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,21 @@ RESOLUTION_FACTOR = 10.0
 
 #: time steps per contiguous buffer of the OU recursion
 _BLOCK = 256
+
+#: realization indices per vectorized pass of the seed hash; the chunk's
+#: PCG64 states are Python ints, and 4,096 of them raised agp-sweep's peak
+#: RSS by 1.7 MiB where 1,024 leave it unchanged
+_SEED_CHUNK = 1024
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, pool of 4 uint32 words)
+# and PCG64's seeding step, as numpy implements them
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,108 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _seed_pool(words: list) -> list:
+    """SeedSequence's entropy pool for rows of entropy ``words``.
+
+    ``words`` lists the uint32 entropy words, each an array over rows; the
+    pool is 4 such arrays.  uint32 array arithmetic wraps as the C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> 16
+        return result
+
+    # entropy shorter than the pool hashes on with zero words
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _seed_state(pool: list, n_words: int) -> list:
+    """``SeedSequence.generate_state(n_words, uint32)`` for each pool row."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        out.append(value)
+    return out
+
+
+def _child_seed_words(master_seed: int, indices: np.ndarray) -> list:
+    """Low and high uint32 words of ``split_seed(master_seed, i)`` per index.
+
+    ``indices`` is a uint32 array.  The master seed's little-endian words
+    are padded to the pool size, as SeedSequence does when it has a spawn
+    key, and the index is the last entropy word.
+    """
+    rest = operator.index(master_seed)  # TypeError for non-integers
+    if rest < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    master = []
+    while True:
+        master.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    master += [0] * (_POOL_SIZE - len(master))
+    words = [np.full(indices.shape, w, dtype=np.uint32) for w in master]
+    return _seed_state(_seed_pool(words + [indices]), 2)
+
+
+def _ensemble_normals(
+    master_seed: int, realizations: int, shape: tuple
+) -> np.ndarray:
+    """Standard normals (realizations,) + shape; row i is bit-identical to
+    ``realization_rng(master_seed, i).standard_normal(shape)``.
+
+    Both SeedSequence hashes run as uint32 array operations on chunks of
+    indices.  A child seed's two words are its SeedSequence entropy: one
+    word hashes the same as that word and a zero.  Each row then re-seats
+    one PCG64 at the state PCG64's own seeding reaches.
+    """
+    xi = np.empty((realizations,) + tuple(shape))
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    for start in range(0, realizations, _SEED_CHUNK):
+        stop = min(start + _SEED_CHUNK, realizations)
+        indices = np.arange(start, stop, dtype=np.uint32)
+        words = _seed_state(_seed_pool(_child_seed_words(master_seed, indices)), 8)
+        # generate_state(4, uint64): little-endian pairs of uint32 words
+        lo, hi = np.array(words[0::2], np.uint64), np.array(words[1::2], np.uint64)
+        seeds = (lo | hi << np.uint64(32)).T.tolist()
+        for i, (s_hi, s_lo, inc_hi, inc_lo) in enumerate(seeds, start):
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=xi[i])
+    return xi
+
+
 def _n_times(duration: float, dt: float) -> int:
     """Points of the grid 0, dt, ..., duration."""
     return int(round(duration / dt)) + 1
@@ -124,6 +242,15 @@ def _ou_from_normals(spec: NoiseSpec, xi: np.ndarray, dt: float) -> np.ndarray:
     xi[..., 1:, :] *= sigma * np.sqrt(1.0 - a * a)
     xi[..., 0, :] *= sigma  # stationary marginal at t = 0
     x = np.moveaxis(xi, -2, 0)  # time-major view
+    prev = 0.0
+    for start in range(0, x.shape[0], _BLOCK):
+        block = x[start : start + _BLOCK].copy()
+        block[0] += a * prev
+        for n in range(1, block.shape[0]):
+            block[n] += a * block[n - 1]
+        x[start : start + _BLOCK] = block
+        prev = block[-1]
+    return xi
     prev = 0.0
     for start in range(0, x.shape[0], _BLOCK):
         block = x[start : start + _BLOCK].copy()
@@ -168,9 +295,9 @@ def make_noise_ensemble(
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     _check_resolution(spec, duration, dt)
-    xi = np.empty((realizations, _n_times(duration, dt), spec.dimension))
-    for i in range(realizations):
-        realization_rng(master_seed, i).standard_normal(out=xi[i])
+    xi = _ensemble_normals(
+        master_seed, realizations, (_n_times(duration, dt), spec.dimension)
+    )
     return _ou_from_normals(spec, xi, dt)
 
 

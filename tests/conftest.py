@@ -45,6 +45,55 @@ def two_qubit_slice_product():
     return _two_qubit_slice_product
 
 
+def _su2_apply(b, coupling, eps, psi):
+    """Apply exp(+i (gamma eps / 2) b . sigma) to a batch of spinors.
+
+    ``b`` has shape (..., 3) and ``psi`` (..., 2); this is the exact
+    propagator of H = -(gamma/2) b . sigma over a step ``eps``.
+    """
+    norm = np.linalg.norm(b, axis=-1)
+    x = 0.5 * coupling * eps * norm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(norm[..., None] > 0, b / norm[..., None], 0.0)
+    cos_x = np.cos(x)[..., None]
+    sin_x = np.sin(x)
+    nx, ny, nz = unit[..., 0], unit[..., 1], unit[..., 2]
+    # (n . sigma) psi
+    rot0 = nz * psi[..., 0] + (nx - 1j * ny) * psi[..., 1]
+    rot1 = (nx + 1j * ny) * psi[..., 0] - nz * psi[..., 1]
+    return cos_x * psi + 1j * sin_x[..., None] * np.stack([rot0, rot1], axis=-1)
+
+
+def _slice_loop_reference(h, time_grid, noise_samples, psi0, slices):
+    """``evolve_exact_batch`` one slice at a time, from unit field vectors.
+
+    Each slice applies the SU(2) exponential of the midpoint field, with the
+    noise interpolated by np.interp's formula, to every realization.
+    """
+    t = np.asarray(time_grid, dtype=float)
+    psi0 = np.asarray(psi0, dtype=complex)
+    n_real = noise_samples.shape[0]
+    eps = (t[-1] - t[0]) / slices
+    mids = t[0] + (np.arange(slices) + 0.5) * eps
+    b_det = h.schedule.field(mids)
+    axis = np.asarray(h.noise_operator_axis)
+    j = np.searchsorted(t, mids, side="right") - 1
+    slope = np.diff(noise_samples, axis=1) / np.diff(t)[:, None]
+    noise_mid = slope[:, j] * (mids - t[j])[:, None] + noise_samples[:, j]
+    cols = psi0.reshape(2, -1).T  # spinor columns (m, 2)
+    psi = np.broadcast_to(cols, (n_real,) + cols.shape).copy()
+    for k in range(slices):
+        mid = noise_mid[:, k]
+        b = b_det[k] + (mid * axis if noise_samples.shape[-1] == 1 else mid)
+        psi = _su2_apply(b[:, None], h.coupling, eps, psi)
+    return psi.swapaxes(-1, -2).reshape((n_real,) + psi0.shape)
+
+
+@pytest.fixture
+def slice_loop_reference():
+    return _slice_loop_reference
+
+
 def _ou_reference(spec, xi, dt):
     """OU samples from the normals ``xi`` (..., n_t, dim) by scipy's IIR filter.
 

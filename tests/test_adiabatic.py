@@ -19,7 +19,7 @@ from gqclab import (
     make_noise_ensemble,
     make_noise_path,
 )
-from gqclab.adiabatic import stochastic_phase_batch
+from gqclab.adiabatic import _SLICE_BLOCK, stochastic_phase_batch
 
 
 def _hamiltonian(theta, magnitude=200.0, period=1.0, cycles=1, **kw):
@@ -201,6 +201,47 @@ def test_evolve_exact_column_states_give_unitary_propagator():
     for b in range(2):
         alone = evolve_exact_batch(h, t, samples, np.eye(2)[:, b], 400)
         assert np.array_equal(u[:, :, b], alone)
+
+
+_GRID_STEPS = 5  # below the kernel's block length, so every slice count fits
+
+
+@pytest.mark.parametrize(
+    "psi0",
+    [np.array([0.6, 0.8j]), np.array([[0.6, -0.8], [0.8, 0.6]])],
+    ids=["spinor", "columns"],
+)
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize(
+    "slices",
+    [_GRID_STEPS, _SLICE_BLOCK - 1, _SLICE_BLOCK, _SLICE_BLOCK + 1, 4 * _GRID_STEPS],
+)
+def test_evolve_exact_matches_slice_loop(slice_loop_reference, slices, dimension, psi0):
+    h = _hamiltonian(0.8, magnitude=10.0)
+    spec = NoiseSpec(variance=30.0, correlation_time=2.0, dimension=dimension)
+    dt = 1.0 / _GRID_STEPS
+    t = np.arange(_GRID_STEPS + 1) * dt
+    samples = make_noise_ensemble(spec, 1.0, dt, 3, 6)
+    got = evolve_exact_batch(h, t, samples, psi0, slices)
+    assert got.shape == (6,) + psi0.shape
+    want = slice_loop_reference(h, t, samples, psi0, slices)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_evolve_exact_zero_field_slice_is_identity(slice_loop_reference):
+    # no control field; realization 0 has no noise, realization 1 none in
+    # its first half, so their fields vanish in all or some slices
+    h = _hamiltonian(0.8, magnitude=0.0)
+    t = np.linspace(0.0, 1.0, 11)
+    samples = np.zeros((3, t.size, 3))
+    samples[1, 6:] = (3.0, -1.0, 2.0)
+    samples[2] = np.linspace(-4.0, 5.0, t.size)[:, None]
+    psi0 = np.array([0.6, 0.8j])
+    got = evolve_exact_batch(h, t, samples, psi0, slices=20)
+    assert np.array_equal(got[0], psi0)
+    assert not np.allclose(got[1], psi0)
+    want = slice_loop_reference(h, t, samples, psi0, slices=20)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("direction", ["forward", "reversed"])

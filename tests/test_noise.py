@@ -11,9 +11,10 @@ from gqclab import (
     estimate_autocorrelation,
     make_noise_ensemble,
     make_noise_path,
+    realization_rng,
     split_seed,
 )
-from gqclab.noise import _ou_from_normals
+from gqclab.noise import _SEED_CHUNK, _child_seed_words, _ou_from_normals
 
 
 def test_spec_validation():
@@ -157,6 +158,46 @@ def test_ou_recursion_matches_lfilter_bit_for_bit(ou_reference, n_t, dimension):
     for i in range(3):
         path = make_noise_path(spec, duration, dt, split_seed(17, i))
         assert np.array_equal(ens[i], path)
+
+
+@pytest.mark.parametrize("shape", [(300, 1), (4, 300, 1)])
+def test_ou_zero_variance_keeps_positive_zero(ou_reference, shape):
+    spec = NoiseSpec(variance=0.0, correlation_time=0.1)
+    xi = -np.abs(np.random.default_rng(len(shape)).standard_normal(shape))
+    out = _ou_from_normals(spec, xi.copy(), 0.01)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    assert np.array_equal(np.signbit(out), np.signbit(ou_reference(spec, xi, 0.01)))
+
+
+@pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 99])
+@pytest.mark.parametrize("realizations", [1, 2, 3, 7])
+def test_vectorized_seeding_matches_seed_sequence(monkeypatch, master, realizations):
+    # a 3-index hash chunk puts these counts on both sides of its boundary
+    monkeypatch.setattr("gqclab.noise._SEED_CHUNK", 3)
+    lo, hi = _child_seed_words(master, np.arange(realizations, dtype=np.uint32))
+    seeds = [int(a) | int(b) << 32 for a, b in zip(lo, hi)]
+    assert seeds == [split_seed(master, i) for i in range(realizations)]
+
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=3)
+    rows = [realization_rng(master, i) for i in range(realizations)]
+    xi = np.stack([rng.standard_normal((21, 3)) for rng in rows])
+    ens = make_noise_ensemble(spec, 0.2, 0.01, master, realizations)
+    assert np.array_equal(ens, _ou_from_normals(spec, xi, 0.01))
+
+
+def test_vectorized_seeding_across_the_hash_chunk():
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
+    n = _SEED_CHUNK + 1
+    xi = np.stack([realization_rng(9, i).standard_normal((2, 1)) for i in range(n)])
+    assert np.array_equal(
+        make_noise_ensemble(spec, 0.01, 0.01, 9, n), _ou_from_normals(spec, xi, 0.01)
+    )
+    with pytest.raises(ValueError):
+        make_noise_ensemble(spec, 0.01, 0.01, -1, 2)
+    # a non-integer seed is refused, as SeedSequence refuses it
+    for seed in (1.7, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
 
 
 @given(
