@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AdiabaticityError, DegeneracyError, ResolutionError
+from .errors import AdiabaticityError, DegeneracyError, ResolutionError, _check_elements
 
 __all__ = [
     "ControlSchedule",
@@ -370,6 +370,7 @@ def evolve_exact_batch(
     by the grid is cut into ``slices`` pieces; each piece uses the exact
     closed-form SU(2) exponential of the midpoint-sampled Hamiltonian,
     H = -(gamma/2) b . sigma, as its Cayley-Klein pair (alpha, beta).
+    n_real x slices x dim above MAX_ELEMENTS is refused before allocating.
     Norm is preserved to 1e-10 by construction; accuracy improves as
     O(slices^-2) and is validated by slice doubling in the tests.  Two
     qubits under the same field and noise evolve under u x u, which
@@ -391,14 +392,15 @@ def evolve_exact_batch(
         raise ResolutionError(
             f"slices = {slices} below the noise grid resolution ({n_steps} steps)"
         )
-    n_real = noise_samples.shape[0]
+    n_real, _, dim = noise_samples.shape
+    # the per-slice arrays grow with the slices, the work with n_real x slices
+    _check_elements((n_real, slices, dim), "exact propagation")
     t0, t1 = t[0], t[-1]
     eps = (t1 - t0) / slices
     mids = t0 + (np.arange(slices) + 0.5) * eps
 
     b_det = h.schedule.field(mids)  # (slices, 3)
     axis = np.asarray(h.noise_operator_axis)
-    dim = noise_samples.shape[-1]
     j = np.searchsorted(t, mids, side="right") - 1
     offset = mids - t[j]
     step = np.diff(t)

@@ -34,12 +34,7 @@ import numpy as np
 
 from . import __version__
 from .adiabatic import ControlSchedule, QubitHamiltonian, deterministic_phases
-from .ensemble import (
-    ENGINES,
-    EnsembleConfig,
-    _check_noise_elements,
-    decoherence_report,
-)
+from .ensemble import ENGINES, EnsembleConfig, decoherence_report
 from .errors import (
     AdiabaticityError,
     ConfigError,
@@ -443,8 +438,6 @@ def _run_noise_validate(p):
         dimension=p["dimension"],
     )
     dt, lags = p["dt"], _noise_lags(p)
-    n_t = _n_times(p["duration"], dt)
-    _check_noise_elements(p["realizations"], n_t, spec.dimension)
     samples = make_noise_ensemble(
         spec, p["duration"], dt, p["master_seed"], p["realizations"]
     )
@@ -493,7 +486,7 @@ def _run_agp_dephase(p):
     rows = []
     for sigma2 in _sigma2_sweep(p):
         cfg = _ensemble_config(p, h, sigma2, amps)
-        report = decoherence_report(cfg, levels=(1, 0), bandwidth=p["bandwidth"])
+        report = decoherence_report(cfg, levels=(1, 0))
         rows.append(
             {
                 "sigma2_field2": sigma2,

@@ -33,18 +33,11 @@ from .adiabatic import (
     evolve_exact_batch,
     stochastic_phase_batch,
 )
-from .errors import ResourceLimitError
-from .noise import (
-    RESOLUTION_FACTOR,
-    NoiseSpec,
-    _check_resolution,
-    make_noise_ensemble,
-)
+from .noise import RESOLUTION_FACTOR, NoiseSpec, make_noise_ensemble
 
 __all__ = [
     "EnsembleConfig",
     "AveragedDensity",
-    "EnsemblePhases",
     "DecoherenceReport",
     "run_ensemble",
     "averaged_density_analytic",
@@ -57,9 +50,6 @@ __all__ = [
 ]
 
 ENGINES = ("exact_propagation", "analytic_phase")
-
-#: default cap on realizations x time steps x components
-MAX_ELEMENTS = 2**28
 
 
 @dataclass(frozen=True)
@@ -136,18 +126,6 @@ class AveragedDensity:
 
 
 @dataclass(frozen=True)
-class EnsemblePhases:
-    """Adiabatic phases of every level along every noise path of a run.
-
-    gamma_a  (n_levels,) deterministic phase, identical across realizations
-    gamma_s  (n_levels, n_real) stochastic phase per level and realization
-    """
-
-    gamma_a: np.ndarray
-    gamma_s: np.ndarray
-
-
-@dataclass(frozen=True)
 class DecoherenceReport:
     """Monte Carlo estimate vs closed form for one level pair."""
 
@@ -158,22 +136,6 @@ class DecoherenceReport:
     analytic_factor: float
     onset_ratio: float
     overlap: float
-
-
-def _check_noise_elements(realizations: int, n_t: int, dimension: int) -> None:
-    """Refuse, before allocating, noise samples above MAX_ELEMENTS.
-
-    ``n_t`` counts the noise grid points, or the exact engine's propagation
-    slices: the engine holds the midpoint noise of a few slices at a time,
-    but its per-slice arrays grow with the slices and its work with
-    realizations x slices, which this bound caps.
-    """
-    elements = realizations * n_t * dimension
-    if elements > MAX_ELEMENTS:
-        raise ResourceLimitError(
-            f"ensemble needs {elements} noise samples, above the bound "
-            f"{MAX_ELEMENTS}; reduce realizations or the number of time steps"
-        )
 
 
 def _grid_steps(duration: float, dt: float) -> int:
@@ -187,39 +149,34 @@ def _ensemble_noise(
     """Time grid and noise samples (realizations, n_t, dim) for the run."""
     n_steps = _grid_steps(duration, dt)
     dt = duration / n_steps
-    _check_noise_elements(config.realizations, n_steps + 1, config.noise.dimension)
-    # checked here too, so that a sigma^2 = 0 run rejects the grid it would use
-    _check_resolution(config.noise, duration, dt)
-    t = np.linspace(0.0, duration, n_steps + 1)
-    if config.noise.variance == 0.0:
-        samples = np.zeros((config.realizations, t.size, config.noise.dimension))
-    else:
-        samples = make_noise_ensemble(
-            config.noise, duration, dt, config.master_seed, config.realizations
-        )
-    return t, samples
+    samples = make_noise_ensemble(
+        config.noise, duration, dt, config.master_seed, config.realizations
+    )
+    return np.linspace(0.0, duration, n_steps + 1), samples
 
 
-def _complex_mean_se(values: np.ndarray, axis=0):
-    """Mean and combined real/imag standard error along ``axis``."""
-    n = values.shape[axis]
-    mean = np.mean(values, axis=axis)
+def _complex_mean_se(values: np.ndarray):
+    """Mean and combined real/imag standard error along axis 0."""
+    mean = np.mean(values, axis=0)
     se = np.sqrt(
-        np.var(values.real, axis=axis, ddof=1)
-        + np.var(values.imag, axis=axis, ddof=1)
-    ) / np.sqrt(n)
+        np.var(values.real, axis=0, ddof=1) + np.var(values.imag, axis=0, ddof=1)
+    ) / np.sqrt(values.shape[0])
     return mean, se
+
+
+def _averaged_density(amps: np.ndarray):
+    """Mean and standard error of the outer products of amps (n_real, n)."""
+    return _complex_mean_se(amps[:, :, None] * amps[:, None, :].conj())
 
 
 def run_ensemble(config: EnsembleConfig):
     """Average rho(t_f; k) over noise realizations.
 
-    Returns ``(AveragedDensity, EnsemblePhases)``: the averaged density
-    matrix with its standard errors, and the arrays Gamma_a of shape
-    (n_levels,) and Gamma_s of shape (n_levels, n_real).  Results depend
-    only on the configuration: realization i always uses the i-th child of
-    ``master_seed``, and the density is a plain ``np.mean`` of the
-    per-realization outer products along axis 0.
+    Returns ``(AveragedDensity, gamma_a)``: the averaged density matrix
+    with its standard errors, and the deterministic phases Gamma_a of shape
+    (n_levels,).  Results depend only on the configuration: realization i
+    always uses the i-th child of ``master_seed``, and the density is a
+    plain ``np.mean`` of the per-realization outer products along axis 0.
     """
     h = config.hamiltonian
     config.check_adiabatic()
@@ -228,31 +185,27 @@ def run_ensemble(config: EnsembleConfig):
     c = config.amplitudes
 
     gamma_a = deterministic_phases(h, t[-1] - t[0])
-    gamma_s = np.stack(
-        [
-            stochastic_phase_batch(h, frame, samples, level)
-            for level in range(h.n_levels)
-        ]
-    )  # (n_levels, n_real)
-
     if config.engine == "analytic_phase":
+        gamma_s = np.stack(
+            [
+                stochastic_phase_batch(h, frame, samples, level)
+                for level in range(h.n_levels)
+            ]
+        )  # (n_levels, n_real)
         amps = c[None, :] * np.exp(
             -1j * (gamma_a[None, :] + gamma_s.T)
         )  # (n_real, n_levels)
     else:
         psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
         slices = (t.size - 1) * config.substeps
-        _check_noise_elements(config.realizations, slices, config.noise.dimension)
         psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
         amps = psi_f @ frame.states[:, -1, :].conj().T
 
-    outer = amps[:, :, None] * amps[:, None, :].conj()
-    matrix, se = _complex_mean_se(outer, axis=0)
-
+    matrix, se = _averaged_density(amps)
     density = AveragedDensity(
         matrix=matrix, standard_errors=se, realizations_used=config.realizations
     )
-    return density, EnsemblePhases(gamma_a=gamma_a, gamma_s=gamma_s)
+    return density, gamma_a
 
 
 def decoherence_factor_analytic(variance: float) -> float:
@@ -414,24 +367,21 @@ def averaged_density_analytic(config: EnsembleConfig) -> AveragedDensity:
 
 
 def decoherence_report(
-    config: EnsembleConfig,
-    levels: tuple = (1, 0),
-    bandwidth: float = 1.0,
+    config: EnsembleConfig, levels: tuple = (1, 0)
 ) -> DecoherenceReport:
     """Monte Carlo decoherence factor vs the Gaussian closed form.
 
     Runs the configured ensemble, extracts D(k,j) from the averaged
     off-diagonal, and compares with exp(-Var/2) built from the exact
-    overlap integral.  ``bandwidth`` fixes the power bookkeeping via
-    P/V = sigma^2 * bandwidth (it cancels in the onset ratio).
+    overlap integral.  The onset ratio is that variance over (2 pi)^2.
     """
     h = config.hamiltonian
     k, j = levels
     c = config.amplitudes
     if c[k] == 0 or c[j] == 0:
         raise ValueError("levels must have nonzero initial amplitudes")
-    density, phases = run_ensemble(config)
-    gamma_a_kj = phases.gamma_a[k] - phases.gamma_a[j]
+    density, gamma_a = run_ensemble(config)
+    gamma_a_kj = gamma_a[k] - gamma_a[j]
     reference = c[k] * np.conj(c[j]) * np.exp(-1j * gamma_a_kj)
     mc_factor = complex(density.matrix[k, j] / reference)
     mc_se = float(density.standard_errors[k, j] / abs(reference))
@@ -440,15 +390,12 @@ def decoherence_report(
     noise = config.noise
     i_kj = overlap_integral(h, noise.correlation_time, (k, j), noise.dimension)
     var = variance_analytic(sched.cycles, h.coupling, noise.variance, i_kj)
-    ratio = onset_ratio(
-        noise.variance * bandwidth, bandwidth, h.coupling, sched.cycles, i_kj
-    )
     return DecoherenceReport(
         levels=(k, j),
         mc_factor=mc_factor,
         mc_standard_error=mc_se,
         analytic_variance=var,
         analytic_factor=decoherence_factor_analytic(var),
-        onset_ratio=ratio,
+        onset_ratio=var / (4.0 * np.pi**2),
         overlap=i_kj,
     )

@@ -39,7 +39,7 @@ from .adiabatic import (
 )
 from .ensemble import (
     EnsembleConfig,
-    _check_noise_elements,
+    _averaged_density,
     _complex_mean_se,
     _ensemble_noise,
     _grid_steps,
@@ -352,11 +352,8 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
         mc_factor = complex(mc_factor * np.exp(1j * gamma_a_kj))
         mc_se = float(mc_se)
     else:
-        slices = n_seg * config.substeps  # per segment
-        _check_noise_elements(config.realizations, slices, config.noise.dimension)
         amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, config.substeps)
-        outer = amps[:, :, None] * amps[:, None, :].conj()
-        matrix, se = _complex_mean_se(outer, axis=0)
+        matrix, se = _averaged_density(amps)
         fidelity = float(np.real(bell.conj() @ matrix @ bell))
         fid_se = float(se[k_idx, j_idx])
         reference = 0.5 * np.exp(-1j * gamma_a_kj)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ResolutionError, _check_elements
 
 __all__ = [
     "NoiseSpec",
@@ -162,9 +162,7 @@ def _child_seed_words(master_seed: int, indices: np.ndarray) -> list:
     are padded to the pool size, as SeedSequence does when it has a spawn
     key, and the index is the last entropy word.
     """
-    rest = operator.index(master_seed)  # TypeError for non-integers
-    if rest < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    rest = operator.index(master_seed)
     master = []
     while True:
         master.append(rest & _MASK32)
@@ -251,15 +249,6 @@ def _ou_from_normals(spec: NoiseSpec, xi: np.ndarray, dt: float) -> np.ndarray:
         x[start : start + _BLOCK] = block
         prev = block[-1]
     return xi
-    prev = 0.0
-    for start in range(0, x.shape[0], _BLOCK):
-        block = x[start : start + _BLOCK].copy()
-        block[0] += a * prev
-        for n in range(1, block.shape[0]):
-            block[n] += a * block[n - 1]
-        x[start : start + _BLOCK] = block
-        prev = block[-1]
-    return xi
 
 
 def make_noise_path(
@@ -290,14 +279,21 @@ def make_noise_ensemble(
 
     Row i is bit-identical to ``make_noise_path(spec, duration, dt,
     split_seed(master_seed, i))``; the rows are therefore independent of
-    generation order and safe to compute in parallel.
+    generation order and safe to compute in parallel.  The grid is checked
+    first, then the size against MAX_ELEMENTS, both before allocating; at
+    sigma^2 = 0 the samples are the recursion's +0.0 without drawing.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
+    # checked at every variance; TypeError for non-integers
+    if operator.index(master_seed) < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     _check_resolution(spec, duration, dt)
-    xi = _ensemble_normals(
-        master_seed, realizations, (_n_times(duration, dt), spec.dimension)
-    )
+    shape = (realizations, _n_times(duration, dt), spec.dimension)
+    _check_elements(shape, "noise ensemble")
+    if spec.variance == 0.0:
+        return np.zeros(shape)
+    xi = _ensemble_normals(master_seed, realizations, shape[1:])
     return _ou_from_normals(spec, xi, dt)
 
 

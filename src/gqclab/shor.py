@@ -37,8 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ensemble import MAX_ELEMENTS
-from .errors import ResourceLimitError
+from .errors import _check_elements
 
 __all__ = [
     "ShorInstance",
@@ -224,12 +223,7 @@ def amplitude_mc(
     """
     inst = model.instance
     c_values = np.asarray(c_values, dtype=int)
-    elements = inst.path_count * (c_values.size + chunk)
-    if elements > MAX_ELEMENTS:
-        raise ResourceLimitError(
-            f"amplitude_mc needs {elements} path amplitudes, above the bound "
-            f"{MAX_ELEMENTS}; ask for fewer outcomes or a smaller chunk"
-        )
+    _check_elements((inst.path_count, c_values.size + chunk), "amplitude_mc")
     d = np.exp(1j * _path_phases(model, c_values)).T / np.sqrt(
         inst.path_count * inst.register_size
     )  # (paths, n_c)

@@ -1,5 +1,6 @@
 """Oracles shared by several test modules."""
 
+import tracemalloc
 from dataclasses import replace
 from typing import Callable
 
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 from scipy.signal import fftconvolve, lfilter
 
 from gqclab.adiabatic import PAULI, EigenFrame, eigenframe
+from gqclab.errors import ResourceLimitError
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
 from gqclab.shor import ShorInstance, coprime_residues
@@ -229,3 +231,21 @@ def _constructive_outcomes(inst: ShorInstance):
 @pytest.fixture
 def constructive_outcomes():
     return _constructive_outcomes
+
+
+def _refused_unallocated(fn, *args):
+    """Assert that ``fn(*args)`` raises ResourceLimitError having allocated
+    under 1 MiB (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.fixture
+def refused_unallocated():
+    return _refused_unallocated

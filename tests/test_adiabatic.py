@@ -244,6 +244,14 @@ def test_evolve_exact_zero_field_slice_is_identity(slice_loop_reference):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def test_evolve_exact_above_the_bound_is_refused_unallocated(refused_unallocated):
+    # 2 paths x 10^9 slices: the slices' midpoints alone would take 8 GB
+    t = np.linspace(0.0, 1.0, 3)
+    samples = np.zeros((2, t.size, 1))
+    h = _hamiltonian(0.8)
+    refused_unallocated(evolve_exact_batch, h, t, samples, [1.0, 0.0], 10**9)
+
+
 @pytest.mark.parametrize("direction", ["forward", "reversed"])
 @pytest.mark.parametrize("calibrated", [False, True])
 def test_deterministic_phases_match_trapezoid(direction, calibrated):

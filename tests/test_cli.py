@@ -214,6 +214,29 @@ def test_cli_resource_exit_code(tmp_path, raw):
     assert code == 4
 
 
+COARSE_AGP = dict(AGP_CONFIG, correlation_time=1e-5, magnitude=1e7, noise_dt=1e-5)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # noise steps of tau_c, where tau_c / 10 is needed, and 10^5 + 1 of them
+        dict(COARSE_AGP, sigma2=1.0),
+        dict(COARSE_AGP, sigma2=0.0),
+        dict(NOISE_CONFIG, duration=4_000.0, dt=0.05),
+    ],
+    ids=["agp-dephase", "agp-dephase-noiseless", "noise-validate"],
+)
+def test_cli_coarse_grid_is_reported_before_the_bound(tmp_path, capsys, raw):
+    path = _write(tmp_path, "cfg.json", raw)
+    out = str(tmp_path / "x.csv")
+    code = main(
+        [raw["experiment"], "--config", path, "--out", out, "--realizations", "4096"]
+    )
+    assert code == 2
+    assert "too coarse" in capsys.readouterr().err
+
+
 def _fresh_python(code, *args):
     """Run ``code`` in a new interpreter that imports gqclab from src/."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

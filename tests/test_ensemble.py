@@ -22,6 +22,8 @@ from gqclab import (
     transverse_magnetization,
     variance_analytic,
 )
+from gqclab import ensemble
+from gqclab.adiabatic import eigenframe, stochastic_phase_batch
 from gqclab.ensemble import _ensemble_noise
 
 EQUAL = (1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -52,6 +54,16 @@ def _sigma2_for_variance(h, tau_c, v_target):
     return 4.0 * v_target / (h.schedule.cycles * h.coupling**2 * i_kj)
 
 
+def _gamma_s(cfg):
+    """Gamma_s (n_levels, n_real) along the noise paths run_ensemble draws."""
+    h = cfg.hamiltonian
+    t, samples = _ensemble_noise(cfg, h.schedule.duration, cfg.dt)
+    frame = eigenframe(h, t)
+    return np.stack(
+        [stochastic_phase_batch(h, frame, samples, k) for k in range(h.n_levels)]
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(1.0, amplitudes=(1.0, 1.0))  # not normalized
@@ -69,9 +81,9 @@ def test_run_ensemble_pure_level_noiseless():
 
 def test_run_ensemble_noiseless_superposition():
     cfg = _config(0.0, realizations=4)
-    density, phases = run_ensemble(cfg)
+    density, gamma_a = run_ensemble(cfg)
     assert abs(abs(density.matrix[0, 1]) - 0.5) < 1e-9
-    gamma_a_kj = phases.gamma_a[0] - phases.gamma_a[1]
+    gamma_a_kj = gamma_a[0] - gamma_a[1]
     # rho_01 = c0 c1* exp(-i (gamma_a(0) - gamma_a(1)))
     assert abs(np.angle(density.matrix[0, 1]) + gamma_a_kj) % (2 * np.pi) < 1e-9
     # density invariants
@@ -120,8 +132,7 @@ def test_gamma_s_gaussian_and_mean_zero():
     )
     h = cfg.hamiltonian
     assert h.schedule.duration / cfg.noise.correlation_time >= 100
-    _, phases = run_ensemble(cfg)
-    gs = phases.gamma_s[1]
+    gs = _gamma_s(cfg)[1]
     assert gs.size == 4096
     n = gs.size
     se_mean = gs.std(ddof=1) / np.sqrt(n)
@@ -146,11 +157,24 @@ def test_monotone_decoherence_in_sigma2():
 
 def test_determinism_bit_exact():
     cfg = _config(3.0, realizations=128, master_seed=7)
-    d1, p1 = run_ensemble(cfg)
-    d2, p2 = run_ensemble(cfg)
+    d1, gamma_a1 = run_ensemble(cfg)
+    d2, gamma_a2 = run_ensemble(cfg)
     assert np.array_equal(d1.matrix, d2.matrix)
-    assert np.array_equal(p1.gamma_a, p2.gamma_a)
-    assert np.array_equal(p1.gamma_s, p2.gamma_s)
+    assert np.array_equal(gamma_a1, gamma_a2)
+    assert np.array_equal(_gamma_s(cfg), _gamma_s(cfg))
+
+
+def test_gamma_s_is_computed_only_by_the_analytic_engine(monkeypatch):
+    real = ensemble.stochastic_phase_batch
+    for engine, levels in (("exact_propagation", []), ("analytic_phase", [0, 1])):
+        seen = []
+        monkeypatch.setattr(
+            ensemble,
+            "stochastic_phase_batch",
+            lambda *a: seen.append(a[-1]) or real(*a),
+        )
+        run_ensemble(_config(3.0, realizations=8, engine=engine))
+        assert seen == levels, engine
 
 
 def test_analytic_engine_requires_adiabaticity():
@@ -190,8 +214,8 @@ def test_noise_grid_ends_at_the_schedule_duration():
     t, samples = _ensemble_noise(cfg, 1.0, cfg.dt)
     assert t[-1] == 1.0 and t.size == samples.shape[1] == 335
     assert np.max(np.diff(t)) <= 0.003
-    _, phases = run_ensemble(cfg)
-    assert np.array_equal(phases.gamma_a, deterministic_phases(h, 1.0))
+    _, gamma_a = run_ensemble(cfg)
+    assert np.array_equal(gamma_a, deterministic_phases(h, 1.0))
 
 
 def test_decoherence_factor_analytic_values():
@@ -296,10 +320,10 @@ def test_onset_ratio_identity_and_linearity():
 
 
 def test_transverse_magnetization():
-    density, phases = run_ensemble(_config(0.0, realizations=4))
+    density, gamma_a = run_ensemble(_config(0.0, realizations=4))
     mx, my = transverse_magnetization(density)
     assert abs(np.hypot(mx, my) - 1.0) < 1e-9
-    gamma_a_kj = phases.gamma_a[1] - phases.gamma_a[0]
+    gamma_a_kj = gamma_a[1] - gamma_a[0]
     angle_diff = (np.angle(mx + 1j * my) + gamma_a_kj) % (2 * np.pi)
     assert min(angle_diff, 2 * np.pi - angle_diff) < 1e-9
     # fully dephased

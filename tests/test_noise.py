@@ -14,7 +14,14 @@ from gqclab import (
     realization_rng,
     split_seed,
 )
-from gqclab.noise import _SEED_CHUNK, _child_seed_words, _ou_from_normals
+from gqclab import noise
+from gqclab.errors import MAX_ELEMENTS
+from gqclab.noise import (
+    _SEED_CHUNK,
+    _child_seed_words,
+    _ensemble_normals,
+    _ou_from_normals,
+)
 
 
 def test_spec_validation():
@@ -169,6 +176,33 @@ def test_ou_zero_variance_keeps_positive_zero(ou_reference, shape):
     assert np.array_equal(np.signbit(out), np.signbit(ou_reference(spec, xi, 0.01)))
 
 
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_zero_variance_ensemble_is_the_recursion_without_a_draw(
+    monkeypatch, dimension
+):
+    spec = NoiseSpec(variance=0.0, correlation_time=0.1, dimension=dimension)
+    # 301 points: two blocks of the recursion, from the normals a draw would use
+    expected = _ou_from_normals(spec, _ensemble_normals(5, 4, (301, dimension)), 0.01)
+    calls = []
+    monkeypatch.setattr(
+        noise, "_ensemble_normals", lambda *a: calls.append(a) or _ensemble_normals(*a)
+    )
+    ens = make_noise_ensemble(spec, 3.0, 0.01, 5, 4)
+    assert calls == []
+    assert np.array_equal(ens, expected)
+    assert np.array_equal(np.signbit(ens), np.signbit(expected))
+
+
+@pytest.mark.parametrize("variance", [0.0, 1.0])
+def test_ensemble_above_the_bound_is_refused_unallocated(
+    refused_unallocated, variance
+):
+    # 4096 paths of 10^5 + 1 points
+    assert 4096 * 100_001 > MAX_ELEMENTS
+    spec = NoiseSpec(variance=variance, correlation_time=1.0)
+    refused_unallocated(make_noise_ensemble, spec, 10_000.0, 0.1, 0, 4096)
+
+
 @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 99])
 @pytest.mark.parametrize("realizations", [1, 2, 3, 7])
 def test_vectorized_seeding_matches_seed_sequence(monkeypatch, master, realizations):
@@ -192,12 +226,15 @@ def test_vectorized_seeding_across_the_hash_chunk():
     assert np.array_equal(
         make_noise_ensemble(spec, 0.01, 0.01, 9, n), _ou_from_normals(spec, xi, 0.01)
     )
-    with pytest.raises(ValueError):
-        make_noise_ensemble(spec, 0.01, 0.01, -1, 2)
-    # a non-integer seed is refused, as SeedSequence refuses it
-    for seed in (1.7, np.float64(2.0)):
-        with pytest.raises(TypeError):
-            make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
+    # a negative or non-integer seed is refused, as SeedSequence refuses it,
+    # also at sigma^2 = 0, where no seed is used
+    for variance in (1.0, 0.0):
+        spec = NoiseSpec(variance=variance, correlation_time=0.1)
+        with pytest.raises(ValueError):
+            make_noise_ensemble(spec, 0.01, 0.01, -1, 2)
+        for seed in (1.7, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
 
 
 @given(
