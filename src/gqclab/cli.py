@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -79,12 +80,15 @@ def _as_number(value, key, errors, minimum=None, strict_min=False):
     return v
 
 
-def _as_int(value, key, errors, minimum=None):
+def _as_int(value, key, errors, minimum=None, below=None):
     if isinstance(value, bool) or not isinstance(value, int):
         errors.append(f"{key}: expected an integer, got {value!r}")
         return None
     if minimum is not None and value < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {value}")
+        return None
+    if below is not None and value >= below:
+        errors.append(f"{key}: must be < {below}, got {value}")
         return None
     return value
 
@@ -139,7 +143,8 @@ _ENSEMBLE = ("correlation_time", "realizations", "engine", "noise_dt", "substeps
 #: key -> (kind, default).  A kind checks one value, appends what is wrong
 #: to ``errors`` and returns the value to keep (None when it is wrong).
 _KEYS = {
-    "master_seed": (partial(_as_int, minimum=0), 0),
+    # the low word of a 128-bit Philox key (noise.split_seed)
+    "master_seed": (partial(_as_int, minimum=0, below=2**64), 0),
     "threads": (partial(_as_int, minimum=1), 1),
     "strict_adiabatic": (
         partial(_as_type, types=bool, expected="true or false"), False
@@ -200,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--seed", type=int, help="override master_seed")
         s.add_argument("--realizations", type=int, help="override realizations")
         s.add_argument(
-            "--threads", type=int, help="worker bound; never affects results"
+            "--threads", type=int, help="validated and echoed; runs nothing in parallel"
         )
         s.add_argument("--out", help="output table path")
         s.add_argument("--format", choices=("csv", "json"), help="table format")
@@ -596,8 +601,8 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment: write the table and its run manifest.
 
     Returns the manifest.  Results are a pure function of the resolved
-    configuration: the manifest plus the code version reproduces every
-    output bit-exactly, regardless of thread count.
+    configuration: the manifest, the code version and the numpy version it
+    records reproduce every output bit-exactly, whatever ``threads`` says.
     """
     p = config.params
     t_start = time.monotonic()
@@ -613,7 +618,14 @@ def run(config: ExperimentConfig) -> dict:
         "derived": derived,
         "seeds": {
             "master_seed": p["master_seed"],
-            "splitting": "SeedSequence(master_seed, spawn_key=(realization,))",
+            "splitting": "Generator(Philox(key=master_seed + 2**64 * realization))",
+        },
+        # numpy does not promise the same Generator streams across versions
+        "environment": {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "platform": f"{platform.system()}-{platform.release()}-"
+            f"{platform.machine()}",
         },
         "output": out_path,
         "wall_clock_s": time.monotonic() - t_start,

@@ -175,8 +175,9 @@ def run_ensemble(config: EnsembleConfig):
     Returns ``(AveragedDensity, gamma_a)``: the averaged density matrix
     with its standard errors, and the deterministic phases Gamma_a of shape
     (n_levels,).  Results depend only on the configuration: realization i
-    always uses the i-th child of ``master_seed``, and the density is a
-    plain ``np.mean`` of the per-realization outer products along axis 0.
+    always draws from ``noise.realization_rng(master_seed, i)``, and the
+    density is a plain ``np.mean`` of the per-realization outer products
+    along axis 0.
     """
     h = config.hamiltonian
     config.check_adiabatic()

@@ -17,9 +17,12 @@ marginal, so every path is stationary from t = 0.  Gaussian marginals make
 the central-limit argument for the accumulated stochastic phase exact
 rather than asymptotic.
 
-Reproducibility contract: a path is a pure function of (spec, duration,
-dt, seed).  Ensembles derive one child seed per realization index from a
-master seed, so results never depend on generation order.
+Reproducibility contract: realization i of master seed m, for m in
+[0, 2**64), draws its normals from ``Generator(Philox(key=m + 2**64 * i))``
+from counter 0 (``realization_rng``).  A row is therefore a pure function
+of (spec, duration, dt, m, i), whatever the realization count or order.
+numpy documents that distinct Philox keys give independent streams, but
+does not promise the same ``Generator`` streams across numpy versions.
 """
 
 from __future__ import annotations
@@ -45,22 +48,6 @@ RESOLUTION_FACTOR = 10.0
 
 #: time steps per contiguous buffer of the OU recursion
 _BLOCK = 256
-
-#: realization indices per vectorized pass of the seed hash; the chunk's
-#: PCG64 states are Python ints, and 4,096 of them raised agp-sweep's peak
-#: RSS by 1.7 MiB where 1,024 leave it unchanged
-_SEED_CHUNK = 1024
-
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe, pool of 4 uint32 words)
-# and PCG64's seeding step, as numpy implements them
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -91,87 +78,24 @@ class NoiseSpec:
 
 
 def split_seed(master_seed: int, index: int) -> int:
-    """64-bit child seed for realization ``index`` of an ensemble.
+    """128-bit Philox key of realization ``index``: master_seed + 2**64 index.
 
-    Splitting is counter-based (``SeedSequence(master, spawn_key=(i,))``),
-    so the seed for realization i does not depend on how many other
-    realizations exist or in which order they are generated.
+    The master seed is the key's low word and the index its high word, so
+    the stream of realization i does not depend on how many other
+    realizations exist or in which order they are generated.  Both must be
+    integers in [0, 2**64): ValueError otherwise, TypeError for non-integers.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    master_seed, index = operator.index(master_seed), operator.index(index)
+    for name, value in (("master_seed", master_seed), ("index", index)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return master_seed + (index << 64)
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for realization ``index`` of an ensemble."""
-    return np.random.default_rng(
-        np.random.SeedSequence(split_seed(master_seed, index))
-    )
-
-
-def _seed_pool(words: list) -> list:
-    """SeedSequence's entropy pool for rows of entropy ``words``.
-
-    ``words`` lists the uint32 entropy words, each an array over rows; the
-    pool is 4 such arrays.  uint32 array arithmetic wraps as the C code does.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= hash_const
-        value ^= value >> 16
-        return value
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        result ^= result >> 16
-        return result
-
-    # entropy shorter than the pool hashes on with zero words
-    zero = np.zeros_like(words[0])
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _seed_state(pool: list, n_words: int) -> list:
-    """``SeedSequence.generate_state(n_words, uint32)`` for each pool row."""
-    hash_const = _INIT_B
-    out = []
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= hash_const
-        value ^= value >> 16
-        out.append(value)
-    return out
-
-
-def _child_seed_words(master_seed: int, indices: np.ndarray) -> list:
-    """Low and high uint32 words of ``split_seed(master_seed, i)`` per index.
-
-    ``indices`` is a uint32 array.  The master seed's little-endian words
-    are padded to the pool size, as SeedSequence does when it has a spawn
-    key, and the index is the last entropy word.
-    """
-    rest = operator.index(master_seed)
-    master = []
-    while True:
-        master.append(rest & _MASK32)
-        rest >>= 32
-        if not rest:
-            break
-    master += [0] * (_POOL_SIZE - len(master))
-    words = [np.full(indices.shape, w, dtype=np.uint32) for w in master]
-    return _seed_state(_seed_pool(words + [indices]), 2)
+    """Generator of realization ``index``: Philox keyed by ``split_seed``,
+    from counter 0."""
+    return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
 
 
 def _ensemble_normals(
@@ -180,31 +104,18 @@ def _ensemble_normals(
     """Standard normals (realizations,) + shape; row i is bit-identical to
     ``realization_rng(master_seed, i).standard_normal(shape)``.
 
-    Both SeedSequence hashes run as uint32 array operations on chunks of
-    indices.  A child seed's two words are its SeedSequence entropy: one
-    word hashes the same as that word and a zero.  Each row then re-seats
-    one PCG64 at the state PCG64's own seeding reaches.
+    One Philox is re-keyed per row: the ``state`` setter puts i in the
+    key's high word and resets the counter to 0 and the buffer to empty,
+    which costs about a tenth of building a generator per row.
     """
     xi = np.empty((realizations,) + tuple(shape))
-    bit_generator = np.random.PCG64(0)
+    bit_generator = np.random.Philox(key=master_seed)
     gen = np.random.Generator(bit_generator)
-    for start in range(0, realizations, _SEED_CHUNK):
-        stop = min(start + _SEED_CHUNK, realizations)
-        indices = np.arange(start, stop, dtype=np.uint32)
-        words = _seed_state(_seed_pool(_child_seed_words(master_seed, indices)), 8)
-        # generate_state(4, uint64): little-endian pairs of uint32 words
-        lo, hi = np.array(words[0::2], np.uint64), np.array(words[1::2], np.uint64)
-        seeds = (lo | hi << np.uint64(32)).T.tolist()
-        for i, (s_hi, s_lo, inc_hi, inc_lo) in enumerate(seeds, start):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=xi[i])
+    state = bit_generator.state  # counter 0, buffer empty
+    for i in range(realizations):
+        state["state"]["key"][1] = i
+        bit_generator.state = state
+        gen.standard_normal(out=xi[i])
     return xi
 
 
@@ -256,16 +167,13 @@ def make_noise_path(
 ) -> np.ndarray:
     """One noise realization on the grid 0, dt, ..., duration.
 
-    Returns the samples, shape (n_times, dimension).  The exact
+    Returns the samples, shape (n_times, dimension): row 0 of
+    ``make_noise_ensemble(spec, duration, dt, seed, 1)``.  The exact
     discretization has stationary marginal variance sigma^2 and
     autocovariance sigma^2 exp(-|tau|/tau_c); the ``dimension`` components
-    are independent.  The same (spec, duration, dt, seed) reproduces the
-    samples bit-exactly.
+    are independent.
     """
-    _check_resolution(spec, duration, dt)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xi = rng.standard_normal((_n_times(duration, dt), spec.dimension))
-    return _ou_from_normals(spec, xi, dt)
+    return make_noise_ensemble(spec, duration, dt, seed, 1)[0]
 
 
 def make_noise_ensemble(
@@ -277,17 +185,17 @@ def make_noise_ensemble(
 ) -> np.ndarray:
     """Noise samples for a whole ensemble, shape (realizations, n_times, dim).
 
-    Row i is bit-identical to ``make_noise_path(spec, duration, dt,
-    split_seed(master_seed, i))``; the rows are therefore independent of
-    generation order and safe to compute in parallel.  The grid is checked
-    first, then the size against MAX_ELEMENTS, both before allocating; at
-    sigma^2 = 0 the samples are the recursion's +0.0 without drawing.
+    Row i is the OU recursion of
+    ``realization_rng(master_seed, i).standard_normal((n_times, dim))``, so
+    it does not depend on the realization count or generation order.  The
+    seed is checked first (ValueError outside [0, 2**64), TypeError for a
+    non-integer), then the grid, then the size against MAX_ELEMENTS, all
+    before allocating; at sigma^2 = 0 the samples are the recursion's +0.0
+    without drawing.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    # checked at every variance; TypeError for non-integers
-    if operator.index(master_seed) < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    split_seed(master_seed, 0)  # checked at every variance
     _check_resolution(spec, duration, dt)
     shape = (realizations, _n_times(duration, dt), spec.dimension)
     _check_elements(shape, "noise ensemble")
@@ -331,16 +239,18 @@ def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
             "samples must have shape (n_paths, n_times, dim) with n_paths >= 1"
         )
     n_paths, n, dim = samples.shape
+    steps = _lag_steps(lags, dt, n)
+    # x(t) . x(t + lag) summed over t and components: one product sum of the
+    # flattened lag slices per path and lag, all lags of a path while it is
+    # in cache.  einsum, unlike np.dot, starts no BLAS threads, whose number
+    # would change the bits.
+    sums = [
+        [np.einsum("i,i->", x[: (n - m) * dim], x[m * dim :]) for m in steps]
+        for x in samples.reshape(n_paths, n * dim)
+    ]
     out = []
-    for lag, m in zip(lags, _lag_steps(lags, dt, n)):
-        per_path = np.empty(n_paths)
-        for i, x in enumerate(samples):
-            # summed component by component, which keeps the bits of a sum
-            # over axis 1 without a fresh (n, dim) product per path
-            prod = x[: n - m, 0] * x[m:, 0]
-            for c in range(1, dim):
-                prod += x[: n - m, c] * x[m:, c]
-            per_path[i] = np.mean(prod)
+    for lag, m, lag_sums in zip(lags, steps, np.transpose(sums)):
+        per_path = lag_sums / (n - m)
         est = float(np.mean(per_path))
         if n_paths > 1:
             se = float(np.std(per_path, ddof=1) / np.sqrt(n_paths))

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqclab import ConfigError, NoiseSpec, euler_phi, make_noise_path, split_seed
+from gqclab import ConfigError, NoiseSpec, euler_phi, realization_rng
 from gqclab.cli import main, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -129,6 +130,20 @@ def test_cli_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, raw, key
     # a list entry is named with its index, as in "lags[0]: ..."
     assert any(re.match(rf"config error: {key}(\[\d+\])?: ", line) for line in lines)
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("source", ["config", "--seed"])
+def test_cli_seed_beyond_64_bits_is_a_config_error(tmp_path, capsys, source):
+    # a master seed is the low word of a 128-bit Philox key
+    assert validate_config(dict(AGP_CONFIG, master_seed=2**64 - 1))
+    argv = ["--seed", str(2**64)] if source == "--seed" else []
+    raw = dict(AGP_CONFIG, master_seed=2**64) if source == "config" else AGP_CONFIG
+    path = _write(tmp_path, "cfg.json", raw)
+    out = tmp_path / "x.csv"
+    assert main(["agp-dephase", "--config", path, "--out", str(out), *argv]) == 2
+    message = f"config error: master_seed: must be < {2**64}, got {2**64}"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
 
 
 def test_readme_configs_are_valid():
@@ -310,6 +325,22 @@ def test_manifest_records_the_package_version(tmp_path):
         assert manifest["version"] == tomllib.load(f)["project"]["version"]
 
 
+def test_manifest_records_the_stream_contract_and_environment(tmp_path):
+    path = _write(tmp_path, "agp.json", AGP_CONFIG)
+    out = tmp_path / "agp.csv"
+    assert main(["agp-dephase", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "agp.csv.manifest.json").read_text())
+    assert manifest["seeds"]["splitting"] == (
+        "Generator(Philox(key=master_seed + 2**64 * realization))"
+    )
+    environment = manifest["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["python"] == platform.python_version()
+    assert environment["platform"].startswith(platform.system())
+    # the table stays free of them, so equal runs give equal bytes anywhere
+    assert np.__version__ not in out.read_text()
+
+
 def test_cli_threads_do_not_change_results(tmp_path):
     path = _write(tmp_path, "agp.json", dict(AGP_CONFIG, sigma2=10.0))
     outs = []
@@ -439,7 +470,7 @@ def test_cli_noise_validate_rejects_a_variance_list(tmp_path, capsys, power):
     ids=["dimension-3", "non-integer-steps", "dimension-3-non-integer-steps"],
 )
 def test_cli_noise_validate_matches_the_per_path_definition(
-    tmp_path, dimension, duration, dt
+    tmp_path, ou_reference, dimension, duration, dt
 ):
     """Every cell equals, to the bit, the mean over paths of each path's time
     mean of x(t) . x(t + lag), with the paths made one at a time."""
@@ -459,18 +490,19 @@ def test_cli_noise_validate_matches_the_per_path_definition(
     assert main(["noise-validate", "--config", path, "--out", out]) == 0
 
     spec = NoiseSpec(variance=sigma2, correlation_time=tau_c, dimension=dimension)
+    n = round(duration / dt) + 1
     paths = [
-        make_noise_path(spec, duration, dt, split_seed(seed, i))
+        ou_reference(spec, realization_rng(seed, i).standard_normal((n, dimension)), dt)
         for i in range(n_paths)
     ]
-    n = paths[0].shape[0]
     expected = [["lag_s", "autocovariance_field2", "standard_error_field2",
                  "expected_field2"]]
     for lag in sorted({round(k * tau_c / dt) * dt for k in range(4)}):
         m = round(lag / dt)
+        # the sum over t and components as one product sum of the lag slices
         per_path = np.array(
-            [np.mean(np.sum(x[: n - m] * x[m:], axis=1)) for x in paths]
-        )
+            [np.einsum("i,i->", x[: n - m].ravel(), x[m:].ravel()) for x in paths]
+        ) / (n - m)
         estimate = float(np.mean(per_path))
         se = float(np.std(per_path, ddof=1) / np.sqrt(n_paths))
         kernel = dimension * sigma2 * float(np.exp(-lag / tau_c))

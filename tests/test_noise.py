@@ -1,5 +1,10 @@
 """Statistical and reproducibility tests for the noise generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +21,7 @@ from gqclab import (
 )
 from gqclab import noise
 from gqclab.errors import MAX_ELEMENTS
-from gqclab.noise import (
-    _SEED_CHUNK,
-    _child_seed_words,
-    _ensemble_normals,
-    _ou_from_normals,
-)
+from gqclab.noise import _ensemble_normals, _ou_from_normals
 
 
 def test_spec_validation():
@@ -136,13 +136,37 @@ def test_lag0_estimate_equals_sample_moment():
     assert np.isclose(est, np.mean(path**2), rtol=0, atol=1e-14)
 
 
+def test_autocorrelation_bits_do_not_depend_on_blas_threads():
+    # lag slices of 20,000 elements, where OpenBLAS splits a dot product
+    # over threads; each count runs in its own interpreter, since the pool
+    # size is read at import
+    code = (
+        "import numpy as np; from gqclab import noise; "
+        "x = np.random.default_rng(5).standard_normal((3, 10_001, 2)); "
+        "print([e.hex() for _, e, s in "
+        "noise.estimate_autocorrelation(x, 0.01, [0.0, 0.5, 1.0])])"
+    )
+    src = str(Path(noise.__file__).resolve().parents[1])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert len(outputs) == 1
+
+
 def test_ensemble_rows_match_split_seeds():
     spec = NoiseSpec(variance=1.0, correlation_time=0.1, dimension=1)
     ens = make_noise_ensemble(spec, 2.0, 0.01, master_seed=17, realizations=5)
     assert ens.shape == (5, 201, 1)
     for i in range(5):
-        path = make_noise_path(spec, 2.0, 0.01, split_seed(17, i))
-        assert np.array_equal(ens[i], path)
+        xi = realization_rng(17, i).standard_normal((201, 1))
+        assert np.array_equal(ens[i], _ou_from_normals(spec, xi, 0.01))
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
@@ -155,7 +179,7 @@ def test_ou_recursion_matches_lfilter_bit_for_bit(ou_reference, n_t, dimension):
     batched = xi.copy()
     assert _ou_from_normals(spec, batched, dt) is batched  # in place
     assert np.array_equal(batched, ou_reference(spec, xi, dt))
-    # one path, shaped (n_t, dim) as make_noise_path passes it
+    # one path, shaped (n_t, dim)
     single = _ou_from_normals(spec, xi[0].copy(), dt)
     assert np.array_equal(single, ou_reference(spec, xi[0], dt))
 
@@ -163,8 +187,8 @@ def test_ou_recursion_matches_lfilter_bit_for_bit(ou_reference, n_t, dimension):
     ens = make_noise_ensemble(spec, duration, dt, master_seed=17, realizations=3)
     assert ens.shape == (3, n_t, dimension)
     for i in range(3):
-        path = make_noise_path(spec, duration, dt, split_seed(17, i))
-        assert np.array_equal(ens[i], path)
+        xi = realization_rng(17, i).standard_normal((n_t, dimension))
+        assert np.array_equal(ens[i], ou_reference(spec, xi, dt))
 
 
 @pytest.mark.parametrize("shape", [(300, 1), (4, 300, 1)])
@@ -203,38 +227,72 @@ def test_ensemble_above_the_bound_is_refused_unallocated(
     refused_unallocated(make_noise_ensemble, spec, 10_000.0, 0.1, 0, 4096)
 
 
-@pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 99])
+@pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("realizations", [1, 2, 3, 7])
-def test_vectorized_seeding_matches_seed_sequence(monkeypatch, master, realizations):
-    # a 3-index hash chunk puts these counts on both sides of its boundary
-    monkeypatch.setattr("gqclab.noise._SEED_CHUNK", 3)
-    lo, hi = _child_seed_words(master, np.arange(realizations, dtype=np.uint32))
-    seeds = [int(a) | int(b) << 32 for a, b in zip(lo, hi)]
-    assert seeds == [split_seed(master, i) for i in range(realizations)]
-
-    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=3)
-    rows = [realization_rng(master, i) for i in range(realizations)]
-    xi = np.stack([rng.standard_normal((21, 3)) for rng in rows])
-    ens = make_noise_ensemble(spec, 0.2, 0.01, master, realizations)
-    assert np.array_equal(ens, _ou_from_normals(spec, xi, 0.01))
-
-
-def test_vectorized_seeding_across_the_hash_chunk():
-    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
-    n = _SEED_CHUNK + 1
-    xi = np.stack([realization_rng(9, i).standard_normal((2, 1)) for i in range(n)])
-    assert np.array_equal(
-        make_noise_ensemble(spec, 0.01, 0.01, 9, n), _ou_from_normals(spec, xi, 0.01)
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_rows_are_philox_streams_keyed_by_seed_and_index(
+    ou_reference, dimension, realizations, master
+):
+    # the whole stream contract: row i draws Philox(key=m + 2**64 i) from 0
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=dimension)
+    xi = np.stack(
+        [
+            np.random.Generator(np.random.Philox(key=master + 2**64 * i))
+            .standard_normal((21, dimension))
+            for i in range(realizations)
+        ]
     )
-    # a negative or non-integer seed is refused, as SeedSequence refuses it,
+    ens = make_noise_ensemble(spec, 0.2, 0.01, master, realizations)
+    assert np.array_equal(ens, ou_reference(spec, xi, 0.01))
+
+
+def test_rows_do_not_depend_on_the_realization_count():
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1, dimension=3)
+    seven = make_noise_ensemble(spec, 1.0, 0.01, 23, 7)
+    assert np.array_equal(seven[:3], make_noise_ensemble(spec, 1.0, 0.01, 23, 3))
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_noise_path_is_row_zero_of_the_ensemble(dimension):
+    spec = NoiseSpec(variance=2.0, correlation_time=0.1, dimension=dimension)
+    ens = make_noise_ensemble(spec, 3.0, 0.01, 41, 4)
+    assert np.array_equal(make_noise_path(spec, 3.0, 0.01, 41), ens[0])
+
+
+@pytest.mark.parametrize(
+    "master", [2**64 + 5, 2**200 + 99], ids=["2**64+5", "2**200+99"]
+)
+@pytest.mark.parametrize("realizations", [1, 2, 3, 7])
+def test_seeds_past_the_philox_key_are_refused(realizations, master):
+    # a master seed must fit the key's low 64 bits; none is wrapped or hashed
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=3)
+    with pytest.raises(ValueError, match="master_seed"):
+        make_noise_ensemble(spec, 0.2, 0.01, master, realizations)
+    for i in range(realizations):
+        with pytest.raises(ValueError, match="master_seed"):
+            realization_rng(master, i)
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.0])
+def test_seed_range_and_type_are_checked(variance):
     # also at sigma^2 = 0, where no seed is used
-    for variance in (1.0, 0.0):
-        spec = NoiseSpec(variance=variance, correlation_time=0.1)
-        with pytest.raises(ValueError):
-            make_noise_ensemble(spec, 0.01, 0.01, -1, 2)
-        for seed in (1.7, np.float64(2.0)):
-            with pytest.raises(TypeError):
-                make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
+    spec = NoiseSpec(variance=variance, correlation_time=0.1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master_seed"):
+            make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
+        with pytest.raises(ValueError, match="master_seed"):
+            make_noise_path(spec, 0.01, 0.01, seed)
+        with pytest.raises(ValueError, match="master_seed"):
+            split_seed(seed, 0)
+    for seed in (1.7, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
+        with pytest.raises(TypeError):
+            split_seed(seed, 0)
+    for index in (-1, 2**64):
+        with pytest.raises(ValueError, match="index"):
+            split_seed(0, index)
+    assert split_seed(2**64 - 1, 2**64 - 1) == 2**128 - 1
 
 
 @given(
@@ -246,6 +304,6 @@ def test_vectorized_seeding_across_the_hash_chunk():
 def test_split_seed_deterministic_and_distinct(master, i, j):
     a = split_seed(master, i)
     assert a == split_seed(master, i)
-    assert 0 <= a < 2**64
+    assert 0 <= a < 2**128
     if i != j:
         assert a != split_seed(master, j)
