@@ -16,7 +16,9 @@ override config values.  Every run writes the result table (CSV or JSON)
 and a JSON run manifest that echoes the fully resolved configuration, so
 re-running with ``--config manifest.json`` reproduces the table
 bit-exactly.  Exit codes: 0 ok, 2 configuration error, 3 adiabaticity
-violation in strict mode, 4 resource bound exceeded.
+violation in strict mode, 4 resource bound exceeded.  An under-resolved
+noise grid, a zero level splitting and an unwritable output path are
+configuration errors.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .ensemble import ENGINES, EnsembleConfig, decoherence_report
 from .errors import (
     AdiabaticityError,
     ConfigError,
+    DegeneracyError,
     ResolutionError,
     ResourceLimitError,
 )
@@ -609,7 +612,10 @@ def run(config: ExperimentConfig) -> dict:
     rows, derived = _RUNNERS[config.experiment](p)
     fmt = p["format"]
     out_path = p["out"] or f"{config.experiment}.{fmt}"
-    _write_rows(rows, out_path, fmt)
+    try:
+        _write_rows(rows, out_path, fmt)
+    except OSError as exc:
+        raise ConfigError([f"out: {exc}"]) from exc
     manifest = {
         "tool": "gqclab",
         "version": __version__,
@@ -665,7 +671,7 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ResolutionError as exc:
+    except (ResolutionError, DegeneracyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AdiabaticityError as exc:

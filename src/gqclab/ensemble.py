@@ -51,6 +51,9 @@ __all__ = [
 
 ENGINES = ("exact_propagation", "analytic_phase")
 
+#: phase variance (2 pi)^2 at which decoherence sets in, for every onset test
+ONSET_VARIANCE = 4.0 * np.pi**2
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -155,18 +158,14 @@ def _ensemble_noise(
     return np.linspace(0.0, duration, n_steps + 1), samples
 
 
-def _complex_mean_se(values: np.ndarray):
-    """Mean and combined real/imag standard error along axis 0."""
-    mean = np.mean(values, axis=0)
-    se = np.sqrt(
-        np.var(values.real, axis=0, ddof=1) + np.var(values.imag, axis=0, ddof=1)
-    ) / np.sqrt(values.shape[0])
-    return mean, se
-
-
 def _averaged_density(amps: np.ndarray):
-    """Mean and standard error of the outer products of amps (n_real, n)."""
-    return _complex_mean_se(amps[:, :, None] * amps[:, None, :].conj())
+    """Mean of the outer products of amps (n_real, n) over the realizations,
+    and its standard error, real and imaginary scatter in quadrature."""
+    rho = amps[:, :, None] * amps[:, None, :].conj()
+    se = np.sqrt(
+        np.var(rho.real, axis=0, ddof=1) + np.var(rho.imag, axis=0, ddof=1)
+    ) / np.sqrt(rho.shape[0])
+    return np.mean(rho, axis=0), se
 
 
 def run_ensemble(config: EnsembleConfig):
@@ -297,22 +296,14 @@ def onset_ratio(
 ) -> float:
     """Onset-of-decoherence ratio (eta/16 pi^2)(gamma^2/d_omega)(P/V) I_kj.
 
-    Uses P/V = sigma^2 d_omega, so the ratio equals the analytic phase
-    variance divided by (2 pi)^2; values >= 1 mean the accumulated phase
+    ``variance_analytic`` at sigma^2 = (P/V) / d_omega over
+    ONSET_VARIANCE = (2 pi)^2; values >= 1 mean the accumulated phase
     spread reaches ~2 pi and coherence is destroyed.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if power_density < 0 or overlap < 0 or eta < 1:
-        raise ValueError("power_density, overlap must be >= 0 and eta >= 1")
-    return (
-        eta
-        / (16.0 * np.pi**2)
-        * coupling**2
-        / bandwidth
-        * power_density
-        * overlap
-    )
+    variance = variance_analytic(eta, coupling, power_density / bandwidth, overlap)
+    return variance / ONSET_VARIANCE
 
 
 def transverse_magnetization(rho: AveragedDensity):
@@ -397,6 +388,6 @@ def decoherence_report(
         mc_standard_error=mc_se,
         analytic_variance=var,
         analytic_factor=decoherence_factor_analytic(var),
-        onset_ratio=var / (4.0 * np.pi**2),
+        onset_ratio=var / ONSET_VARIANCE,
         overlap=i_kj,
     )

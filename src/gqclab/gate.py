@@ -5,9 +5,9 @@ P0 = C pi_1, P1 = Cbar pi_2, P2 = P0, P3 = P1: one full precession cycle
 (forward contour C, or its time-reverse Cbar), followed by an instantaneous
 ideal pi-pulse on the indicated qubit.  Segment l covers the window
 (t0 + l T, t0 + (l+1) T).  The pi-pulses advance the two-qubit level
-through the index map
+k = 2 i1 + i2 through the index map
 
-    k_l = (i1 xor sum_{m=1..l} m mod 2,  i2 xor sum_{m=0..l-1} m mod 2),
+    k_l = k xor _FLIPS[l],   _FLIPS = (00, 10, 11, 01, 00) in binary,
 
 which returns every level to itself after the four segments (k_4 = k_0)
 while cancelling all dynamical phases (spin-echo style).  What survives is
@@ -39,11 +39,12 @@ from .adiabatic import (
 )
 from .ensemble import (
     EnsembleConfig,
+    ONSET_VARIANCE,
     _averaged_density,
-    _complex_mean_se,
     _ensemble_noise,
     _grid_steps,
     decoherence_factor_analytic,
+    onset_ratio,
     overlap_integral,
     variance_analytic,
 )
@@ -58,70 +59,60 @@ __all__ = [
     "calibrate_level_cone_angles",
 ]
 
-BELL_LEVELS = ((0, 0), (1, 1))
+#: level indices 2 i1 + i2 of |00> and |11>
+BELL_LEVELS = (0b00, 0b11)
 
-
-def _as_bits(level) -> tuple:
-    if isinstance(level, (int, np.integer)):
-        if not 0 <= level < 4:
-            raise ValueError(f"level index must be in [0, 4), got {level}")
-        return (level >> 1, level & 1)
-    i1, i2 = level
-    if i1 not in (0, 1) or i2 not in (0, 1):
-        raise ValueError(f"level bits must be 0 or 1, got {level}")
-    return (int(i1), int(i2))
+#: XOR mask on the level index after the first j segments (pi_1, pi_2, pi_1, pi_2)
+_FLIPS = (0b00, 0b10, 0b11, 0b01, 0b00)
 
 
 def _as_index(level) -> int:
-    i1, i2 = _as_bits(level)
-    return 2 * i1 + i2
+    """Index 2 i1 + i2 of a level given as that index or as bits (i1, i2)."""
+    if isinstance(level, (int, np.integer)):
+        if 0 <= level < 4:
+            return int(level)
+    elif len(level) == 2 and all(bit in (0, 1) for bit in level):
+        return 2 * int(level[0]) + int(level[1])
+    raise ValueError(f"level must be an index in [0, 4) or bits (i1, i2): {level!r}")
 
 
 def level_index_map(k, j: int) -> tuple:
-    """Level occupied after the first j segments of the pulse sequence."""
+    """Level (i1, i2) occupied after the first j segments of the pulse sequence."""
     if not 0 <= j <= 4:
         raise ValueError(f"segment step must be in 0..4, got {j}")
-    i1, i2 = _as_bits(k)
-    flip1 = sum(range(1, j + 1)) % 2
-    flip2 = sum(range(0, j)) % 2
-    return (i1 ^ flip1, i2 ^ flip2)
+    index = _as_index(k) ^ _FLIPS[j]
+    return (index >> 1, index & 1)
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """The four (schedule, pi-pulse target) segments of the gate.
+    """The gate's segments C pi_1, Cbar pi_2, C pi_1, Cbar pi_2.
 
-    ``segments[l]`` is a (ControlSchedule, target) pair; the schedule runs
+    Built from one base contour, kept as one forward cycle.
+    ``segments[l]`` is a (ControlSchedule, target) pair: the schedule runs
     one period and the ideal pi-pulse flips the target qubit (1 or 2) at
-    the segment boundary.  Structure is fixed to P0 = C pi_1, P1 = Cbar
-    pi_2, P2 = P0, P3 = P1.
+    the segment boundary.
     """
 
-    segments: tuple
+    contour: ControlSchedule
 
     def __post_init__(self):
-        if len(self.segments) != 4:
-            raise ValueError("pulse sequence must have exactly 4 segments")
-        directions = [s.direction for s, _ in self.segments]
-        targets = [t for _, t in self.segments]
-        if directions != ["forward", "reversed", "forward", "reversed"]:
-            raise ValueError("segments must alternate contour C, Cbar, C, Cbar")
-        if targets != [1, 2, 1, 2]:
-            raise ValueError("pi-pulse targets must be qubit 1, 2, 1, 2")
-        periods = {s.period for s, _ in self.segments}
-        if len(periods) != 1 or any(s.cycles != 1 for s, _ in self.segments):
-            raise ValueError("all segments must run one cycle of the same period")
+        forward = replace(self.contour, cycles=1, direction="forward")
+        object.__setattr__(self, "contour", forward)
 
     @classmethod
     def standard(cls, schedule: ControlSchedule) -> "PulseSequence":
         """Build C pi_1, Cbar pi_2, C pi_1, Cbar pi_2 from a base contour."""
-        forward = replace(schedule, cycles=1, direction="forward")
-        backward = forward.reversed()
-        return cls(segments=((forward, 1), (backward, 2), (forward, 1), (backward, 2)))
+        return cls(schedule)
+
+    @property
+    def segments(self) -> tuple:
+        backward = self.contour.reversed()
+        return ((self.contour, 1), (backward, 2), (self.contour, 1), (backward, 2))
 
     @property
     def period(self) -> float:
-        return self.segments[0][0].period
+        return self.contour.period
 
     @property
     def duration(self) -> float:
@@ -167,10 +158,8 @@ def _gate_gamma_a(seq: PulseSequence, h: QubitHamiltonian, span: float) -> np.nd
     ``span`` is the length of each segment's time grid.
     """
     gamma_a = np.zeros(4)
-    for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
-        phases = deterministic_phases(h_seg, span)
-        for level in range(4):
-            gamma_a[level] += phases[_as_index(level_index_map(level, l))]
+    for flips, h_seg in zip(_FLIPS, _segment_hamiltonians(seq, h)):
+        gamma_a += deterministic_phases(h_seg, span)[np.arange(4) ^ flips]
     return gamma_a
 
 
@@ -179,16 +168,16 @@ def _gate_gamma_s(
     h: QubitHamiltonian,
     t_local: np.ndarray,
     samples: np.ndarray,
-    level,
+    level: int,
 ) -> np.ndarray:
-    """Per-realization Gamma_s for one level over a noise batch spanning 4T."""
+    """Per-realization Gamma_s for level index ``level`` over a noise batch
+    spanning 4T."""
     n_seg = t_local.size - 1
     gamma_s = np.zeros(samples.shape[0])
     for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
-        k_l = _as_index(level_index_map(level, l))
         frame = eigenframe(h_seg, t_local)
         window = samples[:, l * n_seg : (l + 1) * n_seg + 1, :]
-        gamma_s += stochastic_phase_batch(h_seg, frame, window, k_l)
+        gamma_s += stochastic_phase_batch(h_seg, frame, window, level ^ _FLIPS[l])
     return gamma_s
 
 
@@ -203,17 +192,16 @@ def gate_overlap_sum(
 
     Each segment integral is the exact single-period overlap integral of
     the segment's own Hamiltonian (contour direction and level map).
+    ``levels`` are level indices or bit pairs (i1, i2).  The map is one
+    XOR per segment, so k_l and j_l differ in every segment unless k = j.
     """
-    k, j = levels
-    total = 0.0
-    for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
-        k_l = _as_index(level_index_map(k, l))
-        j_l = _as_index(level_index_map(j, l))
-        if k_l != j_l:
-            total += overlap_integral(
-                h_seg, correlation_time, (k_l, j_l), dimension
-            )
-    return total
+    k, j = (_as_index(level) for level in levels)
+    if k == j:
+        return 0.0
+    return sum(
+        overlap_integral(h_seg, correlation_time, (k ^ flips, j ^ flips), dimension)
+        for flips, h_seg in zip(_FLIPS, _segment_hamiltonians(seq, h))
+    )
 
 
 def realized_conditional_phase(seq: PulseSequence, h: QubitHamiltonian) -> float:
@@ -247,6 +235,16 @@ def calibrate_level_cone_angles(phi: float, base_angle: float) -> tuple:
     return (base_angle, base_angle, base_angle, theta_11)
 
 
+def _bell_overlap_limit(
+    correlation_time: float, period: float, cone_angle: float
+) -> float:
+    """Bell-pair overlap sum under rf power noise for tau_c << T:
+    32 tau_c T sin^2(theta_0)."""
+    if correlation_time <= 0 or period <= 0:
+        raise ValueError("correlation_time and period must be > 0")
+    return 32.0 * correlation_time * period * np.sin(cone_angle) ** 2
+
+
 def gate_onset_ratio(
     power_density: float,
     bandwidth: float,
@@ -258,25 +256,12 @@ def gate_onset_ratio(
 ) -> float:
     """Bell-pair onset ratio (2 eta / pi^2)(gamma^2/d_omega)(P/V)(tau_c T sin^2 theta_0).
 
-    Equals the Bell-state phase variance over (2 pi)^2 when the overlap sum
-    takes its rf-noise limit 32 tau_c T sin^2(theta_0), valid for
-    tau_c << T; >= 1 flags loss of entanglement.
+    ``onset_ratio`` with the overlap sum at its rf-noise limit
+    32 tau_c T sin^2(theta_0), valid for tau_c << T; >= 1 flags loss of
+    entanglement.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if power_density < 0 or correlation_time <= 0 or period <= 0 or eta < 1:
-        raise ValueError("invalid gate onset parameters")
-    return (
-        2.0
-        * eta
-        / np.pi**2
-        * coupling**2
-        / bandwidth
-        * power_density
-        * correlation_time
-        * period
-        * np.sin(cone_angle) ** 2
-    )
+    overlap = _bell_overlap_limit(correlation_time, period, cone_angle)
+    return onset_ratio(power_density, bandwidth, coupling, eta, overlap)
 
 
 def _bell_exact_amplitudes(
@@ -339,26 +324,19 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
     _, samples = _ensemble_noise(config, seq.duration, seq.period / n_seg)
     gamma_a = _gate_gamma_a(seq, h, t_local[-1] - t_local[0])
 
-    k_idx, j_idx = 0, 3
-    gamma_a_kj = gamma_a[k_idx] - gamma_a[j_idx]
+    k, j = BELL_LEVELS
     if config.engine == "analytic_phase":
-        gs_k = _gate_gamma_s(seq, h, t_local, samples, BELL_LEVELS[0])
-        gs_j = _gate_gamma_s(seq, h, t_local, samples, BELL_LEVELS[1])
-        phasors = np.exp(-1j * (gamma_a_kj + gs_k - gs_j))
-        mc_factor, mc_se = _complex_mean_se(phasors)
-        rho_kj = 0.5 * mc_factor
-        fidelity = 0.5 + float(rho_kj.real)
-        fid_se = 0.5 * float(mc_se)
-        mc_factor = complex(mc_factor * np.exp(1j * gamma_a_kj))
-        mc_se = float(mc_se)
+        gamma_s = np.zeros((samples.shape[0], 4))
+        for level in BELL_LEVELS:  # the other two levels have c = 0
+            gamma_s[:, level] = _gate_gamma_s(seq, h, t_local, samples, level)
+        amps = c * np.exp(-1j * (gamma_a + gamma_s))
     else:
         amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, config.substeps)
-        matrix, se = _averaged_density(amps)
-        fidelity = float(np.real(bell.conj() @ matrix @ bell))
-        fid_se = float(se[k_idx, j_idx])
-        reference = 0.5 * np.exp(-1j * gamma_a_kj)
-        mc_factor = complex(matrix[k_idx, j_idx] / reference)
-        mc_se = float(se[k_idx, j_idx] / abs(reference))
+    matrix, se = _averaged_density(amps)
+    fidelity = float(np.real(bell.conj() @ matrix @ bell))
+    gamma_a_kj = gamma_a[k] - gamma_a[j]
+    reference = 0.5 * np.exp(-1j * gamma_a_kj)
+    mc_factor = complex(matrix[k, j] / reference)
 
     noise = config.noise
     overlap_sum = gate_overlap_sum(
@@ -368,15 +346,14 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
     # keep the reported factor strictly positive even when exp underflows
     d_analytic = max(decoherence_factor_analytic(variance), np.finfo(float).tiny)
     fid_closed = 0.5 + 0.5 * float(np.cos(gamma_a_kj)) * d_analytic
-    ratio = variance / (4.0 * np.pi**2)
     return GateResult(
         conditional_phase=realized_conditional_phase(seq, h),
         fidelity=min(max(fidelity, 0.0), 1.0),
-        fidelity_standard_error=fid_se,
+        fidelity_standard_error=float(se[k, j]),
         fidelity_closed_form=fid_closed,
         decoherence_factor=d_analytic,
         mc_factor=mc_factor,
-        onset_ratio=ratio,
+        onset_ratio=variance / ONSET_VARIANCE,
         analytic_variance=variance,
         overlap_sum=overlap_sum,
     )

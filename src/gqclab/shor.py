@@ -22,7 +22,8 @@ c' that is less than and co-prime with r; strong noise therefore drives
 the success probability to phi(r)/q ~ 1/(N log N) and the expected number
 of repetitions grows exponentially in log N.  Each window holds exactly
 one outcome, so the accounting enumerates phi(r) outcomes, not all q; the
-exhaustive O(q) accounting and the literal DFT are test oracles.
+exhaustive O(q) accounting, the literal DFT and a Monte Carlo over the path
+phases are test oracles.
 
 The DFT on L qubits costs L(L-1)/2 controlled-phase gates; each gate
 contributes the four-segment overlap sum of the geometric gate, giving the
@@ -37,7 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import _check_elements
+from .ensemble import ONSET_VARIANCE, variance_analytic
+from .gate import _bell_overlap_limit, gate_onset_ratio
 
 __all__ = [
     "ShorInstance",
@@ -48,7 +50,6 @@ __all__ = [
     "euler_phi",
     "coprime_residues",
     "dft_phase_variance",
-    "amplitude_mc",
     "prob_averaged",
     "success_probability",
     "runtime_scaling",
@@ -57,13 +58,6 @@ __all__ = [
 
 #: largest modulus: q <= 2^33 keeps r c and c' q within int64
 MAX_MODULUS = 2**16
-
-#: Bell-pair overlap sum in the limit tau_c << T is 32 tau_c T sin^2(theta_0);
-#: the generic DFT gate uses the same constant so the onset condition is an
-#: exact identity.
-DEFAULT_OVERLAP_CONSTANT = 32.0
-
-ONSET_VARIANCE = 4.0 * np.pi**2
 
 
 def find_period(modulus: int, base: int) -> int:
@@ -174,75 +168,19 @@ def dft_phase_variance(
     period: float,
     cone_angle: float,
     overlap_sum: Optional[float] = None,
-    overlap_constant: float = DEFAULT_OVERLAP_CONSTANT,
 ) -> float:
     """Stochastic phase variance of the full DFT: L(L-1)/2 gates' worth.
 
-    Each gate contributes the four-segment overlap sum; pass ``overlap_sum``
-    to use an exact one (``gate_overlap_sum``), otherwise the rf-noise
-    limit overlap_constant * tau_c * T * sin^2(theta_0), valid for
-    tau_c << T, is used.
+    ``variance_analytic`` at eta = L(L-1)/2.  Each gate contributes the
+    four-segment overlap sum; pass ``overlap_sum`` to use an exact one
+    (``gate_overlap_sum``), otherwise the rf-noise limit
+    32 tau_c T sin^2(theta_0), valid for tau_c << T, is used.
     """
     if bits < 2:
         raise ValueError(f"bits must be >= 2, got {bits}")
-    if min(coupling, sigma2, correlation_time, period) < 0:
-        raise ValueError("gate parameters must be >= 0")
-    if overlap_sum is None:
-        overlap_sum = (
-            overlap_constant * correlation_time * period * np.sin(cone_angle) ** 2
-        )
-    eta = bits * (bits - 1) // 2
-    return eta * coupling**2 * sigma2 * overlap_sum / 4.0
-
-
-def _path_phases(model: NoisyAmplitudeModel, c) -> np.ndarray:
-    inst = model.instance
-    j = np.arange(inst.path_count)
-    return (
-        2.0
-        * np.pi
-        / inst.register_size
-        * (j * inst.period + inst.offset)
-        * np.asarray(c)[..., None]
-    )
-
-
-def amplitude_mc(
-    model: NoisyAmplitudeModel,
-    c_values,
-    n_samples: int,
-    master_seed: int,
-    chunk: int = 4096,
-):
-    """Monte Carlo mean and standard error of |f(c)|^2 for many outcomes.
-
-    Shares each realization's path phases across all requested c (one
-    matrix product per chunk), so estimates at different c are correlated
-    but individually unbiased.  The q/r paths make this O(N^2) wide for
-    small r, so it refuses, before allocating, more than MAX_ELEMENTS.
-    """
-    inst = model.instance
-    c_values = np.asarray(c_values, dtype=int)
-    _check_elements((inst.path_count, c_values.size + chunk), "amplitude_mc")
-    d = np.exp(1j * _path_phases(model, c_values)).T / np.sqrt(
-        inst.path_count * inst.register_size
-    )  # (paths, n_c)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    total = np.zeros(c_values.size)
-    total_sq = np.zeros(c_values.size)
-    done = 0
-    sigma = np.sqrt(model.path_phase_variance)
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        gamma = rng.normal(0.0, sigma, size=(m, inst.path_count))
-        f = np.exp(1j * gamma) @ d
-        p = np.abs(f) ** 2
-        total += p.sum(axis=0)
-        total_sq += (p * p).sum(axis=0)
-        done += m
-    mean = total / n_samples
-    var = (total_sq - n_samples * mean**2) / (n_samples - 1)
-    return mean, np.sqrt(np.maximum(var, 0.0) / n_samples)
+    limit = _bell_overlap_limit(correlation_time, period, cone_angle)
+    overlap = limit if overlap_sum is None else overlap_sum
+    return variance_analytic(bits * (bits - 1) // 2, coupling, sigma2, overlap)
 
 
 def prob_averaged(model: NoisyAmplitudeModel, c) -> np.ndarray:
@@ -349,25 +287,16 @@ def gqc_onset(
 ) -> float:
     """Decoherence-onset ratio for the whole DFT on a geometric computer.
 
-    ratio = (P/V)(tau_c/d_omega) * T L(L-1) gamma^2 sin^2(theta_0) / pi^2;
-    values >= 1 signal decoherence.  With the default overlap constant in
-    ``dft_phase_variance`` this equals the DFT phase variance divided by
-    (2 pi)^2 exactly.
+    ratio = (P/V)(tau_c/d_omega) * T L(L-1) gamma^2 sin^2(theta_0) / pi^2:
+    ``gate_onset_ratio`` at eta = L(L-1)/2, which is the rf-limit
+    ``dft_phase_variance`` over ONSET_VARIANCE; values >= 1 signal
+    decoherence.
     """
-    if min(period, coupling, bandwidth) <= 0 or bits < 2:
-        raise ValueError("period, coupling, bandwidth must be > 0 and bits >= 2")
+    if bits < 2 or coupling <= 0:
+        raise ValueError("bits must be >= 2 and coupling > 0")
     if np.sin(cone_angle) == 0:
         raise ValueError("cone_angle must have nonzero sin(theta_0)")
-    if power_density < 0 or correlation_time <= 0:
-        raise ValueError("power_density must be >= 0 and correlation_time > 0")
-    return (
-        power_density
-        * correlation_time
-        / bandwidth
-        * period
-        * bits
-        * (bits - 1)
-        * coupling**2
-        * np.sin(cone_angle) ** 2
-        / np.pi**2
+    eta = bits * (bits - 1) // 2
+    return gate_onset_ratio(
+        power_density, bandwidth, coupling, eta, correlation_time, period, cone_angle
     )

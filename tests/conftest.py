@@ -10,10 +10,10 @@ from scipy.linalg import expm
 from scipy.signal import fftconvolve, lfilter
 
 from gqclab.adiabatic import PAULI, EigenFrame, eigenframe
-from gqclab.errors import ResourceLimitError
+from gqclab.errors import ResourceLimitError, _check_elements
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
-from gqclab.shor import ShorInstance, coprime_residues
+from gqclab.shor import NoisyAmplitudeModel, ShorInstance, coprime_residues
 
 
 def _two_qubit_slice_product(h, time_grid, path, slices):
@@ -231,6 +231,64 @@ def _constructive_outcomes(inst: ShorInstance):
 @pytest.fixture
 def constructive_outcomes():
     return _constructive_outcomes
+
+
+def _path_phases(model: NoisyAmplitudeModel, c) -> np.ndarray:
+    """DFT phases 2 pi (j r + l) c / q of every path j, shape (..., paths)."""
+    inst = model.instance
+    j = np.arange(inst.path_count)
+    return (
+        2.0
+        * np.pi
+        / inst.register_size
+        * (j * inst.period + inst.offset)
+        * np.asarray(c)[..., None]
+    )
+
+
+def _amplitude_mc(
+    model: NoisyAmplitudeModel,
+    c_values,
+    n_samples: int,
+    master_seed: int,
+    chunk: int = 4096,
+):
+    """Monte Carlo mean and standard error of |f(c)|^2 for many outcomes.
+
+    The oracle for ``shor.prob_averaged``: each sample draws i.i.d.
+    normal(0, v) phases for the paths and sums the DFT amplitude directly.
+    Shares each realization's path phases across all requested c (one
+    matrix product per chunk), so estimates at different c are correlated
+    but individually unbiased.  The q/r paths make this O(N^2) wide for
+    small r, so it refuses, before allocating, more than MAX_ELEMENTS.
+    """
+    inst = model.instance
+    c_values = np.asarray(c_values, dtype=int)
+    _check_elements((inst.path_count, c_values.size + chunk), "amplitude_mc")
+    d = np.exp(1j * _path_phases(model, c_values)).T / np.sqrt(
+        inst.path_count * inst.register_size
+    )  # (paths, n_c)
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    total = np.zeros(c_values.size)
+    total_sq = np.zeros(c_values.size)
+    done = 0
+    sigma = np.sqrt(model.path_phase_variance)
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        gamma = rng.normal(0.0, sigma, size=(m, inst.path_count))
+        f = np.exp(1j * gamma) @ d
+        p = np.abs(f) ** 2
+        total += p.sum(axis=0)
+        total_sq += (p * p).sum(axis=0)
+        done += m
+    mean = total / n_samples
+    var = (total_sq - n_samples * mean**2) / (n_samples - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / n_samples)
+
+
+@pytest.fixture
+def amplitude_mc():
+    return _amplitude_mc
 
 
 def _refused_unallocated(fn, *args):

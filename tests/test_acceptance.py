@@ -18,7 +18,6 @@ from gqclab import (
     QubitHamiltonian,
     PulseSequence,
     ShorInstance,
-    amplitude_mc,
     averaged_density_analytic,
     bell_gate_run,
     decoherence_factor_analytic,
@@ -221,7 +220,7 @@ def test_criterion_06_noisy_shor_exact():
           "the exhaustive DFT oracle to 1e-12; sum_c P(c) = 1 within 1e-9")
 
 
-def test_criterion_07_noisy_shor_mc():
+def test_criterion_07_noisy_shor_mc(amplitude_mc):
     """Mean |f(c)|^2 over 1e5 samples matches the closed form per c."""
     inst = ShorInstance.build(15, 7)
     c_values = np.arange(inst.register_size)

@@ -430,8 +430,22 @@ def test_cli_coarse_noise_step_is_a_config_error(tmp_path, capsys, raw):
             dict(NOISE_CONFIG, duration=0.001, lags=[0.0]),
             "duration must be >= dt, got 0.001 < 0.005",
         ),
+        (
+            dict(AGP_CONFIG, engine="exact_propagation", magnitude=1e-13),
+            "level crossing: gap 1e-13",
+        ),
+        (
+            dict(GATE_CONFIG, engine="exact_propagation", magnitude=1e-13),
+            "level crossing: gap 1e-13",
+        ),
     ],
-    ids=["exact-engine-calibrated-angles", "unrealizable-phase", "duration-below-dt"],
+    ids=[
+        "exact-engine-calibrated-angles",
+        "unrealizable-phase",
+        "duration-below-dt",
+        "agp-degenerate-gap",
+        "gate-degenerate-gap",
+    ],
 )
 def test_cli_library_rules_are_config_errors(tmp_path, capsys, raw, message):
     path = _write(tmp_path, "cfg.json", raw)
@@ -439,6 +453,15 @@ def test_cli_library_rules_are_config_errors(tmp_path, capsys, raw, message):
     assert main([raw["experiment"], "--config", path, "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", SHOR_CONFIG)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["shor-scan", "--config", path, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: out: ")
+    assert str(out) in line
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Four-segment geometric controlled-phase gate tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,21 +75,19 @@ def test_index_map_known_paths_and_closure():
 def test_pulse_sequence_structure():
     h, seq = _setup()
     assert seq.duration == 4.0
-    # broken structures are rejected
-    fwd = seq.segments[0][0]
-    with pytest.raises(ValueError):
-        PulseSequence(segments=((fwd, 1), (fwd, 2), (fwd, 1), (fwd, 2)))
-    with pytest.raises(ValueError):
-        PulseSequence(
-            segments=(seq.segments[0], seq.segments[1], seq.segments[0])
-        )
+    # C pi_1, Cbar pi_2, C pi_1, Cbar pi_2, one cycle each, from any base contour
+    for base in (h.schedule, replace(h.schedule, cycles=3).reversed()):
+        segments = PulseSequence.standard(base).segments
+        assert [s.direction for s, _ in segments] == ["forward", "reversed"] * 2
+        assert [t for _, t in segments] == [1, 2, 1, 2]
+        assert {(s.cycles, s.period) for s, _ in segments} == {(1, seq.period)}
 
 
 def test_gate_phases_zero_noise_and_short_path():
     h, seq = _setup()
     t_local, n_seg = _segment_grid(seq, 0.004)
     noise = np.zeros((1, 4 * n_seg + 1, 1))
-    [gamma_s] = _gate_gamma_s(seq, h, t_local, noise, (0, 0))
+    [gamma_s] = _gate_gamma_s(seq, h, t_local, noise, 0b00)
     assert gamma_s == 0.0
 
 

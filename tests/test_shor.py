@@ -11,7 +11,6 @@ from gqclab import (
     NoisyAmplitudeModel,
     ResourceLimitError,
     ShorInstance,
-    amplitude_mc,
     choose_q,
     coprime_residues,
     dft_phase_variance,
@@ -127,7 +126,7 @@ def test_prob_averaged_flattens_at_large_v():
     assert np.max(np.abs(p - 1.0 / inst.register_size)) < 1e-12
 
 
-def test_amplitude_mc_matches_closed_form():
+def test_amplitude_mc_matches_closed_form(amplitude_mc):
     inst = ShorInstance.build(15, 7)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=1.0)
     c_values = np.arange(0, 256, 8)
@@ -137,7 +136,7 @@ def test_amplitude_mc_matches_closed_form():
     assert np.all(np.abs(mean - p) < 3 * se)
 
 
-def test_amplitude_mc_refuses_work_above_the_element_bound():
+def test_amplitude_mc_refuses_work_above_the_element_bound(amplitude_mc):
     inst = ShorInstance.build(65519, 2)  # q = 2^32, r = 32759: 131,110 paths
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=1.0)
     with pytest.raises(ResourceLimitError, match="amplitude_mc"):

@@ -46,3 +46,46 @@ def test_no_statement_follows_a_jump():
         for line in unreachable_lines(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+#: one private helper with a caller (through ``partial``) and one without
+HELPERS_SAMPLE = """\
+from functools import partial
+
+def _called(x):
+    return x
+
+def _uncalled(x):
+    return x
+
+def public(x):
+    return partial(_called, x)()
+"""
+
+
+def uncalled_private_helpers(trees: dict) -> list:
+    """Sorted ``module:name`` of each module-level private function that no
+    tree in ``trees`` (name -> ast.Module) refers to."""
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    )
+
+
+def test_every_private_helper_has_a_src_caller():
+    sample = {"sample.py": ast.parse(HELPERS_SAMPLE)}
+    assert uncalled_private_helpers(sample) == ["sample.py:_uncalled"]
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert uncalled_private_helpers(trees) == []
