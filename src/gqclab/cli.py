@@ -27,6 +27,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -50,8 +51,7 @@ from .noise import (
     NoiseSpec,
     _lag_steps,
     _n_times,
-    estimate_autocorrelation,
-    make_noise_ensemble,
+    ensemble_autocorrelation,
 )
 from .shor import MAX_MODULUS, ShorInstance, runtime_scaling
 
@@ -445,12 +445,12 @@ def _run_noise_validate(p):
         correlation_time=p["correlation_time"],
         dimension=p["dimension"],
     )
-    dt, lags = p["dt"], _noise_lags(p)
-    samples = make_noise_ensemble(
-        spec, p["duration"], dt, p["master_seed"], p["realizations"]
+    lags = _noise_lags(p)
+    estimates = ensemble_autocorrelation(
+        spec, p["duration"], p["dt"], p["master_seed"], p["realizations"], lags
     )
     rows = []
-    for lag, est, se in estimate_autocorrelation(samples, dt, lags):
+    for lag, est, se in estimates:
         rows.append(
             {
                 "lag_s": lag,
@@ -606,12 +606,18 @@ def run(config: ExperimentConfig) -> dict:
     Returns the manifest.  Results are a pure function of the resolved
     configuration: the manifest, the code version and the numpy version it
     records reproduce every output bit-exactly, whatever ``threads`` says.
+    The output paths are checked before it runs.
     """
     p = config.params
-    t_start = time.monotonic()
-    rows, derived = _RUNNERS[config.experiment](p)
     fmt = p["format"]
     out_path = p["out"] or f"{config.experiment}.{fmt}"
+    manifest_path = f"{out_path}.manifest.json"
+    for path in (out_path, manifest_path):
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ConfigError([f"out: cannot write {path!r}"])
+    t_start = time.monotonic()
+    rows, derived = _RUNNERS[config.experiment](p)
     try:
         _write_rows(rows, out_path, fmt)
     except OSError as exc:
@@ -636,7 +642,6 @@ def run(config: ExperimentConfig) -> dict:
         "output": out_path,
         "wall_clock_s": time.monotonic() - t_start,
     }
-    manifest_path = f"{out_path}.manifest.json"
     with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")

@@ -164,20 +164,19 @@ def _gate_gamma_a(seq: PulseSequence, h: QubitHamiltonian, span: float) -> np.nd
 
 
 def _gate_gamma_s(
-    seq: PulseSequence,
-    h: QubitHamiltonian,
-    t_local: np.ndarray,
-    samples: np.ndarray,
-    level: int,
+    seq: PulseSequence, h: QubitHamiltonian, t_local: np.ndarray, samples: np.ndarray
 ) -> np.ndarray:
-    """Per-realization Gamma_s for level index ``level`` over a noise batch
-    spanning 4T."""
+    """Per-realization Gamma_s over a noise batch spanning 4T, shape
+    (n_real, 4): the Bell levels' columns; the others, with c = 0, stay 0."""
     n_seg = t_local.size - 1
-    gamma_s = np.zeros(samples.shape[0])
-    for l, h_seg in enumerate(_segment_hamiltonians(seq, h)):
-        frame = eigenframe(h_seg, t_local)
+    segments = _segment_hamiltonians(seq, h)
+    frames = [eigenframe(h_seg, t_local) for h_seg in segments[:2]]  # C, Cbar
+    gamma_s = np.zeros((samples.shape[0], 4))
+    for l, h_seg in enumerate(segments):
         window = samples[:, l * n_seg : (l + 1) * n_seg + 1, :]
-        gamma_s += stochastic_phase_batch(h_seg, frame, window, level ^ _FLIPS[l])
+        for k in BELL_LEVELS:
+            phase = stochastic_phase_batch(h_seg, frames[l % 2], window, k ^ _FLIPS[l])
+            gamma_s[:, k] += phase
     return gamma_s
 
 
@@ -326,9 +325,7 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
 
     k, j = BELL_LEVELS
     if config.engine == "analytic_phase":
-        gamma_s = np.zeros((samples.shape[0], 4))
-        for level in BELL_LEVELS:  # the other two levels have c = 0
-            gamma_s[:, level] = _gate_gamma_s(seq, h, t_local, samples, level)
+        gamma_s = _gate_gamma_s(seq, h, t_local, samples)
         amps = c * np.exp(-1j * (gamma_a + gamma_s))
     else:
         amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, config.substeps)

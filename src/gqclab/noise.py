@@ -39,6 +39,7 @@ __all__ = [
     "make_noise_path",
     "make_noise_ensemble",
     "estimate_autocorrelation",
+    "ensemble_autocorrelation",
     "split_seed",
     "realization_rng",
 ]
@@ -48,6 +49,9 @@ RESOLUTION_FACTOR = 10.0
 
 #: time steps per contiguous buffer of the OU recursion
 _BLOCK = 256
+
+#: time steps per window of a streamed ensemble; a multiple of _BLOCK
+_CHUNK = 16 * _BLOCK
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -99,16 +103,23 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _ensemble_normals(
-    master_seed: int, realizations: int, shape: tuple
+    master_seed: int, realizations: int, shape: tuple, rngs=None, out=None
 ) -> np.ndarray:
-    """Standard normals (realizations,) + shape; row i is bit-identical to
-    ``realization_rng(master_seed, i).standard_normal(shape)``.
+    """Standard normals (realizations,) + shape, into ``out`` if given; row i
+    is bit-identical to ``realization_rng(master_seed, i).standard_normal(shape)``.
 
-    One Philox is re-keyed per row: the ``state`` setter puts i in the
-    key's high word and resets the counter to 0 and the buffer to empty,
-    which costs about a tenth of building a generator per row.
+    One Philox is re-keyed per row, at a tenth of the cost of a generator
+    per row: the ``state`` setter puts i in the key's high word and resets
+    the counter and buffer.  A ``rngs`` list, filled with a generator per
+    row on the first window of a grid, carries the streams across windows.
     """
-    xi = np.empty((realizations,) + tuple(shape))
+    xi = np.empty((realizations,) + tuple(shape)) if out is None else out
+    if rngs is not None:
+        if not rngs:
+            rngs.extend(realization_rng(master_seed, i) for i in range(realizations))
+        for gen, row in zip(rngs, xi):
+            gen.standard_normal(out=row)
+        return xi
     bit_generator = np.random.Philox(key=master_seed)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, buffer empty
@@ -137,21 +148,27 @@ def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:
         )
 
 
-def _ou_from_normals(spec: NoiseSpec, xi: np.ndarray, dt: float) -> np.ndarray:
+def _ou_from_normals(
+    spec: NoiseSpec, xi: np.ndarray, dt: float, prev=None
+) -> np.ndarray:
     """Exact OU recursion along the time axis of ``xi``, shape (..., n_t, dim).
 
-    ``xi[..., 0, :]`` seeds the stationary initial value; later time steps
-    drive the AR(1) update.  The result is written into ``xi``, which is
-    returned.  The update x[n] += a x[n-1] runs time-major on contiguous
-    blocks of ``_BLOCK`` steps, starting from a zero state: the same
-    floating-point operations as ``lfilter([1], [1, -a])``, so the same bits.
+    Without ``prev``, ``xi[..., 0, :]`` seeds the stationary value at t = 0;
+    with it, the window continues a path whose last time row was ``prev``.
+    The result is written into ``xi``, which is returned.  The update
+    x[n] += a x[n-1] runs time-major on contiguous blocks of ``_BLOCK``
+    steps, starting from a zero state: the same floating-point operations
+    as ``lfilter([1], [1, -a])``, so the same bits.
     """
     sigma = np.sqrt(spec.variance)
     a = np.exp(-dt / spec.correlation_time)
-    xi[..., 1:, :] *= sigma * np.sqrt(1.0 - a * a)
-    xi[..., 0, :] *= sigma  # stationary marginal at t = 0
+    if prev is None:
+        xi[..., 1:, :] *= sigma * np.sqrt(1.0 - a * a)
+        xi[..., 0, :] *= sigma  # stationary marginal at t = 0
+        prev = 0.0
+    else:
+        xi *= sigma * np.sqrt(1.0 - a * a)
     x = np.moveaxis(xi, -2, 0)  # time-major view
-    prev = 0.0
     for start in range(0, x.shape[0], _BLOCK):
         block = x[start : start + _BLOCK].copy()
         block[0] += a * prev
@@ -176,6 +193,38 @@ def make_noise_path(
     return make_noise_ensemble(spec, duration, dt, seed, 1)[0]
 
 
+def _noise_grid(spec, duration, dt, master_seed, realizations) -> int:
+    """Grid points, once the count, the seed and the grid are checked."""
+    if realizations < 1:
+        raise ValueError("realizations must be >= 1")
+    split_seed(master_seed, 0)  # checked at every variance
+    _check_resolution(spec, duration, dt)
+    return _n_times(duration, dt)
+
+
+def _noise_windows(spec, n_times, dt, master_seed, realizations, chunk, history=0):
+    """The ensemble in pairs (h, window) along time: each window, a view of
+    one buffer, holds the last h <= ``history`` points before a chunk of
+    up to ``chunk`` new ones.  Refuses, before allocating, a buffer above
+    MAX_ELEMENTS.  A grid of one chunk keeps no generators."""
+    shape = (realizations, min(history + chunk, n_times), spec.dimension)
+    _check_elements(shape, "noise ensemble" if chunk >= n_times else "noise window")
+    buf = np.zeros(shape) if spec.variance == 0.0 else np.empty(shape)
+    rngs = None if chunk >= n_times else []
+    prev, h = None, 0
+    for start in range(0, n_times, chunk):
+        c = min(chunk, n_times - start)
+        window = buf[:, : h + c]
+        if spec.variance:
+            new = window[:, h:]
+            _ensemble_normals(master_seed, realizations, new.shape[1:], rngs, new)
+            prev = _ou_from_normals(spec, new, dt, prev)[:, -1].copy()
+        yield h, window
+        keep = min(history, start + c)
+        buf[:, :keep] = window[:, h + c - keep :]
+        h = keep
+
+
 def make_noise_ensemble(
     spec: NoiseSpec,
     duration: float,
@@ -193,16 +242,9 @@ def make_noise_ensemble(
     before allocating; at sigma^2 = 0 the samples are the recursion's +0.0
     without drawing.
     """
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
-    split_seed(master_seed, 0)  # checked at every variance
-    _check_resolution(spec, duration, dt)
-    shape = (realizations, _n_times(duration, dt), spec.dimension)
-    _check_elements(shape, "noise ensemble")
-    if spec.variance == 0.0:
-        return np.zeros(shape)
-    xi = _ensemble_normals(master_seed, realizations, shape[1:])
-    return _ou_from_normals(spec, xi, dt)
+    n = _noise_grid(spec, duration, dt, master_seed, realizations)
+    [(_, samples)] = _noise_windows(spec, n, dt, master_seed, realizations, n)
+    return samples
 
 
 def _lag_steps(lags, dt: float, n_times: int) -> list:
@@ -222,6 +264,28 @@ def _lag_steps(lags, dt: float, n_times: int) -> list:
     return steps
 
 
+def _autocovariance(windows, lags, steps, n_paths: int, n: int) -> list:
+    """(lag, estimate, standard error) from an ensemble's windows (h, x):
+    per path, x(t) . x(t + m) is summed over the pairs whose later point
+    follows the window's first h, as one einsum of the flattened slices.
+    einsum, unlike np.dot, starts no BLAS threads, whose number would change
+    the bits; rows of up to 8,192 elements sum as a per-path ``"i,i->"``."""
+    sums = np.zeros((len(steps), n_paths))
+    for h, window in windows:
+        n_w, dim = window.shape[1:]
+        x = window.reshape(n_paths, n_w * dim)
+        for row, m in zip(sums, steps):
+            lo = max(h, m)
+            if lo < n_w:
+                a, b = x[:, (lo - m) * dim : (n_w - m) * dim], x[:, lo * dim :]
+                row += np.einsum("ij,ij->i", a, b)
+    per_path = sums / (n - np.array(steps))[:, None]
+    est = per_path.mean(axis=1)
+    se = np.zeros_like(est) if n_paths < 2 else per_path.std(axis=1, ddof=1)
+    se /= np.sqrt(n_paths)
+    return [(float(lag), float(e), float(s)) for lag, e, s in zip(lags, est, se)]
+
+
 def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
     """Unbiased autocovariance estimate, averaged over paths and time.
 
@@ -231,30 +295,36 @@ def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
     the per-path time average of ``x(t) . x(t + lag)`` (summed over
     components); the standard error is the across-path scatter of those
     per-path means.  At lag 0 this equals the (mean-zero) sample variance
-    by construction.
+    by construction.  Each path's sum is added up in chunks of ``_CHUNK``
+    time steps, in time order, as in ``ensemble_autocorrelation``.
     """
     samples = np.asarray(samples)
     if samples.ndim != 3 or samples.shape[0] < 1:
         raise ValueError(
             "samples must have shape (n_paths, n_times, dim) with n_paths >= 1"
         )
-    n_paths, n, dim = samples.shape
+    n_paths, n, _ = samples.shape
     steps = _lag_steps(lags, dt, n)
-    # x(t) . x(t + lag) summed over t and components: one product sum of the
-    # flattened lag slices per path and lag, all lags of a path while it is
-    # in cache.  einsum, unlike np.dot, starts no BLAS threads, whose number
-    # would change the bits.
-    sums = [
-        [np.einsum("i,i->", x[: (n - m) * dim], x[m * dim :]) for m in steps]
-        for x in samples.reshape(n_paths, n * dim)
-    ]
-    out = []
-    for lag, m, lag_sums in zip(lags, steps, np.transpose(sums)):
-        per_path = lag_sums / (n - m)
-        est = float(np.mean(per_path))
-        if n_paths > 1:
-            se = float(np.std(per_path, ddof=1) / np.sqrt(n_paths))
-        else:
-            se = 0.0
-        out.append((float(lag), est, se))
-    return out
+    heads = {t: min(max(steps, default=0), t) for t in range(0, n, _CHUNK)}
+    windows = ((h, samples[:, t - h : t + _CHUNK]) for t, h in heads.items())
+    return _autocovariance(windows, lags, steps, n_paths, n)
+
+
+def ensemble_autocorrelation(
+    spec: NoiseSpec,
+    duration: float,
+    dt: float,
+    master_seed: int,
+    realizations: int,
+    lags,
+):
+    """``estimate_autocorrelation(make_noise_ensemble(spec, duration, dt,
+    master_seed, realizations), dt, lags)``, to the bit, in the memory of
+    realizations x (largest lag + ``_CHUNK`` steps) x dim samples, whatever
+    the duration.  Arguments are checked as those two functions check them;
+    MAX_ELEMENTS bounds the chunk's buffer."""
+    n = _noise_grid(spec, duration, dt, master_seed, realizations)
+    steps = _lag_steps(lags, dt, n)
+    history = max(steps, default=0)
+    windows = _noise_windows(spec, n, dt, master_seed, realizations, _CHUNK, history)
+    return _autocovariance(windows, lags, steps, realizations, n)

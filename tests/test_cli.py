@@ -12,7 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqclab import ConfigError, NoiseSpec, euler_phi, realization_rng
+from gqclab import (
+    ConfigError,
+    NoiseSpec,
+    ResourceLimitError,
+    errors,
+    estimate_autocorrelation,
+    euler_phi,
+    make_noise_ensemble,
+    realization_rng,
+)
+from gqclab import cli
 from gqclab.cli import main, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,6 +203,7 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
         ["agp-dephase", "--config", path, "--out", out, "--strict-adiabatic"]
     )
     assert code == 3
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
 
 
 @pytest.mark.parametrize(
@@ -200,6 +211,8 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
     [
         dict(AGP_CONFIG, correlation_time=1e-5, magnitude=10_000_000.0, sigma2=1.0),
         dict(GATE_CONFIG, correlation_time=1e-5, magnitude=10_000_000.0, sigma2=1.0),
+        # the time window holds the 70,000-step lag's history:
+        # 4096 x (70,000 + 4,096) samples
         {
             "experiment": "noise-validate",
             "sigma2": 1.0,
@@ -207,6 +220,7 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
             "duration": 400.0,
             "dt": 0.005,
             "realizations": 2,
+            "lags": [0.0, 350.0],
         },
         # midpoint noise of 10^9 propagation slices per noise step
         dict(AGP_CONFIG, engine="exact_propagation", substeps=10**9),
@@ -227,6 +241,7 @@ def test_cli_resource_exit_code(tmp_path, raw):
         [raw["experiment"], "--config", path, "--out", out, "--realizations", "4096"]
     )
     assert code == 4
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
 
 
 COARSE_AGP = dict(AGP_CONFIG, correlation_time=1e-5, magnitude=1e7, noise_dt=1e-5)
@@ -455,13 +470,38 @@ def test_cli_library_rules_are_config_errors(tmp_path, capsys, raw, message):
     assert not out.exists()
 
 
-def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys):
+def _refused_before_the_run(tmp_path, capsys, monkeypatch, out):
+    def must_not_run(p):
+        raise AssertionError("the experiment ran before the output was checked")
+
+    monkeypatch.setitem(cli._RUNNERS, "shor-scan", must_not_run)
     path = _write(tmp_path, "cfg.json", SHOR_CONFIG)
-    out = tmp_path / "missing" / "x.csv"
     assert main(["shor-scan", "--config", path, "--out", str(out)]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: out: ")
     assert str(out) in line
+
+
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "x.csv"
+    _refused_before_the_run(tmp_path, capsys, monkeypatch, out)
+
+
+def test_cli_out_that_is_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    _refused_before_the_run(tmp_path, capsys, monkeypatch, tmp_path)
+
+
+def test_cli_output_check_leaves_an_existing_table_alone(tmp_path, monkeypatch):
+    def refused(p):
+        raise ResourceLimitError("refused")
+
+    monkeypatch.setitem(cli._RUNNERS, "shor-scan", refused)
+    path = _write(tmp_path, "cfg.json", SHOR_CONFIG)
+    out = tmp_path / "x.csv"
+    out.write_text("an earlier table\n")
+    assert main(["shor-scan", "--config", path, "--out", str(out)]) == 4
+    assert out.read_text() == "an earlier table\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "x.csv"]
 
 
 @pytest.mark.parametrize(
@@ -532,6 +572,34 @@ def test_cli_noise_validate_matches_the_per_path_definition(
         expected.append([repr(float(v)) for v in (lag, estimate, se, kernel)])
     with open(out, newline="") as f:
         assert list(csv.reader(f)) == expected
+
+
+@pytest.mark.parametrize("spare, code", [(0, 0), (-1, 4)], ids=["fits", "one-over"])
+def test_cli_noise_validate_bound_applies_to_the_window(
+    tmp_path, monkeypatch, spare, code
+):
+    """MAX_ELEMENTS bounds the time window, realizations x (largest lag +
+    4,096 steps) x dim, not the ensemble; the table is the in-memory
+    estimate, to the bit."""
+    lags = [0.0, 0.05, 1.0]  # 200 steps of history
+    raw = dict(NOISE_CONFIG, duration=50.0, realizations=3, lags=lags)
+    spec = NoiseSpec(variance=1.0, correlation_time=0.05)
+    samples = make_noise_ensemble(spec, 50.0, 0.005, 0, 3)
+    assert samples.size == 3 * 10_001
+    expected = estimate_autocorrelation(samples, 0.005, lags)
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 3 * (200 + 4096) + spare)
+    with pytest.raises(ResourceLimitError):
+        make_noise_ensemble(spec, 50.0, 0.005, 0, 3)
+    path = _write(tmp_path, "nv.json", raw)
+    out = tmp_path / "nv.csv"
+    assert main(["noise-validate", "--config", path, "--out", str(out)]) == code
+    if code:
+        assert not out.exists()
+        return
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    keys = ("lag_s", "autocovariance_field2", "standard_error_field2")
+    assert [tuple(float(r[k]) for k in keys) for r in rows] == expected
 
 
 def test_cli_gate_fidelity_sweep(tmp_path):

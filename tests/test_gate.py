@@ -20,7 +20,11 @@ from gqclab import (
     level_index_map,
     make_noise_ensemble,
 )
+from gqclab import gate
+from gqclab.adiabatic import stochastic_phase_batch
 from gqclab.gate import (
+    BELL_LEVELS,
+    _FLIPS,
     _bell_exact_amplitudes,
     _gate_gamma_a,
     _gate_gamma_s,
@@ -87,8 +91,45 @@ def test_gate_phases_zero_noise_and_short_path():
     h, seq = _setup()
     t_local, n_seg = _segment_grid(seq, 0.004)
     noise = np.zeros((1, 4 * n_seg + 1, 1))
-    [gamma_s] = _gate_gamma_s(seq, h, t_local, noise, 0b00)
-    assert gamma_s == 0.0
+    [gamma_s] = _gate_gamma_s(seq, h, t_local, noise)
+    assert np.array_equal(gamma_s, np.zeros(4))
+
+
+def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
+    h, seq = _setup(angles=calibrate_level_cone_angles(np.pi / 2, np.pi / 3))
+    spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=3)
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=spec,
+        initial_amplitudes=BELL,
+        realizations=8,
+        master_seed=3,
+        engine="analytic_phase",
+    )
+    directions = []
+
+    def counted(h_seg, t):
+        directions.append(h_seg.schedule.direction)
+        return eigenframe(h_seg, t)
+
+    monkeypatch.setattr(gate, "eigenframe", counted)
+    bell_gate_run(cfg, seq)
+    assert directions == ["forward", "reversed"]
+
+    # the shared frames give the bits of one frame per segment and level
+    t_local, n_seg = _segment_grid(seq, cfg.dt)
+    samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 8)
+    gamma_s = _gate_gamma_s(seq, h, t_local, samples)
+    for level in BELL_LEVELS:
+        expected = np.zeros(8)
+        for l, (sched, _) in enumerate(seq.segments):
+            h_seg = replace(h, schedule=sched)
+            window = samples[:, l * n_seg : (l + 1) * n_seg + 1]
+            expected += stochastic_phase_batch(
+                h_seg, eigenframe(h_seg, t_local), window, level ^ _FLIPS[l]
+            )
+        assert np.array_equal(gamma_s[:, level], expected)
+    assert not gamma_s[:, [0b01, 0b10]].any()
 
 
 def test_uniform_angles_give_zero_conditional_phase():

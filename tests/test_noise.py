@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from gqclab import (
     NoiseSpec,
     ResolutionError,
+    ResourceLimitError,
+    ensemble_autocorrelation,
     estimate_autocorrelation,
     make_noise_ensemble,
     make_noise_path,
@@ -21,7 +24,7 @@ from gqclab import (
 )
 from gqclab import noise
 from gqclab.errors import MAX_ELEMENTS
-from gqclab.noise import _ensemble_normals, _ou_from_normals
+from gqclab.noise import _CHUNK, _ensemble_normals, _noise_windows, _ou_from_normals
 
 
 def test_spec_validation():
@@ -121,6 +124,8 @@ def test_autocorrelation_zero_path_and_errors():
     path = make_noise_path(spec, 1.0, 0.01, seed=0)[None]
     for lag, est, se in estimate_autocorrelation(path, 0.01, [0.0, 0.5]):
         assert est == 0.0 and se == 0.0
+    assert estimate_autocorrelation(path, 0.01, []) == []
+    assert ensemble_autocorrelation(spec, 1.0, 0.01, 0, 1, []) == []
     with pytest.raises(ValueError):
         estimate_autocorrelation(path, 0.01, [0.005])  # not on the grid
     with pytest.raises(ValueError):
@@ -307,3 +312,138 @@ def test_split_seed_deterministic_and_distinct(master, i, j):
     assert 0 <= a < 2**128
     if i != j:
         assert a != split_seed(master, j)
+
+
+# Streaming along time: ensemble_autocorrelation generates the ensemble in
+# windows of _CHUNK steps plus the largest lag's history.
+
+STREAM_CASES = [
+    # dimension, variance, points, realizations, lag steps
+    (1, 1.3, 2 * _CHUNK + 123, 3, [0, 1, 57]),  # not a multiple of the chunk
+    (3, 1.3, _CHUNK + 77, 2, [0, 3, _CHUNK + 50]),  # a lag over one chunk
+    (1, 1.3, _CHUNK + 1, 1, [0, 10]),  # one realization
+    (3, 0.0, 2 * _CHUNK + 5, 2, [0, 7]),  # sigma^2 = 0
+]
+STREAM_IDS = ["dim-1-ragged", "dim-3-long-lag", "one-realization", "zero-variance"]
+
+
+@pytest.mark.parametrize(
+    "dimension, variance, n, realizations, steps", STREAM_CASES, ids=STREAM_IDS
+)
+@pytest.mark.parametrize("chunk", [noise._BLOCK, _CHUNK], ids=["block", "chunk"])
+def test_streamed_windows_are_the_ensemble(
+    monkeypatch, chunk, dimension, variance, n, realizations, steps
+):
+    spec = NoiseSpec(variance=variance, correlation_time=0.1, dimension=dimension)
+    dt = 0.01
+    expected = make_noise_ensemble(spec, (n - 1) * dt, dt, 19, realizations)
+    calls = []
+    monkeypatch.setattr(
+        noise,
+        "_ensemble_normals",
+        lambda *a: calls.append(a[3]) or _ensemble_normals(*a),
+    )
+    history = max(steps)
+    chunks, prefix = [], np.empty((realizations, 0, dimension))
+    for h, window in _noise_windows(spec, n, dt, 19, realizations, chunk, history):
+        # each window starts with the last h points of the ones before it
+        assert h == min(history, prefix.shape[1])
+        assert np.array_equal(window[:, :h], prefix[:, prefix.shape[1] - h :])
+        chunks.append(window[:, h:].copy())
+        prefix = np.concatenate(chunks, axis=1)
+    assert len(chunks) == -(-n // chunk)
+    assert np.array_equal(prefix, expected)
+    assert np.array_equal(np.signbit(prefix), np.signbit(expected))
+    if variance == 0.0:
+        assert calls == [] and not np.any(np.signbit(prefix))
+    else:
+        # the rows carry their generators from one window to the next
+        assert len(calls) == len(chunks) and len(calls[0]) == realizations
+
+
+@pytest.mark.parametrize(
+    "dimension, variance, n, realizations, steps", STREAM_CASES, ids=STREAM_IDS
+)
+def test_streamed_estimate_is_the_in_memory_one(
+    dimension, variance, n, realizations, steps
+):
+    # bound 0: estimate_autocorrelation sums each path in the same chunks
+    spec = NoiseSpec(variance=variance, correlation_time=0.1, dimension=dimension)
+    dt, duration = 0.01, (n - 1) * 0.01
+    lags = [m * dt for m in steps]
+    samples = make_noise_ensemble(spec, duration, dt, 19, realizations)
+    streamed = ensemble_autocorrelation(spec, duration, dt, 19, realizations, lags)
+    assert streamed == estimate_autocorrelation(samples, dt, lags)
+    if realizations == 1:
+        assert [np.copysign(1.0, se) for _, _, se in streamed] == [1.0] * len(lags)
+        assert all(se == 0.0 for _, _, se in streamed)
+    if variance == 0.0:
+        assert all(est == 0.0 and se == 0.0 for _, est, se in streamed)
+
+
+def test_streamed_estimate_near_the_per_path_sums():
+    # the per-path sums of whole paths, summed as single einsums, differ
+    # from the chunked sums only in rounding
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1, dimension=3)
+    samples = make_noise_ensemble(spec, 3 * _CHUNK * 0.01, 0.01, 4, 5)
+    n = samples.shape[1]
+    lags, steps = [0.0, 0.1], [0, 10]
+    streamed = ensemble_autocorrelation(spec, (n - 1) * 0.01, 0.01, 4, 5, lags)
+    x = samples.reshape(5, -1)
+    for (_, est, se), m in zip(streamed, steps):
+        per_path = [np.einsum("i,i->", r[: (n - m) * 3], r[m * 3 :]) for r in x]
+        per_path = np.array(per_path) / (n - m)
+        assert abs(est - np.mean(per_path)) <= 1e-13 * abs(est)
+        assert abs(se - np.std(per_path, ddof=1) / np.sqrt(5)) <= 1e-12 * se
+
+
+def test_philox_streams_continue_across_windows():
+    bulk = _ensemble_normals(11, 3, (700, 3))
+    rngs, pieces = [], []
+    for length in (256, 1, 443):
+        pieces.append(_ensemble_normals(11, 3, (length, 3), rngs))
+        assert len(rngs) == 3
+    assert np.array_equal(np.concatenate(pieces, axis=1), bulk)
+
+
+def test_one_window_keeps_no_generators(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        noise,
+        "_ensemble_normals",
+        lambda *a: calls.append(a[3]) or _ensemble_normals(*a),
+    )
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
+    make_noise_ensemble(spec, 2 * _CHUNK * 0.01, 0.01, 3, 2)
+    ensemble_autocorrelation(spec, (_CHUNK - 1) * 0.01, 0.01, 3, 2, [0.0, 0.5])
+    assert calls == [None, None]
+
+
+def _stream_peak(points):
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
+    tracemalloc.start()
+    try:
+        ensemble_autocorrelation(spec, (points - 1) * 0.01, 0.01, 8, 8, [0.0, 0.3])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_peak_does_not_grow_with_the_duration():
+    _stream_peak(_CHUNK)  # one-time allocations of the first call
+    window = 8 * (30 + _CHUNK) * 8  # bytes of one window
+    short, long = _stream_peak(2 * _CHUNK), _stream_peak(8 * _CHUNK)
+    assert long < 1.1 * short
+    # the 8-chunk ensemble alone would take 8 x 8 x _CHUNK x 8 bytes
+    assert long < 2 * window < 8 * (8 * _CHUNK) * 8 / 2
+
+
+def test_streamed_window_above_the_bound_is_refused_unallocated(refused_unallocated):
+    # 4096 paths of a 70,000-step lag's history plus one chunk: 4096 x 74,096
+    assert 4096 * (70_000 + _CHUNK) > MAX_ELEMENTS
+    spec = NoiseSpec(variance=1.0, correlation_time=0.05)
+    refused_unallocated(
+        ensemble_autocorrelation, spec, 400.0, 0.005, 0, 4096, [0.0, 350.0]
+    )
+    with pytest.raises(ResourceLimitError, match="noise window"):
+        ensemble_autocorrelation(spec, 400.0, 0.005, 0, 4096, [0.0, 350.0])
