@@ -75,7 +75,13 @@ def _as_number(value, key, errors, minimum=None, strict_min=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{key}: expected a number, got {value!r}")
         return None
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf if value > 0 else -math.inf
+    if not math.isfinite(v):  # json reads NaN, Infinity and 1e999
+        errors.append(f"{key}: must be finite, got {v}")
+        return None
     if minimum is not None and (v < minimum or (strict_min and v == minimum)):
         op = ">" if strict_min else ">="
         errors.append(f"{key}: must be {op} {minimum}, got {v}")
@@ -245,11 +251,12 @@ def _resolve_power(raw, params, errors):
     elif has_power:
         power, bandwidth = params.pop("power_density"), params["bandwidth"]
         if power is not None and bandwidth is not None:
-            params["sigma2"] = (
+            sigma2 = (
                 [v / bandwidth for v in power]
                 if isinstance(power, list)
                 else power / bandwidth
             )
+            params["sigma2"] = _as_sweep(sigma2, "sigma2", errors)  # may overflow
 
 
 def _resolve_geometry(raw, params, errors):
@@ -277,7 +284,7 @@ def _resolve_geometry(raw, params, errors):
             errors.append("b0 and b_rf give a zero effective field")
             return
         params["cone_angle"] = float(np.arctan2(b_rf, longitudinal))
-        params["magnitude"] = magnitude
+        params["magnitude"] = _as_number(magnitude, "magnitude", errors)
     elif "cone_angle" not in raw or "magnitude" not in raw:
         errors.append("cone_angle and magnitude (or b0 and b_rf) are required")
     elif params["cone_angle"] is not None and params["cone_angle"] > np.pi:
@@ -449,20 +456,17 @@ def _run_noise_validate(p):
     estimates = ensemble_autocorrelation(
         spec, p["duration"], p["dt"], p["master_seed"], p["realizations"], lags
     )
-    rows = []
-    for lag, est, se in estimates:
-        rows.append(
-            {
-                "lag_s": lag,
-                "autocovariance_field2": est,
-                "standard_error_field2": se,
-                "expected_field2": spec.dimension
-                * spec.variance
-                * float(spec.kernel_profile(lag)),
-            }
-        )
-    derived = {"sigma2_field2": spec.variance, "lags_s": list(lags)}
-    return rows, derived
+    scale = spec.dimension * spec.variance
+    rows = [
+        {
+            "lag_s": lag,
+            "autocovariance_field2": est,
+            "standard_error_field2": se,
+            "expected_field2": scale * float(spec.kernel_profile(lag)),
+        }
+        for lag, est, se in estimates
+    ]
+    return rows, {"sigma2_field2": spec.variance, "lags_s": list(lags)}
 
 
 def _ensemble_config(p, h, sigma2, amplitudes):
@@ -509,11 +513,10 @@ def _run_agp_dephase(p):
                 "onset_ratio": report.onset_ratio,
             }
         )
-    adiabatic = h.check_adiabatic(correlation_time=p["correlation_time"])
     derived = {
         "gap_rad_per_s": h.gap,
         "gamma_a_kj_rad": gamma_a_kj,
-        "adiabaticity_ratios": adiabatic,
+        "adiabaticity_ratios": h.check_adiabatic(p["correlation_time"]),
         "eta": p["cycles"],
     }
     return rows, derived
@@ -540,11 +543,10 @@ def _run_gate_fidelity(p):
                 "onset_ratio": result.onset_ratio,
             }
         )
-    adiabatic = h.check_adiabatic(correlation_time=p["correlation_time"])
     derived = {
         "gap_rad_per_s": h.gap,
         "level_cone_angles_rad": list(angles) if angles else None,
-        "adiabaticity_ratios": adiabatic,
+        "adiabaticity_ratios": h.check_adiabatic(p["correlation_time"]),
     }
     return rows, derived
 
@@ -672,12 +674,9 @@ def main(argv=None) -> int:
         raw.update({k: v for k, v in overrides.items() if v is not None})
         config = validate_config(raw, experiment=args.experiment)
         manifest = run(config)
-    except ConfigError as exc:
-        for err in exc.errors:
+    except (ConfigError, ResolutionError, DegeneracyError) as exc:
+        for err in getattr(exc, "errors", [exc]):
             print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (ResolutionError, DegeneracyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AdiabaticityError as exc:
         print(f"adiabaticity violation: {exc}", file=sys.stderr)

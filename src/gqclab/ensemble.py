@@ -33,7 +33,8 @@ from .adiabatic import (
     evolve_exact_batch,
     stochastic_phase_batch,
 )
-from .noise import RESOLUTION_FACTOR, NoiseSpec, make_noise_ensemble
+from .errors import _check_elements
+from .noise import RESOLUTION_FACTOR, NoiseSpec, _noise_grid, make_noise_ensemble
 
 __all__ = [
     "EnsembleConfig",
@@ -149,18 +150,23 @@ def _grid_steps(duration: float, dt: float) -> int:
 def _ensemble_noise(
     config: EnsembleConfig, duration: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid and noise samples (realizations, n_t, dim) for the run."""
+    """Time grid and noise samples (rows, n_t, dim) for the run; one row at
+    sigma^2 = 0, where every realization is the same +0.0 path."""
     n_steps = _grid_steps(duration, dt)
     dt = duration / n_steps
-    samples = make_noise_ensemble(
-        config.noise, duration, dt, config.master_seed, config.realizations
-    )
+    spec, seed, rows = config.noise, config.master_seed, config.realizations
+    if spec.variance == 0.0:  # refused as the rows it stands for would be
+        n_t = _noise_grid(spec, duration, dt, seed, rows)
+        _check_elements((rows, n_t, spec.dimension), "noise ensemble")
+        rows = 1
+    samples = make_noise_ensemble(spec, duration, dt, seed, rows)
     return np.linspace(0.0, duration, n_steps + 1), samples
 
 
-def _averaged_density(amps: np.ndarray):
-    """Mean of the outer products of amps (n_real, n) over the realizations,
-    and its standard error, real and imaginary scatter in quadrature."""
+def _averaged_density(amps: np.ndarray, realizations: int):
+    """Mean of the outer products of amps (rows, n) broadcast to ``realizations``
+    rows, and its standard error, real and imaginary scatter in quadrature."""
+    amps = np.broadcast_to(amps, (realizations, amps.shape[1]))
     rho = amps[:, :, None] * amps[:, None, :].conj()
     se = np.sqrt(
         np.var(rho.real, axis=0, ddof=1) + np.var(rho.imag, axis=0, ddof=1)
@@ -198,10 +204,12 @@ def run_ensemble(config: EnsembleConfig):
     else:
         psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
         slices = (t.size - 1) * config.substeps
+        _check_elements((config.realizations, slices, config.noise.dimension),
+                        "exact propagation")
         psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
         amps = psi_f @ frame.states[:, -1, :].conj().T
 
-    matrix, se = _averaged_density(amps)
+    matrix, se = _averaged_density(amps, config.realizations)
     density = AveragedDensity(
         matrix=matrix, standard_errors=se, realizations_used=config.realizations
     )

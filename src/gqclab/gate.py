@@ -48,6 +48,7 @@ from .ensemble import (
     overlap_integral,
     variance_analytic,
 )
+from .errors import _check_elements
 
 __all__ = [
     "PulseSequence",
@@ -328,8 +329,10 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
         gamma_s = _gate_gamma_s(seq, h, t_local, samples)
         amps = c * np.exp(-1j * (gamma_a + gamma_s))
     else:
+        _check_elements((config.realizations, n_seg * config.substeps,
+                         config.noise.dimension), "exact propagation")
         amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, config.substeps)
-    matrix, se = _averaged_density(amps)
+    matrix, se = _averaged_density(amps, config.realizations)
     fidelity = float(np.real(bell.conj() @ matrix @ bell))
     gamma_a_kj = gamma_a[k] - gamma_a[j]
     reference = 0.5 * np.exp(-1j * gamma_a_kj)

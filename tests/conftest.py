@@ -1,4 +1,4 @@
-"""Oracles shared by several test modules."""
+"""Oracles and probes shared by several test modules."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.signal import fftconvolve, lfilter
 
-from gqclab.adiabatic import PAULI, EigenFrame, eigenframe
+from gqclab import ensemble, gate
+from gqclab.adiabatic import PAULI, SIGMA_Z, EigenFrame, eigenframe
 from gqclab.errors import ResourceLimitError, _check_elements
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
@@ -45,6 +46,28 @@ def _two_qubit_slice_product(h, time_grid, path, slices):
 @pytest.fixture
 def two_qubit_slice_product():
     return _two_qubit_slice_product
+
+
+def _noiseless_propagator(h, t: float) -> np.ndarray:
+    """Exact propagator U(t) from 0 of a single qubit in the noiseless field.
+
+    The field precesses at a constant magnitude and cone angle, so with
+    R(t) = exp(-i phi(t) sigma_z / 2) the Hamiltonian is R(t) H(0) R(t)^dag,
+    and in the co-rotating frame it is the constant H(0) - (phidot / 2)
+    sigma_z:  U(t) = R(t) exp(-i [H(0) - (phidot / 2) sigma_z] t), the
+    rotating-field solution with its non-adiabatic phase (Aharonov and
+    Anandan, PRL 58, 1593 (1987)).  phidot carries the sign of the
+    schedule's direction, so a gate segment passes its own schedule.
+    """
+    sched = h.schedule
+    h0 = -0.5 * h.coupling * np.tensordot(sched.field(0.0), PAULI, axes=1)
+    frame = expm(-1j * (h0 - 0.5 * sched.azimuth_rate * SIGMA_Z) * t)
+    return expm(-0.5j * sched.azimuth(t) * SIGMA_Z) @ frame
+
+
+@pytest.fixture
+def noiseless_propagator():
+    return _noiseless_propagator
 
 
 def _su2_apply(b, coupling, eps, psi):
@@ -291,6 +314,21 @@ def amplitude_mc():
     return _amplitude_mc
 
 
+def _peak_bytes(fn, *args) -> int:
+    """Peak bytes that tracemalloc saw while ``fn(*args)`` ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    return _peak_bytes
+
+
 def _refused_unallocated(fn, *args):
     """Assert that ``fn(*args)`` raises ResourceLimitError having allocated
     under 1 MiB (numpy reports its buffers to tracemalloc)."""
@@ -307,3 +345,42 @@ def _refused_unallocated(fn, *args):
 @pytest.fixture
 def refused_unallocated():
     return _refused_unallocated
+
+
+def _every_row(fn, *args):
+    """``fn(*args)`` with run_ensemble and bell_gate_run propagating every
+    realization at sigma^2 = 0 as well, as (realizations, n_t, dim) zeros:
+    the computation that their one-row shortcut stands for."""
+    one_row = ensemble._ensemble_noise
+
+    def repeated(config, duration, dt):
+        t, samples = one_row(config, duration, dt)
+        return t, np.repeat(samples, config.realizations // samples.shape[0], axis=0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (ensemble, gate):
+            patch.setattr(module, "_ensemble_noise", repeated)
+        return fn(*args)
+
+
+@pytest.fixture
+def every_row():
+    return _every_row
+
+
+@pytest.fixture
+def propagated_rows(monkeypatch):
+    """Row counts of the noise ensembles that run_ensemble and bell_gate_run
+    hand to the engines, one entry per completed call."""
+    rows = []
+    for module in (ensemble, gate):
+        for name in ("evolve_exact_batch", "stochastic_phase_batch"):
+            real = getattr(module, name)
+
+            def spy(h, frame_or_grid, samples, *args, real=real):
+                result = real(h, frame_or_grid, samples, *args)
+                rows.append(samples.shape[0])
+                return result
+
+            monkeypatch.setattr(module, name, spy)
+    return rows

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import platform
 import re
@@ -142,6 +143,89 @@ def test_cli_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, raw, key
     assert not list(tmp_path.glob("*.csv"))
 
 
+POWER_NOISE = {k: v for k, v in NOISE_CONFIG.items() if k != "sigma2"}
+POWER_NOISE.update(power_density=1.0, bandwidth=2.0)
+POWER_AGP = {k: v for k, v in AGP_CONFIG.items() if k != "sigma2"}
+POWER_AGP.update(power_density=[1.0], bandwidth=1e-10)
+FIELD_AGP = {
+    k: v for k, v in AGP_CONFIG.items() if k not in ("cone_angle", "magnitude")
+}
+FIELD_AGP.update(b0=5.0, b_rf=3.0)
+
+#: numeric key -> a config that reads it
+NUMERIC_KEYS = {
+    "sigma2": NOISE_CONFIG,
+    "power_density": POWER_NOISE,
+    "bandwidth": POWER_NOISE,
+    "cone_angle": AGP_CONFIG,
+    "magnitude": AGP_CONFIG,
+    "b0": FIELD_AGP,
+    "b_rf": FIELD_AGP,
+    "coupling": AGP_CONFIG,
+    "period": AGP_CONFIG,
+    "correlation_time": AGP_CONFIG,
+    "duration": NOISE_CONFIG,
+    "dt": NOISE_CONFIG,
+    "lags": dict(NOISE_CONFIG, lags=[0.0]),
+    "conditional_phase": dict(GATE_CONFIG, conditional_phase=0.0),
+    "noise_dt": dict(AGP_CONFIG, noise_dt=0.004),
+    "variances": SHOR_CONFIG,
+}
+
+
+def test_every_numeric_key_is_checked_for_finiteness():
+    """NUMERIC_KEYS names every key whose kind accepts a float or a list of
+    floats, so the test below covers every key that _as_number checks."""
+    numeric = set()
+    for key, (kind, _) in cli._KEYS.items():
+        for probe in (0.5, [0.5]):
+            problems = []
+            kind(probe, key, problems)
+            if not problems:
+                numeric.add(key)
+    assert numeric == set(NUMERIC_KEYS)
+
+
+def _refused_as_non_finite(tmp_path, capsys, raw, key, shown):
+    """Exit 2 with the line 'config error: <key>: must be finite, got <shown>'
+    and no table; ``raw`` goes through json.dumps, which writes NaN and
+    Infinity tokens that json.loads reads back."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "x.csv"
+    assert main([raw["experiment"], "--config", str(path), "--out", str(out)]) == 2
+    message = f"config error: {key}: must be finite, got {shown}"
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+def test_cli_non_finite_number_is_a_config_error(tmp_path, capsys, key, value):
+    raw = dict(NUMERIC_KEYS[key])
+    listed = isinstance(raw[key], list)
+    raw[key] = [value] if listed else value
+    _refused_as_non_finite(tmp_path, capsys, raw, f"{key}[0]" if listed else key, value)
+
+
+@pytest.mark.parametrize(
+    "raw, key, shown",
+    [
+        (dict(POWER_NOISE, power_density=1e308, bandwidth=1e-10), "sigma2", "inf"),
+        (dict(POWER_AGP, power_density=[1.0, 1e308]), "sigma2[1]", "inf"),
+        (dict(FIELD_AGP, b0=-1e308, b_rf=1e308), "magnitude", "inf"),
+        (dict(NOISE_CONFIG, duration=10**400), "duration", "inf"),
+        (dict(FIELD_AGP, b0=-(10**400)), "b0", "-inf"),
+    ],
+    ids=["power-over-bandwidth", "power-sweep", "field-pair", "huge-int",
+         "huge-negative-int"],
+)
+def test_cli_number_that_overflows_is_a_config_error(tmp_path, capsys, raw, key, shown):
+    """Finite inputs whose float value or resolved sigma2 or magnitude is not
+    finite are refused like the NaN and Infinity tokens."""
+    _refused_as_non_finite(tmp_path, capsys, raw, key, shown)
+
+
 @pytest.mark.parametrize("source", ["config", "--seed"])
 def test_cli_seed_beyond_64_bits_is_a_config_error(tmp_path, capsys, source):
     # a master seed is the low word of a 128-bit Philox key
@@ -225,6 +309,10 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
         # midpoint noise of 10^9 propagation slices per noise step
         dict(AGP_CONFIG, engine="exact_propagation", substeps=10**9),
         dict(GATE_CONFIG, engine="exact_propagation", substeps=10**9),
+        # 250,000 slices fit the bound, 4096 realizations of them do not,
+        # although sigma^2 = 0 propagates one
+        dict(AGP_CONFIG, engine="exact_propagation", substeps=1000, sigma2=[0.0]),
+        dict(GATE_CONFIG, engine="exact_propagation", substeps=1000, sigma2=[0.0]),
     ],
     ids=[
         "agp-dephase",
@@ -232,6 +320,8 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
         "noise-validate",
         "agp-dephase-substeps",
         "gate-fidelity-substeps",
+        "agp-dephase-noiseless-slices",
+        "gate-fidelity-noiseless-slices",
     ],
 )
 def test_cli_resource_exit_code(tmp_path, raw):

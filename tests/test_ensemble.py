@@ -22,9 +22,9 @@ from gqclab import (
     transverse_magnetization,
     variance_analytic,
 )
-from gqclab import ensemble
+from gqclab import ensemble, errors
 from gqclab.adiabatic import eigenframe, stochastic_phase_batch
-from gqclab.ensemble import _ensemble_noise
+from gqclab.ensemble import ENGINES, _ensemble_noise
 
 EQUAL = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -355,3 +355,84 @@ def test_averaged_density_analytic_matches_monte_carlo():
         < 3 * mc.standard_errors[0, 1]
     )
     assert abs(abs(analytic.matrix[0, 1]) - 0.5 * np.exp(-1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("realizations", [3, 4096])
+def test_zero_noise_row_equals_the_full_ensemble(every_row, engine, realizations):
+    """One propagated row, broadcast, against all rows propagated: the
+    entries agree to max(R, 16) eps (a mean of R equal rows has roundoff up
+    to ~R eps), and the standard errors stay at their roundoff floor."""
+    cfg = _config(0.0, realizations=realizations, engine=engine, amplitudes=(0.6, 0.8j))
+    one, gamma_a = run_ensemble(cfg)
+    full, full_gamma_a = every_row(run_ensemble, cfg)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(one.matrix - full.matrix)) <= max(realizations, 16) * eps
+    for density in (one, full):
+        assert np.max(density.standard_errors) <= np.sqrt(realizations) * eps
+        assert density.realizations_used == realizations
+    assert np.array_equal(gamma_a, full_gamma_a)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_noise_row_is_propagated_once(propagated_rows, engine):
+    run_ensemble(_config(0.0, realizations=64, engine=engine))
+    assert propagated_rows == [1] * (1 if engine == "exact_propagation" else 2)
+    propagated_rows.clear()
+    run_ensemble(_config(3.0, realizations=64, engine=engine))
+    assert set(propagated_rows) == {64}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_noise_peak_memory_grows_only_with_the_density(peak_bytes, engine):
+    """At sigma^2 = 0 the noise and the engine's state are one row; what
+    grows with the realizations is the broadcast density reduction, a few
+    2 x 2 complex matrices per realization, below one 201-point noise row."""
+    peaks = {
+        n: peak_bytes(run_ensemble, _config(0.0, realizations=n, engine=engine))
+        for n in (256, 4096)
+    }
+    per_realization = (peaks[4096] - peaks[256]) / (4096 - 256)
+    assert per_realization < 3 * 4 * 16  # 104 bytes measured
+    assert per_realization < 201 * 8
+
+
+def test_zero_noise_row_matches_the_noiseless_propagator(noiseless_propagator):
+    """The exact engine's sigma^2 = 0 density against the closed form, at
+    the agp-sweep configuration: 4.2e-3 at 200 slices, then O(slices^-2).
+    The closed form's 1 - |D| is 9.07e-5; the engine reads 7.85e-5 there."""
+    h = _hamiltonian()
+    frame = eigenframe(h, [0.0, 1.0])
+    c = np.asarray(EQUAL)
+    psi0 = frame.states[:, 0].T @ c
+    amps = frame.states[:, -1].conj() @ noiseless_propagator(h, 1.0) @ psi0
+    rho = np.outer(amps, amps.conj())
+    gamma_a = deterministic_phases(h, 1.0)
+    reference = c[1] * c[0] * np.exp(-1j * (gamma_a[1] - gamma_a[0]))
+    residuals = []
+    for substeps in (1, 2, 4):
+        cfg = _config(0.0, engine="exact_propagation", substeps=substeps)
+        matrix = run_ensemble(cfg)[0].matrix
+        residuals.append(np.max(np.abs(matrix - rho)))
+        if substeps == 1:
+            assert abs(1.0 - abs(matrix[1, 0] / reference) - 7.85e-5) < 1e-7
+    assert residuals[0] < 4.5e-3
+    ratios = [coarse / fine for coarse, fine in zip(residuals, residuals[1:])]
+    assert all(3.8 < r < 4.2 for r in ratios)
+    assert abs(1.0 - abs(rho[1, 0] / reference) - 9.07e-5) < 1e-7
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_noise_bounds_count_every_realization(
+    monkeypatch, refused_unallocated, engine
+):
+    """The one-row shortcut is refused wherever the full ensemble would be.
+    With the bound at 20,000 elements: 128 paths of 201 points, and for the
+    exact engine 64 realizations of 800 slices, although one row fits; 16
+    realizations of 800 slices fit and run."""
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 20_000)
+    refused_unallocated(run_ensemble, _config(0.0, realizations=128, engine=engine))
+    if engine == "exact_propagation":
+        cfg = _config(0.0, realizations=64, engine=engine, substeps=4)
+        refused_unallocated(run_ensemble, cfg)
+        run_ensemble(_config(0.0, realizations=16, engine=engine, substeps=4))

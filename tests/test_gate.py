@@ -20,8 +20,9 @@ from gqclab import (
     level_index_map,
     make_noise_ensemble,
 )
-from gqclab import gate
+from gqclab import errors, gate
 from gqclab.adiabatic import stochastic_phase_batch
+from gqclab.ensemble import ENGINES
 from gqclab.gate import (
     BELL_LEVELS,
     _FLIPS,
@@ -285,6 +286,17 @@ def test_bell_gate_engines_agree_with_closed_form():
     assert abs(a.fidelity - e.fidelity) < 3 * combined
 
 
+def _pi_pulses(h):
+    """The 4 x 4 ideal pi-pulses by target qubit, and the product eigenbasis
+    at azimuth 0 (rows: levels), where each pulse swaps the target qubit's
+    aligned and anti-aligned states."""
+    one_qubit = QubitHamiltonian(coupling=h.coupling, schedule=h.schedule)
+    aligned, anti = eigenframe(one_qubit, [0.0, 1.0]).states[:, 0, :]
+    flip = np.outer(aligned, anti.conj()) + np.outer(anti, aligned.conj())
+    pulses = {1: np.kron(flip, np.eye(2)), 2: np.kron(np.eye(2), flip)}
+    return pulses, eigenframe(h, [0.0, 1.0]).states[:, 0, :]
+
+
 def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
     """The u x u engine equals 4x4 slice products with 4x4 pi-pulses, under
     scalar and vector noise."""
@@ -292,13 +304,7 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
     n_seg = 250
     t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
     c = np.asarray(BELL, dtype=complex)
-
-    # pi-pulse: swap the aligned and anti-aligned states at azimuth 0
-    one_qubit = QubitHamiltonian(coupling=h.coupling, schedule=h.schedule)
-    aligned, anti = eigenframe(one_qubit, t_local).states[:, 0, :]
-    flip = np.outer(aligned, anti.conj()) + np.outer(anti, aligned.conj())
-    pulses = {1: np.kron(flip, np.eye(2)), 2: np.kron(np.eye(2), flip)}
-    basis = eigenframe(h, t_local).states[:, 0, :]  # rows: product levels at t = 0
+    pulses, basis = _pi_pulses(h)
     for dimension in (1, 3):
         spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
         samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 4)
@@ -394,3 +400,109 @@ def test_gate_onset_ratio_identity_and_linearity():
     )
     with pytest.raises(ValueError):
         gate_onset_ratio(1.0, 0.0, gamma, eta, tau_c, period, theta)
+
+
+def _gate_density(cfg, seq):
+    """bell_gate_run's averaged density matrix and standard errors."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        real = gate._averaged_density
+        patch.setattr(
+            gate, "_averaged_density", lambda *a: seen.append(real(*a)) or seen[-1]
+        )
+        bell_gate_run(cfg, seq)
+    [(matrix, se)] = seen
+    return matrix, se
+
+
+def _gate_config(sigma2, engine, realizations=64, substeps=1):
+    h, seq = _setup()
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=sigma2, correlation_time=0.04),
+        initial_amplitudes=BELL,
+        realizations=realizations,
+        master_seed=5,
+        engine=engine,
+        substeps=substeps,
+    )
+    return cfg, seq
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("realizations", [3, 512])
+def test_zero_noise_gate_equals_the_full_ensemble(every_row, engine, realizations):
+    """As for run_ensemble: entries within max(R, 16) eps of all rows
+    propagated, standard errors at their roundoff floor sqrt(R) eps."""
+    cfg, seq = _gate_config(0.0, engine, realizations)
+    matrix, se = _gate_density(cfg, seq)
+    full_matrix, full_se = every_row(_gate_density, cfg, seq)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(matrix - full_matrix)) <= max(realizations, 16) * eps
+    assert max(np.max(se), np.max(full_se)) <= np.sqrt(realizations) * eps
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
+    """One noise row per segment and level: 4 exact propagations, or 8
+    stochastic phases (4 segments x 2 Bell levels)."""
+    bell_gate_run(*_gate_config(0.0, engine))
+    assert propagated_rows == [1] * (4 if engine == "exact_propagation" else 8)
+    propagated_rows.clear()
+    bell_gate_run(*_gate_config(20.0, engine))
+    assert set(propagated_rows) == {64}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_noise_gate_peak_memory_grows_only_with_the_density(peak_bytes, engine):
+    """What grows with the realizations is the broadcast density
+    reduction, a few 4 x 4 complex matrices per realization, not the
+    1001-point noise path or the propagators."""
+    peaks = {
+        n: peak_bytes(bell_gate_run, *_gate_config(0.0, engine, n)) for n in (256, 4096)
+    }
+    per_realization = (peaks[4096] - peaks[256]) / (4096 - 256)
+    assert per_realization < 3 * 16 * 16  # 375 bytes measured
+    assert per_realization < 1001 * 8
+
+
+def test_zero_noise_gate_matches_the_noiseless_propagator(noiseless_propagator):
+    """The exact engine's sigma^2 = 0 Bell run against the closed form: each
+    segment is u x u with u from its own contour direction, then its ideal
+    pi-pulse.  The error falls as O(slices^-2)."""
+    h, seq = _setup()
+    pulses, basis = _pi_pulses(h)
+    psi = basis.T @ np.asarray(BELL)
+    for sched, target in seq.segments:
+        u = noiseless_propagator(replace(h, schedule=sched, qubit_count=1), seq.period)
+        psi = pulses[target] @ np.kron(u, u) @ psi
+    amps = basis.conj() @ psi
+    rho = np.outer(amps, amps.conj())
+    bell = np.asarray(BELL)
+    fidelity = float(np.real(bell @ rho @ bell))
+    gamma_a = _gate_gamma_a(seq, h, seq.period)
+    d_exact = rho[0, 3] / (0.5 * np.exp(-1j * (gamma_a[0] - gamma_a[3])))
+    assert 1.0 - fidelity < 1.2e-7
+    residuals = []
+    for substeps in (1, 2, 4, 8):
+        res = bell_gate_run(*_gate_config(0.0, "exact_propagation", 8, substeps))
+        assert abs(res.fidelity - fidelity) < 2e-8  # 1.9e-8 at 250 slices
+        residuals.append(abs(res.mc_factor - d_exact))
+    assert residuals[0] < 1e-6  # 8.1e-7, then 2.2e-7, 5.7e-8 and 1.4e-8
+    ratios = [coarse / fine for coarse, fine in zip(residuals[1:], residuals[2:])]
+    assert all(3.5 < r < 4.5 for r in ratios)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_noise_gate_bounds_count_every_realization(
+    monkeypatch, refused_unallocated, engine
+):
+    """Refused wherever the full ensemble would be.  With the bound at
+    20,000 elements: 32 paths of 1,001 points, and for the exact engine 16
+    realizations of 2,000 slices per segment, although one row fits; 16
+    realizations of 1,000 slices fit and run."""
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 20_000)
+    refused_unallocated(bell_gate_run, *_gate_config(0.0, engine, 32))
+    if engine == "exact_propagation":
+        refused_unallocated(bell_gate_run, *_gate_config(0.0, engine, 16, 8))
+        bell_gate_run(*_gate_config(0.0, engine, 16, 4))
