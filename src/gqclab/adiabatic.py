@@ -373,13 +373,13 @@ def evolve_exact_batch(
     n_real x slices x dim above MAX_ELEMENTS is refused before allocating.
     Norm is preserved to 1e-10 by construction; accuracy improves as
     O(slices^-2) and is validated by slice doubling in the tests.  Two
-    qubits under the same field and noise evolve under u x u, which
-    ``bell_gate_run`` composes from the columns of u.
+    qubits under the same field and noise evolve under u x u, which the
+    ensemble's exact engine composes from the columns of u.
     """
     if h.qubit_count != 1:
         raise ValueError(
-            "exact propagation is single-qubit; bell_gate_run composes the "
-            "two-qubit propagator u x u"
+            "exact propagation is single-qubit; the ensemble's exact engine "
+            "composes the two-qubit propagator u x u"
         )
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim not in (1, 2) or psi0.shape[0] != 2:

@@ -93,6 +93,8 @@ def _as_int(value, key, errors, minimum=None, below=None):
     if isinstance(value, bool) or not isinstance(value, int):
         errors.append(f"{key}: expected an integer, got {value!r}")
         return None
+    if _as_number(value, key, errors) is None:  # beyond the float range
+        return None
     if minimum is not None and value < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {value}")
         return None

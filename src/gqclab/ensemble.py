@@ -21,7 +21,8 @@ P/V = sigma^2 * d_omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,24 +144,19 @@ class DecoherenceReport:
 
 
 def _grid_steps(duration: float, dt: float) -> int:
-    """Steps of a grid ending at ``duration``, none coarser than ``dt``."""
-    return int(np.ceil(duration / dt * (1.0 - 1e-12)))  # T / dt = n + ulp stays n
+    """Steps of a grid ending at ``duration``, none coarser than ``dt``; a
+    count above MAX_ELEMENTS, or an infinite one, is refused."""
+    steps = duration / dt * (1.0 - 1e-12)  # T / dt = n + ulp stays n
+    _check_elements((steps,), "time grid")
+    return math.ceil(steps)
 
 
-def _ensemble_noise(
-    config: EnsembleConfig, duration: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid and noise samples (rows, n_t, dim) for the run; one row at
-    sigma^2 = 0, where every realization is the same +0.0 path."""
-    n_steps = _grid_steps(duration, dt)
-    dt = duration / n_steps
-    spec, seed, rows = config.noise, config.master_seed, config.realizations
-    if spec.variance == 0.0:  # refused as the rows it stands for would be
-        n_t = _noise_grid(spec, duration, dt, seed, rows)
-        _check_elements((rows, n_t, spec.dimension), "noise ensemble")
-        rows = 1
-    samples = make_noise_ensemble(spec, duration, dt, seed, rows)
-    return np.linspace(0.0, duration, n_steps + 1), samples
+def _ensemble_noise(config: EnsembleConfig, duration: float, dt: float) -> np.ndarray:
+    """Noise samples (rows, n_t, dim) for the run; one row at sigma^2 = 0,
+    where every realization is the same +0.0 path."""
+    spec = config.noise
+    rows = 1 if spec.variance == 0.0 else config.realizations
+    return make_noise_ensemble(spec, duration, dt, config.master_seed, rows)
 
 
 def _averaged_density(amps: np.ndarray, realizations: int):
@@ -174,6 +170,105 @@ def _averaged_density(amps: np.ndarray, realizations: int):
     return np.mean(rho, axis=0), se
 
 
+def _gamma_a(segments, span: float) -> np.ndarray:
+    """Deterministic Gamma_a(k) of every level, summed over the segments,
+    each ``span`` long; level k sits on level k ^ flips during a segment."""
+    levels = np.arange(segments[0][0].n_levels)
+    gamma_a = np.zeros(levels.size)
+    for h, flips, _ in segments:
+        gamma_a += deterministic_phases(h, span)[levels ^ flips]
+    return gamma_a
+
+
+def _gamma_s(segments, t: np.ndarray, samples: np.ndarray, levels) -> np.ndarray:
+    """Gamma_s (rows, n_levels) of ``levels`` along noise samples that span
+    the segments back to back, each on the grid ``t``; one eigenframe per
+    distinct segment Hamiltonian.  The other columns stay 0."""
+    n = t.size - 1
+    frames = {}
+    gamma_s = np.zeros((samples.shape[0], segments[0][0].n_levels))
+    for l, (h, flips, _) in enumerate(segments):
+        if h not in frames:
+            frames[h] = eigenframe(h, t)
+        window = samples[:, l * n : (l + 1) * n + 1]
+        for k in levels:
+            gamma_s[:, k] += stochastic_phase_batch(h, frames[h], window, k ^ flips)
+    return gamma_s
+
+
+def _exact_amplitudes(segments, t, samples, c, slices: int) -> np.ndarray:
+    """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation,
+    in ``slices`` slices per segment.
+
+    One qubit (one segment) propagates its lab-frame state, entering and
+    leaving through the eigenframe's first and last states.  Two qubits see
+    the same field and noise, so a segment's propagator is u x u and the
+    amplitude matrix Psi[i1, i2] evolves as u Psi u^T.  Psi is kept in the
+    eigenbasis at the segment boundaries (azimuth 0), where the ideal
+    pi-pulse swaps the target qubit's aligned and anti-aligned levels.  Two
+    qubits need uniform cone angles: per-level angles do not define a
+    single Hamiltonian.
+    """
+    h = segments[0][0]
+    n = t.size - 1
+    if h.qubit_count == 1:
+        frame = eigenframe(h, t)
+        psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
+        psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
+        return psi_f @ frame.states[:, -1, :].conj().T
+    if not h.uniform_cone_angles():
+        raise ValueError(
+            "exact two-qubit propagation requires uniform level_cone_angles"
+        )
+    # columns: the aligned and anti-aligned single-qubit states at azimuth 0
+    half = h.schedule.cone_angle / 2.0
+    v = np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
+    psi = np.broadcast_to(c.reshape(2, 2), (samples.shape[0], 2, 2))
+    for l, (h_seg, _, target) in enumerate(segments):
+        one_qubit = replace(h_seg, qubit_count=1, level_cone_angles=None)
+        window = samples[:, l * n : (l + 1) * n + 1]
+        u = v.T @ evolve_exact_batch(one_qubit, t, window, v, slices)
+        psi = u @ psi @ u.swapaxes(-1, -2)
+        if target:
+            psi = np.flip(psi, axis=target)
+    return psi.reshape(-1, 4)
+
+
+def _run_segments(config: EnsembleConfig, segments):
+    """``run_ensemble`` over ``segments`` run back to back.
+
+    Each segment is (Hamiltonian, flips, target): level k sits on level
+    k ^ flips during it, and an ideal pi-pulse flips qubit ``target`` at
+    its end (0: no pulse).  Every segment lasts its schedule's duration on
+    one grid of steps no coarser than ``config.dt``, and one noise path
+    spans them all.  The seed, the grid and both element bounds are checked
+    for every configured realization before anything is allocated.
+    """
+    config.check_adiabatic()
+    span = segments[0][0].schedule.duration
+    n = _grid_steps(span, config.dt)
+    spec, rows = config.noise, config.realizations
+    duration, dt = len(segments) * span, span / n
+    n_t = _noise_grid(spec, duration, dt, config.master_seed, rows)
+    _check_elements((rows, n_t, spec.dimension), "noise ensemble")
+    slices = n * config.substeps
+    exact = config.engine == "exact_propagation"
+    if exact:
+        _check_elements((rows, slices, spec.dimension), "exact propagation")
+    t = np.linspace(0.0, span, n + 1)
+    samples = _ensemble_noise(config, duration, dt)
+    gamma_a = _gamma_a(segments, span)
+    c = config.amplitudes
+    if exact:
+        amps = _exact_amplitudes(segments, t, samples, c, slices)
+    else:
+        gamma_s = _gamma_s(segments, t, samples, np.flatnonzero(c))
+        amps = c * np.exp(-1j * (gamma_a + gamma_s))
+    matrix, se = _averaged_density(amps, rows)
+    density = AveragedDensity(matrix=matrix, standard_errors=se, realizations_used=rows)
+    return density, gamma_a
+
+
 def run_ensemble(config: EnsembleConfig):
     """Average rho(t_f; k) over noise realizations.
 
@@ -184,36 +279,7 @@ def run_ensemble(config: EnsembleConfig):
     density is a plain ``np.mean`` of the per-realization outer products
     along axis 0.
     """
-    h = config.hamiltonian
-    config.check_adiabatic()
-    t, samples = _ensemble_noise(config, h.schedule.duration, config.dt)
-    frame = eigenframe(h, t)
-    c = config.amplitudes
-
-    gamma_a = deterministic_phases(h, t[-1] - t[0])
-    if config.engine == "analytic_phase":
-        gamma_s = np.stack(
-            [
-                stochastic_phase_batch(h, frame, samples, level)
-                for level in range(h.n_levels)
-            ]
-        )  # (n_levels, n_real)
-        amps = c[None, :] * np.exp(
-            -1j * (gamma_a[None, :] + gamma_s.T)
-        )  # (n_real, n_levels)
-    else:
-        psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
-        slices = (t.size - 1) * config.substeps
-        _check_elements((config.realizations, slices, config.noise.dimension),
-                        "exact propagation")
-        psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
-        amps = psi_f @ frame.states[:, -1, :].conj().T
-
-    matrix, se = _averaged_density(amps, config.realizations)
-    density = AveragedDensity(
-        matrix=matrix, standard_errors=se, realizations_used=config.realizations
-    )
-    return density, gamma_a
+    return _run_segments(config, [(config.hamiltonian, 0, 0)])
 
 
 def decoherence_factor_analytic(variance: float) -> float:

@@ -29,26 +29,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import (
-    ControlSchedule,
-    QubitHamiltonian,
-    deterministic_phases,
-    eigenframe,
-    evolve_exact_batch,
-    stochastic_phase_batch,
-)
+from .adiabatic import ControlSchedule, QubitHamiltonian
 from .ensemble import (
     EnsembleConfig,
     ONSET_VARIANCE,
-    _averaged_density,
-    _ensemble_noise,
-    _grid_steps,
+    _gamma_a,
+    _run_segments,
     decoherence_factor_analytic,
     onset_ratio,
     overlap_integral,
     variance_analytic,
 )
-from .errors import _check_elements
 
 __all__ = [
     "PulseSequence",
@@ -143,42 +134,13 @@ class GateResult:
             )
 
 
-def _segment_hamiltonians(seq: PulseSequence, h: QubitHamiltonian):
-    return [replace(h, schedule=sched) for sched, _ in seq.segments]
-
-
-def _segment_grid(seq: PulseSequence, dt: float) -> tuple[np.ndarray, int]:
-    n_seg = _grid_steps(seq.period, dt)
-    t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
-    return t_local, n_seg
-
-
-def _gate_gamma_a(seq: PulseSequence, h: QubitHamiltonian, span: float) -> np.ndarray:
-    """Deterministic Gamma_a(k) of the four levels, summed over the segments.
-
-    ``span`` is the length of each segment's time grid.
-    """
-    gamma_a = np.zeros(4)
-    for flips, h_seg in zip(_FLIPS, _segment_hamiltonians(seq, h)):
-        gamma_a += deterministic_phases(h_seg, span)[np.arange(4) ^ flips]
-    return gamma_a
-
-
-def _gate_gamma_s(
-    seq: PulseSequence, h: QubitHamiltonian, t_local: np.ndarray, samples: np.ndarray
-) -> np.ndarray:
-    """Per-realization Gamma_s over a noise batch spanning 4T, shape
-    (n_real, 4): the Bell levels' columns; the others, with c = 0, stay 0."""
-    n_seg = t_local.size - 1
-    segments = _segment_hamiltonians(seq, h)
-    frames = [eigenframe(h_seg, t_local) for h_seg in segments[:2]]  # C, Cbar
-    gamma_s = np.zeros((samples.shape[0], 4))
-    for l, h_seg in enumerate(segments):
-        window = samples[:, l * n_seg : (l + 1) * n_seg + 1, :]
-        for k in BELL_LEVELS:
-            phase = stochastic_phase_batch(h_seg, frames[l % 2], window, k ^ _FLIPS[l])
-            gamma_s[:, k] += phase
-    return gamma_s
+def _segments(seq: PulseSequence, h: QubitHamiltonian) -> list:
+    """The gate's (Hamiltonian, flips, target) segments: each runs its own
+    schedule, with the level map's XOR mask, then pulses its target qubit."""
+    return [
+        (replace(h, schedule=sched), flips, target)
+        for (sched, target), flips in zip(seq.segments, _FLIPS)
+    ]
 
 
 def gate_overlap_sum(
@@ -200,7 +162,7 @@ def gate_overlap_sum(
         return 0.0
     return sum(
         overlap_integral(h_seg, correlation_time, (k ^ flips, j ^ flips), dimension)
-        for flips, h_seg in zip(_FLIPS, _segment_hamiltonians(seq, h))
+        for h_seg, flips, _ in _segments(seq, h)
     )
 
 
@@ -211,7 +173,7 @@ def realized_conditional_phase(seq: PulseSequence, h: QubitHamiltonian) -> float
     phase bilinear in the two qubit indices:
     phi = -[Gamma_a(11) - Gamma_a(10) - Gamma_a(01) + Gamma_a(00)].
     """
-    gamma_a = _gate_gamma_a(seq, h, seq.period)
+    gamma_a = _gamma_a(_segments(seq, h), seq.period)
     phi = -(gamma_a[3] - gamma_a[2] - gamma_a[1] + gamma_a[0])
     return float(np.mod(phi, 2.0 * np.pi))
 
@@ -264,41 +226,6 @@ def gate_onset_ratio(
     return onset_ratio(power_density, bandwidth, coupling, eta, overlap)
 
 
-def _bell_exact_amplitudes(
-    seq: PulseSequence,
-    h: QubitHamiltonian,
-    t_local: np.ndarray,
-    samples: np.ndarray,
-    c: np.ndarray,
-    substeps: int,
-) -> np.ndarray:
-    """Exact segment-by-segment propagation with ideal pi-pulses.
-
-    Both qubits see the same field and noise, so a segment's two-qubit
-    propagator is u x u and the amplitude matrix Psi[i1, i2] evolves as
-    u Psi u^T.  Psi is kept in the eigenbasis at the segment boundaries
-    (azimuth 0), where the ideal pi-pulse swaps the target qubit's aligned
-    and anti-aligned levels.  Supported for uniform cone angles only (the
-    per-level angles do not define a single Hamiltonian).  Returns
-    eigenbasis amplitudes at t_f, shape (n_real, 4).
-    """
-    if not h.uniform_cone_angles():
-        raise ValueError(
-            "exact propagation of the gate requires uniform level_cone_angles"
-        )
-    n_seg = t_local.size - 1
-    # columns: the aligned and anti-aligned single-qubit states at azimuth 0
-    half = h.schedule.cone_angle / 2.0
-    v = np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
-    psi = np.broadcast_to(c.reshape(2, 2), (samples.shape[0], 2, 2))
-    for l, (sched, target) in enumerate(seq.segments):
-        one_qubit = replace(h, schedule=sched, qubit_count=1, level_cone_angles=None)
-        window = samples[:, l * n_seg : (l + 1) * n_seg + 1, :]
-        u = v.T @ evolve_exact_batch(one_qubit, t_local, window, v, n_seg * substeps)
-        psi = np.flip(u @ psi @ u.swapaxes(-1, -2), axis=target)
-    return psi.reshape(-1, 4)
-
-
 def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
     """Run the gate on the Bell state (|00> + |11>)/sqrt(2) under noise.
 
@@ -319,24 +246,12 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
             "bell_gate_run is specific to (|00> + |11>)/sqrt(2); use "
             "run_ensemble for general states"
         )
-    config.check_adiabatic()
-    t_local, n_seg = _segment_grid(seq, config.dt)
-    _, samples = _ensemble_noise(config, seq.duration, seq.period / n_seg)
-    gamma_a = _gate_gamma_a(seq, h, t_local[-1] - t_local[0])
-
+    density, gamma_a = _run_segments(config, _segments(seq, h))
     k, j = BELL_LEVELS
-    if config.engine == "analytic_phase":
-        gamma_s = _gate_gamma_s(seq, h, t_local, samples)
-        amps = c * np.exp(-1j * (gamma_a + gamma_s))
-    else:
-        _check_elements((config.realizations, n_seg * config.substeps,
-                         config.noise.dimension), "exact propagation")
-        amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, config.substeps)
-    matrix, se = _averaged_density(amps, config.realizations)
-    fidelity = float(np.real(bell.conj() @ matrix @ bell))
+    fidelity = float(np.real(bell.conj() @ density.matrix @ bell))
     gamma_a_kj = gamma_a[k] - gamma_a[j]
     reference = 0.5 * np.exp(-1j * gamma_a_kj)
-    mc_factor = complex(matrix[k, j] / reference)
+    mc_factor = complex(density.matrix[k, j] / reference)
 
     noise = config.noise
     overlap_sum = gate_overlap_sum(
@@ -349,7 +264,7 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
     return GateResult(
         conditional_phase=realized_conditional_phase(seq, h),
         fidelity=min(max(fidelity, 0.0), 1.0),
-        fidelity_standard_error=float(se[k, j]),
+        fidelity_standard_error=float(density.standard_errors[k, j]),
         fidelity_closed_form=fid_closed,
         decoherence_factor=d_analytic,
         mc_factor=mc_factor,

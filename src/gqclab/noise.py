@@ -131,8 +131,11 @@ def _ensemble_normals(
 
 
 def _n_times(duration: float, dt: float) -> int:
-    """Points of the grid 0, dt, ..., duration."""
-    return int(round(duration / dt)) + 1
+    """Points of the grid 0, dt, ..., duration; a step count above
+    MAX_ELEMENTS, or an infinite one, is refused."""
+    steps = duration / dt
+    _check_elements((steps,), "time grid")
+    return int(round(steps)) + 1
 
 
 def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.signal import fftconvolve, lfilter
 
-from gqclab import ensemble, gate
+from gqclab import ensemble
 from gqclab.adiabatic import PAULI, SIGMA_Z, EigenFrame, eigenframe
 from gqclab.errors import ResourceLimitError, _check_elements
 from gqclab.gate import BELL_LEVELS, level_index_map
@@ -348,18 +348,18 @@ def refused_unallocated():
 
 
 def _every_row(fn, *args):
-    """``fn(*args)`` with run_ensemble and bell_gate_run propagating every
-    realization at sigma^2 = 0 as well, as (realizations, n_t, dim) zeros:
-    the computation that their one-row shortcut stands for."""
+    """``fn(*args)`` with the ensemble pipeline, which run_ensemble and
+    bell_gate_run share, propagating every realization at sigma^2 = 0 as
+    well, as (realizations, n_t, dim) zeros: the computation that its
+    one-row shortcut stands for."""
     one_row = ensemble._ensemble_noise
 
     def repeated(config, duration, dt):
-        t, samples = one_row(config, duration, dt)
-        return t, np.repeat(samples, config.realizations // samples.shape[0], axis=0)
+        samples = one_row(config, duration, dt)
+        return np.repeat(samples, config.realizations // samples.shape[0], axis=0)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (ensemble, gate):
-            patch.setattr(module, "_ensemble_noise", repeated)
+        patch.setattr(ensemble, "_ensemble_noise", repeated)
         return fn(*args)
 
 
@@ -370,17 +370,31 @@ def every_row():
 
 @pytest.fixture
 def propagated_rows(monkeypatch):
-    """Row counts of the noise ensembles that run_ensemble and bell_gate_run
-    hand to the engines, one entry per completed call."""
+    """Row counts of the noise ensembles that the ensemble pipeline hands to
+    the engines, one entry per completed call."""
     rows = []
-    for module in (ensemble, gate):
-        for name in ("evolve_exact_batch", "stochastic_phase_batch"):
-            real = getattr(module, name)
+    for name in ("evolve_exact_batch", "stochastic_phase_batch"):
+        real = getattr(ensemble, name)
 
-            def spy(h, frame_or_grid, samples, *args, real=real):
-                result = real(h, frame_or_grid, samples, *args)
-                rows.append(samples.shape[0])
-                return result
+        def spy(h, frame_or_grid, samples, *args, real=real):
+            result = real(h, frame_or_grid, samples, *args)
+            rows.append(samples.shape[0])
+            return result
 
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(ensemble, name, spy)
     return rows
+
+
+@pytest.fixture
+def phase_grids(monkeypatch):
+    """(frame times, noise points) of each window that the ensemble pipeline
+    hands to stochastic_phase_batch: the grid a run integrates on."""
+    grids = []
+    real = ensemble.stochastic_phase_batch
+
+    def spy(h, frame, samples, level):
+        grids.append((frame.times, samples.shape[1]))
+        return real(h, frame, samples, level)
+
+    monkeypatch.setattr(ensemble, "stochastic_phase_batch", spy)
+    return grids

@@ -226,6 +226,31 @@ def test_cli_number_that_overflows_is_a_config_error(tmp_path, capsys, raw, key,
     _refused_as_non_finite(tmp_path, capsys, raw, key, shown)
 
 
+HUGE_GRID = "resource bound exceeded: time grid"
+
+
+@pytest.mark.parametrize(
+    "raw, code, message",
+    [
+        (dict(NOISE_CONFIG, duration=1e308), 4, HUGE_GRID),
+        (dict(AGP_CONFIG, period=1e308, cycles=2), 4, HUGE_GRID),
+        (dict(AGP_CONFIG, cycles=10**400), 2, "config error: cycles: must be finite"),
+        (dict(GATE_CONFIG, period=1e308), 4, HUGE_GRID),
+        (dict(GATE_CONFIG, period=1e307), 4, HUGE_GRID),
+    ],
+    ids=["noise-duration", "agp-period", "agp-cycles", "gate-period", "gate-period-1e307"],
+)
+def test_cli_huge_finite_number_is_refused(tmp_path, capsys, raw, code, message):
+    """A finite number whose time grid has no finite or bounded step count is
+    refused with exit 4 before any grid is built, and a cycle count beyond
+    the float range is a config error; no table or manifest is written."""
+    path = _write(tmp_path, "cfg.json", raw)
+    out = str(tmp_path / "x.csv")
+    assert main([raw["experiment"], "--config", path, "--out", out]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("source", ["config", "--seed"])
 def test_cli_seed_beyond_64_bits_is_a_config_error(tmp_path, capsys, source):
     # a master seed is the low word of a 128-bit Philox key

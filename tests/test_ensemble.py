@@ -1,5 +1,7 @@
 """Monte Carlo ensemble vs Gaussian closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -24,7 +26,7 @@ from gqclab import (
 )
 from gqclab import ensemble, errors
 from gqclab.adiabatic import eigenframe, stochastic_phase_batch
-from gqclab.ensemble import ENGINES, _ensemble_noise
+from gqclab.ensemble import ENGINES, _ensemble_noise, _grid_steps
 
 EQUAL = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -57,8 +59,10 @@ def _sigma2_for_variance(h, tau_c, v_target):
 def _gamma_s(cfg):
     """Gamma_s (n_levels, n_real) along the noise paths run_ensemble draws."""
     h = cfg.hamiltonian
-    t, samples = _ensemble_noise(cfg, h.schedule.duration, cfg.dt)
-    frame = eigenframe(h, t)
+    duration = h.schedule.duration
+    n = _grid_steps(duration, cfg.dt)
+    samples = _ensemble_noise(cfg, duration, duration / n)
+    frame = eigenframe(h, np.linspace(0.0, duration, n + 1))
     return np.stack(
         [stochastic_phase_batch(h, frame, samples, k) for k in range(h.n_levels)]
     )
@@ -192,29 +196,30 @@ def test_resource_bound():
         run_ensemble(cfg)
 
 
-def test_exact_engine_two_qubit_run_is_refused():
-    """Two-qubit exact propagation is bell_gate_run's; run_ensemble refuses it."""
-    sched = ControlSchedule(magnitude=200.0, cone_angle=np.pi / 2, period=1.0)
-    h = QubitHamiltonian(coupling=1.0, schedule=sched, qubit_count=2)
-    cfg = _config(
-        1.0,
-        realizations=4,
-        engine="exact_propagation",
-        hamiltonian=h,
-        amplitudes=(0.5, 0.5, 0.5, 0.5),
-    )
-    with pytest.raises(ValueError, match="bell_gate_run"):
-        run_ensemble(cfg)
+def test_exact_engine_two_qubit_product_state_is_the_kronecker_square():
+    """At sigma^2 = 0 a two-qubit run on a product state is the one-qubit
+    run on each factor: rho = rho_1 x rho_1 and Gamma_a(i1 i2) =
+    Gamma_a(i1) + Gamma_a(i2).  Per-level cone angles are refused."""
+    a = np.array([0.6, 0.8j])
+    one = _config(0.0, realizations=8, engine="exact_propagation", amplitudes=a)
+    h = replace(one.hamiltonian, qubit_count=2)
+    two = replace(one, hamiltonian=h, initial_amplitudes=np.kron(a, a))
+    (rho_1, gamma_1), (rho_2, gamma_2) = run_ensemble(one), run_ensemble(two)
+    assert np.max(np.abs(rho_2.matrix - np.kron(rho_1.matrix, rho_1.matrix))) < 1e-14
+    assert np.allclose(gamma_2, np.add.outer(gamma_1, gamma_1).ravel(), atol=1e-12)
+    angles = replace(h, level_cone_angles=(1.0, 1.0, 1.0, 1.2))
+    with pytest.raises(ValueError, match="uniform level_cone_angles"):
+        run_ensemble(replace(two, hamiltonian=angles))
 
 
-def test_noise_grid_ends_at_the_schedule_duration():
+def test_noise_grid_ends_at_the_schedule_duration(phase_grids):
     # T / dt = 333.3: the grid takes 334 steps of 1/334 and ends at T = 1
     h = _hamiltonian(magnitude=400.0)
     cfg = _config(1.0, tau_c=0.03, realizations=8, noise_dt=0.003, hamiltonian=h)
-    t, samples = _ensemble_noise(cfg, 1.0, cfg.dt)
-    assert t[-1] == 1.0 and t.size == samples.shape[1] == 335
-    assert np.max(np.diff(t)) <= 0.003
     _, gamma_a = run_ensemble(cfg)
+    t, n_t = phase_grids[0]
+    assert t[-1] == 1.0 and t.size == n_t == 335
+    assert np.max(np.diff(t)) <= 0.003
     assert np.array_equal(gamma_a, deterministic_phases(h, 1.0))
 
 

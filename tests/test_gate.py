@@ -11,7 +11,6 @@ from gqclab import (
     NoiseSpec,
     QubitHamiltonian,
     PulseSequence,
-    ResourceLimitError,
     bell_gate_run,
     calibrate_level_cone_angles,
     eigenframe,
@@ -20,18 +19,10 @@ from gqclab import (
     level_index_map,
     make_noise_ensemble,
 )
-from gqclab import errors, gate
+from gqclab import ensemble, errors, gate
 from gqclab.adiabatic import stochastic_phase_batch
-from gqclab.ensemble import ENGINES
-from gqclab.gate import (
-    BELL_LEVELS,
-    _FLIPS,
-    _bell_exact_amplitudes,
-    _gate_gamma_a,
-    _gate_gamma_s,
-    _segment_grid,
-    realized_conditional_phase,
-)
+from gqclab.ensemble import ENGINES, _exact_amplitudes, _gamma_a, _gamma_s, _grid_steps
+from gqclab.gate import BELL_LEVELS, _FLIPS, _segments, realized_conditional_phase
 
 BELL = (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
 
@@ -88,11 +79,17 @@ def test_pulse_sequence_structure():
         assert {(s.cycles, s.period) for s, _ in segments} == {(1, seq.period)}
 
 
+def _grid(seq, dt):
+    """The pipeline's segment grid for step ``dt``, and its step count."""
+    n_seg = _grid_steps(seq.period, dt)
+    return np.linspace(0.0, seq.period, n_seg + 1), n_seg
+
+
 def test_gate_phases_zero_noise_and_short_path():
     h, seq = _setup()
-    t_local, n_seg = _segment_grid(seq, 0.004)
+    t_local, n_seg = _grid(seq, 0.004)
     noise = np.zeros((1, 4 * n_seg + 1, 1))
-    [gamma_s] = _gate_gamma_s(seq, h, t_local, noise)
+    [gamma_s] = _gamma_s(_segments(seq, h), t_local, noise, BELL_LEVELS)
     assert np.array_equal(gamma_s, np.zeros(4))
 
 
@@ -110,17 +107,18 @@ def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
     directions = []
 
     def counted(h_seg, t):
-        directions.append(h_seg.schedule.direction)
+        if len(t) > 3:  # not the three-point frames of the overlap integrals
+            directions.append(h_seg.schedule.direction)
         return eigenframe(h_seg, t)
 
-    monkeypatch.setattr(gate, "eigenframe", counted)
+    monkeypatch.setattr(ensemble, "eigenframe", counted)
     bell_gate_run(cfg, seq)
     assert directions == ["forward", "reversed"]
 
     # the shared frames give the bits of one frame per segment and level
-    t_local, n_seg = _segment_grid(seq, cfg.dt)
+    t_local, n_seg = _grid(seq, cfg.dt)
     samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 8)
-    gamma_s = _gate_gamma_s(seq, h, t_local, samples)
+    gamma_s = _gamma_s(_segments(seq, h), t_local, samples, BELL_LEVELS)
     for level in BELL_LEVELS:
         expected = np.zeros(8)
         for l, (sched, _) in enumerate(seq.segments):
@@ -136,7 +134,7 @@ def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
 def test_uniform_angles_give_zero_conditional_phase():
     h, seq = _setup()
     # spin echo: every level accumulates zero net deterministic phase
-    for v in _gate_gamma_a(seq, h, seq.period):
+    for v in _gamma_a(_segments(seq, h), seq.period):
         assert abs(v) < 1e-9
     assert realized_conditional_phase(seq, h) < 1e-9
 
@@ -161,7 +159,7 @@ def test_gate_phases_solid_angle_oracle():
             total += -orient * sign * np.pi * (1.0 - np.cos(theta))
         return total
 
-    gamma_a = _gate_gamma_a(seq, h, seq.period)
+    gamma_a = _gamma_a(_segments(seq, h), seq.period)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert abs(gamma_a[2 * bits[0] + bits[1]] - solid_angle_gamma_a(bits)) < 1e-8
 
@@ -184,7 +182,7 @@ def test_gate_is_diagonal_conditional_phase():
     phi = 1.3
     angles = calibrate_level_cone_angles(phi, np.pi / 3)
     h, seq = _setup(angles=angles)
-    ga = _gate_gamma_a(seq, h, seq.period)  # levels 00, 01, 10, 11
+    ga = _gamma_a(_segments(seq, h), seq.period)  # levels 00, 01, 10, 11
     bilinear = -(ga[3] - ga[2] - ga[1] + ga[0])
     assert abs(bilinear % (2 * np.pi) - phi) < 1e-9
 
@@ -247,11 +245,9 @@ def test_bell_gate_noiseless_perfect_fidelity():
     assert res.decoherence_factor == 1.0
 
 
-def test_bell_gate_grid_step_is_never_coarser_than_requested():
+def test_bell_gate_grid_step_is_never_coarser_than_requested(phase_grids):
     # P / dt = 333.3: 333 steps would exceed tau_c / 10 and be refused
     h, seq = _setup()
-    t_local, n_seg = _segment_grid(seq, 0.003)
-    assert (n_seg, t_local[-1]) == (334, 1.0)
     cfg = EnsembleConfig(
         hamiltonian=h,
         noise=NoiseSpec(variance=0.0, correlation_time=0.03),
@@ -260,6 +256,8 @@ def test_bell_gate_grid_step_is_never_coarser_than_requested():
         engine="analytic_phase",
     )
     assert abs(bell_gate_run(cfg, seq).fidelity - 1.0) < 1e-9
+    t_local, n_t = phase_grids[0]
+    assert (t_local.size - 1, t_local[-1], n_t) == (334, 1.0, 335)
 
 
 def test_bell_gate_engines_agree_with_closed_form():
@@ -297,32 +295,38 @@ def _pi_pulses(h):
     return pulses, eigenframe(h, [0.0, 1.0]).states[:, 0, :]
 
 
+#: a two-qubit state that is neither a product nor a Bell state
+GENERIC = (0.5, 0.5j, -0.1 + 0.5j, np.sqrt(0.24))
+
+
 def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
     """The u x u engine equals 4x4 slice products with 4x4 pi-pulses, under
-    scalar and vector noise."""
+    scalar and vector noise: the gate's four segments on the Bell state, and
+    a two-qubit run_ensemble's one segment, without a pulse, on GENERIC."""
     h, seq = _setup(magnitude=60.0)
     n_seg = 250
     t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
-    c = np.asarray(BELL, dtype=complex)
     pulses, basis = _pi_pulses(h)
-    for dimension in (1, 3):
-        spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
-        samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 4)
-        amps = _bell_exact_amplitudes(seq, h, t_local, samples, c, substeps=1)
-        for path, got in zip(samples, amps):
-            psi = basis.T @ c
-            for l, (sched, target) in enumerate(seq.segments):
-                window = path[l * n_seg : (l + 1) * n_seg + 1]
-                h_seg = QubitHamiltonian(
-                    coupling=h.coupling, schedule=sched, qubit_count=2
-                )
-                u = two_qubit_slice_product(h_seg, t_local, window, n_seg)
-                psi = pulses[target] @ u @ psi
-            assert np.max(np.abs(basis.conj() @ psi - got)) < 1e-12
+    pulses[0] = np.eye(4)
+    for segments, c in ((_segments(seq, h), BELL), ([(h, 0, 0)], GENERIC)):
+        c = np.asarray(c, dtype=complex)
+        duration = len(segments) * seq.period
+        for dimension in (1, 3):
+            spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
+            samples = make_noise_ensemble(spec, duration, seq.period / n_seg, 3, 4)
+            amps = _exact_amplitudes(segments, t_local, samples, c, slices=n_seg)
+            for path, got in zip(samples, amps):
+                psi = basis.T @ c
+                for l, (h_seg, _, target) in enumerate(segments):
+                    window = path[l * n_seg : (l + 1) * n_seg + 1]
+                    u = two_qubit_slice_product(h_seg, t_local, window, n_seg)
+                    psi = pulses[target] @ u @ psi
+                assert np.max(np.abs(basis.conj() @ psi - got)) < 1e-12
 
 
-def test_bell_gate_resource_bound():
-    # 4096 paths of 4 x 10^6 + 1 points: far above MAX_ELEMENTS, refused unallocated
+def test_bell_gate_resource_bound(refused_unallocated):
+    # 4096 paths of 4 x 10^6 + 1 points: far above MAX_ELEMENTS, refused
+    # before the 10^6-step segment grid is built
     h, seq = _setup(magnitude=1e7)  # keeps 1/(tau_c Delta) adiabatic
     cfg = EnsembleConfig(
         hamiltonian=h,
@@ -330,8 +334,7 @@ def test_bell_gate_resource_bound():
         initial_amplitudes=BELL,
         realizations=4096,
     )
-    with pytest.raises(ResourceLimitError):
-        bell_gate_run(cfg, seq)
+    refused_unallocated(bell_gate_run, cfg, seq)
 
 
 def test_bell_gate_strong_noise_half_fidelity():
@@ -406,13 +409,13 @@ def _gate_density(cfg, seq):
     """bell_gate_run's averaged density matrix and standard errors."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        real = gate._averaged_density
+        real = gate._run_segments
         patch.setattr(
-            gate, "_averaged_density", lambda *a: seen.append(real(*a)) or seen[-1]
+            gate, "_run_segments", lambda *a: seen.append(real(*a)) or seen[-1]
         )
         bell_gate_run(cfg, seq)
-    [(matrix, se)] = seen
-    return matrix, se
+    [(density, _)] = seen
+    return density.matrix, density.standard_errors
 
 
 def _gate_config(sigma2, engine, realizations=64, substeps=1):
@@ -480,7 +483,7 @@ def test_zero_noise_gate_matches_the_noiseless_propagator(noiseless_propagator):
     rho = np.outer(amps, amps.conj())
     bell = np.asarray(BELL)
     fidelity = float(np.real(bell @ rho @ bell))
-    gamma_a = _gate_gamma_a(seq, h, seq.period)
+    gamma_a = _gamma_a(_segments(seq, h), seq.period)
     d_exact = rho[0, 3] / (0.5 * np.exp(-1j * (gamma_a[0] - gamma_a[3])))
     assert 1.0 - fidelity < 1.2e-7
     residuals = []

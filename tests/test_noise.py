@@ -447,3 +447,12 @@ def test_streamed_window_above_the_bound_is_refused_unallocated(refused_unalloca
     )
     with pytest.raises(ResourceLimitError, match="noise window"):
         ensemble_autocorrelation(spec, 400.0, 0.005, 0, 4096, [0.0, 350.0])
+
+
+def test_time_grid_above_the_bound_is_refused():
+    """A step count above MAX_ELEMENTS is refused, not streamed for ever,
+    and so is one that overflows to infinity."""
+    for duration in (1e300, 1e308):
+        with pytest.raises(ResourceLimitError, match="time grid"):
+            noise._n_times(duration, 0.005)
+    assert noise._n_times(MAX_ELEMENTS * 0.005, 0.005) == MAX_ELEMENTS + 1

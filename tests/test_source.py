@@ -89,3 +89,17 @@ def test_every_private_helper_has_a_src_caller():
     assert uncalled_private_helpers(sample) == ["sample.py:_uncalled"]
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     assert uncalled_private_helpers(trees) == []
+
+
+def test_only_the_ensemble_calls_the_engines():
+    """evolve_exact_batch and stochastic_phase_batch have one caller module,
+    the ensemble pipeline that both Monte Carlo experiments run through."""
+    engines = {"evolve_exact_batch", "stochastic_phase_batch"}
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and engines & {alias.name for alias in node.names}
+    }
+    assert importers == {"ensemble.py"}
