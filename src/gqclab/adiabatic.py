@@ -56,10 +56,13 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 #: default ceiling for the adiabaticity ratios 1/(T Delta) and 1/(tau_c Delta)
 ADIABATIC_RATIO_MAX = 0.1
 
-#: propagation slices per vectorized Cayley-Klein pass of evolve_exact_batch;
-#: small enough that a block's complex arrays stay in cache at 8,192
-#: realizations (8 slices ran 1.5x faster there than 16)
-_SLICE_BLOCK = 8
+#: level splitting below which the spectrum is a level crossing
+_MIN_GAP = 1e-12
+
+#: slice x realization elements per vectorized Cayley-Klein pass of
+#: evolve_exact_batch (at least one slice): 8 slices at 512 realizations,
+#: 1 at 8,192, so a pass's temporaries stay near 1 MiB at any ensemble size
+_SLICE_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,14 @@ class QubitHamiltonian:
         """Verify 1/(T Delta) and 1/(tau_c Delta) against ``ratio_max``.
 
         Returns the ratios; warns on violation, or raises
-        AdiabaticityError when ``strict``.
+        AdiabaticityError when ``strict``.  A level crossing, a gap below
+        ``_MIN_GAP``, raises DegeneracyError instead, as ``eigenframe`` does.
         """
         gap = self.gap
-        if gap <= 0:
-            raise DegeneracyError("zero level splitting: gamma |B_a| = 0")
+        if gap < _MIN_GAP:
+            raise DegeneracyError(
+                f"level crossing: gap {gap:g} (field or coupling is zero)"
+            )
         ratios = {"drive": 1.0 / (self.schedule.period * gap)}
         if correlation_time is not None:
             ratios["noise"] = 1.0 / (correlation_time * gap)
@@ -296,7 +302,7 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise ValueError("time_grid must be uniform")
     gap = h.gap
-    if gap < 1e-12:
+    if gap < _MIN_GAP:
         raise DegeneracyError(
             f"level crossing: gap {gap:g} at t = {t[0]:g} (field or coupling is zero)"
         )
@@ -370,7 +376,9 @@ def evolve_exact_batch(
     by the grid is cut into ``slices`` pieces; each piece uses the exact
     closed-form SU(2) exponential of the midpoint-sampled Hamiltonian,
     H = -(gamma/2) b . sigma, as its Cayley-Klein pair (alpha, beta).
-    n_real x slices x dim above MAX_ELEMENTS is refused before allocating.
+    n_real x slices x dim above MAX_ELEMENTS is refused before allocating;
+    the slices run in passes of ``_SLICE_ELEMENTS`` slice x realization
+    elements (at least one slice), whose temporaries do not grow with them.
     Norm is preserved to 1e-10 by construction; accuracy improves as
     O(slices^-2) and is validated by slice doubling in the tests.  Two
     qubits under the same field and noise evolve under u x u, which the
@@ -411,8 +419,9 @@ def evolve_exact_batch(
     psi = np.repeat(psi0.reshape(2, -1, 1), n_real, axis=2)
     p0, p1 = psi
     tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
-    for start in range(0, slices, _SLICE_BLOCK):
-        k = slice(start, start + _SLICE_BLOCK)
+    block = max(_SLICE_ELEMENTS // n_real, 1)
+    for start in range(0, slices, block):
+        k = slice(start, start + block)
         jk = j[k]
         # midpoint noise (block, n_real, dim) by linear interpolation on the
         # path grid, with np.interp's formula slope * (x - xp[j]) + fp[j]

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .adiabatic import ControlSchedule, QubitHamiltonian, deterministic_phases
-from .ensemble import ENGINES, EnsembleConfig, decoherence_report
+from .ensemble import ENGINES, EnsembleConfig, decoherence_sweep
 from .errors import (
     AdiabaticityError,
     ConfigError,
@@ -46,7 +46,7 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .gate import PulseSequence, bell_gate_run, calibrate_level_cone_angles
+from .gate import PulseSequence, bell_gate_sweep, calibrate_level_cone_angles
 from .noise import (
     NoiseSpec,
     _lag_steps,
@@ -471,11 +471,11 @@ def _run_noise_validate(p):
     return rows, {"sigma2_field2": spec.variance, "lags_s": list(lags)}
 
 
-def _ensemble_config(p, h, sigma2, amplitudes):
-    """The EnsembleConfig of one sigma^2 point of an agp/gate sweep."""
+def _ensemble_config(p, h, amplitudes):
+    """The EnsembleConfig of an agp/gate sweep, which supplies the sigma^2."""
     return EnsembleConfig(
         hamiltonian=h,
-        noise=NoiseSpec(variance=sigma2, correlation_time=p["correlation_time"]),
+        noise=NoiseSpec(variance=0.0, correlation_time=p["correlation_time"]),
         initial_amplitudes=amplitudes,
         realizations=p["realizations"],
         master_seed=p["master_seed"],
@@ -494,13 +494,13 @@ def _run_agp_dephase(p):
         cycles=p["cycles"],
     )
     h = QubitHamiltonian(coupling=p["coupling"], schedule=schedule)
-    gamma_a = deterministic_phases(h, schedule.duration)
-    gamma_a_kj = float(gamma_a[1] - gamma_a[0])
     amps = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
+    sweep = _sigma2_sweep(p)
+    reports = decoherence_sweep(_ensemble_config(p, h, amps), sweep, levels=(1, 0))
+    gamma_a = deterministic_phases(h, schedule.duration)  # after the refusals
+    gamma_a_kj = float(gamma_a[1] - gamma_a[0])
     rows = []
-    for sigma2 in _sigma2_sweep(p):
-        cfg = _ensemble_config(p, h, sigma2, amps)
-        report = decoherence_report(cfg, levels=(1, 0))
+    for sigma2, report in zip(sweep, reports):
         rows.append(
             {
                 "sigma2_field2": sigma2,
@@ -529,9 +529,10 @@ def _run_gate_fidelity(p):
     angles = h.level_cone_angles
     seq = PulseSequence.standard(h.schedule)
     bell = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
+    sweep = _sigma2_sweep(p)
+    results = bell_gate_sweep(_ensemble_config(p, h, bell), seq, sweep)
     rows = []
-    for sigma2 in _sigma2_sweep(p):
-        result = bell_gate_run(_ensemble_config(p, h, sigma2, bell), seq)
+    for sigma2, result in zip(sweep, results):
         rows.append(
             {
                 "sigma2_field2": sigma2,

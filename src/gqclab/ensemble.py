@@ -35,7 +35,13 @@ from .adiabatic import (
     stochastic_phase_batch,
 )
 from .errors import _check_elements
-from .noise import RESOLUTION_FACTOR, NoiseSpec, _noise_grid, make_noise_ensemble
+from .noise import (
+    RESOLUTION_FACTOR,
+    NoiseSpec,
+    _ensemble_normals,
+    _noise_grid,
+    _segment_noise,
+)
 
 __all__ = [
     "EnsembleConfig",
@@ -49,6 +55,7 @@ __all__ = [
     "onset_ratio",
     "transverse_magnetization",
     "decoherence_report",
+    "decoherence_sweep",
 ]
 
 ENGINES = ("exact_propagation", "analytic_phase")
@@ -151,14 +158,6 @@ def _grid_steps(duration: float, dt: float) -> int:
     return math.ceil(steps)
 
 
-def _ensemble_noise(config: EnsembleConfig, duration: float, dt: float) -> np.ndarray:
-    """Noise samples (rows, n_t, dim) for the run; one row at sigma^2 = 0,
-    where every realization is the same +0.0 path."""
-    spec = config.noise
-    rows = 1 if spec.variance == 0.0 else config.realizations
-    return make_noise_ensemble(spec, duration, dt, config.master_seed, rows)
-
-
 def _averaged_density(amps: np.ndarray, realizations: int):
     """Mean of the outer products of amps (rows, n) broadcast to ``realizations``
     rows, and its standard error, real and imaginary scatter in quadrature."""
@@ -180,25 +179,26 @@ def _gamma_a(segments, span: float) -> np.ndarray:
     return gamma_a
 
 
-def _gamma_s(segments, t: np.ndarray, samples: np.ndarray, levels) -> np.ndarray:
-    """Gamma_s (rows, n_levels) of ``levels`` along noise samples that span
-    the segments back to back, each on the grid ``t``; one eigenframe per
-    distinct segment Hamiltonian.  The other columns stay 0."""
-    n = t.size - 1
+def _gamma_s(segments, t: np.ndarray, windows, levels) -> np.ndarray:
+    """Gamma_s (rows, n_levels) of ``levels`` along the noise ``windows``,
+    one per segment on the grid ``t``; one eigenframe per distinct segment
+    Hamiltonian.  The other columns stay 0."""
     frames = {}
-    gamma_s = np.zeros((samples.shape[0], segments[0][0].n_levels))
-    for l, (h, flips, _) in enumerate(segments):
+    gamma_s = 0.0
+    for (h, flips, _), window in zip(segments, windows):
         if h not in frames:
             frames[h] = eigenframe(h, t)
-        window = samples[:, l * n : (l + 1) * n + 1]
+        phases = np.zeros((window.shape[0], h.n_levels))
         for k in levels:
-            gamma_s[:, k] += stochastic_phase_batch(h, frames[h], window, k ^ flips)
+            phases[:, k] = stochastic_phase_batch(h, frames[h], window, k ^ flips)
+        gamma_s = gamma_s + phases
     return gamma_s
 
 
-def _exact_amplitudes(segments, t, samples, c, slices: int) -> np.ndarray:
-    """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation,
-    in ``slices`` slices per segment.
+def _exact_amplitudes(segments, t, windows, c, slices: int) -> np.ndarray:
+    """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation
+    through the noise ``windows``, one per segment, in ``slices`` slices
+    per segment.
 
     One qubit (one segment) propagates its lab-frame state, entering and
     leaving through the eigenframe's first and last states.  Two qubits see
@@ -210,10 +210,10 @@ def _exact_amplitudes(segments, t, samples, c, slices: int) -> np.ndarray:
     single Hamiltonian.
     """
     h = segments[0][0]
-    n = t.size - 1
     if h.qubit_count == 1:
         frame = eigenframe(h, t)
         psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
+        [samples] = windows
         psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
         return psi_f @ frame.states[:, -1, :].conj().T
     if not h.uniform_cone_angles():
@@ -223,10 +223,9 @@ def _exact_amplitudes(segments, t, samples, c, slices: int) -> np.ndarray:
     # columns: the aligned and anti-aligned single-qubit states at azimuth 0
     half = h.schedule.cone_angle / 2.0
     v = np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
-    psi = np.broadcast_to(c.reshape(2, 2), (samples.shape[0], 2, 2))
-    for l, (h_seg, _, target) in enumerate(segments):
+    psi = c.reshape(2, 2)
+    for (h_seg, _, target), window in zip(segments, windows):
         one_qubit = replace(h_seg, qubit_count=1, level_cone_angles=None)
-        window = samples[:, l * n : (l + 1) * n + 1]
         u = v.T @ evolve_exact_batch(one_qubit, t, window, v, slices)
         psi = u @ psi @ u.swapaxes(-1, -2)
         if target:
@@ -234,39 +233,52 @@ def _exact_amplitudes(segments, t, samples, c, slices: int) -> np.ndarray:
     return psi.reshape(-1, 4)
 
 
-def _run_segments(config: EnsembleConfig, segments):
-    """``run_ensemble`` over ``segments`` run back to back.
+def _run_segments(config: EnsembleConfig, segments, variances):
+    """``run_ensemble`` over ``segments`` run back to back, at each noise
+    variance of ``variances`` in place of the configured one.
 
-    Each segment is (Hamiltonian, flips, target): level k sits on level
-    k ^ flips during it, and an ideal pi-pulse flips qubit ``target`` at
-    its end (0: no pulse).  Every segment lasts its schedule's duration on
-    one grid of steps no coarser than ``config.dt``, and one noise path
-    spans them all.  The seed, the grid and both element bounds are checked
-    for every configured realization before anything is allocated.
+    Returns (gamma_a, densities), one density per variance.  Each segment
+    is (Hamiltonian, flips, target): level k sits on level k ^ flips during
+    it, and an ideal pi-pulse flips qubit ``target`` at its end (0: no
+    pulse).  Every segment lasts its schedule's duration on one grid of
+    steps no coarser than ``config.dt``, and one noise path spans them all.
+    The variances, the seed, the grid and both element bounds are checked
+    for every configured realization before anything is allocated.  The
+    path's normals are drawn once, if any variance is nonzero, and every
+    noisy variance filters its path from them one segment at a time into
+    one window: the rows share their realizations' normals, as rows of one
+    master seed always do.
     """
+    specs = [replace(config.noise, variance=v) for v in variances]
     config.check_adiabatic()
     span = segments[0][0].schedule.duration
     n = _grid_steps(span, config.dt)
-    spec, rows = config.noise, config.realizations
-    duration, dt = len(segments) * span, span / n
-    n_t = _noise_grid(spec, duration, dt, config.master_seed, rows)
-    _check_elements((rows, n_t, spec.dimension), "noise ensemble")
+    rows, dim, count = config.realizations, config.noise.dimension, len(segments)
+    dt = span / n
+    n_t = _noise_grid(config.noise, count * span, dt, config.master_seed, rows)
+    _check_elements((rows, n_t, dim), "noise ensemble")
     slices = n * config.substeps
     exact = config.engine == "exact_propagation"
     if exact:
-        _check_elements((rows, slices, spec.dimension), "exact propagation")
+        _check_elements((rows, slices, dim), "exact propagation")
     t = np.linspace(0.0, span, n + 1)
-    samples = _ensemble_noise(config, duration, dt)
+    normals = window = None
+    if any(spec.variance for spec in specs):
+        normals = _ensemble_normals(config.master_seed, rows, (n_t, dim))
+        window = np.empty((rows, n + 1, dim))
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes
-    if exact:
-        amps = _exact_amplitudes(segments, t, samples, c, slices)
-    else:
-        gamma_s = _gamma_s(segments, t, samples, np.flatnonzero(c))
-        amps = c * np.exp(-1j * (gamma_a + gamma_s))
-    matrix, se = _averaged_density(amps, rows)
-    density = AveragedDensity(matrix=matrix, standard_errors=se, realizations_used=rows)
-    return density, gamma_a
+    densities = []
+    for spec in specs:
+        windows = _segment_noise(spec, normals, window, n, count, dt)
+        if exact:
+            amps = _exact_amplitudes(segments, t, windows, c, slices)
+        else:
+            gamma_s = _gamma_s(segments, t, windows, np.flatnonzero(c))
+            amps = c * np.exp(-1j * (gamma_a + gamma_s))
+        matrix, se = _averaged_density(amps, rows)
+        densities.append(AveragedDensity(matrix, se, realizations_used=rows))
+    return gamma_a, densities
 
 
 def run_ensemble(config: EnsembleConfig):
@@ -279,7 +291,9 @@ def run_ensemble(config: EnsembleConfig):
     density is a plain ``np.mean`` of the per-realization outer products
     along axis 0.
     """
-    return _run_segments(config, [(config.hamiltonian, 0, 0)])
+    segment = (config.hamiltonian, 0, 0)
+    gamma_a, [density] = _run_segments(config, [segment], [config.noise.variance])
+    return density, gamma_a
 
 
 def decoherence_factor_analytic(variance: float) -> float:
@@ -432,6 +446,37 @@ def averaged_density_analytic(config: EnsembleConfig) -> AveragedDensity:
     )
 
 
+def decoherence_sweep(
+    config: EnsembleConfig, variances, levels: tuple = (1, 0)
+) -> list:
+    """``decoherence_report`` of ``config`` at each noise variance of
+    ``variances``, one report each, from one draw of the normals.
+
+    The rows share their realizations' normals, as the rows of one master
+    seed always do: each row's standard error is its own, but the rows'
+    Monte Carlo errors are correlated, so a difference between rows is
+    more precise than their standard errors suggest.
+    """
+    h = config.hamiltonian
+    k, j = levels
+    c = config.amplitudes
+    if c[k] == 0 or c[j] == 0:
+        raise ValueError("levels must have nonzero initial amplitudes")
+    gamma_a, densities = _run_segments(config, [(h, 0, 0)], variances)
+    reference = c[k] * np.conj(c[j]) * np.exp(-1j * (gamma_a[k] - gamma_a[j]))
+    noise = config.noise
+    i_kj = overlap_integral(h, noise.correlation_time, (k, j), noise.dimension)
+    reports = []
+    for sigma2, density in zip(variances, densities):
+        var = variance_analytic(h.schedule.cycles, h.coupling, sigma2, i_kj)
+        mc_factor = complex(density.matrix[k, j] / reference)
+        mc_se = float(density.standard_errors[k, j] / abs(reference))
+        d = decoherence_factor_analytic(var)
+        onset = var / ONSET_VARIANCE
+        reports.append(DecoherenceReport((k, j), mc_factor, mc_se, var, d, onset, i_kj))
+    return reports
+
+
 def decoherence_report(
     config: EnsembleConfig, levels: tuple = (1, 0)
 ) -> DecoherenceReport:
@@ -441,27 +486,4 @@ def decoherence_report(
     off-diagonal, and compares with exp(-Var/2) built from the exact
     overlap integral.  The onset ratio is that variance over (2 pi)^2.
     """
-    h = config.hamiltonian
-    k, j = levels
-    c = config.amplitudes
-    if c[k] == 0 or c[j] == 0:
-        raise ValueError("levels must have nonzero initial amplitudes")
-    density, gamma_a = run_ensemble(config)
-    gamma_a_kj = gamma_a[k] - gamma_a[j]
-    reference = c[k] * np.conj(c[j]) * np.exp(-1j * gamma_a_kj)
-    mc_factor = complex(density.matrix[k, j] / reference)
-    mc_se = float(density.standard_errors[k, j] / abs(reference))
-
-    sched = h.schedule
-    noise = config.noise
-    i_kj = overlap_integral(h, noise.correlation_time, (k, j), noise.dimension)
-    var = variance_analytic(sched.cycles, h.coupling, noise.variance, i_kj)
-    return DecoherenceReport(
-        levels=(k, j),
-        mc_factor=mc_factor,
-        mc_standard_error=mc_se,
-        analytic_variance=var,
-        analytic_factor=decoherence_factor_analytic(var),
-        onset_ratio=var / ONSET_VARIANCE,
-        overlap=i_kj,
-    )
+    return decoherence_sweep(config, [config.noise.variance], levels)[0]

@@ -46,6 +46,7 @@ __all__ = [
     "GateResult",
     "level_index_map",
     "bell_gate_run",
+    "bell_gate_sweep",
     "gate_onset_ratio",
     "gate_overlap_sum",
     "calibrate_level_cone_angles",
@@ -235,6 +236,13 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
     built from the per-segment overlap sum.  The four segment noise
     increments come from one continuous path spanning 4T.
     """
+    return bell_gate_sweep(config, seq, [config.noise.variance])[0]
+
+
+def bell_gate_sweep(config: EnsembleConfig, seq: PulseSequence, variances) -> list:
+    """``bell_gate_run`` of ``config`` at each noise variance of
+    ``variances``, one result each, from one draw of the normals; as in
+    ``decoherence_sweep``, the rows' Monte Carlo errors are correlated."""
     h = config.hamiltonian
     if h.qubit_count != 2:
         raise ValueError("bell_gate_run needs a two-qubit Hamiltonian")
@@ -246,29 +254,33 @@ def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
             "bell_gate_run is specific to (|00> + |11>)/sqrt(2); use "
             "run_ensemble for general states"
         )
-    density, gamma_a = _run_segments(config, _segments(seq, h))
+    gamma_a, densities = _run_segments(config, _segments(seq, h), variances)
     k, j = BELL_LEVELS
-    fidelity = float(np.real(bell.conj() @ density.matrix @ bell))
     gamma_a_kj = gamma_a[k] - gamma_a[j]
     reference = 0.5 * np.exp(-1j * gamma_a_kj)
-    mc_factor = complex(density.matrix[k, j] / reference)
-
     noise = config.noise
     overlap_sum = gate_overlap_sum(
         seq, h, noise.correlation_time, dimension=noise.dimension
     )
-    variance = variance_analytic(1, h.coupling, noise.variance, overlap_sum)
-    # keep the reported factor strictly positive even when exp underflows
-    d_analytic = max(decoherence_factor_analytic(variance), np.finfo(float).tiny)
-    fid_closed = 0.5 + 0.5 * float(np.cos(gamma_a_kj)) * d_analytic
-    return GateResult(
-        conditional_phase=realized_conditional_phase(seq, h),
-        fidelity=min(max(fidelity, 0.0), 1.0),
-        fidelity_standard_error=float(density.standard_errors[k, j]),
-        fidelity_closed_form=fid_closed,
-        decoherence_factor=d_analytic,
-        mc_factor=mc_factor,
-        onset_ratio=variance / ONSET_VARIANCE,
-        analytic_variance=variance,
-        overlap_sum=overlap_sum,
-    )
+    phi = realized_conditional_phase(seq, h)
+    results = []
+    for sigma2, density in zip(variances, densities):
+        fidelity = float(np.real(bell.conj() @ density.matrix @ bell))
+        variance = variance_analytic(1, h.coupling, sigma2, overlap_sum)
+        # keep the reported factor strictly positive even when exp underflows
+        d_analytic = max(decoherence_factor_analytic(variance), np.finfo(float).tiny)
+        fid_closed = 0.5 + 0.5 * float(np.cos(gamma_a_kj)) * d_analytic
+        results.append(
+            GateResult(
+                conditional_phase=phi,
+                fidelity=min(max(fidelity, 0.0), 1.0),
+                fidelity_standard_error=float(density.standard_errors[k, j]),
+                fidelity_closed_form=fid_closed,
+                decoherence_factor=d_analytic,
+                mc_factor=complex(density.matrix[k, j] / reference),
+                onset_ratio=variance / ONSET_VARIANCE,
+                analytic_variance=variance,
+                overlap_sum=overlap_sum,
+            )
+        )
+    return results

@@ -47,8 +47,10 @@ __all__ = [
 #: dt must be at least this many times smaller than tau_c.
 RESOLUTION_FACTOR = 10.0
 
-#: time steps per contiguous buffer of the OU recursion
+#: time steps and bytes that a contiguous time-major block of the OU
+#: recursion may not exceed: 256 steps of 512 scalar paths, 16 of 8,192
 _BLOCK = 256
+_BLOCK_BYTES = 2**20
 
 #: time steps per window of a streamed ensemble; a multiple of _BLOCK
 _CHUNK = 16 * _BLOCK
@@ -159,9 +161,11 @@ def _ou_from_normals(
     Without ``prev``, ``xi[..., 0, :]`` seeds the stationary value at t = 0;
     with it, the window continues a path whose last time row was ``prev``.
     The result is written into ``xi``, which is returned.  The update
-    x[n] += a x[n-1] runs time-major on contiguous blocks of ``_BLOCK``
-    steps, starting from a zero state: the same floating-point operations
-    as ``lfilter([1], [1, -a])``, so the same bits.
+    x[n] += a x[n-1] runs time-major on contiguous copies of up to
+    ``_BLOCK`` steps that fit in ``_BLOCK_BYTES`` (at least one step),
+    starting from a zero state: the same floating-point operations as
+    ``lfilter([1], [1, -a])``, so the same bits whatever the block, in
+    about that budget of memory beyond ``xi``.
     """
     sigma = np.sqrt(spec.variance)
     a = np.exp(-dt / spec.correlation_time)
@@ -172,13 +176,16 @@ def _ou_from_normals(
     else:
         xi *= sigma * np.sqrt(1.0 - a * a)
     x = np.moveaxis(xi, -2, 0)  # time-major view
-    for start in range(0, x.shape[0], _BLOCK):
-        block = x[start : start + _BLOCK].copy()
+    steps = min(_BLOCK, _BLOCK_BYTES // max(xi[..., :1, :].nbytes, 1)) or 1
+    buf = np.empty((min(steps, x.shape[0]),) + x.shape[1:])
+    for start in range(0, x.shape[0], steps):
+        block = buf[: x.shape[0] - start]
+        block[...] = x[start : start + steps]
         block[0] += a * prev
         for n in range(1, block.shape[0]):
             block[n] += a * block[n - 1]
-        x[start : start + _BLOCK] = block
-        prev = block[-1]
+        x[start : start + steps] = block
+        prev = x[start + block.shape[0] - 1]
     return xi
 
 
@@ -226,6 +233,26 @@ def _noise_windows(spec, n_times, dt, master_seed, realizations, chunk, history=
         keep = min(history, start + c)
         buf[:, :keep] = window[:, h + c - keep :]
         h = keep
+
+
+def _segment_noise(spec, normals, window, n, count, dt):
+    """The noise of ``count`` back-to-back segments of n steps, in turn, as
+    the one buffer ``window`` (rows, n + 1, dim): each segment's stretch of
+    the OU path of ``normals`` (rows, count n + 1, dim), which is only read.
+    A window's first row carries the last one of the window before as the
+    recursion's ``prev``, so the windows are ``make_noise_ensemble``'s path
+    to the bit.  At sigma^2 = 0 each is one row of +0.0 samples."""
+    if spec.variance == 0.0:
+        yield from [np.zeros((1, n + 1, spec.dimension))] * count
+        return
+    for l in range(count):
+        head = min(l, 1)
+        if head:
+            window[:, 0] = window[:, n]
+        new = window[:, head:]
+        new[...] = normals[:, l * n + head : (l + 1) * n + 1]
+        _ou_from_normals(spec, new, dt, window[:, 0] if head else None)
+        yield window
 
 
 def make_noise_ensemble(

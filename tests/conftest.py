@@ -347,20 +347,20 @@ def refused_unallocated():
     return _refused_unallocated
 
 
-def _every_row(fn, *args):
-    """``fn(*args)`` with the ensemble pipeline, which run_ensemble and
-    bell_gate_run share, propagating every realization at sigma^2 = 0 as
-    well, as (realizations, n_t, dim) zeros: the computation that its
-    one-row shortcut stands for."""
-    one_row = ensemble._ensemble_noise
+def _every_row(fn, config, *args):
+    """``fn(config, *args)`` with the ensemble pipeline, which run_ensemble
+    and bell_gate_run share, propagating every realization at sigma^2 = 0
+    as well, as (config.realizations, n + 1, dim) zeros per segment: the
+    computation that its one-row shortcut stands for."""
+    one_row = ensemble._segment_noise
 
-    def repeated(config, duration, dt):
-        samples = one_row(config, duration, dt)
-        return np.repeat(samples, config.realizations // samples.shape[0], axis=0)
+    def repeated(*args):
+        for window in one_row(*args):
+            yield np.repeat(window, config.realizations // window.shape[0], axis=0)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ensemble, "_ensemble_noise", repeated)
-        return fn(*args)
+        patch.setattr(ensemble, "_segment_noise", repeated)
+        return fn(config, *args)
 
 
 @pytest.fixture
@@ -383,6 +383,21 @@ def propagated_rows(monkeypatch):
 
         monkeypatch.setattr(ensemble, name, spy)
     return rows
+
+
+@pytest.fixture
+def normal_draws(monkeypatch):
+    """(realizations, shape) of each draw of normals that the ensemble
+    pipeline makes."""
+    draws = []
+    real = ensemble._ensemble_normals
+
+    def spy(master_seed, realizations, shape):
+        draws.append((realizations, shape))
+        return real(master_seed, realizations, shape)
+
+    monkeypatch.setattr(ensemble, "_ensemble_normals", spy)
+    return draws
 
 
 @pytest.fixture

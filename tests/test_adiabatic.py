@@ -19,7 +19,7 @@ from gqclab import (
     make_noise_ensemble,
     make_noise_path,
 )
-from gqclab.adiabatic import PAULI, _SLICE_BLOCK, stochastic_phase_batch
+from gqclab.adiabatic import PAULI, _SLICE_ELEMENTS, stochastic_phase_batch
 
 
 def _hamiltonian(theta, magnitude=200.0, period=1.0, cycles=1, **kw):
@@ -245,6 +245,8 @@ def test_evolve_exact_column_states_give_unitary_propagator():
 
 
 _GRID_STEPS = 5  # below the kernel's block length, so every slice count fits
+_PATHS = 512
+_SLICE_BLOCK = _SLICE_ELEMENTS // _PATHS  # slices per kernel pass at _PATHS
 
 
 @pytest.mark.parametrize(
@@ -262,11 +264,23 @@ def test_evolve_exact_matches_slice_loop(slice_loop_reference, slices, dimension
     spec = NoiseSpec(variance=30.0, correlation_time=2.0, dimension=dimension)
     dt = 1.0 / _GRID_STEPS
     t = np.arange(_GRID_STEPS + 1) * dt
-    samples = make_noise_ensemble(spec, 1.0, dt, 3, 6)
+    samples = make_noise_ensemble(spec, 1.0, dt, 3, _PATHS)
     got = evolve_exact_batch(h, t, samples, psi0, slices)
-    assert got.shape == (6,) + psi0.shape
+    assert got.shape == (_PATHS,) + psi0.shape
     want = slice_loop_reference(h, t, samples, psi0, slices)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_evolve_exact_working_memory_is_bounded_in_bytes(peak_bytes):
+    """8,192 paths x 200 slices: one slice per Cayley-Klein pass, so the
+    call allocates under 2 MiB beyond its inputs, where 8-slice passes
+    took about 11 MiB."""
+    h = _hamiltonian(np.pi / 2)
+    spec = NoiseSpec(variance=50.0, correlation_time=0.05)
+    samples = make_noise_ensemble(spec, 1.0, 0.005, 0, 8192)
+    t = np.linspace(0.0, 1.0, 201)
+    psi0 = np.array([0.6, 0.8j])
+    assert peak_bytes(evolve_exact_batch, h, t, samples, psi0, 200) <= 2 * 2**20
 
 
 def test_evolve_exact_zero_field_slice_is_identity(slice_loop_reference):

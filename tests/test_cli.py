@@ -240,15 +240,50 @@ HUGE_GRID = "resource bound exceeded: time grid"
     ],
     ids=["noise-duration", "agp-period", "agp-cycles", "gate-period", "gate-period-1e307"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_huge_finite_number_is_refused(tmp_path, capsys, raw, code, message):
     """A finite number whose time grid has no finite or bounded step count is
-    refused with exit 4 before any grid is built, and a cycle count beyond
-    the float range is a config error; no table or manifest is written."""
+    refused with exit 4 before any grid is built, or anything is computed on
+    it, and a cycle count beyond the float range is a config error; no table
+    or manifest is written."""
     path = _write(tmp_path, "cfg.json", raw)
     out = str(tmp_path / "x.csv")
     assert main([raw["experiment"], "--config", path, "--out", out]) == code
     assert capsys.readouterr().err.startswith(message)
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def _table_lines(tmp_path, raw, name):
+    path = _write(tmp_path, f"{name}.json", raw)
+    out = tmp_path / f"{name}.csv"
+    assert main([raw["experiment"], "--config", path, "--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("master_seed", [None, 9])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        dict(AGP_CONFIG, engine="exact_propagation", sigma2=[0.0, 50.0, 200.0]),
+        dict(AGP_CONFIG, engine="analytic_phase", sigma2=[0.0, 50.0, 200.0]),
+        dict(GATE_CONFIG, engine="exact_propagation", sigma2=[5.0, 20.0]),
+        dict(GATE_CONFIG, engine="analytic_phase", sigma2=[5.0, 20.0]),
+    ],
+    ids=["agp-exact", "agp-analytic", "gate-exact", "gate-analytic"],
+)
+def test_cli_sweep_rows_are_the_rows_run_alone(tmp_path, raw, master_seed):
+    """A sweep draws its normals once for all its rows; each row equals, to
+    the byte, the table of its sigma^2 run alone."""
+    raw = dict(raw, realizations=24)
+    if master_seed is None:
+        del raw["master_seed"]
+    else:
+        raw["master_seed"] = master_seed
+    header, *rows = _table_lines(tmp_path, raw, "sweep")
+    assert len(rows) == len(raw["sigma2"])
+    for i, (sigma2, row) in enumerate(zip(raw["sigma2"], rows)):
+        alone = _table_lines(tmp_path, dict(raw, sigma2=sigma2), f"row-{i}")
+        assert alone == [header, row]
 
 
 @pytest.mark.parametrize("source", ["config", "--seed"])

@@ -17,7 +17,9 @@ from gqclab import (
     calibrate_level_cone_angles,
     decoherence_factor_analytic,
     decoherence_report,
+    decoherence_sweep,
     deterministic_phases,
+    make_noise_ensemble,
     onset_ratio,
     overlap_integral,
     run_ensemble,
@@ -26,7 +28,7 @@ from gqclab import (
 )
 from gqclab import ensemble, errors
 from gqclab.adiabatic import eigenframe, stochastic_phase_batch
-from gqclab.ensemble import ENGINES, _ensemble_noise, _grid_steps
+from gqclab.ensemble import ENGINES, _grid_steps
 
 EQUAL = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -61,7 +63,9 @@ def _gamma_s(cfg):
     h = cfg.hamiltonian
     duration = h.schedule.duration
     n = _grid_steps(duration, cfg.dt)
-    samples = _ensemble_noise(cfg, duration, duration / n)
+    samples = make_noise_ensemble(
+        cfg.noise, duration, duration / n, cfg.master_seed, cfg.realizations
+    )
     frame = eigenframe(h, np.linspace(0.0, duration, n + 1))
     return np.stack(
         [stochastic_phase_batch(h, frame, samples, k) for k in range(h.n_levels)]
@@ -381,11 +385,30 @@ def test_zero_noise_row_equals_the_full_ensemble(every_row, engine, realizations
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_row_is_propagated_once(propagated_rows, engine):
+    calls = 1 if engine == "exact_propagation" else 2
     run_ensemble(_config(0.0, realizations=64, engine=engine))
-    assert propagated_rows == [1] * (1 if engine == "exact_propagation" else 2)
+    assert propagated_rows == [1] * calls
     propagated_rows.clear()
     run_ensemble(_config(3.0, realizations=64, engine=engine))
-    assert set(propagated_rows) == {64}
+    assert propagated_rows == [64] * calls
+    propagated_rows.clear()
+    decoherence_sweep(_config(0.0, realizations=64, engine=engine), [3.0, 0.0, 5.0])
+    assert propagated_rows == [64] * calls + [1] * calls + [64] * calls
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_sweep_draws_its_normals_once(normal_draws, engine):
+    cfg = _config(0.0, realizations=16, master_seed=4, engine=engine)
+    reports = decoherence_sweep(cfg, [0.0, 5.0, 20.0])
+    assert normal_draws == [(16, (201, 1))]
+    # each row is the report of its variance alone, which draws the same
+    for sigma2, report in zip([0.0, 5.0, 20.0], reports):
+        noise = replace(cfg.noise, variance=sigma2)
+        assert report == decoherence_report(replace(cfg, noise=noise))
+    assert normal_draws == [(16, (201, 1))] * 3
+    normal_draws.clear()
+    assert len(decoherence_sweep(cfg, [0.0, 0.0])) == 2
+    assert normal_draws == []
 
 
 @pytest.mark.parametrize("engine", ENGINES)

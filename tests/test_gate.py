@@ -12,6 +12,7 @@ from gqclab import (
     QubitHamiltonian,
     PulseSequence,
     bell_gate_run,
+    bell_gate_sweep,
     calibrate_level_cone_angles,
     eigenframe,
     gate_onset_ratio,
@@ -85,10 +86,16 @@ def _grid(seq, dt):
     return np.linspace(0.0, seq.period, n_seg + 1), n_seg
 
 
+def _windows(samples, n_seg):
+    """Each segment's window of a path of noise samples, n_seg steps each."""
+    count = (samples.shape[1] - 1) // n_seg
+    return [samples[:, l * n_seg : (l + 1) * n_seg + 1] for l in range(count)]
+
+
 def test_gate_phases_zero_noise_and_short_path():
     h, seq = _setup()
     t_local, n_seg = _grid(seq, 0.004)
-    noise = np.zeros((1, 4 * n_seg + 1, 1))
+    noise = _windows(np.zeros((1, 4 * n_seg + 1, 1)), n_seg)
     [gamma_s] = _gamma_s(_segments(seq, h), t_local, noise, BELL_LEVELS)
     assert np.array_equal(gamma_s, np.zeros(4))
 
@@ -118,7 +125,8 @@ def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
     # the shared frames give the bits of one frame per segment and level
     t_local, n_seg = _grid(seq, cfg.dt)
     samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 8)
-    gamma_s = _gamma_s(_segments(seq, h), t_local, samples, BELL_LEVELS)
+    windows = _windows(samples, n_seg)
+    gamma_s = _gamma_s(_segments(seq, h), t_local, windows, BELL_LEVELS)
     for level in BELL_LEVELS:
         expected = np.zeros(8)
         for l, (sched, _) in enumerate(seq.segments):
@@ -314,7 +322,8 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
         for dimension in (1, 3):
             spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
             samples = make_noise_ensemble(spec, duration, seq.period / n_seg, 3, 4)
-            amps = _exact_amplitudes(segments, t_local, samples, c, slices=n_seg)
+            windows = _windows(samples, n_seg)
+            amps = _exact_amplitudes(segments, t_local, windows, c, slices=n_seg)
             for path, got in zip(samples, amps):
                 psi = basis.T @ c
                 for l, (h_seg, _, target) in enumerate(segments):
@@ -414,7 +423,7 @@ def _gate_density(cfg, seq):
             gate, "_run_segments", lambda *a: seen.append(real(*a)) or seen[-1]
         )
         bell_gate_run(cfg, seq)
-    [(density, _)] = seen
+    [(_, [density])] = seen
     return density.matrix, density.standard_errors
 
 
@@ -446,14 +455,31 @@ def test_zero_noise_gate_equals_the_full_ensemble(every_row, engine, realization
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+def test_a_gate_sweep_draws_its_normals_once(normal_draws, engine):
+    cfg, seq = _gate_config(0.0, engine, realizations=8)
+    results = bell_gate_sweep(cfg, seq, [5.0, 0.0, 20.0])
+    # one path of 4 segments of 250 steps (tau_c / 10 = 0.004)
+    assert normal_draws == [(8, (1001, 1))]
+    for sigma2, result in zip([5.0, 0.0, 20.0], results):
+        assert result == bell_gate_run(*_gate_config(sigma2, engine, realizations=8))
+    normal_draws.clear()
+    assert len(bell_gate_sweep(cfg, seq, [0.0, 0.0])) == 2
+    assert normal_draws == []
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
     """One noise row per segment and level: 4 exact propagations, or 8
     stochastic phases (4 segments x 2 Bell levels)."""
+    calls = 4 if engine == "exact_propagation" else 8
     bell_gate_run(*_gate_config(0.0, engine))
-    assert propagated_rows == [1] * (4 if engine == "exact_propagation" else 8)
+    assert propagated_rows == [1] * calls
     propagated_rows.clear()
     bell_gate_run(*_gate_config(20.0, engine))
-    assert set(propagated_rows) == {64}
+    assert propagated_rows == [64] * calls
+    propagated_rows.clear()
+    bell_gate_sweep(*_gate_config(0.0, engine), [20.0, 0.0])
+    assert propagated_rows == [64] * calls + [1] * calls
 
 
 @pytest.mark.parametrize("engine", ENGINES)

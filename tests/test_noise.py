@@ -24,7 +24,13 @@ from gqclab import (
 )
 from gqclab import noise
 from gqclab.errors import MAX_ELEMENTS
-from gqclab.noise import _CHUNK, _ensemble_normals, _noise_windows, _ou_from_normals
+from gqclab.noise import (
+    _CHUNK,
+    _ensemble_normals,
+    _noise_windows,
+    _ou_from_normals,
+    _segment_noise,
+)
 
 
 def test_spec_validation():
@@ -194,6 +200,41 @@ def test_ou_recursion_matches_lfilter_bit_for_bit(ou_reference, n_t, dimension):
     for i in range(3):
         xi = realization_rng(17, i).standard_normal((n_t, dimension))
         assert np.array_equal(ens[i], ou_reference(spec, xi, dt))
+
+
+def test_ou_block_is_bounded_in_bytes(peak_bytes, ou_reference):
+    """At 8,192 scalar paths the recursion copies 16-step blocks of 1 MiB,
+    not the whole 201-point ensemble of 12.6 MiB, and keeps its bits."""
+    spec = NoiseSpec(variance=1.0, correlation_time=0.05)
+    xi = np.random.default_rng(2).standard_normal((8192, 201, 1))
+    expected = ou_reference(spec, xi, 0.005)
+    assert peak_bytes(_ou_from_normals, spec, xi, 0.005) <= 1.5 * 2**20
+    assert np.array_equal(xi, expected)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("count", [1, 4])
+def test_segment_windows_are_the_path_and_leave_the_normals(dimension, count):
+    # 300 steps per segment: each window holds two blocks of the recursion
+    spec = NoiseSpec(variance=2.0, correlation_time=0.1, dimension=dimension)
+    n, dt, rows = 300, 0.01, 5
+    path = make_noise_ensemble(spec, count * n * dt, dt, 8, rows)
+    normals = _ensemble_normals(8, rows, path.shape[1:])
+    drawn = normals.copy()
+    window = np.empty((rows, n + 1, dimension))
+    windows = _segment_noise(spec, normals, window, n, count, dt)
+    for l, got in enumerate(windows):
+        assert got is window
+        assert np.array_equal(got, path[:, l * n : (l + 1) * n + 1])
+    assert l == count - 1
+    assert np.array_equal(normals, drawn)
+    # sigma^2 = 0: one row of +0.0 samples per segment, without normals
+    zero = NoiseSpec(variance=0.0, correlation_time=0.1, dimension=dimension)
+    windows = list(_segment_noise(zero, None, None, n, count, dt))
+    assert len(windows) == count
+    for got in windows:
+        assert got.shape == (1, n + 1, dimension)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
 @pytest.mark.parametrize("shape", [(300, 1), (4, 300, 1)])
