@@ -2,7 +2,9 @@
 
 The gate drives both qubits of a Bell pair around a four-segment
 conical contour (forward, reversed, forward, reversed) with a pi-pulse
-between segments. The spin echo cancels all deterministic dynamical
+between segments; the segments come from the gate Hamiltonian's
+schedule, so the gate functions take only the Hamiltonian or the
+ensemble config that holds it. The spin echo cancels all deterministic dynamical
 phase; with per-level cone angles it leaves a pure conditional
 geometric phase. Longitudinal field noise does not echo away: the
 Bell-state fidelity decays as
@@ -20,7 +22,6 @@ from gqclab import (
     ControlSchedule,
     EnsembleConfig,
     NoiseSpec,
-    PulseSequence,
     QubitHamiltonian,
     bell_gate_run,
     calibrate_level_cone_angles,
@@ -36,7 +37,6 @@ BELL = (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
 def main():
     sched = ControlSchedule(magnitude=400.0, cone_angle=THETA, period=1.0)
     h = QubitHamiltonian(coupling=1.0, schedule=sched, qubit_count=2)
-    seq = PulseSequence.standard(sched)
 
     # calibration: choose per-level cone angles realizing a CZ-like phase
     angles = calibrate_level_cone_angles(np.pi / 2, THETA)
@@ -45,10 +45,10 @@ def main():
     )
     print(f"calibrated level cone angles: {np.round(angles, 4)}")
     print(f"realized conditional phase:   "
-          f"{realized_conditional_phase(seq, h_cal):.6f} (target pi/2)")
+          f"{realized_conditional_phase(h_cal):.6f} (target pi/2)")
     print()
 
-    overlap = gate_overlap_sum(seq, h, TAU_C)
+    overlap = gate_overlap_sum(h, TAU_C)
     print(f"Bell overlap sum = {overlap:.5f} "
           f"(tau_c << T limit = {32 * TAU_C * np.sin(THETA)**2:.5f})")
     sigma2_onset = 4 * (4 * np.pi**2) / overlap
@@ -65,7 +65,7 @@ def main():
             master_seed=3,
             engine="analytic_phase",
         )
-        res = bell_gate_run(cfg, seq)
+        res = bell_gate_run(cfg)
         print(
             f"{sigma2:>10.2f} {res.analytic_variance:>10.3f} "
             f"{res.fidelity:>8.4f} {res.fidelity_closed_form:>8.4f} "

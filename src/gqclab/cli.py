@@ -46,7 +46,7 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .gate import PulseSequence, bell_gate_sweep, calibrate_level_cone_angles
+from .gate import bell_gate_sweep, calibrate_level_cone_angles
 from .noise import (
     NoiseSpec,
     _lag_steps,
@@ -527,10 +527,9 @@ def _run_agp_dephase(p):
 def _run_gate_fidelity(p):
     h = _gate_hamiltonian(p)
     angles = h.level_cone_angles
-    seq = PulseSequence.standard(h.schedule)
     bell = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
     sweep = _sigma2_sweep(p)
-    results = bell_gate_sweep(_ensemble_config(p, h, bell), seq, sweep)
+    results = bell_gate_sweep(_ensemble_config(p, h, bell), sweep)
     rows = []
     for sigma2, result in zip(sweep, results):
         rows.append(

@@ -459,6 +459,8 @@ def decoherence_sweep(
     """
     h = config.hamiltonian
     k, j = levels
+    if k == j or not (0 <= k < h.n_levels and 0 <= j < h.n_levels):
+        raise ValueError(f"levels must be two distinct indices in [0, {h.n_levels})")
     c = config.amplitudes
     if c[k] == 0 or c[j] == 0:
         raise ValueError("levels must have nonzero initial amplitudes")

@@ -1,11 +1,11 @@
 """Geometric controlled-phase gate driven by a four-segment pulse sequence.
 
 The conditional phase is encoded with the sequence P = P0 P1 P2 P3,
-P0 = C pi_1, P1 = Cbar pi_2, P2 = P0, P3 = P1: one full precession cycle
-(forward contour C, or its time-reverse Cbar), followed by an instantaneous
-ideal pi-pulse on the indicated qubit.  Segment l covers the window
-(t0 + l T, t0 + (l+1) T).  The pi-pulses advance the two-qubit level
-k = 2 i1 + i2 through the index map
+P0 = C pi_1, P1 = Cbar pi_2, P2 = P0, P3 = P1: one cycle of the gate
+Hamiltonian's contour (forward C, or its time-reverse Cbar), followed by
+an instantaneous ideal pi-pulse on the indicated qubit.  Segment l covers
+the window (t0 + l T, t0 + (l+1) T).  The pi-pulses advance the two-qubit
+level k = 2 i1 + i2 through the index map
 
     k_l = k xor _FLIPS[l],   _FLIPS = (00, 10, 11, 01, 00) in binary,
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import ControlSchedule, QubitHamiltonian
+from .adiabatic import QubitHamiltonian
 from .ensemble import (
     EnsembleConfig,
     ONSET_VARIANCE,
@@ -42,7 +42,6 @@ from .ensemble import (
 )
 
 __all__ = [
-    "PulseSequence",
     "GateResult",
     "level_index_map",
     "bell_gate_run",
@@ -78,41 +77,6 @@ def level_index_map(k, j: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class PulseSequence:
-    """The gate's segments C pi_1, Cbar pi_2, C pi_1, Cbar pi_2.
-
-    Built from one base contour, kept as one forward cycle.
-    ``segments[l]`` is a (ControlSchedule, target) pair: the schedule runs
-    one period and the ideal pi-pulse flips the target qubit (1 or 2) at
-    the segment boundary.
-    """
-
-    contour: ControlSchedule
-
-    def __post_init__(self):
-        forward = replace(self.contour, cycles=1, direction="forward")
-        object.__setattr__(self, "contour", forward)
-
-    @classmethod
-    def standard(cls, schedule: ControlSchedule) -> "PulseSequence":
-        """Build C pi_1, Cbar pi_2, C pi_1, Cbar pi_2 from a base contour."""
-        return cls(schedule)
-
-    @property
-    def segments(self) -> tuple:
-        backward = self.contour.reversed()
-        return ((self.contour, 1), (backward, 2), (self.contour, 1), (backward, 2))
-
-    @property
-    def period(self) -> float:
-        return self.contour.period
-
-    @property
-    def duration(self) -> float:
-        return 4.0 * self.period
-
-
-@dataclass(frozen=True)
 class GateResult:
     """Outcome of a noisy Bell-state gate run."""
 
@@ -135,17 +99,19 @@ class GateResult:
             )
 
 
-def _segments(seq: PulseSequence, h: QubitHamiltonian) -> list:
-    """The gate's (Hamiltonian, flips, target) segments: each runs its own
-    schedule, with the level map's XOR mask, then pulses its target qubit."""
-    return [
-        (replace(h, schedule=sched), flips, target)
-        for (sched, target), flips in zip(seq.segments, _FLIPS)
-    ]
+def _segments(h: QubitHamiltonian) -> list:
+    """The gate's (Hamiltonian, flips, target) segments C pi_1, Cbar pi_2,
+    C pi_1, Cbar pi_2: one forward cycle of ``h``'s contour, then its
+    reverse, twice, each with the level map's XOR mask and its pulse's
+    target qubit.  ``h``'s own cycles and direction do not matter."""
+    if h.qubit_count != 2:
+        raise ValueError("the gate needs a two-qubit Hamiltonian")
+    contour = replace(h.schedule, cycles=1, direction="forward")
+    c, c_bar = replace(h, schedule=contour), replace(h, schedule=contour.reversed())
+    return list(zip((c, c_bar) * 2, _FLIPS[:4], (1, 2, 1, 2)))
 
 
 def gate_overlap_sum(
-    seq: PulseSequence,
     h: QubitHamiltonian,
     correlation_time: float,
     levels=BELL_LEVELS,
@@ -163,18 +129,18 @@ def gate_overlap_sum(
         return 0.0
     return sum(
         overlap_integral(h_seg, correlation_time, (k ^ flips, j ^ flips), dimension)
-        for h_seg, flips, _ in _segments(seq, h)
+        for h_seg, flips, _ in _segments(h)
     )
 
 
-def realized_conditional_phase(seq: PulseSequence, h: QubitHamiltonian) -> float:
+def realized_conditional_phase(h: QubitHamiltonian) -> float:
     """Conditional phase phi of the noiseless gate, in [0, 2 pi).
 
     The gate acts as exp(-i Gamma_a(k)) on level k; phi is the part of that
     phase bilinear in the two qubit indices:
     phi = -[Gamma_a(11) - Gamma_a(10) - Gamma_a(01) + Gamma_a(00)].
     """
-    gamma_a = _gamma_a(_segments(seq, h), seq.period)
+    gamma_a = _gamma_a(_segments(h), h.schedule.period)
     phi = -(gamma_a[3] - gamma_a[2] - gamma_a[1] + gamma_a[0])
     return float(np.mod(phi, 2.0 * np.pi))
 
@@ -227,25 +193,26 @@ def gate_onset_ratio(
     return onset_ratio(power_density, bandwidth, coupling, eta, overlap)
 
 
-def bell_gate_run(config: EnsembleConfig, seq: PulseSequence) -> GateResult:
+def bell_gate_run(config: EnsembleConfig) -> GateResult:
     """Run the gate on the Bell state (|00> + |11>)/sqrt(2) under noise.
 
+    The four segments are those of ``config.hamiltonian`` (``_segments``),
+    so the adiabaticity check, the grid and the segments read one schedule.
     The entanglement fidelity is computed two ways: from the Monte Carlo
     averaged density matrix, F = <psi0| rho_avg |psi0>, and from the closed
     form F = 1/2 + (1/2) cos(Gamma_a(k,j)) exp(-Var/2) with the variance
     built from the per-segment overlap sum.  The four segment noise
     increments come from one continuous path spanning 4T.
     """
-    return bell_gate_sweep(config, seq, [config.noise.variance])[0]
+    return bell_gate_sweep(config, [config.noise.variance])[0]
 
 
-def bell_gate_sweep(config: EnsembleConfig, seq: PulseSequence, variances) -> list:
+def bell_gate_sweep(config: EnsembleConfig, variances) -> list:
     """``bell_gate_run`` of ``config`` at each noise variance of
     ``variances``, one result each, from one draw of the normals; as in
     ``decoherence_sweep``, the rows' Monte Carlo errors are correlated."""
     h = config.hamiltonian
-    if h.qubit_count != 2:
-        raise ValueError("bell_gate_run needs a two-qubit Hamiltonian")
+    segments = _segments(h)
     c = config.amplitudes
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
@@ -254,15 +221,13 @@ def bell_gate_sweep(config: EnsembleConfig, seq: PulseSequence, variances) -> li
             "bell_gate_run is specific to (|00> + |11>)/sqrt(2); use "
             "run_ensemble for general states"
         )
-    gamma_a, densities = _run_segments(config, _segments(seq, h), variances)
+    gamma_a, densities = _run_segments(config, segments, variances)
     k, j = BELL_LEVELS
     gamma_a_kj = gamma_a[k] - gamma_a[j]
     reference = 0.5 * np.exp(-1j * gamma_a_kj)
     noise = config.noise
-    overlap_sum = gate_overlap_sum(
-        seq, h, noise.correlation_time, dimension=noise.dimension
-    )
-    phi = realized_conditional_phase(seq, h)
+    overlap_sum = gate_overlap_sum(h, noise.correlation_time, dimension=noise.dimension)
+    phi = realized_conditional_phase(h)
     results = []
     for sigma2, density in zip(variances, densities):
         fidelity = float(np.real(bell.conj() @ density.matrix @ bell))

@@ -209,11 +209,13 @@ def _numeric_overlap(h, correlation_time, levels=(1, 0), dimension=1, steps=8192
 
 
 def _numeric_gate_overlap(
-    seq, h, correlation_time, levels=BELL_LEVELS, dimension=1, steps=8192
+    h, correlation_time, levels=BELL_LEVELS, dimension=1, steps=8192
 ):
-    """Oracle sum of the per-segment I_kj over the gate's four segments."""
+    """Oracle sum of the per-segment I_kj over the gate's four segments
+    C, Cbar, C, Cbar, one cycle each of ``h``'s contour."""
+    contour = replace(h.schedule, cycles=1, direction="forward")
     total = 0.0
-    for l, (schedule, _) in enumerate(seq.segments):
+    for l, schedule in enumerate([contour, contour.reversed()] * 2):
         (k1, k2), (j1, j2) = (level_index_map(x, l) for x in levels)
         if (k1, k2) != (j1, j2):
             total += _numeric_overlap(

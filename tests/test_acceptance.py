@@ -16,7 +16,6 @@ from gqclab import (
     NoiseSpec,
     NoisyAmplitudeModel,
     QubitHamiltonian,
-    PulseSequence,
     ShorInstance,
     averaged_density_analytic,
     bell_gate_run,
@@ -89,11 +88,10 @@ def test_criterion_02_overlap_integrals(numeric_overlap, numeric_gate_overlap):
             assert abs(val - expected) < 0.05 * expected
         # Bell-state four-segment sum
         h2 = _qubit(theta=theta, qubit_count=2)
-        seq = PulseSequence.standard(h2.schedule)
         bell_expected = 32 * tau_c * period * np.sin(theta) ** 2
         for total in (
-            gate_overlap_sum(seq, h2, tau_c),
-            numeric_gate_overlap(seq, h2, tau_c),
+            gate_overlap_sum(h2, tau_c),
+            numeric_gate_overlap(h2, tau_c),
         ):
             assert abs(total - bell_expected) < 0.05 * bell_expected
     print("PASS criterion 2: I_{+-} within 5% of 4 tau_c T sin^2(theta) and "
@@ -162,7 +160,6 @@ def test_criterion_04_geometric_phase():
 def test_criterion_05_gate_fidelity():
     """Bell fidelity: density-matrix estimate vs closed form across a sweep."""
     h = _qubit(theta=np.pi / 3, magnitude=400.0, qubit_count=2)
-    seq = PulseSequence.standard(h.schedule)
     tau_c = 0.04
 
     def config(sigma2, realizations, engine):
@@ -176,21 +173,21 @@ def test_criterion_05_gate_fidelity():
         )
 
     for sigma2 in (5.0, 20.0, 80.0):
-        res = bell_gate_run(config(sigma2, 4096, "analytic_phase"), seq)
+        res = bell_gate_run(config(sigma2, 4096, "analytic_phase"))
         assert (
             abs(res.fidelity - res.fidelity_closed_form)
             < 3 * res.fidelity_standard_error
         )
     # exact propagation agrees too (density-matrix route)
-    res_e = bell_gate_run(config(20.0, 512, "exact_propagation"), seq)
+    res_e = bell_gate_run(config(20.0, 512, "exact_propagation"))
     assert (
         abs(res_e.fidelity - res_e.fidelity_closed_form)
         < 3 * res_e.fidelity_standard_error
     )
     # strong noise: F -> 1/2 within 0.02 at variance >= 4 pi^2
-    overlap = gate_overlap_sum(seq, h, tau_c)
+    overlap = gate_overlap_sum(h, tau_c)
     sigma2 = 4.0 * ONSET_V / overlap
-    res_s = bell_gate_run(config(sigma2, 4096, "analytic_phase"), seq)
+    res_s = bell_gate_run(config(sigma2, 4096, "analytic_phase"))
     assert res_s.analytic_variance >= ONSET_V - 1e-6
     assert abs(res_s.fidelity - 0.5) < 0.02
     print("PASS criterion 5: Bell fidelity matches 1/2 + cos(Gamma_a) D/2 "

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from gqclab import (
+    AdiabaticityError,
     ControlSchedule,
     EnsembleConfig,
     NoiseSpec,
     QubitHamiltonian,
-    PulseSequence,
     bell_gate_run,
     bell_gate_sweep,
     calibrate_level_cone_angles,
@@ -33,7 +33,7 @@ def _setup(theta=np.pi / 3, magnitude=400.0, period=1.0, angles=None):
     h = QubitHamiltonian(
         coupling=1.0, schedule=sched, qubit_count=2, level_cone_angles=angles
     )
-    return h, PulseSequence.standard(sched)
+    return h
 
 
 def _index_map_oracle(k, j):
@@ -69,21 +69,61 @@ def test_index_map_known_paths_and_closure():
         level_index_map((0, 0), 5)
 
 
-def test_pulse_sequence_structure():
-    h, seq = _setup()
-    assert seq.duration == 4.0
-    # C pi_1, Cbar pi_2, C pi_1, Cbar pi_2, one cycle each, from any base contour
-    for base in (h.schedule, replace(h.schedule, cycles=3).reversed()):
-        segments = PulseSequence.standard(base).segments
-        assert [s.direction for s, _ in segments] == ["forward", "reversed"] * 2
-        assert [t for _, t in segments] == [1, 2, 1, 2]
-        assert {(s.cycles, s.period) for s, _ in segments} == {(1, seq.period)}
+def test_segments_are_one_cycle_of_the_contour_and_its_reverse_twice():
+    # C pi_1, Cbar pi_2, C pi_1, Cbar pi_2 from any base cycles and direction
+    h = _setup(angles=calibrate_level_cone_angles(1.0, np.pi / 3))
+    base = replace(h.schedule, cycles=3, direction="reversed")
+    segments = _segments(replace(h, schedule=base))
+    schedules = [h_seg.schedule for h_seg, _, _ in segments]
+    assert [s.direction for s in schedules] == ["forward", "reversed"] * 2
+    assert [target for _, _, target in segments] == [1, 2, 1, 2]
+    assert [flips for _, flips, _ in segments] == list(_FLIPS[:4])
+    assert {(s.cycles, s.period) for s in schedules} == {(1, base.period)}
+    # only the schedule differs from the gate's Hamiltonian
+    assert {replace(h_seg, schedule=base) for h_seg, _, _ in segments} == {
+        replace(h, schedule=base)
+    }
 
 
-def _grid(seq, dt):
+def test_gate_functions_refuse_a_one_qubit_hamiltonian():
+    h = QubitHamiltonian(coupling=1.0, schedule=_setup().schedule)
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=0.0, correlation_time=0.04),
+        initial_amplitudes=(1 / np.sqrt(2), 1 / np.sqrt(2)),
+        realizations=8,
+    )
+    calls = (
+        lambda: gate_overlap_sum(h, 0.04),
+        lambda: realized_conditional_phase(h),
+        lambda: bell_gate_run(cfg),
+        lambda: bell_gate_sweep(cfg, [0.0, 5.0]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="two-qubit Hamiltonian"):
+            call()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_strict_gate_checks_the_contour_it_runs(engine):
+    """1/(T Delta) = 1/(0.02 x 400) = 0.125 exceeds the 0.1 bound."""
+    cfg = EnsembleConfig(
+        hamiltonian=_setup(magnitude=400.0, period=0.02),
+        noise=NoiseSpec(variance=5.0, correlation_time=0.04),
+        initial_amplitudes=BELL,
+        realizations=8,
+        engine=engine,
+        strict_adiabatic=True,
+    )
+    with pytest.raises(AdiabaticityError):
+        bell_gate_run(cfg)
+
+
+def _grid(h, dt):
     """The pipeline's segment grid for step ``dt``, and its step count."""
-    n_seg = _grid_steps(seq.period, dt)
-    return np.linspace(0.0, seq.period, n_seg + 1), n_seg
+    period = h.schedule.period
+    n_seg = _grid_steps(period, dt)
+    return np.linspace(0.0, period, n_seg + 1), n_seg
 
 
 def _windows(samples, n_seg):
@@ -93,15 +133,15 @@ def _windows(samples, n_seg):
 
 
 def test_gate_phases_zero_noise_and_short_path():
-    h, seq = _setup()
-    t_local, n_seg = _grid(seq, 0.004)
+    h = _setup()
+    t_local, n_seg = _grid(h, 0.004)
     noise = _windows(np.zeros((1, 4 * n_seg + 1, 1)), n_seg)
-    [gamma_s] = _gamma_s(_segments(seq, h), t_local, noise, BELL_LEVELS)
+    [gamma_s] = _gamma_s(_segments(h), t_local, noise, BELL_LEVELS)
     assert np.array_equal(gamma_s, np.zeros(4))
 
 
 def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
-    h, seq = _setup(angles=calibrate_level_cone_angles(np.pi / 2, np.pi / 3))
+    h = _setup(angles=calibrate_level_cone_angles(np.pi / 2, np.pi / 3))
     spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=3)
     cfg = EnsembleConfig(
         hamiltonian=h,
@@ -119,38 +159,38 @@ def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
         return eigenframe(h_seg, t)
 
     monkeypatch.setattr(ensemble, "eigenframe", counted)
-    bell_gate_run(cfg, seq)
+    bell_gate_run(cfg)
     assert directions == ["forward", "reversed"]
 
     # the shared frames give the bits of one frame per segment and level
-    t_local, n_seg = _grid(seq, cfg.dt)
-    samples = make_noise_ensemble(spec, seq.duration, seq.period / n_seg, 3, 8)
+    t_local, n_seg = _grid(h, cfg.dt)
+    period = h.schedule.period
+    samples = make_noise_ensemble(spec, 4 * period, period / n_seg, 3, 8)
     windows = _windows(samples, n_seg)
-    gamma_s = _gamma_s(_segments(seq, h), t_local, windows, BELL_LEVELS)
+    gamma_s = _gamma_s(_segments(h), t_local, windows, BELL_LEVELS)
     for level in BELL_LEVELS:
         expected = np.zeros(8)
-        for l, (sched, _) in enumerate(seq.segments):
-            h_seg = replace(h, schedule=sched)
+        for l, (h_seg, flips, _) in enumerate(_segments(h)):
             window = samples[:, l * n_seg : (l + 1) * n_seg + 1]
             expected += stochastic_phase_batch(
-                h_seg, eigenframe(h_seg, t_local), window, level ^ _FLIPS[l]
+                h_seg, eigenframe(h_seg, t_local), window, level ^ flips
             )
         assert np.array_equal(gamma_s[:, level], expected)
     assert not gamma_s[:, [0b01, 0b10]].any()
 
 
 def test_uniform_angles_give_zero_conditional_phase():
-    h, seq = _setup()
+    h = _setup()
     # spin echo: every level accumulates zero net deterministic phase
-    for v in _gamma_a(_segments(seq, h), seq.period):
+    for v in _gamma_a(_segments(h), h.schedule.period):
         assert abs(v) < 1e-9
-    assert realized_conditional_phase(seq, h) < 1e-9
+    assert realized_conditional_phase(h) < 1e-9
 
 
 def test_gate_phases_solid_angle_oracle():
     """Per-segment phases reduce to solid-angle sums with calibrated angles."""
     angles = calibrate_level_cone_angles(1.0, np.pi / 3)
-    h, seq = _setup(angles=angles)
+    h = _setup(angles=angles)
 
     def solid_angle_gamma_a(level_bits):
         """Independent oracle: dynamical phases cancel over C/Cbar pairs;
@@ -167,7 +207,7 @@ def test_gate_phases_solid_angle_oracle():
             total += -orient * sign * np.pi * (1.0 - np.cos(theta))
         return total
 
-    gamma_a = _gamma_a(_segments(seq, h), seq.period)
+    gamma_a = _gamma_a(_segments(h), h.schedule.period)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert abs(gamma_a[2 * bits[0] + bits[1]] - solid_angle_gamma_a(bits)) < 1e-8
 
@@ -175,8 +215,8 @@ def test_gate_phases_solid_angle_oracle():
 @pytest.mark.parametrize("phi", [0.5, 1.0, np.pi / 2, np.pi])
 def test_calibration_realizes_requested_phase(phi):
     angles = calibrate_level_cone_angles(phi, np.pi / 3)
-    h, seq = _setup(angles=angles)
-    assert abs(realized_conditional_phase(seq, h) - phi) < 1e-9
+    h = _setup(angles=angles)
+    assert abs(realized_conditional_phase(h) - phi) < 1e-9
 
 
 def test_calibration_rejects_unreachable_phase():
@@ -189,18 +229,18 @@ def test_gate_is_diagonal_conditional_phase():
     bilinear part equal to the calibrated phi."""
     phi = 1.3
     angles = calibrate_level_cone_angles(phi, np.pi / 3)
-    h, seq = _setup(angles=angles)
-    ga = _gamma_a(_segments(seq, h), seq.period)  # levels 00, 01, 10, 11
+    h = _setup(angles=angles)
+    ga = _gamma_a(_segments(h), h.schedule.period)  # levels 00, 01, 10, 11
     bilinear = -(ga[3] - ga[2] - ga[1] + ga[0])
     assert abs(bilinear % (2 * np.pi) - phi) < 1e-9
 
 
 @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 3, np.pi / 2])
 def test_bell_overlap_sum_closed_form(theta):
-    h, seq = _setup(theta=theta)
+    h = _setup(theta=theta)
     tau_c = 1.0 / 256.0
-    total = gate_overlap_sum(seq, h, tau_c)
-    expected = 32 * tau_c * seq.period * np.sin(theta) ** 2
+    total = gate_overlap_sum(h, tau_c)
+    expected = 32 * tau_c * h.schedule.period * np.sin(theta) ** 2
     assert abs(total - expected) < 0.05 * expected
 
 
@@ -210,18 +250,18 @@ def test_gate_overlap_sum_matches_numerical_oracle(
     numeric_gate_overlap, dimension, calibrated
 ):
     angles = calibrate_level_cone_angles(1.0, np.pi / 3) if calibrated else None
-    h, seq = _setup(angles=angles)
+    h = _setup(angles=angles)
     for levels in (((0, 0), (1, 1)), ((0, 1), (1, 1))):
-        full = numeric_gate_overlap(seq, h, 0.04, levels, dimension, steps=8192)
-        half = numeric_gate_overlap(seq, h, 0.04, levels, dimension, steps=4096)
+        full = numeric_gate_overlap(h, 0.04, levels, dimension, steps=8192)
+        half = numeric_gate_overlap(h, 0.04, levels, dimension, steps=4096)
         oracle = (4.0 * full - half) / 3.0
-        exact = gate_overlap_sum(seq, h, 0.04, levels, dimension)
+        exact = gate_overlap_sum(h, 0.04, levels, dimension)
         assert abs(exact - oracle) < 1e-6 * oracle
 
 
 def test_bell_gate_vector_noise_closed_form():
     """The closed form uses the configured noise dimension (3 components)."""
-    h, seq = _setup()
+    h = _setup()
     cfg = EnsembleConfig(
         hamiltonian=h,
         noise=NoiseSpec(variance=20.0, correlation_time=0.04, dimension=3),
@@ -230,8 +270,8 @@ def test_bell_gate_vector_noise_closed_form():
         master_seed=31,
         engine="analytic_phase",
     )
-    res = bell_gate_run(cfg, seq)
-    assert res.overlap_sum == gate_overlap_sum(seq, h, 0.04, dimension=3)
+    res = bell_gate_run(cfg)
+    assert res.overlap_sum == gate_overlap_sum(h, 0.04, dimension=3)
     assert (
         abs(res.fidelity - res.fidelity_closed_form)
         < 3 * res.fidelity_standard_error
@@ -239,7 +279,7 @@ def test_bell_gate_vector_noise_closed_form():
 
 
 def test_bell_gate_noiseless_perfect_fidelity():
-    h, seq = _setup()
+    h = _setup()
     cfg = EnsembleConfig(
         hamiltonian=h,
         noise=NoiseSpec(variance=0.0, correlation_time=0.04),
@@ -247,7 +287,7 @@ def test_bell_gate_noiseless_perfect_fidelity():
         realizations=8,
         engine="analytic_phase",
     )
-    res = bell_gate_run(cfg, seq)
+    res = bell_gate_run(cfg)
     assert abs(res.fidelity - 1.0) < 1e-9
     assert res.conditional_phase < 1e-9
     assert res.decoherence_factor == 1.0
@@ -255,7 +295,7 @@ def test_bell_gate_noiseless_perfect_fidelity():
 
 def test_bell_gate_grid_step_is_never_coarser_than_requested(phase_grids):
     # P / dt = 333.3: 333 steps would exceed tau_c / 10 and be refused
-    h, seq = _setup()
+    h = _setup()
     cfg = EnsembleConfig(
         hamiltonian=h,
         noise=NoiseSpec(variance=0.0, correlation_time=0.03),
@@ -263,13 +303,13 @@ def test_bell_gate_grid_step_is_never_coarser_than_requested(phase_grids):
         realizations=8,
         engine="analytic_phase",
     )
-    assert abs(bell_gate_run(cfg, seq).fidelity - 1.0) < 1e-9
+    assert abs(bell_gate_run(cfg).fidelity - 1.0) < 1e-9
     t_local, n_t = phase_grids[0]
     assert (t_local.size - 1, t_local[-1], n_t) == (334, 1.0, 335)
 
 
 def test_bell_gate_engines_agree_with_closed_form():
-    h, seq = _setup()
+    h = _setup()
     spec = NoiseSpec(variance=20.0, correlation_time=0.04)
     results = {}
     for engine, n in (("analytic_phase", 1024), ("exact_propagation", 256)):
@@ -281,7 +321,7 @@ def test_bell_gate_engines_agree_with_closed_form():
             master_seed=11,
             engine=engine,
         )
-        res = bell_gate_run(cfg, seq)
+        res = bell_gate_run(cfg)
         results[engine] = res
         assert (
             abs(res.fidelity - res.fidelity_closed_form)
@@ -311,17 +351,18 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
     """The u x u engine equals 4x4 slice products with 4x4 pi-pulses, under
     scalar and vector noise: the gate's four segments on the Bell state, and
     a two-qubit run_ensemble's one segment, without a pulse, on GENERIC."""
-    h, seq = _setup(magnitude=60.0)
+    h = _setup(magnitude=60.0)
     n_seg = 250
-    t_local = np.arange(n_seg + 1) * (seq.period / n_seg)
+    period = h.schedule.period
+    t_local = np.arange(n_seg + 1) * (period / n_seg)
     pulses, basis = _pi_pulses(h)
     pulses[0] = np.eye(4)
-    for segments, c in ((_segments(seq, h), BELL), ([(h, 0, 0)], GENERIC)):
+    for segments, c in ((_segments(h), BELL), ([(h, 0, 0)], GENERIC)):
         c = np.asarray(c, dtype=complex)
-        duration = len(segments) * seq.period
+        duration = len(segments) * period
         for dimension in (1, 3):
             spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
-            samples = make_noise_ensemble(spec, duration, seq.period / n_seg, 3, 4)
+            samples = make_noise_ensemble(spec, duration, period / n_seg, 3, 4)
             windows = _windows(samples, n_seg)
             amps = _exact_amplitudes(segments, t_local, windows, c, slices=n_seg)
             for path, got in zip(samples, amps):
@@ -336,20 +377,20 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
 def test_bell_gate_resource_bound(refused_unallocated):
     # 4096 paths of 4 x 10^6 + 1 points: far above MAX_ELEMENTS, refused
     # before the 10^6-step segment grid is built
-    h, seq = _setup(magnitude=1e7)  # keeps 1/(tau_c Delta) adiabatic
+    h = _setup(magnitude=1e7)  # keeps 1/(tau_c Delta) adiabatic
     cfg = EnsembleConfig(
         hamiltonian=h,
         noise=NoiseSpec(variance=1.0, correlation_time=1e-5),
         initial_amplitudes=BELL,
         realizations=4096,
     )
-    refused_unallocated(bell_gate_run, cfg, seq)
+    refused_unallocated(bell_gate_run, cfg)
 
 
 def test_bell_gate_strong_noise_half_fidelity():
-    h, seq = _setup()
+    h = _setup()
     tau_c = 0.04
-    overlap = gate_overlap_sum(seq, h, tau_c)
+    overlap = gate_overlap_sum(h, tau_c)
     sigma2 = 4 * (4 * np.pi**2) / overlap  # variance exactly 4 pi^2
     cfg = EnsembleConfig(
         hamiltonian=h,
@@ -359,14 +400,14 @@ def test_bell_gate_strong_noise_half_fidelity():
         master_seed=2,
         engine="analytic_phase",
     )
-    res = bell_gate_run(cfg, seq)
+    res = bell_gate_run(cfg)
     assert res.analytic_variance >= 4 * np.pi**2 - 1e-6
     assert abs(res.fidelity - 0.5) < 0.02
     assert abs(res.onset_ratio - 1.0) < 1e-9
 
 
 def test_bell_gate_fidelity_monotone_in_sigma2():
-    h, seq = _setup()
+    h = _setup()
     fids = []
     for sigma2 in (0.0, 10.0, 40.0, 160.0):
         cfg = EnsembleConfig(
@@ -377,13 +418,13 @@ def test_bell_gate_fidelity_monotone_in_sigma2():
             master_seed=21,
             engine="analytic_phase",
         )
-        fids.append(bell_gate_run(cfg, seq).fidelity)
+        fids.append(bell_gate_run(cfg).fidelity)
     assert all(a >= b - 0.01 for a, b in zip(fids, fids[1:]))
     assert fids[0] > 0.99 and fids[-1] < 0.6
 
 
 def test_bell_gate_rejects_non_bell_input():
-    h, seq = _setup()
+    h = _setup()
     cfg = EnsembleConfig(
         hamiltonian=h,
         noise=NoiseSpec(variance=0.0, correlation_time=0.04),
@@ -391,7 +432,7 @@ def test_bell_gate_rejects_non_bell_input():
         realizations=8,
     )
     with pytest.raises(ValueError):
-        bell_gate_run(cfg, seq)
+        bell_gate_run(cfg)
 
 
 def test_gate_onset_ratio_identity_and_linearity():
@@ -414,7 +455,7 @@ def test_gate_onset_ratio_identity_and_linearity():
         gate_onset_ratio(1.0, 0.0, gamma, eta, tau_c, period, theta)
 
 
-def _gate_density(cfg, seq):
+def _gate_density(cfg):
     """bell_gate_run's averaged density matrix and standard errors."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
@@ -422,15 +463,14 @@ def _gate_density(cfg, seq):
         patch.setattr(
             gate, "_run_segments", lambda *a: seen.append(real(*a)) or seen[-1]
         )
-        bell_gate_run(cfg, seq)
+        bell_gate_run(cfg)
     [(_, [density])] = seen
     return density.matrix, density.standard_errors
 
 
 def _gate_config(sigma2, engine, realizations=64, substeps=1):
-    h, seq = _setup()
-    cfg = EnsembleConfig(
-        hamiltonian=h,
+    return EnsembleConfig(
+        hamiltonian=_setup(),
         noise=NoiseSpec(variance=sigma2, correlation_time=0.04),
         initial_amplitudes=BELL,
         realizations=realizations,
@@ -438,7 +478,6 @@ def _gate_config(sigma2, engine, realizations=64, substeps=1):
         engine=engine,
         substeps=substeps,
     )
-    return cfg, seq
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -446,9 +485,9 @@ def _gate_config(sigma2, engine, realizations=64, substeps=1):
 def test_zero_noise_gate_equals_the_full_ensemble(every_row, engine, realizations):
     """As for run_ensemble: entries within max(R, 16) eps of all rows
     propagated, standard errors at their roundoff floor sqrt(R) eps."""
-    cfg, seq = _gate_config(0.0, engine, realizations)
-    matrix, se = _gate_density(cfg, seq)
-    full_matrix, full_se = every_row(_gate_density, cfg, seq)
+    cfg = _gate_config(0.0, engine, realizations)
+    matrix, se = _gate_density(cfg)
+    full_matrix, full_se = every_row(_gate_density, cfg)
     eps = np.finfo(float).eps
     assert np.max(np.abs(matrix - full_matrix)) <= max(realizations, 16) * eps
     assert max(np.max(se), np.max(full_se)) <= np.sqrt(realizations) * eps
@@ -456,14 +495,14 @@ def test_zero_noise_gate_equals_the_full_ensemble(every_row, engine, realization
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_gate_sweep_draws_its_normals_once(normal_draws, engine):
-    cfg, seq = _gate_config(0.0, engine, realizations=8)
-    results = bell_gate_sweep(cfg, seq, [5.0, 0.0, 20.0])
+    cfg = _gate_config(0.0, engine, realizations=8)
+    results = bell_gate_sweep(cfg, [5.0, 0.0, 20.0])
     # one path of 4 segments of 250 steps (tau_c / 10 = 0.004)
     assert normal_draws == [(8, (1001, 1))]
     for sigma2, result in zip([5.0, 0.0, 20.0], results):
-        assert result == bell_gate_run(*_gate_config(sigma2, engine, realizations=8))
+        assert result == bell_gate_run(_gate_config(sigma2, engine, realizations=8))
     normal_draws.clear()
-    assert len(bell_gate_sweep(cfg, seq, [0.0, 0.0])) == 2
+    assert len(bell_gate_sweep(cfg, [0.0, 0.0])) == 2
     assert normal_draws == []
 
 
@@ -472,13 +511,13 @@ def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
     """One noise row per segment and level: 4 exact propagations, or 8
     stochastic phases (4 segments x 2 Bell levels)."""
     calls = 4 if engine == "exact_propagation" else 8
-    bell_gate_run(*_gate_config(0.0, engine))
+    bell_gate_run(_gate_config(0.0, engine))
     assert propagated_rows == [1] * calls
     propagated_rows.clear()
-    bell_gate_run(*_gate_config(20.0, engine))
+    bell_gate_run(_gate_config(20.0, engine))
     assert propagated_rows == [64] * calls
     propagated_rows.clear()
-    bell_gate_sweep(*_gate_config(0.0, engine), [20.0, 0.0])
+    bell_gate_sweep(_gate_config(0.0, engine), [20.0, 0.0])
     assert propagated_rows == [64] * calls + [1] * calls
 
 
@@ -488,7 +527,7 @@ def test_zero_noise_gate_peak_memory_grows_only_with_the_density(peak_bytes, eng
     reduction, a few 4 x 4 complex matrices per realization, not the
     1001-point noise path or the propagators."""
     peaks = {
-        n: peak_bytes(bell_gate_run, *_gate_config(0.0, engine, n)) for n in (256, 4096)
+        n: peak_bytes(bell_gate_run, _gate_config(0.0, engine, n)) for n in (256, 4096)
     }
     per_realization = (peaks[4096] - peaks[256]) / (4096 - 256)
     assert per_realization < 3 * 16 * 16  # 375 bytes measured
@@ -499,22 +538,22 @@ def test_zero_noise_gate_matches_the_noiseless_propagator(noiseless_propagator):
     """The exact engine's sigma^2 = 0 Bell run against the closed form: each
     segment is u x u with u from its own contour direction, then its ideal
     pi-pulse.  The error falls as O(slices^-2)."""
-    h, seq = _setup()
+    h = _setup()
     pulses, basis = _pi_pulses(h)
     psi = basis.T @ np.asarray(BELL)
-    for sched, target in seq.segments:
-        u = noiseless_propagator(replace(h, schedule=sched, qubit_count=1), seq.period)
+    for h_seg, _, target in _segments(h):
+        u = noiseless_propagator(replace(h_seg, qubit_count=1), h.schedule.period)
         psi = pulses[target] @ np.kron(u, u) @ psi
     amps = basis.conj() @ psi
     rho = np.outer(amps, amps.conj())
     bell = np.asarray(BELL)
     fidelity = float(np.real(bell @ rho @ bell))
-    gamma_a = _gamma_a(_segments(seq, h), seq.period)
+    gamma_a = _gamma_a(_segments(h), h.schedule.period)
     d_exact = rho[0, 3] / (0.5 * np.exp(-1j * (gamma_a[0] - gamma_a[3])))
     assert 1.0 - fidelity < 1.2e-7
     residuals = []
     for substeps in (1, 2, 4, 8):
-        res = bell_gate_run(*_gate_config(0.0, "exact_propagation", 8, substeps))
+        res = bell_gate_run(_gate_config(0.0, "exact_propagation", 8, substeps))
         assert abs(res.fidelity - fidelity) < 2e-8  # 1.9e-8 at 250 slices
         residuals.append(abs(res.mc_factor - d_exact))
     assert residuals[0] < 1e-6  # 8.1e-7, then 2.2e-7, 5.7e-8 and 1.4e-8
@@ -531,7 +570,7 @@ def test_zero_noise_gate_bounds_count_every_realization(
     realizations of 2,000 slices per segment, although one row fits; 16
     realizations of 1,000 slices fit and run."""
     monkeypatch.setattr(errors, "MAX_ELEMENTS", 20_000)
-    refused_unallocated(bell_gate_run, *_gate_config(0.0, engine, 32))
+    refused_unallocated(bell_gate_run, _gate_config(0.0, engine, 32))
     if engine == "exact_propagation":
-        refused_unallocated(bell_gate_run, *_gate_config(0.0, engine, 16, 8))
-        bell_gate_run(*_gate_config(0.0, engine, 16, 4))
+        refused_unallocated(bell_gate_run, _gate_config(0.0, engine, 16, 8))
+        bell_gate_run(_gate_config(0.0, engine, 16, 4))

@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gqclab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gqclab"
 
 JUMPS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
 
@@ -103,3 +105,24 @@ def test_only_the_ensemble_calls_the_engines():
         and engines & {alias.name for alias in node.names}
     }
     assert importers == {"ensemble.py"}
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    """``perfbench/spans.py``'s WRAPPED names the gqclab functions that a
+    traced benchmark run wraps, each fetched with ``getattr``: a name that
+    is gone breaks ``perfbench/run.py --trace 1``.  WRAPPED is read from the
+    source, without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    [wrapped] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["WRAPPED"]
+    ]
+    missing = [
+        f"gqclab.{layer}.{name}"
+        for layer, names in wrapped.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"gqclab.{layer}"), name)
+    ]
+    assert wrapped and missing == []
