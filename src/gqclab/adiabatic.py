@@ -370,7 +370,8 @@ def evolve_exact_batch(
 ) -> np.ndarray:
     """Propagate a single-qubit psi0 through the full noisy Hamiltonian.
 
-    noise_samples has shape (n_real, n_times, dim) on ``time_grid``.  psi0
+    noise_samples has shape (n_real, n_times, dim) on ``time_grid``; on
+    time-major memory, the pipeline's, slices gather contiguous rows.  psi0
     is one spinor of shape (2,) or column spinors of shape (2, m); the
     final states have shape (n_real,) + psi0.shape.  The interval covered
     by the grid is cut into ``slices`` pieces; each piece uses the exact
@@ -466,11 +467,13 @@ def stochastic_phase_batch(
 
     Gamma_s = int <E_k|H_s|E_k> dt = -(gamma/2) int B_n(t) . O_kk(t) dt,
     evaluated by the trapezoid rule on the shared time grid.
-    noise_samples has shape (n_real, n_t, dim).
+    noise_samples has shape (n_real, n_t, dim), in any memory layout, with
+    the same bits.
     """
     ops = h.noise_operators(noise_samples.shape[-1])
     okk = frame.operator_expectations(ops)[level]  # (dim, n_t)
-    integrand = np.einsum("ntc,ct->nt", noise_samples, okk)
+    # C order, whatever the samples' layout: the sum below adds in one order
+    integrand = np.einsum("ntc,ct->nt", noise_samples, okk, order="C")
     integrand *= -0.5 * h.coupling
     # np.trapezoid's d * (y[1:] + y[:-1]) / 2.0, in place to hold peak memory
     pairs = integrand[:, 1:] + integrand[:, :-1]

@@ -247,7 +247,9 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     path's normals are drawn once, if any variance is nonzero, and every
     noisy variance filters its path from them one segment at a time into
     one window: the rows share their realizations' normals, as rows of one
-    master seed always do.
+    master seed always do.  The normals and the window are time-major in
+    memory, seen as (rows, n_t, dim): the OU recursion and the exact
+    engine step through time across all rows.
     """
     specs = [replace(config.noise, variance=v) for v in variances]
     config.check_adiabatic()
@@ -264,8 +266,9 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     t = np.linspace(0.0, span, n + 1)
     normals = window = None
     if any(spec.variance for spec in specs):
-        normals = _ensemble_normals(config.master_seed, rows, (n_t, dim))
-        window = np.empty((rows, n + 1, dim))
+        normals = np.empty((n_t, rows, dim)).transpose(1, 0, 2)
+        _ensemble_normals(config.master_seed, rows, (n_t, dim), out=normals)
+        window = np.empty((n + 1, rows, dim)).transpose(1, 0, 2)
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes
     densities = []

@@ -47,8 +47,8 @@ __all__ = [
 #: dt must be at least this many times smaller than tau_c.
 RESOLUTION_FACTOR = 10.0
 
-#: time steps and bytes that a contiguous time-major block of the OU
-#: recursion may not exceed: 256 steps of 512 scalar paths, 16 of 8,192
+#: time steps and bytes of a contiguous working copy: the OU recursion's
+#: time-major block, 256 steps of 512 scalar paths, 16 of 8,192; a draw's rows
 _BLOCK = 256
 _BLOCK_BYTES = 2**20
 
@@ -112,8 +112,11 @@ def _ensemble_normals(
 
     One Philox is re-keyed per row, at a tenth of the cost of a generator
     per row: the ``state`` setter puts i in the key's high word and resets
-    the counter and buffer.  A ``rngs`` list, filled with a generator per
-    row on the first window of a grid, carries the streams across windows.
+    the counter and buffer.  An ``out`` whose rows are not contiguous, such
+    as time-major memory seen as (realizations, n_t, dim), is filled from a
+    contiguous block of rows of up to ``_BLOCK_BYTES`` (at least one row).
+    A ``rngs`` list, filled with a generator per row on the first window of
+    a grid, carries the streams across windows.
     """
     xi = np.empty((realizations,) + tuple(shape)) if out is None else out
     if rngs is not None:
@@ -125,10 +128,16 @@ def _ensemble_normals(
     bit_generator = np.random.Philox(key=master_seed)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, buffer empty
-    for i in range(realizations):
-        state["state"]["key"][1] = i
-        bit_generator.state = state
-        gen.standard_normal(out=xi[i])
+    rows = _BLOCK_BYTES // max(xi[0].nbytes, 1) or 1
+    buf = xi if xi[0].flags.c_contiguous else np.empty(xi[:rows].shape)
+    for start in range(0, realizations, len(buf)):
+        block = buf[: realizations - start]
+        for i, row in enumerate(block, start):
+            state["state"]["key"][1] = i
+            bit_generator.state = state
+            gen.standard_normal(out=row)
+        if buf is not xi:
+            xi[start : start + len(buf)] = block
     return xi
 
 
@@ -161,10 +170,11 @@ def _ou_from_normals(
     Without ``prev``, ``xi[..., 0, :]`` seeds the stationary value at t = 0;
     with it, the window continues a path whose last time row was ``prev``.
     The result is written into ``xi``, which is returned.  The update
-    x[n] += a x[n-1] runs time-major on contiguous copies of up to
+    x[n] += a x[n-1] runs time-major, in place on time-major memory (the
+    ensemble pipeline's) and otherwise on contiguous copies of up to
     ``_BLOCK`` steps that fit in ``_BLOCK_BYTES`` (at least one step),
     starting from a zero state: the same floating-point operations as
-    ``lfilter([1], [1, -a])``, so the same bits whatever the block, in
+    ``lfilter([1], [1, -a])``, so the same bits whatever the layout, in
     about that budget of memory beyond ``xi``.
     """
     sigma = np.sqrt(spec.variance)
@@ -176,15 +186,17 @@ def _ou_from_normals(
     else:
         xi *= sigma * np.sqrt(1.0 - a * a)
     x = np.moveaxis(xi, -2, 0)  # time-major view
-    steps = min(_BLOCK, _BLOCK_BYTES // max(xi[..., :1, :].nbytes, 1)) or 1
-    buf = np.empty((min(steps, x.shape[0]),) + x.shape[1:])
-    for start in range(0, x.shape[0], steps):
+    steps = min(_BLOCK, _BLOCK_BYTES // max(x[0].nbytes, 1)) or 1
+    buf = x if x.flags.c_contiguous else np.empty(x[:steps].shape)
+    for start in range(0, x.shape[0], len(buf)):
         block = buf[: x.shape[0] - start]
-        block[...] = x[start : start + steps]
+        if buf is not x:
+            block[...] = x[start : start + len(buf)]
         block[0] += a * prev
         for n in range(1, block.shape[0]):
             block[n] += a * block[n - 1]
-        x[start : start + steps] = block
+        if buf is not x:
+            x[start : start + len(buf)] = block
         prev = x[start + block.shape[0] - 1]
     return xi
 

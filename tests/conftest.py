@@ -390,13 +390,14 @@ def propagated_rows(monkeypatch):
 @pytest.fixture
 def normal_draws(monkeypatch):
     """(realizations, shape) of each draw of normals that the ensemble
-    pipeline makes."""
+    pipeline makes: one call draws rows 0 ... realizations - 1, in order,
+    into its ``out`` buffer."""
     draws = []
     real = ensemble._ensemble_normals
 
-    def spy(master_seed, realizations, shape):
+    def spy(master_seed, realizations, shape, out):
         draws.append((realizations, shape))
-        return real(master_seed, realizations, shape)
+        return real(master_seed, realizations, shape, out=out)
 
     monkeypatch.setattr(ensemble, "_ensemble_normals", spy)
     return draws

@@ -36,6 +36,12 @@ def _noise(duration, dt=0.005, variance=0.0, seed=0, tau_c=0.05):
     return np.arange(samples.shape[1]) * dt, samples
 
 
+def _time_major(samples):
+    """``samples`` (rows, n_t, dim) in time-major memory, the ensemble
+    pipeline's layout, seen with the same shape."""
+    return np.ascontiguousarray(samples.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
 def loop_berry_phase(states):
     """Gauge-invariant discrete Berry phase: -Im log of the overlap product.
 
@@ -269,6 +275,9 @@ def test_evolve_exact_matches_slice_loop(slice_loop_reference, slices, dimension
     assert got.shape == (_PATHS,) + psi0.shape
     want = slice_loop_reference(h, t, samples, psi0, slices)
     assert np.max(np.abs(got - want)) <= 1e-13
+    # the same bits from the ensemble pipeline's time-major noise
+    time_major = evolve_exact_batch(h, t, _time_major(samples), psi0, slices)
+    assert np.array_equal(time_major, got)
 
 
 def test_evolve_exact_working_memory_is_bounded_in_bytes(peak_bytes):
@@ -351,6 +360,22 @@ def test_gamma_s_linear_in_noise():
     [gs1] = stochastic_phase_batch(h, frame, noise, 1)
     [gs3] = stochastic_phase_batch(h, frame, 3.0 * noise, 1)
     assert np.isclose(gs3, 3.0 * gs1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_stochastic_phase_does_not_depend_on_the_noise_layout(qubits, dimension):
+    """Gamma_s of every level from time-major noise, the ensemble pipeline's
+    layout, has the bits of the C-contiguous call: the trapezoid sum adds
+    in one order whatever the layout."""
+    h = _hamiltonian(np.pi / 3, qubit_count=qubits)
+    spec = NoiseSpec(variance=50.0, correlation_time=0.05, dimension=dimension)
+    samples = make_noise_ensemble(spec, 1.0, 0.005, 4, 64)
+    frame = eigenframe(h, np.arange(samples.shape[1]) * 0.005)
+    for level in range(h.n_levels):
+        want = stochastic_phase_batch(h, frame, samples, level)
+        got = stochastic_phase_batch(h, frame, _time_major(samples), level)
+        assert np.array_equal(got, want)
 
 
 def test_gamma_a_identical_across_realizations():

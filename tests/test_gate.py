@@ -506,6 +506,16 @@ def test_a_gate_sweep_draws_its_normals_once(normal_draws, engine):
     assert normal_draws == []
 
 
+def test_noisy_gate_sweep_holds_the_normals_and_one_window(peak_bytes):
+    """At 512 realizations, a 1,001-point path in 251-point windows, the
+    exact engine's sweep peaks within 1.5 MiB of the normals and one window
+    (0.85 MiB measured): a full-size copy of the normals, 3.9 MiB, would
+    not fit."""
+    held = 512 * (1001 + 251) * 8
+    cfg = _gate_config(5.0, "exact_propagation", 512)
+    assert peak_bytes(bell_gate_sweep, cfg, [5.0, 20.0]) <= held + 1.5 * 2**20
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
     """One noise row per segment and level: 4 exact propagations, or 8

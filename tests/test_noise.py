@@ -212,22 +212,60 @@ def test_ou_block_is_bounded_in_bytes(peak_bytes, ou_reference):
     assert np.array_equal(xi, expected)
 
 
+def _buffer(layout, rows, n_t, dim):
+    """An empty (rows, n_t, dim) array, path-major or time-major in memory."""
+    if layout == "time-major":
+        return np.empty((n_t, rows, dim)).transpose(1, 0, 2)
+    return np.empty((rows, n_t, dim))
+
+
+def test_normals_fill_a_time_major_buffer_one_block_at_a_time(peak_bytes):
+    """700 rows of 201 points: two blocks of rows (652 in 1 MiB), copied
+    into time-major memory, with no full-size temporary."""
+    want = _ensemble_normals(6, 700, (201, 1))
+    got = _buffer("time-major", 700, 201, 1)
+    assert _ensemble_normals(6, 700, (201, 1), out=got) is got
+    assert np.array_equal(got, want)
+    assert peak_bytes(_ensemble_normals, 6, 700, (201, 1), None, got) <= 1.1 * 2**20
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_ou_recursion_runs_in_place_on_time_major_windows(
+    peak_bytes, ou_reference, dimension
+):
+    """A path filtered as two contiguous time-major windows, the second
+    continuing from the first's last row, is lfilter's path to the bit;
+    the recursion copies no block of the 1.2 MiB windows."""
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=dimension)
+    dt, rows, n = 0.01, 512, 300
+    xi = np.random.default_rng(dimension).standard_normal((rows, 2 * n, dimension))
+    want = ou_reference(spec, xi, dt)
+    memory = np.ascontiguousarray(xi.transpose(1, 0, 2))
+    first, rest = (part.transpose(1, 0, 2) for part in (memory[:n], memory[n:]))
+    assert _ou_from_normals(spec, first, dt) is first
+    assert peak_bytes(_ou_from_normals, spec, rest, dt, first[:, -1]) <= 2**16
+    assert np.array_equal(memory.transpose(1, 0, 2), want)
+
+
 @pytest.mark.parametrize("dimension", [1, 3])
 @pytest.mark.parametrize("count", [1, 4])
 def test_segment_windows_are_the_path_and_leave_the_normals(dimension, count):
-    # 300 steps per segment: each window holds two blocks of the recursion
+    # 300 steps per segment: each window holds two blocks of the recursion;
+    # the pipeline's buffers are time-major, make_noise_ensemble's path-major
     spec = NoiseSpec(variance=2.0, correlation_time=0.1, dimension=dimension)
     n, dt, rows = 300, 0.01, 5
     path = make_noise_ensemble(spec, count * n * dt, dt, 8, rows)
-    normals = _ensemble_normals(8, rows, path.shape[1:])
-    drawn = normals.copy()
-    window = np.empty((rows, n + 1, dimension))
-    windows = _segment_noise(spec, normals, window, n, count, dt)
-    for l, got in enumerate(windows):
-        assert got is window
-        assert np.array_equal(got, path[:, l * n : (l + 1) * n + 1])
-    assert l == count - 1
-    assert np.array_equal(normals, drawn)
+    for layout in ("path-major", "time-major"):
+        normals = _buffer(layout, rows, path.shape[1], dimension)
+        _ensemble_normals(8, rows, path.shape[1:], out=normals)
+        drawn = normals.copy()
+        window = _buffer(layout, rows, n + 1, dimension)
+        windows = _segment_noise(spec, normals, window, n, count, dt)
+        for l, got in enumerate(windows):
+            assert got is window
+            assert np.array_equal(got, path[:, l * n : (l + 1) * n + 1])
+        assert l == count - 1
+        assert np.array_equal(normals, drawn)
     # sigma^2 = 0: one row of +0.0 samples per segment, without normals
     zero = NoiseSpec(variance=0.0, correlation_time=0.1, dimension=dimension)
     windows = list(_segment_noise(zero, None, None, n, count, dt))

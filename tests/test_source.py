@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,18 +108,26 @@ def test_only_the_ensemble_calls_the_engines():
     assert importers == {"ensemble.py"}
 
 
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def _module_level(tree: ast.Module, name: str) -> ast.expr:
+    """The value assigned to ``name`` at the top level of ``tree``."""
+    [value] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == [name]
+    ]
+    return value
+
+
 def test_every_function_the_benchmark_tracer_wraps_exists():
     """``perfbench/spans.py``'s WRAPPED names the gqclab functions that a
     traced benchmark run wraps, each fetched with ``getattr``: a name that
     is gone breaks ``perfbench/run.py --trace 1``.  WRAPPED is read from the
     source, without importing the benchmark."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
-    [wrapped] = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and [getattr(target, "id", None) for target in node.targets] == ["WRAPPED"]
-    ]
+    wrapped = ast.literal_eval(_module_level(ast.parse(SPANS.read_text()), "WRAPPED"))
     missing = [
         f"gqclab.{layer}.{name}"
         for layer, names in wrapped.items()
@@ -126,3 +135,33 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
         if not hasattr(importlib.import_module(f"gqclab.{layer}"), name)
     ]
     assert wrapped and missing == []
+
+
+def test_every_argument_the_benchmark_tracer_reads_is_a_parameter():
+    """The WORK counters of ``perfbench/spans.py`` read a wrapped call's
+    bound arguments by name, as ``a["slices"]``: a renamed parameter breaks
+    only ``perfbench/run.py --trace 1``.  Each name read from a counter's
+    first argument must be a parameter of the function it counts.  WORK is
+    read from the source, without importing the benchmark."""
+    tree = ast.parse(SPANS.read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    work = _module_level(tree, "WORK")
+    read = []
+    for key, counters in zip(work.keys, work.values):
+        layer, name = ast.literal_eval(key).split(".")
+        fn = getattr(importlib.import_module(f"gqclab.{layer}"), name)
+        for counter in counters.values:
+            counter = defs.get(getattr(counter, "id", None), counter)
+            arguments = counter.args.args[0].arg
+            read += [
+                (fn, ast.literal_eval(node.slice))
+                for node in ast.walk(counter)
+                if isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == arguments
+            ]
+    assert read
+    assert [
+        (fn.__name__, arg)
+        for fn, arg in read
+        if arg not in inspect.signature(fn).parameters
+    ] == []
