@@ -32,8 +32,8 @@ conditional geometric phase possible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -63,6 +63,10 @@ _MIN_GAP = 1e-12
 #: evolve_exact_batch (at least one slice): 8 slices at 512 realizations,
 #: 1 at 8,192, so a pass's temporaries stay near 1 MiB at any ensemble size
 _SLICE_ELEMENTS = 4096
+
+#: bytes of stochastic_phase_batch's integrand and trapezoid pairs for one
+#: block of realizations (at least one), whatever the ensemble size
+_PHASE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,7 @@ class ControlSchedule:
 
     def reversed(self) -> "ControlSchedule":
         other = "reversed" if self.direction == "forward" else "forward"
-        return ControlSchedule(
-            self.magnitude, self.cone_angle, self.period, self.cycles, other
-        )
+        return replace(self, direction=other)
 
     def field(self, t) -> np.ndarray:
         """B_a(t), shape (..., 3)."""
@@ -178,7 +180,7 @@ class QubitHamiltonian:
         return self.coupling * self.schedule.magnitude
 
     def cone_angle_of_level(self, level: int) -> float:
-        if self.qubit_count == 1 or self.level_cone_angles is None:
+        if self.level_cone_angles is None:
             return self.schedule.cone_angle
         return float(self.level_cone_angles[level])
 
@@ -206,17 +208,10 @@ class QubitHamiltonian:
             ops = [np.kron(o, eye) + np.kron(eye, o) for o in ops]
         return np.stack(ops)
 
-    def check_adiabatic(
-        self,
-        correlation_time: Optional[float] = None,
-        ratio_max: float = ADIABATIC_RATIO_MAX,
-        strict: bool = False,
-    ) -> dict:
-        """Verify 1/(T Delta) and 1/(tau_c Delta) against ``ratio_max``.
+    def adiabatic_ratios(self, correlation_time: Optional[float] = None) -> dict:
+        """The adiabaticity ratios 1/(T Delta) and, given tau_c, 1/(tau_c Delta).
 
-        Returns the ratios; warns on violation, or raises
-        AdiabaticityError when ``strict``.  A level crossing, a gap below
-        ``_MIN_GAP``, raises DegeneracyError instead, as ``eigenframe`` does.
+        A level crossing, a gap below ``_MIN_GAP``, raises DegeneracyError.
         """
         gap = self.gap
         if gap < _MIN_GAP:
@@ -226,16 +221,26 @@ class QubitHamiltonian:
         ratios = {"drive": 1.0 / (self.schedule.period * gap)}
         if correlation_time is not None:
             ratios["noise"] = 1.0 / (correlation_time * gap)
+        return ratios
+
+    def check_adiabatic(
+        self,
+        correlation_time: Optional[float] = None,
+        ratio_max: float = ADIABATIC_RATIO_MAX,
+        strict: bool = False,
+    ) -> None:
+        """Warn when a ratio of ``adiabatic_ratios`` exceeds ``ratio_max``,
+        or raise AdiabaticityError when ``strict``."""
+        ratios = self.adiabatic_ratios(correlation_time)
         bad = {k: v for k, v in ratios.items() if v > ratio_max}
         if bad:
             msg = (
                 f"adiabaticity violated: ratios {bad} exceed {ratio_max} "
-                f"(gap = {gap:g})"
+                f"(gap = {self.gap:g})"
             )
             if strict:
                 raise AdiabaticityError(msg)
             warnings.warn(msg, stacklevel=2)
-        return ratios
 
 
 def _aligned_state(theta: float, phi: np.ndarray) -> np.ndarray:
@@ -293,7 +298,10 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     """Instantaneous energies, smooth-gauge eigenstates, Berry connections.
 
     The spherical parameterization keeps the gauge analytic on the grid;
-    the azimuth is linear in t (already unwrapped).
+    the azimuth is linear in t (already unwrapped).  Level k, with bits
+    (i1, ...) most significant first, is the product of each qubit's
+    aligned (bit 0) or anti-aligned (bit 1) state at the level's cone
+    angle; its energy and Berry rate are the sums of the qubits' own.
     """
     t = np.asarray(time_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -301,44 +309,27 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     steps = np.diff(t)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise ValueError("time_grid must be uniform")
-    gap = h.gap
-    if gap < _MIN_GAP:
-        raise DegeneracyError(
-            f"level crossing: gap {gap:g} at t = {t[0]:g} (field or coupling is zero)"
-        )
+    h.adiabatic_ratios()  # refuses a level crossing
     sched = h.schedule
     phi = sched.azimuth(t)
     phidot = sched.azimuth_rate
-    half_split = gap / 2.0
-
-    if h.qubit_count == 1:
-        theta = sched.cone_angle
-        states = np.stack([f(theta, phi) for f in _SINGLE_STATES])
-        energies = np.outer(_LEVEL_SIGN * half_split, np.ones_like(t))
-        rates = np.outer(
-            _LEVEL_SIGN * phidot * np.sin(theta / 2.0) ** 2, np.ones_like(t)
-        )
-        return EigenFrame(t, energies, states, rates, gap)
-
-    # two qubits: product levels k = (i1, i2), per-level effective cone angle
+    half_split = h.gap / 2.0
     states, energies, rates = [], [], []
-    for level in range(4):
-        i1, i2 = level >> 1, level & 1
+    for level in range(h.n_levels):
+        bits = [(level >> q) & 1 for q in reversed(range(h.qubit_count))]
         theta = h.cone_angle_of_level(level)
-        states.append(
-            np.einsum(
-                "ta,tb->tab",
-                _SINGLE_STATES[i1](theta, phi),
-                _SINGLE_STATES[i2](theta, phi),
-            ).reshape(t.size, 4)
-        )
-        sign_sum = _LEVEL_SIGN[i1] + _LEVEL_SIGN[i2]
+        state = _SINGLE_STATES[bits[0]](theta, phi)
+        for bit in bits[1:]:
+            factor = _SINGLE_STATES[bit](theta, phi)
+            state = np.einsum("ta,tb->tab", state, factor).reshape(t.size, -1)
+        states.append(state)
+        sign_sum = _LEVEL_SIGN[bits].sum()
         energies.append(np.full_like(t, sign_sum * half_split))
         rates.append(
             np.full_like(t, sign_sum * phidot * np.sin(theta / 2.0) ** 2)
         )
     return EigenFrame(
-        t, np.stack(energies), np.stack(states), np.stack(rates), gap
+        t, np.stack(energies), np.stack(states), np.stack(rates), h.gap
     )
 
 
@@ -413,7 +404,7 @@ def evolve_exact_batch(
     j = np.searchsorted(t, mids, side="right") - 1
     offset = mids - t[j]
     step = np.diff(t)
-    path_major = noise_samples.transpose(1, 0, 2)  # (n_times, n_real, dim) view
+    time_major = noise_samples.transpose(1, 0, 2)  # (n_times, n_real, dim) view
     scale = 0.5 * h.coupling * eps
 
     # spinor components p0, p1 as contiguous (m, n_real) rows
@@ -426,8 +417,8 @@ def evolve_exact_batch(
         jk = j[k]
         # midpoint noise (block, n_real, dim) by linear interpolation on the
         # path grid, with np.interp's formula slope * (x - xp[j]) + fp[j]
-        lo = path_major[jk]
-        noise = path_major[jk + 1] - lo
+        lo = time_major[jk]
+        noise = time_major[jk + 1] - lo
         noise /= step[jk, None, None]
         noise *= offset[k, None, None]
         noise += lo
@@ -468,15 +459,24 @@ def stochastic_phase_batch(
     Gamma_s = int <E_k|H_s|E_k> dt = -(gamma/2) int B_n(t) . O_kk(t) dt,
     evaluated by the trapezoid rule on the shared time grid.
     noise_samples has shape (n_real, n_t, dim), in any memory layout, with
-    the same bits.
+    the same bits.  Realizations run in blocks whose integrand and pairs
+    fill ``_PHASE_BLOCK_BYTES``; each row's sums are the same in any block.
     """
-    ops = h.noise_operators(noise_samples.shape[-1])
-    okk = frame.operator_expectations(ops)[level]  # (dim, n_t)
-    # C order, whatever the samples' layout: the sum below adds in one order
-    integrand = np.einsum("ntc,ct->nt", noise_samples, okk, order="C")
-    integrand *= -0.5 * h.coupling
-    # np.trapezoid's d * (y[1:] + y[:-1]) / 2.0, in place to hold peak memory
-    pairs = integrand[:, 1:] + integrand[:, :-1]
-    pairs *= np.diff(frame.times)
-    pairs /= 2.0
-    return pairs.sum(axis=-1)
+    n_real, n_t, dim = noise_samples.shape
+    okk = frame.operator_expectations(h.noise_operators(dim))[level]  # (dim, n_t)
+    step = np.diff(frame.times)
+    rows = min(max(_PHASE_BLOCK_BYTES // (16 * n_t), 1), n_real)
+    integrand, pairs = np.empty((rows, n_t)), np.empty((rows, n_t - 1))
+    out = np.empty(n_real)
+    for start in range(0, n_real, rows):
+        block = noise_samples[start : start + rows]
+        y, d = integrand[: len(block)], pairs[: len(block)]
+        # into C-order rows, whatever the samples' layout: d sums in one order
+        np.einsum("ntc,ct->nt", block, okk, out=y)
+        y *= -0.5 * h.coupling
+        # np.trapezoid's d * (y[1:] + y[:-1]) / 2.0, in place to hold peak memory
+        np.add(y[:, 1:], y[:, :-1], out=d)
+        d *= step
+        d /= 2.0
+        out[start : start + rows] = d.sum(axis=-1)
+    return out

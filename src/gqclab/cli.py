@@ -213,7 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         s = sub.add_parser(name)
         s.add_argument("--config", help="JSON config file (or a run manifest)")
-        s.add_argument("--seed", type=int, help="override master_seed")
+        s.add_argument(
+            "--seed", type=int, dest="master_seed", help="override master_seed"
+        )
         s.add_argument("--realizations", type=int, help="override realizations")
         s.add_argument(
             "--threads", type=int, help="validated and echoed; runs nothing in parallel"
@@ -354,23 +356,24 @@ def _check_noise_validate(raw, params, errors):
         errors.append(f"lags: {exc}")
 
 
-def _gate_hamiltonian(p) -> QubitHamiltonian:
-    """The two-qubit Hamiltonian of a gate-fidelity config, its level cone
-    angles calibrated to the conditional phase (none when that is 0)."""
+def _hamiltonian(p, cycles: int, **qubits) -> QubitHamiltonian:
+    """The Hamiltonian of an agp-dephase or gate-fidelity config's drive,
+    ``cycles`` periods long; ``qubits`` sets the qubit count and angles."""
     schedule = ControlSchedule(
         magnitude=p["magnitude"],
         cone_angle=p["cone_angle"],
         period=p["period"],
-        cycles=1,
+        cycles=cycles,
     )
+    return QubitHamiltonian(coupling=p["coupling"], schedule=schedule, **qubits)
+
+
+def _gate_hamiltonian(p) -> QubitHamiltonian:
+    """The two-qubit Hamiltonian of a gate-fidelity config, its level cone
+    angles calibrated to the conditional phase (none when that is 0)."""
     phi = p["conditional_phase"]
     angles = calibrate_level_cone_angles(phi, p["cone_angle"]) if phi else None
-    return QubitHamiltonian(
-        coupling=p["coupling"],
-        schedule=schedule,
-        qubit_count=2,
-        level_cone_angles=angles,
-    )
+    return _hamiltonian(p, 1, qubit_count=2, level_cone_angles=angles)
 
 
 def _check_gate_fidelity(params, errors):
@@ -487,17 +490,11 @@ def _ensemble_config(p, h, amplitudes):
 
 
 def _run_agp_dephase(p):
-    schedule = ControlSchedule(
-        magnitude=p["magnitude"],
-        cone_angle=p["cone_angle"],
-        period=p["period"],
-        cycles=p["cycles"],
-    )
-    h = QubitHamiltonian(coupling=p["coupling"], schedule=schedule)
+    h = _hamiltonian(p, p["cycles"])
     amps = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
     sweep = _sigma2_sweep(p)
     reports = decoherence_sweep(_ensemble_config(p, h, amps), sweep, levels=(1, 0))
-    gamma_a = deterministic_phases(h, schedule.duration)  # after the refusals
+    gamma_a = deterministic_phases(h, h.schedule.duration)  # after the refusals
     gamma_a_kj = float(gamma_a[1] - gamma_a[0])
     rows = []
     for sigma2, report in zip(sweep, reports):
@@ -518,7 +515,7 @@ def _run_agp_dephase(p):
     derived = {
         "gap_rad_per_s": h.gap,
         "gamma_a_kj_rad": gamma_a_kj,
-        "adiabaticity_ratios": h.check_adiabatic(p["correlation_time"]),
+        "adiabaticity_ratios": h.adiabatic_ratios(p["correlation_time"]),
         "eta": p["cycles"],
     }
     return rows, derived
@@ -548,7 +545,7 @@ def _run_gate_fidelity(p):
     derived = {
         "gap_rad_per_s": h.gap,
         "level_cone_angles_rad": list(angles) if angles else None,
-        "adiabaticity_ratios": h.check_adiabatic(p["correlation_time"]),
+        "adiabaticity_ratios": h.adiabatic_ratios(p["correlation_time"]),
     }
     return rows, derived
 
@@ -653,28 +650,21 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    overrides = vars(_PARSER.parse_args(argv))
+    experiment, config_path = overrides.pop("experiment"), overrides.pop("config")
     text = ""
-    if args.config:
+    if config_path:
         try:
-            with open(args.config) as f:
+            with open(config_path) as f:
                 text = f.read()
         except OSError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    overrides = {
-        "master_seed": args.seed,
-        "realizations": args.realizations,
-        "threads": args.threads,
-        "out": args.out,
-        "format": args.format,
-        "strict_adiabatic": args.strict_adiabatic,
-    }
     try:
         # overrides apply to the config a manifest echoes, not to the manifest
         raw = _config_mapping(text)
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        config = validate_config(raw, experiment=args.experiment)
+        config = validate_config(raw, experiment=experiment)
         manifest = run(config)
     except (ConfigError, ResolutionError, DegeneracyError) as exc:
         for err in getattr(exc, "errors", [exc]):

@@ -112,17 +112,6 @@ class EnsembleConfig:
             return self.noise_dt
         return self.noise.correlation_time / RESOLUTION_FACTOR
 
-    def check_adiabatic(self) -> dict:
-        """Check the Hamiltonian against the adiabaticity bound.
-
-        Strict when ``strict_adiabatic`` is set, and always strict for the
-        analytic engine, whose phases hold only in the adiabatic limit.
-        """
-        return self.hamiltonian.check_adiabatic(
-            correlation_time=self.noise.correlation_time,
-            strict=self.strict_adiabatic or self.engine == "analytic_phase",
-        )
-
 
 @dataclass(frozen=True)
 class AveragedDensity:
@@ -204,29 +193,20 @@ def _exact_amplitudes(segments, t, windows, c, slices: int) -> np.ndarray:
     leaving through the eigenframe's first and last states.  Two qubits see
     the same field and noise, so a segment's propagator is u x u and the
     amplitude matrix Psi[i1, i2] evolves as u Psi u^T.  Psi is kept in the
-    eigenbasis at the segment boundaries (azimuth 0), where the ideal
-    pi-pulse swaps the target qubit's aligned and anti-aligned levels.  Two
-    qubits need uniform cone angles: per-level angles do not define a
-    single Hamiltonian.
+    one-qubit eigenbasis at the segment boundaries (azimuth 0), where the
+    ideal pi-pulse swaps the target qubit's aligned and anti-aligned levels.
     """
-    h = segments[0][0]
-    if h.qubit_count == 1:
-        frame = eigenframe(h, t)
-        psi0 = frame.states[:, 0, :].T @ c  # lab-frame initial state
+    singles = [replace(h, qubit_count=1, level_cone_angles=None) for h, *_ in segments]
+    states = eigenframe(singles[0], t).states  # (level, t, component)
+    if segments[0][0].qubit_count == 1:
+        psi0 = states[:, 0, :].T @ c  # lab-frame initial state
         [samples] = windows
-        psi_f = evolve_exact_batch(h, t, samples, psi0, slices)
-        return psi_f @ frame.states[:, -1, :].conj().T
-    if not h.uniform_cone_angles():
-        raise ValueError(
-            "exact two-qubit propagation requires uniform level_cone_angles"
-        )
-    # columns: the aligned and anti-aligned single-qubit states at azimuth 0
-    half = h.schedule.cone_angle / 2.0
-    v = np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
+        psi_f = evolve_exact_batch(singles[0], t, samples, psi0, slices)
+        return psi_f @ states[:, -1, :].conj().T
+    v = states[:, 0, :].T  # columns: the eigenstates at azimuth 0
     psi = c.reshape(2, 2)
-    for (h_seg, _, target), window in zip(segments, windows):
-        one_qubit = replace(h_seg, qubit_count=1, level_cone_angles=None)
-        u = v.T @ evolve_exact_batch(one_qubit, t, window, v, slices)
+    for h, (_, _, target), window in zip(singles, segments, windows):
+        u = v.T @ evolve_exact_batch(h, t, window, v, slices)
         psi = u @ psi @ u.swapaxes(-1, -2)
         if target:
             psi = np.flip(psi, axis=target)
@@ -242,17 +222,22 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     it, and an ideal pi-pulse flips qubit ``target`` at its end (0: no
     pulse).  Every segment lasts its schedule's duration on one grid of
     steps no coarser than ``config.dt``, and one noise path spans them all.
-    The variances, the seed, the grid and both element bounds are checked
-    for every configured realization before anything is allocated.  The
-    path's normals are drawn once, if any variance is nonzero, and every
-    noisy variance filters its path from them one segment at a time into
-    one window: the rows share their realizations' normals, as rows of one
+    The variances, the seed, the grid, both element bounds and, for the
+    exact engine, uniform cone angles (per-level angles define no single
+    one-qubit Hamiltonian to compose as u x u) are checked for every
+    configured realization before anything is allocated.  The path's
+    normals are drawn once, if any variance is nonzero, and every noisy
+    variance filters its path from them one segment at a time into one
+    window: the rows share their realizations' normals, as rows of one
     master seed always do.  The normals and the window are time-major in
     memory, seen as (rows, n_t, dim): the OU recursion and the exact
     engine step through time across all rows.
     """
     specs = [replace(config.noise, variance=v) for v in variances]
-    config.check_adiabatic()
+    h = config.hamiltonian
+    # the analytic engine's phases hold only in the adiabatic limit
+    strict = config.strict_adiabatic or config.engine == "analytic_phase"
+    h.check_adiabatic(config.noise.correlation_time, strict=strict)
     span = segments[0][0].schedule.duration
     n = _grid_steps(span, config.dt)
     rows, dim, count = config.realizations, config.noise.dimension, len(segments)
@@ -263,6 +248,10 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     exact = config.engine == "exact_propagation"
     if exact:
         _check_elements((rows, slices, dim), "exact propagation")
+        if not h.uniform_cone_angles():
+            raise ValueError(
+                "exact two-qubit propagation requires uniform level_cone_angles"
+            )
     t = np.linspace(0.0, span, n + 1)
     normals = window = None
     if any(spec.variance for spec in specs):

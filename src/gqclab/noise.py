@@ -119,12 +119,8 @@ def _ensemble_normals(
     a grid, carries the streams across windows.
     """
     xi = np.empty((realizations,) + tuple(shape)) if out is None else out
-    if rngs is not None:
-        if not rngs:
-            rngs.extend(realization_rng(master_seed, i) for i in range(realizations))
-        for gen, row in zip(rngs, xi):
-            gen.standard_normal(out=row)
-        return xi
+    if rngs is not None and not rngs:
+        rngs.extend(realization_rng(master_seed, i) for i in range(realizations))
     bit_generator = np.random.Philox(key=master_seed)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, buffer empty
@@ -133,9 +129,10 @@ def _ensemble_normals(
     for start in range(0, realizations, len(buf)):
         block = buf[: realizations - start]
         for i, row in enumerate(block, start):
-            state["state"]["key"][1] = i
-            bit_generator.state = state
-            gen.standard_normal(out=row)
+            if rngs is None:
+                state["state"]["key"][1] = i
+                bit_generator.state = state
+            (gen if rngs is None else rngs[i]).standard_normal(out=row)
         if buf is not xi:
             xi[start : start + len(buf)] = block
     return xi
@@ -219,7 +216,7 @@ def _noise_grid(spec, duration, dt, master_seed, realizations) -> int:
     """Grid points, once the count, the seed and the grid are checked."""
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    split_seed(master_seed, 0)  # checked at every variance
+    split_seed(master_seed, 0)  # once per grid, even where sigma^2 = 0 draws nothing
     _check_resolution(spec, duration, dt)
     return _n_times(duration, dt)
 

@@ -68,11 +68,9 @@ def find_period(modulus: int, base: int) -> int:
         raise ValueError(f"base {base} is not co-prime with modulus {modulus}")
     x = base % modulus
     r = 1
-    while x != 1:
+    while x != 1 % modulus:  # 1 % 1 = 0: every base has order 1 mod 1
         x = (x * base) % modulus
         r += 1
-        if r > modulus:
-            raise RuntimeError("order exceeded modulus; arithmetic error")
     return r
 
 

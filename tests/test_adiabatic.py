@@ -378,6 +378,22 @@ def test_stochastic_phase_does_not_depend_on_the_noise_layout(qubits, dimension)
         assert np.array_equal(got, want)
 
 
+def test_stochastic_phase_holds_its_temporaries_to_a_block(peak_bytes):
+    """At 4,096 realizations of 201 points the integrand alone would take
+    6.3 MiB: blocks of rows keep the scratch within 1.5 MiB, and give the
+    bits of the whole-batch trapezoid."""
+    h = _hamiltonian(np.pi / 3)
+    spec = NoiseSpec(variance=50.0, correlation_time=0.05)
+    samples = make_noise_ensemble(spec, 1.0, 0.005, 4, 4096)
+    frame = eigenframe(h, np.arange(samples.shape[1]) * 0.005)
+    assert peak_bytes(stochastic_phase_batch, h, frame, samples, 0) <= 1.5 * 2**20
+    okk = frame.operator_expectations(h.noise_operators(1))[0]
+    integrand = np.einsum("ntc,ct->nt", samples, okk) * (-0.5 * h.coupling)
+    pairs = (integrand[:, 1:] + integrand[:, :-1]) * np.diff(frame.times) / 2.0
+    want = pairs.sum(axis=-1)
+    assert np.array_equal(stochastic_phase_batch(h, frame, samples, 0), want)
+
+
 def test_gamma_a_identical_across_realizations():
     # Gamma_a is one value per level, whatever the noise; Gamma_s is one
     # value per realization
@@ -388,6 +404,16 @@ def test_gamma_a_identical_across_realizations():
     assert deterministic_phases(h, t[-1]).shape == (2,)
     gamma_s = stochastic_phase_batch(h, eigenframe(h, t), samples, 0)
     assert len(set(gamma_s)) == 3
+
+
+def test_adiabatic_ratios_state_the_limit_and_refuse_a_crossing():
+    h = _hamiltonian(1.0, magnitude=4.0)  # gap 4, period 1
+    assert h.adiabatic_ratios() == {"drive": 0.25}
+    assert h.adiabatic_ratios(0.5) == {"drive": 0.25, "noise": 0.5}
+    flat = _hamiltonian(1.0, magnitude=0.0)
+    for check in (flat.adiabatic_ratios, flat.check_adiabatic):
+        with pytest.raises(DegeneracyError, match="level crossing: gap 0"):
+            check()
 
 
 def test_adiabaticity_check_warns_or_raises():

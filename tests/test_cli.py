@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,22 @@ def test_cli_strict_adiabatic_exit_code(tmp_path):
     )
     assert code == 3
     assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
+
+
+def test_cli_warns_once_outside_the_adiabatic_limit(tmp_path):
+    """A non-strict run that breaks the bound warns once, from the ensemble's
+    one check; the manifest records the same ratios all the same."""
+    raw = dict(AGP_CONFIG, engine="exact_propagation", magnitude=200.0, period=0.04)
+    path = _write(tmp_path, "cfg.json", raw)
+    out = str(tmp_path / "x.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["agp-dephase", "--config", path, "--out", out]) == 0
+    assert [str(w.message).split(":")[0] for w in caught] == ["adiabaticity violated"]
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    ratio = 1.0 / (0.04 * 200.0)  # 1/(T Delta) and 1/(tau_c Delta)
+    ratios = manifest["derived"]["adiabaticity_ratios"]
+    assert ratios == {"drive": ratio, "noise": ratio}
 
 
 @pytest.mark.parametrize(

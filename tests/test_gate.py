@@ -19,6 +19,7 @@ from gqclab import (
     gate_overlap_sum,
     level_index_map,
     make_noise_ensemble,
+    run_ensemble,
 )
 from gqclab import ensemble, errors, gate
 from gqclab.adiabatic import stochastic_phase_batch
@@ -503,6 +504,20 @@ def test_a_gate_sweep_draws_its_normals_once(normal_draws, engine):
         assert result == bell_gate_run(_gate_config(sigma2, engine, realizations=8))
     normal_draws.clear()
     assert len(bell_gate_sweep(cfg, [0.0, 0.0])) == 2
+    assert normal_draws == []
+
+
+def test_a_non_uniform_exact_run_is_refused_before_drawing(normal_draws):
+    """Per-level cone angles define no one-qubit propagator u for the exact
+    engine's u x u: bell_gate_run and run_ensemble refuse them with the
+    pipeline's other refusals, before drawing 4,096 paths of normals."""
+    angles = calibrate_level_cone_angles(1.0, np.pi / 3)
+    cfg = replace(
+        _gate_config(5.0, "exact_propagation", 4096), hamiltonian=_setup(angles=angles)
+    )
+    for run in (bell_gate_run, run_ensemble):
+        with pytest.raises(ValueError, match="uniform level_cone_angles"):
+            run(cfg)
     assert normal_draws == []
 
 

@@ -41,6 +41,19 @@ def test_find_period_examples():
         find_period(15, 3)  # gcd(3, 15) = 3
 
 
+def test_every_base_has_order_1_modulo_1():
+    # x = y mod 1 = 0 = 1 mod 1 from the start: the loop must not look for x = 1
+    assert [find_period(1, y) for y in (0, 1, 2, 7)] == [1, 1, 1, 1]
+
+
+def test_find_period_is_the_brute_force_order_for_small_moduli():
+    for n in range(2, 65):
+        for y in range(n):
+            if math.gcd(y, n) == 1:
+                order = next(r for r in range(1, n + 1) if pow(y, r, n) == 1)
+                assert find_period(n, y) == order, (n, y)
+
+
 @given(st.integers(min_value=2, max_value=200), st.integers(min_value=2, max_value=200))
 @settings(max_examples=60, deadline=None)
 def test_find_period_is_the_multiplicative_order(n, y):

@@ -108,6 +108,21 @@ def test_only_the_ensemble_calls_the_engines():
     assert importers == {"ensemble.py"}
 
 
+def test_one_adiabaticity_check_per_run():
+    """check_adiabatic, which warns or raises, has one caller in the package:
+    the ensemble pipeline's up-front refusals.  Anything else that reports
+    the ratios reads adiabatic_ratios, so a run warns once."""
+    callers = [
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "check_adiabatic"
+    ]
+    assert callers == ["ensemble.py"]
+
+
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
