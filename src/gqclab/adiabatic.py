@@ -53,7 +53,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-#: default ceiling for the adiabaticity ratios 1/(T Delta) and 1/(tau_c Delta)
+#: ceiling for the adiabaticity ratios 1/(T Delta) and 1/(tau_c Delta)
 ADIABATIC_RATIO_MAX = 0.1
 
 #: level splitting below which the spectrum is a level crossing
@@ -224,18 +224,15 @@ class QubitHamiltonian:
         return ratios
 
     def check_adiabatic(
-        self,
-        correlation_time: Optional[float] = None,
-        ratio_max: float = ADIABATIC_RATIO_MAX,
-        strict: bool = False,
+        self, correlation_time: Optional[float] = None, strict: bool = False
     ) -> None:
-        """Warn when a ratio of ``adiabatic_ratios`` exceeds ``ratio_max``,
-        or raise AdiabaticityError when ``strict``."""
+        """Warn when a ratio of ``adiabatic_ratios`` exceeds
+        ADIABATIC_RATIO_MAX, or raise AdiabaticityError when ``strict``."""
         ratios = self.adiabatic_ratios(correlation_time)
-        bad = {k: v for k, v in ratios.items() if v > ratio_max}
+        bad = {k: v for k, v in ratios.items() if v > ADIABATIC_RATIO_MAX}
         if bad:
             msg = (
-                f"adiabaticity violated: ratios {bad} exceed {ratio_max} "
+                f"adiabaticity violated: ratios {bad} exceed {ADIABATIC_RATIO_MAX} "
                 f"(gap = {self.gap:g})"
             )
             if strict:

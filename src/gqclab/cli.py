@@ -584,7 +584,7 @@ def _format_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)  # shortest round-trip representation
+        return repr(float(value))  # shortest round-trip, also for np.float64
     return str(value)
 
 

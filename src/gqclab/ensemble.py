@@ -9,18 +9,19 @@ D(k,j) = < exp[-i (Gamma_s(k) - Gamma_s(j))] >.  For Gaussian stationary
 noise the accumulated stochastic phase difference is Gaussian with zero
 mean and variance
 
-    Var = (eta gamma^2 sigma^2 / 4) I_kj,
-    I_kj = int_0^T int_0^T O_kj(t) . O_kj(t') f(t - t') dt dt',
+    Var = (gamma^2 sigma^2 / 4) I_kj,
+    I_kj = int int O_kj(t) . O_kj(t') f(t - t') dt dt' over the whole run,
 
-so D(k,j) = exp(-Var / 2).  This module estimates D by brute-force Monte
-Carlo (either exact propagation or the analytic adiabatic phases) and
-evaluates the closed forms, including the onset-of-decoherence ratio
-(phase spread ~ 2 pi) expressed through the absorbed noise power
-P/V = sigma^2 * d_omega.
+so D(k,j) = exp(-Var / 2); the paper's eta I_kj of one period is its
+tau_c << T limit.  This module estimates D by brute-force Monte Carlo
+(exact propagation or the analytic adiabatic phases) and evaluates the
+closed forms, including the onset-of-decoherence ratio (phase spread
+~ 2 pi) expressed through the absorbed noise power P/V = sigma^2 d_omega.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -298,7 +299,8 @@ def decoherence_factor_analytic(variance: float) -> float:
 def variance_analytic(
     eta: int, coupling: float, sigma2: float, overlap: float
 ) -> float:
-    """Phase variance after eta control cycles: eta gamma^2 sigma^2 I / 4."""
+    """Phase variance after eta control cycles: eta gamma^2 sigma^2 I / 4,
+    the paper's law for I of one period, exact only for tau_c << T."""
     if eta < 1:
         raise ValueError(f"eta must be >= 1, got {eta}")
     if coupling < 0 or sigma2 < 0 or overlap < 0:
@@ -306,31 +308,65 @@ def variance_analytic(
     return eta * coupling**2 * sigma2 * overlap / 4.0
 
 
-def _window_integral(s: np.ndarray, period: float) -> np.ndarray:
-    """E(s) = int_0^T e^{s t} dt = (e^{sT} - 1) / s, and T at s = 0."""
+def _window_integral(s: np.ndarray, span: float) -> np.ndarray:
+    """E(s) = int_0^S e^{s t} dt = (e^{sS} - 1) / s, and S at s = 0."""
     nonzero = np.where(s == 0, 1.0, s)
-    return np.where(s == 0, period, np.expm1(s * period) / nonzero)
+    return np.where(s == 0, span, np.expm1(s * span) / nonzero)
 
 
-def _kernel_gram(correlation_time: float, period: float) -> np.ndarray:
-    """int_0^T int_0^T f_p(t) f_q(t') exp(-|t - t'|/tau_c) dt dt'.
-
-    f = (1, cos wt, sin wt) with w = 2 pi / T.  With the exponentials
-    e^{i a t}, a in (-w, 0, w), the double integral is
+def _kernel_gram(correlation_time: float, period: float, span: float):
+    """(G, h) with G_pq = int int f_p(t) f_q(t') exp(-|t - t'|/tau_c) dt dt'
+    and h_p = int f_p(t) exp(-t/tau_c) dt on [0, S], f = (1, cos wt, sin wt)
+    and w = 2 pi / T.  With the exponentials e^{i a t}, a in (-w, 0, w),
+    the double integral is
     K(a, b) = [E(i(a+b)) - E(ia - lam)]/(lam + ib)
             + [E(i(a+b)) - E(ib - lam)]/(lam + ia),   lam = 1/tau_c,
-    from splitting the square at t = t'; the rows of ``w`` write
-    (1, cos, sin) in that exponential basis.
+    from splitting the square at t = t', and h = E(ia - lam); the rows of
+    ``w`` write (1, cos, sin) in that exponential basis.
     """
     lam = 1.0 / correlation_time
     alpha = 2j * np.pi / period * np.array([-1.0, 0.0, 1.0])
     a, b = alpha[:, None], alpha[None, :]
-    both = _window_integral(a + b, period)
-    k = (both - _window_integral(a - lam, period)) / (lam + b) + (
-        both - _window_integral(b - lam, period)
-    ) / (lam + a)
+    both = _window_integral(a + b, span)
+    edge = _window_integral(alpha - lam, span)
+    k = (both - edge[:, None]) / (lam + b) + (both - edge[None, :]) / (lam + a)
     w = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5j, 0.0, -0.5j]])
-    return np.real(w @ k @ w.T)
+    return np.real(w @ k @ w.T), np.real(w @ edge)
+
+
+def _segment_overlap(segments, correlation_time: float, levels, dimension) -> float:
+    """Exact I_kj for the kernel exp(-|tau|/tau_c) over the whole window of
+    ``segments`` on one noise path, as ``_run_segments`` runs them.
+
+    In segment l, (k, j) sits on (k ^ flips, j ^ flips); each noise
+    component of O_kj is v_l . f(t), read off the eigenframe at 0, T/4 and
+    T/2, and adds v_l^T G v_l over its span S (Kubo's line-shape integral
+    with a modulated integrand).  A pair l < m adds
+    2 e^{-(m-l-1) S/tau_c} (v_l . h~)(v_m . h), h~ being h with its sin
+    entry negated as S is whole periods.  Nothing assumes tau_c << T."""
+    k, j = levels
+    if k == j:
+        raise ValueError("levels k and j must differ (I_kk is trivially zero)")
+    if correlation_time <= 0:
+        raise ValueError(f"correlation_time must be > 0, got {correlation_time}")
+    schedule = segments[0][0].schedule
+    gram, edge = _kernel_gram(correlation_time, schedule.period, schedule.duration)
+    decay = math.exp(-schedule.duration / correlation_time)
+    times = schedule.period * np.array([0.0, 0.25, 0.5])
+    total, tail = 0, 0.0  # tail: sum_{l<m} e^{-(m-l-1) S/tau_c} v_l . h~
+    for h, flips, _ in segments:
+        ops = h.noise_operators(dimension)
+        exp = eigenframe(h, times).operator_expectations(ops)
+        g0, g1, g2 = np.moveaxis(exp[k ^ flips] - exp[j ^ flips], -1, 0)
+        mean = 0.5 * (g0 + g2)
+        v = np.stack([mean, 0.5 * (g0 - g2), g1 - mean], axis=-1)  # (n_comp, 3)
+        # an integrand at the roundoff floor of the operator scale is exactly zero
+        if float(np.max(np.abs(v))) <= 1e-9 * float(np.max(np.abs(ops))):
+            v = np.zeros_like(v)
+        cross = 2.0 * float(np.sum(tail * (v @ edge)))
+        total += float(np.einsum("cp,pq,cq->", v, gram, v)) + cross
+        tail = decay * tail + v @ (edge * [1.0, 1.0, -1.0])
+    return total
 
 
 def overlap_integral(
@@ -339,32 +375,11 @@ def overlap_integral(
     levels: tuple,
     dimension: int = 1,
 ) -> float:
-    """Exact I_kj over one control period T for the kernel exp(-|tau|/tau_c).
-
-    On a precessing schedule every noise component of
-    O_kj(t) = <E_k|O|E_k> - <E_j|O|E_j> is a + b cos(wt) + c sin(wt),
-    read off the eigenframe at t = 0, T/4 and T/2, so
-    I_kj = sum_c v_c^T G v_c with v_c = (a, b, c) and G the kernel's Gram
-    matrix of (1, cos, sin) on [0, T] (Kubo's line-shape integral with a
-    modulated integrand).  The finite-window terms in exp(-T/tau_c) are
-    kept: this is not the tau_c << T limit.
-    """
-    k, j = levels
-    if k == j:
-        raise ValueError("levels k and j must differ (I_kk is trivially zero)")
-    if correlation_time <= 0:
-        raise ValueError(f"correlation_time must be > 0, got {correlation_time}")
-    period = h.schedule.period
-    ops = h.noise_operators(dimension)
-    exp = eigenframe(h, period * np.array([0.0, 0.25, 0.5])).operator_expectations(ops)
-    g0, g1, g2 = np.moveaxis(exp[k] - exp[j], -1, 0)
-    mean = 0.5 * (g0 + g2)
-    v = np.stack([mean, 0.5 * (g0 - g2), g1 - mean], axis=-1)  # (n_comp, 3)
-    # an integrand at the roundoff floor of the operator scale is exactly zero
-    if float(np.max(np.abs(v))) <= 1e-9 * float(np.max(np.abs(ops))):
-        return 0.0
-    gram = _kernel_gram(correlation_time, period)
-    return float(np.einsum("cp,pq,cq->", v, gram, v))
+    """Exact I_kj over one control period T for the kernel exp(-|tau|/tau_c),
+    the paper's per-period I: ``_segment_overlap`` of one cycle of ``h``.
+    The finite-window terms in exp(-T/tau_c) are kept."""
+    one_cycle = replace(h, schedule=replace(h.schedule, cycles=1))
+    return _segment_overlap([(one_cycle, 0, 0)], correlation_time, levels, dimension)
 
 
 def onset_ratio(
@@ -405,34 +420,25 @@ def averaged_density_analytic(config: EnsembleConfig) -> AveragedDensity:
     """Closed-form noise-averaged density matrix (no Monte Carlo).
 
     Entries follow rho_kj = c_k c_j* exp(-i Gamma_a(k,j)) exp(-Var_kj/2)
-    with Var_kj from the exact overlap integral for each level pair.
-    Standard errors are zero: this is the analytic limit the Monte Carlo
-    estimators converge to.
+    with Var_kj from the exact overlap integral of each level pair over the
+    run's whole window.  Standard errors are zero: this is the analytic
+    limit the Monte Carlo estimators converge to.
     """
     h = config.hamiltonian
-    sched = h.schedule
     noise = config.noise
-    gamma_a = deterministic_phases(h, sched.duration)
+    gamma_a = deterministic_phases(h, h.schedule.duration)
     c = config.amplitudes
     n = h.n_levels
-    matrix = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            if k == j:
-                matrix[k, k] = abs(c[k]) ** 2
-                continue
-            i_kj = overlap_integral(
-                h, noise.correlation_time, (k, j), noise.dimension
-            )
-            var = variance_analytic(sched.cycles, h.coupling, noise.variance, i_kj)
-            matrix[k, j] = (
-                c[k]
-                * np.conj(c[j])
-                * np.exp(-1j * (gamma_a[k] - gamma_a[j]))
-                * decoherence_factor_analytic(var)
-            )
+    d = np.ones((n, n))
+    for k, j in itertools.combinations(range(n), 2):
+        i_kj = _segment_overlap(
+            [(h, 0, 0)], noise.correlation_time, (k, j), noise.dimension
+        )
+        var = variance_analytic(1, h.coupling, noise.variance, i_kj)
+        d[k, j] = d[j, k] = decoherence_factor_analytic(var)
+    phases = np.exp(-1j * np.subtract.outer(gamma_a, gamma_a))
     return AveragedDensity(
-        matrix=matrix,
+        matrix=np.outer(c, c.conj()) * phases * d,
         standard_errors=np.zeros((n, n)),
         realizations_used=0,
     )
@@ -458,11 +464,12 @@ def decoherence_sweep(
         raise ValueError("levels must have nonzero initial amplitudes")
     gamma_a, densities = _run_segments(config, [(h, 0, 0)], variances)
     reference = c[k] * np.conj(c[j]) * np.exp(-1j * (gamma_a[k] - gamma_a[j]))
-    noise = config.noise
-    i_kj = overlap_integral(h, noise.correlation_time, (k, j), noise.dimension)
+    i_kj = _segment_overlap(
+        [(h, 0, 0)], config.noise.correlation_time, (k, j), config.noise.dimension
+    )
     reports = []
     for sigma2, density in zip(variances, densities):
-        var = variance_analytic(h.schedule.cycles, h.coupling, sigma2, i_kj)
+        var = variance_analytic(1, h.coupling, sigma2, i_kj)
         mc_factor = complex(density.matrix[k, j] / reference)
         mc_se = float(density.standard_errors[k, j] / abs(reference))
         d = decoherence_factor_analytic(var)

@@ -16,11 +16,11 @@ computational levels acquire different geometric phases, realizing
 B(phi)|xy> = e^{i x y phi}|xy> up to single-qubit z-phases and a global
 phase.
 
-Accumulated phases per level are sums of per-segment integrals; the
-stochastic phase difference of a level pair has variance
-(gamma^2 sigma^2 / 4) sum_l I^l_kj with per-segment overlap integrals,
-each in exact closed form.  For the Bell pair (00), (11) under rf power
-noise the sum tends to 32 tau_c T sin^2(theta_0) in the limit tau_c << T.
+Accumulated phases per level are sums of per-segment integrals; one noise
+path spans the four segments, so a level pair's stochastic phase variance
+is (gamma^2 sigma^2 / 4) I_kj, I_kj exact over the whole window 4T with the
+covariance between segments.  For the Bell pair (00), (11) under rf power
+noise it tends to 32 tau_c T sin^2(theta_0) in the limit tau_c << T.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .ensemble import (
     ONSET_VARIANCE,
     _gamma_a,
     _run_segments,
+    _segment_overlap,
     decoherence_factor_analytic,
     onset_ratio,
-    overlap_integral,
     variance_analytic,
 )
 
@@ -117,20 +117,16 @@ def gate_overlap_sum(
     levels=BELL_LEVELS,
     dimension: int = 1,
 ) -> float:
-    """sum_l I^l_kj with O^l_kj(t) = O_{k_l k_l}(t) - O_{j_l j_l}(t).
-
-    Each segment integral is the exact single-period overlap integral of
-    the segment's own Hamiltonian (contour direction and level map).
-    ``levels`` are level indices or bit pairs (i1, i2).  The map is one
-    XOR per segment, so k_l and j_l differ in every segment unless k = j.
+    """Exact I_kj over the gate's window 4T, O^l_kj = O_{k_l k_l} - O_{j_l j_l}
+    in segment l: ``_segment_overlap`` of its four segments, covariance
+    between them included.  ``levels`` are level indices or bit pairs
+    (i1, i2).  The map is one XOR per segment, so k_l and j_l differ in
+    every segment unless k = j.
     """
     k, j = (_as_index(level) for level in levels)
     if k == j:
         return 0.0
-    return sum(
-        overlap_integral(h_seg, correlation_time, (k ^ flips, j ^ flips), dimension)
-        for h_seg, flips, _ in _segments(h)
-    )
+    return _segment_overlap(_segments(h), correlation_time, (k, j), dimension)
 
 
 def realized_conditional_phase(h: QubitHamiltonian) -> float:
@@ -201,8 +197,8 @@ def bell_gate_run(config: EnsembleConfig) -> GateResult:
     The entanglement fidelity is computed two ways: from the Monte Carlo
     averaged density matrix, F = <psi0| rho_avg |psi0>, and from the closed
     form F = 1/2 + (1/2) cos(Gamma_a(k,j)) exp(-Var/2) with the variance
-    built from the per-segment overlap sum.  The four segment noise
-    increments come from one continuous path spanning 4T.
+    built from ``gate_overlap_sum``.  The four segment noise increments
+    come from one continuous path spanning 4T.
     """
     return bell_gate_sweep(config, [config.noise.variance])[0]
 

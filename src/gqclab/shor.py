@@ -169,10 +169,10 @@ def dft_phase_variance(
 ) -> float:
     """Stochastic phase variance of the full DFT: L(L-1)/2 gates' worth.
 
-    ``variance_analytic`` at eta = L(L-1)/2.  Each gate contributes the
-    four-segment overlap sum; pass ``overlap_sum`` to use an exact one
-    (``gate_overlap_sum``), otherwise the rf-noise limit
-    32 tau_c T sin^2(theta_0), valid for tau_c << T, is used.
+    ``variance_analytic`` at eta = L(L-1)/2: the gates see independent
+    noise (tau_c << T).  Pass ``overlap_sum`` to use one gate's exact
+    whole-window overlap (``gate_overlap_sum``), otherwise the rf-noise
+    limit 32 tau_c T sin^2(theta_0), valid for tau_c << T, is used.
     """
     if bits < 2:
         raise ValueError(f"bits must be >= 2, got {bits}")

@@ -138,20 +138,27 @@ def ou_reference():
     return _ou_reference
 
 
+def _trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``values`` (..., n) times the trapezoid weights of the grid ``times``."""
+    dt = times[1] - times[0]
+    w = np.full(times.size, dt)
+    w[0] = w[-1] = dt / 2.0
+    return w * values
+
+
 def _double_time_integral(
-    o_diff: np.ndarray, times: np.ndarray, kernel: Callable
+    weighted: np.ndarray, times: np.ndarray, kernel: Callable
 ) -> float:
-    """sum_c int int o_c(t) o_c(t') f(t - t') dt dt' by trapezoid + FFT."""
+    """sum_c int int o_c(t) o_c(t') f(t - t') dt dt' by an FFT convolution,
+    from each component's quadrature-weighted samples w o_c on ``times``."""
     n = times.size
     dt = times[1] - times[0]
-    w = np.full(n, dt)
-    w[0] = w[-1] = dt / 2.0
     lags = np.arange(-(n - 1), n) * dt
     kern = np.asarray(kernel(lags), dtype=float)
     total = 0.0
-    for comp in o_diff:
-        g = fftconvolve(w * comp, kern)[n - 1 : 2 * n - 1]
-        total += float(np.sum(w * comp * g))
+    for comp in weighted:
+        g = fftconvolve(comp, kern)[n - 1 : 2 * n - 1]
+        total += float(np.sum(comp * g))
     return total
 
 
@@ -163,7 +170,7 @@ def overlap_integral(
     period: float,
     rtol: float = 1e-3,
 ) -> float:
-    """Numerical I_kj for one control period.
+    """Numerical I_kj over [0, period].
 
     O_kj(t) = <E_k|O|E_k> - <E_j|O|E_j> is evaluated from the eigenframe
     (component-wise for vector operators), and the double time integral is
@@ -187,8 +194,8 @@ def overlap_integral(
     if float(np.max(np.abs(o_diff))) <= 1e-9 * ref:
         return 0.0
 
-    full = _double_time_integral(o_diff, t, kernel)
-    coarse = _double_time_integral(o_diff[:, ::2], t[::2], kernel)
+    full = _double_time_integral(_trapezoid(o_diff, t), t, kernel)
+    coarse = _double_time_integral(_trapezoid(o_diff[:, ::2], t[::2]), t[::2], kernel)
     scale = max(abs(full), abs(coarse), 1e-300)
     if abs(full - coarse) > 10 * rtol * scale:
         raise ValueError(
@@ -199,33 +206,35 @@ def overlap_integral(
 
 
 def _numeric_overlap(h, correlation_time, levels=(1, 0), dimension=1, steps=8192):
-    """Oracle I_kj of ``h`` over one period, on a ``steps``-step eigenframe."""
-    period = h.schedule.period
-    frame = eigenframe(h, np.linspace(0.0, period, steps + 1))
+    """Oracle I_kj of ``h`` over its schedule's whole duration, all its
+    cycles, on an eigenframe of ``steps`` steps per period."""
+    duration = h.schedule.duration
+    frame = eigenframe(h, np.linspace(0.0, duration, h.schedule.cycles * steps + 1))
     kernel = NoiseSpec(1.0, correlation_time).kernel_profile
     return overlap_integral(
-        frame, h.noise_operators(dimension), kernel, levels, period
+        frame, h.noise_operators(dimension), kernel, levels, duration
     )
 
 
 def _numeric_gate_overlap(
     h, correlation_time, levels=BELL_LEVELS, dimension=1, steps=8192
 ):
-    """Oracle sum of the per-segment I_kj over the gate's four segments
-    C, Cbar, C, Cbar, one cycle each of ``h``'s contour."""
+    """Oracle I_kj over the gate's whole window: its four segments C, Cbar,
+    C, Cbar, one cycle each of ``h``'s contour, as one noise path.  Each
+    segment keeps its own trapezoid weights, so a boundary point carries
+    dt/2 (g_l(T) + g_{l+1}(0)), and one convolution spans all four."""
     contour = replace(h.schedule, cycles=1, direction="forward")
-    total = 0.0
+    t = np.linspace(0.0, contour.period, steps + 1)
+    ops = h.noise_operators(dimension)
+    weighted = np.zeros((len(ops), 4 * steps + 1))
     for l, schedule in enumerate([contour, contour.reversed()] * 2):
+        exp = eigenframe(replace(h, schedule=schedule), t).operator_expectations(ops)
         (k1, k2), (j1, j2) = (level_index_map(x, l) for x in levels)
-        if (k1, k2) != (j1, j2):
-            total += _numeric_overlap(
-                replace(h, schedule=schedule),
-                correlation_time,
-                (2 * k1 + k2, 2 * j1 + j2),
-                dimension,
-                steps,
-            )
-    return total
+        o_diff = exp[2 * k1 + k2] - exp[2 * j1 + j2]
+        weighted[:, l * steps : (l + 1) * steps + 1] += _trapezoid(o_diff, t)
+    window = t[1] * np.arange(4 * steps + 1)
+    kernel = NoiseSpec(1.0, correlation_time).kernel_profile
+    return _double_time_integral(weighted, window, kernel)
 
 
 @pytest.fixture

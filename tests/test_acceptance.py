@@ -6,6 +6,7 @@ via the test name) and asserts the criterion at its stated tolerance.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ def test_criterion_10_determinism(tmp_path):
             "7",
         ]
     ) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     # the library path is bit-deterministic as well
     h = _qubit()
     cfg = EnsembleConfig(

@@ -424,4 +424,5 @@ def test_adiabaticity_check_warns_or_raises():
         h.check_adiabatic(correlation_time=0.05, strict=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h.check_adiabatic(correlation_time=0.05, ratio_max=25.0)  # relaxed: no warning
+        # gap 400: ratios 0.0025 and 0.05 are within the bound, no warning
+        _hamiltonian(1.0, magnitude=400.0).check_adiabatic(correlation_time=0.05)

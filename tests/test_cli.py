@@ -487,10 +487,8 @@ def test_cli_agp_run_and_manifest_roundtrip(tmp_path):
     assert main(
         ["agp-dephase", "--config", out1 + ".manifest.json", "--out", out2]
     ) == 0
-    a = open(out1, "rb").read()
-    b = open(out2, "rb").read()
-    assert a == b
-    manifest = json.loads(open(out1 + ".manifest.json").read())
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    manifest = json.loads(Path(out1 + ".manifest.json").read_text())
     assert manifest["experiment"] == "agp-dephase"
     assert manifest["seeds"]["master_seed"] == 9
     assert "adiabaticity_ratios" in manifest["derived"]
@@ -502,7 +500,7 @@ def test_manifest_records_the_package_version(tmp_path):
     path = _write(tmp_path, "shor.json", raw)
     out = str(tmp_path / "scan.csv")
     assert main(["shor-scan", "--config", path, "--out", out]) == 0
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     with open(PYPROJECT, "rb") as f:
         assert manifest["version"] == tomllib.load(f)["project"]["version"]
 
@@ -539,7 +537,7 @@ def test_cli_threads_do_not_change_results(tmp_path):
                 str(threads),
             ]
         ) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -551,7 +549,7 @@ def test_cli_seed_override_changes_estimates(tmp_path):
         assert main(
             ["agp-dephase", "--config", path, "--out", out, "--seed", str(seed)]
         ) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] != outs[1]
 
 
@@ -564,10 +562,10 @@ def test_cli_seed_override_applies_to_a_manifest(tmp_path):
         ["agp-dephase", "--config", out1 + ".manifest.json", "--out", out2,
          "--seed", "11"]
     ) == 0
-    manifest = json.loads(open(out2 + ".manifest.json").read())
+    manifest = json.loads(Path(out2 + ".manifest.json").read_text())
     assert manifest["config"]["master_seed"] == 11
     assert manifest["seeds"]["master_seed"] == 11
-    assert open(out1, "rb").read() != open(out2, "rb").read()
+    assert Path(out1).read_bytes() != Path(out2).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -792,6 +790,24 @@ def test_cli_gate_fidelity_sweep(tmp_path):
     assert [r["sigma2_field2"] for r in rows] == ["0.0", "40.0", "400.0"]
 
 
+def test_format_cell_writes_numpy_floats_as_plain_floats():
+    assert cli._format_cell(np.float64(0.1)) == "0.1"
+    assert cli._format_cell(0.1) == "0.1"
+
+
+@pytest.mark.parametrize(
+    "name, raw", [("agp-dephase", AGP_CONFIG), ("gate-fidelity", GATE_CONFIG)]
+)
+def test_cli_every_cell_of_a_monte_carlo_table_is_a_number(tmp_path, name, raw):
+    path = _write(tmp_path, f"{name}.json", raw)
+    out = tmp_path / f"{name}.csv"
+    assert main([name, "--config", path, "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    cells = [cell for row in rows for cell in row.values()]
+    assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+
 def test_cli_shor_scan_oracle(tmp_path):
     raw = {
         "experiment": "shor-scan",
@@ -872,7 +888,7 @@ def test_cli_noise_validate_json_format(tmp_path):
     assert main(
         ["noise-validate", "--config", path, "--out", out, "--format", "json"]
     ) == 0
-    rows = json.loads(open(out).read())
+    rows = json.loads(Path(out).read_text())
     lag0 = rows[0]
     assert lag0["lag_s"] == 0.0
     assert abs(lag0["autocovariance_field2"] - 1.0) < 3 * max(
