@@ -87,16 +87,16 @@ class ControlSchedule:
     direction: str = "forward"
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
         if not 0 <= self.cone_angle <= np.pi:
             raise ValueError(f"cone_angle must lie in [0, pi], got {self.cone_angle}")
         if self.cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed'")
-        if self.magnitude < 0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
+        if not 0 <= self.magnitude < np.inf:
+            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
 
     @property
     def duration(self) -> float:
@@ -355,11 +355,14 @@ def evolve_exact_batch(
     noise_samples: np.ndarray,
     psi0,
     slices: int,
+    sigma: float = 1.0,
 ) -> np.ndarray:
     """Propagate a single-qubit psi0 through the full noisy Hamiltonian.
 
-    noise_samples has shape (n_real, n_times, dim) on ``time_grid``; on
-    time-major memory, the pipeline's, slices gather contiguous rows.  psi0
+    The noise is ``sigma`` times noise_samples, which has shape (n_real,
+    n_times, dim) on ``time_grid`` and is only read: the pipeline passes
+    its sweep's one unit-variance path and each row's sigma.  On time-major
+    memory, the pipeline's, slices gather contiguous rows.  psi0
     is one spinor of shape (2,) or column spinors of shape (2, m); the
     final states have shape (n_real,) + psi0.shape.  The interval covered
     by the grid is cut into ``slices`` pieces; each piece uses the exact
@@ -399,8 +402,7 @@ def evolve_exact_batch(
     b_det = h.schedule.field(mids)  # (slices, 3)
     axis = np.asarray(h.noise_operator_axis)
     j = np.searchsorted(t, mids, side="right") - 1
-    offset = mids - t[j]
-    step = np.diff(t)
+    weight = sigma * (mids - t[j]) / np.diff(t)[j]
     time_major = noise_samples.transpose(1, 0, 2)  # (n_times, n_real, dim) view
     scale = 0.5 * h.coupling * eps
 
@@ -413,11 +415,12 @@ def evolve_exact_batch(
         k = slice(start, start + block)
         jk = j[k]
         # midpoint noise (block, n_real, dim) by linear interpolation on the
-        # path grid, with np.interp's formula slope * (x - xp[j]) + fp[j]
+        # path grid, sigma u[j] + (u[j+1] - u[j]) sigma (x - t[j]) / step:
+        # sigma multiplies each gathered element once, in the copy ``lo``
         lo = time_major[jk]
         noise = time_major[jk + 1] - lo
-        noise /= step[jk, None, None]
-        noise *= offset[k, None, None]
+        noise *= weight[k, None, None]
+        lo *= sigma
         noise += lo
         b = [
             b_det[k, c, None]

@@ -41,7 +41,7 @@ from .noise import (
     NoiseSpec,
     _ensemble_normals,
     _noise_grid,
-    _segment_noise,
+    _ou_from_normals,
 )
 
 __all__ = [
@@ -149,9 +149,10 @@ def _grid_steps(duration: float, dt: float) -> int:
 
 
 def _averaged_density(amps: np.ndarray, realizations: int):
-    """Mean of the outer products of amps (rows, n) broadcast to ``realizations``
-    rows, and its standard error, real and imaginary scatter in quadrature."""
-    amps = np.broadcast_to(amps, (realizations, amps.shape[1]))
+    """Mean of the outer products of amps (rows, n) or (n,) broadcast to
+    ``realizations`` rows, and its standard error, real and imaginary
+    scatter in quadrature."""
+    amps = np.broadcast_to(amps, (realizations, amps.shape[-1]))
     rho = amps[:, :, None] * amps[:, None, :].conj()
     se = np.sqrt(
         np.var(rho.real, axis=0, ddof=1) + np.var(rho.imag, axis=0, ddof=1)
@@ -185,10 +186,10 @@ def _gamma_s(segments, t: np.ndarray, windows, levels) -> np.ndarray:
     return gamma_s
 
 
-def _exact_amplitudes(segments, t, windows, c, slices: int) -> np.ndarray:
+def _exact_amplitudes(segments, t, windows, c, slices: int, sigma) -> np.ndarray:
     """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation
-    through the noise ``windows``, one per segment, in ``slices`` slices
-    per segment.
+    through ``sigma`` times the noise ``windows``, one per segment, in
+    ``slices`` slices per segment.
 
     One qubit (one segment) propagates its lab-frame state, entering and
     leaving through the eigenframe's first and last states.  Two qubits see
@@ -202,12 +203,12 @@ def _exact_amplitudes(segments, t, windows, c, slices: int) -> np.ndarray:
     if segments[0][0].qubit_count == 1:
         psi0 = states[:, 0, :].T @ c  # lab-frame initial state
         [samples] = windows
-        psi_f = evolve_exact_batch(singles[0], t, samples, psi0, slices)
+        psi_f = evolve_exact_batch(singles[0], t, samples, psi0, slices, sigma)
         return psi_f @ states[:, -1, :].conj().T
     v = states[:, 0, :].T  # columns: the eigenstates at azimuth 0
     psi = c.reshape(2, 2)
     for h, (_, _, target), window in zip(singles, segments, windows):
-        u = v.T @ evolve_exact_batch(h, t, window, v, slices)
+        u = v.T @ evolve_exact_batch(h, t, window, v, slices, sigma)
         psi = u @ psi @ u.swapaxes(-1, -2)
         if target:
             psi = np.flip(psi, axis=target)
@@ -227,14 +228,22 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     exact engine, uniform cone angles (per-level angles define no single
     one-qubit Hamiltonian to compose as u x u) are checked for every
     configured realization before anything is allocated.  The path's
-    normals are drawn once, if any variance is nonzero, and every noisy
-    variance filters its path from them one segment at a time into one
-    window: the rows share their realizations' normals, as rows of one
-    master seed always do.  The normals and the window are time-major in
-    memory, seen as (rows, n_t, dim): the OU recursion and the exact
-    engine step through time across all rows.
+    normals are drawn once, if any variance is nonzero, and filtered in
+    place into the unit-variance OU path u of ``make_noise_ensemble``;
+    segment l is the view u[:, l n : (l+1) n + 1].  The OU recursion is
+    linear in sigma, so each row's noise is sigma u: the exact engine
+    applies its sigma as it interpolates, and the analytic engine scales
+    Gamma_s of u, integrated once per sweep, as Gamma_s is linear in the
+    noise.  The rows share their realizations' normals, as rows of one
+    master seed always do, and MAX_ELEMENTS, checked on the normals,
+    bounds all the noise a sweep holds.  At sigma^2 = 0 the exact engine
+    propagates one row of +0.0 noise per segment, and the analytic engine
+    integrates no Gamma_s.  The path is time-major in memory, seen as
+    (rows, n_t, dim): the OU recursion and the exact engine step through
+    time across all rows.
     """
-    specs = [replace(config.noise, variance=v) for v in variances]
+    # each variance is checked as a NoiseSpec's
+    sigmas = [math.sqrt(replace(config.noise, variance=v).variance) for v in variances]
     h = config.hamiltonian
     # the analytic engine's phases hold only in the adiabatic limit
     strict = config.strict_adiabatic or config.engine == "analytic_phase"
@@ -254,20 +263,22 @@ def _run_segments(config: EnsembleConfig, segments, variances):
                 "exact two-qubit propagation requires uniform level_cone_angles"
             )
     t = np.linspace(0.0, span, n + 1)
-    normals = window = None
-    if any(spec.variance for spec in specs):
-        normals = np.empty((n_t, rows, dim)).transpose(1, 0, 2)
-        _ensemble_normals(config.master_seed, rows, (n_t, dim), out=normals)
-        window = np.empty((n + 1, rows, dim)).transpose(1, 0, 2)
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes
+    if any(sigmas):
+        u = np.empty((n_t, rows, dim)).transpose(1, 0, 2)
+        _ensemble_normals(config.master_seed, rows, (n_t, dim), out=u)
+        _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
+        unit = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
+        if not exact:
+            unit_gamma_s = _gamma_s(segments, t, unit, np.flatnonzero(c))
     densities = []
-    for spec in specs:
-        windows = _segment_noise(spec, normals, window, n, count, dt)
+    for sigma in sigmas:
         if exact:
-            amps = _exact_amplitudes(segments, t, windows, c, slices)
+            windows = unit if sigma else [np.zeros((1, n + 1, dim))] * count
+            amps = _exact_amplitudes(segments, t, windows, c, slices, sigma)
         else:
-            gamma_s = _gamma_s(segments, t, windows, np.flatnonzero(c))
+            gamma_s = sigma * unit_gamma_s if sigma else 0.0
             amps = c * np.exp(-1j * (gamma_a + gamma_s))
         matrix, se = _averaged_density(amps, rows)
         densities.append(AveragedDensity(matrix, se, realizations_used=rows))

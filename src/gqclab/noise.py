@@ -69,11 +69,12 @@ class NoiseSpec:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if self.correlation_time <= 0:
+        # sigma = sqrt(variance) scales the noise in the engines: no NaN or inf
+        if not 0 <= self.variance < np.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        if not 0 < self.correlation_time < np.inf:
             raise ValueError(
-                f"correlation_time must be > 0, got {self.correlation_time}"
+                f"correlation_time must be finite and > 0, got {self.correlation_time}"
             )
         if self.dimension not in (1, 3):
             raise ValueError(f"dimension must be 1 or 3, got {self.dimension}")
@@ -242,26 +243,6 @@ def _noise_windows(spec, n_times, dt, master_seed, realizations, chunk, history=
         keep = min(history, start + c)
         buf[:, :keep] = window[:, h + c - keep :]
         h = keep
-
-
-def _segment_noise(spec, normals, window, n, count, dt):
-    """The noise of ``count`` back-to-back segments of n steps, in turn, as
-    the one buffer ``window`` (rows, n + 1, dim): each segment's stretch of
-    the OU path of ``normals`` (rows, count n + 1, dim), which is only read.
-    A window's first row carries the last one of the window before as the
-    recursion's ``prev``, so the windows are ``make_noise_ensemble``'s path
-    to the bit.  At sigma^2 = 0 each is one row of +0.0 samples."""
-    if spec.variance == 0.0:
-        yield from [np.zeros((1, n + 1, spec.dimension))] * count
-        return
-    for l in range(count):
-        head = min(l, 1)
-        if head:
-            window[:, 0] = window[:, n]
-        new = window[:, head:]
-        new[...] = normals[:, l * n + head : (l + 1) * n + 1]
-        _ou_from_normals(spec, new, dt, window[:, 0] if head else None)
-        yield window
 
 
 def make_noise_ensemble(

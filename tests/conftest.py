@@ -358,20 +358,24 @@ def refused_unallocated():
     return _refused_unallocated
 
 
-def _every_row(fn, config, *args):
-    """``fn(config, *args)`` with the ensemble pipeline, which run_ensemble
-    and bell_gate_run share, propagating every realization at sigma^2 = 0
-    as well, as (config.realizations, n + 1, dim) zeros per segment: the
-    computation that its one-row shortcut stands for."""
-    one_row = ensemble._segment_noise
-
-    def repeated(*args):
-        for window in one_row(*args):
-            yield np.repeat(window, config.realizations // window.shape[0], axis=0)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ensemble, "_segment_noise", repeated)
-        return fn(config, *args)
+def _every_row(config, segments):
+    """(matrix, standard_errors, gamma_a) of ``config`` over ``segments`` at
+    sigma^2 = 0 with every realization propagated: the pipeline's engines on
+    config.realizations rows of +0.0 noise per segment, the computation that
+    the ensemble pipeline's one-row shortcut stands for."""
+    span = segments[0][0].schedule.duration
+    n = ensemble._grid_steps(span, config.dt)
+    t = np.linspace(0.0, span, n + 1)
+    rows, c = config.realizations, config.amplitudes
+    windows = [np.zeros((rows, n + 1, config.noise.dimension))] * len(segments)
+    gamma_a = ensemble._gamma_a(segments, span)
+    if config.engine == "exact_propagation":
+        slices = n * config.substeps
+        amps = ensemble._exact_amplitudes(segments, t, windows, c, slices, 0.0)
+    else:
+        gamma_s = ensemble._gamma_s(segments, t, windows, np.flatnonzero(c))
+        amps = c * np.exp(-1j * (gamma_a + gamma_s))
+    return (*ensemble._averaged_density(amps, rows), gamma_a)
 
 
 @pytest.fixture

@@ -53,6 +53,18 @@ def loop_berry_phase(states):
     return -float(np.angle(np.prod(overlaps) * closure))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_schedule_refuses_a_non_finite_magnitude(value):
+    with pytest.raises(ValueError, match="magnitude must be finite"):
+        ControlSchedule(magnitude=value, cone_angle=1.0, period=1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_schedule_refuses_a_non_finite_period(value):
+    with pytest.raises(ValueError, match="period must be finite"):
+        ControlSchedule(magnitude=1.0, cone_angle=1.0, period=value)
+
+
 def test_schedule_validation_and_periodicity():
     with pytest.raises(ValueError):
         ControlSchedule(magnitude=1.0, cone_angle=4.0, period=1.0)

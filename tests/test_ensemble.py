@@ -405,26 +405,29 @@ def test_zero_noise_row_equals_the_full_ensemble(every_row, engine, realizations
     to ~R eps), and the standard errors stay at their roundoff floor."""
     cfg = _config(0.0, realizations=realizations, engine=engine, amplitudes=(0.6, 0.8j))
     one, gamma_a = run_ensemble(cfg)
-    full, full_gamma_a = every_row(run_ensemble, cfg)
+    full, full_se, full_gamma_a = every_row(cfg, [(cfg.hamiltonian, 0, 0)])
     eps = np.finfo(float).eps
-    assert np.max(np.abs(one.matrix - full.matrix)) <= max(realizations, 16) * eps
-    for density in (one, full):
-        assert np.max(density.standard_errors) <= np.sqrt(realizations) * eps
-        assert density.realizations_used == realizations
+    assert np.max(np.abs(one.matrix - full)) <= max(realizations, 16) * eps
+    for se in (one.standard_errors, full_se):
+        assert np.max(se) <= np.sqrt(realizations) * eps
+    assert one.realizations_used == realizations
     assert np.array_equal(gamma_a, full_gamma_a)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_row_is_propagated_once(propagated_rows, engine):
-    calls = 1 if engine == "exact_propagation" else 2
+    """The exact engine propagates each row, one noise row at sigma^2 = 0;
+    the analytic engine integrates Gamma_s of the unit path once per sweep
+    and level (two levels here), and not at all for sigma^2 = 0."""
+    exact = engine == "exact_propagation"
     run_ensemble(_config(0.0, realizations=64, engine=engine))
-    assert propagated_rows == [1] * calls
+    assert propagated_rows == ([1] if exact else [])
     propagated_rows.clear()
     run_ensemble(_config(3.0, realizations=64, engine=engine))
-    assert propagated_rows == [64] * calls
+    assert propagated_rows == [64] * (1 if exact else 2)
     propagated_rows.clear()
     decoherence_sweep(_config(0.0, realizations=64, engine=engine), [3.0, 0.0, 5.0])
-    assert propagated_rows == [64] * calls + [1] * calls + [64] * calls
+    assert propagated_rows == ([64, 1, 64] if exact else [64] * 2)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -452,6 +455,24 @@ def test_a_sweep_refuses_bad_levels_before_drawing(normal_draws, levels):
     with pytest.raises(ValueError, match="levels"):
         decoherence_report(cfg, levels)
     assert normal_draws == []
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("cycles", [1, 4])
+def test_a_noisy_report_holds_only_the_normals(peak_bytes, cycles, engine):
+    """At the agp geometry and 4,096 realizations, decoherence_report peaks
+    within 2 MiB of the normals that MAX_ELEMENTS bounds (1.0-1.7 MiB
+    measured): a second path-sized buffer, 6.3 MiB at one cycle and 25 MiB
+    at four, would not fit."""
+    realizations = 4096
+    cfg = _config(
+        50.0,
+        realizations=realizations,
+        engine=engine,
+        hamiltonian=_hamiltonian(cycles=cycles),
+    )
+    normals = realizations * (200 * cycles + 1) * 8
+    assert peak_bytes(decoherence_report, cfg) <= normals + 2 * 2**20
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -305,6 +305,8 @@ def test_bell_gate_grid_step_is_never_coarser_than_requested(phase_grids):
         engine="analytic_phase",
     )
     assert abs(bell_gate_run(cfg).fidelity - 1.0) < 1e-9
+    # sigma^2 = 0 integrates no Gamma_s: the grid is read from a noisy run
+    bell_gate_run(replace(cfg, noise=replace(cfg.noise, variance=5.0)))
     t_local, n_t = phase_grids[0]
     assert (t_local.size - 1, t_local[-1], n_t) == (334, 1.0, 335)
 
@@ -358,15 +360,17 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
     t_local = np.arange(n_seg + 1) * (period / n_seg)
     pulses, basis = _pi_pulses(h)
     pulses[0] = np.eye(4)
+    sigma = np.sqrt(20.0)
     for segments, c in ((_segments(h), BELL), ([(h, 0, 0)], GENERIC)):
         c = np.asarray(c, dtype=complex)
         duration = len(segments) * period
         for dimension in (1, 3):
-            spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
-            samples = make_noise_ensemble(spec, duration, period / n_seg, 3, 4)
-            windows = _windows(samples, n_seg)
-            amps = _exact_amplitudes(segments, t_local, windows, c, slices=n_seg)
-            for path, got in zip(samples, amps):
+            # the engine takes the unit-variance path and sigma
+            spec = NoiseSpec(variance=1.0, correlation_time=0.04, dimension=dimension)
+            unit = make_noise_ensemble(spec, duration, period / n_seg, 3, 4)
+            windows = _windows(unit, n_seg)
+            amps = _exact_amplitudes(segments, t_local, windows, c, n_seg, sigma)
+            for path, got in zip(sigma * unit, amps):
                 psi = basis.T @ c
                 for l, (h_seg, _, target) in enumerate(segments):
                     window = path[l * n_seg : (l + 1) * n_seg + 1]
@@ -488,7 +492,7 @@ def test_zero_noise_gate_equals_the_full_ensemble(every_row, engine, realization
     propagated, standard errors at their roundoff floor sqrt(R) eps."""
     cfg = _gate_config(0.0, engine, realizations)
     matrix, se = _gate_density(cfg)
-    full_matrix, full_se = every_row(_gate_density, cfg)
+    full_matrix, full_se, _ = every_row(cfg, _segments(cfg.hamiltonian))
     eps = np.finfo(float).eps
     assert np.max(np.abs(matrix - full_matrix)) <= max(realizations, 16) * eps
     assert max(np.max(se), np.max(full_se)) <= np.sqrt(realizations) * eps
@@ -521,29 +525,30 @@ def test_a_non_uniform_exact_run_is_refused_before_drawing(normal_draws):
     assert normal_draws == []
 
 
-def test_noisy_gate_sweep_holds_the_normals_and_one_window(peak_bytes):
-    """At 512 realizations, a 1,001-point path in 251-point windows, the
-    exact engine's sweep peaks within 1.5 MiB of the normals and one window
-    (0.85 MiB measured): a full-size copy of the normals, 3.9 MiB, would
-    not fit."""
-    held = 512 * (1001 + 251) * 8
+def test_noisy_gate_sweep_holds_only_the_normals(peak_bytes):
+    """At 512 realizations of a 1,001-point path, the exact engine's sweep
+    peaks within 1.5 MiB of the normals (1.0 MiB measured), which it
+    filters in place and reads as 251-point segment views: a full-size
+    copy of the normals, 3.9 MiB, would not fit."""
+    held = 512 * 1001 * 8
     cfg = _gate_config(5.0, "exact_propagation", 512)
     assert peak_bytes(bell_gate_sweep, cfg, [5.0, 20.0]) <= held + 1.5 * 2**20
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
-    """One noise row per segment and level: 4 exact propagations, or 8
-    stochastic phases (4 segments x 2 Bell levels)."""
-    calls = 4 if engine == "exact_propagation" else 8
+    """The exact engine makes 4 propagations per row, of one noise row at
+    sigma^2 = 0; the analytic engine 8 stochastic phases per sweep (4
+    segments x 2 Bell levels) of the unit path, and none at sigma^2 = 0."""
+    exact = engine == "exact_propagation"
     bell_gate_run(_gate_config(0.0, engine))
-    assert propagated_rows == [1] * calls
+    assert propagated_rows == ([1] * 4 if exact else [])
     propagated_rows.clear()
     bell_gate_run(_gate_config(20.0, engine))
-    assert propagated_rows == [64] * calls
+    assert propagated_rows == [64] * (4 if exact else 8)
     propagated_rows.clear()
     bell_gate_sweep(_gate_config(0.0, engine), [20.0, 0.0])
-    assert propagated_rows == [64] * calls + [1] * calls
+    assert propagated_rows == ([64] * 4 + [1] * 4 if exact else [64] * 8)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

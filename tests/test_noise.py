@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqclab import (
+    ControlSchedule,
+    EnsembleConfig,
     NoiseSpec,
+    QubitHamiltonian,
     ResolutionError,
     ResourceLimitError,
+    eigenframe,
     ensemble_autocorrelation,
     estimate_autocorrelation,
     make_noise_ensemble,
@@ -22,14 +27,15 @@ from gqclab import (
     realization_rng,
     split_seed,
 )
-from gqclab import noise
+from gqclab import ensemble, noise
+from gqclab.adiabatic import stochastic_phase_batch
+from gqclab.ensemble import ENGINES
 from gqclab.errors import MAX_ELEMENTS
 from gqclab.noise import (
     _CHUNK,
     _ensemble_normals,
     _noise_windows,
     _ou_from_normals,
-    _segment_noise,
 )
 
 
@@ -40,6 +46,18 @@ def test_spec_validation():
         NoiseSpec(variance=1.0, correlation_time=0.0)
     with pytest.raises(ValueError):
         NoiseSpec(variance=1.0, correlation_time=1.0, dimension=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spec_refuses_a_non_finite_variance(value):
+    with pytest.raises(ValueError, match="variance must be finite"):
+        NoiseSpec(variance=value, correlation_time=1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spec_refuses_a_non_finite_correlation_time(value):
+    with pytest.raises(ValueError, match="correlation_time must be finite"):
+        NoiseSpec(variance=1.0, correlation_time=value)
 
 
 def test_kernel_normalized_at_zero_lag():
@@ -249,30 +267,70 @@ def test_ou_recursion_runs_in_place_on_time_major_windows(
 
 @pytest.mark.parametrize("dimension", [1, 3])
 @pytest.mark.parametrize("count", [1, 4])
-def test_segment_windows_are_the_path_and_leave_the_normals(dimension, count):
-    # 300 steps per segment: each window holds two blocks of the recursion;
-    # the pipeline's buffers are time-major, make_noise_ensemble's path-major
-    spec = NoiseSpec(variance=2.0, correlation_time=0.1, dimension=dimension)
-    n, dt, rows = 300, 0.01, 5
-    path = make_noise_ensemble(spec, count * n * dt, dt, 8, rows)
+def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, count):
+    """One definition of the noise.  The unit-variance OU path u, filtered
+    in place in either memory layout, is make_noise_ensemble's at
+    sigma^2 = 1 to the bit, and the pipeline hands both engines its
+    segment views, of 300 steps each (two blocks of the recursion), with
+    each row's sigma; at sigma^2 = 0 the exact engine gets one row of +0.0
+    samples per segment, and the analytic engine nothing.  sigma u is
+    make_noise_ensemble's path at sigma^2 to 1e-14 sigma (1.9e-15 sigma
+    measured), and sigma Gamma_s(u) its Gamma_s to 1e-14 sigma (3.8e-16
+    sigma measured, |Gamma_s| up to 1.7 sigma)."""
+    n, dt, rows, seed = 300, 0.01, 5, 8
+    unit_spec = NoiseSpec(variance=1.0, correlation_time=0.1, dimension=dimension)
+    unit = make_noise_ensemble(unit_spec, count * n * dt, dt, seed, rows)
     for layout in ("path-major", "time-major"):
-        normals = _buffer(layout, rows, path.shape[1], dimension)
-        _ensemble_normals(8, rows, path.shape[1:], out=normals)
-        drawn = normals.copy()
-        window = _buffer(layout, rows, n + 1, dimension)
-        windows = _segment_noise(spec, normals, window, n, count, dt)
-        for l, got in enumerate(windows):
-            assert got is window
-            assert np.array_equal(got, path[:, l * n : (l + 1) * n + 1])
-        assert l == count - 1
-        assert np.array_equal(normals, drawn)
-    # sigma^2 = 0: one row of +0.0 samples per segment, without normals
-    zero = NoiseSpec(variance=0.0, correlation_time=0.1, dimension=dimension)
-    windows = list(_segment_noise(zero, None, None, n, count, dt))
-    assert len(windows) == count
-    for got in windows:
-        assert got.shape == (1, n + 1, dimension)
-        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+        u = _buffer(layout, rows, unit.shape[1], dimension)
+        _ensemble_normals(seed, rows, unit.shape[1:], out=u)
+        assert _ou_from_normals(unit_spec, u, dt) is u
+        assert np.array_equal(u, unit)
+    views = [unit[:, l * n : (l + 1) * n + 1] for l in range(count)]
+
+    # count segments of one period of n steps: two qubits compose any count
+    schedule = ControlSchedule(magnitude=200.0, cone_angle=np.pi / 3, period=n * dt)
+    h = QubitHamiltonian(1.0, schedule, qubit_count=1 if count == 1 else 2)
+    c = np.full(h.n_levels, h.n_levels**-0.5)
+    exact, analytic = [], []
+    propagate, integrate = ensemble.evolve_exact_batch, ensemble.stochastic_phase_batch
+
+    def propagated(h, t, samples, psi0, slices, sigma):
+        exact.append((samples.copy(), sigma))
+        return propagate(h, t, samples, psi0, slices, sigma)
+
+    def integrated(h, frame, samples, level):
+        analytic.append(samples.copy())
+        return integrate(h, frame, samples, level)
+
+    monkeypatch.setattr(ensemble, "evolve_exact_batch", propagated)
+    monkeypatch.setattr(ensemble, "stochastic_phase_batch", integrated)
+    sigma2s = [0.5, 0.0, 50.0]
+    for engine in ENGINES:
+        cfg = EnsembleConfig(h, unit_spec, c, rows, seed, engine)
+        ensemble._run_segments(cfg, [(h, 0, 0)] * count, sigma2s)
+    assert len(exact) == 3 * count and len(analytic) == h.n_levels * count
+    for i, (samples, sigma) in enumerate(exact):
+        assert sigma == np.sqrt(sigma2s[i // count])
+        if sigma:
+            assert np.array_equal(samples, views[i % count])
+        else:  # one row of +0.0 samples per segment
+            assert samples.shape == (1, n + 1, dimension)
+            assert np.all(samples == 0.0) and not np.any(np.signbit(samples))
+    for i, samples in enumerate(analytic):
+        assert np.array_equal(samples, views[i // h.n_levels])
+
+    frame = eigenframe(h, np.arange(n + 1) * dt)
+    for sigma2 in (0.5, 50.0, 200.0):
+        sigma = np.sqrt(sigma2)
+        spec = replace(unit_spec, variance=sigma2)
+        path = make_noise_ensemble(spec, count * n * dt, dt, seed, rows)
+        assert np.max(np.abs(sigma * unit - path)) <= 1e-14 * sigma
+        for l, view in enumerate(views):
+            window = path[:, l * n : (l + 1) * n + 1]
+            for k in range(h.n_levels):
+                want = stochastic_phase_batch(h, frame, window, k)
+                got = sigma * stochastic_phase_batch(h, frame, view, k)
+                assert np.max(np.abs(got - want)) <= 1e-14 * sigma
 
 
 @pytest.mark.parametrize("shape", [(300, 1), (4, 300, 1)])
