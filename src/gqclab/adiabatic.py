@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,9 +59,10 @@ ADIABATIC_RATIO_MAX = 0.1
 #: level splitting below which the spectrum is a level crossing
 _MIN_GAP = 1e-12
 
-#: slice x realization elements per vectorized Cayley-Klein pass of
-#: evolve_exact_batch (at least one slice): 8 slices at 512 realizations,
-#: 1 at 8,192, so a pass's temporaries stay near 1 MiB at any ensemble size
+#: slice x segment x realization elements per vectorized Cayley-Klein pass
+#: of evolve_exact_batch (at least one slice): 8 slices of one segment at 512
+#: realizations, 2 of the gate's four, 1 of one at 8,192, so a pass's
+#: temporaries stay near 1 MiB at any ensemble size
 _SLICE_ELEMENTS = 4096
 
 #: bytes of stochastic_phase_batch's integrand and trapezoid pairs for one
@@ -330,9 +331,10 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     )
 
 
-def _cayley_klein(bx, by, bz, scale: float):
+def _cayley_klein(bx, by, bz, scale):
     """Cayley-Klein parameters of exp(+i scale b . sigma) = [[alpha, beta],
-    [-beta*, alpha*]], elementwise over field components of any shape.
+    [-beta*, alpha*]], elementwise over field components of any shape and
+    a ``scale`` that broadcasts against them.
 
     With x = scale |b| and s = sin(x) / |b| (s = 0 at |b| = 0),
     alpha = cos x + i s b_z and beta = s (b_y + i b_x).
@@ -350,33 +352,43 @@ def _cayley_klein(bx, by, bz, scale: float):
 
 
 def evolve_exact_batch(
-    h: QubitHamiltonian,
+    h: QubitHamiltonian | Sequence[QubitHamiltonian],
     time_grid: np.ndarray,
     noise_samples: np.ndarray,
     psi0,
     slices: int,
     sigma: float = 1.0,
 ) -> np.ndarray:
-    """Propagate a single-qubit psi0 through the full noisy Hamiltonian.
+    """Propagate a single-qubit psi0 through the full noisy Hamiltonian of
+    each of a row's segments.
 
-    The noise is ``sigma`` times noise_samples, which has shape (n_real,
-    n_times, dim) on ``time_grid`` and is only read: the pipeline passes
-    its sweep's one unit-variance path and each row's sigma.  On time-major
-    memory, the pipeline's, slices gather contiguous rows.  psi0
-    is one spinor of shape (2,) or column spinors of shape (2, m); the
-    final states have shape (n_real,) + psi0.shape.  The interval covered
-    by the grid is cut into ``slices`` pieces; each piece uses the exact
-    closed-form SU(2) exponential of the midpoint-sampled Hamiltonian,
+    ``h`` is one QubitHamiltonian, or the P segment Hamiltonians of a row,
+    which run back to back on one noise path: noise_samples has shape
+    (n_real, P n + 1, dim), n steps of ``time_grid`` per segment, and
+    segment l reads the points l n ... (l + 1) n on ``time_grid``.  The
+    noise is ``sigma`` times noise_samples, which is only read: the
+    pipeline passes its sweep's one unit-variance path and each row's
+    sigma.  On time-major memory, the pipeline's, slices gather contiguous
+    rows.  psi0 is one spinor of shape (2,) or column spinors of shape
+    (2, m), and every segment propagates it from its own start; the final
+    states have shape (n_real,) + psi0.shape for one Hamiltonian and
+    (P, n_real) + psi0.shape for a sequence.  Each segment's interval is
+    cut into ``slices`` pieces; each piece uses the exact closed-form SU(2)
+    exponential of the midpoint-sampled Hamiltonian,
     H = -(gamma/2) b . sigma, as its Cayley-Klein pair (alpha, beta).
+    One slice loop serves every segment, which lie side by side on the
+    vector axis, so a row's P segments cost one loop, not P.
     n_real x slices x dim above MAX_ELEMENTS is refused before allocating;
-    the slices run in passes of ``_SLICE_ELEMENTS`` slice x realization
-    elements (at least one slice), whose temporaries do not grow with them.
-    Norm is preserved to 1e-10 by construction; accuracy improves as
-    O(slices^-2) and is validated by slice doubling in the tests.  Two
-    qubits under the same field and noise evolve under u x u, which the
-    ensemble's exact engine composes from the columns of u.
+    the slices run in passes of ``_SLICE_ELEMENTS`` slice x segment x
+    realization elements (at least one slice), whose temporaries do not
+    grow with them.  Norm is preserved to 1e-10 by construction; accuracy
+    improves as O(slices^-2) and is validated by slice doubling in the
+    tests.  Two qubits under the same field and noise evolve under u x u,
+    which the ensemble's exact engine composes from the columns of u.
     """
-    if h.qubit_count != 1:
+    single = isinstance(h, QubitHamiltonian)
+    segments = [h] if single else list(h)
+    if any(s.qubit_count != 1 for s in segments):
         raise ValueError(
             "exact propagation is single-qubit; the ensemble's exact engine "
             "composes the two-qubit propagator u x u"
@@ -392,39 +404,48 @@ def evolve_exact_batch(
         raise ResolutionError(
             f"slices = {slices} below the noise grid resolution ({n_steps} steps)"
         )
-    n_real, _, dim = noise_samples.shape
-    # the per-slice arrays grow with the slices, the work with n_real x slices
+    n_real, n_times, dim = noise_samples.shape
+    count = len(segments)
+    if n_times != count * n_steps + 1:
+        raise ValueError(
+            f"{count} segment(s) of {n_steps} steps need {count * n_steps + 1} "
+            f"noise points, got {n_times}"
+        )
+    # the per-slice arrays grow with the slices, a segment's work with
+    # n_real x slices
     _check_elements((n_real, slices, dim), "exact propagation")
     t0, t1 = t[0], t[-1]
     eps = (t1 - t0) / slices
     mids = t0 + (np.arange(slices) + 0.5) * eps
 
-    b_det = h.schedule.field(mids)  # (slices, 3)
-    axis = np.asarray(h.noise_operator_axis)
+    b_det = np.stack([s.schedule.field(mids) for s in segments], 1)  # (slices, P, 3)
+    axis = np.array([s.noise_operator_axis for s in segments])  # (P, 3)
+    scale = np.array([[0.5 * s.coupling * eps] for s in segments])  # (P, 1)
     j = np.searchsorted(t, mids, side="right") - 1
     weight = sigma * (mids - t[j]) / np.diff(t)[j]
+    first = n_steps * np.arange(count)  # each segment's first path point
     time_major = noise_samples.transpose(1, 0, 2)  # (n_times, n_real, dim) view
-    scale = 0.5 * h.coupling * eps
 
-    # spinor components p0, p1 as contiguous (m, n_real) rows
-    psi = np.repeat(psi0.reshape(2, -1, 1), n_real, axis=2)
+    # spinor components p0, p1 as contiguous (m, P, n_real) rows
+    psi = np.repeat(psi0.reshape(2, -1, 1), count * n_real, axis=2)
+    psi = psi.reshape(2, -1, count, n_real)
     p0, p1 = psi
     tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
-    block = max(_SLICE_ELEMENTS // n_real, 1)
+    block = max(_SLICE_ELEMENTS // (count * n_real), 1)
     for start in range(0, slices, block):
         k = slice(start, start + block)
-        jk = j[k]
-        # midpoint noise (block, n_real, dim) by linear interpolation on the
-        # path grid, sigma u[j] + (u[j+1] - u[j]) sigma (x - t[j]) / step:
+        jk = j[k, None] + first
+        # midpoint noise (block, P, n_real, dim) by linear interpolation on
+        # the path grid, sigma u[j] + (u[j+1] - u[j]) sigma (x - t[j]) / step:
         # sigma multiplies each gathered element once, in the copy ``lo``
         lo = time_major[jk]
         noise = time_major[jk + 1] - lo
-        noise *= weight[k, None, None]
+        noise *= weight[k, None, None, None]
         lo *= sigma
         noise += lo
         b = [
-            b_det[k, c, None]
-            + (noise[..., 0] * axis[c] if dim == 1 else noise[..., c])
+            b_det[k, :, c, None]
+            + (noise[..., 0] * axis[:, c, None] if dim == 1 else noise[..., c])
             for c in range(3)
         ]
         alpha, beta = _cayley_klein(*b, scale)
@@ -435,7 +456,8 @@ def evolve_exact_batch(
             np.multiply(ac, p1, out=p1)
             p1 -= p0  # alpha* p1 - beta* p0
             np.add(tmp0, tmp1, out=p0)  # alpha p0 + beta p1
-    return psi.transpose(2, 0, 1).reshape((n_real,) + psi0.shape)
+    final = psi.transpose(2, 3, 0, 1).reshape((count, n_real) + psi0.shape)
+    return final[0] if single else final
 
 
 def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:

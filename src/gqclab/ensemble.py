@@ -186,10 +186,11 @@ def _gamma_s(segments, t: np.ndarray, windows, levels) -> np.ndarray:
     return gamma_s
 
 
-def _exact_amplitudes(segments, t, windows, c, slices: int, sigma) -> np.ndarray:
+def _exact_amplitudes(segments, t, path, c, slices: int, sigma) -> np.ndarray:
     """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation
-    through ``sigma`` times the noise ``windows``, one per segment, in
-    ``slices`` slices per segment.
+    through ``sigma`` times the noise ``path``, which spans the segments
+    back to back, in ``slices`` slices per segment: one
+    ``evolve_exact_batch`` call propagates every segment.
 
     One qubit (one segment) propagates its lab-frame state, entering and
     leaving through the eigenframe's first and last states.  Two qubits see
@@ -197,18 +198,21 @@ def _exact_amplitudes(segments, t, windows, c, slices: int, sigma) -> np.ndarray
     amplitude matrix Psi[i1, i2] evolves as u Psi u^T.  Psi is kept in the
     one-qubit eigenbasis at the segment boundaries (azimuth 0), where the
     ideal pi-pulse swaps the target qubit's aligned and anti-aligned levels.
+    Only the aligned state v0 is propagated: the anti-aligned one is
+    v1 = J v0* with J = [[0, -1], [1, 0]], and every u in SU(2) has
+    u J = J u*, so u v1 = J (u v0)*, the bits that propagating v1 gives.
     """
     singles = [replace(h, qubit_count=1, level_cone_angles=None) for h, *_ in segments]
     states = eigenframe(singles[0], t).states  # (level, t, component)
     if segments[0][0].qubit_count == 1:
         psi0 = states[:, 0, :].T @ c  # lab-frame initial state
-        [samples] = windows
-        psi_f = evolve_exact_batch(singles[0], t, samples, psi0, slices, sigma)
+        [psi_f] = evolve_exact_batch(singles, t, path, psi0, slices, sigma)
         return psi_f @ states[:, -1, :].conj().T
-    v = states[:, 0, :].T  # columns: the eigenstates at azimuth 0
+    v = states[:, 0, :]  # rows: the eigenstates at azimuth 0
+    x = evolve_exact_batch(singles, t, path, v[0], slices, sigma)  # (P, rows, 2)
+    jx = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)  # J x*
     psi = c.reshape(2, 2)
-    for h, (_, _, target), window in zip(singles, segments, windows):
-        u = v.T @ evolve_exact_batch(h, t, window, v, slices, sigma)
+    for u, (_, _, target) in zip(v @ np.stack([x, jx], axis=-1), segments):
         psi = u @ psi @ u.swapaxes(-1, -2)
         if target:
             psi = np.flip(psi, axis=target)
@@ -230,15 +234,16 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     configured realization before anything is allocated.  The path's
     normals are drawn once, if any variance is nonzero, and filtered in
     place into the unit-variance OU path u of ``make_noise_ensemble``;
-    segment l is the view u[:, l n : (l+1) n + 1].  The OU recursion is
-    linear in sigma, so each row's noise is sigma u: the exact engine
-    applies its sigma as it interpolates, and the analytic engine scales
-    Gamma_s of u, integrated once per sweep, as Gamma_s is linear in the
-    noise.  The rows share their realizations' normals, as rows of one
-    master seed always do, and MAX_ELEMENTS, checked on the normals,
-    bounds all the noise a sweep holds.  At sigma^2 = 0 the exact engine
-    propagates one row of +0.0 noise per segment, and the analytic engine
-    integrates no Gamma_s.  The path is time-major in memory, seen as
+    segment l reads u[:, l n : (l+1) n + 1].  The OU recursion is linear
+    in sigma, so each row's noise is sigma u: the exact engine propagates
+    every segment of a row in one call on u and applies its sigma as it
+    interpolates, and the analytic engine scales Gamma_s of u, integrated
+    once per sweep, as Gamma_s is linear in the noise.  The rows share
+    their realizations' normals, as rows of one master seed always do, and
+    MAX_ELEMENTS, checked on the normals, bounds all the noise a sweep
+    holds.  At sigma^2 = 0 the exact engine propagates one row of +0.0
+    noise spanning the segments, and the analytic engine integrates no
+    Gamma_s.  The path is time-major in memory, seen as
     (rows, n_t, dim): the OU recursion and the exact engine step through
     time across all rows.
     """
@@ -269,14 +274,14 @@ def _run_segments(config: EnsembleConfig, segments, variances):
         u = np.empty((n_t, rows, dim)).transpose(1, 0, 2)
         _ensemble_normals(config.master_seed, rows, (n_t, dim), out=u)
         _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
-        unit = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
         if not exact:
-            unit_gamma_s = _gamma_s(segments, t, unit, np.flatnonzero(c))
+            windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
+            unit_gamma_s = _gamma_s(segments, t, windows, np.flatnonzero(c))
     densities = []
     for sigma in sigmas:
         if exact:
-            windows = unit if sigma else [np.zeros((1, n + 1, dim))] * count
-            amps = _exact_amplitudes(segments, t, windows, c, slices, sigma)
+            path = u if sigma else np.zeros((1, n_t, dim))
+            amps = _exact_amplitudes(segments, t, path, c, slices, sigma)
         else:
             gamma_s = sigma * unit_gamma_s if sigma else 0.0
             amps = c * np.exp(-1j * (gamma_a + gamma_s))

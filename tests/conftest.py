@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from scipy.signal import fftconvolve, lfilter
 
 from gqclab import ensemble
-from gqclab.adiabatic import PAULI, SIGMA_Z, EigenFrame, eigenframe
+from gqclab.adiabatic import PAULI, SIGMA_Z, EigenFrame, eigenframe, evolve_exact_batch
 from gqclab.errors import ResourceLimitError, _check_elements
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
@@ -358,6 +358,32 @@ def refused_unallocated():
     return _refused_unallocated
 
 
+def _segment_amplitudes_reference(segments, t, path, c, slices, sigma):
+    """Two-qubit ``ensemble._exact_amplitudes`` one segment at a time.
+
+    Each segment's window of ``path`` propagates both one-qubit
+    eigenstates at azimuth 0 as columns, one ``evolve_exact_batch`` call
+    per segment, and the amplitude matrix Psi[i1, i2] evolves as
+    u Psi u^T, then the segment's ideal pi-pulse.
+    """
+    singles = [replace(h, qubit_count=1, level_cone_angles=None) for h, *_ in segments]
+    v = eigenframe(singles[0], t).states[:, 0, :].T  # columns: the eigenstates
+    n = t.size - 1
+    psi = c.reshape(2, 2)
+    for l, (h, (_, _, target)) in enumerate(zip(singles, segments)):
+        window = path[:, l * n : (l + 1) * n + 1]
+        u = v.T @ evolve_exact_batch(h, t, window, v, slices, sigma)
+        psi = u @ psi @ u.swapaxes(-1, -2)
+        if target:
+            psi = np.flip(psi, axis=target)
+    return psi.reshape(-1, 4)
+
+
+@pytest.fixture
+def segment_amplitudes_reference():
+    return _segment_amplitudes_reference
+
+
 def _every_row(config, segments):
     """(matrix, standard_errors, gamma_a) of ``config`` over ``segments`` at
     sigma^2 = 0 with every realization propagated: the pipeline's engines on
@@ -367,11 +393,12 @@ def _every_row(config, segments):
     n = ensemble._grid_steps(span, config.dt)
     t = np.linspace(0.0, span, n + 1)
     rows, c = config.realizations, config.amplitudes
-    windows = [np.zeros((rows, n + 1, config.noise.dimension))] * len(segments)
+    path = np.zeros((rows, len(segments) * n + 1, config.noise.dimension))
+    windows = [path[:, l * n : (l + 1) * n + 1] for l in range(len(segments))]
     gamma_a = ensemble._gamma_a(segments, span)
     if config.engine == "exact_propagation":
         slices = n * config.substeps
-        amps = ensemble._exact_amplitudes(segments, t, windows, c, slices, 0.0)
+        amps = ensemble._exact_amplitudes(segments, t, path, c, slices, 0.0)
     else:
         gamma_s = ensemble._gamma_s(segments, t, windows, np.flatnonzero(c))
         amps = c * np.exp(-1j * (gamma_a + gamma_s))

@@ -262,6 +262,33 @@ def test_evolve_exact_column_states_give_unitary_propagator():
         assert np.array_equal(u[:, :, b], alone)
 
 
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_second_eigenstate_column_is_j_times_the_conjugate_first(dimension):
+    """v1 = J v0* at azimuth 0, J = [[0, -1], [1, 0]], and u J = J u* for
+    every u in SU(2), so u v1 = J (u v0)*.  The ensemble's exact engine
+    propagates only v0 and takes u v1 from this identity: on a noisy
+    window the propagated columns must agree to the bit, which fails if
+    complex multiplication stops rounding conjugates symmetrically."""
+    h = _hamiltonian(np.pi / 3, magnitude=400.0)
+    spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=dimension)
+    t = np.arange(251) * 0.004
+    samples = make_noise_ensemble(spec, 1.0, 0.004, 5, 64)
+    v = eigenframe(h, t).states[:, 0, :].T  # columns v0, v1
+    assert np.array_equal(v[:, 1], [-v[1, 0].conj(), v[0, 0].conj()])
+    u = evolve_exact_batch(h, t, samples, v, 250)
+    x = u[..., 0]
+    assert np.array_equal(u[..., 1], np.stack([-x[:, 1].conj(), x[:, 0].conj()], -1))
+
+
+def test_evolve_exact_segments_must_span_the_path():
+    """P segments of n steps read a path of P n + 1 points, no other."""
+    h = _hamiltonian(1.0)
+    t = np.linspace(0.0, 1.0, 11)
+    for segments, points in ((h, 21), ([h, h], 11), ([h, h], 22)):
+        with pytest.raises(ValueError, match="noise points"):
+            evolve_exact_batch(segments, t, np.zeros((2, points, 1)), [1.0, 0.0], 10)
+
+
 _GRID_STEPS = 5  # below the kernel's block length, so every slice count fits
 _PATHS = 512
 _SLICE_BLOCK = _SLICE_ELEMENTS // _PATHS  # slices per kernel pass at _PATHS

@@ -368,8 +368,7 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
             # the engine takes the unit-variance path and sigma
             spec = NoiseSpec(variance=1.0, correlation_time=0.04, dimension=dimension)
             unit = make_noise_ensemble(spec, duration, period / n_seg, 3, 4)
-            windows = _windows(unit, n_seg)
-            amps = _exact_amplitudes(segments, t_local, windows, c, n_seg, sigma)
+            amps = _exact_amplitudes(segments, t_local, unit, c, n_seg, sigma)
             for path, got in zip(sigma * unit, amps):
                 psi = basis.T @ c
                 for l, (h_seg, _, target) in enumerate(segments):
@@ -537,18 +536,40 @@ def test_noisy_gate_sweep_holds_only_the_normals(peak_bytes):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
-    """The exact engine makes 4 propagations per row, of one noise row at
-    sigma^2 = 0; the analytic engine 8 stochastic phases per sweep (4
-    segments x 2 Bell levels) of the unit path, and none at sigma^2 = 0."""
+    """The exact engine makes one propagation per row, all four segments
+    on one path, of one noise row at sigma^2 = 0; the analytic engine 8
+    stochastic phases per sweep (4 segments x 2 Bell levels) of the unit
+    path, and none at sigma^2 = 0."""
     exact = engine == "exact_propagation"
     bell_gate_run(_gate_config(0.0, engine))
-    assert propagated_rows == ([1] * 4 if exact else [])
+    assert propagated_rows == ([1] if exact else [])
     propagated_rows.clear()
     bell_gate_run(_gate_config(20.0, engine))
-    assert propagated_rows == [64] * (4 if exact else 8)
+    assert propagated_rows == [64] * (1 if exact else 8)
     propagated_rows.clear()
     bell_gate_sweep(_gate_config(0.0, engine), [20.0, 0.0])
-    assert propagated_rows == ([64] * 4 + [1] * 4 if exact else [64] * 8)
+    assert propagated_rows == ([64, 1] if exact else [64] * 8)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("theta", [np.pi / 3, 1.1, 2.0])
+def test_exact_gate_sweep_equals_the_per_segment_composition(
+    monkeypatch, segment_amplitudes_reference, dimension, theta
+):
+    """One propagation of the aligned state across all four segments gives
+    the bits of propagating both eigenstates segment by segment, noiseless
+    and noisy, at 3 realizations and at 512."""
+    variances = [0.0, 5.0, 20.0]
+    for realizations in (3, 512):
+        cfg = replace(
+            _gate_config(0.0, "exact_propagation", realizations),
+            hamiltonian=_setup(theta),
+            noise=NoiseSpec(variance=0.0, correlation_time=0.04, dimension=dimension),
+        )
+        got = bell_gate_sweep(cfg, variances)
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "_exact_amplitudes", segment_amplitudes_reference)
+            assert bell_gate_sweep(cfg, variances) == got
 
 
 @pytest.mark.parametrize("engine", ENGINES)

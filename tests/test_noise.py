@@ -92,10 +92,13 @@ def test_resolution_error_names_bound():
         make_noise_path(spec, 0.001, 0.01, seed=0)
 
 
-def test_autocovariance_lag_ratio_is_exp_minus_one():
-    # >= 1e6 samples; ratio of autocovariance at lag tau_c to lag 0
+def test_autocovariance_lag_ratio_is_exp_minus_one(ou_reference):
+    # >= 1e6 samples; ratio of autocovariance at lag tau_c to lag 0.  The
+    # path is make_noise_path(spec, 110_000.0, 0.1, seed=7) to the bit, by
+    # scipy's filter (test_ou_recursion_matches_lfilter_bit_for_bit)
     spec = NoiseSpec(variance=1.0, correlation_time=1.0)
-    path = make_noise_path(spec, 110_000.0, 0.1, seed=7)
+    xi = realization_rng(7, 0).standard_normal((1_100_001, 1))
+    path = ou_reference(spec, xi, 0.1)
     assert path.size >= 10**6
     (lag0, var0, _), (lag1, cov1, _) = estimate_autocorrelation(
         path[None], 0.1, [0.0, 1.0]
@@ -270,13 +273,14 @@ def test_ou_recursion_runs_in_place_on_time_major_windows(
 def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, count):
     """One definition of the noise.  The unit-variance OU path u, filtered
     in place in either memory layout, is make_noise_ensemble's at
-    sigma^2 = 1 to the bit, and the pipeline hands both engines its
-    segment views, of 300 steps each (two blocks of the recursion), with
-    each row's sigma; at sigma^2 = 0 the exact engine gets one row of +0.0
-    samples per segment, and the analytic engine nothing.  sigma u is
-    make_noise_ensemble's path at sigma^2 to 1e-14 sigma (1.9e-15 sigma
-    measured), and sigma Gamma_s(u) its Gamma_s to 1e-14 sigma (3.8e-16
-    sigma measured, |Gamma_s| up to 1.7 sigma)."""
+    sigma^2 = 1 to the bit.  The pipeline hands the exact engine the whole
+    path with each row's sigma, one call per row for all segments, and the
+    analytic engine its segment views, of 300 steps each (two blocks of
+    the recursion); at sigma^2 = 0 the exact engine gets one row of +0.0
+    samples spanning the segments, and the analytic engine nothing.
+    sigma u is make_noise_ensemble's path at sigma^2 to 1e-14 sigma
+    (1.9e-15 sigma measured), and sigma Gamma_s(u) its Gamma_s to 1e-14
+    sigma (3.8e-16 sigma measured, |Gamma_s| up to 1.7 sigma)."""
     n, dt, rows, seed = 300, 0.01, 5, 8
     unit_spec = NoiseSpec(variance=1.0, correlation_time=0.1, dimension=dimension)
     unit = make_noise_ensemble(unit_spec, count * n * dt, dt, seed, rows)
@@ -308,13 +312,13 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
     for engine in ENGINES:
         cfg = EnsembleConfig(h, unit_spec, c, rows, seed, engine)
         ensemble._run_segments(cfg, [(h, 0, 0)] * count, sigma2s)
-    assert len(exact) == 3 * count and len(analytic) == h.n_levels * count
-    for i, (samples, sigma) in enumerate(exact):
-        assert sigma == np.sqrt(sigma2s[i // count])
+    assert len(exact) == 3 and len(analytic) == h.n_levels * count
+    for (samples, sigma), sigma2 in zip(exact, sigma2s):
+        assert sigma == np.sqrt(sigma2)
         if sigma:
-            assert np.array_equal(samples, views[i % count])
-        else:  # one row of +0.0 samples per segment
-            assert samples.shape == (1, n + 1, dimension)
+            assert np.array_equal(samples, unit)
+        else:  # one row of +0.0 samples spanning the segments
+            assert samples.shape == (1, count * n + 1, dimension)
             assert np.all(samples == 0.0) and not np.any(np.signbit(samples))
     for i, samples in enumerate(analytic):
         assert np.array_equal(samples, views[i // h.n_levels])
