@@ -331,24 +331,28 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     )
 
 
-def _cayley_klein(bx, by, bz, scale):
-    """Cayley-Klein parameters of exp(+i scale b . sigma) = [[alpha, beta],
-    [-beta*, alpha*]], elementwise over field components of any shape and
-    a ``scale`` that broadcasts against them.
+def _cayley_klein(bx, by, bz, scale, norm, x, alpha, beta):
+    """Fill ``alpha`` and ``beta`` with the Cayley-Klein parameters of
+    exp(+i scale b . sigma) = [[alpha, beta], [-beta*, alpha*]], elementwise.
 
-    With x = scale |b| and s = sin(x) / |b| (s = 0 at |b| = 0),
-    alpha = cos x + i s b_z and beta = s (b_y + i b_x).
+    The field components and ``scale`` broadcast against the buffers, real
+    ``norm`` and ``x`` (overwritten) and complex ``alpha`` and ``beta``.
+    With x = scale |b| and s = sin(x) / max(|b|, 5e-324), the quotient at
+    |b| > 0 and 0 at |b| = 0, alpha = cos x + i s b_z and
+    beta = s (b_y + i b_x).  |b|^2 sums (b_x^2 + b_y^2) + b_z^2; a narrower
+    component squares into as many columns of ``x`` and broadcasts.
     """
-    norm = np.sqrt(bx * bx + by * by + bz * bz)
-    x = scale * norm
-    s = np.divide(np.sin(x), norm, out=np.zeros_like(norm), where=norm > 0)
-    alpha = np.empty(norm.shape, complex)
-    alpha.real = np.cos(x)
-    alpha.imag = s * bz
-    beta = np.empty(norm.shape, complex)
-    beta.real = s * by
-    beta.imag = s * bx
-    return alpha, beta
+    np.multiply(bx, bx, out=norm)
+    for b in (by, bz):
+        norm += np.multiply(b, b, out=x[..., : b.shape[-1]])
+    np.sqrt(norm, out=norm)
+    np.multiply(norm, scale, out=x)
+    np.cos(x, out=alpha.real)
+    np.sin(x, out=x)
+    s = np.divide(x, np.maximum(norm, 5e-324, out=norm), out=x)
+    np.multiply(s, bz, out=alpha.imag)
+    np.multiply(s, by, out=beta.real)
+    np.multiply(s, bx, out=beta.imag)
 
 
 def evolve_exact_batch(
@@ -378,12 +382,14 @@ def evolve_exact_batch(
     H = -(gamma/2) b . sigma, as its Cayley-Klein pair (alpha, beta).
     One slice loop serves every segment, which lie side by side on the
     vector axis, so a row's P segments cost one loop, not P.
-    n_real x slices x dim above MAX_ELEMENTS is refused before allocating;
-    the slices run in passes of ``_SLICE_ELEMENTS`` slice x segment x
-    realization elements (at least one slice), whose temporaries do not
-    grow with them.  Norm is preserved to 1e-10 by construction; accuracy
-    improves as O(slices^-2) and is validated by slice doubling in the
-    tests.  Two qubits under the same field and noise evolve under u x u,
+    n_real x slices x dim, or slices x P x 3, above MAX_ELEMENTS is refused
+    before allocating; the slices run in passes of ``_SLICE_ELEMENTS``
+    slice x segment x realization elements (at least one slice) through
+    arrays allocated once per call.  Under scalar noise a field component
+    that no segment's axis reaches keeps its noiseless value per slice,
+    the bits of adding noise 0.0 unless that value is -0.0.  Norm is
+    preserved to 1e-10 by construction; accuracy improves as O(slices^-2)
+    and is validated by slice doubling in the tests.  Two qubits under the same field and noise evolve under u x u,
     which the ensemble's exact engine composes from the columns of u.
     """
     single = isinstance(h, QubitHamiltonian)
@@ -411,9 +417,10 @@ def evolve_exact_batch(
             f"{count} segment(s) of {n_steps} steps need {count * n_steps + 1} "
             f"noise points, got {n_times}"
         )
-    # the per-slice arrays grow with the slices, a segment's work with
-    # n_real x slices
+    # a segment's work grows with n_real x slices, the per-slice arrays
+    # (midpoints, path indices, weights, control fields) with slices x P x 3
     _check_elements((n_real, slices, dim), "exact propagation")
+    _check_elements((slices, count, 3), "exact propagation slices")
     t0, t1 = t[0], t[-1]
     eps = (t1 - t0) / slices
     mids = t0 + (np.arange(slices) + 0.5) * eps
@@ -431,29 +438,45 @@ def evolve_exact_batch(
     psi = psi.reshape(2, -1, count, n_real)
     p0, p1 = psi
     tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
-    block = max(_SLICE_ELEMENTS // (count * n_real), 1)
+    block = min(max(_SLICE_ELEMENTS // (count * n_real), 1), slices)
+    rows = (block, count, n_real)
+    # the pass arrays: midpoint noise, |b|, x (then s), alpha, beta and
+    # their conjugates, allocated once; a short last pass takes leading views
+    buffers = [np.empty(rows + (dim,)), np.empty(rows), np.empty(rows)]
+    buffers += [np.empty(rows, complex) for _ in range(4)]
+    # under scalar noise a component whose axis entry is 0 in every segment
+    # is b_det + noise 0.0, which is b_det unless b_det is -0.0: such a
+    # component stays per slice, (block, P, 1)
+    negative_zero = ((b_det == 0) & np.signbit(b_det)).any(axis=(0, 1))
+    noisy = axis.any(axis=0) | negative_zero | (dim == 3)
+    fields = {c: np.empty(rows) for c in np.flatnonzero(noisy)}
     for start in range(0, slices, block):
         k = slice(start, start + block)
         jk = j[k, None] + first
+        m = len(jk)
+        noise, norm, x, alpha, beta, ac, bc = (a[:m] for a in buffers)
         # midpoint noise (block, P, n_real, dim) by linear interpolation on
         # the path grid, sigma u[j] + (u[j+1] - u[j]) sigma (x - t[j]) / step:
         # sigma multiplies each gathered element once, in the copy ``lo``
         lo = time_major[jk]
-        noise = time_major[jk + 1] - lo
+        np.subtract(time_major[jk + 1], lo, out=noise)
         noise *= weight[k, None, None, None]
         lo *= sigma
         noise += lo
-        b = [
-            b_det[k, :, c, None]
-            + (noise[..., 0] * axis[:, c, None] if dim == 1 else noise[..., c])
-            for c in range(3)
-        ]
-        alpha, beta = _cayley_klein(*b, scale)
-        for a, bt, ac, bc in zip(alpha, beta, alpha.conj(), beta.conj()):
+        b = [b_det[k, :, c, None] for c in range(3)]
+        for c, out in fields.items():
+            part = noise[..., c] if dim == 3 else noise[..., 0]
+            if dim == 1:
+                part = np.multiply(part, axis[:, c, None], out=out[:m])
+            b[c] = np.add(part, b[c], out=out[:m])
+        _cayley_klein(*b, scale, norm, x, alpha, beta)
+        np.conjugate(alpha, out=ac)
+        np.conjugate(beta, out=bc)
+        for a, bt, a_c, b_c in zip(alpha, beta, ac, bc):
             np.multiply(a, p0, out=tmp0)
             np.multiply(bt, p1, out=tmp1)
-            np.multiply(bc, p0, out=p0)
-            np.multiply(ac, p1, out=p1)
+            np.multiply(b_c, p0, out=p0)
+            np.multiply(a_c, p1, out=p1)
             p1 -= p0  # alpha* p1 - beta* p0
             np.add(tmp0, tmp1, out=p0)  # alpha p0 + beta p1
     final = psi.transpose(2, 3, 0, 1).reshape((count, n_real) + psi0.shape)

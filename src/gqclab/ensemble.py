@@ -228,9 +228,10 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     it, and an ideal pi-pulse flips qubit ``target`` at its end (0: no
     pulse).  Every segment lasts its schedule's duration on one grid of
     steps no coarser than ``config.dt``, and one noise path spans them all.
-    The variances, the seed, the grid, both element bounds and, for the
-    exact engine, uniform cone angles (per-level angles define no single
-    one-qubit Hamiltonian to compose as u x u) are checked for every
+    The variances, the seed, the grid, the element bounds (with the exact
+    engine's slices x segments x 3) and, for the exact engine, uniform cone
+    angles (per-level angles define no single one-qubit Hamiltonian to
+    compose as u x u) are checked for every
     configured realization before anything is allocated.  The path's
     normals are drawn once, if any variance is nonzero, and filtered in
     place into the unit-variance OU path u of ``make_noise_ensemble``;
@@ -263,6 +264,7 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     exact = config.engine == "exact_propagation"
     if exact:
         _check_elements((rows, slices, dim), "exact propagation")
+        _check_elements((slices, count, 3), "exact propagation slices")
         if not h.uniform_cone_angles():
             raise ValueError(
                 "exact two-qubit propagation requires uniform level_cone_angles"

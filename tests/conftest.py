@@ -10,7 +10,15 @@ from scipy.linalg import expm
 from scipy.signal import fftconvolve, lfilter
 
 from gqclab import ensemble
-from gqclab.adiabatic import PAULI, SIGMA_Z, EigenFrame, eigenframe, evolve_exact_batch
+from gqclab.adiabatic import (
+    _SLICE_ELEMENTS,
+    PAULI,
+    SIGMA_Z,
+    EigenFrame,
+    QubitHamiltonian,
+    eigenframe,
+    evolve_exact_batch,
+)
 from gqclab.errors import ResourceLimitError, _check_elements
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
@@ -117,6 +125,83 @@ def _slice_loop_reference(h, time_grid, noise_samples, psi0, slices):
 @pytest.fixture
 def slice_loop_reference():
     return _slice_loop_reference
+
+
+def _cayley_klein_reference(bx, by, bz, scale):
+    """Cayley-Klein parameters of exp(+i scale b . sigma) = [[alpha, beta],
+    [-beta*, alpha*]] on freshly allocated arrays: x = scale |b|,
+    s = sin(x) / |b| (s = 0 at |b| = 0), alpha = cos x + i s b_z and
+    beta = s (b_y + i b_x)."""
+    norm = np.sqrt(bx * bx + by * by + bz * bz)
+    x = scale * norm
+    s = np.divide(np.sin(x), norm, out=np.zeros_like(norm), where=norm > 0)
+    alpha = np.empty(norm.shape, complex)
+    alpha.real = np.cos(x)
+    alpha.imag = s * bz
+    beta = np.empty(norm.shape, complex)
+    beta.real = s * by
+    beta.imag = s * bx
+    return alpha, beta
+
+
+def _exact_batch_reference(h, time_grid, noise_samples, psi0, slices, sigma=1.0):
+    """``evolve_exact_batch`` with every pass array allocated afresh.
+
+    The same slice passes of ``_SLICE_ELEMENTS`` elements, midpoint rule,
+    gather and spinor-update order, but each pass computes every field
+    component at full width, adding noise 0.0 to a component with no noise,
+    and divides sin x by |b| only where |b| > 0.  The engine's bits must
+    equal these.
+    """
+    single = isinstance(h, QubitHamiltonian)
+    segments = [h] if single else list(h)
+    psi0 = np.asarray(psi0, dtype=complex)
+    t = np.asarray(time_grid, dtype=float)
+    n_steps = t.size - 1
+    n_real, _, dim = noise_samples.shape
+    count = len(segments)
+    eps = (t[-1] - t[0]) / slices
+    mids = t[0] + (np.arange(slices) + 0.5) * eps
+    b_det = np.stack([s.schedule.field(mids) for s in segments], 1)
+    axis = np.array([s.noise_operator_axis for s in segments])
+    scale = np.array([[0.5 * s.coupling * eps] for s in segments])
+    j = np.searchsorted(t, mids, side="right") - 1
+    weight = sigma * (mids - t[j]) / np.diff(t)[j]
+    first = n_steps * np.arange(count)
+    time_major = noise_samples.transpose(1, 0, 2)
+    psi = np.repeat(psi0.reshape(2, -1, 1), count * n_real, axis=2)
+    psi = psi.reshape(2, -1, count, n_real)
+    p0, p1 = psi
+    tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
+    block = max(_SLICE_ELEMENTS // (count * n_real), 1)
+    for start in range(0, slices, block):
+        k = slice(start, start + block)
+        jk = j[k, None] + first
+        lo = time_major[jk]
+        noise = time_major[jk + 1] - lo
+        noise *= weight[k, None, None, None]
+        lo *= sigma
+        noise += lo
+        b = [
+            b_det[k, :, c, None]
+            + (noise[..., 0] * axis[:, c, None] if dim == 1 else noise[..., c])
+            for c in range(3)
+        ]
+        alpha, beta = _cayley_klein_reference(*b, scale)
+        for a, bt, ac, bc in zip(alpha, beta, alpha.conj(), beta.conj()):
+            np.multiply(a, p0, out=tmp0)
+            np.multiply(bt, p1, out=tmp1)
+            np.multiply(bc, p0, out=p0)
+            np.multiply(ac, p1, out=p1)
+            p1 -= p0
+            np.add(tmp0, tmp1, out=p0)
+    final = psi.transpose(2, 3, 0, 1).reshape((count, n_real) + psi0.shape)
+    return final[0] if single else final
+
+
+@pytest.fixture
+def exact_batch_reference():
+    return _exact_batch_reference
 
 
 def _ou_reference(spec, xi, dt):

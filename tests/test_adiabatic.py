@@ -1,6 +1,7 @@
 """Eigenframe, Berry phase, exact propagation, and adiabatic phase tests."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,16 +320,74 @@ def test_evolve_exact_matches_slice_loop(slice_loop_reference, slices, dimension
     assert np.array_equal(time_major, got)
 
 
-def test_evolve_exact_working_memory_is_bounded_in_bytes(peak_bytes):
-    """8,192 paths x 200 slices: one slice per Cayley-Klein pass, so the
-    call allocates under 2 MiB beyond its inputs, where 8-slice passes
-    took about 11 MiB."""
+_ORACLE_STEPS = 6
+
+
+@pytest.mark.parametrize(
+    "cone, magnitude, axis",
+    [
+        (0.0, 200.0, (0.0, 0.0, 1.0)),
+        (0.0, 200.0, (0.0, 1.0, 0.0)),
+        (np.pi / 3, 200.0, (0.6, 0.0, 0.8)),
+        (np.pi / 2, 200.0, (1.0, 0.0, 0.0)),
+        (np.pi, 200.0, (0.0, 1.0, 0.0)),
+        (np.pi / 2, 0.0, (1.0, 0.0, 0.0)),
+        (0.0, 0.0, (0.0, 0.0, 1.0)),
+        (np.pi, 0.0, (0.6, 0.0, 0.8)),
+    ],
+)
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize(
+    "count, realizations, slices",
+    [(1, 37, 120), (4, 37, 120), (1, 8192, 6), (4, 512, 12)],
+    ids=["1x37", "4x37", "1x8192", "4x512"],
+)
+def test_evolve_exact_bits_equal_the_fresh_array_kernel(
+    exact_batch_reference, cone, magnitude, axis, dimension, count, realizations, slices
+):
+    """Equal values and equal sign bits, zeros included, to the kernel that
+    allocates every pass array afresh and adds noise 0.0 to a component
+    without noise.  At 37 realizations the last pass is short, at 8,192
+    each pass holds one slice.  At cone angle 0 the control field's x and
+    y components are -0.0 at some slices, which noise 0.0 can turn to
+    +0.0; the columns of -i 1 carry that sign into the result."""
+    h = _hamiltonian(cone, magnitude=magnitude, noise_operator_axis=axis)
+    segments = h if count == 1 else [h, replace(h, schedule=h.schedule.reversed())] * 2
+    t = np.linspace(0.0, 1.0, _ORACLE_STEPS + 1)
+    shape = (realizations, count * _ORACLE_STEPS + 1, dimension)
+    samples = _time_major(np.random.default_rng(3).normal(size=shape))
+    states = (np.array([0.6, 0.8j]), np.array([[0.6, -0.8], [0.8, 0.6]]), -1j * np.eye(2))
+    for sigma in (0.0, 2.5):
+        for psi0 in states:
+            got = evolve_exact_batch(segments, t, samples, psi0, slices, sigma)
+            want = exact_batch_reference(segments, t, samples, psi0, slices, sigma)
+            got, want = (np.stack([z.real, z.imag]) for z in (got, want))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "realizations, count, steps, limit_mib",
+    [(8192, 1, 200, 1.6), (512, 4, 250, 0.7)],
+    ids=["agp-row", "gate-row"],
+)
+def test_evolve_exact_working_memory_is_bounded_in_bytes(
+    peak_bytes, realizations, count, steps, limit_mib
+):
+    """One call's peak beyond its inputs at the agp row (8,192 paths, one
+    segment of 200 slices, one slice per pass) and the gate row (512 paths,
+    four segments of 250 slices, two slices per pass).  Pass arrays
+    allocated once per call hold 1.40 and 0.60 MiB, where arrays allocated
+    afresh every pass took 1.83 and 0.82 MiB, and 8-slice passes about
+    11 MiB."""
     h = _hamiltonian(np.pi / 2)
+    segments = h if count == 1 else [h, replace(h, schedule=h.schedule.reversed())] * 2
     spec = NoiseSpec(variance=50.0, correlation_time=0.05)
-    samples = make_noise_ensemble(spec, 1.0, 0.005, 0, 8192)
-    t = np.linspace(0.0, 1.0, 201)
+    samples = make_noise_ensemble(spec, float(count), 1.0 / steps, 0, realizations)
+    t = np.linspace(0.0, 1.0, steps + 1)
     psi0 = np.array([0.6, 0.8j])
-    assert peak_bytes(evolve_exact_batch, h, t, samples, psi0, 200) <= 2 * 2**20
+    peak = peak_bytes(evolve_exact_batch, segments, t, samples, psi0, steps)
+    assert peak <= limit_mib * 2**20
 
 
 def test_evolve_exact_zero_field_slice_is_identity(slice_loop_reference):

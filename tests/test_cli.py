@@ -411,6 +411,31 @@ def test_cli_resource_exit_code(tmp_path, raw):
     assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        dict(AGP_CONFIG, engine="exact_propagation", substeps=100),
+        dict(GATE_CONFIG, engine="exact_propagation", substeps=100),
+    ],
+    ids=["agp-dephase", "gate-fidelity"],
+)
+def test_cli_per_slice_arrays_are_bounded_at_few_realizations(
+    tmp_path, monkeypatch, raw
+):
+    """Under a bound of 2^16, 2 realizations x 25,000 slices x 1 component
+    fit, but the exact engine's per-slice arrays, 25,000 slices x segments
+    x 3 (75,000 elements for one segment, 300,000 for the gate's four), do
+    not, so the run exits 4 before allocating them."""
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 2**16)
+    path = _write(tmp_path, "cfg.json", raw)
+    out = str(tmp_path / "x.csv")
+    code = main(
+        [raw["experiment"], "--config", path, "--out", out, "--realizations", "2"]
+    )
+    assert code == 4
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
+
+
 COARSE_AGP = dict(AGP_CONFIG, correlation_time=1e-5, magnitude=1e7, noise_dt=1e-5)
 
 
