@@ -366,28 +366,29 @@ def test_evolve_exact_bits_equal_the_fresh_array_kernel(
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize(
-    "realizations, count, steps, limit_mib",
-    [(8192, 1, 200, 1.6), (512, 4, 250, 0.7)],
-    ids=["agp-row", "gate-row"],
-)
-def test_evolve_exact_working_memory_is_bounded_in_bytes(
-    peak_bytes, realizations, count, steps, limit_mib
-):
-    """One call's peak beyond its inputs at the agp row (8,192 paths, one
-    segment of 200 slices, one slice per pass) and the gate row (512 paths,
-    four segments of 250 slices, two slices per pass).  Pass arrays
-    allocated once per call hold 1.40 and 0.60 MiB, where arrays allocated
-    afresh every pass took 1.83 and 0.82 MiB, and 8-slice passes about
-    11 MiB."""
+def _exact_peak_bytes(peak_bytes, realizations, count, steps):
     h = _hamiltonian(np.pi / 2)
     segments = h if count == 1 else [h, replace(h, schedule=h.schedule.reversed())] * 2
     spec = NoiseSpec(variance=50.0, correlation_time=0.05)
     samples = make_noise_ensemble(spec, float(count), 1.0 / steps, 0, realizations)
     t = np.linspace(0.0, 1.0, steps + 1)
     psi0 = np.array([0.6, 0.8j])
-    peak = peak_bytes(evolve_exact_batch, segments, t, samples, psi0, steps)
-    assert peak <= limit_mib * 2**20
+    return peak_bytes(evolve_exact_batch, segments, t, samples, psi0, steps)
+
+
+def test_evolve_exact_working_memory_is_bounded_in_bytes(peak_bytes):
+    """One call's peak beyond its inputs at the agp row: 8,192 paths, one
+    segment of 200 slices, one slice per pass.  Pass arrays allocated once
+    per call hold 1.40 MiB, where arrays allocated afresh every pass took
+    1.83 MiB, and 8-slice passes about 11 MiB."""
+    assert _exact_peak_bytes(peak_bytes, 8192, 1, 200) <= 1.6 * 2**20
+
+
+def test_evolve_exact_gate_row_working_memory_is_bounded_in_bytes(peak_bytes):
+    """The same peak at the gate row: 512 paths, four segments of 250
+    slices, two slices per pass.  Pass arrays allocated once per call hold
+    0.60 MiB, where arrays allocated afresh every pass took 0.82 MiB."""
+    assert _exact_peak_bytes(peak_bytes, 512, 4, 250) <= 0.7 * 2**20
 
 
 def test_evolve_exact_zero_field_slice_is_identity(slice_loop_reference):
