@@ -356,30 +356,27 @@ def _cayley_klein(bx, by, bz, scale, norm, x, alpha, beta):
 
 
 def evolve_exact_batch(
-    h: QubitHamiltonian | Sequence[QubitHamiltonian],
+    segments: Sequence[QubitHamiltonian],
     time_grid: np.ndarray,
     noise_samples: np.ndarray,
     psi0,
     slices: int,
-    sigma: float = 1.0,
+    sigma: float,
 ) -> np.ndarray:
-    """Propagate a single-qubit psi0 through the full noisy Hamiltonian of
-    each of a row's segments.
+    """Propagate the normalized spinor psi0, shape (2,), through the full
+    noisy Hamiltonian of each of a row's P >= 1 one-qubit segments, from
+    each segment's start; the final states have shape (P, n_real, 2).
 
-    ``h`` is one QubitHamiltonian, or the P segment Hamiltonians of a row,
-    which run back to back on one noise path: noise_samples has shape
-    (n_real, P n + 1, dim), n steps of ``time_grid`` per segment, and
+    The segments run back to back on one noise path: noise_samples has
+    shape (n_real, P n + 1, dim), n steps of ``time_grid`` per segment, and
     segment l reads the points l n ... (l + 1) n on ``time_grid``.  The
     noise is ``sigma`` times noise_samples, which is only read: the
     pipeline passes its sweep's one unit-variance path and each row's
     sigma.  On time-major memory, the pipeline's, slices gather contiguous
-    rows.  psi0 is one spinor of shape (2,) or column spinors of shape
-    (2, m), and every segment propagates it from its own start; the final
-    states have shape (n_real,) + psi0.shape for one Hamiltonian and
-    (P, n_real) + psi0.shape for a sequence.  Each segment's interval is
-    cut into ``slices`` pieces; each piece uses the exact closed-form SU(2)
-    exponential of the midpoint-sampled Hamiltonian,
-    H = -(gamma/2) b . sigma, as its Cayley-Klein pair (alpha, beta).
+    rows.  Each segment's interval is cut into ``slices`` pieces; each
+    piece uses the exact closed-form SU(2) exponential of the
+    midpoint-sampled Hamiltonian, H = -(gamma/2) b . sigma, as its
+    Cayley-Klein pair (alpha, beta).
     One slice loop serves every segment, which lie side by side on the
     vector axis, so a row's P segments cost one loop, not P.
     n_real x slices x dim, or slices x P x 3, above MAX_ELEMENTS is refused
@@ -389,20 +386,20 @@ def evolve_exact_batch(
     that no segment's axis reaches keeps its noiseless value per slice,
     the bits of adding noise 0.0 unless that value is -0.0.  Norm is
     preserved to 1e-10 by construction; accuracy improves as O(slices^-2)
-    and is validated by slice doubling in the tests.  Two qubits under the same field and noise evolve under u x u,
-    which the ensemble's exact engine composes from the columns of u.
+    and is validated by slice doubling in the tests.  Two qubits evolve
+    under u x u, which the ensemble's exact engine composes.
     """
-    single = isinstance(h, QubitHamiltonian)
-    segments = [h] if single else list(h)
+    if isinstance(segments, QubitHamiltonian) or not len(segments):
+        raise ValueError("segments must be a sequence of one or more Hamiltonians")
     if any(s.qubit_count != 1 for s in segments):
         raise ValueError(
             "exact propagation is single-qubit; the ensemble's exact engine "
             "composes the two-qubit propagator u x u"
         )
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim not in (1, 2) or psi0.shape[0] != 2:
-        raise ValueError("psi0 must have shape (2,) or (2, m)")
-    if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
+    if psi0.shape != (2,):
+        raise ValueError("psi0 must be one spinor of shape (2,)")
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     t = np.asarray(time_grid, dtype=float)
     n_steps = t.size - 1
@@ -433,9 +430,8 @@ def evolve_exact_batch(
     first = n_steps * np.arange(count)  # each segment's first path point
     time_major = noise_samples.transpose(1, 0, 2)  # (n_times, n_real, dim) view
 
-    # spinor components p0, p1 as contiguous (m, P, n_real) rows
-    psi = np.repeat(psi0.reshape(2, -1, 1), count * n_real, axis=2)
-    psi = psi.reshape(2, -1, count, n_real)
+    # spinor components p0, p1 as contiguous (P, n_real) rows
+    psi = np.broadcast_to(psi0[:, None, None], (2, count, n_real)).copy()
     p0, p1 = psi
     tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
     block = min(max(_SLICE_ELEMENTS // (count * n_real), 1), slices)
@@ -479,8 +475,8 @@ def evolve_exact_batch(
             np.multiply(a_c, p1, out=p1)
             p1 -= p0  # alpha* p1 - beta* p0
             np.add(tmp0, tmp1, out=p0)  # alpha p0 + beta p1
-    final = psi.transpose(2, 3, 0, 1).reshape((count, n_real) + psi0.shape)
-    return final[0] if single else final
+    # a reshape, not .copy(): the same C-order copy at a peak 0.18 MiB lower
+    return psi.transpose(1, 2, 0).reshape(count, n_real, 2)
 
 
 def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:

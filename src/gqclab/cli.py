@@ -506,8 +506,6 @@ def _run_agp_dephase(p):
                 "d_mc_abs": abs(report.mc_factor),
                 "d_mc_se": report.mc_standard_error,
                 "d_analytic": report.analytic_factor,
-                "magnitude_mc": abs(report.mc_factor),
-                "magnitude_analytic": report.analytic_factor,
                 "gamma_a_rad": gamma_a_kj,
                 "onset_ratio": report.onset_ratio,
             }

@@ -190,7 +190,8 @@ def _exact_amplitudes(segments, t, path, c, slices: int, sigma) -> np.ndarray:
     """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation
     through ``sigma`` times the noise ``path``, which spans the segments
     back to back, in ``slices`` slices per segment: one
-    ``evolve_exact_batch`` call propagates every segment.
+    ``evolve_exact_batch`` call propagates one spinor through every
+    segment, giving its final states (P, rows, 2).
 
     One qubit (one segment) propagates its lab-frame state, entering and
     leaving through the eigenframe's first and last states.  Two qubits see
@@ -274,7 +275,7 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     c = config.amplitudes
     if any(sigmas):
         u = np.empty((n_t, rows, dim)).transpose(1, 0, 2)
-        _ensemble_normals(config.master_seed, rows, (n_t, dim), out=u)
+        _ensemble_normals(config.master_seed, u)
         _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
         if not exact:
             windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]

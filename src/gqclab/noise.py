@@ -105,10 +105,8 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
 
 
-def _ensemble_normals(
-    master_seed: int, realizations: int, shape: tuple, rngs=None, out=None
-) -> np.ndarray:
-    """Standard normals (realizations,) + shape, into ``out`` if given; row i
+def _ensemble_normals(master_seed: int, out: np.ndarray, rngs=None) -> np.ndarray:
+    """Fill ``out``, of shape (realizations,) + shape, and return it: row i
     is bit-identical to ``realization_rng(master_seed, i).standard_normal(shape)``.
 
     One Philox is re-keyed per row, at a tenth of the cost of a generator
@@ -119,14 +117,14 @@ def _ensemble_normals(
     A ``rngs`` list, filled with a generator per row on the first window of
     a grid, carries the streams across windows.
     """
-    xi = np.empty((realizations,) + tuple(shape)) if out is None else out
+    realizations = len(out)
     if rngs is not None and not rngs:
         rngs.extend(realization_rng(master_seed, i) for i in range(realizations))
     bit_generator = np.random.Philox(key=master_seed)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, buffer empty
-    rows = _BLOCK_BYTES // max(xi[0].nbytes, 1) or 1
-    buf = xi if xi[0].flags.c_contiguous else np.empty(xi[:rows].shape)
+    rows = _BLOCK_BYTES // max(out[0].nbytes, 1) or 1
+    buf = out if out[0].flags.c_contiguous else np.empty(out[:rows].shape)
     for start in range(0, realizations, len(buf)):
         block = buf[: realizations - start]
         for i, row in enumerate(block, start):
@@ -134,9 +132,9 @@ def _ensemble_normals(
                 state["state"]["key"][1] = i
                 bit_generator.state = state
             (gen if rngs is None else rngs[i]).standard_normal(out=row)
-        if buf is not xi:
-            xi[start : start + len(buf)] = block
-    return xi
+        if buf is not out:
+            out[start : start + len(buf)] = block
+    return out
 
 
 def _n_times(duration: float, dt: float) -> int:
@@ -237,7 +235,7 @@ def _noise_windows(spec, n_times, dt, master_seed, realizations, chunk, history=
         window = buf[:, : h + c]
         if spec.variance:
             new = window[:, h:]
-            _ensemble_normals(master_seed, realizations, new.shape[1:], rngs, new)
+            _ensemble_normals(master_seed, new, rngs)
             prev = _ou_from_normals(spec, new, dt, prev)[:, -1].copy()
         yield h, window
         keep = min(history, start + c)
@@ -289,11 +287,15 @@ def _autocovariance(windows, lags, steps, n_paths: int, n: int) -> list:
     per path, x(t) . x(t + m) is summed over the pairs whose later point
     follows the window's first h, as one einsum of the flattened slices.
     einsum, unlike np.dot, starts no BLAS threads, whose number would change
-    the bits; rows of up to 8,192 elements sum as a per-path ``"i,i->"``."""
+    the bits; rows of up to 8,192 elements sum as a per-path ``"i,i->"``.
+    Rows that flatten to strided ones (time-major or Fortran memory at dim
+    1) are copied, as einsum would sum them in another order."""
     sums = np.zeros((len(steps), n_paths))
     for h, window in windows:
         n_w, dim = window.shape[1:]
         x = window.reshape(n_paths, n_w * dim)
+        if x.strides[1] != x.itemsize:
+            x = np.ascontiguousarray(x)
         for row, m in zip(sums, steps):
             lo = max(h, m)
             if lo < n_w:

@@ -167,7 +167,7 @@ def test_evolve_exact_stationary_state():
     h = _hamiltonian(0.0)
     t, noise = _noise(1.0)
     psi0 = np.array([1.0, 0.0], dtype=complex)  # ground state for theta = 0
-    [psi] = evolve_exact_batch(h, t, noise, psi0, slices=400)
+    [[psi]] = evolve_exact_batch([h], t, noise, psi0, 400, 1.0)
     assert abs(abs(np.vdot(psi0, psi)) - 1.0) < 1e-10
     # pure dynamical phase: arg = -E_0 t = +gamma |B| t / 2
     assert abs(np.angle(np.vdot(psi0, psi)) - np.angle(np.exp(1j * 100.0))) < 1e-6
@@ -203,7 +203,7 @@ def test_evolve_exact_adiabatic_agreement(noiseless_propagator):
     frame = eigenframe(h, t)
     gamma_a = deterministic_phases(h, t[-1])[0]
     exact = noiseless_propagator(h, t[-1]) @ frame.states[0, 0]
-    [psi] = evolve_exact_batch(h, t, noise, frame.states[0, 0], slices=8_000)
+    [[psi]] = evolve_exact_batch([h], t, noise, frame.states[0, 0], 8_000, 1.0)
     assert np.linalg.norm(psi - exact) < 3e-4  # 2.5e-4, falling as slices^-2
     for state, modulus_tol in ((exact, 1e-7), (psi, 1e-4)):
         overlap = np.vdot(frame.states[0, -1], state)
@@ -221,7 +221,7 @@ def test_evolve_exact_converges_to_the_noiseless_propagator(noiseless_propagator
     psi0 = eigenframe(h, t).states[0, 0]
     exact = noiseless_propagator(h, t[-1]) @ psi0
     errors = [
-        np.linalg.norm(evolve_exact_batch(h, t, noise, psi0, 200 * n)[0] - exact)
+        np.linalg.norm(evolve_exact_batch([h], t, noise, psi0, 200 * n, 1.0) - exact)
         for n in (1, 2, 4, 8)
     ]
     assert errors[0] < 4.5e-3
@@ -233,8 +233,8 @@ def test_evolve_exact_slice_doubling_converges():
     h = _hamiltonian(0.8, magnitude=10.0)
     t, noise = _noise(1.0, variance=1.0, seed=4)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    [a] = evolve_exact_batch(h, t, noise, psi0, slices=51200)
-    [b] = evolve_exact_batch(h, t, noise, psi0, slices=102400)
+    [[a]] = evolve_exact_batch([h], t, noise, psi0, 51200, 1.0)
+    [[b]] = evolve_exact_batch([h], t, noise, psi0, 102400, 1.0)
     assert np.linalg.norm(a - b) < 1e-8
     # norm preservation
     assert abs(np.linalg.norm(b) - 1.0) < 1e-10
@@ -244,9 +244,30 @@ def test_evolve_exact_errors():
     h = _hamiltonian(1.0)
     t, noise = _noise(1.0)
     with pytest.raises(ValueError):  # unnormalized
-        evolve_exact_batch(h, t, noise, np.array([1.0, 1.0]), slices=400)
+        evolve_exact_batch([h], t, noise, np.array([1.0, 1.0]), 400, 1.0)
     with pytest.raises(ResolutionError):
-        evolve_exact_batch(h, t, noise, np.array([1.0, 0.0]), slices=10)
+        evolve_exact_batch([h], t, noise, np.array([1.0, 0.0]), 10, 1.0)
+    with pytest.raises(TypeError):  # sigma is required
+        evolve_exact_batch([h], t, noise, np.array([1.0, 0.0]), 400)
+
+
+def test_evolve_exact_refuses_a_bare_hamiltonian():
+    """A row is a sequence of segments, one segment included."""
+    h = _hamiltonian(1.0)
+    t, noise = _noise(1.0)
+    with pytest.raises(ValueError, match="sequence"):
+        evolve_exact_batch(h, t, noise, np.array([1.0, 0.0]), 400, 1.0)
+    with pytest.raises(ValueError, match="sequence"):
+        evolve_exact_batch([], t, noise[:, :1], np.array([1.0, 0.0]), 400, 1.0)
+
+
+def test_evolve_exact_refuses_column_spinors():
+    """psi0 is one spinor: columns propagate in a call each."""
+    h = _hamiltonian(1.0)
+    t, noise = _noise(1.0)
+    for psi0 in (np.eye(2), np.eye(2)[:, :1], np.ones(4) / 2):
+        with pytest.raises(ValueError, match="one spinor"):
+            evolve_exact_batch([h], t, noise, psi0, 400, 1.0)
 
 
 def test_evolve_exact_column_states_give_unitary_propagator():
@@ -254,13 +275,11 @@ def test_evolve_exact_column_states_give_unitary_propagator():
     spec = NoiseSpec(variance=1.0, correlation_time=0.05)
     t = np.arange(201) * 0.005
     samples = make_noise_ensemble(spec, 1.0, 0.005, 5, 4)
-    u = evolve_exact_batch(h, t, samples, np.eye(2), 400)
+    columns = [evolve_exact_batch([h], t, samples, e, 400, 1.0) for e in np.eye(2)]
+    [u] = np.stack(columns, axis=-1)
     assert u.shape == (4, 2, 2)
     defect = u.conj().swapaxes(-1, -2) @ u - np.eye(2)
     assert np.max(np.abs(defect)) < 1e-12
-    for b in range(2):
-        alone = evolve_exact_batch(h, t, samples, np.eye(2)[:, b], 400)
-        assert np.array_equal(u[:, :, b], alone)
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
@@ -276,18 +295,27 @@ def test_second_eigenstate_column_is_j_times_the_conjugate_first(dimension):
     samples = make_noise_ensemble(spec, 1.0, 0.004, 5, 64)
     v = eigenframe(h, t).states[:, 0, :].T  # columns v0, v1
     assert np.array_equal(v[:, 1], [-v[1, 0].conj(), v[0, 0].conj()])
-    u = evolve_exact_batch(h, t, samples, v, 250)
-    x = u[..., 0]
-    assert np.array_equal(u[..., 1], np.stack([-x[:, 1].conj(), x[:, 0].conj()], -1))
+    [x], [y] = (evolve_exact_batch([h], t, samples, col, 250, 1.0) for col in v.T)
+    assert np.array_equal(y, np.stack([-x[:, 1].conj(), x[:, 0].conj()], -1))
 
 
 def test_evolve_exact_segments_must_span_the_path():
     """P segments of n steps read a path of P n + 1 points, no other."""
     h = _hamiltonian(1.0)
     t = np.linspace(0.0, 1.0, 11)
-    for segments, points in ((h, 21), ([h, h], 11), ([h, h], 22)):
+    for segments, points in (([h], 21), ([h, h], 11), ([h, h], 22)):
+        samples = np.zeros((2, points, 1))
         with pytest.raises(ValueError, match="noise points"):
-            evolve_exact_batch(segments, t, np.zeros((2, points, 1)), [1.0, 0.0], 10)
+            evolve_exact_batch(segments, t, samples, [1.0, 0.0], 10, 1.0)
+
+
+def _propagated_columns(h, t, samples, psi0, slices):
+    """States (n_real,) + psi0.shape from one call per column of psi0."""
+    columns = psi0.reshape(2, -1).T
+    [u] = np.stack(
+        [evolve_exact_batch([h], t, samples, c, slices, 1.0) for c in columns], -1
+    )
+    return u.reshape((len(u),) + psi0.shape)
 
 
 _GRID_STEPS = 5  # below the kernel's block length, so every slice count fits
@@ -311,12 +339,12 @@ def test_evolve_exact_matches_slice_loop(slice_loop_reference, slices, dimension
     dt = 1.0 / _GRID_STEPS
     t = np.arange(_GRID_STEPS + 1) * dt
     samples = make_noise_ensemble(spec, 1.0, dt, 3, _PATHS)
-    got = evolve_exact_batch(h, t, samples, psi0, slices)
+    got = _propagated_columns(h, t, samples, psi0, slices)
     assert got.shape == (_PATHS,) + psi0.shape
     want = slice_loop_reference(h, t, samples, psi0, slices)
     assert np.max(np.abs(got - want)) <= 1e-13
     # the same bits from the ensemble pipeline's time-major noise
-    time_major = evolve_exact_batch(h, t, _time_major(samples), psi0, slices)
+    time_major = _propagated_columns(h, t, _time_major(samples), psi0, slices)
     assert np.array_equal(time_major, got)
 
 
@@ -352,11 +380,13 @@ def test_evolve_exact_bits_equal_the_fresh_array_kernel(
     y components are -0.0 at some slices, which noise 0.0 can turn to
     +0.0; the columns of -i 1 carry that sign into the result."""
     h = _hamiltonian(cone, magnitude=magnitude, noise_operator_axis=axis)
-    segments = h if count == 1 else [h, replace(h, schedule=h.schedule.reversed())] * 2
+    reverse = replace(h, schedule=h.schedule.reversed())
+    segments = [h] if count == 1 else [h, reverse] * 2
     t = np.linspace(0.0, 1.0, _ORACLE_STEPS + 1)
     shape = (realizations, count * _ORACLE_STEPS + 1, dimension)
     samples = _time_major(np.random.default_rng(3).normal(size=shape))
-    states = (np.array([0.6, 0.8j]), np.array([[0.6, -0.8], [0.8, 0.6]]), -1j * np.eye(2))
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    states = (np.array([0.6, 0.8j]), *rotation.T, *(-1j * np.eye(2)).T)
     for sigma in (0.0, 2.5):
         for psi0 in states:
             got = evolve_exact_batch(segments, t, samples, psi0, slices, sigma)
@@ -368,12 +398,13 @@ def test_evolve_exact_bits_equal_the_fresh_array_kernel(
 
 def _exact_peak_bytes(peak_bytes, realizations, count, steps):
     h = _hamiltonian(np.pi / 2)
-    segments = h if count == 1 else [h, replace(h, schedule=h.schedule.reversed())] * 2
+    reverse = replace(h, schedule=h.schedule.reversed())
+    segments = [h] if count == 1 else [h, reverse] * 2
     spec = NoiseSpec(variance=50.0, correlation_time=0.05)
     samples = make_noise_ensemble(spec, float(count), 1.0 / steps, 0, realizations)
     t = np.linspace(0.0, 1.0, steps + 1)
     psi0 = np.array([0.6, 0.8j])
-    return peak_bytes(evolve_exact_batch, segments, t, samples, psi0, steps)
+    return peak_bytes(evolve_exact_batch, segments, t, samples, psi0, steps, 1.0)
 
 
 def test_evolve_exact_working_memory_is_bounded_in_bytes(peak_bytes):
@@ -400,7 +431,7 @@ def test_evolve_exact_zero_field_slice_is_identity(slice_loop_reference):
     samples[1, 6:] = (3.0, -1.0, 2.0)
     samples[2] = np.linspace(-4.0, 5.0, t.size)[:, None]
     psi0 = np.array([0.6, 0.8j])
-    got = evolve_exact_batch(h, t, samples, psi0, slices=20)
+    [got] = evolve_exact_batch([h], t, samples, psi0, 20, 1.0)
     assert np.array_equal(got[0], psi0)
     assert not np.allclose(got[1], psi0)
     want = slice_loop_reference(h, t, samples, psi0, slices=20)
@@ -412,7 +443,7 @@ def test_evolve_exact_above_the_bound_is_refused_unallocated(refused_unallocated
     t = np.linspace(0.0, 1.0, 3)
     samples = np.zeros((2, t.size, 1))
     h = _hamiltonian(0.8)
-    refused_unallocated(evolve_exact_batch, h, t, samples, [1.0, 0.0], 10**9)
+    refused_unallocated(evolve_exact_batch, [h], t, samples, [1.0, 0.0], 10**9, 1.0)
 
 
 @pytest.mark.parametrize("direction", ["forward", "reversed"])

@@ -504,7 +504,7 @@ def test_cli_agp_run_and_manifest_roundtrip(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     # sigma^2 = 0 row: full coherence
-    assert float(rows[0]["magnitude_mc"]) == pytest.approx(1.0, abs=1e-9)
+    assert float(rows[0]["d_mc_abs"]) == pytest.approx(1.0, abs=1e-9)
     assert float(rows[0]["d_analytic"]) == 1.0
     assert float(rows[1]["d_analytic"]) < 1.0
     # re-run from the manifest: bit-identical output

@@ -243,11 +243,11 @@ def _buffer(layout, rows, n_t, dim):
 def test_normals_fill_a_time_major_buffer_one_block_at_a_time(peak_bytes):
     """700 rows of 201 points: two blocks of rows (652 in 1 MiB), copied
     into time-major memory, with no full-size temporary."""
-    want = _ensemble_normals(6, 700, (201, 1))
+    want = _ensemble_normals(6, _buffer("path-major", 700, 201, 1))
     got = _buffer("time-major", 700, 201, 1)
-    assert _ensemble_normals(6, 700, (201, 1), out=got) is got
+    assert _ensemble_normals(6, got) is got
     assert np.array_equal(got, want)
-    assert peak_bytes(_ensemble_normals, 6, 700, (201, 1), None, got) <= 1.1 * 2**20
+    assert peak_bytes(_ensemble_normals, 6, got) <= 1.1 * 2**20
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
@@ -286,7 +286,7 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
     unit = make_noise_ensemble(unit_spec, count * n * dt, dt, seed, rows)
     for layout in ("path-major", "time-major"):
         u = _buffer(layout, rows, unit.shape[1], dimension)
-        _ensemble_normals(seed, rows, unit.shape[1:], out=u)
+        _ensemble_normals(seed, u)
         assert _ou_from_normals(unit_spec, u, dt) is u
         assert np.array_equal(u, unit)
     views = [unit[:, l * n : (l + 1) * n + 1] for l in range(count)]
@@ -352,7 +352,8 @@ def test_zero_variance_ensemble_is_the_recursion_without_a_draw(
 ):
     spec = NoiseSpec(variance=0.0, correlation_time=0.1, dimension=dimension)
     # 301 points: two blocks of the recursion, from the normals a draw would use
-    expected = _ou_from_normals(spec, _ensemble_normals(5, 4, (301, dimension)), 0.01)
+    normals = _ensemble_normals(5, np.empty((4, 301, dimension)))
+    expected = _ou_from_normals(spec, normals, 0.01)
     calls = []
     monkeypatch.setattr(
         noise, "_ensemble_normals", lambda *a: calls.append(a) or _ensemble_normals(*a)
@@ -482,7 +483,7 @@ def test_streamed_windows_are_the_ensemble(
     monkeypatch.setattr(
         noise,
         "_ensemble_normals",
-        lambda *a: calls.append(a[3]) or _ensemble_normals(*a),
+        lambda *a: calls.append(a[2]) or _ensemble_normals(*a),
     )
     history = max(steps)
     chunks, prefix = [], np.empty((realizations, 0, dimension))
@@ -522,6 +523,20 @@ def test_streamed_estimate_is_the_in_memory_one(
         assert all(est == 0.0 and se == 0.0 for _, est, se in streamed)
 
 
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_estimate_has_the_same_bits_in_every_memory_layout(dimension):
+    """C-order, time-major and Fortran-order copies of one ensemble give the
+    streamed estimate to the bit.  At dimension 1 a time-major or Fortran
+    path flattens to strided rows, which einsum would sum in another order."""
+    spec = NoiseSpec(2.0, 0.05, dimension)
+    samples = make_noise_ensemble(spec, 7.3, 0.003, 3, 16)
+    lags = [0.0, 0.051, 0.102, 0.15]
+    want = ensemble_autocorrelation(spec, 7.3, 0.003, 3, 16, lags)
+    time_major = np.ascontiguousarray(samples.transpose(1, 0, 2)).transpose(1, 0, 2)
+    for layout in (samples, time_major, np.asfortranarray(samples)):
+        assert estimate_autocorrelation(layout, 0.003, lags) == want
+
+
 def test_streamed_estimate_near_the_per_path_sums():
     # the per-path sums of whole paths, summed as single einsums, differ
     # from the chunked sums only in rounding
@@ -539,10 +554,10 @@ def test_streamed_estimate_near_the_per_path_sums():
 
 
 def test_philox_streams_continue_across_windows():
-    bulk = _ensemble_normals(11, 3, (700, 3))
+    bulk = _ensemble_normals(11, np.empty((3, 700, 3)))
     rngs, pieces = [], []
     for length in (256, 1, 443):
-        pieces.append(_ensemble_normals(11, 3, (length, 3), rngs))
+        pieces.append(_ensemble_normals(11, np.empty((3, length, 3)), rngs))
         assert len(rngs) == 3
     assert np.array_equal(np.concatenate(pieces, axis=1), bulk)
 
@@ -552,7 +567,7 @@ def test_one_window_keeps_no_generators(monkeypatch):
     monkeypatch.setattr(
         noise,
         "_ensemble_normals",
-        lambda *a: calls.append(a[3]) or _ensemble_normals(*a),
+        lambda *a: calls.append(a[2]) or _ensemble_normals(*a),
     )
     spec = NoiseSpec(variance=1.0, correlation_time=0.1)
     make_noise_ensemble(spec, 2 * _CHUNK * 0.01, 0.01, 3, 2)
