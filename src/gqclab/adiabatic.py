@@ -48,11 +48,6 @@ __all__ = [
     "deterministic_phases",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-
 #: ceiling for the adiabaticity ratios 1/(T Delta) and 1/(tau_c Delta)
 ADIABATIC_RATIO_MAX = 0.1
 
@@ -149,8 +144,8 @@ class QubitHamiltonian:
     level_cone_angles: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.coupling <= 0:
-            raise ValueError(f"coupling must be > 0, got {self.coupling}")
+        if not 0 < self.coupling < np.inf:
+            raise ValueError(f"coupling must be finite and > 0, got {self.coupling}")
         if self.qubit_count not in (1, 2):
             raise ValueError(f"qubit_count must be 1 or 2, got {self.qubit_count}")
         axis = np.asarray(self.noise_operator_axis, dtype=float)
@@ -161,6 +156,8 @@ class QubitHamiltonian:
                 raise ValueError("level_cone_angles is a two-qubit feature")
             if len(self.level_cone_angles) != 4:
                 raise ValueError("level_cone_angles must have 4 entries")
+            if not all(0 <= a <= np.pi for a in self.level_cone_angles):
+                raise ValueError("level_cone_angles must lie in [0, pi]")
         object.__setattr__(
             self, "noise_operator_axis", tuple(float(a) for a in axis)
         )
@@ -190,24 +187,37 @@ class QubitHamiltonian:
             self.level_cone_angles, self.schedule.cone_angle
         )
 
-    def noise_operators(self, dimension: int) -> np.ndarray:
-        """Component operators O_c such that H_s = -(gamma/2) sum_c B_n^c O_c.
+    def level_sign(self, level: int) -> int:
+        """s_k: level k's aligned qubits minus its anti-aligned ones (bits 0
+        and 1).  A level outside [0, n_levels) raises ValueError."""
+        if not 0 <= level < self.n_levels:
+            raise ValueError(f"level must lie in [0, {self.n_levels}), got {level}")
+        return self.qubit_count - 2 * bin(level).count("1")
 
-        Scalar noise (dimension 1) uses the projected operator
-        (axis . sigma); isotropic noise (dimension 3) uses the Pauli vector.
-        Two-qubit operators act identically on both qubits (shared coil):
-        O -> O x 1 + 1 x O.
+    def level_coupling(self, level: int, dimension: int) -> np.ndarray:
+        """<E_k(t)| O_c |E_k(t)> of level k as coefficients, shape
+        (dimension, 3), on f(t) = (1, cos wt, sin wt), w = 2 pi / T.
+
+        The aligned spin's Bloch vector is n = (sin th cos phi,
+        sin th sin phi, cos th) at the level's cone angle th, with
+        phi = o w t and o the contour's orientation; the anti-aligned one's
+        is -n.  The noise acts alike on every qubit (shared coil), so level k
+        sees s_k n.  Scalar noise (dimension 1) projects it on the noise
+        axis, O = axis . sigma; isotropic noise (dimension 3) keeps x, y, z.
+        A level crossing, which has no eigenstates to couple, raises
+        DegeneracyError, as in ``eigenframe``.
         """
+        self.adiabatic_ratios()
+        s = self.level_sign(level)
+        theta = self.cone_angle_of_level(level)
+        sin, cos = np.sin(theta), np.cos(theta)
+        o = self.schedule.orientation
+        vector = s * np.array([[0.0, sin, 0.0], [0.0, 0.0, o * sin], [cos, 0.0, 0.0]])
         if dimension == 1:
-            ops = [np.tensordot(self.noise_operator_axis, PAULI, axes=(0, 0))]
-        elif dimension == 3:
-            ops = list(PAULI)
-        else:
-            raise ValueError(f"unsupported noise dimension {dimension}")
-        if self.qubit_count == 2:
-            eye = np.eye(2)
-            ops = [np.kron(o, eye) + np.kron(eye, o) for o in ops]
-        return np.stack(ops)
+            return (np.asarray(self.noise_operator_axis) @ vector)[None]
+        if dimension == 3:
+            return vector
+        raise ValueError(f"unsupported noise dimension {dimension}")
 
     def adiabatic_ratios(self, correlation_time: Optional[float] = None) -> dict:
         """The adiabaticity ratios 1/(T Delta) and, given tau_c, 1/(tau_c Delta).
@@ -264,7 +274,6 @@ def _anti_state(theta: float, phi: np.ndarray) -> np.ndarray:
 
 
 _SINGLE_STATES = (_aligned_state, _anti_state)
-_LEVEL_SIGN = np.array([-1.0, 1.0])  # energy/geometric sign per 1q level
 
 
 @dataclass(frozen=True)
@@ -284,13 +293,6 @@ class EigenFrame:
     berry_rates: np.ndarray
     gap: float
 
-    def operator_expectations(self, operators: np.ndarray) -> np.ndarray:
-        """<E_k(t)| O_c |E_k(t)>, shape (n_levels, n_components, n_t)."""
-        out = np.einsum(
-            "kti,cij,ktj->kct", self.states.conj(), operators, self.states
-        )
-        return np.real(out)
-
 
 def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     """Instantaneous energies, smooth-gauge eigenstates, Berry connections.
@@ -299,7 +301,8 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
     the azimuth is linear in t (already unwrapped).  Level k, with bits
     (i1, ...) most significant first, is the product of each qubit's
     aligned (bit 0) or anti-aligned (bit 1) state at the level's cone
-    angle; its energy and Berry rate are the sums of the qubits' own.
+    angle; its energy -s_k Delta/2 and Berry rate -s_k phidot sin^2(theta/2)
+    are s_k times an aligned qubit's, s_k = ``h.level_sign(level)``.
     """
     t = np.asarray(time_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -321,11 +324,9 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
             factor = _SINGLE_STATES[bit](theta, phi)
             state = np.einsum("ta,tb->tab", state, factor).reshape(t.size, -1)
         states.append(state)
-        sign_sum = _LEVEL_SIGN[bits].sum()
-        energies.append(np.full_like(t, sign_sum * half_split))
-        rates.append(
-            np.full_like(t, sign_sum * phidot * np.sin(theta / 2.0) ** 2)
-        )
+        sign = -h.level_sign(level)
+        energies.append(np.full_like(t, sign * half_split))
+        rates.append(np.full_like(t, sign * phidot * np.sin(theta / 2.0) ** 2))
     return EigenFrame(
         t, np.stack(energies), np.stack(states), np.stack(rates), h.gap
     )
@@ -491,21 +492,25 @@ def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:
 
 def stochastic_phase_batch(
     h: QubitHamiltonian,
-    frame: EigenFrame,
+    time_grid: np.ndarray,
     noise_samples: np.ndarray,
     level: int,
 ) -> np.ndarray:
     """Gamma_s for one level across a batch of noise realizations.
 
     Gamma_s = int <E_k|H_s|E_k> dt = -(gamma/2) int B_n(t) . O_kk(t) dt,
-    evaluated by the trapezoid rule on the shared time grid.
+    evaluated by the trapezoid rule on ``time_grid``, with O_kk(t) the
+    closed form ``h.level_coupling(level, dim)`` . f(t).
     noise_samples has shape (n_real, n_t, dim), in any memory layout, with
     the same bits.  Realizations run in blocks whose integrand and pairs
     fill ``_PHASE_BLOCK_BYTES``; each row's sums are the same in any block.
     """
     n_real, n_t, dim = noise_samples.shape
-    okk = frame.operator_expectations(h.noise_operators(dim))[level]  # (dim, n_t)
-    step = np.diff(frame.times)
+    t = np.asarray(time_grid, dtype=float)
+    wt = 2.0 * np.pi / h.schedule.period * t
+    harmonics = np.stack([np.ones_like(t), np.cos(wt), np.sin(wt)])
+    okk = h.level_coupling(level, dim) @ harmonics  # (dim, n_t)
+    step = np.diff(t)
     rows = min(max(_PHASE_BLOCK_BYTES // (16 * n_t), 1), n_real)
     integrand, pairs = np.empty((rows, n_t)), np.empty((rows, n_t - 1))
     out = np.empty(n_real)

@@ -46,7 +46,7 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .gate import bell_gate_sweep, calibrate_level_cone_angles
+from .gate import BELL_STATE, bell_gate_sweep, calibrate_level_cone_angles
 from .noise import (
     NoiseSpec,
     _lag_steps,
@@ -522,9 +522,8 @@ def _run_agp_dephase(p):
 def _run_gate_fidelity(p):
     h = _gate_hamiltonian(p)
     angles = h.level_cone_angles
-    bell = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
     sweep = _sigma2_sweep(p)
-    results = bell_gate_sweep(_ensemble_config(p, h, bell), sweep)
+    results = bell_gate_sweep(_ensemble_config(p, h, BELL_STATE), sweep)
     rows = []
     for sigma2, result in zip(sweep, results):
         rows.append(

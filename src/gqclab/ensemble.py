@@ -172,16 +172,13 @@ def _gamma_a(segments, span: float) -> np.ndarray:
 
 def _gamma_s(segments, t: np.ndarray, windows, levels) -> np.ndarray:
     """Gamma_s (rows, n_levels) of ``levels`` along the noise ``windows``,
-    one per segment on the grid ``t``; one eigenframe per distinct segment
-    Hamiltonian.  The other columns stay 0."""
-    frames = {}
+    one per segment on the grid ``t``, from each level's closed-form
+    coupling.  The other columns stay 0."""
     gamma_s = 0.0
     for (h, flips, _), window in zip(segments, windows):
-        if h not in frames:
-            frames[h] = eigenframe(h, t)
         phases = np.zeros((window.shape[0], h.n_levels))
         for k in levels:
-            phases[:, k] = stochastic_phase_batch(h, frames[h], window, k ^ flips)
+            phases[:, k] = stochastic_phase_batch(h, t, window, k ^ flips)
         gamma_s = gamma_s + phases
     return gamma_s
 
@@ -204,7 +201,7 @@ def _exact_amplitudes(segments, t, path, c, slices: int, sigma) -> np.ndarray:
     u J = J u*, so u v1 = J (u v0)*, the bits that propagating v1 gives.
     """
     singles = [replace(h, qubit_count=1, level_cone_angles=None) for h, *_ in segments]
-    states = eigenframe(singles[0], t).states  # (level, t, component)
+    states = eigenframe(singles[0], t[[0, -1]]).states  # (level, end, component)
     if segments[0][0].qubit_count == 1:
         psi0 = states[:, 0, :].T @ c  # lab-frame initial state
         [psi_f] = evolve_exact_batch(singles, t, path, psi0, slices, sigma)
@@ -358,10 +355,10 @@ def _segment_overlap(segments, correlation_time: float, levels, dimension) -> fl
     ``segments`` on one noise path, as ``_run_segments`` runs them.
 
     In segment l, (k, j) sits on (k ^ flips, j ^ flips); each noise
-    component of O_kj is v_l . f(t), read off the eigenframe at 0, T/4 and
-    T/2, and adds v_l^T G v_l over its span S (Kubo's line-shape integral
-    with a modulated integrand).  A pair l < m adds
-    2 e^{-(m-l-1) S/tau_c} (v_l . h~)(v_m . h), h~ being h with its sin
+    component of O_kj is v_l . f(t), v_l the difference of the two levels'
+    closed-form ``level_coupling``, and adds v_l^T G v_l over its span S
+    (Kubo's line-shape integral with a modulated integrand).  A pair l < m
+    adds 2 e^{-(m-l-1) S/tau_c} (v_l . h~)(v_m . h), h~ being h with its sin
     entry negated as S is whole periods.  Nothing assumes tau_c << T."""
     k, j = levels
     if k == j:
@@ -371,17 +368,10 @@ def _segment_overlap(segments, correlation_time: float, levels, dimension) -> fl
     schedule = segments[0][0].schedule
     gram, edge = _kernel_gram(correlation_time, schedule.period, schedule.duration)
     decay = math.exp(-schedule.duration / correlation_time)
-    times = schedule.period * np.array([0.0, 0.25, 0.5])
     total, tail = 0, 0.0  # tail: sum_{l<m} e^{-(m-l-1) S/tau_c} v_l . h~
     for h, flips, _ in segments:
-        ops = h.noise_operators(dimension)
-        exp = eigenframe(h, times).operator_expectations(ops)
-        g0, g1, g2 = np.moveaxis(exp[k ^ flips] - exp[j ^ flips], -1, 0)
-        mean = 0.5 * (g0 + g2)
-        v = np.stack([mean, 0.5 * (g0 - g2), g1 - mean], axis=-1)  # (n_comp, 3)
-        # an integrand at the roundoff floor of the operator scale is exactly zero
-        if float(np.max(np.abs(v))) <= 1e-9 * float(np.max(np.abs(ops))):
-            v = np.zeros_like(v)
+        ck, cj = (h.level_coupling(x ^ flips, dimension) for x in (k, j))
+        v = ck - cj  # (n_comp, 3)
         cross = 2.0 * float(np.sum(tail * (v @ edge)))
         total += float(np.einsum("cp,pq,cq->", v, gram, v)) + cross
         tail = decay * tail + v @ (edge * [1.0, 1.0, -1.0])

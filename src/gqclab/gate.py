@@ -54,6 +54,9 @@ __all__ = [
 #: level indices 2 i1 + i2 of |00> and |11>
 BELL_LEVELS = (0b00, 0b11)
 
+#: the gate's one input state (|00> + |11>)/sqrt(2), amplitudes c_k by level
+BELL_STATE = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
+
 #: XOR mask on the level index after the first j segments (pi_1, pi_2, pi_1, pi_2)
 _FLIPS = (0b00, 0b10, 0b11, 0b01, 0b00)
 
@@ -210,8 +213,7 @@ def bell_gate_sweep(config: EnsembleConfig, variances) -> list:
     h = config.hamiltonian
     segments = _segments(h)
     c = config.amplitudes
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
+    bell = np.asarray(BELL_STATE, dtype=complex)
     if not np.allclose(c, bell, atol=1e-12):
         raise ValueError(
             "bell_gate_run is specific to (|00> + |11>)/sqrt(2); use "

@@ -12,8 +12,6 @@ from scipy.signal import fftconvolve, lfilter
 from gqclab import ensemble
 from gqclab.adiabatic import (
     _SLICE_ELEMENTS,
-    PAULI,
-    SIGMA_Z,
     EigenFrame,
     QubitHamiltonian,
     eigenframe,
@@ -23,6 +21,47 @@ from gqclab.errors import ResourceLimitError, _check_elements
 from gqclab.gate import BELL_LEVELS, level_index_map
 from gqclab.noise import NoiseSpec
 from gqclab.shor import NoisyAmplitudeModel, ShorInstance, coprime_residues
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def _noise_operators(h, dimension: int) -> np.ndarray:
+    """Component operators O_c such that H_s = -(gamma/2) sum_c B_n^c O_c.
+
+    Scalar noise (dimension 1) uses the projected operator (axis . sigma);
+    isotropic noise (dimension 3) uses the Pauli vector.  Two-qubit
+    operators act identically on both qubits (shared coil):
+    O -> O x 1 + 1 x O.
+    """
+    if dimension == 1:
+        ops = [np.tensordot(h.noise_operator_axis, PAULI, axes=(0, 0))]
+    else:
+        ops = list(PAULI)
+    if h.qubit_count == 2:
+        eye = np.eye(2)
+        ops = [np.kron(o, eye) + np.kron(eye, o) for o in ops]
+    return np.stack(ops)
+
+
+def _operator_expectations(frame: EigenFrame, operators) -> np.ndarray:
+    """<E_k(t)| O_c |E_k(t)> from the frame's states, shape
+    (n_levels, n_components, n_t): the numerical oracle of
+    ``QubitHamiltonian.level_coupling``."""
+    out = np.einsum("kti,cij,ktj->kct", frame.states.conj(), operators, frame.states)
+    return np.real(out)
+
+
+@pytest.fixture
+def noise_operators():
+    return _noise_operators
+
+
+@pytest.fixture
+def operator_expectations():
+    return _operator_expectations
 
 
 def _two_qubit_slice_product(h, time_grid, path, slices):
@@ -272,7 +311,7 @@ def overlap_integral(
         raise ValueError("frame must cover the full period [0, T]")
     n_t = int(round(period / (t[1] - t[0])))
     t = t[: n_t + 1]
-    exp = frame.operator_expectations(np.asarray(operators))
+    exp = _operator_expectations(frame, np.asarray(operators))
     o_diff = exp[k][:, : n_t + 1] - exp[j][:, : n_t + 1]
     # an integrand at the roundoff floor of the operator scale is exactly zero
     ref = float(np.max(np.abs(operators)))
@@ -297,7 +336,7 @@ def _numeric_overlap(h, correlation_time, levels=(1, 0), dimension=1, steps=8192
     frame = eigenframe(h, np.linspace(0.0, duration, h.schedule.cycles * steps + 1))
     kernel = NoiseSpec(1.0, correlation_time).kernel_profile
     return overlap_integral(
-        frame, h.noise_operators(dimension), kernel, levels, duration
+        frame, _noise_operators(h, dimension), kernel, levels, duration
     )
 
 
@@ -310,10 +349,10 @@ def _numeric_gate_overlap(
     dt/2 (g_l(T) + g_{l+1}(0)), and one convolution spans all four."""
     contour = replace(h.schedule, cycles=1, direction="forward")
     t = np.linspace(0.0, contour.period, steps + 1)
-    ops = h.noise_operators(dimension)
+    ops = _noise_operators(h, dimension)
     weighted = np.zeros((len(ops), 4 * steps + 1))
     for l, schedule in enumerate([contour, contour.reversed()] * 2):
-        exp = eigenframe(replace(h, schedule=schedule), t).operator_expectations(ops)
+        exp = _operator_expectations(eigenframe(replace(h, schedule=schedule), t), ops)
         (k1, k2), (j1, j2) = (level_index_map(x, l) for x in levels)
         o_diff = exp[2 * k1 + k2] - exp[2 * j1 + j2]
         weighted[:, l * steps : (l + 1) * steps + 1] += _trapezoid(o_diff, t)
@@ -508,8 +547,8 @@ def propagated_rows(monkeypatch):
     for name in ("evolve_exact_batch", "stochastic_phase_batch"):
         real = getattr(ensemble, name)
 
-        def spy(h, frame_or_grid, samples, *args, real=real):
-            result = real(h, frame_or_grid, samples, *args)
+        def spy(h, time_grid, samples, *args, real=real):
+            result = real(h, time_grid, samples, *args)
             rows.append(samples.shape[0])
             return result
 
@@ -535,14 +574,14 @@ def normal_draws(monkeypatch):
 
 @pytest.fixture
 def phase_grids(monkeypatch):
-    """(frame times, noise points) of each window that the ensemble pipeline
+    """(time grid, noise points) of each window that the ensemble pipeline
     hands to stochastic_phase_batch: the grid a run integrates on."""
     grids = []
     real = ensemble.stochastic_phase_batch
 
-    def spy(h, frame, samples, level):
-        grids.append((frame.times, samples.shape[1]))
-        return real(h, frame, samples, level)
+    def spy(h, time_grid, samples, level):
+        grids.append((time_grid, samples.shape[1]))
+        return real(h, time_grid, samples, level)
 
     monkeypatch.setattr(ensemble, "stochastic_phase_batch", spy)
     return grids

@@ -20,7 +20,7 @@ from gqclab import (
     make_noise_ensemble,
     make_noise_path,
 )
-from gqclab.adiabatic import PAULI, _SLICE_ELEMENTS, stochastic_phase_batch
+from gqclab.adiabatic import _SLICE_ELEMENTS, stochastic_phase_batch
 
 
 def _hamiltonian(theta, magnitude=200.0, period=1.0, cycles=1, **kw):
@@ -64,6 +64,19 @@ def test_schedule_refuses_a_non_finite_magnitude(value):
 def test_schedule_refuses_a_non_finite_period(value):
     with pytest.raises(ValueError, match="period must be finite"):
         ControlSchedule(magnitude=1.0, cone_angle=1.0, period=value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hamiltonian_refuses_a_non_finite_coupling(value):
+    sched = _hamiltonian(1.0).schedule
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        QubitHamiltonian(coupling=value, schedule=sched)
+
+
+@pytest.mark.parametrize("value", [np.nan, 7.0, -1.0])
+def test_hamiltonian_refuses_level_cone_angles_outside_zero_to_pi(value):
+    with pytest.raises(ValueError, match=r"level_cone_angles must lie in \[0, pi\]"):
+        _hamiltonian(1.0, qubit_count=2, level_cone_angles=(0.0, 0.0, 0.0, value))
 
 
 def test_schedule_validation_and_periodicity():
@@ -163,6 +176,43 @@ def test_two_qubit_eigenframe_product_structure():
     assert np.allclose(frame.energies[0], 2 * single.energies[0])
 
 
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize(
+    "qubits, angles",
+    [(1, None), (2, None), (2, calibrate_level_cone_angles(np.pi / 2, np.pi / 3))],
+)
+def test_level_coupling_matches_the_eigenstate_expectations(
+    noise_operators, operator_expectations, qubits, angles, dimension, axis, direction
+):
+    """The closed form s_k n(theta_k, phi(t)) . f(t) against the einsum of the
+    eigenframe's states and the Kronecker-summed Pauli operators."""
+    sched = ControlSchedule(200.0, 1.1, 0.8, cycles=2, direction=direction)
+    h = QubitHamiltonian(
+        1.0, sched, axis, qubit_count=qubits, level_cone_angles=angles
+    )
+    t = np.linspace(0.0, sched.duration, 97)
+    oracle = operator_expectations(eigenframe(h, t), noise_operators(h, dimension))
+    wt = 2.0 * np.pi / sched.period * t
+    harmonics = np.stack([np.ones_like(t), np.cos(wt), np.sin(wt)])
+    for level in range(h.n_levels):
+        coupling = h.level_coupling(level, dimension)
+        assert coupling.shape == (dimension, 3)
+        assert np.max(np.abs(coupling @ harmonics - oracle[level])) <= 4e-15
+
+
+def test_level_coupling_refuses_a_bad_level_dimension_or_crossing():
+    h = _hamiltonian(1.0)
+    for level in (-1, 2):
+        with pytest.raises(ValueError, match=r"level must lie in \[0, 2\)"):
+            h.level_coupling(level, 1)
+    with pytest.raises(ValueError, match="unsupported noise dimension"):
+        h.level_coupling(0, 2)
+    with pytest.raises(DegeneracyError, match="level crossing"):
+        _hamiltonian(1.0, magnitude=0.0).level_coupling(0, 1)
+
+
 def test_evolve_exact_stationary_state():
     h = _hamiltonian(0.0)
     t, noise = _noise(1.0)
@@ -175,7 +225,7 @@ def test_evolve_exact_stationary_state():
 
 @pytest.mark.parametrize("direction", ["forward", "reversed"])
 def test_noiseless_propagator_solves_the_schrodinger_equation(
-    noiseless_propagator, direction
+    noiseless_propagator, noise_operators, direction
 ):
     """The oracle is unitary, starts at 1 and satisfies i dU/dt = H(t) U."""
     sched = ControlSchedule(40.0, 1.0, 1.0, direction=direction)
@@ -186,7 +236,7 @@ def test_noiseless_propagator_solves_the_schrodinger_equation(
         u = noiseless_propagator(h, t)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
         du = noiseless_propagator(h, t + step) - noiseless_propagator(h, t - step)
-        field = np.tensordot(sched.field(t), PAULI, axes=1)
+        field = np.tensordot(sched.field(t), noise_operators(h, 3), axes=1)
         residual = 1j * du / (2 * step) - (-0.5 * h.coupling * field) @ u
         assert np.max(np.abs(residual)) < 1e-8  # 2e-9, the difference's error
 
@@ -467,7 +517,7 @@ def test_deterministic_phases_match_trapezoid(direction, calibrated):
 def test_adiabatic_phases_zero_noise_and_geometry():
     h = _hamiltonian(np.pi / 3)
     t, noise = _noise(1.0)
-    [gamma_s] = stochastic_phase_batch(h, eigenframe(h, t), noise, 0)
+    [gamma_s] = stochastic_phase_batch(h, t, noise, 0)
     assert gamma_s == 0.0
     # gamma_a = integral E_0 - berry rate: geometric part is +pi(1 - cos)
     dynamical = -0.5 * h.gap * 1.0
@@ -479,16 +529,15 @@ def test_adiabatic_phases_transverse_noise_on_polar_state():
     # theta = 0 with O along x: diagonal noise element vanishes identically
     h = _hamiltonian(0.0)
     t, noise = _noise(1.0, variance=2.0, seed=9)
-    [gamma_s] = stochastic_phase_batch(h, eigenframe(h, t), noise, 0)
+    [gamma_s] = stochastic_phase_batch(h, t, noise, 0)
     assert abs(gamma_s) < 1e-12
 
 
 def test_gamma_s_linear_in_noise():
     h = _hamiltonian(1.0)
     t, noise = _noise(1.0, variance=1.0, seed=10)
-    frame = eigenframe(h, t)
-    [gs1] = stochastic_phase_batch(h, frame, noise, 1)
-    [gs3] = stochastic_phase_batch(h, frame, 3.0 * noise, 1)
+    [gs1] = stochastic_phase_batch(h, t, noise, 1)
+    [gs3] = stochastic_phase_batch(h, t, 3.0 * noise, 1)
     assert np.isclose(gs3, 3.0 * gs1, rtol=1e-12)
 
 
@@ -501,10 +550,10 @@ def test_stochastic_phase_does_not_depend_on_the_noise_layout(qubits, dimension)
     h = _hamiltonian(np.pi / 3, qubit_count=qubits)
     spec = NoiseSpec(variance=50.0, correlation_time=0.05, dimension=dimension)
     samples = make_noise_ensemble(spec, 1.0, 0.005, 4, 64)
-    frame = eigenframe(h, np.arange(samples.shape[1]) * 0.005)
+    t = np.arange(samples.shape[1]) * 0.005
     for level in range(h.n_levels):
-        want = stochastic_phase_batch(h, frame, samples, level)
-        got = stochastic_phase_batch(h, frame, _time_major(samples), level)
+        want = stochastic_phase_batch(h, t, samples, level)
+        got = stochastic_phase_batch(h, t, _time_major(samples), level)
         assert np.array_equal(got, want)
 
 
@@ -515,13 +564,14 @@ def test_stochastic_phase_holds_its_temporaries_to_a_block(peak_bytes):
     h = _hamiltonian(np.pi / 3)
     spec = NoiseSpec(variance=50.0, correlation_time=0.05)
     samples = make_noise_ensemble(spec, 1.0, 0.005, 4, 4096)
-    frame = eigenframe(h, np.arange(samples.shape[1]) * 0.005)
-    assert peak_bytes(stochastic_phase_batch, h, frame, samples, 0) <= 1.5 * 2**20
-    okk = frame.operator_expectations(h.noise_operators(1))[0]
+    t = np.arange(samples.shape[1]) * 0.005
+    assert peak_bytes(stochastic_phase_batch, h, t, samples, 0) <= 1.5 * 2**20
+    wt = 2.0 * np.pi / h.schedule.period * t
+    okk = h.level_coupling(0, 1) @ np.stack([np.ones_like(t), np.cos(wt), np.sin(wt)])
     integrand = np.einsum("ntc,ct->nt", samples, okk) * (-0.5 * h.coupling)
-    pairs = (integrand[:, 1:] + integrand[:, :-1]) * np.diff(frame.times) / 2.0
+    pairs = (integrand[:, 1:] + integrand[:, :-1]) * np.diff(t) / 2.0
     want = pairs.sum(axis=-1)
-    assert np.array_equal(stochastic_phase_batch(h, frame, samples, 0), want)
+    assert np.array_equal(stochastic_phase_batch(h, t, samples, 0), want)
 
 
 def test_gamma_a_identical_across_realizations():
@@ -532,7 +582,7 @@ def test_gamma_a_identical_across_realizations():
     samples = np.stack([make_noise_path(spec, 1.0, 0.005, seed=s) for s in (1, 2, 3)])
     t = np.arange(samples.shape[1]) * 0.005
     assert deterministic_phases(h, t[-1]).shape == (2,)
-    gamma_s = stochastic_phase_batch(h, eigenframe(h, t), samples, 0)
+    gamma_s = stochastic_phase_batch(h, t, samples, 0)
     assert len(set(gamma_s)) == 3
 
 

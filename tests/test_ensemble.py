@@ -66,9 +66,9 @@ def _gamma_s(cfg):
     samples = make_noise_ensemble(
         cfg.noise, duration, duration / n, cfg.master_seed, cfg.realizations
     )
-    frame = eigenframe(h, np.linspace(0.0, duration, n + 1))
+    t = np.linspace(0.0, duration, n + 1)
     return np.stack(
-        [stochastic_phase_batch(h, frame, samples, k) for k in range(h.n_levels)]
+        [stochastic_phase_batch(h, t, samples, k) for k in range(h.n_levels)]
     )
 
 
@@ -342,6 +342,31 @@ def test_overlap_integral_zero_angle_and_errors():
         overlap_integral(h, 0.01, (1, 1))
     with pytest.raises(ValueError):
         overlap_integral(h, 0.0, (0, 1))
+
+
+def test_overlap_integral_refuses_a_level_outside_the_register():
+    # -1 would index the last level, with the bit count of another
+    h = _hamiltonian()
+    for levels in ((-1, 0), (2, 0)):
+        with pytest.raises(ValueError, match=r"level must lie in \[0, 2\)"):
+            overlap_integral(h, 0.05, levels)
+
+
+def test_exact_engine_builds_its_basis_on_the_two_end_points(monkeypatch):
+    """The exact engine reads the eigenstates at t = 0 and T only, with the
+    bits of the end states of a frame on the whole 201-point grid."""
+    cfg = _config(50.0, realizations=8, engine="exact_propagation")
+    built = []
+
+    def whole_grid(h, t):
+        built.append(list(t))
+        frame = eigenframe(h, np.linspace(t[0], t[-1], 201))
+        return replace(frame, states=frame.states[:, [0, -1]])
+
+    reference = decoherence_sweep(cfg, [0.0, 50.0])
+    monkeypatch.setattr(ensemble, "eigenframe", whole_grid)
+    assert decoherence_sweep(cfg, [0.0, 50.0]) == reference
+    assert built == [[0.0, 1.0], [0.0, 1.0]]  # one basis per sigma^2 row
 
 
 def test_onset_ratio_identity_and_linearity():

@@ -141,7 +141,7 @@ def test_gate_phases_zero_noise_and_short_path():
     assert np.array_equal(gamma_s, np.zeros(4))
 
 
-def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
+def test_analytic_gate_builds_no_eigenframe(monkeypatch):
     h = _setup(angles=calibrate_level_cone_angles(np.pi / 2, np.pi / 3))
     spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=3)
     cfg = EnsembleConfig(
@@ -152,18 +152,18 @@ def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
         master_seed=3,
         engine="analytic_phase",
     )
-    directions = []
+    built = []
 
     def counted(h_seg, t):
-        if len(t) > 3:  # not the three-point frames of the overlap integrals
-            directions.append(h_seg.schedule.direction)
+        built.append(len(t))
         return eigenframe(h_seg, t)
 
+    # Gamma_s and the overlap read the closed-form level coupling
     monkeypatch.setattr(ensemble, "eigenframe", counted)
     bell_gate_run(cfg)
-    assert directions == ["forward", "reversed"]
+    assert built == []
 
-    # the shared frames give the bits of one frame per segment and level
+    # the bits of one stochastic_phase_batch call per segment and level
     t_local, n_seg = _grid(h, cfg.dt)
     period = h.schedule.period
     samples = make_noise_ensemble(spec, 4 * period, period / n_seg, 3, 8)
@@ -173,9 +173,7 @@ def test_analytic_gate_builds_one_eigenframe_per_contour_direction(monkeypatch):
         expected = np.zeros(8)
         for l, (h_seg, flips, _) in enumerate(_segments(h)):
             window = samples[:, l * n_seg : (l + 1) * n_seg + 1]
-            expected += stochastic_phase_batch(
-                h_seg, eigenframe(h_seg, t_local), window, level ^ flips
-            )
+            expected += stochastic_phase_batch(h_seg, t_local, window, level ^ flips)
         assert np.array_equal(gamma_s[:, level], expected)
     assert not gamma_s[:, [0b01, 0b10]].any()
 
@@ -258,6 +256,49 @@ def test_gate_overlap_sum_matches_numerical_oracle(
         oracle = (4.0 * full - half) / 3.0
         exact = gate_overlap_sum(h, 0.04, levels, dimension)
         assert abs(exact - oracle) < 1e-6 * oracle
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_bell_pair_coupling_is_exactly_zero_in_segments_one_and_three(dimension):
+    """In segments 1 and 3 the Bell pair sits on levels 10 and 01, whose
+    aligned and anti-aligned qubits cancel (s = 0): the pair's v is exactly
+    zero, with no floor, and so is its overlap over either segment."""
+    angles = calibrate_level_cone_angles(1.0, np.pi / 3)
+    h = replace(_setup(angles=angles), noise_operator_axis=(0.6, 0.0, 0.8))
+    for l, segment in enumerate(_segments(h)):
+        h_seg, flips, _ = segment
+        k, j = (level ^ flips for level in BELL_LEVELS)
+        v = h_seg.level_coupling(k, dimension) - h_seg.level_coupling(j, dimension)
+        if l % 2:
+            assert {k, j} == {0b10, 0b01}
+            assert not v.any()
+            overlap = ensemble._segment_overlap([segment], 0.04, BELL_LEVELS, dimension)
+            assert overlap == 0.0
+        else:
+            assert v.any()
+
+
+def test_exact_gate_builds_its_basis_on_the_two_end_points(monkeypatch):
+    """One basis per sigma^2 row at t = 0 and T, with the bits of the end
+    states of a frame on the whole 251-point grid."""
+    cfg = EnsembleConfig(
+        hamiltonian=_setup(),
+        noise=NoiseSpec(variance=20.0, correlation_time=0.04),
+        initial_amplitudes=BELL,
+        realizations=8,
+        engine="exact_propagation",
+    )
+    built = []
+
+    def whole_grid(h_seg, t):
+        built.append(list(t))
+        frame = eigenframe(h_seg, np.linspace(t[0], t[-1], 251))
+        return replace(frame, states=frame.states[:, [0, -1]])
+
+    reference = bell_gate_run(cfg)
+    monkeypatch.setattr(ensemble, "eigenframe", whole_grid)
+    assert bell_gate_run(cfg) == reference
+    assert built == [[0.0, 1.0]]
 
 
 def test_bell_gate_vector_noise_closed_form():

@@ -19,7 +19,6 @@ from gqclab import (
     QubitHamiltonian,
     ResolutionError,
     ResourceLimitError,
-    eigenframe,
     ensemble_autocorrelation,
     estimate_autocorrelation,
     make_noise_ensemble,
@@ -323,7 +322,7 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
     for i, samples in enumerate(analytic):
         assert np.array_equal(samples, views[i // h.n_levels])
 
-    frame = eigenframe(h, np.arange(n + 1) * dt)
+    t = np.arange(n + 1) * dt
     for sigma2 in (0.5, 50.0, 200.0):
         sigma = np.sqrt(sigma2)
         spec = replace(unit_spec, variance=sigma2)
@@ -332,8 +331,8 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
         for l, view in enumerate(views):
             window = path[:, l * n : (l + 1) * n + 1]
             for k in range(h.n_levels):
-                want = stochastic_phase_batch(h, frame, window, k)
-                got = sigma * stochastic_phase_batch(h, frame, view, k)
+                want = stochastic_phase_batch(h, t, window, k)
+                got = sigma * stochastic_phase_batch(h, t, view, k)
                 assert np.max(np.abs(got - want)) <= 1e-14 * sigma
 
 

@@ -123,6 +123,29 @@ def test_one_adiabaticity_check_per_run():
     assert callers == ["ensemble.py"]
 
 
+def test_the_noise_coupling_is_stated_in_closed_form():
+    """Gamma_s and the overlap read QubitHamiltonian.level_coupling: they
+    build no eigenframe, and the Pauli operators and their eigenstate
+    expectations live only in the tests, as the closed form's oracle."""
+    for module, name in (
+        ("adiabatic", "stochastic_phase_batch"),
+        ("ensemble", "_gamma_s"),
+        ("ensemble", "_segment_overlap"),
+    ):
+        function = getattr(importlib.import_module(f"gqclab.{module}"), name)
+        source = inspect.getsource(function)
+        called = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+        }
+        assert "level_coupling" in called or "stochastic_phase_batch" in called
+        assert "eigenframe" not in called
+    text = "".join(path.read_text() for path in SRC.glob("*.py"))
+    for word in ("noise_operators", "operator_expectations", "PAULI", "SIGMA_"):
+        assert word not in text
+
+
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
