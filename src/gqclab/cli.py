@@ -51,6 +51,7 @@ from .noise import (
     NoiseSpec,
     _lag_steps,
     _n_times,
+    _worker_count,
     ensemble_autocorrelation,
 )
 from .shor import MAX_MODULUS, ShorInstance, runtime_scaling
@@ -218,7 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         s.add_argument("--realizations", type=int, help="override realizations")
         s.add_argument(
-            "--threads", type=int, help="validated and echoed; runs nothing in parallel"
+            "--threads",
+            type=int,
+            help="noise-validate's worker threads; no output bit depends on them",
         )
         s.add_argument("--out", help="output table path")
         s.add_argument("--format", choices=("csv", "json"), help="table format")
@@ -458,8 +461,9 @@ def _run_noise_validate(p):
         dimension=p["dimension"],
     )
     lags = _noise_lags(p)
+    workers = _worker_count(p["threads"], p["realizations"])
     estimates = ensemble_autocorrelation(
-        spec, p["duration"], p["dt"], p["master_seed"], p["realizations"], lags
+        spec, p["duration"], p["dt"], p["master_seed"], p["realizations"], lags, workers
     )
     scale = spec.dimension * spec.variance
     rows = [
@@ -471,7 +475,8 @@ def _run_noise_validate(p):
         }
         for lag, est, se in estimates
     ]
-    return rows, {"sigma2_field2": spec.variance, "lags_s": list(lags)}
+    derived = {"sigma2_field2": spec.variance, "lags_s": list(lags)}
+    return rows, dict(derived, worker_threads=workers)
 
 
 def _ensemble_config(p, h, amplitudes):

@@ -28,7 +28,10 @@ does not promise the same ``Generator`` streams across numpy versions.
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,12 +51,13 @@ __all__ = [
 RESOLUTION_FACTOR = 10.0
 
 #: time steps and bytes of a contiguous working copy: the OU recursion's
-#: time-major block, 256 steps of 512 scalar paths, 16 of 8,192; a draw's rows
-_BLOCK = 256
+#: time-major block, 128 steps of 512 scalar paths (as fast as 256, in half
+#: the memory), 16 of 8,192; a draw's rows
+_BLOCK = 128
 _BLOCK_BYTES = 2**20
 
 #: time steps per window of a streamed ensemble; a multiple of _BLOCK
-_CHUNK = 16 * _BLOCK
+_CHUNK = 32 * _BLOCK
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -105,7 +109,37 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
 
 
-def _ensemble_normals(master_seed: int, out: np.ndarray, rngs=None) -> np.ndarray:
+def _worker_count(threads: int, realizations: int) -> int:
+    """Threads for a request of ``threads`` over ``realizations`` paths: at
+    most the usable CPUs, and few enough for two paths per block; >= 1."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(threads, cpus, realizations // 2))
+
+
+def _run_blocks(work, rows: int, workers: int) -> None:
+    """``work(lo, hi)`` over ``workers`` contiguous blocks of ``rows`` rows,
+    the first on the calling thread and each other on a thread of its own;
+    all are joined before a block's exception is raised here."""
+    errors = []
+
+    def block(k):
+        try:
+            work(rows * k // workers, rows * (k + 1) // workers)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=block, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    block(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _ensemble_normals(master_seed: int, out: np.ndarray, rngs=None, workers=1):
     """Fill ``out``, of shape (realizations,) + shape, and return it: row i
     is bit-identical to ``realization_rng(master_seed, i).standard_normal(shape)``.
 
@@ -115,25 +149,29 @@ def _ensemble_normals(master_seed: int, out: np.ndarray, rngs=None) -> np.ndarra
     as time-major memory seen as (realizations, n_t, dim), is filled from a
     contiguous block of rows of up to ``_BLOCK_BYTES`` (at least one row).
     A ``rngs`` list, filled with a generator per row on the first window of
-    a grid, carries the streams across windows.
+    a grid, carries the streams across windows; ``_run_blocks`` splits rows.
     """
-    realizations = len(out)
     if rngs is not None and not rngs:
-        rngs.extend(realization_rng(master_seed, i) for i in range(realizations))
-    bit_generator = np.random.Philox(key=master_seed)
-    gen = np.random.Generator(bit_generator)
-    state = bit_generator.state  # counter 0, buffer empty
+        rngs.extend(realization_rng(master_seed, i) for i in range(len(out)))
+    contiguous = out[0].flags.c_contiguous
     rows = _BLOCK_BYTES // max(out[0].nbytes, 1) or 1
-    buf = out if out[0].flags.c_contiguous else np.empty(out[:rows].shape)
-    for start in range(0, realizations, len(buf)):
-        block = buf[: realizations - start]
-        for i, row in enumerate(block, start):
-            if rngs is None:
-                state["state"]["key"][1] = i
-                bit_generator.state = state
-            (gen if rngs is None else rngs[i]).standard_normal(out=row)
-        if buf is not out:
-            out[start : start + len(buf)] = block
+
+    def draw(lo, hi):
+        bit_generator = np.random.Philox(key=master_seed)
+        gen = np.random.Generator(bit_generator)
+        state = bit_generator.state  # counter 0, buffer empty
+        buf = out[lo:hi] if contiguous else np.empty(out[lo:hi][:rows].shape)
+        for start in range(lo, hi, len(buf)):
+            block = buf[: hi - start]
+            for i, row in enumerate(block, start):
+                if rngs is None:
+                    state["state"]["key"][1] = i
+                    bit_generator.state = state
+                (gen if rngs is None else rngs[i]).standard_normal(out=row)
+            if not contiguous:
+                out[start : start + len(block)] = block
+
+    _run_blocks(draw, len(out), workers)
     return out
 
 
@@ -220,22 +258,22 @@ def _noise_grid(spec, duration, dt, master_seed, realizations) -> int:
     return _n_times(duration, dt)
 
 
-def _noise_windows(spec, n_times, dt, master_seed, realizations, chunk, history=0):
+def _noise_windows(spec, n, dt, master_seed, realizations, chunk, history=0, workers=1):
     """The ensemble in pairs (h, window) along time: each window, a view of
     one buffer, holds the last h <= ``history`` points before a chunk of
-    up to ``chunk`` new ones.  Refuses, before allocating, a buffer above
-    MAX_ELEMENTS.  A grid of one chunk keeps no generators."""
-    shape = (realizations, min(history + chunk, n_times), spec.dimension)
-    _check_elements(shape, "noise ensemble" if chunk >= n_times else "noise window")
+    up to ``chunk`` new ones, drawn on ``workers`` threads.  Refuses, before
+    allocating, a buffer above MAX_ELEMENTS; one chunk keeps no generators."""
+    shape = (realizations, min(history + chunk, n), spec.dimension)
+    _check_elements(shape, "noise ensemble" if chunk >= n else "noise window")
     buf = np.zeros(shape) if spec.variance == 0.0 else np.empty(shape)
-    rngs = None if chunk >= n_times else []
+    rngs = None if chunk >= n else []
     prev, h = None, 0
-    for start in range(0, n_times, chunk):
-        c = min(chunk, n_times - start)
+    for start in range(0, n, chunk):
+        c = min(chunk, n - start)
         window = buf[:, : h + c]
         if spec.variance:
             new = window[:, h:]
-            _ensemble_normals(master_seed, new, rngs)
+            _ensemble_normals(master_seed, new, rngs, workers)
             prev = _ou_from_normals(spec, new, dt, prev)[:, -1].copy()
         yield h, window
         keep = min(history, start + c)
@@ -282,25 +320,31 @@ def _lag_steps(lags, dt: float, n_times: int) -> list:
     return steps
 
 
-def _autocovariance(windows, lags, steps, n_paths: int, n: int) -> list:
+def _autocovariance(windows, lags, steps, n_paths: int, n: int, workers=1) -> list:
     """(lag, estimate, standard error) from an ensemble's windows (h, x):
     per path, x(t) . x(t + m) is summed over the pairs whose later point
-    follows the window's first h, as one einsum of the flattened slices.
-    einsum, unlike np.dot, starts no BLAS threads, whose number would change
-    the bits; rows of up to 8,192 elements sum as a per-path ``"i,i->"``.
-    Rows that flatten to strided ones (time-major or Fortran memory at dim
-    1) are copied, as einsum would sum them in another order."""
+    follows the window's first h, as one einsum of the flattened slices
+    per block of rows (``_run_blocks``).  einsum, unlike np.dot, starts no
+    BLAS threads, whose number would change the bits; rows of up to 8,192
+    elements sum as a per-path ``"i,i->"``.  A block of one longer row sums
+    in another order than the same row among others, so blocks hold two
+    rows or more (``_worker_count``).  Rows that flatten to strided ones
+    (time-major or Fortran memory at dim 1) are copied, as einsum would
+    sum them in another order."""
     sums = np.zeros((len(steps), n_paths))
+
+    def lag_sums(h, x, n_w, dim, lo, hi):
+        for row, m in zip(sums[:, lo:hi], steps):
+            first = max(h, m)
+            if first < n_w:
+                a = x[lo:hi, (first - m) * dim : (n_w - m) * dim]
+                row += np.einsum("ij,ij->i", a, x[lo:hi, first * dim :])
+
     for h, window in windows:
-        n_w, dim = window.shape[1:]
-        x = window.reshape(n_paths, n_w * dim)
+        x = window.reshape(n_paths, -1)
         if x.strides[1] != x.itemsize:
             x = np.ascontiguousarray(x)
-        for row, m in zip(sums, steps):
-            lo = max(h, m)
-            if lo < n_w:
-                a, b = x[:, (lo - m) * dim : (n_w - m) * dim], x[:, lo * dim :]
-                row += np.einsum("ij,ij->i", a, b)
+        _run_blocks(partial(lag_sums, h, x, *window.shape[1:]), n_paths, workers)
     per_path = sums / (n - np.array(steps))[:, None]
     est = per_path.mean(axis=1)
     se = np.zeros_like(est) if n_paths < 2 else per_path.std(axis=1, ddof=1)
@@ -339,14 +383,18 @@ def ensemble_autocorrelation(
     master_seed: int,
     realizations: int,
     lags,
+    threads: int = 1,
 ):
     """``estimate_autocorrelation(make_noise_ensemble(spec, duration, dt,
     master_seed, realizations), dt, lags)``, to the bit, in the memory of
     realizations x (largest lag + ``_CHUNK`` steps) x dim samples, whatever
     the duration.  Arguments are checked as those two functions check them;
-    MAX_ELEMENTS bounds the chunk's buffer."""
+    MAX_ELEMENTS bounds the chunk's buffer.  The draws and the lag sums run
+    on ``_worker_count(threads, realizations)`` threads, with the same bits."""
     n = _noise_grid(spec, duration, dt, master_seed, realizations)
     steps = _lag_steps(lags, dt, n)
-    history = max(steps, default=0)
-    windows = _noise_windows(spec, n, dt, master_seed, realizations, _CHUNK, history)
-    return _autocovariance(windows, lags, steps, realizations, n)
+    history, workers = max(steps, default=0), _worker_count(threads, realizations)
+    windows = _noise_windows(
+        spec, n, dt, master_seed, realizations, _CHUNK, history, workers
+    )
+    return _autocovariance(windows, lags, steps, realizations, n, workers)

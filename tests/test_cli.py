@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -546,24 +547,29 @@ def test_manifest_records_the_stream_contract_and_environment(tmp_path):
     assert np.__version__ not in out.read_text()
 
 
-def test_cli_threads_do_not_change_results(tmp_path):
-    path = _write(tmp_path, "agp.json", dict(AGP_CONFIG, sigma2=10.0))
-    outs = []
-    for threads, name in ((1, "t1.csv"), (8, "t8.csv")):
-        out = str(tmp_path / name)
-        assert main(
-            [
-                "agp-dephase",
-                "--config",
-                path,
-                "--out",
-                out,
-                "--threads",
-                str(threads),
-            ]
-        ) == 0
-        outs.append(Path(out).read_bytes())
-    assert outs[0] == outs[1]
+def test_cli_threads_do_not_change_results(tmp_path, monkeypatch):
+    # four usable CPUs on any host: --threads 8 runs noise-validate's 7 paths
+    # on 3 threads, and its 6,001-point paths in two windows of 12,288-element
+    # lag slices, where a block of one path would sum in another order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    noise = dict(NOISE_CONFIG, realizations=7, dimension=3, duration=30.0)
+    for config, workers in ((dict(AGP_CONFIG, sigma2=10.0), None), (noise, 3)):
+        experiment = config["experiment"]
+        path = _write(tmp_path, f"{experiment}.json", config)
+        outs = []
+        for threads in (1, 8):
+            out = str(tmp_path / f"{experiment}-t{threads}.csv")
+            running = threading.active_count()
+            assert main(
+                [experiment, "--config", path, "--out", out, "--threads", str(threads)]
+            ) == 0
+            assert threading.active_count() == running  # every worker joined
+            outs.append(Path(out).read_bytes())
+            derived = json.loads(Path(out + ".manifest.json").read_text())["derived"]
+            if workers:
+                assert derived["worker_threads"] == (1 if threads == 1 else workers)
+        assert outs[0] == outs[1]
+        assert b"worker" not in outs[0]
 
 
 def test_cli_seed_override_changes_estimates(tmp_path):

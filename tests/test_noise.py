@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -203,7 +204,7 @@ def test_ensemble_rows_match_split_seeds():
 @pytest.mark.parametrize("dimension", [1, 3])
 @pytest.mark.parametrize("n_t", [2, 255, 256, 257, 513])
 def test_ou_recursion_matches_lfilter_bit_for_bit(ou_reference, n_t, dimension):
-    # n_t around the recursion's block length of 256 steps
+    # n_t around two of the recursion's blocks of 128 steps
     spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=dimension)
     dt = 0.01
     xi = np.random.default_rng(n_t).standard_normal((4, n_t, dimension))
@@ -274,7 +275,7 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
     in place in either memory layout, is make_noise_ensemble's at
     sigma^2 = 1 to the bit.  The pipeline hands the exact engine the whole
     path with each row's sigma, one call per row for all segments, and the
-    analytic engine its segment views, of 300 steps each (two blocks of
+    analytic engine its segment views, of 300 steps each (three blocks of
     the recursion); at sigma^2 = 0 the exact engine gets one row of +0.0
     samples spanning the segments, and the analytic engine nothing.
     sigma u is make_noise_ensemble's path at sigma^2 to 1e-14 sigma
@@ -350,7 +351,7 @@ def test_zero_variance_ensemble_is_the_recursion_without_a_draw(
     monkeypatch, dimension
 ):
     spec = NoiseSpec(variance=0.0, correlation_time=0.1, dimension=dimension)
-    # 301 points: two blocks of the recursion, from the normals a draw would use
+    # 301 points: three blocks of the recursion, from the normals a draw would use
     normals = _ensemble_normals(5, np.empty((4, 301, dimension)))
     expected = _ou_from_normals(spec, normals, 0.01)
     calls = []
@@ -572,6 +573,110 @@ def test_one_window_keeps_no_generators(monkeypatch):
     make_noise_ensemble(spec, 2 * _CHUNK * 0.01, 0.01, 3, 2)
     ensemble_autocorrelation(spec, (_CHUNK - 1) * 0.01, 0.01, 3, 2, [0.0, 0.5])
     assert calls == [None, None]
+
+
+# Worker threads: each contiguous block of paths draws its own normals and
+# sums its own lags, so no bit depends on the thread count.
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, realizations, workers",
+    [
+        (4, 1, 512, 1),
+        (4, 3, 512, 3),
+        (4, 100_000, 512, 4),  # the usable CPUs
+        (2, 100_000, 7, 2),
+        (64, 100_000, 7, 3),  # two paths or more per block
+        (64, 2, 3, 1),
+        (64, 4, 1, 1),  # at least one worker
+    ],
+)
+def test_worker_count_caps_threads(monkeypatch, cpus, threads, realizations, workers):
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(threading.Thread, "start", None)  # starts no thread
+    assert noise._worker_count(threads, realizations) == workers
+
+
+def test_worker_count_without_an_affinity_mask_uses_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert noise._worker_count(100_000, 512) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert noise._worker_count(100_000, 512) == 1
+
+
+def test_normals_have_the_same_bits_on_every_thread_count():
+    """1,500 time-major rows of 201 points, in 652-row buffers: two workers'
+    blocks of 750 rows end in a part buffer, three workers' fit in one."""
+    want = _ensemble_normals(6, _buffer("path-major", 1500, 201, 1))
+    for workers in (2, 3):
+        got = _buffer("time-major", 1500, 201, 1)
+        assert _ensemble_normals(6, got, None, workers) is got
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("realizations", [1, 2, 3, 5, 7, 9])
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_streamed_estimate_has_the_same_bits_on_every_thread_count(
+    monkeypatch, dimension, realizations
+):
+    """Three windows of 4,096 new steps after a 4,200-step lag's history:
+    rows of 8,296 elements at dim 1 and 24,888 at dim 3.  At dim 3 the lag
+    slices hold 12,288 elements, which a block of one row would sum in
+    another order."""
+    _usable_cpus(monkeypatch, 4)
+    blocks = []
+    run_blocks = noise._run_blocks
+    monkeypatch.setattr(
+        noise,
+        "_run_blocks",
+        lambda work, rows, workers: blocks.append(workers)
+        or run_blocks(work, rows, workers),
+    )
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=dimension)
+    dt, n = 0.01, 3 * _CHUNK + 500
+    lags = [0.0, 0.01, 0.57, 42.0]
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: a lost update would show
+    try:
+        for threads in (1, 2, 3, 4):
+            blocks.clear()
+            estimate = ensemble_autocorrelation(
+                spec, (n - 1) * dt, dt, 23, realizations, lags, threads
+            )
+            runs.append([[v.hex() for v in row] for row in estimate])
+            workers = noise._worker_count(threads, realizations)
+            assert set(blocks) == {workers}
+            # the smallest block holds realizations // workers paths
+            assert realizations // workers >= min(2, realizations)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(run == runs[0] for run in runs)
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    caller = threading.get_ident()
+
+    class Failing:
+        def standard_normal(self, out):
+            worker = threading.get_ident() != caller
+            raise RuntimeError(f"second block, on a worker: {worker}")
+
+    real = noise.realization_rng
+    monkeypatch.setattr(
+        noise, "realization_rng", lambda m, i: real(m, i) if i < 2 else Failing()
+    )
+    running = threading.active_count()
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
+    with pytest.raises(RuntimeError, match="second block, on a worker: True"):
+        ensemble_autocorrelation(spec, 2 * _CHUNK * 0.01, 0.01, 3, 4, [0.0], 2)
+    assert threading.active_count() == running
 
 
 def _stream_peak(points):
