@@ -221,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument(
             "--threads",
             type=int,
-            help="noise-validate's worker threads; no output bit depends on them",
+            help="worker processes for the Monte Carlo experiments' per-path "
+            "work; no output bit depends on them",
         )
         s.add_argument("--out", help="output table path")
         s.add_argument("--format", choices=("csv", "json"), help="table format")
@@ -461,10 +462,8 @@ def _run_noise_validate(p):
         dimension=p["dimension"],
     )
     lags = _noise_lags(p)
-    workers = _worker_count(p["threads"], p["realizations"])
-    estimates = ensemble_autocorrelation(
-        spec, p["duration"], p["dt"], p["master_seed"], p["realizations"], lags, workers
-    )
+    grid = (p["duration"], p["dt"], p["master_seed"], p["realizations"])
+    estimates = ensemble_autocorrelation(spec, *grid, lags, p["threads"])
     scale = spec.dimension * spec.variance
     rows = [
         {
@@ -475,8 +474,7 @@ def _run_noise_validate(p):
         }
         for lag, est, se in estimates
     ]
-    derived = {"sigma2_field2": spec.variance, "lags_s": list(lags)}
-    return rows, dict(derived, worker_threads=workers)
+    return rows, {"sigma2_field2": spec.variance, "lags_s": list(lags)}
 
 
 def _ensemble_config(p, h, amplitudes):
@@ -491,6 +489,7 @@ def _ensemble_config(p, h, amplitudes):
         noise_dt=p.get("noise_dt"),
         substeps=p["substeps"],
         strict_adiabatic=p["strict_adiabatic"],
+        threads=p["threads"],
     )
 
 
@@ -621,6 +620,8 @@ def run(config: ExperimentConfig) -> dict:
             raise ConfigError([f"out: cannot write {path!r}"])
     t_start = time.monotonic()
     rows, derived = _RUNNERS[config.experiment](p)
+    if "realizations" in p:  # the Monte Carlo experiments' blocks of paths
+        derived["workers"] = _worker_count(p["threads"], p["realizations"])
     try:
         _write_rows(rows, out_path, fmt)
     except OSError as exc:

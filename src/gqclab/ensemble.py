@@ -42,6 +42,9 @@ from .noise import (
     _ensemble_normals,
     _noise_grid,
     _ou_from_normals,
+    _run_blocks,
+    _worker_count,
+    split_seed,
 )
 
 __all__ = [
@@ -75,6 +78,9 @@ class EnsembleConfig:
                         closed-form phases along each noise path
     noise_dt            noise grid step (default tau_c / 10)
     substeps            propagation slices per noise step (exact engine)
+    threads             worker processes asked for the per-path work
+                        (``noise._worker_count``); no result bit depends
+                        on them
     """
 
     hamiltonian: QubitHamiltonian
@@ -86,6 +92,7 @@ class EnsembleConfig:
     noise_dt: Optional[float] = None
     substeps: int = 1
     strict_adiabatic: bool = False
+    threads: int = 1
 
     def __post_init__(self):
         c = np.asarray(self.initial_amplitudes, dtype=complex)
@@ -101,6 +108,8 @@ class EnsembleConfig:
             raise ValueError(f"engine must be one of {ENGINES}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         object.__setattr__(self, "initial_amplitudes", tuple(c.tolist()))
 
     @property
@@ -183,12 +192,23 @@ def _gamma_s(segments, t: np.ndarray, windows, levels) -> np.ndarray:
     return gamma_s
 
 
-def _exact_amplitudes(segments, t, path, c, slices: int, sigma) -> np.ndarray:
-    """Eigenbasis amplitudes (rows, n_levels) at t_f by exact propagation
-    through ``sigma`` times the noise ``path``, which spans the segments
-    back to back, in ``slices`` slices per segment: one
-    ``evolve_exact_batch`` call propagates one spinor through every
-    segment, giving its final states (P, rows, 2).
+def _exact_basis(segments, t, c):
+    """(singles, states, spinor) of the exact engine: the segments'
+    one-qubit Hamiltonians, the one-qubit eigenstates (level, end,
+    component) at t[0] and t[-1], and the one spinor that
+    ``evolve_exact_batch`` propagates through every segment (see
+    ``_exact_amplitudes``)."""
+    singles = [replace(h, qubit_count=1, level_cone_angles=None) for h, *_ in segments]
+    states = eigenframe(singles[0], t[[0, -1]]).states
+    if segments[0][0].qubit_count == 1:
+        return singles, states, states[:, 0, :].T @ c  # lab-frame initial state
+    return singles, states, states[0, 0, :]
+
+
+def _exact_amplitudes(segments, states, c, x) -> np.ndarray:
+    """Eigenbasis amplitudes (rows, n_levels) at t_f from the final states
+    x (P, rows, 2) of ``_exact_basis``'s spinor, which spans the segments
+    back to back, and its eigenstates ``states``.
 
     One qubit (one segment) propagates its lab-frame state, entering and
     leaving through the eigenframe's first and last states.  Two qubits see
@@ -200,14 +220,9 @@ def _exact_amplitudes(segments, t, path, c, slices: int, sigma) -> np.ndarray:
     v1 = J v0* with J = [[0, -1], [1, 0]], and every u in SU(2) has
     u J = J u*, so u v1 = J (u v0)*, the bits that propagating v1 gives.
     """
-    singles = [replace(h, qubit_count=1, level_cone_angles=None) for h, *_ in segments]
-    states = eigenframe(singles[0], t[[0, -1]]).states  # (level, end, component)
     if segments[0][0].qubit_count == 1:
-        psi0 = states[:, 0, :].T @ c  # lab-frame initial state
-        [psi_f] = evolve_exact_batch(singles, t, path, psi0, slices, sigma)
-        return psi_f @ states[:, -1, :].conj().T
+        return x[0] @ states[:, -1, :].conj().T
     v = states[:, 0, :]  # rows: the eigenstates at azimuth 0
-    x = evolve_exact_batch(singles, t, path, v[0], slices, sigma)  # (P, rows, 2)
     jx = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)  # J x*
     psi = c.reshape(2, 2)
     for u, (_, _, target) in zip(v @ np.stack([x, jx], axis=-1), segments):
@@ -244,7 +259,12 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     noise spanning the segments, and the analytic engine integrates no
     Gamma_s.  The path is time-major in memory, seen as
     (rows, n_t, dim): the OU recursion and the exact engine step through
-    time across all rows.
+    time across all rows.  The per-path work (draws, OU recursion, and the
+    exact engine's final states of every row or the analytic engine's unit
+    Gamma_s) runs in ``_worker_count(config.threads, realizations)``
+    contiguous blocks of realizations (``_run_blocks``), each re-keyed
+    from its first row; every reduction over the realizations runs here,
+    after the blocks, so no bit depends on the count.
     """
     # each variance is checked as a NoiseSpec's
     sigmas = [math.sqrt(replace(config.noise, variance=v).variance) for v in variances]
@@ -270,20 +290,42 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     t = np.linspace(0.0, span, n + 1)
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes
-    if any(sigmas):
-        u = np.empty((n_t, rows, dim)).transpose(1, 0, 2)
-        _ensemble_normals(config.master_seed, u)
-        _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
+    noisy = any(sigmas)
+    if exact:
+        singles, states, spinor = _exact_basis(segments, t, c)
+        shape, dtype = (len(sigmas), count, rows, 2), complex
+    else:
+        shape, dtype = (rows, h.n_levels), float
+
+    def block(lo, hi, out):
+        """Final states of rows lo ... hi - 1 per sigma, out[i][:, lo:hi],
+        and in the first block the one row at sigma = 0, out[i][:, :1]; or
+        the unit Gamma_s of those rows, out[lo:hi]."""
+        if noisy:
+            u = np.empty((n_t, hi - lo, dim)).transpose(1, 0, 2)
+            _ensemble_normals(split_seed(config.master_seed, lo), u)
+            _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
         if not exact:
-            windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
-            unit_gamma_s = _gamma_s(segments, t, windows, np.flatnonzero(c))
+            if noisy:
+                windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
+                out[lo:hi] = _gamma_s(segments, t, windows, np.flatnonzero(c))
+            return
+        for x, sigma in zip(out, sigmas):
+            if sigma:
+                x[:, lo:hi] = evolve_exact_batch(singles, t, u, spinor, slices, sigma)
+            elif lo == 0:
+                path = np.zeros((1, n_t, dim))
+                x[:, :1] = evolve_exact_batch(singles, t, path, spinor, slices, sigma)
+
+    workers = _worker_count(config.threads, rows) if noisy else 1
+    out = _run_blocks(block, rows, workers, shape, dtype)
     densities = []
-    for sigma in sigmas:
+    for i, sigma in enumerate(sigmas):
         if exact:
-            path = u if sigma else np.zeros((1, n_t, dim))
-            amps = _exact_amplitudes(segments, t, path, c, slices, sigma)
+            x = out[i] if sigma else out[i][:, :1]
+            amps = _exact_amplitudes(segments, states, c, x)
         else:
-            gamma_s = sigma * unit_gamma_s if sigma else 0.0
+            gamma_s = sigma * out if sigma else 0.0
             amps = c * np.exp(-1j * (gamma_a + gamma_s))
         matrix, se = _averaged_density(amps, rows)
         densities.append(AveragedDensity(matrix, se, realizations_used=rows))

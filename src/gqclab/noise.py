@@ -27,11 +27,13 @@ does not promise the same ``Generator`` streams across numpy versions.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import operator
 import os
-import threading
+import pickle
+import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -110,68 +112,141 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _worker_count(threads: int, realizations: int) -> int:
-    """Threads for a request of ``threads`` over ``realizations`` paths: at
-    most the usable CPUs, and few enough for two paths per block; >= 1."""
-    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    """Worker processes for a request of ``threads`` over ``realizations``
+    paths: at most the usable CPUs, and few enough for two paths per block;
+    1 where ``os.fork`` does not exist (Windows)."""
+    if not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(threads, cpus, realizations // 2))
 
 
-def _run_blocks(work, rows: int, workers: int) -> None:
-    """``work(lo, hi)`` over ``workers`` contiguous blocks of ``rows`` rows,
-    the first on the calling thread and each other on a thread of its own;
-    all are joined before a block's exception is raised here."""
-    errors = []
+def _run_blocks(work, rows: int, workers: int, shape, dtype=float) -> np.ndarray:
+    """An array of ``shape``, zeros at first, that ``work(lo, hi, out)``
+    fills over ``workers`` contiguous blocks of ``rows`` rows, each block
+    writing only its own rows' results.
 
-    def block(k):
+    The first block runs in this process and each other one in a child of
+    ``os.fork`` (``_run_child``), which writes into ``out``, an anonymous
+    shared mmap.  Once every child is reaped, the first exception a child
+    sent is raised here with its type, and a child that ended otherwise
+    (a signal) raises RuntimeError.  Any exception here, KeyboardInterrupt
+    too, kills and reaps every child before it propagates; SIGINT is held
+    from the fork until the child is inside its handler and this process
+    has recorded it.
+    """
+    if workers == 1:
+        out = np.zeros(shape, dtype)
+        work(0, rows, out)
+        return out
+    import mmap  # loaded by the runs that fork, not at import
+    import signal
+
+    count = math.prod(shape)
+    memory = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    out = np.frombuffer(memory, dtype, count).reshape(shape)
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns of a fork while other threads
+                    # exist: here OpenBLAS's idle pool, which OpenBLAS shuts
+                    # down at a fork (its pthread_atfork handler).  The
+                    # child runs numpy array code and leaves through
+                    # os._exit, so it waits on no lock another thread held.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _run_child(work, lo, hi, out, write, mask)
+                children[pid] = read
+                os.close(write)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        work(0, bounds[1], out)
+        errors = []
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                message = pipe.read()  # to the end: the child has exited
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if message:
+                errors.append(pickle.loads(message))
+            elif code:
+                end = f"signal {-code}" if code < 0 else f"exit status {code}"
+                errors.append(RuntimeError(f"a worker process ended by {end}"))
+        if errors:
+            raise errors[0]
+    finally:
+        for pid, read in children.items():  # left only by an exception here
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read)
+    return out
+
+
+def _run_child(work, lo: int, hi: int, out, write: int, mask) -> None:
+    """Run ``work(lo, hi, out)`` in a forked child, under the signal
+    ``mask``, and leave through ``os._exit``, never returning into the
+    caller's frames: no atexit handler runs and no inherited stdio buffer
+    is flushed twice.  Exit status 0, or 1 once the exception went to
+    ``write`` pickled (as a RuntimeError naming it if it does not survive
+    pickling)."""
+    import signal
+
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        work(lo, hi, out)
+        status = 0
+    except BaseException as exc:
         try:
-            work(rows * k // workers, rows * (k + 1) // workers)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=block, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    block(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+            message = pickle.dumps(exc)
+            pickle.loads(message)  # e.g. an __init__ that its args do not fit
+        except Exception:
+            message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(write, "wb") as pipe:
+            pipe.write(message)
+    finally:
+        os._exit(status)
 
 
-def _ensemble_normals(master_seed: int, out: np.ndarray, rngs=None, workers=1):
-    """Fill ``out``, of shape (realizations,) + shape, and return it: row i
-    is bit-identical to ``realization_rng(master_seed, i).standard_normal(shape)``.
+def _ensemble_normals(key: int, out: np.ndarray, rngs=None):
+    """Fill ``out``, of shape (rows,) + shape, and return it: for ``key`` =
+    ``split_seed(master_seed, first)``, row i is bit-identical to
+    ``realization_rng(master_seed, first + i).standard_normal(shape)``.
 
     One Philox is re-keyed per row, at a tenth of the cost of a generator
-    per row: the ``state`` setter puts i in the key's high word and resets
-    the counter and buffer.  An ``out`` whose rows are not contiguous, such
-    as time-major memory seen as (realizations, n_t, dim), is filled from a
-    contiguous block of rows of up to ``_BLOCK_BYTES`` (at least one row).
-    A ``rngs`` list, filled with a generator per row on the first window of
-    a grid, carries the streams across windows; ``_run_blocks`` splits rows.
+    per row: the ``state`` setter puts first + i in the key's high word and
+    resets the counter and buffer.  An ``out`` whose rows are not
+    contiguous, such as time-major memory seen as (realizations, n_t, dim),
+    is filled from a contiguous block of rows of up to ``_BLOCK_BYTES`` (at
+    least one row).  A ``rngs`` list, filled with a generator per row on
+    the first window of a grid, carries the streams across windows.
     """
+    master_seed, first = key % 2**64, key >> 64
     if rngs is not None and not rngs:
-        rngs.extend(realization_rng(master_seed, i) for i in range(len(out)))
+        rngs.extend(realization_rng(master_seed, first + i) for i in range(len(out)))
     contiguous = out[0].flags.c_contiguous
     rows = _BLOCK_BYTES // max(out[0].nbytes, 1) or 1
-
-    def draw(lo, hi):
-        bit_generator = np.random.Philox(key=master_seed)
-        gen = np.random.Generator(bit_generator)
-        state = bit_generator.state  # counter 0, buffer empty
-        buf = out[lo:hi] if contiguous else np.empty(out[lo:hi][:rows].shape)
-        for start in range(lo, hi, len(buf)):
-            block = buf[: hi - start]
-            for i, row in enumerate(block, start):
-                if rngs is None:
-                    state["state"]["key"][1] = i
-                    bit_generator.state = state
-                (gen if rngs is None else rngs[i]).standard_normal(out=row)
-            if not contiguous:
-                out[start : start + len(block)] = block
-
-    _run_blocks(draw, len(out), workers)
+    bit_generator = np.random.Philox(key=key)
+    gen = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, buffer empty
+    buf = out if contiguous else np.empty(out[:rows].shape)
+    for start in range(0, len(out), len(buf)):
+        block = buf[: len(out) - start]
+        for i, row in enumerate(block, start):
+            if rngs is None:
+                state["state"]["key"][1] = first + i
+                bit_generator.state = state
+            (gen if rngs is None else rngs[i]).standard_normal(out=row)
+        if not contiguous:
+            out[start : start + len(block)] = block
     return out
 
 
@@ -258,14 +333,24 @@ def _noise_grid(spec, duration, dt, master_seed, realizations) -> int:
     return _n_times(duration, dt)
 
 
-def _noise_windows(spec, n, dt, master_seed, realizations, chunk, history=0, workers=1):
-    """The ensemble in pairs (h, window) along time: each window, a view of
-    one buffer, holds the last h <= ``history`` points before a chunk of
-    up to ``chunk`` new ones, drawn on ``workers`` threads.  Refuses, before
-    allocating, a buffer above MAX_ELEMENTS; one chunk keeps no generators."""
+def _window_shape(spec, n, realizations, chunk, history) -> tuple:
+    """Shape of ``realizations`` paths' window buffer: the last ``history``
+    points before a chunk of up to ``chunk`` new ones; refused above
+    MAX_ELEMENTS."""
     shape = (realizations, min(history + chunk, n), spec.dimension)
     _check_elements(shape, "noise ensemble" if chunk >= n else "noise window")
+    return shape
+
+
+def _noise_windows(spec, n, dt, master_seed, realizations, chunk, history=0, first=0):
+    """Rows first ... first + realizations - 1 of the ensemble in pairs
+    (h, window) along time: each window, a view of one buffer, holds the
+    last h <= ``history`` points before a chunk of up to ``chunk`` new
+    ones.  Refuses, before allocating, a buffer above MAX_ELEMENTS; one
+    chunk keeps no generators."""
+    shape = _window_shape(spec, n, realizations, chunk, history)
     buf = np.zeros(shape) if spec.variance == 0.0 else np.empty(shape)
+    key = split_seed(master_seed, first)
     rngs = None if chunk >= n else []
     prev, h = None, 0
     for start in range(0, n, chunk):
@@ -273,7 +358,7 @@ def _noise_windows(spec, n, dt, master_seed, realizations, chunk, history=0, wor
         window = buf[:, : h + c]
         if spec.variance:
             new = window[:, h:]
-            _ensemble_normals(master_seed, new, rngs, workers)
+            _ensemble_normals(key, new, rngs)
             prev = _ou_from_normals(spec, new, dt, prev)[:, -1].copy()
         yield h, window
         keep = min(history, start + c)
@@ -320,31 +405,34 @@ def _lag_steps(lags, dt: float, n_times: int) -> list:
     return steps
 
 
-def _autocovariance(windows, lags, steps, n_paths: int, n: int, workers=1) -> list:
-    """(lag, estimate, standard error) from an ensemble's windows (h, x):
-    per path, x(t) . x(t + m) is summed over the pairs whose later point
-    follows the window's first h, as one einsum of the flattened slices
-    per block of rows (``_run_blocks``).  einsum, unlike np.dot, starts no
-    BLAS threads, whose number would change the bits; rows of up to 8,192
-    elements sum as a per-path ``"i,i->"``.  A block of one longer row sums
-    in another order than the same row among others, so blocks hold two
-    rows or more (``_worker_count``).  Rows that flatten to strided ones
-    (time-major or Fortran memory at dim 1) are copied, as einsum would
-    sum them in another order."""
-    sums = np.zeros((len(steps), n_paths))
-
-    def lag_sums(h, x, n_w, dim, lo, hi):
-        for row, m in zip(sums[:, lo:hi], steps):
-            first = max(h, m)
-            if first < n_w:
-                a = x[lo:hi, (first - m) * dim : (n_w - m) * dim]
-                row += np.einsum("ij,ij->i", a, x[lo:hi, first * dim :])
-
+def _lag_sums(windows, steps, sums: np.ndarray) -> np.ndarray:
+    """Add to ``sums`` (lags, paths), and return it, each path's
+    x(t) . x(t + m) over the pairs whose later point follows the first h of
+    a window (h, x), as one einsum of the flattened slices.  einsum, unlike
+    np.dot, starts no BLAS threads, whose number would change the bits;
+    rows of up to 8,192 elements sum as a per-path ``"i,i->"``.  A lone
+    longer row sums in another order than the same row among others, so
+    blocks of paths hold two or more (``_worker_count``).  Rows that
+    flatten to strided ones (time-major or Fortran memory at dim 1) are
+    copied, as einsum would sum them in another order."""
     for h, window in windows:
-        x = window.reshape(n_paths, -1)
+        n_w, dim = window.shape[1:]
+        x = window.reshape(len(window), -1)
         if x.strides[1] != x.itemsize:
             x = np.ascontiguousarray(x)
-        _run_blocks(partial(lag_sums, h, x, *window.shape[1:]), n_paths, workers)
+        for row, m in zip(sums, steps):
+            first = max(h, m)
+            if first < n_w:
+                a = x[:, (first - m) * dim : (n_w - m) * dim]
+                row += np.einsum("ij,ij->i", a, x[:, first * dim :])
+    return sums
+
+
+def _autocovariance(sums: np.ndarray, lags, steps, n: int) -> list:
+    """(lag, estimate, standard error) from the lag sums of paths of ``n``
+    points: the mean and its standard error over paths of each per-path
+    time average."""
+    n_paths = sums.shape[1]
     per_path = sums / (n - np.array(steps))[:, None]
     est = per_path.mean(axis=1)
     se = np.zeros_like(est) if n_paths < 2 else per_path.std(axis=1, ddof=1)
@@ -373,7 +461,8 @@ def estimate_autocorrelation(samples: np.ndarray, dt: float, lags):
     steps = _lag_steps(lags, dt, n)
     heads = {t: min(max(steps, default=0), t) for t in range(0, n, _CHUNK)}
     windows = ((h, samples[:, t - h : t + _CHUNK]) for t, h in heads.items())
-    return _autocovariance(windows, lags, steps, n_paths, n)
+    sums = _lag_sums(windows, steps, np.zeros((len(steps), n_paths)))
+    return _autocovariance(sums, lags, steps, n)
 
 
 def ensemble_autocorrelation(
@@ -389,12 +478,19 @@ def ensemble_autocorrelation(
     master_seed, realizations), dt, lags)``, to the bit, in the memory of
     realizations x (largest lag + ``_CHUNK`` steps) x dim samples, whatever
     the duration.  Arguments are checked as those two functions check them;
-    MAX_ELEMENTS bounds the chunk's buffer.  The draws and the lag sums run
-    on ``_worker_count(threads, realizations)`` threads, with the same bits."""
+    MAX_ELEMENTS bounds the chunk's buffer of all the paths, checked here.
+    The paths run in ``_worker_count(threads, realizations)`` contiguous
+    blocks, each drawing, filtering and lag-summing its own paths along the
+    whole duration, with the same bits (``_run_blocks``)."""
     n = _noise_grid(spec, duration, dt, master_seed, realizations)
     steps = _lag_steps(lags, dt, n)
-    history, workers = max(steps, default=0), _worker_count(threads, realizations)
-    windows = _noise_windows(
-        spec, n, dt, master_seed, realizations, _CHUNK, history, workers
-    )
-    return _autocovariance(windows, lags, steps, realizations, n, workers)
+    history = max(steps, default=0)
+    _window_shape(spec, n, realizations, _CHUNK, history)  # before any fork
+
+    def block(lo, hi, sums):
+        windows = _noise_windows(spec, n, dt, master_seed, hi - lo, _CHUNK, history, lo)
+        _lag_sums(windows, steps, sums[:, lo:hi])
+
+    workers = _worker_count(threads, realizations)
+    sums = _run_blocks(block, realizations, workers, (len(steps), realizations))
+    return _autocovariance(sums, lags, steps, n)

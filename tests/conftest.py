@@ -483,7 +483,9 @@ def refused_unallocated():
 
 
 def _segment_amplitudes_reference(segments, t, path, c, slices, sigma):
-    """Two-qubit ``ensemble._exact_amplitudes`` one segment at a time.
+    """The two-qubit exact engine (``ensemble._exact_basis``, then
+    ``evolve_exact_batch``, then ``ensemble._exact_amplitudes``) one
+    segment at a time.
 
     Each segment's window of ``path`` propagates both one-qubit
     eigenstates at azimuth 0, one ``evolve_exact_batch`` call per segment
@@ -526,8 +528,9 @@ def _every_row(config, segments):
     windows = [path[:, l * n : (l + 1) * n + 1] for l in range(len(segments))]
     gamma_a = ensemble._gamma_a(segments, span)
     if config.engine == "exact_propagation":
-        slices = n * config.substeps
-        amps = ensemble._exact_amplitudes(segments, t, path, c, slices, 0.0)
+        singles, states, spinor = ensemble._exact_basis(segments, t, c)
+        x = evolve_exact_batch(singles, t, path, spinor, n * config.substeps, 0.0)
+        amps = ensemble._exact_amplitudes(segments, states, c, x)
     else:
         gamma_s = ensemble._gamma_s(segments, t, windows, np.flatnonzero(c))
         amps = c * np.exp(-1j * (gamma_a + gamma_s))

@@ -8,7 +8,6 @@ import platform
 import re
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from gqclab import (
     make_noise_ensemble,
     realization_rng,
 )
-from gqclab import cli
+from gqclab import cli, ensemble
 from gqclab.cli import main, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -548,28 +547,49 @@ def test_manifest_records_the_stream_contract_and_environment(tmp_path):
 
 
 def test_cli_threads_do_not_change_results(tmp_path, monkeypatch):
-    # four usable CPUs on any host: --threads 8 runs noise-validate's 7 paths
-    # on 3 threads, and its 6,001-point paths in two windows of 12,288-element
-    # lag slices, where a block of one path would sum in another order
+    # four usable CPUs on any host: --threads 8 runs the agp sweep's 64 paths
+    # in 4 worker processes and noise-validate's 7 paths in 3, and its
+    # 6,001-point paths in two windows of 12,288-element lag slices, where a
+    # block of one path would sum in another order
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     noise = dict(NOISE_CONFIG, realizations=7, dimension=3, duration=30.0)
-    for config, workers in ((dict(AGP_CONFIG, sigma2=10.0), None), (noise, 3)):
+    for config, workers in ((dict(AGP_CONFIG, sigma2=10.0), 4), (noise, 3)):
         experiment = config["experiment"]
         path = _write(tmp_path, f"{experiment}.json", config)
         outs = []
         for threads in (1, 8):
             out = str(tmp_path / f"{experiment}-t{threads}.csv")
-            running = threading.active_count()
             assert main(
                 [experiment, "--config", path, "--out", out, "--threads", str(threads)]
             ) == 0
-            assert threading.active_count() == running  # every worker joined
+            with pytest.raises(ChildProcessError):  # every worker reaped
+                os.waitpid(-1, os.WNOHANG)
             outs.append(Path(out).read_bytes())
             derived = json.loads(Path(out + ".manifest.json").read_text())["derived"]
-            if workers:
-                assert derived["worker_threads"] == (1 if threads == 1 else workers)
+            assert derived["workers"] == (1 if threads == 1 else workers)
         assert outs[0] == outs[1]
         assert b"worker" not in outs[0]
+
+
+def test_cli_resource_error_in_a_worker_exits_4(tmp_path, monkeypatch, capsys):
+    """A worker process's ResourceLimitError keeps its type in the caller."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    caller = os.getpid()
+    propagate = ensemble.evolve_exact_batch
+
+    def bounded(*args):
+        if os.getpid() != caller:
+            raise ResourceLimitError("refused in a worker")
+        return propagate(*args)
+
+    monkeypatch.setattr(ensemble, "evolve_exact_batch", bounded)
+    config = dict(AGP_CONFIG, engine="exact_propagation", threads=2)
+    path = _write(tmp_path, "agp.json", config)
+    out = str(tmp_path / "x.csv")
+    assert main(["agp-dephase", "--config", path, "--out", out]) == 4
+    assert "refused in a worker" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_seed_override_changes_estimates(tmp_path):

@@ -366,7 +366,7 @@ def test_exact_engine_builds_its_basis_on_the_two_end_points(monkeypatch):
     reference = decoherence_sweep(cfg, [0.0, 50.0])
     monkeypatch.setattr(ensemble, "eigenframe", whole_grid)
     assert decoherence_sweep(cfg, [0.0, 50.0]) == reference
-    assert built == [[0.0, 1.0], [0.0, 1.0]]  # one basis per sigma^2 row
+    assert built == [[0.0, 1.0]]  # one basis per sweep
 
 
 def test_onset_ratio_identity_and_linearity():

@@ -22,8 +22,15 @@ from gqclab import (
     run_ensemble,
 )
 from gqclab import ensemble, errors, gate
-from gqclab.adiabatic import stochastic_phase_batch
-from gqclab.ensemble import ENGINES, _exact_amplitudes, _gamma_a, _gamma_s, _grid_steps
+from gqclab.adiabatic import evolve_exact_batch, stochastic_phase_batch
+from gqclab.ensemble import (
+    ENGINES,
+    _exact_amplitudes,
+    _exact_basis,
+    _gamma_a,
+    _gamma_s,
+    _grid_steps,
+)
 from gqclab.gate import BELL_LEVELS, _FLIPS, _segments, realized_conditional_phase
 
 BELL = (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
@@ -409,7 +416,9 @@ def test_bell_exact_amplitudes_match_dense_expm(two_qubit_slice_product):
             # the engine takes the unit-variance path and sigma
             spec = NoiseSpec(variance=1.0, correlation_time=0.04, dimension=dimension)
             unit = make_noise_ensemble(spec, duration, period / n_seg, 3, 4)
-            amps = _exact_amplitudes(segments, t_local, unit, c, n_seg, sigma)
+            singles, states, spinor = _exact_basis(segments, t_local, c)
+            x = evolve_exact_batch(singles, t_local, unit, spinor, n_seg, sigma)
+            amps = _exact_amplitudes(segments, states, c, x)
             for path, got in zip(sigma * unit, amps):
                 psi = basis.T @ c
                 for l, (h_seg, _, target) in enumerate(segments):
@@ -599,18 +608,37 @@ def test_exact_gate_sweep_equals_the_per_segment_composition(
 ):
     """One propagation of the aligned state across all four segments gives
     the bits of propagating both eigenstates segment by segment, noiseless
-    and noisy, at 3 realizations and at 512."""
+    and noisy, at 3 realizations and at 512: the amplitudes that the sweep
+    averages are the reference's on the sweep's unit-variance path."""
     variances = [0.0, 5.0, 20.0]
+    averaged = []
+    real = ensemble._averaged_density
+    monkeypatch.setattr(
+        ensemble,
+        "_averaged_density",
+        lambda amps, rows: averaged.append(amps) or real(amps, rows),
+    )
     for realizations in (3, 512):
+        noise = NoiseSpec(variance=0.0, correlation_time=0.04, dimension=dimension)
         cfg = replace(
             _gate_config(0.0, "exact_propagation", realizations),
             hamiltonian=_setup(theta),
-            noise=NoiseSpec(variance=0.0, correlation_time=0.04, dimension=dimension),
+            noise=noise,
         )
-        got = bell_gate_sweep(cfg, variances)
-        with monkeypatch.context() as patch:
-            patch.setattr(ensemble, "_exact_amplitudes", segment_amplitudes_reference)
-            assert bell_gate_sweep(cfg, variances) == got
+        averaged.clear()
+        bell_gate_sweep(cfg, variances)
+        segments = _segments(cfg.hamiltonian)
+        span = cfg.hamiltonian.schedule.duration
+        n = _grid_steps(span, cfg.dt)
+        grid = (4 * span, span / n, cfg.master_seed, realizations)
+        unit = make_noise_ensemble(replace(noise, variance=1.0), *grid)
+        t = np.linspace(0.0, span, n + 1)
+        for amps, sigma2 in zip(averaged, variances, strict=True):
+            path = unit if sigma2 else np.zeros((1, 4 * n + 1, dimension))
+            want = segment_amplitudes_reference(
+                segments, t, path, cfg.amplitudes, n, np.sqrt(sigma2)
+            )
+            assert np.array_equal(amps, want)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -1,9 +1,12 @@
 """Statistical and reproducibility tests for the noise generator."""
 
+import atexit
+import json
 import os
+import signal
 import subprocess
 import sys
-import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +32,7 @@ from gqclab import (
 )
 from gqclab import ensemble, noise
 from gqclab.adiabatic import stochastic_phase_batch
+from gqclab.cli import main
 from gqclab.ensemble import ENGINES
 from gqclab.errors import MAX_ELEMENTS
 from gqclab.noise import (
@@ -575,8 +579,9 @@ def test_one_window_keeps_no_generators(monkeypatch):
     assert calls == [None, None]
 
 
-# Worker threads: each contiguous block of paths draws its own normals and
-# sums its own lags, so no bit depends on the thread count.
+# Worker processes: each contiguous block of paths draws, filters and
+# reduces its own paths, and the caller reduces over all of them, so no bit
+# depends on the worker count.
 
 
 def _usable_cpus(monkeypatch, count):
@@ -597,7 +602,6 @@ def _usable_cpus(monkeypatch, count):
 )
 def test_worker_count_caps_threads(monkeypatch, cpus, threads, realizations, workers):
     _usable_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(threading.Thread, "start", None)  # starts no thread
     assert noise._worker_count(threads, realizations) == workers
 
 
@@ -609,74 +613,202 @@ def test_worker_count_without_an_affinity_mask_uses_the_cpu_count(monkeypatch):
     assert noise._worker_count(100_000, 512) == 1
 
 
+def test_worker_count_is_one_without_fork(monkeypatch):
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.delattr(os, "fork")
+    assert noise._worker_count(4, 512) == 1
+
+
 def test_normals_have_the_same_bits_on_every_thread_count():
-    """1,500 time-major rows of 201 points, in 652-row buffers: two workers'
-    blocks of 750 rows end in a part buffer, three workers' fit in one."""
+    """1,500 time-major rows of 201 points, in 652-row buffers, drawn in the
+    blocks of two and of three workers, each keyed from its first row: two
+    workers' blocks of 750 rows end in a part buffer, three workers' fit in
+    one."""
     want = _ensemble_normals(6, _buffer("path-major", 1500, 201, 1))
     for workers in (2, 3):
         got = _buffer("time-major", 1500, 201, 1)
-        assert _ensemble_normals(6, got, None, workers) is got
+        for k in range(workers):
+            lo, hi = 1500 * k // workers, 1500 * (k + 1) // workers
+            _ensemble_normals(split_seed(6, lo), got[lo:hi])
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("realizations", [1, 2, 3, 5, 7, 9])
-@pytest.mark.parametrize("dimension", [1, 3])
-def test_streamed_estimate_has_the_same_bits_on_every_thread_count(
-    monkeypatch, dimension, realizations
-):
+#: small sweeps whose per-path work runs in blocks: agp-dephase on both
+#: engines, and the exact gate with its sigma^2 = 0 row between noisy ones
+AGP_SWEEP = {
+    "experiment": "agp-dephase",
+    "coupling": 1.0,
+    "magnitude": 200.0,
+    "cone_angle": np.pi / 2,
+    "period": 1.0,
+    "cycles": 1,
+    "correlation_time": 0.05,
+    "sigma2": [0.0, 50.0, 200.0],
+    "master_seed": 23,
+}
+SWEEPS = {
+    "agp-exact": dict(AGP_SWEEP, engine="exact_propagation"),
+    "agp-analytic": dict(AGP_SWEEP, engine="analytic_phase"),
+    "gate-exact": {
+        "experiment": "gate-fidelity",
+        "engine": "exact_propagation",
+        "coupling": 1.0,
+        "magnitude": 400.0,
+        "cone_angle": np.pi / 3,
+        "period": 1.0,
+        "correlation_time": 0.04,
+        "sigma2": [5.0, 0.0, 20.0],
+        "master_seed": 23,
+    },
+}
+
+
+def _streamed_estimate(dimension, realizations, threads):
     """Three windows of 4,096 new steps after a 4,200-step lag's history:
     rows of 8,296 elements at dim 1 and 24,888 at dim 3.  At dim 3 the lag
     slices hold 12,288 elements, which a block of one row would sum in
     another order."""
-    _usable_cpus(monkeypatch, 4)
-    blocks = []
-    run_blocks = noise._run_blocks
-    monkeypatch.setattr(
-        noise,
-        "_run_blocks",
-        lambda work, rows, workers: blocks.append(workers)
-        or run_blocks(work, rows, workers),
-    )
     spec = NoiseSpec(variance=1.3, correlation_time=0.1, dimension=dimension)
     dt, n = 0.01, 3 * _CHUNK + 500
     lags = [0.0, 0.01, 0.57, 42.0]
+    estimate = ensemble_autocorrelation(
+        spec, (n - 1) * dt, dt, 23, realizations, lags, threads
+    )
+    return [[v.hex() for v in row] for row in estimate]
+
+
+def _sweep_table(tmp_path, sweep, realizations, threads):
+    """The CSV bytes of ``SWEEPS[sweep]`` over ``realizations`` paths."""
+    config = dict(SWEEPS[sweep], realizations=realizations, threads=threads)
+    path, out = tmp_path / f"{sweep}.json", tmp_path / f"{sweep}-{threads}.csv"
+    path.write_text(json.dumps(config))
+    assert main([config["experiment"], "--config", str(path), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sweep, dimension, realizations",
+    [
+        pytest.param(None, d, r, id=f"{d}-{r}")
+        for r in (1, 2, 3, 5, 7, 9)
+        for d in (1, 3)
+    ]
+    + [pytest.param(s, 1, r, id=f"{s}-{r}") for s in SWEEPS for r in (5, 7)],
+)
+def test_streamed_estimate_has_the_same_bits_on_every_thread_count(
+    monkeypatch, tmp_path, sweep, dimension, realizations
+):
+    """noise-validate's streamed estimate on 1 to 4 workers, and each
+    sweep's table on 1 to 3, has the bits of one worker; each run forks
+    one child per worker after the first and leaves none."""
+    _usable_cpus(monkeypatch, 4)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often: a lost update would show
-    try:
-        for threads in (1, 2, 3, 4):
-            blocks.clear()
-            estimate = ensemble_autocorrelation(
-                spec, (n - 1) * dt, dt, 23, realizations, lags, threads
-            )
-            runs.append([[v.hex() for v in row] for row in estimate])
-            workers = noise._worker_count(threads, realizations)
-            assert set(blocks) == {workers}
-            # the smallest block holds realizations // workers paths
-            assert realizations // workers >= min(2, realizations)
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in (1, 2, 3) if sweep else (1, 2, 3, 4):
+        forks.clear()
+        if sweep:
+            runs.append(_sweep_table(tmp_path, sweep, realizations, threads))
+        else:
+            runs.append(_streamed_estimate(dimension, realizations, threads))
+        workers = noise._worker_count(threads, realizations)
+        assert len(forks) == workers - 1
+        # the smallest block holds realizations // workers paths
+        assert realizations // workers >= min(2, realizations)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     assert all(run == runs[0] for run in runs)
+
+
+class WorkerError(RuntimeError):
+    """An exception type that a worker raises; importable, so it pickles."""
 
 
 def test_a_worker_exception_reaches_the_caller(monkeypatch):
     _usable_cpus(monkeypatch, 2)
-    caller = threading.get_ident()
+    caller = os.getpid()
 
     class Failing:
         def standard_normal(self, out):
-            worker = threading.get_ident() != caller
-            raise RuntimeError(f"second block, on a worker: {worker}")
+            raise WorkerError(f"second block, in a child: {os.getpid() != caller}")
 
     real = noise.realization_rng
     monkeypatch.setattr(
         noise, "realization_rng", lambda m, i: real(m, i) if i < 2 else Failing()
     )
-    running = threading.active_count()
     spec = NoiseSpec(variance=1.0, correlation_time=0.1)
-    with pytest.raises(RuntimeError, match="second block, on a worker: True"):
+    with pytest.raises(WorkerError, match="second block, in a child: True"):
         ensemble_autocorrelation(spec, 2 * _CHUNK * 0.01, 0.01, 3, 4, [0.0], 2)
-    assert threading.active_count() == running
+    with pytest.raises(ChildProcessError):  # no child is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_every_block_writes_its_rows_and_the_first_runs_here():
+    def work(lo, hi, out):
+        out[0, lo:hi] = os.getpid()
+        out[1, lo:hi] = np.arange(lo, hi)
+
+    got = noise._run_blocks(work, 7, 3, (2, 7))
+    assert np.array_equal(got[1], np.arange(7))
+    pids = got[0].astype(int)
+    assert list(pids[:2]) == [os.getpid()] * 2  # blocks of 2, 2 and 3 rows
+    assert len(set(pids[2:4]) | set(pids[4:])) == 2 and os.getpid() not in pids[2:]
+
+
+def test_a_worker_killed_by_a_signal_raises_in_the_caller():
+    def work(lo, hi, out):
+        if lo:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match="ended by signal 9"):
+        noise._run_blocks(work, 4, 2, (4,))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_an_exception_in_the_caller_kills_and_reaps_every_worker(error):
+    def work(lo, hi, out):
+        if lo:
+            time.sleep(60)  # a worker that would outlive the caller's block
+        raise error("the caller's block")
+
+    started = time.monotonic()
+    with pytest.raises(error, match="the caller's block"):
+        noise._run_blocks(work, 6, 3, (6,))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert time.monotonic() - started < 30
+
+
+def test_an_exception_that_does_not_pickle_is_named_in_a_runtime_error():
+    class Local(ValueError):  # not importable by name: pickling fails
+        pass
+
+    def work(lo, hi, out):
+        if lo:
+            raise Local("in a worker")
+
+    with pytest.raises(RuntimeError, match="Local: in a worker"):
+        noise._run_blocks(work, 4, 2, (4,))
+
+
+def test_a_worker_runs_no_atexit_handler_and_flushes_no_inherited_buffer(tmp_path):
+    marker = tmp_path / "atexit"
+
+    def handler():
+        marker.write_text(str(os.getpid()))
+
+    atexit.register(handler)
+    try:
+        with open(tmp_path / "buffered", "w") as f:
+            f.write("written once")  # still in this process's buffer at the fork
+            noise._run_blocks(lambda lo, hi, out: None, 4, 2, (4,))
+    finally:
+        atexit.unregister(handler)
+    assert (tmp_path / "buffered").read_text() == "written once"
+    assert not marker.exists()
 
 
 def _stream_peak(points):
