@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .adiabatic import ControlSchedule, QubitHamiltonian, deterministic_phases
-from .ensemble import ENGINES, EnsembleConfig, decoherence_sweep
+from .ensemble import ENGINES, EnsembleConfig, _sweep_workers, decoherence_sweep
 from .errors import (
     AdiabaticityError,
     ConfigError,
@@ -474,7 +474,8 @@ def _run_noise_validate(p):
         }
         for lag, est, se in estimates
     ]
-    return rows, {"sigma2_field2": spec.variance, "lags_s": list(lags)}
+    workers = _worker_count(p["threads"], p["realizations"])
+    return rows, {"sigma2_field2": spec.variance, "lags_s": lags, "workers": workers}
 
 
 def _ensemble_config(p, h, amplitudes):
@@ -496,8 +497,8 @@ def _ensemble_config(p, h, amplitudes):
 def _run_agp_dephase(p):
     h = _hamiltonian(p, p["cycles"])
     amps = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    sweep = _sigma2_sweep(p)
-    reports = decoherence_sweep(_ensemble_config(p, h, amps), sweep, levels=(1, 0))
+    sweep, config = _sigma2_sweep(p), _ensemble_config(p, h, amps)
+    reports = decoherence_sweep(config, sweep, levels=(1, 0))
     gamma_a = deterministic_phases(h, h.schedule.duration)  # after the refusals
     gamma_a_kj = float(gamma_a[1] - gamma_a[0])
     rows = []
@@ -519,6 +520,7 @@ def _run_agp_dephase(p):
         "gamma_a_kj_rad": gamma_a_kj,
         "adiabaticity_ratios": h.adiabatic_ratios(p["correlation_time"]),
         "eta": p["cycles"],
+        "workers": _sweep_workers(config, sweep),
     }
     return rows, derived
 
@@ -526,8 +528,8 @@ def _run_agp_dephase(p):
 def _run_gate_fidelity(p):
     h = _gate_hamiltonian(p)
     angles = h.level_cone_angles
-    sweep = _sigma2_sweep(p)
-    results = bell_gate_sweep(_ensemble_config(p, h, BELL_STATE), sweep)
+    sweep, config = _sigma2_sweep(p), _ensemble_config(p, h, BELL_STATE)
+    results = bell_gate_sweep(config, sweep)
     rows = []
     for sigma2, result in zip(sweep, results):
         rows.append(
@@ -547,6 +549,7 @@ def _run_gate_fidelity(p):
         "gap_rad_per_s": h.gap,
         "level_cone_angles_rad": list(angles) if angles else None,
         "adiabaticity_ratios": h.adiabatic_ratios(p["correlation_time"]),
+        "workers": _sweep_workers(config, sweep),
     }
     return rows, derived
 
@@ -620,8 +623,6 @@ def run(config: ExperimentConfig) -> dict:
             raise ConfigError([f"out: cannot write {path!r}"])
     t_start = time.monotonic()
     rows, derived = _RUNNERS[config.experiment](p)
-    if "realizations" in p:  # the Monte Carlo experiments' blocks of paths
-        derived["workers"] = _worker_count(p["threads"], p["realizations"])
     try:
         _write_rows(rows, out_path, fmt)
     except OSError as exc:

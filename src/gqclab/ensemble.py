@@ -232,6 +232,12 @@ def _exact_amplitudes(segments, states, c, x) -> np.ndarray:
     return psi.reshape(-1, 4)
 
 
+def _sweep_workers(config: EnsembleConfig, variances) -> int:
+    """Processes that run a sweep's per-path work: ``_worker_count``, or 1
+    where every variance is 0, as the one +0.0 row is propagated here."""
+    return _worker_count(config.threads, config.realizations) if any(variances) else 1
+
+
 def _run_segments(config: EnsembleConfig, segments, variances):
     """``run_ensemble`` over ``segments`` run back to back, at each noise
     variance of ``variances`` in place of the configured one.
@@ -244,27 +250,21 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     The variances, the seed, the grid, the element bounds (with the exact
     engine's slices x segments x 3) and, for the exact engine, uniform cone
     angles (per-level angles define no single one-qubit Hamiltonian to
-    compose as u x u) are checked for every
-    configured realization before anything is allocated.  The path's
-    normals are drawn once, if any variance is nonzero, and filtered in
-    place into the unit-variance OU path u of ``make_noise_ensemble``;
-    segment l reads u[:, l n : (l+1) n + 1].  The OU recursion is linear
-    in sigma, so each row's noise is sigma u: the exact engine propagates
-    every segment of a row in one call on u and applies its sigma as it
-    interpolates, and the analytic engine scales Gamma_s of u, integrated
-    once per sweep, as Gamma_s is linear in the noise.  The rows share
-    their realizations' normals, as rows of one master seed always do, and
-    MAX_ELEMENTS, checked on the normals, bounds all the noise a sweep
-    holds.  At sigma^2 = 0 the exact engine propagates one row of +0.0
-    noise spanning the segments, and the analytic engine integrates no
-    Gamma_s.  The path is time-major in memory, seen as
-    (rows, n_t, dim): the OU recursion and the exact engine step through
-    time across all rows.  The per-path work (draws, OU recursion, and the
-    exact engine's final states of every row or the analytic engine's unit
-    Gamma_s) runs in ``_worker_count(config.threads, realizations)``
-    contiguous blocks of realizations (``_run_blocks``), each re-keyed
-    from its first row; every reduction over the realizations runs here,
-    after the blocks, so no bit depends on the count.
+    compose as u x u) are checked for every configured realization before
+    anything is allocated.  If any variance is nonzero, the normals are
+    drawn once, and MAX_ELEMENTS, checked on them, bounds all the noise a
+    sweep holds: they are filtered in place into the unit-variance OU path
+    u of ``make_noise_ensemble``, time-major in memory, seen as (rows, n_t,
+    dim); segment l reads u[:, l n : (l+1) n + 1].  The OU recursion is
+    linear in sigma, so each row's noise is sigma u: the exact engine
+    propagates every segment of a row in one call on u per nonzero sigma,
+    and the analytic engine scales Gamma_s of u, integrated once.  That
+    per-path work runs in ``_sweep_workers`` contiguous blocks of
+    realizations (``_run_blocks``), each re-keyed from its first row.
+    Then the exact engine propagates here the one row of +0.0 noise of
+    sigma = 0 (the analytic engine integrates nothing for it), and every
+    reduction over the realizations runs here, so no bit depends on the
+    blocks.
     """
     # each variance is checked as a NoiseSpec's
     sigmas = [math.sqrt(replace(config.noise, variance=v).variance) for v in variances]
@@ -290,39 +290,32 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     t = np.linspace(0.0, span, n + 1)
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes
-    noisy = any(sigmas)
+    noisy = [sigma for sigma in sigmas if sigma]
     if exact:
         singles, states, spinor = _exact_basis(segments, t, c)
-        shape, dtype = (len(sigmas), count, rows, 2), complex
-    else:
-        shape, dtype = (rows, h.n_levels), float
 
-    def block(lo, hi, out):
-        """Final states of rows lo ... hi - 1 per sigma, out[i][:, lo:hi],
-        and in the first block the one row at sigma = 0, out[i][:, :1]; or
-        the unit Gamma_s of those rows, out[lo:hi]."""
-        if noisy:
-            u = np.empty((n_t, hi - lo, dim)).transpose(1, 0, 2)
-            _ensemble_normals(split_seed(config.master_seed, lo), u)
-            _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
-        if not exact:
-            if noisy:
-                windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
-                out[lo:hi] = _gamma_s(segments, t, windows, np.flatnonzero(c))
-            return
-        for x, sigma in zip(out, sigmas):
-            if sigma:
-                x[:, lo:hi] = evolve_exact_batch(singles, t, u, spinor, slices, sigma)
-            elif lo == 0:
-                path = np.zeros((1, n_t, dim))
-                x[:, :1] = evolve_exact_batch(singles, t, path, spinor, slices, sigma)
-
-    workers = _worker_count(config.threads, rows) if noisy else 1
-    out = _run_blocks(block, rows, workers, shape, dtype)
-    densities = []
-    for i, sigma in enumerate(sigmas):
+    def block(lo, hi):
+        """Final states of rows lo ... hi - 1 per nonzero sigma, or unit Gamma_s."""
+        u = np.empty((n_t, hi - lo, dim)).transpose(1, 0, 2)
+        _ensemble_normals(split_seed(config.master_seed, lo), u)
+        _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
         if exact:
-            x = out[i] if sigma else out[i][:, :1]
+            return [evolve_exact_batch(singles, t, u, spinor, slices, s) for s in noisy]
+        windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
+        return _gamma_s(segments, t, windows, np.flatnonzero(c))
+
+    out = []
+    if noisy:
+        blocks = _run_blocks(block, rows, _sweep_workers(config, sigmas))
+        out = np.concatenate(blocks, axis=-2 if exact else 0)
+    if exact and not all(sigmas):  # sigma = 0 propagates one row of +0.0 noise
+        path = np.zeros((1, n_t, dim))
+        zero = evolve_exact_batch(singles, t, path, spinor, slices, 0.0)
+    finals = iter(out)
+    densities = []
+    for sigma in sigmas:
+        if exact:
+            x = next(finals) if sigma else zero
             amps = _exact_amplitudes(segments, states, c, x)
         else:
             gamma_s = sigma * out if sigma else 0.0

@@ -28,7 +28,6 @@ does not promise the same ``Generator`` streams across numpy versions.
 from __future__ import annotations
 
 import contextlib
-import math
 import operator
 import os
 import pickle
@@ -122,34 +121,24 @@ def _worker_count(threads: int, realizations: int) -> int:
     return max(1, min(threads, cpus, realizations // 2))
 
 
-def _run_blocks(work, rows: int, workers: int, shape, dtype=float) -> np.ndarray:
-    """An array of ``shape``, zeros at first, that ``work(lo, hi, out)``
-    fills over ``workers`` contiguous blocks of ``rows`` rows, each block
-    writing only its own rows' results.
+def _run_blocks(work, rows: int, workers: int) -> list:
+    """The values of ``work(lo, hi)`` over ``workers`` contiguous blocks of
+    ``rows`` rows, in row order.
 
     The first block runs in this process and each other one in a child of
-    ``os.fork`` (``_run_child``), which writes into ``out``, an anonymous
-    shared mmap.  Once every child is reaped, the first exception a child
-    sent is raised here with its type, and a child that ended otherwise
-    (a signal) raises RuntimeError.  Any exception here, KeyboardInterrupt
-    too, kills and reaps every child before it propagates; SIGINT is held
-    from the fork until the child is inside its handler and this process
-    has recorded it.
+    ``os.fork`` (``_run_child``), which sends its value back pickled
+    through a pipe, read to its end before the child is reaped.  The first
+    child, in row order, that sent an exception raises it here with its
+    type, and one that ended otherwise (a signal) raises RuntimeError.
+    Any exception here kills and reaps every child left and closes its
+    pipe before it propagates; SIGINT is held from the fork until the child
+    is inside its handler and this process has recorded it.
     """
-    if workers == 1:
-        out = np.zeros(shape, dtype)
-        work(0, rows, out)
-        return out
-    import mmap  # loaded by the runs that fork, not at import
-    import signal
-
-    count = math.prod(shape)
-    memory = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
-    out = np.frombuffer(memory, dtype, count).reshape(shape)
     bounds = [rows * k // workers for k in range(workers + 1)]
     children = {}  # pid -> the read end of its pipe
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            import signal  # loaded by the runs that fork, not at import
             read, write = os.pipe()
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
             try:
@@ -162,54 +151,55 @@ def _run_blocks(work, rows: int, workers: int, shape, dtype=float) -> np.ndarray
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    _run_child(work, lo, hi, out, write, mask)
+                    _run_child(work, lo, hi, write, mask)
                 children[pid] = read
-                os.close(write)
+            except BaseException:
+                os.close(read)  # the fork failed: no child holds the pipe
+                raise
             finally:
+                os.close(write)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        work(0, bounds[1], out)
-        errors = []
+        results = [work(0, bounds[1])]
         for pid in list(children):
             with open(children[pid], "rb", closefd=False) as pipe:
                 message = pipe.read()  # to the end: the child has exited
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(children.pop(pid))
-            if message:
-                errors.append(pickle.loads(message))
-            elif code:
+            if code == 1 and message:
+                raise pickle.loads(message)
+            if code:
                 end = f"signal {-code}" if code < 0 else f"exit status {code}"
-                errors.append(RuntimeError(f"a worker process ended by {end}"))
-        if errors:
-            raise errors[0]
+                raise RuntimeError(f"a worker process ended by {end}")
+            results.append(pickle.loads(message))
     finally:
         for pid, read in children.items():  # left only by an exception here
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.close(read)
-    return out
+    return results
 
 
-def _run_child(work, lo: int, hi: int, out, write: int, mask) -> None:
-    """Run ``work(lo, hi, out)`` in a forked child, under the signal
-    ``mask``, and leave through ``os._exit``, never returning into the
-    caller's frames: no atexit handler runs and no inherited stdio buffer
-    is flushed twice.  Exit status 0, or 1 once the exception went to
-    ``write`` pickled (as a RuntimeError naming it if it does not survive
-    pickling)."""
+def _run_child(work, lo: int, hi: int, write: int, mask) -> None:
+    """Run ``work(lo, hi)`` in a forked child, under the signal ``mask``,
+    send its value or its exception to ``write`` pickled, and leave through
+    ``os._exit``, never returning into the caller's frames: no atexit
+    handler runs and no inherited stdio buffer is flushed twice.  Exit
+    status 0 once the value is sent, or 1 once the exception is (as a
+    RuntimeError naming it if it does not survive pickling)."""
     import signal
 
     status = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        work(lo, hi, out)
-        status = 0
-    except BaseException as exc:
         try:
-            message = pickle.dumps(exc)
-            pickle.loads(message)  # e.g. an __init__ that its args do not fit
-        except Exception:
-            message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            message, status = pickle.dumps(work(lo, hi)), 0
+        except BaseException as exc:
+            try:
+                message = pickle.dumps(exc)
+                pickle.loads(message)  # e.g. an __init__ that its args do not fit
+            except Exception:
+                message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
         with open(write, "wb") as pipe:
             pipe.write(message)
     finally:
@@ -487,10 +477,10 @@ def ensemble_autocorrelation(
     history = max(steps, default=0)
     _window_shape(spec, n, realizations, _CHUNK, history)  # before any fork
 
-    def block(lo, hi, sums):
+    def block(lo, hi):
         windows = _noise_windows(spec, n, dt, master_seed, hi - lo, _CHUNK, history, lo)
-        _lag_sums(windows, steps, sums[:, lo:hi])
+        return _lag_sums(windows, steps, np.zeros((len(steps), hi - lo)))
 
-    workers = _worker_count(threads, realizations)
-    sums = _run_blocks(block, realizations, workers, (len(steps), realizations))
+    blocks = _run_blocks(block, realizations, _worker_count(threads, realizations))
+    sums = np.concatenate(blocks, axis=1)  # (lags, paths), as _autocovariance reads
     return _autocovariance(sums, lags, steps, n)

@@ -480,6 +480,21 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_or_mmap_module():
+    """The fork runner imports signal only in the runs that fork, so no
+    run's set-up pays for these modules; -I, as the benchmark's samples
+    run, keeps the environment's modules out."""
+    modules = ["mmap", "signal", "multiprocessing", "concurrent.futures"]
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import gqclab.cli; "
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_cli_main_twice_in_one_process_matches_fresh_runs(tmp_path):
     # main reuses one parser across calls
     runs = [("agp-dephase", AGP_CONFIG), ("shor-scan", SHOR_CONFIG)]
@@ -569,6 +584,37 @@ def test_cli_threads_do_not_change_results(tmp_path, monkeypatch):
             assert derived["workers"] == (1 if threads == 1 else workers)
         assert outs[0] == outs[1]
         assert b"worker" not in outs[0]
+
+
+@pytest.mark.parametrize(
+    "config, workers",
+    [
+        (dict(AGP_CONFIG, sigma2=[0.0]), 1),  # draws nothing: no fork
+        (dict(GATE_CONFIG, sigma2=[0.0, 0.0]), 1),
+        (AGP_CONFIG, 3),
+        (GATE_CONFIG, 3),
+        (dict(NOISE_CONFIG, realizations=8), 3),
+        (dict(NOISE_CONFIG, realizations=8, sigma2=0.0), 3),
+    ],
+    ids=["agp-noiseless", "gate-noiseless", "agp", "gate", "noise", "noise-zero"],
+)
+def test_cli_manifest_workers_are_the_processes_that_ran(
+    tmp_path, monkeypatch, config, workers
+):
+    """derived.workers counts this process and each child it forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    experiment = config["experiment"]
+    path = _write(tmp_path, "config.json", dict(config, threads=3))
+    out = str(tmp_path / "table.csv")
+    assert main([experiment, "--config", path, "--out", out]) == 0
+    derived = json.loads(Path(out + ".manifest.json").read_text())["derived"]
+    assert derived["workers"] == workers
+    assert len(forks) == derived["workers"] - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_resource_error_in_a_worker_exits_4(tmp_path, monkeypatch, capsys):

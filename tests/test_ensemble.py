@@ -452,7 +452,8 @@ def test_zero_noise_row_is_propagated_once(propagated_rows, engine):
     assert propagated_rows == [64] * (1 if exact else 2)
     propagated_rows.clear()
     decoherence_sweep(_config(0.0, realizations=64, engine=engine), [3.0, 0.0, 5.0])
-    assert propagated_rows == ([64, 1, 64] if exact else [64] * 2)
+    # the blocks propagate the noisy rows, then the caller the sigma^2 = 0 row
+    assert propagated_rows == ([64, 64, 1] if exact else [64] * 2)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

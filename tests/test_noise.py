@@ -1,6 +1,7 @@
 """Statistical and reproducibility tests for the noise generator."""
 
 import atexit
+import errno
 import json
 import os
 import signal
@@ -317,7 +318,8 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
         cfg = EnsembleConfig(h, unit_spec, c, rows, seed, engine)
         ensemble._run_segments(cfg, [(h, 0, 0)] * count, sigma2s)
     assert len(exact) == 3 and len(analytic) == h.n_levels * count
-    for (samples, sigma), sigma2 in zip(exact, sigma2s):
+    # the blocks propagate the noisy rows, then the caller the sigma^2 = 0 row
+    for (samples, sigma), sigma2 in zip(exact, [0.5, 50.0, 0.0]):
         assert sigma == np.sqrt(sigma2)
         if sigma:
             assert np.array_equal(samples, unit)
@@ -745,38 +747,37 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
 
 
 def test_every_block_writes_its_rows_and_the_first_runs_here():
-    def work(lo, hi, out):
-        out[0, lo:hi] = os.getpid()
-        out[1, lo:hi] = np.arange(lo, hi)
+    def work(lo, hi):
+        return np.stack([np.full(hi - lo, os.getpid()), np.arange(lo, hi)])
 
-    got = noise._run_blocks(work, 7, 3, (2, 7))
+    got = np.concatenate(noise._run_blocks(work, 7, 3), axis=1)
     assert np.array_equal(got[1], np.arange(7))
-    pids = got[0].astype(int)
+    pids = got[0]
     assert list(pids[:2]) == [os.getpid()] * 2  # blocks of 2, 2 and 3 rows
     assert len(set(pids[2:4]) | set(pids[4:])) == 2 and os.getpid() not in pids[2:]
 
 
 def test_a_worker_killed_by_a_signal_raises_in_the_caller():
-    def work(lo, hi, out):
+    def work(lo, hi):
         if lo:
             os.kill(os.getpid(), signal.SIGKILL)
 
     with pytest.raises(RuntimeError, match="ended by signal 9"):
-        noise._run_blocks(work, 4, 2, (4,))
+        noise._run_blocks(work, 4, 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
 def test_an_exception_in_the_caller_kills_and_reaps_every_worker(error):
-    def work(lo, hi, out):
+    def work(lo, hi):
         if lo:
             time.sleep(60)  # a worker that would outlive the caller's block
         raise error("the caller's block")
 
     started = time.monotonic()
     with pytest.raises(error, match="the caller's block"):
-        noise._run_blocks(work, 6, 3, (6,))
+        noise._run_blocks(work, 6, 3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert time.monotonic() - started < 30
@@ -786,12 +787,12 @@ def test_an_exception_that_does_not_pickle_is_named_in_a_runtime_error():
     class Local(ValueError):  # not importable by name: pickling fails
         pass
 
-    def work(lo, hi, out):
+    def work(lo, hi):
         if lo:
             raise Local("in a worker")
 
     with pytest.raises(RuntimeError, match="Local: in a worker"):
-        noise._run_blocks(work, 4, 2, (4,))
+        noise._run_blocks(work, 4, 2)
 
 
 def test_a_worker_runs_no_atexit_handler_and_flushes_no_inherited_buffer(tmp_path):
@@ -804,11 +805,61 @@ def test_a_worker_runs_no_atexit_handler_and_flushes_no_inherited_buffer(tmp_pat
     try:
         with open(tmp_path / "buffered", "w") as f:
             f.write("written once")  # still in this process's buffer at the fork
-            noise._run_blocks(lambda lo, hi, out: None, 4, 2, (4,))
+            noise._run_blocks(lambda lo, hi: None, 4, 2)
     finally:
         atexit.unregister(handler)
     assert (tmp_path / "buffered").read_text() == "written once"
     assert not marker.exists()
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_whole_and_in_order():
+    """Three blocks of 2 MiB each, far above a pipe's 64 KiB buffer; a
+    caller that waited on a child before reading its pipe to the end would
+    deadlock, which the alarm turns into a failure."""
+    size = 2**18  # float64 values per block
+
+    def work(lo, hi):
+        return np.arange(lo * size, hi * size, dtype=float)
+
+    def deadlock(signum, frame):
+        raise TimeoutError("the results did not come back")
+
+    previous = signal.signal(signal.SIGALRM, deadlock)
+    signal.alarm(30)
+    try:
+        got = noise._run_blocks(work, 3, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [len(block) for block in got] == [size] * 3
+    assert np.array_equal(np.concatenate(got), np.arange(3 * size, dtype=float))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("started", [0, 1])
+def test_a_failed_fork_raises_and_leaves_no_pipe_or_child(monkeypatch, started):
+    """os.fork refused after ``started`` children: the error reaches the
+    caller, each child is reaped, and no pipe end stays open."""
+    fork, forks = os.fork, []
+
+    def refused():
+        if len(forks) == started:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refused)
+    descriptors = os.listdir("/proc/self/fd")
+    for _ in range(5):
+        forks.clear()
+        with pytest.raises(OSError) as refusal:
+            noise._run_blocks(lambda lo, hi: lo, 6, 3)
+        assert refusal.value.errno == errno.EAGAIN
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert os.listdir("/proc/self/fd") == descriptors
 
 
 def _stream_peak(points):
