@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .adiabatic import ControlSchedule, QubitHamiltonian, deterministic_phases
-from .ensemble import ENGINES, EnsembleConfig, _sweep_workers, decoherence_sweep
+from .ensemble import ENGINES, EnsembleConfig, decoherence_sweep
 from .errors import (
     AdiabaticityError,
     ConfigError,
@@ -474,8 +474,7 @@ def _run_noise_validate(p):
         }
         for lag, est, se in estimates
     ]
-    workers = _worker_count(p["threads"], p["realizations"])
-    return rows, {"sigma2_field2": spec.variance, "lags_s": lags, "workers": workers}
+    return rows, {"sigma2_field2": spec.variance, "lags_s": lags}
 
 
 def _ensemble_config(p, h, amplitudes):
@@ -520,7 +519,6 @@ def _run_agp_dephase(p):
         "gamma_a_kj_rad": gamma_a_kj,
         "adiabaticity_ratios": h.adiabatic_ratios(p["correlation_time"]),
         "eta": p["cycles"],
-        "workers": _sweep_workers(config, sweep),
     }
     return rows, derived
 
@@ -549,7 +547,6 @@ def _run_gate_fidelity(p):
         "gap_rad_per_s": h.gap,
         "level_cone_angles_rad": list(angles) if angles else None,
         "adiabaticity_ratios": h.adiabatic_ratios(p["correlation_time"]),
-        "workers": _sweep_workers(config, sweep),
     }
     return rows, derived
 
@@ -623,6 +620,9 @@ def run(config: ExperimentConfig) -> dict:
             raise ConfigError([f"out: cannot write {path!r}"])
     t_start = time.monotonic()
     rows, derived = _RUNNERS[config.experiment](p)
+    if "realizations" in p:  # the processes that ran its per-path work
+        sweep = _sigma2_sweep(p)
+        derived["workers"] = _worker_count(p["threads"], p["realizations"], sweep)
     try:
         _write_rows(rows, out_path, fmt)
     except OSError as exc:

@@ -110,6 +110,8 @@ class EnsembleConfig:
             raise ValueError("substeps must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.noise_dt is not None and not 0 < self.noise_dt < np.inf:
+            raise ValueError(f"noise_dt must be finite and > 0, got {self.noise_dt}")
         object.__setattr__(self, "initial_amplitudes", tuple(c.tolist()))
 
     @property
@@ -232,12 +234,6 @@ def _exact_amplitudes(segments, states, c, x) -> np.ndarray:
     return psi.reshape(-1, 4)
 
 
-def _sweep_workers(config: EnsembleConfig, variances) -> int:
-    """Processes that run a sweep's per-path work: ``_worker_count``, or 1
-    where every variance is 0, as the one +0.0 row is propagated here."""
-    return _worker_count(config.threads, config.realizations) if any(variances) else 1
-
-
 def _run_segments(config: EnsembleConfig, segments, variances):
     """``run_ensemble`` over ``segments`` run back to back, at each noise
     variance of ``variances`` in place of the configured one.
@@ -259,7 +255,7 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     linear in sigma, so each row's noise is sigma u: the exact engine
     propagates every segment of a row in one call on u per nonzero sigma,
     and the analytic engine scales Gamma_s of u, integrated once.  That
-    per-path work runs in ``_sweep_workers`` contiguous blocks of
+    per-path work runs in ``_worker_count`` contiguous blocks of
     realizations (``_run_blocks``), each re-keyed from its first row.
     Then the exact engine propagates here the one row of +0.0 noise of
     sigma = 0 (the analytic engine integrates nothing for it), and every
@@ -306,7 +302,7 @@ def _run_segments(config: EnsembleConfig, segments, variances):
 
     out = []
     if noisy:
-        blocks = _run_blocks(block, rows, _sweep_workers(config, sigmas))
+        blocks = _run_blocks(block, rows, _worker_count(config.threads, rows, sigmas))
         out = np.concatenate(blocks, axis=-2 if exact else 0)
     if exact and not all(sigmas):  # sigma = 0 propagates one row of +0.0 noise
         path = np.zeros((1, n_t, dim))

@@ -110,11 +110,12 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
 
 
-def _worker_count(threads: int, realizations: int) -> int:
+def _worker_count(threads: int, realizations: int, variances) -> int:
     """Worker processes for a request of ``threads`` over ``realizations``
-    paths: at most the usable CPUs, and few enough for two paths per block;
-    1 where ``os.fork`` does not exist (Windows)."""
-    if not hasattr(os, "fork"):
+    paths at the noise ``variances``: at most the usable CPUs, and few
+    enough for two paths per block; 1 where no variance is nonzero, as
+    nothing is drawn, or where ``os.fork`` does not exist (Windows)."""
+    if not any(variances) or not hasattr(os, "fork"):
         return 1
     affinity = getattr(os, "sched_getaffinity", None)  # not on macOS
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -249,12 +250,12 @@ def _n_times(duration: float, dt: float) -> int:
 
 
 def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:
-    if dt <= 0:
+    if not dt > 0:  # NaN fails each comparison
         raise ValueError(f"dt must be > 0, got {dt}")
-    if duration < dt:
+    if not duration >= dt:
         raise ResolutionError(f"duration must be >= dt, got {duration} < {dt}")
     bound = spec.correlation_time / RESOLUTION_FACTOR
-    if dt > bound * (1 + 1e-12):
+    if not dt <= bound * (1 + 1e-12):
         raise ResolutionError(
             f"dt = {dt} too coarse to resolve the correlation structure; "
             f"need dt <= tau_c/{RESOLUTION_FACTOR:g} = {bound}"
@@ -469,9 +470,9 @@ def ensemble_autocorrelation(
     realizations x (largest lag + ``_CHUNK`` steps) x dim samples, whatever
     the duration.  Arguments are checked as those two functions check them;
     MAX_ELEMENTS bounds the chunk's buffer of all the paths, checked here.
-    The paths run in ``_worker_count(threads, realizations)`` contiguous
-    blocks, each drawing, filtering and lag-summing its own paths along the
-    whole duration, with the same bits (``_run_blocks``)."""
+    The paths run in ``_worker_count`` contiguous blocks, each drawing,
+    filtering and lag-summing its own whole paths with the same bits
+    (``_run_blocks``); at sigma^2 = 0 none runs, and each lag sum is +0.0."""
     n = _noise_grid(spec, duration, dt, master_seed, realizations)
     steps = _lag_steps(lags, dt, n)
     history = max(steps, default=0)
@@ -481,6 +482,8 @@ def ensemble_autocorrelation(
         windows = _noise_windows(spec, n, dt, master_seed, hi - lo, _CHUNK, history, lo)
         return _lag_sums(windows, steps, np.zeros((len(steps), hi - lo)))
 
-    blocks = _run_blocks(block, realizations, _worker_count(threads, realizations))
-    sums = np.concatenate(blocks, axis=1)  # (lags, paths), as _autocovariance reads
+    sums = np.zeros((len(steps), realizations))  # (lags, paths): _autocovariance's
+    if spec.variance:
+        workers = _worker_count(threads, realizations, [spec.variance])
+        sums = np.concatenate(_run_blocks(block, realizations, workers), axis=1)
     return _autocovariance(sums, lags, steps, n)

@@ -594,7 +594,7 @@ def test_cli_threads_do_not_change_results(tmp_path, monkeypatch):
         (AGP_CONFIG, 3),
         (GATE_CONFIG, 3),
         (dict(NOISE_CONFIG, realizations=8), 3),
-        (dict(NOISE_CONFIG, realizations=8, sigma2=0.0), 3),
+        (dict(NOISE_CONFIG, realizations=8, sigma2=0.0), 1),  # draws nothing
     ],
     ids=["agp-noiseless", "gate-noiseless", "agp", "gate", "noise", "noise-zero"],
 )

@@ -192,6 +192,14 @@ def test_analytic_engine_requires_adiabaticity():
         run_ensemble(cfg)
 
 
+@pytest.mark.parametrize("noise_dt", [0.0, np.inf, np.nan, -0.001])
+def test_noise_dt_that_is_not_finite_and_positive_is_refused(noise_dt):
+    """The step given is named and quoted, before any grid is derived."""
+    message = f"noise_dt must be finite and > 0, got {noise_dt}$"
+    with pytest.raises(ValueError, match=message):
+        _config(1.0, noise_dt=noise_dt)
+
+
 def test_resource_bound():
     # 2048 paths of 10^6 + 1 points: far above MAX_ELEMENTS, refused unallocated
     h = _hamiltonian(magnitude=1e7)  # keeps 1/(tau_c Delta) adiabatic

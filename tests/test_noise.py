@@ -97,6 +97,25 @@ def test_resolution_error_names_bound():
         make_noise_path(spec, 0.001, 0.01, seed=0)
 
 
+@pytest.mark.parametrize(
+    "duration, dt, error",
+    [
+        (np.nan, 0.005, ResolutionError),
+        (1.0, np.nan, ValueError),
+        (np.inf, 0.005, ResourceLimitError),  # exit code 4
+    ],
+    ids=["nan-duration", "nan-dt", "inf-duration"],
+)
+def test_a_grid_that_is_not_a_number_is_refused(duration, dt, error):
+    """Every comparison with NaN is False: the grid checks are written so
+    that NaN fails them, before a step count is converted to an integer."""
+    spec = NoiseSpec(variance=1.0, correlation_time=0.1)
+    with pytest.raises(error, match="duration|dt|time grid"):
+        make_noise_ensemble(spec, duration, dt, 1, 4)
+    with pytest.raises(error, match="duration|dt|time grid"):
+        ensemble_autocorrelation(spec, duration, dt, 1, 4, [0.0])
+
+
 def test_autocovariance_lag_ratio_is_exp_minus_one(ou_reference):
     # >= 1e6 samples; ratio of autocovariance at lag tau_c to lag 0.  The
     # path is make_noise_path(spec, 110_000.0, 0.1, seed=7) to the bit, by
@@ -604,21 +623,37 @@ def _usable_cpus(monkeypatch, count):
 )
 def test_worker_count_caps_threads(monkeypatch, cpus, threads, realizations, workers):
     _usable_cpus(monkeypatch, cpus)
-    assert noise._worker_count(threads, realizations) == workers
+    assert noise._worker_count(threads, realizations, [1.0]) == workers
 
 
 def test_worker_count_without_an_affinity_mask_uses_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert noise._worker_count(100_000, 512) == 3
+    assert noise._worker_count(100_000, 512, [1.0]) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
-    assert noise._worker_count(100_000, 512) == 1
+    assert noise._worker_count(100_000, 512, [1.0]) == 1
 
 
 def test_worker_count_is_one_without_fork(monkeypatch):
     _usable_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork")
-    assert noise._worker_count(4, 512) == 1
+    assert noise._worker_count(4, 512, [1.0]) == 1
+
+
+def test_worker_count_is_one_where_nothing_is_drawn(monkeypatch):
+    """Without a nonzero variance no path is drawn: one worker, and no
+    process is started, however many CPUs and threads there are."""
+    _usable_cpus(monkeypatch, 64)
+
+    def fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert noise._worker_count(8, 512, [0.0, 0.0, 0.0]) == 1
+    assert noise._worker_count(8, 512, [0.0, 0.0, 0.5]) == 8
+    spec = NoiseSpec(variance=0.0, correlation_time=0.1)
+    estimate = ensemble_autocorrelation(spec, 5.0, 0.01, 3, 512, [0.0, 0.5], 8)
+    assert [(e.hex(), se.hex()) for _, e, se in estimate] == [("0x0.0p+0",) * 2] * 2
 
 
 def test_normals_have_the_same_bits_on_every_thread_count():
@@ -714,7 +749,8 @@ def test_streamed_estimate_has_the_same_bits_on_every_thread_count(
             runs.append(_sweep_table(tmp_path, sweep, realizations, threads))
         else:
             runs.append(_streamed_estimate(dimension, realizations, threads))
-        workers = noise._worker_count(threads, realizations)
+        variances = SWEEPS[sweep]["sigma2"] if sweep else [1.3]
+        workers = noise._worker_count(threads, realizations, variances)
         assert len(forks) == workers - 1
         # the smallest block holds realizations // workers paths
         assert realizations // workers >= min(2, realizations)

@@ -123,6 +123,38 @@ def test_one_adiabaticity_check_per_run():
     assert callers == ["ensemble.py"]
 
 
+def cpu_reads(tree: ast.AST) -> int:
+    """Reads in ``tree`` of os.sched_getaffinity or os.cpu_count, as an
+    attribute or as getattr's string."""
+    names = {"sched_getaffinity", "cpu_count"}
+    return sum(
+        isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Constant) and node.value in names
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_owner_of_the_worker_count():
+    """noise._worker_count alone decides how many processes run the
+    per-path work, and is alone in reading the usable CPUs; the CLI records
+    its answer and imports no private name of the pipeline's modules."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.module in ("ensemble", "gate")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    [owner] = [
+        node
+        for node in trees["noise.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_worker_count"
+    ]
+    assert cpu_reads(owner) == sum(map(cpu_reads, trees.values())) > 0
+
+
 def test_the_noise_coupling_is_stated_in_closed_form():
     """Gamma_s and the overlap read QubitHamiltonian.level_coupling: they
     build no eigenframe, and the Pauli operators and their eigenstate
