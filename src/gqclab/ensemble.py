@@ -39,6 +39,7 @@ from .errors import _check_elements
 from .noise import (
     RESOLUTION_FACTOR,
     NoiseSpec,
+    _check_threads,
     _ensemble_normals,
     _noise_grid,
     _ou_from_normals,
@@ -78,9 +79,9 @@ class EnsembleConfig:
                         closed-form phases along each noise path
     noise_dt            noise grid step (default tau_c / 10)
     substeps            propagation slices per noise step (exact engine)
-    threads             worker processes asked for the per-path work
-                        (``noise._worker_count``); no result bit depends
-                        on them
+    threads             worker processes asked for the per-path work, an
+                        integer >= 1 (``noise._worker_count``); no result
+                        bit depends on them
     """
 
     hamiltonian: QubitHamiltonian
@@ -108,8 +109,7 @@ class EnsembleConfig:
             raise ValueError(f"engine must be one of {ENGINES}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        _check_threads(self.threads)
         if self.noise_dt is not None and not 0 < self.noise_dt < np.inf:
             raise ValueError(f"noise_dt must be finite and > 0, got {self.noise_dt}")
         object.__setattr__(self, "initial_amplitudes", tuple(c.tolist()))

@@ -28,6 +28,7 @@ does not promise the same ``Generator`` streams across numpy versions.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import operator
 import os
 import pickle
@@ -110,11 +111,22 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
 
 
+def _check_threads(threads: int) -> None:
+    """Refuse a ``threads`` that is not an integer >= 1: TypeError for a
+    non-integer, ValueError below 1."""
+    if not isinstance(threads, numbers.Integral):
+        raise TypeError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _worker_count(threads: int, realizations: int, variances) -> int:
     """Worker processes for a request of ``threads`` over ``realizations``
     paths at the noise ``variances``: at most the usable CPUs, and few
     enough for two paths per block; 1 where no variance is nonzero, as
-    nothing is drawn, or where ``os.fork`` does not exist (Windows)."""
+    nothing is drawn, or where ``os.fork`` does not exist (Windows).
+    ``threads`` is checked first (``_check_threads``)."""
+    _check_threads(threads)
     if not any(variances) or not hasattr(os, "fork"):
         return 1
     affinity = getattr(os, "sched_getaffinity", None)  # not on macOS
@@ -270,12 +282,14 @@ def _ou_from_normals(
     Without ``prev``, ``xi[..., 0, :]`` seeds the stationary value at t = 0;
     with it, the window continues a path whose last time row was ``prev``.
     The result is written into ``xi``, which is returned.  The update
-    x[n] += a x[n-1] runs time-major, in place on time-major memory (the
-    ensemble pipeline's) and otherwise on contiguous copies of up to
-    ``_BLOCK`` steps that fit in ``_BLOCK_BYTES`` (at least one step),
+    x[n] += a x[n-1] runs time-major, in blocks of up to ``_BLOCK`` steps
+    that fit in ``_BLOCK_BYTES`` (at least one step): in place on
+    time-major memory (the sweeps' paths), otherwise on a contiguous copy
+    of each block (noise-validate's path-major windows).  A step is two
+    ufunc calls into one preallocated row, t = a x[n-1] then x[n] + t,
     starting from a zero state: the same floating-point operations as
     ``lfilter([1], [1, -a])``, so the same bits whatever the layout, in
-    about that budget of memory beyond ``xi``.
+    about one block's memory beyond ``xi``.
     """
     sigma = np.sqrt(spec.variance)
     a = np.exp(-dt / spec.correlation_time)
@@ -287,17 +301,21 @@ def _ou_from_normals(
         xi *= sigma * np.sqrt(1.0 - a * a)
     x = np.moveaxis(xi, -2, 0)  # time-major view
     steps = min(_BLOCK, _BLOCK_BYTES // max(x[0].nbytes, 1)) or 1
-    buf = x if x.flags.c_contiguous else np.empty(x[:steps].shape)
-    for start in range(0, x.shape[0], len(buf)):
-        block = buf[: x.shape[0] - start]
-        if buf is not x:
-            block[...] = x[start : start + len(buf)]
-        block[0] += a * prev
-        for n in range(1, block.shape[0]):
-            block[n] += a * block[n - 1]
-        if buf is not x:
-            x[start : start + len(buf)] = block
-        prev = x[start + block.shape[0] - 1]
+    buf = None if x.flags.c_contiguous else np.empty(x[:steps].shape)
+    a, tmp = np.array(a), np.empty(x.shape[1:])  # 0-d: no conversion per call
+    multiply, add = np.multiply, np.add  # no attribute lookup per step
+    for start in range(0, len(x), steps):
+        block = x[start : start + steps]
+        if buf is not None:
+            buf[: len(block)] = block
+            block = buf[: len(block)]
+        rows = list(block)
+        for last, row in zip([prev, *rows], rows):
+            multiply(last, a, tmp)
+            add(row, tmp, row)
+        if buf is not None:
+            x[start : start + steps] = block
+        prev = x[start + len(rows) - 1]
     return xi
 
 
@@ -472,7 +490,8 @@ def ensemble_autocorrelation(
     MAX_ELEMENTS bounds the chunk's buffer of all the paths, checked here.
     The paths run in ``_worker_count`` contiguous blocks, each drawing,
     filtering and lag-summing its own whole paths with the same bits
-    (``_run_blocks``); at sigma^2 = 0 none runs, and each lag sum is +0.0."""
+    (``_run_blocks``); at sigma^2 = 0 none runs, and each lag sum is +0.0,
+    but ``threads`` is still checked."""
     n = _noise_grid(spec, duration, dt, master_seed, realizations)
     steps = _lag_steps(lags, dt, n)
     history = max(steps, default=0)
@@ -482,8 +501,8 @@ def ensemble_autocorrelation(
         windows = _noise_windows(spec, n, dt, master_seed, hi - lo, _CHUNK, history, lo)
         return _lag_sums(windows, steps, np.zeros((len(steps), hi - lo)))
 
+    workers = _worker_count(threads, realizations, [spec.variance])
     sums = np.zeros((len(steps), realizations))  # (lags, paths): _autocovariance's
     if spec.variance:
-        workers = _worker_count(threads, realizations, [spec.variance])
         sums = np.concatenate(_run_blocks(block, realizations, workers), axis=1)
     return _autocovariance(sums, lags, steps, n)

@@ -257,6 +257,41 @@ def test_ou_block_is_bounded_in_bytes(peak_bytes, ou_reference):
     assert np.array_equal(xi, expected)
 
 
+@pytest.mark.parametrize(
+    "n_t, split", [(31, None), (32, None), (33, None), (65, None), (65, 20)]
+)
+def test_ou_recursion_in_place_is_lfilter_at_the_block_edges(ou_reference, n_t, split):
+    """4,096 scalar paths in time-major memory run in place in blocks of
+    32 steps (1 MiB): paths a step short of a block, of one block, a step
+    past it and two blocks past it are lfilter's to the bit, and so is the
+    longest path filtered as two windows, the second continuing from the
+    first's last row with a first block that straddles step 32."""
+    assert noise._BLOCK_BYTES // (4096 * 8) == 32 < noise._BLOCK
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1)
+    dt = 0.01
+    xi = np.random.default_rng(n_t).standard_normal((4096, n_t, 1))
+    want = ou_reference(spec, xi, dt)
+    memory = np.ascontiguousarray(xi.transpose(1, 0, 2))
+    prev = None
+    for window in (memory[:split], memory[split:]) if split else (memory,):
+        paths = window.transpose(1, 0, 2)
+        assert _ou_from_normals(spec, paths, dt, prev) is paths
+        prev = paths[:, -1]
+    assert np.array_equal(memory.transpose(1, 0, 2), want)
+
+
+def test_ou_recursion_in_place_holds_one_block_of_rows(peak_bytes, ou_reference):
+    """A time-major path of 20,000 steps x 4 paths is filtered in place,
+    in blocks of 128 steps: row views or a temporary for the whole path
+    (20,000 views, or 640 kB) would exceed the 64 KiB bound."""
+    spec = NoiseSpec(variance=1.3, correlation_time=0.1)
+    xi = np.random.default_rng(5).standard_normal((4, 20_000, 1))
+    want = ou_reference(spec, xi, 0.01)
+    paths = np.ascontiguousarray(xi.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert peak_bytes(_ou_from_normals, spec, paths, 0.01) <= 2**16
+    assert np.array_equal(paths, want)
+
+
 def _buffer(layout, rows, n_t, dim):
     """An empty (rows, n_t, dim) array, path-major or time-major in memory."""
     if layout == "time-major":
@@ -654,6 +689,32 @@ def test_worker_count_is_one_where_nothing_is_drawn(monkeypatch):
     spec = NoiseSpec(variance=0.0, correlation_time=0.1)
     estimate = ensemble_autocorrelation(spec, 5.0, 0.01, 3, 512, [0.0, 0.5], 8)
     assert [(e.hex(), se.hex()) for _, e, se in estimate] == [("0x0.0p+0",) * 2] * 2
+
+
+@pytest.mark.parametrize("variance", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "threads, error, message",
+    [(2.5, TypeError, "an integer"), (0, ValueError, ">= 1"), (-1, ValueError, ">= 1")],
+)
+def test_threads_below_one_or_not_an_integer_are_refused(
+    monkeypatch, variance, threads, error, message
+):
+    """EnsembleConfig and ensemble_autocorrelation refuse a threads that
+    is not an integer >= 1 at any variance, on 4 usable CPUs, before any
+    process is started."""
+    _usable_cpus(monkeypatch, 4)
+
+    def fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    spec = NoiseSpec(variance=variance, correlation_time=0.1)
+    schedule = ControlSchedule(magnitude=200.0, cone_angle=np.pi / 3, period=1.0)
+    h = QubitHamiltonian(1.0, schedule)
+    with pytest.raises(error, match=f"threads must be {message}"):
+        EnsembleConfig(h, spec, (1.0, 0.0), 64, threads=threads)
+    with pytest.raises(error, match=f"threads must be {message}"):
+        ensemble_autocorrelation(spec, 1.0, 0.01, 3, 64, [0.0, 0.5], threads)
 
 
 def test_normals_have_the_same_bits_on_every_thread_count():
