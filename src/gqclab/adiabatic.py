@@ -284,14 +284,12 @@ class EigenFrame:
     energies     (n_levels, n_t)
     states       (n_levels, n_t, dim) in the smooth spherical gauge
     berry_rates  (n_levels, n_t)  gamma_dot_l = i <E_l | dE_l/dt>
-    gap          recorded minimum relevant level splitting Delta
     """
 
     times: np.ndarray
     energies: np.ndarray
     states: np.ndarray
     berry_rates: np.ndarray
-    gap: float
 
 
 def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
@@ -327,9 +325,7 @@ def eigenframe(h: QubitHamiltonian, time_grid) -> EigenFrame:
         sign = -h.level_sign(level)
         energies.append(np.full_like(t, sign * half_split))
         rates.append(np.full_like(t, sign * phidot * np.sin(theta / 2.0) ** 2))
-    return EigenFrame(
-        t, np.stack(energies), np.stack(states), np.stack(rates), h.gap
-    )
+    return EigenFrame(t, np.stack(energies), np.stack(states), np.stack(rates))
 
 
 def _cayley_klein(bx, by, bz, scale, norm, x, alpha, beta):

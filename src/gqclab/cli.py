@@ -338,11 +338,13 @@ def _config_mapping(raw) -> dict:
 
 def _noise_lags(p) -> list:
     """The lags noise-validate estimates: the given ones, or by default the
-    grid points nearest 0, 1, 2 and 3 tau_c."""
+    grid points nearest 0, 1, 2 and 3 tau_c that lie on the path."""
     if "lags" in p:
         return p["lags"]
     dt = p["dt"]
-    return sorted({round(k * p["correlation_time"] / dt) * dt for k in range(4)})
+    n = _n_times(p["duration"], dt)
+    steps = {round(k * p["correlation_time"] / dt) for k in range(4)}
+    return [m * dt for m in sorted(steps) if m < n]
 
 
 def _check_noise_validate(raw, params, errors):
@@ -589,10 +591,19 @@ def _format_cell(value):
     return str(value)
 
 
+def _json_cell(value):
+    """``value``, or None (JSON null) for a number that is not finite:
+    RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_rows(rows, out_path, fmt):
     if fmt == "json":
+        cells = [{key: _json_cell(v) for key, v in row.items()} for row in rows]
         with open(out_path, "w") as f:
-            json.dump(rows, f, indent=2)
+            json.dump(cells, f, indent=2, allow_nan=False)
             f.write("\n")
         return
     with open(out_path, "w", newline="") as f:

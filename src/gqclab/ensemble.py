@@ -21,7 +21,6 @@ closed forms, including the onset-of-decoherence ratio (phase spread
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -39,7 +38,7 @@ from .errors import _check_elements
 from .noise import (
     RESOLUTION_FACTOR,
     NoiseSpec,
-    _check_threads,
+    _check_count,
     _ensemble_normals,
     _noise_grid,
     _ou_from_normals,
@@ -53,7 +52,6 @@ __all__ = [
     "AveragedDensity",
     "DecoherenceReport",
     "run_ensemble",
-    "averaged_density_analytic",
     "decoherence_factor_analytic",
     "variance_analytic",
     "overlap_integral",
@@ -103,13 +101,11 @@ class EnsembleConfig:
             )
         if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-12:
             raise ValueError("initial_amplitudes must satisfy sum |c_k|^2 = 1")
-        if self.realizations < 2:
-            raise ValueError("realizations must be >= 2")
+        _check_count(self.realizations, "realizations", 2)
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        _check_threads(self.threads)
+        _check_count(self.substeps, "substeps", 1)
+        _check_count(self.threads, "threads", 1)
         if self.noise_dt is not None and not 0 < self.noise_dt < np.inf:
             raise ValueError(f"noise_dt must be finite and > 0, got {self.noise_dt}")
         object.__setattr__(self, "initial_amplitudes", tuple(c.tolist()))
@@ -135,14 +131,12 @@ class AveragedDensity:
 
     matrix: np.ndarray
     standard_errors: np.ndarray
-    realizations_used: int
 
 
 @dataclass(frozen=True)
 class DecoherenceReport:
     """Monte Carlo estimate vs closed form for one level pair."""
 
-    levels: tuple
     mc_factor: complex
     mc_standard_error: float
     analytic_variance: float
@@ -317,7 +311,7 @@ def _run_segments(config: EnsembleConfig, segments, variances):
             gamma_s = sigma * out if sigma else 0.0
             amps = c * np.exp(-1j * (gamma_a + gamma_s))
         matrix, se = _averaged_density(amps, rows)
-        densities.append(AveragedDensity(matrix, se, realizations_used=rows))
+        densities.append(AveragedDensity(matrix, se))
     return gamma_a, densities
 
 
@@ -456,34 +450,6 @@ def transverse_magnetization(rho: AveragedDensity):
     return mx, my
 
 
-def averaged_density_analytic(config: EnsembleConfig) -> AveragedDensity:
-    """Closed-form noise-averaged density matrix (no Monte Carlo).
-
-    Entries follow rho_kj = c_k c_j* exp(-i Gamma_a(k,j)) exp(-Var_kj/2)
-    with Var_kj from the exact overlap integral of each level pair over the
-    run's whole window.  Standard errors are zero: this is the analytic
-    limit the Monte Carlo estimators converge to.
-    """
-    h = config.hamiltonian
-    noise = config.noise
-    gamma_a = deterministic_phases(h, h.schedule.duration)
-    c = config.amplitudes
-    n = h.n_levels
-    d = np.ones((n, n))
-    for k, j in itertools.combinations(range(n), 2):
-        i_kj = _segment_overlap(
-            [(h, 0, 0)], noise.correlation_time, (k, j), noise.dimension
-        )
-        var = variance_analytic(1, h.coupling, noise.variance, i_kj)
-        d[k, j] = d[j, k] = decoherence_factor_analytic(var)
-    phases = np.exp(-1j * np.subtract.outer(gamma_a, gamma_a))
-    return AveragedDensity(
-        matrix=np.outer(c, c.conj()) * phases * d,
-        standard_errors=np.zeros((n, n)),
-        realizations_used=0,
-    )
-
-
 def decoherence_sweep(
     config: EnsembleConfig, variances, levels: tuple = (1, 0)
 ) -> list:
@@ -514,7 +480,7 @@ def decoherence_sweep(
         mc_se = float(density.standard_errors[k, j] / abs(reference))
         d = decoherence_factor_analytic(var)
         onset = var / ONSET_VARIANCE
-        reports.append(DecoherenceReport((k, j), mc_factor, mc_se, var, d, onset, i_kj))
+        reports.append(DecoherenceReport(mc_factor, mc_se, var, d, onset, i_kj))
     return reports
 
 

@@ -43,7 +43,6 @@ from .ensemble import (
 
 __all__ = [
     "GateResult",
-    "level_index_map",
     "bell_gate_run",
     "bell_gate_sweep",
     "gate_onset_ratio",
@@ -71,14 +70,6 @@ def _as_index(level) -> int:
     raise ValueError(f"level must be an index in [0, 4) or bits (i1, i2): {level!r}")
 
 
-def level_index_map(k, j: int) -> tuple:
-    """Level (i1, i2) occupied after the first j segments of the pulse sequence."""
-    if not 0 <= j <= 4:
-        raise ValueError(f"segment step must be in 0..4, got {j}")
-    index = _as_index(k) ^ _FLIPS[j]
-    return (index >> 1, index & 1)
-
-
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of a noisy Bell-state gate run."""
@@ -91,7 +82,6 @@ class GateResult:
     mc_factor: complex
     onset_ratio: float
     analytic_variance: float
-    overlap_sum: float
 
     def __post_init__(self):
         if not 0.0 <= self.fidelity <= 1.0 + 1e-9:
@@ -243,7 +233,6 @@ def bell_gate_sweep(config: EnsembleConfig, variances) -> list:
                 mc_factor=complex(density.matrix[k, j] / reference),
                 onset_ratio=variance / ONSET_VARIANCE,
                 analytic_variance=variance,
-                overlap_sum=overlap_sum,
             )
         )
     return results

@@ -111,13 +111,14 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
 
 
-def _check_threads(threads: int) -> None:
-    """Refuse a ``threads`` that is not an integer >= 1: TypeError for a
-    non-integer, ValueError below 1."""
-    if not isinstance(threads, numbers.Integral):
-        raise TypeError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+def _check_count(value, name: str, minimum: int) -> None:
+    """Refuse a count ``value`` of the argument ``name`` that is not an
+    integer >= ``minimum``: TypeError for a non-integer or a bool,
+    ValueError below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _worker_count(threads: int, realizations: int, variances) -> int:
@@ -125,8 +126,8 @@ def _worker_count(threads: int, realizations: int, variances) -> int:
     paths at the noise ``variances``: at most the usable CPUs, and few
     enough for two paths per block; 1 where no variance is nonzero, as
     nothing is drawn, or where ``os.fork`` does not exist (Windows).
-    ``threads`` is checked first (``_check_threads``)."""
-    _check_threads(threads)
+    ``threads`` is checked first (``_check_count``)."""
+    _check_count(threads, "threads", 1)
     if not any(variances) or not hasattr(os, "fork"):
         return 1
     affinity = getattr(os, "sched_getaffinity", None)  # not on macOS
@@ -335,8 +336,7 @@ def make_noise_path(
 
 def _noise_grid(spec, duration, dt, master_seed, realizations) -> int:
     """Grid points, once the count, the seed and the grid are checked."""
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
+    _check_count(realizations, "realizations", 1)
     split_seed(master_seed, 0)  # once per grid, even where sigma^2 = 0 draws nothing
     _check_resolution(spec, duration, dt)
     return _n_times(duration, dt)

@@ -1,5 +1,6 @@
 """Oracles and probes shared by several test modules."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 from typing import Callable
@@ -14,11 +15,17 @@ from gqclab.adiabatic import (
     _SLICE_ELEMENTS,
     EigenFrame,
     QubitHamiltonian,
+    deterministic_phases,
     eigenframe,
     evolve_exact_batch,
 )
 from gqclab.errors import ResourceLimitError, _check_elements
-from gqclab.gate import BELL_LEVELS, level_index_map
+from gqclab.ensemble import (
+    AveragedDensity,
+    decoherence_factor_analytic,
+    variance_analytic,
+)
+from gqclab.gate import BELL_LEVELS
 from gqclab.noise import NoiseSpec
 from gqclab.shor import NoisyAmplitudeModel, ShorInstance, coprime_residues
 
@@ -340,6 +347,21 @@ def _numeric_overlap(h, correlation_time, levels=(1, 0), dimension=1, steps=8192
     )
 
 
+def _level_index_map(k, j: int) -> tuple:
+    """Level (i1, i2) occupied after the first j pulses pi_1, pi_2, pi_1,
+    pi_2 of the gate's sequence, from level k given as its index 2 i1 + i2
+    or as bits (i1, i2): pi_1 flips i1 and pi_2 flips i2."""
+    if not 0 <= j <= 4:
+        raise ValueError(f"segment step must be in 0..4, got {j}")
+    i1, i2 = divmod(k, 2) if isinstance(k, (int, np.integer)) else k
+    return (i1 ^ (j + 1) // 2 % 2, i2 ^ j // 2 % 2)
+
+
+@pytest.fixture
+def level_index_map():
+    return _level_index_map
+
+
 def _numeric_gate_overlap(
     h, correlation_time, levels=BELL_LEVELS, dimension=1, steps=8192
 ):
@@ -353,7 +375,7 @@ def _numeric_gate_overlap(
     weighted = np.zeros((len(ops), 4 * steps + 1))
     for l, schedule in enumerate([contour, contour.reversed()] * 2):
         exp = _operator_expectations(eigenframe(replace(h, schedule=schedule), t), ops)
-        (k1, k2), (j1, j2) = (level_index_map(x, l) for x in levels)
+        (k1, k2), (j1, j2) = (_level_index_map(x, l) for x in levels)
         o_diff = exp[2 * k1 + k2] - exp[2 * j1 + j2]
         weighted[:, l * steps : (l + 1) * steps + 1] += _trapezoid(o_diff, t)
     window = t[1] * np.arange(4 * steps + 1)
@@ -369,6 +391,31 @@ def numeric_overlap():
 @pytest.fixture
 def numeric_gate_overlap():
     return _numeric_gate_overlap
+
+
+def _averaged_density_analytic(config) -> AveragedDensity:
+    """Closed-form noise-averaged density matrix of ``config``, no Monte
+    Carlo: rho_kj = c_k c_j* exp(-i Gamma_a(k,j)) exp(-Var_kj/2), Var_kj
+    from the exact overlap of each level pair over the run's whole window,
+    with zero standard errors.  The limit that ``run_ensemble`` converges to."""
+    h, noise = config.hamiltonian, config.noise
+    gamma_a = deterministic_phases(h, h.schedule.duration)
+    c = config.amplitudes
+    n = h.n_levels
+    d = np.ones((n, n))
+    for k, j in itertools.combinations(range(n), 2):
+        i_kj = ensemble._segment_overlap(
+            [(h, 0, 0)], noise.correlation_time, (k, j), noise.dimension
+        )
+        var = variance_analytic(1, h.coupling, noise.variance, i_kj)
+        d[k, j] = d[j, k] = decoherence_factor_analytic(var)
+    phases = np.exp(-1j * np.subtract.outer(gamma_a, gamma_a))
+    return AveragedDensity(np.outer(c, c.conj()) * phases * d, np.zeros((n, n)))
+
+
+@pytest.fixture
+def averaged_density_analytic():
+    return _averaged_density_analytic
 
 
 def _constructive_outcomes(inst: ShorInstance):

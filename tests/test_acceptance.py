@@ -18,7 +18,6 @@ from gqclab import (
     NoisyAmplitudeModel,
     QubitHamiltonian,
     ShorInstance,
-    averaged_density_analytic,
     bell_gate_run,
     decoherence_factor_analytic,
     decoherence_report,
@@ -99,7 +98,7 @@ def test_criterion_02_overlap_integrals(numeric_overlap, numeric_gate_overlap):
           "Bell sum within 5% of 32 tau_c T sin^2(theta) at tau_c = T/200")
 
 
-def test_criterion_03_agp_dephasing():
+def test_criterion_03_agp_dephasing(averaged_density_analytic):
     """Transverse magnetization: full signal noiselessly, none at onset."""
     h = _qubit()
     tau_c = 0.05

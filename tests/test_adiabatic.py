@@ -100,9 +100,9 @@ def test_eigenframe_invariants():
     gram = np.einsum("kti,lti->klt", frame.states.conj(), frame.states)
     eye = np.eye(2)[:, :, None]
     assert np.max(np.abs(gram - eye)) < 1e-12
-    # recorded gap
-    assert np.isclose(frame.gap, 200.0)
-    assert np.min(frame.energies[1] - frame.energies[0]) >= frame.gap - 1e-9
+    # the gap
+    assert np.isclose(h.gap, 200.0)
+    assert np.min(frame.energies[1] - frame.energies[0]) >= h.gap - 1e-9
     # smooth gauge: successive overlaps have positive real part
     ov = np.einsum("kti,kti->kt", frame.states[:, :-1].conj(), frame.states[:, 1:])
     assert np.all(ov.real > 0)

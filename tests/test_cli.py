@@ -122,7 +122,6 @@ def test_static_defaults_fill_params_and_unset_grids_stay_absent():
         (dict(NOISE_CONFIG, lags=[0.0123]), "lags"),
         (dict(NOISE_CONFIG, lags=[2.0]), "lags"),
         (dict(NOISE_CONFIG, lags=[]), "lags"),
-        (dict(NOISE_CONFIG, correlation_time=0.5), "lags"),
         (dict(AGP_CONFIG, sigma2=[]), "sigma2"),
         (dict(SHOR_CONFIG, offset=-1), "offset"),
     ],
@@ -130,7 +129,7 @@ def test_static_defaults_fill_params_and_unset_grids_stay_absent():
         "dimension-float", "dimension-bool", "engine", "format",
         "strict_adiabatic", "out", "substeps", "realizations", "noise_dt",
         "conditional_phase", "negative-lag", "off-grid-lag",
-        "lag-beyond-duration", "no-lags", "default-lag-beyond-duration",
+        "lag-beyond-duration", "no-lags",
         "no-sigma2", "offset",
     ],
 )
@@ -836,6 +835,36 @@ def test_cli_noise_validate_matches_the_per_path_definition(
         assert list(csv.reader(f)) == expected
 
 
+@pytest.mark.parametrize(
+    "raw, steps",
+    [
+        (dict(NOISE_CONFIG, duration=0.1, realizations=8), [0, 10, 20]),
+        (dict(NOISE_CONFIG, correlation_time=0.5), [0, 100, 200]),
+    ],
+    ids=["duration-2-tau_c", "tau_c-0.5"],
+)
+def test_cli_noise_validate_default_lags_stop_at_the_path_end(
+    tmp_path, capsys, raw, steps
+):
+    """The default lags are the grid points nearest 0, 1, 2 and 3 tau_c
+    that lie on the path; a given lag beyond the path is still refused."""
+    path = _write(tmp_path, "nv.json", raw)
+    out = tmp_path / "nv.csv"
+    assert main(["noise-validate", "--config", path, "--out", str(out)]) == 0
+    lags = [m * raw["dt"] for m in steps]
+    with open(out, newline="") as f:
+        assert [float(row["lag_s"]) for row in csv.DictReader(f)] == lags
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["derived"]["lags_s"] == lags
+    beyond = (steps[-1] + 10) * raw["dt"]
+    path = _write(tmp_path, "beyond.json", dict(raw, lags=[0.0, beyond]))
+    out = tmp_path / "beyond.csv"
+    assert main(["noise-validate", "--config", path, "--out", str(out)]) == 2
+    message = f"config error: lags: lag {beyond} outside the path duration"
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 4)], ids=["fits", "one-over"])
 def test_cli_noise_validate_bound_applies_to_the_window(
     tmp_path, monkeypatch, spare, code
@@ -920,6 +949,32 @@ def test_cli_shor_scan_oracle(tmp_path):
     assert row["period"] == "4" and row["register_size"] == "256"
     assert float(row["success_probability"]) == pytest.approx(0.5, abs=1e-12)
     assert row["regime"] == "noiseless"
+
+
+def test_cli_json_table_writes_a_non_finite_cell_as_null(tmp_path):
+    """A flagged Shor row (r = 1: no useful outcome) needs infinitely many
+    runs: the JSON table has null there, readable by a strict parser, and
+    the CSV table keeps inf."""
+    raw = {"experiment": "shor-scan", "moduli": [3, 15], "bases": [1, 7]}
+    raw["variances"] = 0.0
+    path = _write(tmp_path, "shor.json", raw)
+    tables = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"scan.{fmt}"
+        args = ["shor-scan", "--config", path, "--out", str(out), "--format", fmt]
+        assert main(args) == 0
+        tables[fmt] = out.read_text()
+
+    def refuse(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    rows = json.loads(tables["json"], parse_constant=refuse)
+    assert [row["flagged"] for row in rows] == [True, False]
+    assert rows[0]["runs_needed"] is None
+    assert math.isfinite(rows[1]["runs_needed"])
+    csv_rows = list(csv.DictReader(tables["csv"].splitlines()))
+    assert csv_rows[0]["runs_needed"] == "inf"
+    assert float(csv_rows[1]["runs_needed"]) == rows[1]["runs_needed"]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from gqclab import (
     NoiseSpec,
     QubitHamiltonian,
     ResourceLimitError,
-    averaged_density_analytic,
     calibrate_level_cone_angles,
     decoherence_factor_analytic,
     decoherence_report,
@@ -312,7 +311,9 @@ def test_overlap_integral_matches_numerical_oracle(
     assert abs(exact - oracle) < 1e-6 * oracle
 
 
-def test_report_overlap_is_the_whole_window(numeric_overlap):
+def test_report_overlap_is_the_whole_window(
+    numeric_overlap, averaged_density_analytic
+):
     """At cycles 3 the closed form integrates the one noise path over
     [0, 3T]: the oracle on that window, not 3 I of one period."""
     h = _hamiltonian(cycles=3)
@@ -405,19 +406,17 @@ def test_transverse_magnetization():
     flat = AveragedDensity(
         matrix=np.diag([0.5, 0.5]).astype(complex),
         standard_errors=np.zeros((2, 2)),
-        realizations_used=2,
     )
     assert transverse_magnetization(flat) == (0.0, 0.0)
     two_qubit = AveragedDensity(
         matrix=np.eye(4, dtype=complex) / 4,
         standard_errors=np.zeros((4, 4)),
-        realizations_used=2,
     )
     with pytest.raises(ValueError):
         transverse_magnetization(two_qubit)
 
 
-def test_averaged_density_analytic_matches_monte_carlo():
+def test_averaged_density_analytic_matches_monte_carlo(averaged_density_analytic):
     h = _hamiltonian()
     sigma2 = _sigma2_for_variance(h, 0.05, 2.0)
     cfg = _config(sigma2, realizations=2048)
@@ -443,7 +442,6 @@ def test_zero_noise_row_equals_the_full_ensemble(every_row, engine, realizations
     assert np.max(np.abs(one.matrix - full)) <= max(realizations, 16) * eps
     for se in (one.standard_errors, full_se):
         assert np.max(se) <= np.sqrt(realizations) * eps
-    assert one.realizations_used == realizations
     assert np.array_equal(gamma_a, full_gamma_a)
 
 

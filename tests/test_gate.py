@@ -17,9 +17,9 @@ from gqclab import (
     eigenframe,
     gate_onset_ratio,
     gate_overlap_sum,
-    level_index_map,
     make_noise_ensemble,
     run_ensemble,
+    variance_analytic,
 )
 from gqclab import ensemble, errors, gate
 from gqclab.adiabatic import evolve_exact_batch, stochastic_phase_batch
@@ -52,27 +52,41 @@ def _index_map_oracle(k, j):
     return ((i1 + f1) % 2, (i2 + f2) % 2)
 
 
-def test_index_map_matches_oracle_everywhere():
+def _segment_masks(segments):
+    """XOR masks on the level index during each of the gate's four
+    ``segments`` (from ``gate._segments``), then after the last pi-pulse,
+    which flips its target qubit's bit of k = 2 i1 + i2."""
+    _, last, target = segments[-1]
+    return [flips for _, flips, _ in segments] + [last ^ (0b100 >> target)]
+
+
+def test_index_map_matches_oracle_everywhere(level_index_map):
+    masks = _segment_masks(_segments(_setup()))
     for i1 in (0, 1):
         for i2 in (0, 1):
             for j in range(5):
-                assert level_index_map((i1, i2), j) == _index_map_oracle(
-                    (i1, i2), j
-                )
+                level = (2 * i1 + i2) ^ masks[j]
+                oracle = _index_map_oracle((i1, i2), j)
+                assert divmod(level, 2) == oracle
+                assert level_index_map((i1, i2), j) == oracle
 
 
-def test_index_map_known_paths_and_closure():
+def test_index_map_known_paths_and_closure(level_index_map):
+    segments = _segments(_setup())
+    masks = _segment_masks(segments)
+
     def path(k):
-        return [level_index_map(k, j) for j in range(5)]
+        return [divmod((2 * k[0] + k[1]) ^ mask, 2) for mask in masks]
 
     assert path((0, 0)) == [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
     assert path((1, 1)) == [(1, 1), (0, 1), (0, 0), (1, 0), (1, 1)]
     for k in ((0, 0), (0, 1), (1, 0), (1, 1)):
         steps = path(k)
         assert steps[4] == steps[0]
-        # each step flips exactly one qubit index
-        for a, b in zip(steps, steps[1:]):
+        # each step flips exactly one qubit index, the pulse's target
+        for a, b, (_, _, target) in zip(steps, steps[1:], segments):
             assert (a[0] != b[0]) + (a[1] != b[1]) == 1
+            assert a[target - 1] != b[target - 1]
     with pytest.raises(ValueError):
         level_index_map((0, 0), 5)
 
@@ -205,7 +219,7 @@ def test_gate_phases_solid_angle_oracle():
         and flips sign on the reversed contour."""
         total = 0.0
         for l in range(4):
-            kl = level_index_map(level_bits, l)
+            kl = _index_map_oracle(level_bits, l)
             theta = angles[2 * kl[0] + kl[1]]
             orient = 1.0 if l % 2 == 0 else -1.0
             sign = (-1.0 if kl[0] == 0 else 1.0) + (-1.0 if kl[1] == 0 else 1.0)
@@ -320,7 +334,8 @@ def test_bell_gate_vector_noise_closed_form():
         engine="analytic_phase",
     )
     res = bell_gate_run(cfg)
-    assert res.overlap_sum == gate_overlap_sum(h, 0.04, dimension=3)
+    overlap = gate_overlap_sum(h, 0.04, dimension=3)
+    assert res.analytic_variance == variance_analytic(1, h.coupling, 20.0, overlap)
     assert (
         abs(res.fidelity - res.fidelity_closed_form)
         < 3 * res.fidelity_standard_error

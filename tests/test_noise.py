@@ -717,6 +717,54 @@ def test_threads_below_one_or_not_an_integer_are_refused(
         ensemble_autocorrelation(spec, 1.0, 0.01, 3, 64, [0.0, 0.5], threads)
 
 
+COUNT_SPEC = NoiseSpec(variance=1.0, correlation_time=0.1)
+
+
+def _count_config(**counts):
+    schedule = ControlSchedule(magnitude=200.0, cone_angle=np.pi / 3, period=1.0)
+    h = QubitHamiltonian(1.0, schedule)
+    return EnsembleConfig(h, COUNT_SPEC, (1.0, 0.0), **counts)
+
+
+#: each count a library entry point takes: (argument, minimum, call)
+COUNTS = {
+    "EnsembleConfig-realizations": (
+        "realizations", 2, lambda v: _count_config(realizations=v)
+    ),
+    "EnsembleConfig-substeps": ("substeps", 1, lambda v: _count_config(substeps=v)),
+    "EnsembleConfig-threads": ("threads", 1, lambda v: _count_config(threads=v)),
+    "make_noise_ensemble-realizations": (
+        "realizations", 1, lambda v: make_noise_ensemble(COUNT_SPEC, 1.0, 0.01, 3, v)
+    ),
+    "ensemble_autocorrelation-realizations": (
+        "realizations",
+        1,
+        lambda v: ensemble_autocorrelation(COUNT_SPEC, 1.0, 0.01, 3, v, [0.0]),
+    ),
+    "ensemble_autocorrelation-threads": (
+        "threads",
+        1,
+        lambda v: ensemble_autocorrelation(COUNT_SPEC, 1.0, 0.01, 3, 4, [0.0], v),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_is_an_integer_at_least_its_minimum(entry):
+    """A float, a whole float or a bool is refused with a TypeError, and an
+    integer below the minimum with a ValueError, each naming the argument;
+    the minimum itself, also as a numpy integer, is accepted."""
+    argument, minimum, call = COUNTS[entry]
+    for value in (minimum + 0.5, float(minimum), True):
+        with pytest.raises(TypeError, match=f"^{argument} must be an integer, got"):
+            call(value)
+    below = f"^{argument} must be >= {minimum}, got {minimum - 1}$"
+    with pytest.raises(ValueError, match=below):
+        call(minimum - 1)
+    call(minimum)
+    call(np.int64(minimum))
+
+
 def test_normals_have_the_same_bits_on_every_thread_count():
     """1,500 time-major rows of 201 points, in 652-row buffers, drawn in the
     blocks of two and of three workers, each keyed from its first row: two

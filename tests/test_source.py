@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
+
+import gqclab
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gqclab"
@@ -66,24 +69,37 @@ def public(x):
 """
 
 
-def uncalled_private_helpers(trees: dict) -> list:
-    """Sorted ``module:name`` of each module-level private function that no
-    tree in ``trees`` (name -> ast.Module) refers to."""
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+def name_counts(node: ast.AST) -> Counter:
+    """How often the subtree of ``node`` refers to each name, as a Name or
+    as an Attribute."""
+    return Counter(
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_functions(trees: dict, used: Counter, chosen) -> list:
+    """Sorted ``module:name`` of each module-level function of ``trees``
+    (name -> ast.Module) whose name ``chosen`` accepts and that the
+    references ``used`` (name -> count) name no more often than the
+    function's own definition does."""
     return sorted(
         f"{name}:{node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        and chosen(node.name)
+        and used[node.name] <= name_counts(node)[node.name]
+    )
+
+
+def uncalled_private_helpers(trees: dict) -> list:
+    """Sorted ``module:name`` of each module-level private function that no
+    tree in ``trees`` (name -> ast.Module) refers to."""
+    used = sum(map(name_counts, trees.values()), Counter())
+    return unreferenced_functions(
+        trees, used, lambda name: name.startswith("_") and not name.startswith("__")
     )
 
 
@@ -235,3 +251,39 @@ def test_every_argument_the_benchmark_tracer_reads_is_a_parameter():
         for fn, arg in read
         if arg not in inspect.signature(fn).parameters
     ] == []
+
+
+#: public functions whose caller outside the tests is still to come
+AWAITING_A_CALLER = {"transverse_magnetization", "dft_phase_variance"}
+
+#: one public function with a caller and one that only calls itself
+PUBLIC_SAMPLE = """\
+def used(x):
+    return x
+
+def recursive(x):
+    return recursive(x)
+
+used(1)
+"""
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """Each function that gqclab exports is referenced outside its own
+    definition by the package, the demos or the benchmark, whose tracer
+    fetches the functions of its WRAPPED table by name.  Classes and
+    exceptions are exempt."""
+    sample = ast.parse(PUBLIC_SAMPLE)
+    found = unreferenced_functions({"lib.py": sample}, name_counts(sample), bool)
+    assert found == ["lib.py:recursive"]
+    exported = set(gqclab.__all__) - AWAITING_A_CALLER
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    callers = [
+        ast.parse(path.read_text())
+        for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
+        for path in folder.glob("*.py")
+    ]
+    wrapped = ast.literal_eval(_module_level(ast.parse(SPANS.read_text()), "WRAPPED"))
+    used = sum(map(name_counts, callers), Counter(sum(wrapped.values(), ())))
+    assert unreferenced_functions(trees, used, exported.__contains__) == []
+    assert AWAITING_A_CALLER <= set(gqclab.__all__)  # no stale exemption
