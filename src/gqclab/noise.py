@@ -96,13 +96,18 @@ def split_seed(master_seed: int, index: int) -> int:
     The master seed is the key's low word and the index its high word, so
     the stream of realization i does not depend on how many other
     realizations exist or in which order they are generated.  Both must be
-    integers in [0, 2**64): ValueError otherwise, TypeError for non-integers.
+    integers in [0, 2**64): ValueError otherwise, TypeError for non-integers
+    and bools.
     """
-    master_seed, index = operator.index(master_seed), operator.index(index)
+    words = []
     for name, value in (("master_seed", master_seed), ("index", index)):
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
         if not 0 <= value < 2**64:
             raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-    return master_seed + (index << 64)
+        words.append(value)
+    return words[0] + (words[1] << 64)
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -25,6 +25,11 @@ one outcome, so the accounting enumerates phi(r) outcomes, not all q; the
 exhaustive O(q) accounting, the literal DFT and a Monte Carlo over the path
 phases are test oracles.
 
+The order r is found from the prime factors of phi(N), the group order
+(``find_period``), and checked against r's own primes; the residues
+co-prime with r come from one numpy sieve.  An instance thus costs
+O(sqrt N) integer steps plus one O(r) sieve.
+
 The DFT on L qubits costs L(L-1)/2 controlled-phase gates; each gate
 contributes the four-segment overlap sum of the geometric gate, giving the
 variance v and the onset condition implemented here.
@@ -33,7 +38,7 @@ variance v and the onset condition implemented here.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,17 +65,37 @@ __all__ = [
 MAX_MODULUS = 2**16
 
 
+def _prime_factors(n: int) -> tuple:
+    """The distinct primes of ``n``, ascending, by trial division: O(sqrt n)."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
 def find_period(modulus: int, base: int) -> int:
-    """Multiplicative order of ``base`` mod ``modulus`` by brute force."""
+    """Multiplicative order of ``base`` mod ``modulus`` from the group order.
+
+    The order divides phi(N): starting from r = phi(N), each prime p of
+    phi(N) is divided out of r while base^(r/p) = 1 (mod N) (Cohen, A Course
+    in Computational Algebraic Number Theory, 1993, Alg. 1.4.3).  That is
+    O(sqrt N) trial divisions and O(log^2 N) modular multiplications.
+    """
     if modulus < 1 or modulus > MAX_MODULUS:
         raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {modulus}")
     if math.gcd(base, modulus) != 1:
         raise ValueError(f"base {base} is not co-prime with modulus {modulus}")
-    x = base % modulus
-    r = 1
-    while x != 1 % modulus:  # 1 % 1 = 0: every base has order 1 mod 1
-        x = (x * base) % modulus
-        r += 1
+    r = euler_phi(modulus)  # phi(1) = 1: every base has order 1 mod 1
+    for p in _prime_factors(r):
+        while r % p == 0 and pow(base, r // p, modulus) == 1:
+            r //= p
     return r
 
 
@@ -83,15 +108,25 @@ def choose_q(modulus: int):
 
 
 def euler_phi(r: int) -> int:
-    """Count of integers 1 <= m < r co-prime with r; phi(1) = 1."""
+    """Count of integers 1 <= m < r co-prime with r, phi(1) = 1: the
+    product r prod_p (1 - 1/p) over the primes p of r."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return len(coprime_residues(r)) or 1
+    for p in _prime_factors(r):
+        r -= r // p
+    return r
 
 
 def coprime_residues(r: int) -> tuple:
-    """The residues m < r with gcd(m, r) = 1 (empty for r = 1 by convention)."""
-    return tuple(m for m in range(1, r) if math.gcd(m, r) == 1)
+    """The residues m < r with gcd(m, r) = 1 (empty for r = 1 by convention):
+    one sieve over [0, r) strikes out 0 and the multiples of r's primes."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    keep = np.ones(r, dtype=bool)
+    keep[0] = False
+    for p in _prime_factors(r):
+        keep[::p] = False
+    return tuple(np.flatnonzero(keep).tolist())
 
 
 @dataclass(frozen=True)
@@ -106,12 +141,16 @@ class ShorInstance:
     offset: int = 0
 
     def __post_init__(self):
-        n, y, r, q, L, l = astuple(self)
+        n, y, r, q = self.modulus, self.base, self.period, self.register_size
+        L, l = self.bits, self.offset
         if not 3 <= n <= MAX_MODULUS:
             raise ValueError(f"modulus must be in [3, {MAX_MODULUS}], got {n}")
         if math.gcd(y, n) != 1:
             raise ValueError(f"base {y} not co-prime with modulus {n}")
-        if pow(y, r, n) != 1 or any(pow(y, s, n) == 1 for s in range(1, r)):
+        # the order is the r < N with y^r = 1 and y^(r/p) != 1 for each prime p | r
+        if not 0 < r < n or pow(y, r, n) != 1 or any(
+            pow(y, r // p, n) == 1 for p in _prime_factors(r)
+        ):
             raise ValueError(f"{r} is not the multiplicative order of {y} mod {n}")
         if q != 1 << L or not n * n <= q <= 2 * n * n:
             raise ValueError(f"register size {q} invalid for modulus {n}")
@@ -187,17 +226,22 @@ def prob_averaged(model: NoisyAmplitudeModel, c) -> np.ndarray:
     P(c) = 1/q + (2/(M q)) sum_{k<j} cos[2 pi (j-k)(r c mod q)/q] e^{-v},
     with M = A+1 paths; the pair sum is evaluated in closed form through
     |sum_j e^{i a j}|^2 = M + 2 sum_{k<j} cos a(j-k).  Scalar in, scalar
-    out; arrays map elementwise.
+    out; arrays map elementwise.  The outcomes c must be integers in
+    [0, q): TypeError for any other dtype, ValueError out of range.
     """
     inst = model.instance
     q, r, m = inst.register_size, inst.period, inst.path_count
     c_arr = np.asarray(c)
+    if not np.issubdtype(c_arr.dtype, np.integer):
+        raise TypeError(f"c must be integer outcomes, got dtype {c_arr.dtype}")
+    c_arr = c_arr.astype(np.int64, copy=False)  # q <= 2^33 and r c < 2^49
     if np.any((c_arr < 0) | (c_arr >= q)):
         raise ValueError(f"c must be in [0, {q})")
-    a = 2.0 * np.pi * ((r * c_arr) % q) / q
+    rc = (r * c_arr) % q
+    a = 2.0 * np.pi * rc / q
     with np.errstate(invalid="ignore", divide="ignore"):
         s2 = np.where(
-            np.isclose(np.mod(a, 2.0 * np.pi), 0.0, atol=1e-12),
+            rc == 0,  # a = 0 exactly; every other a is >= 2 pi / q
             float(m) ** 2,
             (np.sin(m * a / 2.0) / np.sin(a / 2.0)) ** 2,
         )
@@ -236,7 +280,7 @@ def success_probability(model: NoisyAmplitudeModel) -> SuccessReport:
         success_probability=p_suc,
         runs_needed=runs,
         regime=regime,
-        success_outcomes=tuple(int(x) for x in c_good),
+        success_outcomes=tuple(c_good.tolist()),
         degenerate=inst.period == 1,
     )
 

@@ -438,6 +438,28 @@ def constructive_outcomes():
     return _constructive_outcomes
 
 
+def _prob_averaged_float_branch(model: NoisyAmplitudeModel, c) -> np.ndarray:
+    """``shor.prob_averaged`` with its zero-angle branch picked on the float
+    angle (``np.isclose`` within 1e-12) rather than on the integer r c mod q:
+    the oracle that the integer test picks the same branch, bit for bit."""
+    inst = model.instance
+    q, r, m = inst.register_size, inst.period, inst.path_count
+    a = 2.0 * np.pi * ((r * np.asarray(c)) % q) / q
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s2 = np.where(
+            np.isclose(np.mod(a, 2.0 * np.pi), 0.0, atol=1e-12),
+            float(m) ** 2,
+            (np.sin(m * a / 2.0) / np.sin(a / 2.0)) ** 2,
+        )
+    damping = np.exp(-model.path_phase_variance)
+    return (m + (s2 - m) * damping) / (m * q)
+
+
+@pytest.fixture
+def prob_averaged_float_branch():
+    return _prob_averaged_float_branch
+
+
 def _path_phases(model: NoisyAmplitudeModel, c) -> np.ndarray:
     """DFT phases 2 pi (j r + l) c / q of every path j, shape (..., paths)."""
     inst = model.instance

@@ -1026,6 +1026,18 @@ def test_cli_shor_scan_at_the_largest_register(tmp_path):
     assert float(rows[1]["success_probability"]) == pytest.approx(p_flat, rel=0.1)
 
 
+def test_cli_shor_scan_at_the_largest_period(tmp_path):
+    # N = 65521 is prime and 17 a primitive root: r = N - 1 = 65520
+    raw = {"experiment": "shor-scan", "moduli": [65521], "bases": [17]}
+    raw["variances"] = 0.0
+    path = _write(tmp_path, "shor.json", raw)
+    out = str(tmp_path / "scan.csv")
+    assert main(["shor-scan", "--config", path, "--out", out]) == 0
+    with open(out) as f:
+        [row] = list(csv.DictReader(f))
+    assert row["period"] == "65520" and row["register_size"] == str(2**32)
+
+
 def test_cli_noise_validate_json_format(tmp_path):
     raw = {
         "experiment": "noise-validate",

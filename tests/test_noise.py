@@ -502,6 +502,26 @@ def test_seed_range_and_type_are_checked(variance):
     assert split_seed(2**64 - 1, 2**64 - 1) == 2**128 - 1
 
 
+@pytest.mark.parametrize("variance", [1.0, 0.0])
+@pytest.mark.parametrize("seed", [True, False])
+def test_bool_seeds_are_refused(variance, seed):
+    # operator.index takes a bool as 1 or 0; the seed, like a count, refuses it
+    spec = NoiseSpec(variance=variance, correlation_time=0.1)
+    with pytest.raises(TypeError, match="master_seed"):
+        split_seed(seed, 0)
+    with pytest.raises(TypeError, match="index"):
+        split_seed(0, seed)
+    with pytest.raises(TypeError, match="master_seed"):
+        make_noise_ensemble(spec, 0.01, 0.01, seed, 2)
+    with pytest.raises(TypeError, match="master_seed"):
+        make_noise_path(spec, 0.01, 0.01, seed)
+    with pytest.raises(TypeError, match="master_seed"):
+        ensemble_autocorrelation(spec, 1.0, 0.01, seed, 4, [0.0, 0.5])
+    config = replace(_count_config(realizations=2), noise=spec, master_seed=seed)
+    with pytest.raises(TypeError, match="master_seed"):
+        ensemble.run_ensemble(config)
+
+
 @given(
     master=st.integers(min_value=0, max_value=2**63 - 1),
     i=st.integers(min_value=0, max_value=10_000),

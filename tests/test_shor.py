@@ -19,8 +19,10 @@ from gqclab import (
     gqc_onset,
     prob_averaged,
     runtime_scaling,
+    shor,
     success_probability,
 )
+from gqclab.shor import _prime_factors
 
 ONSET_V = 4 * np.pi**2
 
@@ -46,12 +48,50 @@ def test_every_base_has_order_1_modulo_1():
     assert [find_period(1, y) for y in (0, 1, 2, 7)] == [1, 1, 1, 1]
 
 
+def brute_force_order(n, y):
+    """Oracle: the first r >= 1 with y^r = 1 mod n, one product at a time."""
+    x, r = y % n, 1
+    while x != 1 % n:
+        x, r = x * y % n, r + 1
+    return r
+
+
 def test_find_period_is_the_brute_force_order_for_small_moduli():
-    for n in range(2, 65):
+    for n in range(2, 301):
         for y in range(n):
             if math.gcd(y, n) == 1:
-                order = next(r for r in range(1, n + 1) if pow(y, r, n) == 1)
-                assert find_period(n, y) == order, (n, y)
+                assert find_period(n, y) == brute_force_order(n, y), (n, y)
+
+
+@pytest.mark.parametrize(
+    "n, y, r",
+    [(65521, 17, 65520), (65519, 3, 32759), (65535, 2, 16)],
+    ids=["prime-primitive-root", "prime-half-order", "composite-small-order"],
+)
+def test_find_period_at_the_largest_moduli(n, y, r):
+    assert find_period(n, y) == r
+    assert pow(y, r, n) == 1
+    assert all(pow(y, r // p, n) != 1 for p in _prime_factors(r))
+
+
+def test_prime_factors_are_the_distinct_primes():
+    assert [_prime_factors(k) for k in (1, 2, 12, 97, 65520, 65535)] == [
+        (), (2,), (2, 3), (97,), (2, 3, 5, 7, 13), (3, 5, 17, 257)
+    ]
+
+
+def test_find_period_makes_few_modular_powers(monkeypatch):
+    # the module global shadows the builtin, so every pow of shor.py is counted
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(shor, "pow", counted, raising=False)
+    inst = ShorInstance.build(65521, 17)
+    assert inst.period == 65520
+    assert 0 < len(calls) <= 40  # r = 65520 powers when checked one by one
 
 
 @given(st.integers(min_value=2, max_value=200), st.integers(min_value=2, max_value=200))
@@ -93,6 +133,19 @@ def test_euler_phi_counts_coprimes(r):
     assert euler_phi(r) == len(coprime_residues(r))
 
 
+def test_coprime_residues_and_euler_phi_are_the_gcd_definition():
+    for r in [*range(1, 401), 65520]:
+        residues = tuple(m for m in range(1, r) if math.gcd(m, r) == 1)
+        assert coprime_residues(r) == residues, r
+        assert euler_phi(r) == (len(residues) or 1), r
+    assert all(type(m) is int for m in coprime_residues(30))
+    for r in (0, -3):
+        with pytest.raises(ValueError):
+            coprime_residues(r)
+        with pytest.raises(ValueError):
+            euler_phi(r)
+
+
 def test_instance_invariants():
     inst = ShorInstance.build(15, 7)
     assert (inst.period, inst.register_size, inst.bits) == (4, 256, 8)
@@ -102,6 +155,18 @@ def test_instance_invariants():
         ShorInstance(15, 7, 3, 256, 8)  # wrong period
     with pytest.raises(ValueError):
         ShorInstance(15, 7, 4, 128, 7)  # register too small
+
+
+@pytest.mark.parametrize(
+    "n, y", [(15, 7), (21, 2), (1023, 2), (2047, 2), (65535, 2), (65519, 3)]
+)
+def test_instance_refuses_a_multiple_or_divisor_of_the_order(n, y):
+    inst = ShorInstance.build(n, y)
+    q, L, r = inst.register_size, inst.bits, inst.period
+    wrong = [r // p for p in _prime_factors(r)] + [r * p for p in (2, 3, 5, 7)]
+    for s in wrong + [0, -r, n]:
+        with pytest.raises(ValueError, match="multiplicative order"):
+            ShorInstance(n, y, s, q, L)
 
 
 def test_amplitude_noiseless_peaks_and_nulls():
@@ -121,6 +186,41 @@ def test_prob_averaged_matches_exhaustive_oracle(pair):
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0)
     p = prob_averaged(model, np.arange(inst.register_size))
     assert np.max(np.abs(p - exhaustive_probabilities(inst))) < 1e-12
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, ONSET_V])
+@pytest.mark.parametrize("n, y, offset", [(15, 7, 0), (21, 2, 5), (51, 2, 3), (63, 2, 0)])
+def test_prob_averaged_branch_is_the_float_angle_test(
+    n, y, offset, v, prob_averaged_float_branch
+):
+    # every nonzero angle is >= 2 pi / q, far above the float test's 1e-12
+    inst = ShorInstance.build(n, y, offset)
+    model = NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
+    c = np.arange(inst.register_size)
+    got = prob_averaged(model, c)
+    assert np.array_equal(got, prob_averaged_float_branch(model, c))
+    assert [prob_averaged(model, int(k)) for k in c[:: inst.period]] == list(
+        got[:: inst.period]
+    )
+
+
+def test_prob_averaged_refuses_non_integer_outcomes():
+    model = NoisyAmplitudeModel(instance=ShorInstance.build(15, 7), path_phase_variance=0.0)
+    for c in (1.0, 0.5, np.array([0.0, 64.0]), [1, 2.5], np.array([True])):
+        with pytest.raises(TypeError, match="integer"):
+            prob_averaged(model, c)
+    assert prob_averaged(model, np.int32(64)) == prob_averaged(model, 64)
+
+
+def test_prob_averaged_takes_narrow_integer_outcomes():
+    # q = 2^32 fits no 32-bit integer, and r c reaches 2^47
+    model = NoisyAmplitudeModel(ShorInstance.build(65521, 17), path_phase_variance=0.5)
+    c = np.array([0, 1, 2**20 + 3, 2**31 - 1], dtype=np.int64)
+    want = prob_averaged(model, c)
+    for dtype in (np.int32, np.uint32):
+        assert np.array_equal(prob_averaged(model, c.astype(dtype)), want)
+    with pytest.raises(ValueError):
+        prob_averaged(model, np.array([2**64 - 1], dtype=np.uint64))
 
 
 @pytest.mark.parametrize("v", [0.0, 0.5, 2.0, 8.0, ONSET_V])
