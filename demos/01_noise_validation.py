@@ -8,7 +8,7 @@ sigma^2 exp(-|t - t'| / tau_c).
 
 import numpy as np
 
-from gqclab import NoiseSpec, estimate_autocorrelation, make_noise_ensemble
+from gqclab import NoiseSpec, ensemble_autocorrelation, make_noise_ensemble
 
 SIGMA2 = 1.5        # stationary variance of the field fluctuation  [field^2]
 TAU_C = 0.1         # correlation time                              [s]
@@ -26,7 +26,7 @@ def main():
     print()
 
     lags = np.array([0.0, 0.5, 1.0, 2.0, 3.0]) * TAU_C
-    estimates = estimate_autocorrelation(values, DT, lags)
+    estimates = ensemble_autocorrelation(spec, DURATION, DT, 7, PATHS, lags)
     print(f"{'lag/tau_c':>10} {'measured':>10} {'expected':>10} {'SE':>8}")
     for lag, est, se in estimates:
         expected = SIGMA2 * np.exp(-lag / TAU_C)

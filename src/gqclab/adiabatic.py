@@ -37,7 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AdiabaticityError, DegeneracyError, ResolutionError, _check_elements
+from .errors import AdiabaticityError, DegeneracyError, ResolutionError
+from .errors import _check_count, _check_elements, _check_real
 
 __all__ = [
     "ControlSchedule",
@@ -83,16 +84,12 @@ class ControlSchedule:
     direction: str = "forward"
 
     def __post_init__(self):
-        if not 0 < self.period < np.inf:
-            raise ValueError(f"period must be finite and > 0, got {self.period}")
-        if not 0 <= self.cone_angle <= np.pi:
-            raise ValueError(f"cone_angle must lie in [0, pi], got {self.cone_angle}")
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
+        _check_real(self.period, "period", 0, strict=True)
+        _check_real(self.cone_angle, "cone_angle", 0, np.pi)
+        _check_count(self.cycles, "cycles", 1)
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed'")
-        if not 0 <= self.magnitude < np.inf:
-            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
+        _check_real(self.magnitude, "magnitude", 0)
 
     @property
     def duration(self) -> float:
@@ -144,10 +141,8 @@ class QubitHamiltonian:
     level_cone_angles: Optional[tuple] = None
 
     def __post_init__(self):
-        if not 0 < self.coupling < np.inf:
-            raise ValueError(f"coupling must be finite and > 0, got {self.coupling}")
-        if self.qubit_count not in (1, 2):
-            raise ValueError(f"qubit_count must be 1 or 2, got {self.qubit_count}")
+        _check_real(self.coupling, "coupling", 0, strict=True)
+        _check_count(self.qubit_count, "qubit_count", 1, 2)
         axis = np.asarray(self.noise_operator_axis, dtype=float)
         if axis.shape != (3,) or not np.isclose(np.linalg.norm(axis), 1.0):
             raise ValueError("noise_operator_axis must be a unit 3-vector")
@@ -156,8 +151,8 @@ class QubitHamiltonian:
                 raise ValueError("level_cone_angles is a two-qubit feature")
             if len(self.level_cone_angles) != 4:
                 raise ValueError("level_cone_angles must have 4 entries")
-            if not all(0 <= a <= np.pi for a in self.level_cone_angles):
-                raise ValueError("level_cone_angles must lie in [0, pi]")
+            for angle in self.level_cone_angles:
+                _check_real(angle, "level_cone_angles", 0, np.pi)
         object.__setattr__(
             self, "noise_operator_axis", tuple(float(a) for a in axis)
         )
@@ -207,6 +202,7 @@ class QubitHamiltonian:
         A level crossing, which has no eigenstates to couple, raises
         DegeneracyError, as in ``eigenframe``.
         """
+        _check_count(dimension, "dimension", 1)
         self.adiabatic_ratios()
         s = self.level_sign(level)
         theta = self.cone_angle_of_level(level)
@@ -396,8 +392,10 @@ def evolve_exact_batch(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (2,):
         raise ValueError("psi0 must be one spinor of shape (2,)")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # NaN fails
         raise ValueError("psi0 must be normalized")
+    _check_count(slices, "slices", 1)
+    _check_real(sigma, "sigma", 0)
     t = np.asarray(time_grid, dtype=float)
     n_steps = t.size - 1
     if slices < n_steps:

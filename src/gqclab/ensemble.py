@@ -34,11 +34,10 @@ from .adiabatic import (
     evolve_exact_batch,
     stochastic_phase_batch,
 )
-from .errors import _check_elements
+from .errors import _check_count, _check_elements, _check_real
 from .noise import (
     RESOLUTION_FACTOR,
     NoiseSpec,
-    _check_count,
     _ensemble_normals,
     _noise_grid,
     _ou_from_normals,
@@ -99,15 +98,15 @@ class EnsembleConfig:
             raise ValueError(
                 f"initial_amplitudes must have {self.hamiltonian.n_levels} entries"
             )
-        if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-12:
+        if not abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12:  # NaN fails
             raise ValueError("initial_amplitudes must satisfy sum |c_k|^2 = 1")
         _check_count(self.realizations, "realizations", 2)
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         _check_count(self.substeps, "substeps", 1)
         _check_count(self.threads, "threads", 1)
-        if self.noise_dt is not None and not 0 < self.noise_dt < np.inf:
-            raise ValueError(f"noise_dt must be finite and > 0, got {self.noise_dt}")
+        if self.noise_dt is not None:
+            _check_real(self.noise_dt, "noise_dt", 0, strict=True)
         object.__setattr__(self, "initial_amplitudes", tuple(c.tolist()))
 
     @property
@@ -332,8 +331,7 @@ def run_ensemble(config: EnsembleConfig):
 
 def decoherence_factor_analytic(variance: float) -> float:
     """Gaussian decoherence factor exp(-variance / 2)."""
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
+    _check_real(variance, "variance", 0)
     return float(np.exp(-variance / 2.0))
 
 
@@ -342,10 +340,10 @@ def variance_analytic(
 ) -> float:
     """Phase variance after eta control cycles: eta gamma^2 sigma^2 I / 4,
     the paper's law for I of one period, exact only for tau_c << T."""
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
-    if coupling < 0 or sigma2 < 0 or overlap < 0:
-        raise ValueError("coupling, sigma2 and overlap must be >= 0")
+    _check_count(eta, "eta", 1)
+    _check_real(coupling, "coupling", 0)
+    _check_real(sigma2, "sigma2", 0)
+    _check_real(overlap, "overlap", 0)
     return eta * coupling**2 * sigma2 * overlap / 4.0
 
 
@@ -388,8 +386,7 @@ def _segment_overlap(segments, correlation_time: float, levels, dimension) -> fl
     k, j = levels
     if k == j:
         raise ValueError("levels k and j must differ (I_kk is trivially zero)")
-    if correlation_time <= 0:
-        raise ValueError(f"correlation_time must be > 0, got {correlation_time}")
+    _check_real(correlation_time, "correlation_time", 0, strict=True)
     schedule = segments[0][0].schedule
     gram, edge = _kernel_gram(correlation_time, schedule.period, schedule.duration)
     decay = math.exp(-schedule.duration / correlation_time)
@@ -429,8 +426,8 @@ def onset_ratio(
     ONSET_VARIANCE = (2 pi)^2; values >= 1 mean the accumulated phase
     spread reaches ~2 pi and coherence is destroyed.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    _check_real(power_density, "power_density", 0)
+    _check_real(bandwidth, "bandwidth", 0, strict=True)
     variance = variance_analytic(eta, coupling, power_density / bandwidth, overlap)
     return variance / ONSET_VARIANCE
 

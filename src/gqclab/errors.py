@@ -4,10 +4,12 @@ Plain ``ValueError`` is used for ordinary bad arguments; the classes here
 mark failure modes that callers (and the command line driver) need to tell
 apart: an under-resolved time grid, a level crossing, a violated adiabaticity
 precondition, a rejected configuration, and a blown resource budget.  The
-budget itself, MAX_ELEMENTS, is checked here for every layer.
+budget itself, MAX_ELEMENTS, is checked here for every layer, as is every
+count and real number that an entry point takes.
 """
 
 import math
+import numbers
 
 __all__ = [
     "ResolutionError",
@@ -60,3 +62,39 @@ def _check_elements(shape: tuple, what: str) -> None:
             f"{what} of shape {shape} needs {elements} elements, above the "
             f"bound {MAX_ELEMENTS}"
         )
+
+
+def _check_count(value, name: str, minimum=None, maximum=None) -> int:
+    """``value`` as a Python int, once a count of the argument ``name``
+    that is not an integer >= ``minimum`` (if given) and <= ``maximum`` (if
+    given, with a minimum) is refused: TypeError for a non-integer or a
+    bool, ValueError out of range."""
+    integer = type(value) is int or isinstance(value, numbers.Integral)  # ABCs are slow
+    if not integer or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_real(value, name: str, minimum=None, maximum=None, strict=False) -> None:
+    """Refuse a real ``value`` of the argument ``name`` that is not finite
+    and >= ``minimum`` (> when ``strict``) and <= ``maximum``, each bound
+    if given: TypeError for a non-number or a bool, ValueError for NaN,
+    +-inf or a value out of range.  A maximum of pi is named "pi"."""
+    real = type(value) is float or isinstance(value, numbers.Real)  # as above
+    if not real or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    low = -math.inf if minimum is None else minimum
+    high = math.inf if maximum is None else maximum
+    above = low < value or not strict and value == low
+    if above and value <= high and abs(value) < math.inf:
+        return  # NaN fails every comparison
+    if maximum is None:
+        bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    high = "pi" if maximum == math.pi else maximum
+    interval = f"{'(' if strict else '['}{minimum}, {high}]"
+    raise ValueError(f"{name} must lie in {interval}, got {value}")

@@ -40,6 +40,7 @@ from .ensemble import (
     onset_ratio,
     variance_analytic,
 )
+from .errors import _check_real
 
 __all__ = [
     "GateResult",
@@ -84,12 +85,8 @@ class GateResult:
     analytic_variance: float
 
     def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-9:
-            raise ValueError(f"fidelity out of [0, 1]: {self.fidelity}")
-        if not 0.0 < self.decoherence_factor <= 1.0:
-            raise ValueError(
-                f"decoherence factor out of (0, 1]: {self.decoherence_factor}"
-            )
+        _check_real(self.fidelity, "fidelity", 0, 1 + 1e-9)
+        _check_real(self.decoherence_factor, "decoherence_factor", 0, 1, strict=True)
 
 
 def _segments(h: QubitHamiltonian) -> list:
@@ -158,8 +155,9 @@ def _bell_overlap_limit(
 ) -> float:
     """Bell-pair overlap sum under rf power noise for tau_c << T:
     32 tau_c T sin^2(theta_0)."""
-    if correlation_time <= 0 or period <= 0:
-        raise ValueError("correlation_time and period must be > 0")
+    _check_real(correlation_time, "correlation_time", 0, strict=True)
+    _check_real(period, "period", 0, strict=True)
+    _check_real(cone_angle, "cone_angle", 0, np.pi)
     return 32.0 * correlation_time * period * np.sin(cone_angle) ** 2
 
 

@@ -28,8 +28,6 @@ does not promise the same ``Generator`` streams across numpy versions.
 from __future__ import annotations
 
 import contextlib
-import numbers
-import operator
 import os
 import pickle
 import warnings
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, _check_elements
+from .errors import ResolutionError, _check_count, _check_elements, _check_real
 
 __all__ = [
     "NoiseSpec",
@@ -76,13 +74,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         # sigma = sqrt(variance) scales the noise in the engines: no NaN or inf
-        if not 0 <= self.variance < np.inf:
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        if not 0 < self.correlation_time < np.inf:
-            raise ValueError(
-                f"correlation_time must be finite and > 0, got {self.correlation_time}"
-            )
-        if self.dimension not in (1, 3):
+        _check_real(self.variance, "variance", 0)
+        _check_real(self.correlation_time, "correlation_time", 0, strict=True)
+        if _check_count(self.dimension, "dimension", 1) not in (1, 3):
             raise ValueError(f"dimension must be 1 or 3, got {self.dimension}")
 
     def kernel_profile(self, tau):
@@ -97,33 +91,16 @@ def split_seed(master_seed: int, index: int) -> int:
     the stream of realization i does not depend on how many other
     realizations exist or in which order they are generated.  Both must be
     integers in [0, 2**64): ValueError otherwise, TypeError for non-integers
-    and bools.
+    and bools (``_check_count``).
     """
-    words = []
-    for name, value in (("master_seed", master_seed), ("index", index)):
-        if isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        value = operator.index(value)
-        if not 0 <= value < 2**64:
-            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-        words.append(value)
-    return words[0] + (words[1] << 64)
+    low = _check_count(master_seed, "master_seed", 0, 2**64 - 1)
+    return low + (_check_count(index, "index", 0, 2**64 - 1) << 64)
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     """Generator of realization ``index``: Philox keyed by ``split_seed``,
     from counter 0."""
     return np.random.Generator(np.random.Philox(key=split_seed(master_seed, index)))
-
-
-def _check_count(value, name: str, minimum: int) -> None:
-    """Refuse a count ``value`` of the argument ``name`` that is not an
-    integer >= ``minimum``: TypeError for a non-integer or a bool,
-    ValueError below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _worker_count(threads: int, realizations: int, variances) -> int:
@@ -268,9 +245,8 @@ def _n_times(duration: float, dt: float) -> int:
 
 
 def _check_resolution(spec: NoiseSpec, duration: float, dt: float) -> None:
-    if not dt > 0:  # NaN fails each comparison
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not duration >= dt:
+    _check_real(dt, "dt", 0, strict=True)
+    if not duration >= dt:  # NaN fails each comparison
         raise ResolutionError(f"duration must be >= dt, got {duration} < {dt}")
     bound = spec.correlation_time / RESOLUTION_FACTOR
     if not dt <= bound * (1 + 1e-12):
@@ -405,11 +381,13 @@ def make_noise_ensemble(
 def _lag_steps(lags, dt: float, n_times: int) -> list:
     """Grid steps m = lag / dt of each lag on a path of ``n_times`` points.
 
-    Raises ValueError for a lag that is not a multiple of ``dt`` or that
-    does not fit in the path.
+    Raises ValueError for a lag off the grid or beyond the path, once
+    ``_check_real`` has checked ``dt`` and each lag.
     """
+    _check_real(dt, "dt", 0, strict=True)
     steps = []
     for lag in lags:
+        _check_real(lag, "lags")
         m = int(round(lag / dt))
         if abs(m * dt - lag) > 1e-9 * max(dt, abs(lag)):
             raise ValueError(f"lag {lag} is not representable on the grid")

@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import ONSET_VARIANCE, variance_analytic
+from .errors import _check_count, _check_real
 from .gate import _bell_overlap_limit, gate_onset_ratio
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "find_period",
     "choose_q",
     "euler_phi",
-    "coprime_residues",
     "dft_phase_variance",
     "prob_averaged",
     "success_probability",
@@ -88,8 +88,8 @@ def find_period(modulus: int, base: int) -> int:
     in Computational Algebraic Number Theory, 1993, Alg. 1.4.3).  That is
     O(sqrt N) trial divisions and O(log^2 N) modular multiplications.
     """
-    if modulus < 1 or modulus > MAX_MODULUS:
-        raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {modulus}")
+    modulus = _check_count(modulus, "modulus", 1, MAX_MODULUS)
+    base = _check_count(base, "base")
     if math.gcd(base, modulus) != 1:
         raise ValueError(f"base {base} is not co-prime with modulus {modulus}")
     r = euler_phi(modulus)  # phi(1) = 1: every base has order 1 mod 1
@@ -101,8 +101,7 @@ def find_period(modulus: int, base: int) -> int:
 
 def choose_q(modulus: int):
     """Smallest power of two q with N^2 <= q <= 2 N^2, and L = log2 q."""
-    if modulus < 3:
-        raise ValueError(f"modulus must be >= 3, got {modulus}")
+    modulus = _check_count(modulus, "modulus", 3)
     q = 1 << (modulus * modulus - 1).bit_length()
     return q, q.bit_length() - 1
 
@@ -110,23 +109,10 @@ def choose_q(modulus: int):
 def euler_phi(r: int) -> int:
     """Count of integers 1 <= m < r co-prime with r, phi(1) = 1: the
     product r prod_p (1 - 1/p) over the primes p of r."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_count(r, "r", 1)
     for p in _prime_factors(r):
         r -= r // p
     return r
-
-
-def coprime_residues(r: int) -> tuple:
-    """The residues m < r with gcd(m, r) = 1 (empty for r = 1 by convention):
-    one sieve over [0, r) strikes out 0 and the multiples of r's primes."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    keep = np.ones(r, dtype=bool)
-    keep[0] = False
-    for p in _prime_factors(r):
-        keep[::p] = False
-    return tuple(np.flatnonzero(keep).tolist())
 
 
 @dataclass(frozen=True)
@@ -141,10 +127,11 @@ class ShorInstance:
     offset: int = 0
 
     def __post_init__(self):
+        _check_count(self.modulus, "modulus", 3, MAX_MODULUS)
+        for name in ("modulus", "base", "period", "register_size", "bits", "offset"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         n, y, r, q = self.modulus, self.base, self.period, self.register_size
         L, l = self.bits, self.offset
-        if not 3 <= n <= MAX_MODULUS:
-            raise ValueError(f"modulus must be in [3, {MAX_MODULUS}], got {n}")
         if math.gcd(y, n) != 1:
             raise ValueError(f"base {y} not co-prime with modulus {n}")
         # the order is the r < N with y^r = 1 and y^(r/p) != 1 for each prime p | r
@@ -154,14 +141,13 @@ class ShorInstance:
             raise ValueError(f"{r} is not the multiplicative order of {y} mod {n}")
         if q != 1 << L or not n * n <= q <= 2 * n * n:
             raise ValueError(f"register size {q} invalid for modulus {n}")
-        if not 0 <= l < r:
-            raise ValueError(f"offset must be in [0, period), got {l}")
+        _check_count(l, "offset", 0, r - 1)
 
     @classmethod
     def build(cls, modulus: int, base: int, offset: int = 0) -> "ShorInstance":
         r = find_period(modulus, base)
         q, L = choose_q(modulus)
-        return cls(modulus, base, r, q, L, offset % r)
+        return cls(modulus, base, r, q, L, _check_count(offset, "offset") % r)
 
     @property
     def path_count(self) -> int:
@@ -182,8 +168,7 @@ class NoisyAmplitudeModel:
     path_phase_variance: float
 
     def __post_init__(self):
-        if self.path_phase_variance < 0:
-            raise ValueError("path_phase_variance must be >= 0")
+        _check_real(self.path_phase_variance, "path_phase_variance", 0)
 
 
 @dataclass(frozen=True)
@@ -213,8 +198,7 @@ def dft_phase_variance(
     whole-window overlap (``gate_overlap_sum``), otherwise the rf-noise
     limit 32 tau_c T sin^2(theta_0), valid for tau_c << T, is used.
     """
-    if bits < 2:
-        raise ValueError(f"bits must be >= 2, got {bits}")
+    _check_count(bits, "bits", 2)
     limit = _bell_overlap_limit(correlation_time, period, cone_angle)
     overlap = limit if overlap_sum is None else overlap_sum
     return variance_analytic(bits * (bits - 1) // 2, coupling, sigma2, overlap)
@@ -251,14 +235,20 @@ def prob_averaged(model: NoisyAmplitudeModel, c) -> np.ndarray:
 
 
 def _useful_outcomes(inst: ShorInstance) -> np.ndarray:
-    """The outcomes c = round(c' q / r) for the c' co-prime with r, ascending.
+    """The outcomes c = round(c' q / r) for the c' in [1, r) co-prime with
+    r, ascending: one sieve over [0, r) strikes out 0 and the multiples of
+    r's primes, and its int64 indices are the c' (none for r = 1).
 
     The window |r c - c' q| <= r/2 is |c - c' q / r| <= 1/2, and c' q / r is
     never a half-integer (that needs r = 2q, but r < N <= sqrt(q)), so each
     window holds exactly round(c' q / r); as q > r, its nearest c' is c'.
     """
     q, r = inst.register_size, inst.period
-    c_prime = np.array(coprime_residues(r), dtype=np.int64)
+    keep = np.ones(r, dtype=bool)
+    keep[0] = False
+    for p in _prime_factors(r):
+        keep[::p] = False
+    c_prime = np.flatnonzero(keep).astype(np.int64, copy=False)
     return (2 * c_prime * q + r) // (2 * r)
 
 
@@ -334,8 +324,8 @@ def gqc_onset(
     ``dft_phase_variance`` over ONSET_VARIANCE; values >= 1 signal
     decoherence.
     """
-    if bits < 2 or coupling <= 0:
-        raise ValueError("bits must be >= 2 and coupling > 0")
+    _check_count(bits, "bits", 2)
+    _check_real(coupling, "coupling", 0, strict=True)
     if np.sin(cone_angle) == 0:
         raise ValueError("cone_angle must have nonzero sin(theta_0)")
     eta = bits * (bits - 1) // 2

@@ -27,7 +27,7 @@ from gqclab.ensemble import (
 )
 from gqclab.gate import BELL_LEVELS
 from gqclab.noise import NoiseSpec
-from gqclab.shor import NoisyAmplitudeModel, ShorInstance, coprime_residues
+from gqclab.shor import NoisyAmplitudeModel, ShorInstance, _prime_factors
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -416,6 +416,18 @@ def _averaged_density_analytic(config) -> AveragedDensity:
 @pytest.fixture
 def averaged_density_analytic():
     return _averaged_density_analytic
+
+
+def coprime_residues(r: int) -> tuple:
+    """The residues m < r with gcd(m, r) = 1 (empty for r = 1 by convention):
+    one sieve over [0, r) strikes out 0 and the multiples of r's primes."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    keep = np.ones(r, dtype=bool)
+    keep[0] = False
+    for p in _prime_factors(r):
+        keep[::p] = False
+    return tuple(np.flatnonzero(keep).tolist())
 
 
 def _constructive_outcomes(inst: ShorInstance):

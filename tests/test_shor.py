@@ -12,7 +12,6 @@ from gqclab import (
     ResourceLimitError,
     ShorInstance,
     choose_q,
-    coprime_residues,
     dft_phase_variance,
     euler_phi,
     find_period,
@@ -23,6 +22,8 @@ from gqclab import (
     success_probability,
 )
 from gqclab.shor import _prime_factors
+
+from conftest import coprime_residues
 
 ONSET_V = 4 * np.pi**2
 

@@ -287,3 +287,133 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     used = sum(map(name_counts, callers), Counter(sum(wrapped.values(), ())))
     assert unreferenced_functions(trees, used, exported.__contains__) == []
     assert AWAITING_A_CALLER <= set(gqclab.__all__)  # no stale exemption
+
+
+#: the library modules whose entry points take numbers
+NUMERIC = ("noise", "adiabatic", "ensemble", "gate", "shor")
+
+#: entry points that compare an argument with a fixed bound and raise, each
+#: a structural check rather than a number's range
+STRUCTURAL = {
+    "ensemble.decoherence_sweep": "the level index lies in [0, n_levels)",
+    "shor.ShorInstance.__post_init__": "the order r lies in (0, N)",
+}
+
+#: two hand-written number checks, one through an alias, a NaN test, and
+#: two comparisons that are not range checks (with another argument, and
+#: one that returns)
+CHECKS_SAMPLE = """\
+def f(n, x, y):
+    if n < 1:
+        raise ValueError
+    m, _ = n, y
+    if not 0 <= m < np.pi:
+        raise ValueError
+    if math.isnan(x):
+        raise ValueError
+    if n < x:
+        raise ValueError
+    if x > 0:
+        return x
+"""
+
+
+def _argument(node: ast.AST, names: set) -> bool:
+    """Whether ``node`` reads an argument: a name of ``names`` or a field
+    ``self.x``."""
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "self"
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _bound(node: ast.AST) -> bool:
+    """Whether ``node`` is a fixed bound: a number, a negated one, pi, inf
+    or an upper-case constant."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("pi", "inf")
+    return isinstance(node, ast.Name) and node.id.isupper()
+
+
+def _number_check(node: ast.AST, names: set) -> bool:
+    """Whether ``node`` compares an argument (``_argument``) with a fixed
+    bound by <, <=, > or >=, or calls isnan, isinf or isfinite."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name in ("isnan", "isinf", "isfinite")
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    if not isinstance(node, ast.Compare):
+        return False
+    if not any(isinstance(op, order) for op in node.ops):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(_argument(o, names) for o in operands) and any(map(_bound, operands))
+
+
+def hand_checks(function: ast.FunctionDef) -> list:
+    """Lines of each ``if`` in ``function`` that raises when an argument (a
+    parameter, a field ``self.x`` or a name assigned one of them) compares
+    with a fixed bound by <, <=, > or >=, or when isnan, isinf or isfinite
+    reads anything."""
+    names = {arg.arg for arg in function.args.args} - {"self"}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            targets = target.elts if isinstance(target, ast.Tuple) else [target]
+            values = [value] * len(targets)
+            if isinstance(value, ast.Tuple):
+                values = value.elts
+            names |= {
+                t.id
+                for t, v in zip(targets, values)
+                if isinstance(t, ast.Name) and _argument(v, names)
+            }
+    return sorted(
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.If)
+        and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        and any(_number_check(test, names) for test in ast.walk(node.test))
+    )
+
+
+def test_one_owner_of_the_argument_checks():
+    """errors._check_count and errors._check_real, defined there alone, check
+    every count and real number: no __post_init__ or exported function of
+    the numeric modules compares an argument with a fixed bound in an
+    ``if`` that raises, or tests it for NaN or inf, but the STRUCTURAL
+    ones.  The lag grid, the time-grid uniformity and the Shor register
+    relate arguments to each other, and are left as they are."""
+    [sample] = ast.parse(CHECKS_SAMPLE).body
+    assert hand_checks(sample) == [2, 5, 7]
+    owners = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_check_count", "_check_real")
+    ]
+    assert owners == ["errors.py:_check_count", "errors.py:_check_real"]
+    found = {}
+    for module in NUMERIC:
+        exported = importlib.import_module(f"gqclab.{module}").__all__
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if getattr(node, "name", None) not in exported:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node)]
+            else:
+                functions = [
+                    (f"{node.name}.{method.name}", method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and method.name == "__post_init__"
+                ]
+            for name, function in functions:
+                if hand_checks(function):
+                    found[f"{module}.{name}"] = hand_checks(function)
+    assert sorted(found) == sorted(STRUCTURAL)
+    assert all(len(lines) == 1 for lines in found.values()), found
