@@ -9,9 +9,9 @@ Conventions (used throughout the package):
 * H_a(t) = -(gamma/2) B_a(t) . sigma per qubit; the coupling gamma must be
   positive, so level 0 (the ground state) is the spin state *aligned* with
   the field and level 1 the anti-aligned one.
-* Noise couples linearly: H_s(t) = -(gamma/2) B_n(t) . O_hat, where O_hat
-  is a Pauli operator along a fixed axis for scalar noise, or the full
-  Pauli vector for isotropic 3-component noise.
+* Noise couples linearly: H_s(t) = -(gamma/2) B_n(t) . sigma, where B_n is
+  sigma n(t) x_hat for scalar noise, the first component of isotropic
+  3-component noise.
 
 Instantaneous eigenstates use the explicit spherical gauge
 
@@ -125,27 +125,22 @@ class ControlSchedule:
 class QubitHamiltonian:
     """H(t; k) = H_a(t) + H_s(t; k) for one or two driven qubits.
 
-    coupling            gyromagnetic coupling gamma > 0 (rad / (s field))
-    schedule            the deterministic control schedule
-    noise_operator_axis unit 3-vector: O_hat = axis . sigma for scalar noise
-    qubit_count         1 or 2
-    level_cone_angles   optional 4 effective cone angles (two-qubit mode),
-                        indexed by level k = 2*i1 + i2; defaults to the
-                        schedule's cone angle for every level
+    coupling           gyromagnetic coupling gamma > 0 (rad / (s field))
+    schedule           the deterministic control schedule
+    qubit_count        1 or 2
+    level_cone_angles  optional 4 effective cone angles (two-qubit mode),
+                       indexed by level k = 2*i1 + i2; defaults to the
+                       schedule's cone angle for every level
     """
 
     coupling: float
     schedule: ControlSchedule
-    noise_operator_axis: tuple = (1.0, 0.0, 0.0)
     qubit_count: int = 1
     level_cone_angles: Optional[tuple] = None
 
     def __post_init__(self):
         _check_real(self.coupling, "coupling", 0, strict=True)
         _check_count(self.qubit_count, "qubit_count", 1, 2)
-        axis = np.asarray(self.noise_operator_axis, dtype=float)
-        if axis.shape != (3,) or not np.isclose(np.linalg.norm(axis), 1.0):
-            raise ValueError("noise_operator_axis must be a unit 3-vector")
         if self.level_cone_angles is not None:
             if self.qubit_count != 2:
                 raise ValueError("level_cone_angles is a two-qubit feature")
@@ -153,9 +148,6 @@ class QubitHamiltonian:
                 raise ValueError("level_cone_angles must have 4 entries")
             for angle in self.level_cone_angles:
                 _check_real(angle, "level_cone_angles", 0, np.pi)
-        object.__setattr__(
-            self, "noise_operator_axis", tuple(float(a) for a in axis)
-        )
 
     @property
     def n_levels(self) -> int:
@@ -197,8 +189,8 @@ class QubitHamiltonian:
         sin th sin phi, cos th) at the level's cone angle th, with
         phi = o w t and o the contour's orientation; the anti-aligned one's
         is -n.  The noise acts alike on every qubit (shared coil), so level k
-        sees s_k n.  Scalar noise (dimension 1) projects it on the noise
-        axis, O = axis . sigma; isotropic noise (dimension 3) keeps x, y, z.
+        sees s_k n.  Noise of ``dimension`` 1 (scalar, along x) or 3
+        (isotropic) reads the first ``dimension`` of its x, y, z rows.
         A level crossing, which has no eigenstates to couple, raises
         DegeneracyError, as in ``eigenframe``.
         """
@@ -209,10 +201,8 @@ class QubitHamiltonian:
         sin, cos = np.sin(theta), np.cos(theta)
         o = self.schedule.orientation
         vector = s * np.array([[0.0, sin, 0.0], [0.0, 0.0, o * sin], [cos, 0.0, 0.0]])
-        if dimension == 1:
-            return (np.asarray(self.noise_operator_axis) @ vector)[None]
-        if dimension == 3:
-            return vector
+        if dimension in (1, 3):
+            return vector[:dimension]
         raise ValueError(f"unsupported noise dimension {dimension}")
 
     def adiabatic_ratios(self, correlation_time: Optional[float] = None) -> dict:
@@ -220,6 +210,8 @@ class QubitHamiltonian:
 
         A level crossing, a gap below ``_MIN_GAP``, raises DegeneracyError.
         """
+        if correlation_time is not None:
+            _check_real(correlation_time, "correlation_time", 0, strict=True)
         gap = self.gap
         if gap < _MIN_GAP:
             raise DegeneracyError(
@@ -375,9 +367,9 @@ def evolve_exact_batch(
     n_real x slices x dim, or slices x P x 3, above MAX_ELEMENTS is refused
     before allocating; the slices run in passes of ``_SLICE_ELEMENTS``
     slice x segment x realization elements (at least one slice) through
-    arrays allocated once per call.  Under scalar noise a field component
-    that no segment's axis reaches keeps its noiseless value per slice,
-    the bits of adding noise 0.0 unless that value is -0.0.  Norm is
+    arrays allocated once per call.  The noise's ``dim`` components add to
+    the field's first ``dim`` (scalar noise is along x); a component that
+    no noise reaches keeps its noiseless value per slice.  Norm is
     preserved to 1e-10 by construction; accuracy improves as O(slices^-2)
     and is validated by slice doubling in the tests.  Two qubits evolve
     under u x u, which the ensemble's exact engine composes.
@@ -418,7 +410,6 @@ def evolve_exact_batch(
     mids = t0 + (np.arange(slices) + 0.5) * eps
 
     b_det = np.stack([s.schedule.field(mids) for s in segments], 1)  # (slices, P, 3)
-    axis = np.array([s.noise_operator_axis for s in segments])  # (P, 3)
     scale = np.array([[0.5 * s.coupling * eps] for s in segments])  # (P, 1)
     j = np.searchsorted(t, mids, side="right") - 1
     weight = sigma * (mids - t[j]) / np.diff(t)[j]
@@ -431,16 +422,11 @@ def evolve_exact_batch(
     tmp0, tmp1 = np.empty_like(p0), np.empty_like(p0)
     block = min(max(_SLICE_ELEMENTS // (count * n_real), 1), slices)
     rows = (block, count, n_real)
-    # the pass arrays: midpoint noise, |b|, x (then s), alpha, beta and
-    # their conjugates, allocated once; a short last pass takes leading views
+    # the pass arrays: midpoint noise (then the noisy field components), |b|,
+    # x (then s), alpha, beta and their conjugates, allocated once; a short
+    # last pass takes leading views
     buffers = [np.empty(rows + (dim,)), np.empty(rows), np.empty(rows)]
     buffers += [np.empty(rows, complex) for _ in range(4)]
-    # under scalar noise a component whose axis entry is 0 in every segment
-    # is b_det + noise 0.0, which is b_det unless b_det is -0.0: such a
-    # component stays per slice, (block, P, 1)
-    negative_zero = ((b_det == 0) & np.signbit(b_det)).any(axis=(0, 1))
-    noisy = axis.any(axis=0) | negative_zero | (dim == 3)
-    fields = {c: np.empty(rows) for c in np.flatnonzero(noisy)}
     for start in range(0, slices, block):
         k = slice(start, start + block)
         jk = j[k, None] + first
@@ -454,12 +440,10 @@ def evolve_exact_batch(
         noise *= weight[k, None, None, None]
         lo *= sigma
         noise += lo
+        # a component without noise stays per slice, (block, P, 1)
         b = [b_det[k, :, c, None] for c in range(3)]
-        for c, out in fields.items():
-            part = noise[..., c] if dim == 3 else noise[..., 0]
-            if dim == 1:
-                part = np.multiply(part, axis[:, c, None], out=out[:m])
-            b[c] = np.add(part, b[c], out=out[:m])
+        for c in range(dim):
+            b[c] = np.add(noise[..., c], b[c], out=noise[..., c])
         _cayley_klein(*b, scale, norm, x, alpha, beta)
         np.conjugate(alpha, out=ac)
         np.conjugate(beta, out=bc)

@@ -10,6 +10,7 @@ count and real number that an entry point takes.
 
 import math
 import numbers
+import sys
 
 __all__ = [
     "ResolutionError",
@@ -79,19 +80,20 @@ def _check_count(value, name: str, minimum=None, maximum=None) -> int:
     return int(value)
 
 
-def _check_real(value, name: str, minimum=None, maximum=None, strict=False) -> None:
-    """Refuse a real ``value`` of the argument ``name`` that is not finite
-    and >= ``minimum`` (> when ``strict``) and <= ``maximum``, each bound
-    if given: TypeError for a non-number or a bool, ValueError for NaN,
-    +-inf or a value out of range.  A maximum of pi is named "pi"."""
+def _check_real(value, name: str, minimum=None, maximum=None, strict=False) -> float:
+    """``value`` as a Python float, once a real of the argument ``name``
+    that is not finite and >= ``minimum`` (> when ``strict``) and <=
+    ``maximum``, each bound if given, is refused: TypeError for a
+    non-number or a bool, ValueError for NaN, +-inf, an integer beyond the
+    float range or a value out of range.  A maximum of pi is named "pi"."""
     real = type(value) is float or isinstance(value, numbers.Real)  # as above
     if not real or isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     low = -math.inf if minimum is None else minimum
     high = math.inf if maximum is None else maximum
     above = low < value or not strict and value == low
-    if above and value <= high and abs(value) < math.inf:
-        return  # NaN fails every comparison
+    if above and value <= high and abs(value) <= sys.float_info.max:
+        return float(value)  # NaN fails every comparison
     if maximum is None:
         bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")

@@ -139,6 +139,8 @@ def calibrate_level_cone_angles(phi: float, base_angle: float) -> tuple:
     phases cancel), so their angles stay at the base value.  Solves for
     theta_11 keeping theta_00 = base_angle.
     """
+    _check_real(phi, "phi")
+    _check_real(base_angle, "base_angle", 0, np.pi)
     phi = float(np.mod(phi, 2.0 * np.pi))
     target = np.cos(base_angle) - phi / (8.0 * np.pi)
     if not -1.0 <= target <= 1.0:

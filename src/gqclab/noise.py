@@ -65,7 +65,7 @@ class NoiseSpec:
 
     variance         stationary variance sigma^2 (field^2 units)
     correlation_time correlation time tau_c (seconds)
-    dimension        1 for scalar rf noise, 3 for isotropic vector noise
+    dimension        1 for scalar rf noise along x, 3 for isotropic vector noise
     """
 
     variance: float

@@ -168,7 +168,8 @@ class NoisyAmplitudeModel:
     path_phase_variance: float
 
     def __post_init__(self):
-        _check_real(self.path_phase_variance, "path_phase_variance", 0)
+        v = _check_real(self.path_phase_variance, "path_phase_variance", 0)
+        object.__setattr__(self, "path_phase_variance", v)
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,8 @@ def runtime_scaling(instances: Sequence[ShorInstance], variances: Sequence[float
         raise ValueError("need one variance per instance")
     rows = []
     for inst, v in zip(instances, variances):
-        report = success_probability(
-            NoisyAmplitudeModel(instance=inst, path_phase_variance=float(v))
-        )
+        model = NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
+        report = success_probability(model)
         rows.append(
             {
                 "modulus": inst.modulus,
@@ -298,7 +298,7 @@ def runtime_scaling(instances: Sequence[ShorInstance], variances: Sequence[float
                 "period": inst.period,
                 "register_size": inst.register_size,
                 "bits": inst.bits,
-                "variance_rad2": float(v),
+                "variance_rad2": model.path_phase_variance,
                 "success_probability": report.success_probability,
                 "runs_needed": report.runs_needed,
                 "regime": report.regime,

@@ -38,15 +38,11 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 def _noise_operators(h, dimension: int) -> np.ndarray:
     """Component operators O_c such that H_s = -(gamma/2) sum_c B_n^c O_c.
 
-    Scalar noise (dimension 1) uses the projected operator (axis . sigma);
-    isotropic noise (dimension 3) uses the Pauli vector.  Two-qubit
-    operators act identically on both qubits (shared coil):
-    O -> O x 1 + 1 x O.
+    Scalar noise (dimension 1) is along x, so it uses sigma_x; isotropic
+    noise (dimension 3) uses the Pauli vector.  Two-qubit operators act
+    identically on both qubits (shared coil): O -> O x 1 + 1 x O.
     """
-    if dimension == 1:
-        ops = [np.tensordot(h.noise_operator_axis, PAULI, axes=(0, 0))]
-    else:
-        ops = list(PAULI)
+    ops = list(PAULI[:dimension])
     if h.qubit_count == 2:
         eye = np.eye(2)
         ops = [np.kron(o, eye) + np.kron(eye, o) for o in ops]
@@ -75,19 +71,17 @@ def _two_qubit_slice_product(h, time_grid, path, slices):
     """Two-qubit propagator of one noise path from dense 4x4 matrix exponentials.
 
     Each slice uses the midpoint field b = B_a(t_mid) + noise(t_mid), with the
-    noise interpolated by ``np.interp``, and H = -(gamma/2) b . (sigma x 1 +
-    1 x sigma); the slice propagators expm(-i H eps) are multiplied in time
-    order.  ``path`` has shape (n_times, dim).
+    noise interpolated by ``np.interp`` and added to the field's first dim
+    components, and H = -(gamma/2) b . (sigma x 1 + 1 x sigma); the slice
+    propagators expm(-i H eps) are multiplied in time order.  ``path`` has
+    shape (n_times, dim).
     """
     t = np.asarray(time_grid, dtype=float)
     eps = (t[-1] - t[0]) / slices
     mids = t[0] + (np.arange(slices) + 0.5) * eps
-    noise = np.stack(
-        [np.interp(mids, t, path[:, c]) for c in range(path.shape[1])], axis=-1
-    )
-    if path.shape[1] == 1:
-        noise = noise * np.asarray(h.noise_operator_axis)
-    field = h.schedule.field(mids) + noise
+    field = h.schedule.field(mids)
+    for c in range(path.shape[1]):
+        field[:, c] += np.interp(mids, t, path[:, c])
     eye = np.eye(2)
     ops = np.stack([np.kron(s, eye) + np.kron(eye, s) for s in PAULI])
     u = np.eye(4, dtype=complex)
@@ -147,7 +141,8 @@ def _slice_loop_reference(h, time_grid, noise_samples, psi0, slices):
     """``evolve_exact_batch`` one slice at a time, from unit field vectors.
 
     Each slice applies the SU(2) exponential of the midpoint field, with the
-    noise interpolated by np.interp's formula, to every realization.
+    noise interpolated by np.interp's formula and added to the field's first
+    dim components, to every realization.
     """
     t = np.asarray(time_grid, dtype=float)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -155,15 +150,15 @@ def _slice_loop_reference(h, time_grid, noise_samples, psi0, slices):
     eps = (t[-1] - t[0]) / slices
     mids = t[0] + (np.arange(slices) + 0.5) * eps
     b_det = h.schedule.field(mids)
-    axis = np.asarray(h.noise_operator_axis)
+    dim = noise_samples.shape[-1]
     j = np.searchsorted(t, mids, side="right") - 1
     slope = np.diff(noise_samples, axis=1) / np.diff(t)[:, None]
     noise_mid = slope[:, j] * (mids - t[j])[:, None] + noise_samples[:, j]
     cols = psi0.reshape(2, -1).T  # spinor columns (m, 2)
     psi = np.broadcast_to(cols, (n_real,) + cols.shape).copy()
     for k in range(slices):
-        mid = noise_mid[:, k]
-        b = b_det[k] + (mid * axis if noise_samples.shape[-1] == 1 else mid)
+        b = np.repeat(b_det[k][None], n_real, axis=0)
+        b[:, :dim] += noise_mid[:, k]
         psi = _su2_apply(b[:, None], h.coupling, eps, psi)
     return psi.swapaxes(-1, -2).reshape((n_real,) + psi0.shape)
 
@@ -194,10 +189,10 @@ def _exact_batch_reference(h, time_grid, noise_samples, psi0, slices, sigma=1.0)
     """``evolve_exact_batch`` with every pass array allocated afresh.
 
     The same slice passes of ``_SLICE_ELEMENTS`` elements, midpoint rule,
-    gather and spinor-update order, but each pass computes every field
-    component at full width, adding noise 0.0 to a component with no noise,
-    and divides sin x by |b| only where |b| > 0.  The engine's bits must
-    equal these.
+    gather and spinor-update order, but each pass holds every field
+    component at full width, adds the noise's dim components to the first
+    dim and leaves the others at the control field, and divides sin x by |b|
+    only where |b| > 0.  The engine's bits must equal these.
     """
     single = isinstance(h, QubitHamiltonian)
     segments = [h] if single else list(h)
@@ -209,7 +204,6 @@ def _exact_batch_reference(h, time_grid, noise_samples, psi0, slices, sigma=1.0)
     eps = (t[-1] - t[0]) / slices
     mids = t[0] + (np.arange(slices) + 0.5) * eps
     b_det = np.stack([s.schedule.field(mids) for s in segments], 1)
-    axis = np.array([s.noise_operator_axis for s in segments])
     scale = np.array([[0.5 * s.coupling * eps] for s in segments])
     j = np.searchsorted(t, mids, side="right") - 1
     weight = sigma * (mids - t[j]) / np.diff(t)[j]
@@ -228,12 +222,9 @@ def _exact_batch_reference(h, time_grid, noise_samples, psi0, slices, sigma=1.0)
         noise *= weight[k, None, None, None]
         lo *= sigma
         noise += lo
-        b = [
-            b_det[k, :, c, None]
-            + (noise[..., 0] * axis[:, c, None] if dim == 1 else noise[..., c])
-            for c in range(3)
-        ]
-        alpha, beta = _cayley_klein_reference(*b, scale)
+        b = np.repeat(b_det[k, :, None], n_real, axis=2)  # (block, P, n_real, 3)
+        b[..., :dim] += noise
+        alpha, beta = _cayley_klein_reference(*np.moveaxis(b, -1, 0), scale)
         for a, bt, ac, bc in zip(alpha, beta, alpha.conj(), beta.conj()):
             np.multiply(a, p0, out=tmp0)
             np.multiply(bt, p1, out=tmp1)

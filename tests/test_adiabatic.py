@@ -187,19 +187,24 @@ def test_level_coupling_matches_the_eigenstate_expectations(
     noise_operators, operator_expectations, qubits, angles, dimension, axis, direction
 ):
     """The closed form s_k n(theta_k, phi(t)) . f(t) against the einsum of the
-    eigenframe's states and the Kronecker-summed Pauli operators."""
+    eigenframe's states and the Kronecker-summed Pauli operators: each of
+    its ``dimension`` rows (x alone for scalar noise), and their sum
+    weighted by the first ``dimension`` components of ``axis``, which is
+    how the engines couple a noise path u(t) axis."""
     sched = ControlSchedule(200.0, 1.1, 0.8, cycles=2, direction=direction)
-    h = QubitHamiltonian(
-        1.0, sched, axis, qubit_count=qubits, level_cone_angles=angles
-    )
+    h = QubitHamiltonian(1.0, sched, qubit_count=qubits, level_cone_angles=angles)
     t = np.linspace(0.0, sched.duration, 97)
-    oracle = operator_expectations(eigenframe(h, t), noise_operators(h, dimension))
+    weights = np.array(axis[:dimension])
+    operators = noise_operators(h, dimension)
+    along = np.tensordot(weights, operators, axes=1)
+    oracle = operator_expectations(eigenframe(h, t), np.vstack([operators, [along]]))
     wt = 2.0 * np.pi / sched.period * t
     harmonics = np.stack([np.ones_like(t), np.cos(wt), np.sin(wt)])
     for level in range(h.n_levels):
         coupling = h.level_coupling(level, dimension)
         assert coupling.shape == (dimension, 3)
-        assert np.max(np.abs(coupling @ harmonics - oracle[level])) <= 4e-15
+        closed = np.vstack([coupling, weights @ coupling]) @ harmonics
+        assert np.max(np.abs(closed - oracle[level])) <= 4e-15
 
 
 def test_level_coupling_refuses_a_bad_level_dimension_or_crossing():
@@ -424,19 +429,22 @@ def test_evolve_exact_bits_equal_the_fresh_array_kernel(
     exact_batch_reference, cone, magnitude, axis, dimension, count, realizations, slices
 ):
     """Equal values and equal sign bits, zeros included, to the kernel that
-    allocates every pass array afresh and adds noise 0.0 to a component
-    without noise.  At 37 realizations the last pass is short, at 8,192
-    each pass holds one slice.  At cone angle 0 the control field's x and
-    y components are -0.0 at some slices, which noise 0.0 can turn to
-    +0.0; the columns of -i 1 carry that sign into the result."""
-    h = _hamiltonian(cone, magnitude=magnitude, noise_operator_axis=axis)
+    allocates every pass array afresh and leaves a component without noise
+    at the control field.  At 37 realizations the last pass is short, at
+    8,192 each pass holds one slice.  At cone angle 0 the control field's x
+    and y components are -0.0 at some slices, which noise 0.0 (sigma = 0)
+    can turn to +0.0; the columns of -i 1 carry that sign into the result.
+    ``axis`` is the Bloch vector of one more initial state, |0> for z."""
+    h = _hamiltonian(cone, magnitude=magnitude)
     reverse = replace(h, schedule=h.schedule.reversed())
     segments = [h] if count == 1 else [h, reverse] * 2
     t = np.linspace(0.0, 1.0, _ORACLE_STEPS + 1)
     shape = (realizations, count * _ORACLE_STEPS + 1, dimension)
     samples = _time_major(np.random.default_rng(3).normal(size=shape))
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
-    states = (np.array([0.6, 0.8j]), *rotation.T, *(-1j * np.eye(2)).T)
+    nx, ny, nz = axis
+    bloch = np.array([np.sqrt((1 + nz) / 2), (nx + 1j * ny) / np.sqrt(2 * (1 + nz))])
+    states = (np.array([0.6, 0.8j]), bloch, *rotation.T, *(-1j * np.eye(2)).T)
     for sigma in (0.0, 2.5):
         for psi0 in states:
             got = evolve_exact_batch(segments, t, samples, psi0, slices, sigma)

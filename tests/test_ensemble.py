@@ -262,11 +262,12 @@ def test_variance_analytic_arithmetic():
 
 
 def test_overlap_integral_separable_trivial(numeric_overlap):
-    # theta = 0 with O = sigma_z: O_kj constant = -2; the numerical oracle's
-    # kernel exp(-|tau|/tau_c) is 1 to 1e-12 at tau_c = 1e12 T
+    # theta = 0 under vector noise: the x and y rows vanish and the z row
+    # O_kj is constant -2; the numerical oracle's kernel exp(-|tau|/tau_c)
+    # is 1 to 1e-12 at tau_c = 1e12 T
     sched = ControlSchedule(magnitude=200.0, cone_angle=0.0, period=1.0)
-    h = QubitHamiltonian(coupling=1.0, schedule=sched, noise_operator_axis=(0, 0, 1))
-    val = numeric_overlap(h, 1e12, (0, 1), steps=1024)
+    h = QubitHamiltonian(coupling=1.0, schedule=sched)
+    val = numeric_overlap(h, 1e12, (0, 1), dimension=3, steps=1024)
     assert abs(val - 4.0) < 1e-9  # c^2 T^2 with c = 2, T = 1
 
 
@@ -279,15 +280,15 @@ def test_overlap_integral_nmr_closed_form(theta):
     assert abs(val - expected) < 0.05 * expected
 
 
-#: (qubits, calibrated angles, direction, noise axis, dimension, levels)
+#: (qubits, calibrated angles, direction, dimension, levels)
 OVERLAP_CASES = {
-    "1q": (1, False, "forward", (1.0, 0.0, 0.0), 1, (1, 0)),
-    "1q-reversed-tilted": (1, False, "reversed", (0.0, 0.6, 0.8), 1, (0, 1)),
-    "1q-vector": (1, False, "forward", (1.0, 0.0, 0.0), 3, (1, 0)),
-    "2q-bell": (2, False, "forward", (1.0, 0.0, 0.0), 1, (0, 3)),
-    "2q-calibrated-reversed": (2, True, "reversed", (1.0, 0.0, 0.0), 1, (0, 3)),
-    "2q-calibrated-vector": (2, True, "forward", (1.0, 0.0, 0.0), 3, (1, 3)),
-    "2q-calibrated-tilted": (2, True, "forward", (0.48, 0.6, 0.64), 1, (3, 2)),
+    "1q": (1, False, "forward", 1, (1, 0)),
+    "1q-reversed": (1, False, "reversed", 1, (0, 1)),
+    "1q-vector": (1, False, "forward", 3, (1, 0)),
+    "2q-bell": (2, False, "forward", 1, (0, 3)),
+    "2q-calibrated": (2, True, "forward", 1, (3, 2)),
+    "2q-calibrated-reversed": (2, True, "reversed", 1, (0, 3)),
+    "2q-calibrated-vector": (2, True, "forward", 3, (1, 3)),
 }
 
 
@@ -298,11 +299,11 @@ def test_overlap_integral_matches_numerical_oracle(
     numeric_overlap, case, theta, tau_ratio
 ):
     """Exact finite-window I_kj vs the Richardson value of the trapezoid oracle."""
-    qubits, calibrated, direction, axis, dimension, levels = OVERLAP_CASES[case]
+    qubits, calibrated, direction, dimension, levels = OVERLAP_CASES[case]
     period = 2.0
     sched = ControlSchedule(200.0, theta, period, direction=direction)
     angles = calibrate_level_cone_angles(1.0, theta) if calibrated else None
-    h = QubitHamiltonian(1.0, sched, axis, qubits, angles)
+    h = QubitHamiltonian(1.0, sched, qubits, angles)
     tau_c = tau_ratio * period
     full = numeric_overlap(h, tau_c, levels, dimension, steps=8192)
     half = numeric_overlap(h, tau_c, levels, dimension, steps=4096)

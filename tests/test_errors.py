@@ -15,6 +15,7 @@ from gqclab import (
     NoisyAmplitudeModel,
     QubitHamiltonian,
     ShorInstance,
+    calibrate_level_cone_angles,
     choose_q,
     decoherence_factor_analytic,
     dft_phase_variance,
@@ -29,6 +30,7 @@ from gqclab import (
     make_noise_ensemble,
     onset_ratio,
     overlap_integral,
+    runtime_scaling,
     split_seed,
     variance_analytic,
 )
@@ -74,6 +76,9 @@ REALS = {
     ),
     "QubitHamiltonian-coupling": (
         1.0, 0, None, True, lambda v: QubitHamiltonian(v, SCHEDULE)
+    ),
+    "QubitHamiltonian.adiabatic_ratios-correlation_time": (
+        0.1, 0, None, True, lambda v: H.adiabatic_ratios(v)
     ),
     "QubitHamiltonian-level_cone_angles": (
         1.0, 0, np.pi, False,
@@ -125,6 +130,12 @@ REALS = {
         1.0, 0, np.pi, False,
         lambda v: gate_onset_ratio(1.0, 1.0, 1.0, 1, 0.01, 1.0, v),
     ),
+    "calibrate_level_cone_angles-phi": (
+        1.0, None, None, False, lambda v: calibrate_level_cone_angles(v, 1.0)
+    ),
+    "calibrate_level_cone_angles-base_angle": (
+        1.0, 0, np.pi, False, lambda v: calibrate_level_cone_angles(1.0, v)
+    ),
     "GateResult-fidelity": (
         1.0, 0, 1 + 1e-9, False, lambda v: replace(GATE, fidelity=v)
     ),
@@ -133,6 +144,9 @@ REALS = {
     ),
     "NoisyAmplitudeModel-path_phase_variance": (
         1.0, 0, None, False, lambda v: NoisyAmplitudeModel(SHOR, v)
+    ),
+    "runtime_scaling-path_phase_variance": (
+        1.0, 0, None, False, lambda v: runtime_scaling([SHOR], [v])
     ),
     "dft_phase_variance-sigma2": (
         1.0, 0, None, False,
@@ -194,12 +208,13 @@ COUNTS = {
 
 @pytest.mark.parametrize("entry", REALS)
 def test_every_real_is_a_finite_number_in_its_range(entry):
-    """NaN, +-inf and a value out of range are refused with a ValueError, a
-    bool or a string with a TypeError, each naming the argument; the valid
-    value, also as a numpy float, is accepted."""
+    """NaN, +-inf, an integer beyond the float range and a value out of
+    range are refused with a ValueError, a bool or a string with a
+    TypeError, each naming the argument; the valid value, also as a numpy
+    float, is accepted."""
     valid, minimum, maximum, strict, call = REALS[entry]
     name = entry.rsplit("-", 1)[1]
-    refused = [np.nan, np.inf, -np.inf]
+    refused = [np.nan, np.inf, -np.inf, 10**400, -(10**400)]
     if minimum is not None:
         refused.append(minimum if strict else minimum - 1)
     if maximum is not None:

@@ -285,7 +285,7 @@ def test_bell_pair_coupling_is_exactly_zero_in_segments_one_and_three(dimension)
     aligned and anti-aligned qubits cancel (s = 0): the pair's v is exactly
     zero, with no floor, and so is its overlap over either segment."""
     angles = calibrate_level_cone_angles(1.0, np.pi / 3)
-    h = replace(_setup(angles=angles), noise_operator_axis=(0.6, 0.0, 0.8))
+    h = _setup(angles=angles)
     for l, segment in enumerate(_segments(h)):
         h_seg, flips, _ = segment
         k, j = (level ^ flips for level in BELL_LEVELS)

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from collections import Counter
@@ -287,6 +288,47 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     used = sum(map(name_counts, callers), Counter(sum(wrapped.values(), ())))
     assert unreferenced_functions(trees, used, exported.__contains__) == []
     assert AWAITING_A_CALLER <= set(gqclab.__all__)  # no stale exemption
+
+
+#: the dataclasses whose fields are the library's options
+OPTIONS = ("NoiseSpec", "ControlSchedule", "QubitHamiltonian", "EnsembleConfig")
+
+#: one call that passes ``b`` by keyword, and ``c`` only as a dict key
+OPTIONS_SAMPLE = """\
+f(1, b=2, **{"c": 3})
+"""
+
+
+def keyword_arguments(trees) -> set:
+    """The name of every argument that a call in ``trees`` passes by keyword,
+    ``name=value``."""
+    return {
+        keyword.arg
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+    }
+
+
+def test_every_option_is_set_outside_the_tests():
+    """Each field of the OPTIONS dataclasses is passed by keyword somewhere
+    in the package, the demos or the benchmark, the option-level twin of
+    the public-caller check: a field that only the tests set is an option
+    that does nothing."""
+    assert keyword_arguments([ast.parse(OPTIONS_SAMPLE)]) == {"b", None}
+    used = keyword_arguments(
+        ast.parse(path.read_text())
+        for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
+        for path in folder.glob("*.py")
+    )
+    unset = [
+        f"{name}.{field.name}"
+        for name in OPTIONS
+        for field in dataclasses.fields(getattr(gqclab, name))
+        if field.name not in used
+    ]
+    assert unset == []
 
 
 #: the library modules whose entry points take numbers
