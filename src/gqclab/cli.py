@@ -45,6 +45,8 @@ from .errors import (
     DegeneracyError,
     ResolutionError,
     ResourceLimitError,
+    _check_count,
+    _check_real,
 )
 from .gate import BELL_STATE, bell_gate_sweep, calibrate_level_cone_angles
 from .noise import (
@@ -54,7 +56,7 @@ from .noise import (
     _worker_count,
     ensemble_autocorrelation,
 )
-from .shor import MAX_MODULUS, ShorInstance, runtime_scaling
+from .shor import MAX_MODULUS, ShorInstance, find_period, runtime_scaling
 
 __all__ = ["ExperimentConfig", "validate_config", "run", "main"]
 
@@ -72,37 +74,14 @@ class ExperimentConfig:
     params: dict
 
 
-def _as_number(value, key, errors, minimum=None, strict_min=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{key}: expected a number, got {value!r}")
-        return None
+def _checked(check, value, key, errors, **bounds):
+    """``check(value, key, **bounds)``, a checker of ``errors.py``: the
+    checked value, or None once its message is appended to ``errors``."""
     try:
-        v = float(value)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf if value > 0 else -math.inf
-    if not math.isfinite(v):  # json reads NaN, Infinity and 1e999
-        errors.append(f"{key}: must be finite, got {v}")
+        return check(value, key, **bounds)
+    except (TypeError, ValueError) as exc:
+        errors.append(str(exc))
         return None
-    if minimum is not None and (v < minimum or (strict_min and v == minimum)):
-        op = ">" if strict_min else ">="
-        errors.append(f"{key}: must be {op} {minimum}, got {v}")
-        return None
-    return v
-
-
-def _as_int(value, key, errors, minimum=None, below=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{key}: expected an integer, got {value!r}")
-        return None
-    if _as_number(value, key, errors) is None:  # beyond the float range
-        return None
-    if minimum is not None and value < minimum:
-        errors.append(f"{key}: must be >= {minimum}, got {value}")
-        return None
-    if below is not None and value >= below:
-        errors.append(f"{key}: must be < {below}, got {value}")
-        return None
-    return value
 
 
 def _as_type(value, key, errors, types, expected):
@@ -128,10 +107,12 @@ def _as_list(value, key, errors, item):
     return None if None in values else values
 
 
-_POSITIVE = partial(_as_number, minimum=0, strict_min=True)
-_NONNEGATIVE = partial(_as_number, minimum=0)
+_REAL = partial(_checked, _check_real)
+_POSITIVE = partial(_REAL, minimum=0, strict=True)
+_NONNEGATIVE = partial(_REAL, minimum=0)
 _NONNEGATIVES = partial(_as_list, item=_NONNEGATIVE)
-_INTEGERS = partial(_as_list, item=_as_int)
+_COUNT = partial(_checked, _check_count)
+_COUNTS = partial(_as_list, item=_COUNT)
 
 
 def _as_sweep(value, key, errors):
@@ -156,8 +137,8 @@ _ENSEMBLE = ("correlation_time", "realizations", "engine", "noise_dt", "substeps
 #: to ``errors`` and returns the value to keep (None when it is wrong).
 _KEYS = {
     # the low word of a 128-bit Philox key (noise.split_seed)
-    "master_seed": (partial(_as_int, minimum=0, below=2**64), 0),
-    "threads": (partial(_as_int, minimum=1), 1),
+    "master_seed": (partial(_COUNT, minimum=0, maximum=2**64 - 1), 0),
+    "threads": (partial(_COUNT, minimum=1), 1),
     "strict_adiabatic": (
         partial(_as_type, types=bool, expected="true or false"), False
     ),
@@ -166,27 +147,27 @@ _KEYS = {
     "sigma2": (_as_sweep, _OPTIONAL),
     "power_density": (_as_sweep, _OPTIONAL),
     "bandwidth": (_POSITIVE, 1.0),
-    "cone_angle": (_NONNEGATIVE, _OPTIONAL),
+    "cone_angle": (partial(_REAL, minimum=0, maximum=math.pi), _OPTIONAL),
     "magnitude": (_POSITIVE, _OPTIONAL),
-    "b0": (_as_number, _OPTIONAL),
+    "b0": (_REAL, _OPTIONAL),
     "b_rf": (_NONNEGATIVE, _OPTIONAL),
     "coupling": (_POSITIVE, _REQUIRED),
     "period": (_POSITIVE, _REQUIRED),
-    "cycles": (partial(_as_int, minimum=1), _REQUIRED),
+    "cycles": (partial(_COUNT, minimum=1), _REQUIRED),
     "correlation_time": (_POSITIVE, _REQUIRED),
     "duration": (_POSITIVE, _REQUIRED),
     "dt": (_POSITIVE, _REQUIRED),
-    "realizations": (partial(_as_int, minimum=2), _REQUIRED),
+    "realizations": (partial(_COUNT, minimum=2), _REQUIRED),
     "dimension": (partial(_as_choice, choices=(1, 3)), 1),
     "lags": (_NONNEGATIVES, _OPTIONAL),
-    "conditional_phase": (_as_number, 0.0),
+    "conditional_phase": (_REAL, 0.0),
     "engine": (partial(_as_choice, choices=ENGINES), "analytic_phase"),
     "noise_dt": (_POSITIVE, _OPTIONAL),
-    "substeps": (partial(_as_int, minimum=1), 1),
-    "moduli": (_INTEGERS, _REQUIRED),
-    "bases": (_INTEGERS, _REQUIRED),
+    "substeps": (partial(_COUNT, minimum=1), 1),
+    "moduli": (_COUNTS, _REQUIRED),
+    "bases": (_COUNTS, _REQUIRED),
     "variances": (_as_sweep, _REQUIRED),
-    "offset": (partial(_as_int, minimum=0), 0),
+    "offset": (partial(_COUNT, minimum=0), 0),
 }
 
 #: experiment -> its schema, key -> (kind, default)
@@ -287,16 +268,11 @@ def _resolve_geometry(raw, params, errors):
         if b0 is None or b_rf is None:
             return
         longitudinal = b0 - b_rf
-        magnitude = float(np.hypot(b_rf, longitudinal))
-        if magnitude == 0:
-            errors.append("b0 and b_rf give a zero effective field")
-            return
         params["cone_angle"] = float(np.arctan2(b_rf, longitudinal))
-        params["magnitude"] = _as_number(magnitude, "magnitude", errors)
+        magnitude = np.hypot(b_rf, longitudinal)  # may be 0 or overflow
+        params["magnitude"] = _POSITIVE(magnitude, "magnitude", errors)
     elif "cone_angle" not in raw or "magnitude" not in raw:
         errors.append("cone_angle and magnitude (or b0 and b_rf) are required")
-    elif params["cone_angle"] is not None and params["cone_angle"] > np.pi:
-        errors.append(f"cone_angle: must be <= pi, got {params['cone_angle']}")
 
 
 def _validate_shor(params, errors):
@@ -308,10 +284,12 @@ def _validate_shor(params, errors):
         errors.append("moduli and bases must have the same length")
         return
     for i, (n, y) in enumerate(zip(moduli, bases)):
-        if not 3 <= n <= MAX_MODULUS:
-            errors.append(f"moduli[{i}]: must be in [3, {MAX_MODULUS}], got {n}")
-        elif math.gcd(n, y) != 1:
-            errors.append(f"bases[{i}]: {y} is not co-prime with modulus {n}")
+        key = f"moduli[{i}]"
+        if _COUNT(n, key, errors, minimum=3, maximum=MAX_MODULUS) is not None:
+            try:
+                find_period(n, y)
+            except ValueError as exc:
+                errors.append(f"bases[{i}]: {exc}")
     if not isinstance(variances, list):
         params["variances"] = [variances] * len(moduli)
     elif len(variances) != len(moduli):
@@ -384,17 +362,11 @@ def _gate_hamiltonian(p) -> QubitHamiltonian:
 
 def _check_gate_fidelity(params, errors):
     """A conditional phase the cone angle can realize, and for the exact
-    engine one that leaves the level cone angles uniform."""
+    engine one that leaves the level cone angles uniform (EnsembleConfig)."""
     try:
-        h = _gate_hamiltonian(params)
+        _ensemble_config(params, _gate_hamiltonian(params), BELL_STATE)
     except ValueError as exc:
         errors.append(f"conditional_phase: {exc}")
-        return
-    if params["engine"] == "exact_propagation" and not h.uniform_cone_angles():
-        errors.append(
-            "conditional_phase: the exact_propagation engine needs uniform "
-            "level cone angles; use the analytic_phase engine"
-        )
 
 
 def validate_config(raw, experiment: str = None) -> ExperimentConfig:
@@ -594,7 +566,7 @@ def _format_cell(value):
 def _json_cell(value):
     """``value``, or None (JSON null) for a number that is not finite:
     RFC 8259 JSON has no NaN or Infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float) and not abs(value) < math.inf:  # NaN or +-inf
         return None
     return value
 

@@ -72,8 +72,9 @@ class EnsembleConfig:
 
     initial_amplitudes  complex c_k per level (must be normalized)
     engine              'exact_propagation' multiplies exact per-slice
-                        propagators; 'analytic_phase' uses the adiabatic
-                        closed-form phases along each noise path
+                        propagators, at uniform level cone angles only;
+                        'analytic_phase' uses the adiabatic closed-form
+                        phases along each noise path
     noise_dt            noise grid step (default tau_c / 10)
     substeps            propagation slices per noise step (exact engine)
     threads             worker processes asked for the per-path work, an
@@ -103,6 +104,13 @@ class EnsembleConfig:
         _check_count(self.realizations, "realizations", 2)
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
+        # per-level angles define no one-qubit Hamiltonian to compose as u x u
+        exact = self.engine == "exact_propagation"
+        if exact and not self.hamiltonian.uniform_cone_angles():
+            raise ValueError(
+                "the exact_propagation engine needs uniform level_cone_angles; "
+                "use the analytic_phase engine"
+            )
         _check_count(self.substeps, "substeps", 1)
         _check_count(self.threads, "threads", 1)
         if self.noise_dt is not None:
@@ -236,11 +244,9 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     it, and an ideal pi-pulse flips qubit ``target`` at its end (0: no
     pulse).  Every segment lasts its schedule's duration on one grid of
     steps no coarser than ``config.dt``, and one noise path spans them all.
-    The variances, the seed, the grid, the element bounds (with the exact
-    engine's slices x segments x 3) and, for the exact engine, uniform cone
-    angles (per-level angles define no single one-qubit Hamiltonian to
-    compose as u x u) are checked for every configured realization before
-    anything is allocated.  If any variance is nonzero, the normals are
+    The variances, the seed, the grid and the element bounds (with the exact
+    engine's slices x segments x 3) are checked for every configured realization
+    before anything is allocated.  If any variance is nonzero, the normals are
     drawn once, and MAX_ELEMENTS, checked on them, bounds all the noise a
     sweep holds: they are filtered in place into the unit-variance OU path
     u of ``make_noise_ensemble``, time-major in memory, seen as (rows, n_t,
@@ -272,10 +278,6 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     if exact:
         _check_elements((rows, slices, dim), "exact propagation")
         _check_elements((slices, count, 3), "exact propagation slices")
-        if not h.uniform_cone_angles():
-            raise ValueError(
-                "exact two-qubit propagation requires uniform level_cone_angles"
-            )
     t = np.linspace(0.0, span, n + 1)
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes

@@ -65,18 +65,29 @@ def _check_elements(shape: tuple, what: str) -> None:
         )
 
 
+def _shown(value):
+    """``value`` as a message echoes it: a number beyond the float range as
+    the inf or -inf it rounds to, not digit by digit."""
+    if not abs(value) > sys.float_info.max:  # NaN too
+        return value
+    return math.inf if value > 0 else -math.inf
+
+
 def _check_count(value, name: str, minimum=None, maximum=None) -> int:
     """``value`` as a Python int, once a count of the argument ``name``
     that is not an integer >= ``minimum`` (if given) and <= ``maximum`` (if
     given, with a minimum) is refused: TypeError for a non-integer or a
-    bool, ValueError out of range."""
+    bool, ValueError out of range or beyond the float range."""
     integer = type(value) is int or isinstance(value, numbers.Integral)  # ABCs are slow
     if not integer or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if maximum is not None and not minimum <= value <= maximum:
-        raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
+        interval = f"[{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be in {interval}, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(value)}")
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
     return int(value)
 
 
@@ -96,7 +107,7 @@ def _check_real(value, name: str, minimum=None, maximum=None, strict=False) -> f
         return float(value)  # NaN fails every comparison
     if maximum is None:
         bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum}"
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
+        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
     high = "pi" if maximum == math.pi else maximum
     interval = f"{'(' if strict else '['}{minimum}, {high}]"
-    raise ValueError(f"{name} must lie in {interval}, got {value}")
+    raise ValueError(f"{name} must lie in {interval}, got {_shown(value)}")

@@ -105,6 +105,16 @@ def test_static_defaults_fill_params_and_unset_grids_stay_absent():
     assert "lags" not in validate_config(NOISE_CONFIG).params
 
 
+POWER_NOISE = {k: v for k, v in NOISE_CONFIG.items() if k != "sigma2"}
+POWER_NOISE.update(power_density=1.0, bandwidth=2.0)
+POWER_AGP = {k: v for k, v in AGP_CONFIG.items() if k != "sigma2"}
+POWER_AGP.update(power_density=[1.0], bandwidth=1e-10)
+FIELD_AGP = {
+    k: v for k, v in AGP_CONFIG.items() if k not in ("cone_angle", "magnitude")
+}
+FIELD_AGP.update(b0=5.0, b_rf=3.0)
+
+
 @pytest.mark.parametrize(
     "raw, key",
     [
@@ -124,13 +134,15 @@ def test_static_defaults_fill_params_and_unset_grids_stay_absent():
         (dict(NOISE_CONFIG, lags=[]), "lags"),
         (dict(AGP_CONFIG, sigma2=[]), "sigma2"),
         (dict(SHOR_CONFIG, offset=-1), "offset"),
+        (dict(AGP_CONFIG, cone_angle=3.2), "cone_angle"),
+        (dict(FIELD_AGP, b0=0.0, b_rf=0.0), "magnitude"),
     ],
     ids=[
         "dimension-float", "dimension-bool", "engine", "format",
         "strict_adiabatic", "out", "substeps", "realizations", "noise_dt",
         "conditional_phase", "negative-lag", "off-grid-lag",
         "lag-beyond-duration", "no-lags",
-        "no-sigma2", "offset",
+        "no-sigma2", "offset", "cone-angle-above-pi", "zero-field",
     ],
 )
 def test_cli_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, raw, key):
@@ -138,19 +150,13 @@ def test_cli_bad_value_is_a_config_error(tmp_path, monkeypatch, capsys, raw, key
     path = _write(tmp_path, "cfg.json", raw)
     assert main([raw["experiment"], "--config", path]) == 2
     lines = capsys.readouterr().err.splitlines()
-    # a list entry is named with its index, as in "lags[0]: ..."
-    assert any(re.match(rf"config error: {key}(\[\d+\])?: ", line) for line in lines)
+    # a list entry is named with its index, as in "lags[0]: ..."; a number
+    # is refused in the words of errors._check_real or _check_count, as in
+    # "substeps must be >= 1, got 0"
+    starts = rf"config error: {key}(\[\d+\])?(: | must )"
+    assert any(re.match(starts, line) for line in lines)
     assert not list(tmp_path.glob("*.csv"))
 
-
-POWER_NOISE = {k: v for k, v in NOISE_CONFIG.items() if k != "sigma2"}
-POWER_NOISE.update(power_density=1.0, bandwidth=2.0)
-POWER_AGP = {k: v for k, v in AGP_CONFIG.items() if k != "sigma2"}
-POWER_AGP.update(power_density=[1.0], bandwidth=1e-10)
-FIELD_AGP = {
-    k: v for k, v in AGP_CONFIG.items() if k not in ("cone_angle", "magnitude")
-}
-FIELD_AGP.update(b0=5.0, b_rf=3.0)
 
 #: numeric key -> a config that reads it
 NUMERIC_KEYS = {
@@ -172,10 +178,30 @@ NUMERIC_KEYS = {
     "variances": SHOR_CONFIG,
 }
 
+#: numeric key -> its rule, in the words of errors._check_real
+RULES = {
+    "sigma2": "must be finite and >= 0",
+    "power_density": "must be finite and >= 0",
+    "bandwidth": "must be finite and > 0",
+    "cone_angle": "must lie in [0, pi]",
+    "magnitude": "must be finite and > 0",
+    "b0": "must be finite",
+    "b_rf": "must be finite and >= 0",
+    "coupling": "must be finite and > 0",
+    "period": "must be finite and > 0",
+    "correlation_time": "must be finite and > 0",
+    "duration": "must be finite and > 0",
+    "dt": "must be finite and > 0",
+    "lags": "must be finite and >= 0",
+    "conditional_phase": "must be finite",
+    "noise_dt": "must be finite and > 0",
+    "variances": "must be finite and >= 0",
+}
+
 
 def test_every_numeric_key_is_checked_for_finiteness():
     """NUMERIC_KEYS names every key whose kind accepts a float or a list of
-    floats, so the test below covers every key that _as_number checks."""
+    floats, so the test below covers every key that _check_real checks."""
     numeric = set()
     for key, (kind, _) in cli._KEYS.items():
         for probe in (0.5, [0.5]):
@@ -187,14 +213,14 @@ def test_every_numeric_key_is_checked_for_finiteness():
 
 
 def _refused_as_non_finite(tmp_path, capsys, raw, key, shown):
-    """Exit 2 with the line 'config error: <key>: must be finite, got <shown>'
-    and no table; ``raw`` goes through json.dumps, which writes NaN and
-    Infinity tokens that json.loads reads back."""
+    """Exit 2 with the line 'config error: <key> <rule>, got <shown>', the
+    rule of RULES, and no table; ``raw`` goes through json.dumps, which
+    writes NaN and Infinity tokens that json.loads reads back."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "x.csv"
     assert main([raw["experiment"], "--config", str(path), "--out", str(out)]) == 2
-    message = f"config error: {key}: must be finite, got {shown}"
+    message = f"config error: {key} {RULES[key.split('[')[0]]}, got {shown}"
     assert message in capsys.readouterr().err.splitlines()
     assert not out.exists()
 
@@ -227,6 +253,11 @@ def test_cli_number_that_overflows_is_a_config_error(tmp_path, capsys, raw, key,
 
 
 HUGE_GRID = "resource bound exceeded: time grid"
+HUGE = 10**400
+
+
+def _huge_count(key):
+    return f"config error: {key} must be finite, got inf"
 
 
 @pytest.mark.parametrize(
@@ -234,18 +265,32 @@ HUGE_GRID = "resource bound exceeded: time grid"
     [
         (dict(NOISE_CONFIG, duration=1e308), 4, HUGE_GRID),
         (dict(AGP_CONFIG, period=1e308, cycles=2), 4, HUGE_GRID),
-        (dict(AGP_CONFIG, cycles=10**400), 2, "config error: cycles: must be finite"),
+        (dict(AGP_CONFIG, cycles=HUGE), 2, _huge_count("cycles")),
         (dict(GATE_CONFIG, period=1e308), 4, HUGE_GRID),
         (dict(GATE_CONFIG, period=1e307), 4, HUGE_GRID),
+        (dict(AGP_CONFIG, threads=HUGE), 2, _huge_count("threads")),
+        (dict(AGP_CONFIG, realizations=HUGE), 2, _huge_count("realizations")),
+        (dict(AGP_CONFIG, substeps=HUGE), 2, _huge_count("substeps")),
+        (dict(SHOR_CONFIG, offset=HUGE), 2, _huge_count("offset")),
+        (
+            dict(AGP_CONFIG, master_seed=HUGE),
+            2,
+            f"config error: master_seed must be in [0, {2**64 - 1}], got inf",
+        ),
+        (dict(SHOR_CONFIG, moduli=[HUGE]), 2, _huge_count("moduli[0]")),
     ],
-    ids=["noise-duration", "agp-period", "agp-cycles", "gate-period", "gate-period-1e307"],
+    ids=[
+        "noise-duration", "agp-period", "agp-cycles", "gate-period",
+        "gate-period-1e307", "threads", "realizations", "substeps", "offset",
+        "master_seed", "moduli",
+    ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_huge_finite_number_is_refused(tmp_path, capsys, raw, code, message):
     """A finite number whose time grid has no finite or bounded step count is
     refused with exit 4 before any grid is built, or anything is computed on
-    it, and a cycle count beyond the float range is a config error; no table
-    or manifest is written."""
+    it, and a count beyond the float range is a config error that shows it
+    as inf; no table or manifest is written."""
     path = _write(tmp_path, "cfg.json", raw)
     out = str(tmp_path / "x.csv")
     assert main([raw["experiment"], "--config", path, "--out", out]) == code
@@ -295,7 +340,7 @@ def test_cli_seed_beyond_64_bits_is_a_config_error(tmp_path, capsys, source):
     path = _write(tmp_path, "cfg.json", raw)
     out = tmp_path / "x.csv"
     assert main(["agp-dephase", "--config", path, "--out", str(out), *argv]) == 2
-    message = f"config error: master_seed: must be < {2**64}, got {2**64}"
+    message = f"config error: master_seed must be in [0, {2**64 - 1}], got {2**64}"
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
 
@@ -980,9 +1025,9 @@ def test_cli_json_table_writes_a_non_finite_cell_as_null(tmp_path):
 @pytest.mark.parametrize(
     "moduli, bases, message",
     [
-        ([70001], [2], "moduli[0]: must be in [3, 65536], got 70001"),
-        ([2], [1], "moduli[0]: must be in [3, 65536], got 2"),
-        ([15], [5], "bases[0]: 5 is not co-prime with modulus 15"),
+        ([70001], [2], "moduli[0] must be in [3, 65536], got 70001"),
+        ([2], [1], "moduli[0] must be in [3, 65536], got 2"),
+        ([15], [5], "bases[0]: base 5 is not co-prime with modulus 15"),
     ],
     ids=["above-max-modulus", "below-three", "not-co-prime"],
 )
@@ -1001,8 +1046,10 @@ def test_cli_shor_scan_reports_every_invalid_instance():
     raw = {"moduli": [70001, 15, 21, 2], "bases": [2, 5, 2, 1], "variances": 0.0}
     with pytest.raises(ConfigError) as err:
         validate_config(raw, experiment="shor-scan")
-    assert [e.split(":")[0] for e in err.value.errors] == [
-        "moduli[0]", "bases[1]", "moduli[3]"
+    assert err.value.errors == [
+        "moduli[0] must be in [3, 65536], got 70001",
+        "bases[1]: base 5 is not co-prime with modulus 15",
+        "moduli[3] must be in [3, 65536], got 2",
     ]
 
 

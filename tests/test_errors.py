@@ -232,21 +232,52 @@ def test_every_real_is_a_finite_number_in_its_range(entry):
 @pytest.mark.parametrize("entry", COUNTS)
 def test_every_count_is_an_integer_in_its_range(entry):
     """A float, a whole float, NaN or a bool is refused with a TypeError,
-    and an integer out of range with a ValueError, each naming the
-    argument; the valid value, also as a numpy integer, is accepted."""
+    and an integer out of range or beyond the float range with a
+    ValueError, each naming the argument; the valid value, also as a numpy
+    integer, is accepted."""
     valid, minimum, maximum, call = COUNTS[entry]
     name = entry.rsplit("-", 1)[1]
     for value in (valid + 0.5, float(valid), np.nan, True):
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got"):
             call(value)
-    refused = [] if minimum is None else [minimum - 1]
+    refused = [10**400, -(10**400)] + ([] if minimum is None else [minimum - 1])
     if maximum is not None:
         refused.append(maximum + 1)
     for value in refused:
-        with pytest.raises(ValueError, match=f"^{name} must be (>=|in)"):
+        with pytest.raises(ValueError, match=f"^{name} must be (>=|in|finite)"):
             call(value)
     call(valid)
     call(np.int64(valid))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: NoiseSpec(10**400, 0.1),
+            "variance must be finite and >= 0, got inf",
+        ),
+        (
+            lambda: ControlSchedule(1.0, -(10**400), 1.0),
+            "cone_angle must lie in [0, pi], got -inf",
+        ),
+        (
+            lambda: ControlSchedule(1.0, 1.0, 1.0, 10**400),
+            "cycles must be finite, got inf",
+        ),
+        (
+            lambda: split_seed(10**400, 0),
+            f"master_seed must be in [0, {2**64 - 1}], got inf",
+        ),
+    ],
+    ids=["real", "real-in-an-interval", "count", "count-in-an-interval"],
+)
+def test_a_number_beyond_the_float_range_is_shown_as_inf(call, message):
+    """An integer beyond the float range is echoed as the inf or -inf that
+    it rounds to, not digit by digit."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_a_nan_amplitude_is_refused():

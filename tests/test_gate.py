@@ -577,15 +577,16 @@ def test_a_gate_sweep_draws_its_normals_once(normal_draws, engine):
 
 def test_a_non_uniform_exact_run_is_refused_before_drawing(normal_draws):
     """Per-level cone angles define no one-qubit propagator u for the exact
-    engine's u x u: bell_gate_run and run_ensemble refuse them with the
-    pipeline's other refusals, before drawing 4,096 paths of normals."""
+    engine's u x u: EnsembleConfig refuses them, so that neither
+    bell_gate_run nor run_ensemble has a config to draw normals for."""
     angles = calibrate_level_cone_angles(1.0, np.pi / 3)
-    cfg = replace(
-        _gate_config(5.0, "exact_propagation", 4096), hamiltonian=_setup(angles=angles)
+    cfg = _gate_config(5.0, "exact_propagation", 4096)
+    message = (
+        "^the exact_propagation engine needs uniform level_cone_angles; "
+        "use the analytic_phase engine$"
     )
-    for run in (bell_gate_run, run_ensemble):
-        with pytest.raises(ValueError, match="uniform level_cone_angles"):
-            run(cfg)
+    with pytest.raises(ValueError, match=message):
+        replace(cfg, hamiltonian=_setup(angles=angles))
     assert normal_draws == []
 
 

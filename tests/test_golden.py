@@ -43,7 +43,8 @@ def _moved_cells(golden: str, table: str) -> list:
     its column, both values and the relative change."""
     old, new = (list(csv.reader(text.splitlines())) for text in (golden, table))
     if [len(old), old[0]] != [len(new), new[0]]:
-        return [f"header or row count moved: {old[0]} x {len(old)} -> {new[0]} x {len(new)}"]
+        shapes = f"{old[0]} x {len(old)} -> {new[0]} x {len(new)}"
+        return [f"header or row count moved: {shapes}"]
     return [
         f"row {i} {column}: {a} -> {b} ({_relative(a, b)})"
         for i, (old_row, new_row) in enumerate(zip(old[1:], new[1:]))

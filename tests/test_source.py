@@ -422,15 +422,73 @@ def hand_checks(function: ast.FunctionDef) -> list:
     )
 
 
+#: names of the finiteness and float-range tests that errors.py owns
+FLOAT_TESTS = ("isfinite", "isnan", "OverflowError", "float_info")
+
+#: a config check of each kind that cli.py leaves to errors.py: a value
+#: against a bound (lines 2, 4 and 6), a float-range test (line 8) and two
+#: comparisons that are not number rules (keys paired, and a function
+#: that collects no errors)
+CLI_SAMPLE = """\
+def check(params, errors):
+    if params["cone_angle"] > np.pi:
+        errors.append("cone_angle")
+    if not 3 <= params["n"] <= MAX_MODULUS or params["b"] == 0:
+        errors.append("n")
+    if math.gcd(params["n"], params["y"]) != 1:
+        errors.append("y")
+    if not math.isfinite(params["x"]):
+        errors.append("x")
+    if len(params["moduli"]) != len(params["bases"]):
+        errors.append("moduli")
+def cell(value):
+    return value if abs(value) < math.inf else None
+"""
+
+
+def cli_number_rules(tree: ast.AST) -> list:
+    """Sorted lines where a function that reads ``errors`` compares one
+    value with a fixed bound (``_bound``), or where anything mentions a
+    name of FLOAT_TESTS."""
+    compare = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+    checks = [
+        function
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(getattr(node, "id", None) == "errors" for node in ast.walk(function))
+    ]
+    bounded = {
+        node.lineno
+        for function in checks
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, compare) for op in node.ops)
+        and any(map(_bound, [node.left, *node.comparators]))
+    }
+    named = {
+        node.lineno
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) in FLOAT_TESTS
+    }
+    return sorted(bounded | named)
+
+
 def test_one_owner_of_the_argument_checks():
     """errors._check_count and errors._check_real, defined there alone, check
     every count and real number: no __post_init__ or exported function of
     the numeric modules compares an argument with a fixed bound in an
     ``if`` that raises, or tests it for NaN or inf, but the STRUCTURAL
     ones.  The lag grid, the time-grid uniformity and the Shor register
-    relate arguments to each other, and are left as they are."""
+    relate arguments to each other, and are left as they are.  cli.py
+    passes each config value to those checkers: none of its config checks
+    compares a single value with a fixed bound, and it mentions no
+    finiteness or float-range test.  Its cross-field rules (the power pair,
+    the geometry pair, lags on the grid, moduli paired with bases) relate
+    keys to each other, and are left as they are."""
     [sample] = ast.parse(CHECKS_SAMPLE).body
     assert hand_checks(sample) == [2, 5, 7]
+    assert cli_number_rules(ast.parse(CLI_SAMPLE)) == [2, 4, 6, 8]
+    assert cli_number_rules(ast.parse((SRC / "cli.py").read_text())) == []
     owners = [
         f"{path.name}:{node.name}"
         for path in sorted(SRC.glob("*.py"))
