@@ -61,10 +61,6 @@ _MIN_GAP = 1e-12
 #: temporaries stay near 1 MiB at any ensemble size
 _SLICE_ELEMENTS = 4096
 
-#: bytes of stochastic_phase_batch's integrand and trapezoid pairs for one
-#: block of realizations (at least one), whatever the ensemble size
-_PHASE_BLOCK_BYTES = 2**20
-
 
 @dataclass(frozen=True)
 class ControlSchedule:
@@ -468,39 +464,23 @@ def deterministic_phases(h: QubitHamiltonian, duration: float) -> np.ndarray:
     return duration * (frame.energies[:, 0] - frame.berry_rates[:, 0])
 
 
-def stochastic_phase_batch(
-    h: QubitHamiltonian,
-    time_grid: np.ndarray,
-    noise_samples: np.ndarray,
-    level: int,
-) -> np.ndarray:
-    """Gamma_s for one level across a batch of noise realizations.
-
-    Gamma_s = int <E_k|H_s|E_k> dt = -(gamma/2) int B_n(t) . O_kk(t) dt,
-    evaluated by the trapezoid rule on ``time_grid``, with O_kk(t) the
-    closed form ``h.level_coupling(level, dim)`` . f(t).
-    noise_samples has shape (n_real, n_t, dim), in any memory layout, with
-    the same bits.  Realizations run in blocks whose integrand and pairs
-    fill ``_PHASE_BLOCK_BYTES``; each row's sums are the same in any block.
-    """
-    n_real, n_t, dim = noise_samples.shape
+def _phase_weights(h: QubitHamiltonian, time_grid, level: int, dim: int) -> np.ndarray:
+    """Trapezoid weights w (n_t, dim) on ``time_grid`` of the Gamma_s of
+    ``level`` on noise samples x: -(gamma/2) int B_n(t) . O_kk(t) dt =
+    sum x . w, with O_kk(t) the closed form ``h.level_coupling(level, dim)``
+    . f(t)."""
     t = np.asarray(time_grid, dtype=float)
     wt = 2.0 * np.pi / h.schedule.period * t
     harmonics = np.stack([np.ones_like(t), np.cos(wt), np.sin(wt)])
     okk = h.level_coupling(level, dim) @ harmonics  # (dim, n_t)
-    step = np.diff(t)
-    rows = min(max(_PHASE_BLOCK_BYTES // (16 * n_t), 1), n_real)
-    integrand, pairs = np.empty((rows, n_t)), np.empty((rows, n_t - 1))
-    out = np.empty(n_real)
-    for start in range(0, n_real, rows):
-        block = noise_samples[start : start + rows]
-        y, d = integrand[: len(block)], pairs[: len(block)]
-        # into C-order rows, whatever the samples' layout: d sums in one order
-        np.einsum("ntc,ct->nt", block, okk, out=y)
-        y *= -0.5 * h.coupling
-        # np.trapezoid's d * (y[1:] + y[:-1]) / 2.0, in place to hold peak memory
-        np.add(y[:, 1:], y[:, :-1], out=d)
-        d *= step
-        d /= 2.0
-        out[start : start + rows] = d.sum(axis=-1)
-    return out
+    half = np.diff(t) / 2.0
+    trapezoid = np.r_[half, 0.0] + np.r_[0.0, half]
+    return (-0.5 * h.coupling * trapezoid)[:, None] * okk.T
+
+
+def stochastic_phase_batch(h: QubitHamiltonian, time_grid, noise_samples, level: int):
+    """Gamma_s of one level across a batch of noise realizations,
+    noise_samples (n_real, n_t, dim), in any memory layout: one einsum with
+    ``_phase_weights``."""
+    weights = _phase_weights(h, time_grid, level, noise_samples.shape[-1])
+    return np.einsum("ntc,tc->n", noise_samples, weights)

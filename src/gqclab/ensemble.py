@@ -29,10 +29,10 @@ import numpy as np
 
 from .adiabatic import (
     QubitHamiltonian,
+    _phase_weights,
     deterministic_phases,
     eigenframe,
     evolve_exact_batch,
-    stochastic_phase_batch,
 )
 from .errors import _check_count, _check_elements, _check_real
 from .noise import (
@@ -182,17 +182,27 @@ def _gamma_a(segments, span: float) -> np.ndarray:
     return gamma_a
 
 
-def _gamma_s(segments, t: np.ndarray, windows, levels) -> np.ndarray:
-    """Gamma_s (rows, n_levels) of ``levels`` along the noise ``windows``,
-    one per segment on the grid ``t``, from each level's closed-form
-    coupling.  The other columns stay 0."""
-    gamma_s = 0.0
-    for (h, flips, _), window in zip(segments, windows):
-        phases = np.zeros((window.shape[0], h.n_levels))
+def _normal_weights(segments, t: np.ndarray, levels, noise: NoiseSpec, dt: float):
+    """Weights W~ (n_t, dim, n_levels) that give the Gamma_s of ``levels``
+    on the unit-variance OU path u over ``segments`` (grid ``t`` each)
+    straight from its normals z: Gamma_s = z . W~; other columns stay 0.
+
+    On u, Gamma_s = u . W, where segment l adds level k ^ flips's
+    ``_phase_weights`` to points l n ... (l + 1) n, so a shared boundary
+    point takes both halves.  As u_0 = z_0, u_i = a u_{i-1} + sqrt(1 - a^2)
+    z_i (``_ou_from_normals`` at sigma^2 = 1), the adjoint turns W into W~:
+    acc_i = W_i + a acc_{i+1}, then rows i >= 1 times sqrt(1 - a^2)."""
+    n, dim = t.size - 1, noise.dimension
+    weights = np.zeros((len(segments) * n + 1, dim, segments[0][0].n_levels))
+    for l, (h, flips, _) in enumerate(segments):
         for k in levels:
-            phases[:, k] = stochastic_phase_batch(h, t, window, k ^ flips)
-        gamma_s = gamma_s + phases
-    return gamma_s
+            w = _phase_weights(h, t, k ^ flips, dim)
+            weights[l * n : (l + 1) * n + 1, :, k] += w
+    a = np.exp(-dt / noise.correlation_time)
+    for i in range(len(weights) - 2, -1, -1):
+        weights[i] += a * weights[i + 1]
+    weights[1:] *= np.sqrt(1.0 - a * a)
+    return weights
 
 
 def _exact_basis(segments, t, c):
@@ -245,17 +255,18 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     pulse).  Every segment lasts its schedule's duration on one grid of
     steps no coarser than ``config.dt``, and one noise path spans them all.
     The variances, the seed, the grid and the element bounds (with the exact
-    engine's slices x segments x 3) are checked for every configured realization
-    before anything is allocated.  If any variance is nonzero, the normals are
-    drawn once, and MAX_ELEMENTS, checked on them, bounds all the noise a
-    sweep holds: they are filtered in place into the unit-variance OU path
-    u of ``make_noise_ensemble``, time-major in memory, seen as (rows, n_t,
-    dim); segment l reads u[:, l n : (l+1) n + 1].  The OU recursion is
-    linear in sigma, so each row's noise is sigma u: the exact engine
-    propagates every segment of a row in one call on u per nonzero sigma,
-    and the analytic engine scales Gamma_s of u, integrated once.  That
-    per-path work runs in ``_worker_count`` contiguous blocks of
-    realizations (``_run_blocks``), each re-keyed from its first row.
+    engine's slices x segments x 3, or the analytic engine's weights) are
+    checked for every configured realization before anything is allocated.
+    If any variance is nonzero, the normals are drawn once, time-major in
+    memory, seen as (rows, n_t, dim), and MAX_ELEMENTS, checked on them,
+    bounds all the noise a sweep holds.  The OU recursion is linear in
+    sigma, so each row's noise is sigma u, u the unit-variance path of
+    ``make_noise_ensemble``: the exact engine filters the normals into u in
+    place and propagates every segment of a row in one call per nonzero
+    sigma, and the analytic engine scales Gamma_s of u, read off the normals
+    (``_normal_weights``).  That per-path work runs in ``_worker_count``
+    contiguous blocks of realizations (``_run_blocks``), each re-keyed from
+    its first row.
     Then the exact engine propagates here the one row of +0.0 noise of
     sigma = 0 (the analytic engine integrates nothing for it), and every
     reduction over the realizations runs here, so no bit depends on the
@@ -278,22 +289,25 @@ def _run_segments(config: EnsembleConfig, segments, variances):
     if exact:
         _check_elements((rows, slices, dim), "exact propagation")
         _check_elements((slices, count, 3), "exact propagation slices")
+    else:
+        _check_elements((n_t, dim, h.n_levels), "stochastic phase weights")
     t = np.linspace(0.0, span, n + 1)
     gamma_a = _gamma_a(segments, span)
     c = config.amplitudes
     noisy = [sigma for sigma in sigmas if sigma]
     if exact:
         singles, states, spinor = _exact_basis(segments, t, c)
+    elif noisy:
+        weights = _normal_weights(segments, t, np.flatnonzero(c), config.noise, dt)
 
     def block(lo, hi):
         """Final states of rows lo ... hi - 1 per nonzero sigma, or unit Gamma_s."""
         u = np.empty((n_t, hi - lo, dim)).transpose(1, 0, 2)
         _ensemble_normals(split_seed(config.master_seed, lo), u)
+        if not exact:
+            return np.einsum("ntc,tck->nk", u, weights)
         _ou_from_normals(replace(config.noise, variance=1.0), u, dt)
-        if exact:
-            return [evolve_exact_batch(singles, t, u, spinor, slices, s) for s in noisy]
-        windows = [u[:, l * n : (l + 1) * n + 1] for l in range(count)]
-        return _gamma_s(segments, t, windows, np.flatnonzero(c))
+        return [evolve_exact_batch(singles, t, u, spinor, slices, s) for s in noisy]
 
     out = []
     if noisy:

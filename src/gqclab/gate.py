@@ -206,8 +206,8 @@ def bell_gate_sweep(config: EnsembleConfig, variances) -> list:
     bell = np.asarray(BELL_STATE, dtype=complex)
     if not np.allclose(c, bell, atol=1e-12):
         raise ValueError(
-            "bell_gate_run is specific to (|00> + |11>)/sqrt(2); use "
-            "run_ensemble for general states"
+            "initial_amplitudes must be the Bell state (|00> + |11>)/sqrt(2), "
+            "gate.BELL_STATE"
         )
     gamma_a, densities = _run_segments(config, segments, variances)
     k, j = BELL_LEVELS

@@ -587,6 +587,40 @@ def segment_amplitudes_reference():
     return _segment_amplitudes_reference
 
 
+def _trapezoid_phase(h, time_grid, noise_samples, level) -> np.ndarray:
+    """Gamma_s of one level over noise_samples (rows, n_t, dim) by the
+    trapezoid rule: the integrand -(gamma/2) x(t) . O_kk(t), with O_kk the
+    closed form ``h.level_coupling(level, dim)`` . f(t), summed pairwise.
+    The integral that ``_phase_weights`` states as one weight vector."""
+    t = np.asarray(time_grid, dtype=float)
+    wt = 2.0 * np.pi / h.schedule.period * t
+    harmonics = np.stack([np.ones_like(t), np.cos(wt), np.sin(wt)])
+    okk = h.level_coupling(level, noise_samples.shape[-1]) @ harmonics
+    y = np.einsum("ntc,ct->nt", noise_samples, okk) * (-0.5 * h.coupling)
+    return ((y[:, 1:] + y[:, :-1]) * np.diff(t) / 2.0).sum(axis=-1)
+
+
+def _gamma_s_reference(segments, t, path, levels) -> np.ndarray:
+    """Gamma_s (rows, n_levels) of ``levels`` along the filtered noise
+    ``path`` (rows, n_t, dim) spanning ``segments``, ``t`` each: segment l
+    integrates level k ^ flips over its window path[:, l n : (l+1) n + 1]
+    by the trapezoid rule.  The other columns stay 0.  The analytic
+    engine's Gamma_s the long way, filter then integrate, which its weights
+    on the normals (``ensemble._normal_weights``) state as one linear map."""
+    n = t.size - 1
+    gamma_s = np.zeros((len(path), segments[0][0].n_levels))
+    for l, (h, flips, _) in enumerate(segments):
+        window = path[:, l * n : (l + 1) * n + 1]
+        for k in levels:
+            gamma_s[:, k] += _trapezoid_phase(h, t, window, k ^ flips)
+    return gamma_s
+
+
+@pytest.fixture
+def gamma_s_reference():
+    return _gamma_s_reference
+
+
 def _every_row(config, segments):
     """(matrix, standard_errors, gamma_a) of ``config`` over ``segments`` at
     sigma^2 = 0 with every realization propagated: the pipeline's engines on
@@ -597,14 +631,13 @@ def _every_row(config, segments):
     t = np.linspace(0.0, span, n + 1)
     rows, c = config.realizations, config.amplitudes
     path = np.zeros((rows, len(segments) * n + 1, config.noise.dimension))
-    windows = [path[:, l * n : (l + 1) * n + 1] for l in range(len(segments))]
     gamma_a = ensemble._gamma_a(segments, span)
     if config.engine == "exact_propagation":
         singles, states, spinor = ensemble._exact_basis(segments, t, c)
         x = evolve_exact_batch(singles, t, path, spinor, n * config.substeps, 0.0)
         amps = ensemble._exact_amplitudes(segments, states, c, x)
     else:
-        gamma_s = ensemble._gamma_s(segments, t, windows, np.flatnonzero(c))
+        gamma_s = _gamma_s_reference(segments, t, path, np.flatnonzero(c))
         amps = c * np.exp(-1j * (gamma_a + gamma_s))
     return (*ensemble._averaged_density(amps, rows), gamma_a)
 
@@ -616,18 +649,29 @@ def every_row():
 
 @pytest.fixture
 def propagated_rows(monkeypatch):
-    """Row counts of the noise ensembles that the ensemble pipeline hands to
-    the engines, one entry per completed call."""
+    """Row counts of the noise that the ensemble pipeline hands to the
+    engines, one entry per completed call: the samples of each
+    ``evolve_exact_batch`` call, and the normals of each analytic block,
+    which returns their Gamma_s (rows, n_levels) read off the weights."""
     rows = []
-    for name in ("evolve_exact_batch", "stochastic_phase_batch"):
-        real = getattr(ensemble, name)
+    propagate, run_blocks = ensemble.evolve_exact_batch, ensemble._run_blocks
 
-        def spy(h, time_grid, samples, *args, real=real):
-            result = real(h, time_grid, samples, *args)
-            rows.append(samples.shape[0])
+    def propagated(h, time_grid, samples, *args):
+        result = propagate(h, time_grid, samples, *args)
+        rows.append(samples.shape[0])
+        return result
+
+    def contracted(work, *args):
+        def block(lo, hi):
+            result = work(lo, hi)
+            if isinstance(result, np.ndarray):  # the exact engine's is a list
+                rows.append(len(result))
             return result
 
-        monkeypatch.setattr(ensemble, name, spy)
+        return run_blocks(block, *args)
+
+    monkeypatch.setattr(ensemble, "evolve_exact_batch", propagated)
+    monkeypatch.setattr(ensemble, "_run_blocks", contracted)
     return rows
 
 
@@ -649,14 +693,16 @@ def normal_draws(monkeypatch):
 
 @pytest.fixture
 def phase_grids(monkeypatch):
-    """(time grid, noise points) of each window that the ensemble pipeline
-    hands to stochastic_phase_batch: the grid a run integrates on."""
+    """(time grid, noise points) of each segment and level whose Gamma_s
+    weights the ensemble pipeline builds (``_phase_weights``): the grid a
+    run integrates on."""
     grids = []
-    real = ensemble.stochastic_phase_batch
+    real = ensemble._phase_weights
 
-    def spy(h, time_grid, samples, level):
-        grids.append((time_grid, samples.shape[1]))
-        return real(h, time_grid, samples, level)
+    def spy(h, time_grid, level, dim):
+        weights = real(h, time_grid, level, dim)
+        grids.append((time_grid, len(weights)))
+        return weights
 
-    monkeypatch.setattr(ensemble, "stochastic_phase_batch", spy)
+    monkeypatch.setattr(ensemble, "_phase_weights", spy)
     return grids

@@ -480,6 +480,24 @@ def test_cli_per_slice_arrays_are_bounded_at_few_realizations(
     assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
 
 
+def test_cli_refuses_the_analytic_weights_before_a_draw(
+    tmp_path, monkeypatch, normal_draws
+):
+    """Under a bound of 2 x 1,001 elements the gate's 2 paths of 1,001
+    points fit, but not its Gamma_s weights, 1,001 points x 4 levels: the
+    run exits 4 before drawing a normal."""
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 2 * 1001)
+    raw = dict(GATE_CONFIG, engine="analytic_phase")
+    path = _write(tmp_path, "cfg.json", raw)
+    out = str(tmp_path / "x.csv")
+    code = main(
+        [raw["experiment"], "--config", path, "--out", out, "--realizations", "2"]
+    )
+    assert code == 4
+    assert normal_draws == []
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no table, no manifest
+
+
 COARSE_AGP = dict(AGP_CONFIG, correlation_time=1e-5, magnitude=1e7, noise_dt=1e-5)
 
 

@@ -27,7 +27,9 @@ from gqclab import (
 )
 from gqclab import ensemble, errors
 from gqclab.adiabatic import eigenframe, stochastic_phase_batch
-from gqclab.ensemble import ENGINES, _grid_steps
+from gqclab.ensemble import ENGINES, _grid_steps, _normal_weights
+from gqclab.gate import _segments
+from gqclab.noise import _ensemble_normals, _ou_from_normals
 
 EQUAL = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -172,13 +174,15 @@ def test_determinism_bit_exact():
 
 
 def test_gamma_s_is_computed_only_by_the_analytic_engine(monkeypatch):
-    real = ensemble.stochastic_phase_batch
-    for engine, levels in (("exact_propagation", []), ("analytic_phase", [0, 1])):
+    """Only the analytic engine builds Gamma_s weights, once per run, for
+    the levels of nonzero amplitude."""
+    real = ensemble._normal_weights
+    for engine, levels in (("exact_propagation", []), ("analytic_phase", [[0, 1]])):
         seen = []
         monkeypatch.setattr(
             ensemble,
-            "stochastic_phase_batch",
-            lambda *a: seen.append(a[-1]) or real(*a),
+            "_normal_weights",
+            lambda *a: seen.append(list(a[2])) or real(*a),
         )
         run_ensemble(_config(3.0, realizations=8, engine=engine))
         assert seen == levels, engine
@@ -449,18 +453,18 @@ def test_zero_noise_row_equals_the_full_ensemble(every_row, engine, realizations
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_row_is_propagated_once(propagated_rows, engine):
     """The exact engine propagates each row, one noise row at sigma^2 = 0;
-    the analytic engine integrates Gamma_s of the unit path once per sweep
-    and level (two levels here), and not at all for sigma^2 = 0."""
+    the analytic engine reads Gamma_s of the unit path off each row's
+    normals once per sweep, and not at all for sigma^2 = 0."""
     exact = engine == "exact_propagation"
     run_ensemble(_config(0.0, realizations=64, engine=engine))
     assert propagated_rows == ([1] if exact else [])
     propagated_rows.clear()
     run_ensemble(_config(3.0, realizations=64, engine=engine))
-    assert propagated_rows == [64] * (1 if exact else 2)
+    assert propagated_rows == [64]
     propagated_rows.clear()
     decoherence_sweep(_config(0.0, realizations=64, engine=engine), [3.0, 0.0, 5.0])
     # the blocks propagate the noisy rows, then the caller the sigma^2 = 0 row
-    assert propagated_rows == ([64, 64, 1] if exact else [64] * 2)
+    assert propagated_rows == ([64, 64, 1] if exact else [64])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -561,3 +565,105 @@ def test_zero_noise_bounds_count_every_realization(
         cfg = _config(0.0, realizations=64, engine=engine, substeps=4)
         refused_unallocated(run_ensemble, cfg)
         run_ensemble(_config(0.0, realizations=16, engine=engine, substeps=4))
+
+
+def _weights_case(count, dimension, n):
+    """(segments, grid, spec, dt) of one segment or the gate's four, n steps
+    each, on the agp geometry at sigma^2 = 1."""
+    h = replace(_hamiltonian(), qubit_count=1 if count == 1 else 2)
+    segments = [(h, 0, 0)] if count == 1 else _segments(h)
+    spec = NoiseSpec(variance=1.0, correlation_time=0.05, dimension=dimension)
+    return segments, np.linspace(0.0, 1.0, n + 1), spec, 1.0 / n
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("count", [1, 4])
+def test_gamma_s_off_the_normals_is_the_trapezoid_of_the_filtered_path(
+    gamma_s_reference, count, dimension
+):
+    """z . W~ is the trapezoid Gamma_s of every level on the OU path that
+    the normals z filter into, over one segment or the gate's four, to
+    1e-13 relative."""
+    segments, t, spec, dt = _weights_case(count, dimension, 200)
+    levels = range(segments[0][0].n_levels)
+    z = _ensemble_normals(5, np.empty((16, count * 200 + 1, dimension)))
+    want = gamma_s_reference(segments, t, _ou_from_normals(spec, z.copy(), dt), levels)
+    got = np.einsum("ntc,tck->nk", z, _normal_weights(segments, t, levels, spec, dt))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("count", [1, 4])
+def test_weights_carry_the_ou_covariance(gamma_s_reference, count, dimension):
+    """||W~_k - W~_j||^2, the variance of Gamma_s(k) - Gamma_s(j) on
+    independent unit normals, is the dense (W_k - W_j)^T C (W_k - W_j) of
+    the trapezoid weights W on the path, read off the oracle at each unit
+    path, and its covariance C_ij = a^|i-j| per component, to 1e-13."""
+    segments, t, spec, dt = _weights_case(count, dimension, 20)
+    n_levels = segments[0][0].n_levels
+    n_t = count * 20 + 1
+    basis = np.eye(n_t * dimension).reshape(-1, n_t, dimension)
+    w = gamma_s_reference(segments, t, basis, range(n_levels))  # (n_t dim, levels)
+    steps = np.arange(n_t)
+    a = np.exp(-dt / spec.correlation_time)
+    c = np.kron(a ** np.abs(steps[:, None] - steps[None, :]), np.eye(dimension))
+    w_tilde = _normal_weights(segments, t, range(n_levels), spec, dt)
+    for k in range(n_levels):
+        for j in range(k):
+            d = w[:, k] - w[:, j]
+            dense = d @ c @ d
+            assert dense > 0
+            got = np.sum((w_tilde[..., k] - w_tilde[..., j]) ** 2)
+            assert abs(got - dense) <= 1e-13 * dense
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_the_simulated_variance_exceeds_the_continuum_one(n):
+    """The Gamma_s that the analytic engine simulates has variance
+    sigma^2 ||W~_1 - W~_0||^2, above the continuum closed form
+    gamma^2 sigma^2 I / 4 by about (dt / tau_c)^2 / 12 relative: 8.24e-4,
+    2.06e-4 and 5.15e-5 measured at n = 200, 400 and 800 steps, against
+    8.33e-4, 2.08e-4 and 5.21e-5."""
+    segments, t, spec, dt = _weights_case(1, 1, n)
+    w = _normal_weights(segments, t, [0, 1], spec, dt)
+    discrete = np.sum((w[..., 1] - w[..., 0]) ** 2)
+    overlap = ensemble._segment_overlap(segments, spec.correlation_time, (1, 0), 1)
+    excess = discrete / variance_analytic(1, 1.0, 1.0, overlap) - 1.0
+    assert excess == pytest.approx((dt / spec.correlation_time) ** 2 / 12, rel=0.02)
+
+
+def test_the_weights_are_refused_before_a_draw(monkeypatch, normal_draws):
+    """A two-qubit analytic run at R = 2 with four nonzero amplitudes
+    holds 2 x 201 normals but 201 x 4 weights: with the bound between the
+    two, the weights are refused, unallocated, before any normal is drawn."""
+    h = replace(_hamiltonian(), qubit_count=2)
+    cfg = _config(3.0, realizations=2, hamiltonian=h, amplitudes=(0.5,) * 4)
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 2 * 201)
+    with pytest.raises(ResourceLimitError, match="stochastic phase weights"):
+        run_ensemble(cfg)
+    assert normal_draws == []
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 4 * 201)
+    run_ensemble(cfg)
+    assert normal_draws == [(2, (201, 1))]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_only_the_exact_engine_filters_the_normals(monkeypatch, engine):
+    """Over three blocks of rows, run in this process, the exact engine
+    filters each block's normals once and the analytic engine never; the
+    reports have the bits of the one-block run."""
+    cfg = _config(0.0, realizations=16, engine=engine)
+    sweep = [3.0, 0.0, 5.0]
+    one_block = decoherence_sweep(cfg, sweep)
+    filtered, real = [], ensemble._ou_from_normals
+
+    def serial(work, rows, workers):
+        bounds = [rows * k // 3 for k in range(4)]
+        return [work(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    monkeypatch.setattr(ensemble, "_run_blocks", serial)
+    monkeypatch.setattr(
+        ensemble, "_ou_from_normals", lambda *a: filtered.append(len(a[1])) or real(*a)
+    )
+    assert decoherence_sweep(cfg, sweep) == one_block
+    assert filtered == ([5, 5, 6] if engine == "exact_propagation" else [])

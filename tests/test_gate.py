@@ -22,16 +22,17 @@ from gqclab import (
     variance_analytic,
 )
 from gqclab import ensemble, errors, gate
-from gqclab.adiabatic import evolve_exact_batch, stochastic_phase_batch
+from gqclab.adiabatic import evolve_exact_batch
 from gqclab.ensemble import (
     ENGINES,
     _exact_amplitudes,
     _exact_basis,
     _gamma_a,
-    _gamma_s,
     _grid_steps,
+    _normal_weights,
 )
 from gqclab.gate import BELL_LEVELS, _FLIPS, _segments, realized_conditional_phase
+from gqclab.noise import _ensemble_normals
 
 BELL = (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
 
@@ -148,21 +149,19 @@ def _grid(h, dt):
     return np.linspace(0.0, period, n_seg + 1), n_seg
 
 
-def _windows(samples, n_seg):
-    """Each segment's window of a path of noise samples, n_seg steps each."""
-    count = (samples.shape[1] - 1) // n_seg
-    return [samples[:, l * n_seg : (l + 1) * n_seg + 1] for l in range(count)]
-
-
 def test_gate_phases_zero_noise_and_short_path():
+    """Gamma_s weights span the four segments' one path, one column per
+    level, and read 0 off a path of zero normals."""
     h = _setup()
     t_local, n_seg = _grid(h, 0.004)
-    noise = _windows(np.zeros((1, 4 * n_seg + 1, 1)), n_seg)
-    [gamma_s] = _gamma_s(_segments(h), t_local, noise, BELL_LEVELS)
-    assert np.array_equal(gamma_s, np.zeros(4))
+    spec = NoiseSpec(variance=1.0, correlation_time=0.04)
+    weights = _normal_weights(_segments(h), t_local, BELL_LEVELS, spec, 0.004)
+    assert weights.shape == (4 * n_seg + 1, 1, 4)
+    gamma_s = np.einsum("ntc,tck->nk", np.zeros((2, 4 * n_seg + 1, 1)), weights)
+    assert np.array_equal(gamma_s, np.zeros((2, 4)))
 
 
-def test_analytic_gate_builds_no_eigenframe(monkeypatch):
+def test_analytic_gate_builds_no_eigenframe(monkeypatch, gamma_s_reference):
     h = _setup(angles=calibrate_level_cone_angles(np.pi / 2, np.pi / 3))
     spec = NoiseSpec(variance=20.0, correlation_time=0.04, dimension=3)
     cfg = EnsembleConfig(
@@ -184,18 +183,17 @@ def test_analytic_gate_builds_no_eigenframe(monkeypatch):
     bell_gate_run(cfg)
     assert built == []
 
-    # the bits of one stochastic_phase_batch call per segment and level
+    # Gamma_s off the normals: the trapezoid on each segment's window of
+    # the filtered path, to 1e-13, and 0 for the levels the input leaves out
     t_local, n_seg = _grid(h, cfg.dt)
     period = h.schedule.period
-    samples = make_noise_ensemble(spec, 4 * period, period / n_seg, 3, 8)
-    windows = _windows(samples, n_seg)
-    gamma_s = _gamma_s(_segments(h), t_local, windows, BELL_LEVELS)
-    for level in BELL_LEVELS:
-        expected = np.zeros(8)
-        for l, (h_seg, flips, _) in enumerate(_segments(h)):
-            window = samples[:, l * n_seg : (l + 1) * n_seg + 1]
-            expected += stochastic_phase_batch(h_seg, t_local, window, level ^ flips)
-        assert np.array_equal(gamma_s[:, level], expected)
+    dt = period / n_seg
+    samples = make_noise_ensemble(replace(spec, variance=1.0), 4 * period, dt, 3, 8)
+    normals = _ensemble_normals(3, np.empty(samples.shape))
+    weights = _normal_weights(_segments(h), t_local, BELL_LEVELS, spec, dt)
+    gamma_s = np.einsum("ntc,tck->nk", normals, weights)
+    expected = gamma_s_reference(_segments(h), t_local, samples, BELL_LEVELS)
+    assert np.max(np.abs(gamma_s - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert not gamma_s[:, [0b01, 0b10]].any()
 
 
@@ -500,8 +498,13 @@ def test_bell_gate_rejects_non_bell_input():
         initial_amplitudes=(1.0, 0.0, 0.0, 0.0),
         realizations=8,
     )
-    with pytest.raises(ValueError):
-        bell_gate_run(cfg)
+    message = (
+        r"^initial_amplitudes must be the Bell state \(\|00> \+ \|11>\)/sqrt\(2\), "
+        r"gate.BELL_STATE$"
+    )
+    for run in (bell_gate_run, lambda c: bell_gate_sweep(c, [0.0])):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
 
 
 def test_gate_onset_ratio_identity_and_linearity():
@@ -603,18 +606,18 @@ def test_noisy_gate_sweep_holds_only_the_normals(peak_bytes):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_noise_gate_is_propagated_once(propagated_rows, engine):
     """The exact engine makes one propagation per row, all four segments
-    on one path, of one noise row at sigma^2 = 0; the analytic engine 8
-    stochastic phases per sweep (4 segments x 2 Bell levels) of the unit
-    path, and none at sigma^2 = 0."""
+    on one path, of one noise row at sigma^2 = 0; the analytic engine reads
+    Gamma_s of the unit path off each row's normals once per sweep, all
+    four segments and both Bell levels at once, and none at sigma^2 = 0."""
     exact = engine == "exact_propagation"
     bell_gate_run(_gate_config(0.0, engine))
     assert propagated_rows == ([1] if exact else [])
     propagated_rows.clear()
     bell_gate_run(_gate_config(20.0, engine))
-    assert propagated_rows == [64] * (1 if exact else 8)
+    assert propagated_rows == [64]
     propagated_rows.clear()
     bell_gate_sweep(_gate_config(0.0, engine), [20.0, 0.0])
-    assert propagated_rows == ([64, 1] if exact else [64] * 8)
+    assert propagated_rows == ([64, 1] if exact else [64])
 
 
 @pytest.mark.parametrize("dimension", [1, 3])

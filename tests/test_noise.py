@@ -329,14 +329,17 @@ def test_ou_recursion_runs_in_place_on_time_major_windows(
 
 @pytest.mark.parametrize("dimension", [1, 3])
 @pytest.mark.parametrize("count", [1, 4])
-def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, count):
+def test_noise_at_sigma2_is_sigma_times_the_unit_path(
+    monkeypatch, gamma_s_reference, dimension, count
+):
     """One definition of the noise.  The unit-variance OU path u, filtered
     in place in either memory layout, is make_noise_ensemble's at
     sigma^2 = 1 to the bit.  The pipeline hands the exact engine the whole
-    path with each row's sigma, one call per row for all segments, and the
-    analytic engine its segment views, of 300 steps each (three blocks of
-    the recursion); at sigma^2 = 0 the exact engine gets one row of +0.0
-    samples spanning the segments, and the analytic engine nothing.
+    path with each row's sigma, one call per row for all segments; at
+    sigma^2 = 0 the exact engine gets one row of +0.0 samples spanning the
+    segments.  The analytic engine builds its weights once and contracts
+    them with the normals, unfiltered: Gamma_s(u) of the segments' windows
+    of 300 steps each (three blocks of the recursion) to 1e-13.
     sigma u is make_noise_ensemble's path at sigma^2 to 1e-14 sigma
     (1.9e-15 sigma measured), and sigma Gamma_s(u) its Gamma_s to 1e-14
     sigma (3.8e-16 sigma measured, |Gamma_s| up to 1.7 sigma)."""
@@ -354,24 +357,32 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
     schedule = ControlSchedule(magnitude=200.0, cone_angle=np.pi / 3, period=n * dt)
     h = QubitHamiltonian(1.0, schedule, qubit_count=1 if count == 1 else 2)
     c = np.full(h.n_levels, h.n_levels**-0.5)
-    exact, analytic = [], []
-    propagate, integrate = ensemble.evolve_exact_batch, ensemble.stochastic_phase_batch
+    exact, normals, weights = [], [], []
+    propagate, draw = ensemble.evolve_exact_batch, ensemble._ensemble_normals
+    build = ensemble._normal_weights
 
     def propagated(h, t, samples, psi0, slices, sigma):
         exact.append((samples.copy(), sigma))
         return propagate(h, t, samples, psi0, slices, sigma)
 
-    def integrated(h, frame, samples, level):
-        analytic.append(samples.copy())
-        return integrate(h, frame, samples, level)
+    def drawn(key, out):
+        normals.append(draw(key, out).copy())
+        return out
+
+    def built(*args):
+        weights.append(build(*args))
+        return weights[-1]
 
     monkeypatch.setattr(ensemble, "evolve_exact_batch", propagated)
-    monkeypatch.setattr(ensemble, "stochastic_phase_batch", integrated)
+    monkeypatch.setattr(ensemble, "_ensemble_normals", drawn)
+    monkeypatch.setattr(ensemble, "_normal_weights", built)
     sigma2s = [0.5, 0.0, 50.0]
+    segments = [(h, 0, 0)] * count
     for engine in ENGINES:
+        normals.clear()  # keeps the analytic run's
         cfg = EnsembleConfig(h, unit_spec, c, rows, seed, engine)
-        ensemble._run_segments(cfg, [(h, 0, 0)] * count, sigma2s)
-    assert len(exact) == 3 and len(analytic) == h.n_levels * count
+        ensemble._run_segments(cfg, segments, sigma2s)
+    assert len(exact) == 3 and len(weights) == len(normals) == 1
     # the blocks propagate the noisy rows, then the caller the sigma^2 = 0 row
     for (samples, sigma), sigma2 in zip(exact, [0.5, 50.0, 0.0]):
         assert sigma == np.sqrt(sigma2)
@@ -380,8 +391,12 @@ def test_noise_at_sigma2_is_sigma_times_the_unit_path(monkeypatch, dimension, co
         else:  # one row of +0.0 samples spanning the segments
             assert samples.shape == (1, count * n + 1, dimension)
             assert np.all(samples == 0.0) and not np.any(np.signbit(samples))
-    for i, samples in enumerate(analytic):
-        assert np.array_equal(samples, views[i // h.n_levels])
+    [z], [w] = normals, weights
+    assert np.array_equal(z, _ensemble_normals(seed, np.empty(unit.shape)))
+    t = np.linspace(0.0, n * dt, n + 1)
+    want = gamma_s_reference(segments, t, unit, range(h.n_levels))
+    got = np.einsum("ntc,tck->nk", z, w)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     t = np.arange(n + 1) * dt
     for sigma2 in (0.5, 50.0, 200.0):

@@ -177,8 +177,9 @@ def test_the_noise_coupling_is_stated_in_closed_form():
     build no eigenframe, and the Pauli operators and their eigenstate
     expectations live only in the tests, as the closed form's oracle."""
     for module, name in (
+        ("adiabatic", "_phase_weights"),
         ("adiabatic", "stochastic_phase_batch"),
-        ("ensemble", "_gamma_s"),
+        ("ensemble", "_normal_weights"),
         ("ensemble", "_segment_overlap"),
     ):
         function = getattr(importlib.import_module(f"gqclab.{module}"), name)
@@ -188,7 +189,7 @@ def test_the_noise_coupling_is_stated_in_closed_form():
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
         }
-        assert "level_coupling" in called or "stochastic_phase_batch" in called
+        assert "level_coupling" in called or "_phase_weights" in called
         assert "eigenframe" not in called
     text = "".join(path.read_text() for path in SRC.glob("*.py"))
     for word in ("noise_operators", "operator_expectations", "PAULI", "SIGMA_"):
