@@ -23,7 +23,7 @@ from gqclab import (
     EnsembleConfig,
     NoiseSpec,
     QubitHamiltonian,
-    bell_gate_run,
+    bell_gate_sweep,
     calibrate_level_cone_angles,
     gate_overlap_sum,
 )
@@ -55,17 +55,16 @@ def main():
 
     print(f"{'sigma^2':>10} {'variance':>10} {'F MC':>8} {'F exact':>8} "
           f"{'onset':>7}")
-    for frac in (0.0, 0.02, 0.1, 0.3, 1.0):
-        sigma2 = frac * sigma2_onset
-        cfg = EnsembleConfig(
-            hamiltonian=h,
-            noise=NoiseSpec(variance=sigma2, correlation_time=TAU_C),
-            initial_amplitudes=BELL,
-            realizations=1024,
-            master_seed=3,
-            engine="analytic_phase",
-        )
-        res = bell_gate_run(cfg)
+    sweep = [frac * sigma2_onset for frac in (0.0, 0.02, 0.1, 0.3, 1.0)]
+    cfg = EnsembleConfig(
+        hamiltonian=h,
+        noise=NoiseSpec(variance=0.0, correlation_time=TAU_C),
+        initial_amplitudes=BELL,
+        realizations=1024,
+        master_seed=3,
+        engine="analytic_phase",
+    )
+    for sigma2, res in zip(sweep, bell_gate_sweep(cfg, sweep)):
         print(
             f"{sigma2:>10.2f} {res.analytic_variance:>10.3f} "
             f"{res.fidelity:>8.4f} {res.fidelity_closed_form:>8.4f} "

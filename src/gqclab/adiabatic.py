@@ -84,7 +84,9 @@ class ControlSchedule:
         _check_real(self.cone_angle, "cone_angle", 0, np.pi)
         _check_count(self.cycles, "cycles", 1)
         if self.direction not in ("forward", "reversed"):
-            raise ValueError(f"direction must be 'forward' or 'reversed'")
+            raise ValueError(
+                f"direction must be 'forward' or 'reversed', got {self.direction!r}"
+            )
         _check_real(self.magnitude, "magnitude", 0)
 
     @property

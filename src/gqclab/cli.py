@@ -12,10 +12,10 @@ Subcommands:
   period finding for a list of (N, y) instances and phase variances
 
 Configuration is a single JSON file (``--config``); command line flags
-override config values.  Every run writes the result table (CSV or JSON)
-and a JSON run manifest that echoes the fully resolved configuration, so
-re-running with ``--config manifest.json`` reproduces the table
-bit-exactly.  Exit codes: 0 ok, 2 configuration error, 3 adiabaticity
+override config values.  ``validate_config`` resolves it to a params dict,
+which ``run`` executes.  Every run writes the result table (CSV or JSON)
+and a JSON run manifest that echoes those params, so re-running with
+``--config manifest.json`` reproduces the table bit-exactly.  Exit codes: 0 ok, 2 configuration error, 3 adiabaticity
 violation in strict mode, 4 resource bound exceeded.  An under-resolved
 noise grid, a zero level splitting and an unwritable output path are
 configuration errors.
@@ -31,7 +31,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -58,20 +57,7 @@ from .noise import (
 )
 from .shor import MAX_MODULUS, ShorInstance, find_period, runtime_scaling
 
-__all__ = ["ExperimentConfig", "validate_config", "run", "main"]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated experiment: the name plus fully resolved parameters.
-
-    ``params`` holds only canonical keys (sigma2 resolved from the power
-    pair, cone_angle and magnitude resolved from b0/b_rf, defaults filled
-    in), so two configs resolving to equal params produce identical runs.
-    """
-
-    experiment: str
-    params: dict
+__all__ = ["validate_config", "run", "main"]
 
 
 def _checked(check, value, key, errors, **bounds):
@@ -369,11 +355,15 @@ def _check_gate_fidelity(params, errors):
         errors.append(f"conditional_phase: {exc}")
 
 
-def validate_config(raw, experiment: str = None) -> ExperimentConfig:
+def validate_config(raw, experiment: str = None) -> dict:
     """Full schema validation; raises ConfigError carrying every problem.
 
     ``raw`` is JSON text, an already-parsed mapping or a run manifest (see
-    ``_config_mapping``).
+    ``_config_mapping``).  Returns the resolved params: the experiment under
+    ``"experiment"`` and only canonical keys (sigma2 resolved from the power
+    pair, cone_angle and magnitude from b0/b_rf, defaults filled in), so
+    two configs resolving to equal params produce identical runs.  It is
+    the mapping that the run manifest echoes as its ``config``.
     """
     errors = []
     raw = _config_mapping(raw)
@@ -421,7 +411,7 @@ def validate_config(raw, experiment: str = None) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     params["experiment"] = exp
-    return ExperimentConfig(experiment=exp, params=params)
+    return params
 
 
 def _sigma2_sweep(params):
@@ -585,27 +575,28 @@ def _write_rows(rows, out_path, fmt):
             writer.writerow(_format_cell(v) for v in row.values())
 
 
-def run(config: ExperimentConfig) -> dict:
-    """Execute one experiment: write the table and its run manifest.
+def run(params: dict) -> dict:
+    """Execute the experiment of ``params`` (``validate_config``'s result):
+    write the table and its run manifest.
 
     Returns the manifest.  Results are a pure function of the resolved
     configuration: the manifest, the code version and the numpy version it
     records reproduce every output bit-exactly, whatever ``threads`` says.
     The output paths are checked before it runs.
     """
-    p = config.params
-    fmt = p["format"]
-    out_path = p["out"] or f"{config.experiment}.{fmt}"
+    fmt = params["format"]
+    out_path = params["out"] or f"{params['experiment']}.{fmt}"
     manifest_path = f"{out_path}.manifest.json"
     for path in (out_path, manifest_path):
         target = path if os.path.exists(path) else os.path.dirname(path) or "."
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise ConfigError([f"out: cannot write {path!r}"])
     t_start = time.monotonic()
-    rows, derived = _RUNNERS[config.experiment](p)
-    if "realizations" in p:  # the processes that ran its per-path work
-        sweep = _sigma2_sweep(p)
-        derived["workers"] = _worker_count(p["threads"], p["realizations"], sweep)
+    rows, derived = _RUNNERS[params["experiment"]](params)
+    if "realizations" in params:  # the processes that ran its per-path work
+        derived["workers"] = _worker_count(
+            params["threads"], params["realizations"], _sigma2_sweep(params)
+        )
     try:
         _write_rows(rows, out_path, fmt)
     except OSError as exc:
@@ -613,11 +604,11 @@ def run(config: ExperimentConfig) -> dict:
     manifest = {
         "tool": "gqclab",
         "version": __version__,
-        "experiment": config.experiment,
-        "config": dict(p, out=out_path),
+        "experiment": params["experiment"],
+        "config": dict(params, out=out_path),
         "derived": derived,
         "seeds": {
-            "master_seed": p["master_seed"],
+            "master_seed": params["master_seed"],
             "splitting": "Generator(Philox(key=master_seed + 2**64 * realization))",
         },
         # numpy does not promise the same Generator streams across versions
@@ -651,8 +642,7 @@ def main(argv=None) -> int:
         # overrides apply to the config a manifest echoes, not to the manifest
         raw = _config_mapping(text)
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        config = validate_config(raw, experiment=experiment)
-        manifest = run(config)
+        manifest = run(validate_config(raw, experiment=experiment))
     except (ConfigError, ResolutionError, DegeneracyError) as exc:
         for err in getattr(exc, "errors", [exc]):
             print(f"config error: {err}", file=sys.stderr)

@@ -417,16 +417,15 @@ def _segment_overlap(segments, correlation_time: float, levels, dimension) -> fl
 
 
 def overlap_integral(
-    h: QubitHamiltonian,
-    correlation_time: float,
-    levels: tuple,
-    dimension: int = 1,
+    h: QubitHamiltonian, correlation_time: float, levels: tuple
 ) -> float:
-    """Exact I_kj over one control period T for the kernel exp(-|tau|/tau_c),
-    the paper's per-period I: ``_segment_overlap`` of one cycle of ``h``.
-    The finite-window terms in exp(-T/tau_c) are kept."""
+    """Exact I_kj over one control period T for the kernel exp(-|tau|/tau_c)
+    under scalar noise, the paper's per-period I: ``_segment_overlap`` of
+    one cycle of ``h``.  The finite-window terms in exp(-T/tau_c) are kept;
+    the whole run's I, at any noise dimension, is ``DecoherenceReport.overlap``.
+    """
     one_cycle = replace(h, schedule=replace(h.schedule, cycles=1))
-    return _segment_overlap([(one_cycle, 0, 0)], correlation_time, levels, dimension)
+    return _segment_overlap([(one_cycle, 0, 0)], correlation_time, levels, 1)
 
 
 def onset_ratio(
@@ -497,13 +496,11 @@ def decoherence_sweep(
     return reports
 
 
-def decoherence_report(
-    config: EnsembleConfig, levels: tuple = (1, 0)
-) -> DecoherenceReport:
-    """Monte Carlo decoherence factor vs the Gaussian closed form.
+def decoherence_report(config: EnsembleConfig) -> DecoherenceReport:
+    """Monte Carlo decoherence factor D(1,0) vs the Gaussian closed form.
 
-    Runs the configured ensemble, extracts D(k,j) from the averaged
+    Runs the configured ensemble, extracts D(1,0) from the averaged
     off-diagonal, and compares with exp(-Var/2) built from the exact
     overlap integral.  The onset ratio is that variance over (2 pi)^2.
     """
-    return decoherence_sweep(config, [config.noise.variance], levels)[0]
+    return decoherence_sweep(config, [config.noise.variance])[0]

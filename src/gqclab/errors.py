@@ -36,12 +36,11 @@ class AdiabaticityError(RuntimeError):
 class ConfigError(ValueError):
     """Experiment configuration failed validation.
 
-    ``errors`` carries the full list of problems, not just the first one.
+    It takes, and carries as ``errors``, the list of every problem found,
+    not just the first one.
     """
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 

@@ -19,8 +19,9 @@ phase.
 Accumulated phases per level are sums of per-segment integrals; one noise
 path spans the four segments, so a level pair's stochastic phase variance
 is (gamma^2 sigma^2 / 4) I_kj, I_kj exact over the whole window 4T with the
-covariance between segments.  For the Bell pair (00), (11) under rf power
-noise it tends to 32 tau_c T sin^2(theta_0) in the limit tau_c << T.
+covariance between segments.  The gate's one pair is the Bell pair (00),
+(11) (``gate_overlap_sum``); under rf power noise its I tends to
+32 tau_c T sin^2(theta_0) in the limit tau_c << T.
 """
 
 from __future__ import annotations
@@ -61,16 +62,6 @@ BELL_STATE = (1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0))
 _FLIPS = (0b00, 0b10, 0b11, 0b01, 0b00)
 
 
-def _as_index(level) -> int:
-    """Index 2 i1 + i2 of a level given as that index or as bits (i1, i2)."""
-    if isinstance(level, (int, np.integer)):
-        if 0 <= level < 4:
-            return int(level)
-    elif len(level) == 2 and all(bit in (0, 1) for bit in level):
-        return 2 * int(level[0]) + int(level[1])
-    raise ValueError(f"level must be an index in [0, 4) or bits (i1, i2): {level!r}")
-
-
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of a noisy Bell-state gate run."""
@@ -102,21 +93,14 @@ def _segments(h: QubitHamiltonian) -> list:
 
 
 def gate_overlap_sum(
-    h: QubitHamiltonian,
-    correlation_time: float,
-    levels=BELL_LEVELS,
-    dimension: int = 1,
+    h: QubitHamiltonian, correlation_time: float, dimension: int = 1
 ) -> float:
-    """Exact I_kj over the gate's window 4T, O^l_kj = O_{k_l k_l} - O_{j_l j_l}
-    in segment l: ``_segment_overlap`` of its four segments, covariance
-    between them included.  ``levels`` are level indices or bit pairs
-    (i1, i2).  The map is one XOR per segment, so k_l and j_l differ in
-    every segment unless k = j.
+    """Exact Bell-pair I_kj over the gate's window 4T, (k, j) = BELL_LEVELS,
+    O^l_kj = O_{k_l k_l} - O_{j_l j_l} in segment l: ``_segment_overlap``
+    of its four segments, covariance between them included.  The map is one
+    XOR per segment, so k_l and j_l differ in every segment.
     """
-    k, j = (_as_index(level) for level in levels)
-    if k == j:
-        return 0.0
-    return _segment_overlap(_segments(h), correlation_time, (k, j), dimension)
+    return _segment_overlap(_segments(h), correlation_time, BELL_LEVELS, dimension)
 
 
 def realized_conditional_phase(h: QubitHamiltonian) -> float:

@@ -96,13 +96,13 @@ def test_missing_parameters_name_the_schema():
 
 
 def test_static_defaults_fill_params_and_unset_grids_stay_absent():
-    params = validate_config(GATE_CONFIG).params
+    params = validate_config(GATE_CONFIG)
     assert params["engine"] == "analytic_phase"
     assert params["substeps"] == 1
     assert params["conditional_phase"] == 0.0
     assert params["out"] is None
     assert "noise_dt" not in params
-    assert "lags" not in validate_config(NOISE_CONFIG).params
+    assert "lags" not in validate_config(NOISE_CONFIG)
 
 
 POWER_NOISE = {k: v for k, v in NOISE_CONFIG.items() if k != "sigma2"}
@@ -358,8 +358,8 @@ def test_power_density_resolves_sigma2():
     raw["power_density"] = 6.0
     raw["bandwidth"] = 3.0
     cfg = validate_config(raw)
-    assert cfg.params["sigma2"] == 2.0
-    assert cfg.params["bandwidth"] == 3.0
+    assert cfg["sigma2"] == 2.0
+    assert cfg["bandwidth"] == 3.0
 
 
 def test_field_pair_resolves_cone_angle():
@@ -369,8 +369,8 @@ def test_field_pair_resolves_cone_angle():
     cfg = validate_config(raw)
     # sin^2 theta = b_rf^2 / (b_rf^2 + (b0 - b_rf)^2)
     expected_sin2 = 9.0 / (9.0 + 4.0)
-    assert np.isclose(np.sin(cfg.params["cone_angle"]) ** 2, expected_sin2)
-    assert np.isclose(cfg.params["magnitude"], np.sqrt(13.0))
+    assert np.isclose(np.sin(cfg["cone_angle"]) ** 2, expected_sin2)
+    assert np.isclose(cfg["magnitude"], np.sqrt(13.0))
 
 
 def test_experiment_subcommand_mismatch():
@@ -777,6 +777,30 @@ def test_cli_coarse_noise_step_is_a_config_error(tmp_path, capsys, raw):
             dict(GATE_CONFIG, engine="exact_propagation", magnitude=1e-13),
             "level crossing: gap 1e-13",
         ),
+        (
+            {k: v for k, v in AGP_CONFIG.items() if k != "sigma2"},
+            "one of sigma2 or (power_density, bandwidth) is required",
+        ),
+        (
+            {k: v for k, v in POWER_AGP.items() if k != "bandwidth"},
+            "power_density requires bandwidth",
+        ),
+        (
+            {k: v for k, v in FIELD_AGP.items() if k != "b_rf"},
+            "b0 and b_rf must be given together",
+        ),
+        (
+            {k: v for k, v in AGP_CONFIG.items() if k != "magnitude"},
+            "cone_angle and magnitude (or b0 and b_rf) are required",
+        ),
+        (
+            dict(SHOR_CONFIG, bases=[7, 2]),
+            "moduli and bases must have the same length",
+        ),
+        (
+            dict(SHOR_CONFIG, variances=[0.0, 1.0]),
+            "variances: expected a number or one value per instance",
+        ),
     ],
     ids=[
         "exact-engine-calibrated-angles",
@@ -784,6 +808,12 @@ def test_cli_coarse_noise_step_is_a_config_error(tmp_path, capsys, raw):
         "duration-below-dt",
         "agp-degenerate-gap",
         "gate-degenerate-gap",
+        "no-noise-level",
+        "power-without-bandwidth",
+        "b0-without-b_rf",
+        "no-geometry",
+        "moduli-and-bases-unpaired",
+        "variances-unpaired",
     ],
 )
 def test_cli_library_rules_are_config_errors(tmp_path, capsys, raw, message):
@@ -813,6 +843,31 @@ def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
 
 def test_cli_out_that_is_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
     _refused_before_the_run(tmp_path, capsys, monkeypatch, tmp_path)
+
+
+def test_cli_write_that_fails_after_the_check_is_a_config_error(tmp_path, capsys):
+    """A name longer than the file system allows passes the access check of
+    its directory, and its write fails: that OSError is a config error."""
+    path = _write(tmp_path, "cfg.json", SHOR_CONFIG)
+    out = tmp_path / ("x" * 300 + ".csv")
+    assert main(["shor-scan", "--config", path, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: out: [Errno ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["agp-dephase", "--config", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: [Errno ")
+        assert str(path) in line
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"agp-dephase"'])
+def test_a_config_that_is_not_an_object_is_refused(text):
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        validate_config(text)
 
 
 def test_cli_output_check_leaves_an_existing_table_alone(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Every count and real number an entry point takes is refused by name when
 it is not a number of its kind in its range (``errors._check_count`` and
-``errors._check_real``)."""
+``errors._check_real``), and every structural rule of an entry point is
+refused in its own words."""
 
 from dataclasses import replace
 
@@ -18,7 +19,9 @@ from gqclab import (
     calibrate_level_cone_angles,
     choose_q,
     decoherence_factor_analytic,
+    decoherence_sweep,
     dft_phase_variance,
+    eigenframe,
     ensemble_autocorrelation,
     estimate_autocorrelation,
     euler_phi,
@@ -178,9 +181,6 @@ COUNTS = {
     "variance_analytic-eta": (
         1, 1, None, lambda v: variance_analytic(v, 1.0, 1.0, 1.0)
     ),
-    "overlap_integral-dimension": (
-        1, 1, None, lambda v: overlap_integral(H, 0.1, (0, 1), v)
-    ),
     "find_period-modulus": (15, 1, 2**16, lambda v: find_period(v, 7)),
     "find_period-base": (7, None, None, lambda v: find_period(15, v)),
     "ShorInstance.build-base": (7, None, None, lambda v: ShorInstance.build(15, v)),
@@ -290,3 +290,58 @@ def test_a_nan_amplitude_is_refused():
 def test_a_spinor_that_is_not_finite_is_refused():
     with pytest.raises(ValueError, match="^psi0 must be normalized"):
         evolve_exact_batch([H], GRID, PATHS, (np.nan, 1.0), 10, 1.0)
+
+
+#: refusal -> (call, the whole message as a regular expression): rules on
+#: an argument's form, or on how arguments relate, rather than a number's
+#: range
+REFUSALS = {
+    "ControlSchedule-direction": (
+        lambda: ControlSchedule(1.0, 1.0, 1.0, direction="backward"),
+        r"direction must be 'forward' or 'reversed', got 'backward'",
+    ),
+    "QubitHamiltonian-level_cone_angles-one-qubit": (
+        lambda: QubitHamiltonian(1.0, SCHEDULE, level_cone_angles=(1.0,) * 4),
+        "level_cone_angles is a two-qubit feature",
+    ),
+    "QubitHamiltonian-level_cone_angles-length": (
+        lambda: QubitHamiltonian(1.0, SCHEDULE, 2, (1.0,) * 3),
+        "level_cone_angles must have 4 entries",
+    ),
+    "eigenframe-one-point": (
+        lambda: eigenframe(H, [0.0]),
+        "time_grid must be a 1-d array with >= 2 points",
+    ),
+    "eigenframe-2d-grid": (
+        lambda: eigenframe(H, np.zeros((2, 2))),
+        "time_grid must be a 1-d array with >= 2 points",
+    ),
+    "evolve_exact_batch-two-qubits": (
+        lambda: evolve_exact_batch([H2], GRID, PATHS, (1.0, 0.0), 10, 1.0),
+        "exact propagation is single-qubit; the ensemble's exact engine "
+        "composes the two-qubit propagator u x u",
+    ),
+    "EnsembleConfig-initial_amplitudes-length": (
+        lambda: EnsembleConfig(H, SPEC, (1.0,), 2),
+        "initial_amplitudes must have 2 entries",
+    ),
+    "decoherence_sweep-zero-amplitude": (
+        lambda: decoherence_sweep(EnsembleConfig(H, SPEC, (1.0, 0.0), 2), [1.0]),
+        "levels must have nonzero initial amplitudes",
+    ),
+    "ShorInstance-base-not-co-prime": (
+        lambda: _shor(base=5),
+        "base 5 not co-prime with modulus 15",
+    ),
+    "gqc_onset-cone_angle": (
+        lambda: gqc_onset(1.0, 1.0, 0.01, 1.0, 8, 1.0, 0.0),
+        r"cone_angle must have nonzero sin\(theta_0\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_every_structural_rule_is_refused_in_its_own_words(refusal):
+    call, message = REFUSALS[refusal]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

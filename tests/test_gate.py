@@ -273,8 +273,11 @@ def test_gate_overlap_sum_matches_numerical_oracle(
         full = numeric_gate_overlap(h, 0.04, levels, dimension, steps=8192)
         half = numeric_gate_overlap(h, 0.04, levels, dimension, steps=4096)
         oracle = (4.0 * full - half) / 3.0
-        exact = gate_overlap_sum(h, 0.04, levels, dimension)
+        pair = tuple(2 * i1 + i2 for i1, i2 in levels)
+        exact = ensemble._segment_overlap(_segments(h), 0.04, pair, dimension)
         assert abs(exact - oracle) < 1e-6 * oracle
+        if pair == BELL_LEVELS:
+            assert gate_overlap_sum(h, 0.04, dimension) == exact
 
 
 @pytest.mark.parametrize("dimension", [1, 3])

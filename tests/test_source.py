@@ -332,6 +332,112 @@ def test_every_option_is_set_outside_the_tests():
     assert unset == []
 
 
+#: the defaulted parameters of two functions and two methods: f's c and
+#: K's x are passed by no call
+PARAMETERS_SAMPLE = """\
+def f(a, b=1, c=2, *, d=3):
+    return a
+
+def g(a=0):
+    return a
+
+class K:
+    def __init__(self, x=0):
+        self.x = x
+
+    def m(self, y=1):
+        return y
+
+f(0, 1, d=4)
+g(**options)
+K().m(2)
+"""
+
+
+def defaulted_parameters(tree: ast.Module, exported) -> dict:
+    """``function:parameter`` -> (called name, parameter, position) for each
+    defaulted parameter of a module-level function or a method of a class
+    in ``tree`` whose name ``exported`` accepts.  A method is called by its
+    name, ``__init__`` by its class's, and its first parameter (self or
+    cls) is bound; a keyword-only parameter has no position."""
+    found = {}
+    for node in tree.body:
+        kinds = (ast.FunctionDef, ast.ClassDef)
+        if not isinstance(node, kinds) or not exported(node.name):
+            continue
+        methods = isinstance(node, ast.ClassDef)
+        functions = node.body if methods else [node]
+        for function in functions:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            label = f"{node.name}.{function.name}" if methods else node.name
+            called = node.name if function.name == "__init__" else function.name
+            args = function.args
+            positional = (args.posonlyargs + args.args)[methods:]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                found[f"{label}:{arg.arg}"] = (called, arg.arg, i)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[f"{label}:{arg.arg}"] = (called, arg.arg, None)
+    return found
+
+
+def passed_arguments(trees) -> set:
+    """(called name, parameter name or position) of every argument that a
+    call in ``trees`` passes; a ``*args`` or ``**kwargs`` passes "*", every
+    parameter."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            for i, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            passed |= {(name, keyword.arg or "*") for keyword in node.keywords}
+    return passed
+
+
+def unpassed_parameters(parameters: dict, passed: set) -> list:
+    """Sorted ``function:parameter`` of each of ``parameters`` (as from
+    ``defaulted_parameters``) that ``passed`` passes by no name, position
+    or ``*``."""
+    return sorted(
+        label
+        for label, (called, name, position) in parameters.items()
+        if not passed & {(called, name), (called, position), (called, "*")}
+    )
+
+
+def test_every_parameter_is_passed_outside_the_tests():
+    """Each defaulted parameter of a function that gqclab or gqclab.cli
+    exports, or of a method of an exported class, is passed by keyword, by
+    position or through ``*args``/``**kwargs`` by some call in the package,
+    the demos or the benchmark, the parameter-level twin of the option
+    check: a default that only the tests change is an option that does
+    nothing.  Calls are matched by the called name, and the functions
+    awaiting a caller are exempt."""
+    sample = ast.parse(PARAMETERS_SAMPLE)
+    parameters = defaulted_parameters(sample, bool)
+    found = unpassed_parameters(parameters, passed_arguments([sample]))
+    assert found == ["K.__init__:x", "f:c"]
+    parameters = {}
+    for path in SRC.glob("*.py"):
+        name = f"gqclab.{path.stem}".removesuffix(".__init__")
+        exported = set(importlib.import_module(name).__all__) - AWAITING_A_CALLER
+        parameters.update(
+            defaulted_parameters(ast.parse(path.read_text()), exported.__contains__)
+        )
+    assert "validate_config:experiment" in parameters  # the scan sees the CLI
+    passed = passed_arguments(
+        ast.parse(path.read_text())
+        for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
+        for path in folder.glob("*.py")
+    )
+    assert unpassed_parameters(parameters, passed) == []
+
+
 #: the library modules whose entry points take numbers
 NUMERIC = ("noise", "adiabatic", "ensemble", "gate", "shor")
 
