@@ -28,7 +28,7 @@ ONSET_V = 4 * np.pi**2
 
 
 def main():
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     print(f"N = {inst.modulus}, base {inst.base}: period r = {inst.period}, "
           f"register q = 2^{inst.bits} = {inst.register_size}")
     print()
@@ -47,7 +47,7 @@ def main():
 
     # scaling with problem size at full decoherence
     pairs = [(15, 7), (21, 2), (33, 2), (51, 2)]
-    instances = [ShorInstance.build(n, y) for n, y in pairs]
+    instances = [ShorInstance(n, y) for n, y in pairs]
     rows = runtime_scaling(instances, [ONSET_V] * len(instances))
     print()
     print(f"{'N':>5} {'r':>4} {'q':>6} {'P_suc':>10} {'runs needed':>12}")

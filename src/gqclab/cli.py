@@ -307,7 +307,8 @@ def _noise_lags(p) -> list:
         return p["lags"]
     dt = p["dt"]
     n = _n_times(p["duration"], dt)
-    steps = {round(k * p["correlation_time"] / dt) for k in range(4)}
+    ratios = [k * p["correlation_time"] / dt for k in range(4)]
+    steps = {round(x) for x in ratios if x < n}  # an inf ratio cannot round
     return [m * dt for m in sorted(steps) if m < n]
 
 
@@ -461,7 +462,7 @@ def _run_agp_dephase(p):
     h = _hamiltonian(p, p["cycles"])
     amps = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
     sweep, config = _sigma2_sweep(p), _ensemble_config(p, h, amps)
-    reports = decoherence_sweep(config, sweep, levels=(1, 0))
+    reports = decoherence_sweep(config, sweep)
     gamma_a = deterministic_phases(h, h.schedule.duration)  # after the refusals
     gamma_a_kj = float(gamma_a[1] - gamma_a[0])
     rows = []
@@ -517,7 +518,7 @@ def _run_gate_fidelity(p):
 
 def _run_shor_scan(p):
     instances = [
-        ShorInstance.build(n, y, offset=p["offset"])
+        ShorInstance(n, y, offset=p["offset"])
         for n, y in zip(p["moduli"], p["bases"])
     ]
     rows = runtime_scaling(instances, p["variances"])

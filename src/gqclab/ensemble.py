@@ -355,12 +355,17 @@ def variance_analytic(
     eta: int, coupling: float, sigma2: float, overlap: float
 ) -> float:
     """Phase variance after eta control cycles: eta gamma^2 sigma^2 I / 4,
-    the paper's law for I of one period, exact only for tau_c << T."""
+    the paper's law for I of one period, exact only for tau_c << T.  A
+    gamma^2 beyond the float range counts as inf, and 0 without noise."""
     _check_count(eta, "eta", 1)
     _check_real(coupling, "coupling", 0)
     _check_real(sigma2, "sigma2", 0)
     _check_real(overlap, "overlap", 0)
-    return eta * coupling**2 * sigma2 * overlap / 4.0
+    try:
+        square = coupling**2
+    except OverflowError:  # float ** raises where * returns inf
+        square = math.inf if sigma2 * overlap else 0.0
+    return eta * square * sigma2 * overlap / 4.0
 
 
 def _window_integral(s: np.ndarray, span: float) -> np.ndarray:
@@ -462,11 +467,11 @@ def transverse_magnetization(rho: AveragedDensity):
     return mx, my
 
 
-def decoherence_sweep(
-    config: EnsembleConfig, variances, levels: tuple = (1, 0)
-) -> list:
+def decoherence_sweep(config: EnsembleConfig, variances) -> list:
     """``decoherence_report`` of ``config`` at each noise variance of
-    ``variances``, one report each, from one draw of the normals.
+    ``variances``, one report each, from one draw of the normals: the
+    coherence D(1,0) of levels 1 and 0, whose initial amplitudes must both
+    be nonzero.
 
     The rows share their realizations' normals, as the rows of one master
     seed always do: each row's standard error is its own, but the rows'
@@ -474,9 +479,7 @@ def decoherence_sweep(
     more precise than their standard errors suggest.
     """
     h = config.hamiltonian
-    k, j = levels
-    if k == j or not (0 <= k < h.n_levels and 0 <= j < h.n_levels):
-        raise ValueError(f"levels must be two distinct indices in [0, {h.n_levels})")
+    k, j = 1, 0
     c = config.amplitudes
     if c[k] == 0 or c[j] == 0:
         raise ValueError("levels must have nonzero initial amplitudes")
@@ -490,7 +493,7 @@ def decoherence_sweep(
         var = variance_analytic(1, h.coupling, sigma2, i_kj)
         mc_factor = complex(density.matrix[k, j] / reference)
         mc_se = float(density.standard_errors[k, j] / abs(reference))
-        d = decoherence_factor_analytic(var)
+        d = decoherence_factor_analytic(var) if var < math.inf else 0.0
         onset = var / ONSET_VARIANCE
         reports.append(DecoherenceReport(mc_factor, mc_se, var, d, onset, i_kj))
     return reports

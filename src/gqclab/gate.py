@@ -205,7 +205,8 @@ def bell_gate_sweep(config: EnsembleConfig, variances) -> list:
         fidelity = float(np.real(bell.conj() @ density.matrix @ bell))
         variance = variance_analytic(1, h.coupling, sigma2, overlap_sum)
         # keep the reported factor strictly positive even when exp underflows
-        d_analytic = max(decoherence_factor_analytic(variance), np.finfo(float).tiny)
+        d = decoherence_factor_analytic(variance) if variance < np.inf else 0.0
+        d_analytic = max(d, np.finfo(float).tiny)
         fid_closed = 0.5 + 0.5 * float(np.cos(gamma_a_kj)) * d_analytic
         results.append(
             GateResult(

@@ -388,12 +388,12 @@ def _lag_steps(lags, dt: float, n_times: int) -> list:
     steps = []
     for lag in lags:
         _check_real(lag, "lags")
-        m = int(round(lag / dt))
-        if abs(m * dt - lag) > 1e-9 * max(dt, abs(lag)):
-            raise ValueError(f"lag {lag} is not representable on the grid")
+        m = np.rint(lag / dt)  # inf for a lag too far to round to an int
         if not 0 <= m < n_times:
             raise ValueError(f"lag {lag} outside the path duration")
-        steps.append(m)
+        if abs(m * dt - lag) > 1e-9 * max(dt, abs(lag)):
+            raise ValueError(f"lag {lag} is not representable on the grid")
+        steps.append(int(m))
     return steps
 
 

@@ -26,9 +26,8 @@ exhaustive O(q) accounting, the literal DFT and a Monte Carlo over the path
 phases are test oracles.
 
 The order r is found from the prime factors of phi(N), the group order
-(``find_period``), and checked against r's own primes; the residues
-co-prime with r come from one numpy sieve.  An instance thus costs
-O(sqrt N) integer steps plus one O(r) sieve.
+(``find_period``); the residues co-prime with r come from one numpy
+sieve.  An instance thus costs O(sqrt N) integer steps plus one O(r) sieve.
 
 The DFT on L qubits costs L(L-1)/2 controlled-phase gates; each gate
 contributes the four-segment overlap sum of the geometric gate, giving the
@@ -38,7 +37,7 @@ variance v and the onset condition implemented here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,37 +116,32 @@ def euler_phi(r: int) -> int:
 
 @dataclass(frozen=True)
 class ShorInstance:
-    """Number-theoretic context of one period-finding run."""
+    """Number-theoretic context of one period-finding run.
+
+    Built from (N, y, l): the order r of y mod N is ``find_period``'s, the
+    register q = 2^L is ``choose_q``'s, and the offset l is reduced mod r.
+    """
 
     modulus: int
     base: int
-    period: int
-    register_size: int
-    bits: int
     offset: int = 0
+    period: int = field(init=False)
+    register_size: int = field(init=False)
+    bits: int = field(init=False)
 
     def __post_init__(self):
-        _check_count(self.modulus, "modulus", 3, MAX_MODULUS)
-        for name in ("modulus", "base", "period", "register_size", "bits", "offset"):
-            object.__setattr__(self, name, _check_count(getattr(self, name), name))
-        n, y, r, q = self.modulus, self.base, self.period, self.register_size
-        L, l = self.bits, self.offset
-        if math.gcd(y, n) != 1:
-            raise ValueError(f"base {y} not co-prime with modulus {n}")
-        # the order is the r < N with y^r = 1 and y^(r/p) != 1 for each prime p | r
-        if not 0 < r < n or pow(y, r, n) != 1 or any(
-            pow(y, r // p, n) == 1 for p in _prime_factors(r)
-        ):
-            raise ValueError(f"{r} is not the multiplicative order of {y} mod {n}")
-        if q != 1 << L or not n * n <= q <= 2 * n * n:
-            raise ValueError(f"register size {q} invalid for modulus {n}")
-        _check_count(l, "offset", 0, r - 1)
-
-    @classmethod
-    def build(cls, modulus: int, base: int, offset: int = 0) -> "ShorInstance":
-        r = find_period(modulus, base)
-        q, L = choose_q(modulus)
-        return cls(modulus, base, r, q, L, _check_count(offset, "offset") % r)
+        r = find_period(self.modulus, self.base)
+        q, L = choose_q(self.modulus)
+        derived = dict(
+            modulus=int(self.modulus),
+            base=int(self.base),
+            offset=_check_count(self.offset, "offset") % r,
+            period=r,
+            register_size=q,
+            bits=L,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def path_count(self) -> int:
@@ -180,7 +174,6 @@ class SuccessReport:
     runs_needed: float
     regime: str
     success_outcomes: tuple
-    degenerate: bool = False
 
 
 def dft_phase_variance(
@@ -258,8 +251,8 @@ def success_probability(model: NoisyAmplitudeModel) -> SuccessReport:
 
     Sums P(c), in ascending c, over the O(r) constructive outcomes whose c'
     is less than and co-prime with r; the full distribution is
-    ``prob_averaged(model, np.arange(q))``.  r = 1 has no valid c' at all
-    and is flagged degenerate with zero success probability.
+    ``prob_averaged(model, np.arange(q))``.  r = 1 has no valid c' at all,
+    so its success probability is zero.
     """
     inst = model.instance
     v = model.path_phase_variance
@@ -272,7 +265,6 @@ def success_probability(model: NoisyAmplitudeModel) -> SuccessReport:
         runs_needed=runs,
         regime=regime,
         success_outcomes=tuple(c_good.tolist()),
-        degenerate=inst.period == 1,
     )
 
 
@@ -302,7 +294,7 @@ def runtime_scaling(instances: Sequence[ShorInstance], variances: Sequence[float
                 "success_probability": report.success_probability,
                 "runs_needed": report.runs_needed,
                 "regime": report.regime,
-                "flagged": report.degenerate or report.success_probability == 0.0,
+                "flagged": report.success_probability == 0.0,
             }
         )
     return rows

@@ -197,7 +197,7 @@ def test_criterion_05_gate_fidelity():
 def test_criterion_06_noisy_shor_exact():
     """v = 0 probabilities equal the exhaustive DFT oracle; normalization."""
     for n, y in ((15, 7), (21, 2)):
-        inst = ShorInstance.build(n, y)
+        inst = ShorInstance(n, y)
         q, r = inst.register_size, inst.period
         psi = np.zeros(q, dtype=complex)
         psi[np.arange(inst.path_count) * r + inst.offset] = (
@@ -219,7 +219,7 @@ def test_criterion_06_noisy_shor_exact():
 
 def test_criterion_07_noisy_shor_mc(amplitude_mc):
     """Mean |f(c)|^2 over 1e5 samples matches the closed form per c."""
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     c_values = np.arange(inst.register_size)
     for v in (0.5, 2.0):
         model = NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
@@ -234,7 +234,7 @@ def test_criterion_07_noisy_shor_mc(amplitude_mc):
 def test_criterion_08_efficiency_destruction():
     """Decohered success probability collapses to phi(r)/q per instance."""
     pairs = [(15, 7), (21, 2), (33, 2), (51, 2)]
-    instances = [ShorInstance.build(n, y) for n, y in pairs]
+    instances = [ShorInstance(n, y) for n, y in pairs]
     rows = runtime_scaling(instances, [ONSET_V] * len(instances))
     for row, inst in zip(rows, instances):
         target = euler_phi(inst.period) / inst.register_size

@@ -278,11 +278,16 @@ def _huge_count(key):
             f"config error: master_seed must be in [0, {2**64 - 1}], got inf",
         ),
         (dict(SHOR_CONFIG, moduli=[HUGE]), 2, _huge_count("moduli[0]")),
+        (
+            dict(NOISE_CONFIG, lags=[1e308]),
+            2,
+            "config error: lags: lag 1e+308 outside the path duration",
+        ),
     ],
     ids=[
         "noise-duration", "agp-period", "agp-cycles", "gate-period",
         "gate-period-1e307", "threads", "realizations", "substeps", "offset",
-        "master_seed", "moduli",
+        "master_seed", "moduli", "lags",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -313,12 +318,18 @@ def _table_lines(tmp_path, raw, name):
         dict(AGP_CONFIG, engine="analytic_phase", sigma2=[0.0, 50.0, 200.0]),
         dict(GATE_CONFIG, engine="exact_propagation", sigma2=[5.0, 20.0]),
         dict(GATE_CONFIG, engine="analytic_phase", sigma2=[5.0, 20.0]),
+        dict(AGP_CONFIG, coupling=1e300),
+        dict(GATE_CONFIG, coupling=1e300),
     ],
-    ids=["agp-exact", "agp-analytic", "gate-exact", "gate-analytic"],
+    ids=[
+        "agp-exact", "agp-analytic", "gate-exact", "gate-analytic",
+        "agp-coupling-1e300", "gate-coupling-1e300",
+    ],
 )
 def test_cli_sweep_rows_are_the_rows_run_alone(tmp_path, raw, master_seed):
     """A sweep draws its normals once for all its rows; each row equals, to
-    the byte, the table of its sigma^2 run alone."""
+    the byte, the table of its sigma^2 run alone, also when gamma^2
+    overflows and the noisy rows' closed-form variance is inf."""
     raw = dict(raw, realizations=24)
     if master_seed is None:
         del raw["master_seed"]
@@ -958,8 +969,9 @@ def test_cli_noise_validate_matches_the_per_path_definition(
     [
         (dict(NOISE_CONFIG, duration=0.1, realizations=8), [0, 10, 20]),
         (dict(NOISE_CONFIG, correlation_time=0.5), [0, 100, 200]),
+        (dict(NOISE_CONFIG, correlation_time=1e308, duration=0.02), [0]),
     ],
-    ids=["duration-2-tau_c", "tau_c-0.5"],
+    ids=["duration-2-tau_c", "tau_c-0.5", "tau_c-1e308"],
 )
 def test_cli_noise_validate_default_lags_stop_at_the_path_end(
     tmp_path, capsys, raw, steps

@@ -484,16 +484,6 @@ def test_a_sweep_draws_its_normals_once(normal_draws, engine):
     assert normal_draws == []
 
 
-@pytest.mark.parametrize("levels", [(0, 0), (1, 1), (2, 0), (0, -1)])
-def test_a_sweep_refuses_bad_levels_before_drawing(normal_draws, levels):
-    """k = j, or a level outside [0, n_levels), is refused before the
-    Monte Carlo runs."""
-    cfg = _config(5.0, realizations=16)
-    with pytest.raises(ValueError, match="levels"):
-        decoherence_sweep(cfg, [0.0, 5.0], levels)
-    assert normal_draws == []
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("cycles", [1, 4])
 def test_a_noisy_report_holds_only_the_normals(peak_bytes, cycles, engine):

@@ -45,12 +45,7 @@ H2 = QubitHamiltonian(1.0, SCHEDULE, qubit_count=2)
 GRID = np.linspace(0.0, 1.0, 11)
 PATHS = np.zeros((2, 11, 1))
 GATE = GateResult(0.0, 1.0, 0.0, 1.0, 1.0, 1.0 + 0j, 0.0, 0.0)
-SHOR = ShorInstance.build(15, 7)
-
-
-def _shor(**fields):
-    args = dict(modulus=15, base=7, period=4, register_size=256, bits=8, offset=0)
-    return ShorInstance(**dict(args, **fields))
+SHOR = ShorInstance(15, 7)
 
 
 #: argument -> (valid value, minimum, maximum, strict minimum, call); the
@@ -183,20 +178,11 @@ COUNTS = {
     ),
     "find_period-modulus": (15, 1, 2**16, lambda v: find_period(v, 7)),
     "find_period-base": (7, None, None, lambda v: find_period(15, v)),
-    "ShorInstance.build-base": (7, None, None, lambda v: ShorInstance.build(15, v)),
-    "ShorInstance.build-offset": (
-        0, None, None, lambda v: ShorInstance.build(15, 7, offset=v)
-    ),
     "choose_q-modulus": (15, 3, None, choose_q),
     "euler_phi-r": (4, 1, None, euler_phi),
-    "ShorInstance-modulus": (15, 3, 2**16, lambda v: _shor(modulus=v)),
-    "ShorInstance-base": (7, None, None, lambda v: _shor(base=v)),
-    "ShorInstance-period": (4, None, None, lambda v: _shor(period=v)),
-    "ShorInstance-register_size": (
-        256, None, None, lambda v: _shor(register_size=v)
-    ),
-    "ShorInstance-bits": (8, None, None, lambda v: _shor(bits=v)),
-    "ShorInstance-offset": (0, 0, 3, lambda v: _shor(offset=v)),
+    "ShorInstance-modulus": (15, 3, 2**16, lambda v: ShorInstance(v, 7)),
+    "ShorInstance-base": (7, None, None, lambda v: ShorInstance(15, v)),
+    "ShorInstance-offset": (0, None, None, lambda v: ShorInstance(15, 7, v)),
     "dft_phase_variance-bits": (
         8, 2, None, lambda v: dft_phase_variance(v, 1.0, 1.0, 0.01, 1.0, 1.0)
     ),
@@ -330,8 +316,8 @@ REFUSALS = {
         "levels must have nonzero initial amplitudes",
     ),
     "ShorInstance-base-not-co-prime": (
-        lambda: _shor(base=5),
-        "base 5 not co-prime with modulus 15",
+        lambda: ShorInstance(15, 5),
+        "base 5 is not co-prime with modulus 15",
     ),
     "gqc_onset-cone_angle": (
         lambda: gqc_onset(1.0, 1.0, 0.01, 1.0, 8, 1.0, 0.0),

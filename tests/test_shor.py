@@ -90,7 +90,7 @@ def test_find_period_makes_few_modular_powers(monkeypatch):
         return pow(*args)
 
     monkeypatch.setattr(shor, "pow", counted, raising=False)
-    inst = ShorInstance.build(65521, 17)
+    inst = ShorInstance(65521, 17)
     assert inst.period == 65520
     assert 0 < len(calls) <= 40  # r = 65520 powers when checked one by one
 
@@ -148,30 +148,16 @@ def test_coprime_residues_and_euler_phi_are_the_gcd_definition():
 
 
 def test_instance_invariants():
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     assert (inst.period, inst.register_size, inst.bits) == (4, 256, 8)
     assert inst.path_count * inst.period + inst.offset >= inst.register_size
     assert (inst.path_count - 1) * inst.period + inst.offset < inst.register_size
-    with pytest.raises(ValueError):
-        ShorInstance(15, 7, 3, 256, 8)  # wrong period
-    with pytest.raises(ValueError):
-        ShorInstance(15, 7, 4, 128, 7)  # register too small
-
-
-@pytest.mark.parametrize(
-    "n, y", [(15, 7), (21, 2), (1023, 2), (2047, 2), (65535, 2), (65519, 3)]
-)
-def test_instance_refuses_a_multiple_or_divisor_of_the_order(n, y):
-    inst = ShorInstance.build(n, y)
-    q, L, r = inst.register_size, inst.bits, inst.period
-    wrong = [r // p for p in _prime_factors(r)] + [r * p for p in (2, 3, 5, 7)]
-    for s in wrong + [0, -r, n]:
-        with pytest.raises(ValueError, match="multiplicative order"):
-            ShorInstance(n, y, s, q, L)
+    # the offset is reduced mod r, as the register states j r + l repeat
+    assert ShorInstance(15, 7, 6) == ShorInstance(15, 7, -2) == ShorInstance(15, 7, 2)
 
 
 def test_amplitude_noiseless_peaks_and_nulls():
-    inst = ShorInstance.build(15, 7)  # r = 4 divides q = 256
+    inst = ShorInstance(15, 7)  # r = 4 divides q = 256
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0)
     # constructive c: r c = 0 mod q -> |f|^2 = 1/r
     peak = prob_averaged(model, 64)
@@ -183,7 +169,7 @@ def test_amplitude_noiseless_peaks_and_nulls():
 
 @pytest.mark.parametrize("pair", [(15, 7), (21, 2)])
 def test_prob_averaged_matches_exhaustive_oracle(pair):
-    inst = ShorInstance.build(*pair)
+    inst = ShorInstance(*pair)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0)
     p = prob_averaged(model, np.arange(inst.register_size))
     assert np.max(np.abs(p - exhaustive_probabilities(inst))) < 1e-12
@@ -195,7 +181,7 @@ def test_prob_averaged_branch_is_the_float_angle_test(
     n, y, offset, v, prob_averaged_float_branch
 ):
     # every nonzero angle is >= 2 pi / q, far above the float test's 1e-12
-    inst = ShorInstance.build(n, y, offset)
+    inst = ShorInstance(n, y, offset)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
     c = np.arange(inst.register_size)
     got = prob_averaged(model, c)
@@ -206,7 +192,7 @@ def test_prob_averaged_branch_is_the_float_angle_test(
 
 
 def test_prob_averaged_refuses_non_integer_outcomes():
-    model = NoisyAmplitudeModel(instance=ShorInstance.build(15, 7), path_phase_variance=0.0)
+    model = NoisyAmplitudeModel(instance=ShorInstance(15, 7), path_phase_variance=0.0)
     for c in (1.0, 0.5, np.array([0.0, 64.0]), [1, 2.5], np.array([True])):
         with pytest.raises(TypeError, match="integer"):
             prob_averaged(model, c)
@@ -215,7 +201,7 @@ def test_prob_averaged_refuses_non_integer_outcomes():
 
 def test_prob_averaged_takes_narrow_integer_outcomes():
     # q = 2^32 fits no 32-bit integer, and r c reaches 2^47
-    model = NoisyAmplitudeModel(ShorInstance.build(65521, 17), path_phase_variance=0.5)
+    model = NoisyAmplitudeModel(ShorInstance(65521, 17), path_phase_variance=0.5)
     c = np.array([0, 1, 2**20 + 3, 2**31 - 1], dtype=np.int64)
     want = prob_averaged(model, c)
     for dtype in (np.int32, np.uint32):
@@ -226,7 +212,7 @@ def test_prob_averaged_takes_narrow_integer_outcomes():
 
 @pytest.mark.parametrize("v", [0.0, 0.5, 2.0, 8.0, ONSET_V])
 def test_prob_averaged_normalized(v):
-    inst = ShorInstance.build(21, 2)
+    inst = ShorInstance(21, 2)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
     p = prob_averaged(model, np.arange(inst.register_size))
     assert abs(p.sum() - 1.0) < 1e-9
@@ -234,14 +220,14 @@ def test_prob_averaged_normalized(v):
 
 
 def test_prob_averaged_flattens_at_large_v():
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=50.0)
     p = prob_averaged(model, np.arange(inst.register_size))
     assert np.max(np.abs(p - 1.0 / inst.register_size)) < 1e-12
 
 
 def test_amplitude_mc_matches_closed_form(amplitude_mc):
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=1.0)
     c_values = np.arange(0, 256, 8)
     mean, se = amplitude_mc(model, c_values, n_samples=20_000, master_seed=3)
@@ -251,14 +237,14 @@ def test_amplitude_mc_matches_closed_form(amplitude_mc):
 
 
 def test_amplitude_mc_refuses_work_above_the_element_bound(amplitude_mc):
-    inst = ShorInstance.build(65519, 2)  # q = 2^32, r = 32759: 131,110 paths
+    inst = ShorInstance(65519, 2)  # q = 2^32, r = 32759: 131,110 paths
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=1.0)
     with pytest.raises(ResourceLimitError, match="amplitude_mc"):
         amplitude_mc(model, [0, 1], n_samples=10, master_seed=0)
 
 
 def test_success_probability_noiseless_and_coprime_accounting():
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0)
     report = success_probability(model)
     assert report.regime == "noiseless"
@@ -281,7 +267,7 @@ ORACLE_PAIRS = [
 
 @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=str)
 def test_success_accounting_matches_exhaustive_oracle(pair, constructive_outcomes):
-    inst = ShorInstance.build(*pair)
+    inst = ShorInstance(*pair)
     model = NoisyAmplitudeModel(instance=inst, path_phase_variance=0.5)
     report = success_probability(model)
     oracle, _ = constructive_outcomes(inst)
@@ -292,7 +278,7 @@ def test_success_accounting_matches_exhaustive_oracle(pair, constructive_outcome
 
 def test_success_probability_decohered_limit():
     for n, y in ((15, 7), (21, 2), (33, 2), (51, 2)):
-        inst = ShorInstance.build(n, y)
+        inst = ShorInstance(n, y)
         model = NoisyAmplitudeModel(instance=inst, path_phase_variance=ONSET_V)
         report = success_probability(model)
         assert report.regime == "decohered"
@@ -301,7 +287,7 @@ def test_success_probability_decohered_limit():
 
 
 def test_success_probability_monotone_in_v():
-    inst = ShorInstance.build(15, 7)
+    inst = ShorInstance(15, 7)
     values = [
         success_probability(
             NoisyAmplitudeModel(instance=inst, path_phase_variance=v)
@@ -312,19 +298,22 @@ def test_success_probability_monotone_in_v():
 
 
 def test_degenerate_period_one():
-    inst = ShorInstance.build(15, 1)
+    """r = 1 has no useful outcome: zero success probability, infinitely many
+    runs, and a flagged row."""
+    inst = ShorInstance(15, 1)
     report = success_probability(
         NoisyAmplitudeModel(instance=inst, path_phase_variance=0.0)
     )
-    assert report.degenerate
     assert report.success_probability == 0.0
     assert report.runs_needed == float("inf")
     assert report.success_outcomes == ()
+    [row] = runtime_scaling([inst], [0.0])
+    assert row["flagged"] and row["success_probability"] == 0.0
 
 
 def test_runtime_scaling_rows():
     pairs = [(15, 7), (21, 2), (33, 2), (51, 2)]
-    instances = [ShorInstance.build(n, y) for n, y in pairs]
+    instances = [ShorInstance(n, y) for n, y in pairs]
     rows = runtime_scaling(instances, [ONSET_V] * 4)
     for row, inst in zip(rows, instances):
         assert row["regime"] == "decohered"

@@ -332,13 +332,16 @@ def test_every_option_is_set_outside_the_tests():
     assert unset == []
 
 
-#: the defaulted parameters of two functions and two methods: f's c and
-#: K's x are passed by no call
+#: the defaulted parameters of three functions and two methods: f's c and
+#: K's x are passed by no call, and h's b only as its default
 PARAMETERS_SAMPLE = """\
 def f(a, b=1, c=2, *, d=3):
     return a
 
 def g(a=0):
+    return a
+
+def h(a, b=(1, 0)):
     return a
 
 class K:
@@ -348,18 +351,33 @@ class K:
     def m(self, y=1):
         return y
 
-f(0, 1, d=4)
+f(0, 5, d=4)
 g(**options)
+h(0, b=(1, 0))
+h(1, (1, 0))
 K().m(2)
+K().m(1)
 """
+
+#: the value of an argument or a default that is not a literal
+NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    """The value of ``node`` if it is a literal, else NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return NOT_LITERAL
 
 
 def defaulted_parameters(tree: ast.Module, exported) -> dict:
-    """``function:parameter`` -> (called name, parameter, position) for each
-    defaulted parameter of a module-level function or a method of a class
-    in ``tree`` whose name ``exported`` accepts.  A method is called by its
-    name, ``__init__`` by its class's, and its first parameter (self or
-    cls) is bound; a keyword-only parameter has no position."""
+    """``function:parameter`` -> (called name, parameter, position, default)
+    for each defaulted parameter of a module-level function or a method of
+    a class in ``tree`` whose name ``exported`` accepts.  A method is called
+    by its name, ``__init__`` by its class's, and its first parameter (self
+    or cls) is bound; a keyword-only parameter has no position.  The
+    default is a literal's value, or NOT_LITERAL."""
     found = {}
     for node in tree.body:
         kinds = (ast.FunctionDef, ast.ClassDef)
@@ -376,52 +394,66 @@ def defaulted_parameters(tree: ast.Module, exported) -> dict:
             positional = (args.posonlyargs + args.args)[methods:]
             first = len(positional) - len(args.defaults)
             for i, arg in enumerate(positional[first:], first):
-                found[f"{label}:{arg.arg}"] = (called, arg.arg, i)
+                default = _literal(args.defaults[i - first])
+                found[f"{label}:{arg.arg}"] = (called, arg.arg, i, default)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    found[f"{label}:{arg.arg}"] = (called, arg.arg, None)
+                    default = _literal(default)
+                    found[f"{label}:{arg.arg}"] = (called, arg.arg, None, default)
     return found
 
 
-def passed_arguments(trees) -> set:
-    """(called name, parameter name or position) of every argument that a
-    call in ``trees`` passes; a ``*args`` or ``**kwargs`` passes "*", every
-    parameter."""
-    passed = set()
+def passed_arguments(trees) -> dict:
+    """(called name, parameter name or position) -> the value, as from
+    ``_literal``, of each argument that a call in ``trees`` passes there; a
+    ``*args`` or ``**kwargs`` passes at "*", every parameter."""
+    passed = {}
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            for i, arg in enumerate(node.args):
-                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
-            passed |= {(name, keyword.arg or "*") for keyword in node.keywords}
+            arguments = [
+                ("*" if isinstance(arg, ast.Starred) else i, arg)
+                for i, arg in enumerate(node.args)
+            ]
+            arguments += [(kw.arg or "*", kw.value) for kw in node.keywords]
+            for key, value in arguments:
+                passed.setdefault((name, key), []).append(_literal(value))
     return passed
 
 
-def unpassed_parameters(parameters: dict, passed: set) -> list:
+def unchanged_parameters(parameters: dict, passed: dict) -> list:
     """Sorted ``function:parameter`` of each of ``parameters`` (as from
-    ``defaulted_parameters``) that ``passed`` passes by no name, position
-    or ``*``."""
+    ``defaulted_parameters``) that ``passed`` passes through no ``*``, and
+    by name or position only as a literal equal to its default, if at
+    all."""
     return sorted(
         label
-        for label, (called, name, position) in parameters.items()
-        if not passed & {(called, name), (called, position), (called, "*")}
+        for label, (called, name, position, default) in parameters.items()
+        if (called, "*") not in passed
+        and all(
+            value is not NOT_LITERAL and value == default
+            for key in (name, position)
+            for value in passed.get((called, key), [])
+        )
     )
 
 
 def test_every_parameter_is_passed_outside_the_tests():
     """Each defaulted parameter of a function that gqclab or gqclab.cli
-    exports, or of a method of an exported class, is passed by keyword, by
-    position or through ``*args``/``**kwargs`` by some call in the package,
-    the demos or the benchmark, the parameter-level twin of the option
-    check: a default that only the tests change is an option that does
-    nothing.  Calls are matched by the called name, and the functions
-    awaiting a caller are exempt."""
+    exports, or of a method of an exported class, is passed a value other
+    than its default by keyword, by position or through
+    ``*args``/``**kwargs`` by some call in the package, the demos or the
+    benchmark, the parameter-level twin of the option check: a default that
+    only the tests change is an option that does nothing, and so is one
+    that every call outside the tests passes as the literal default.  Calls
+    are matched by the called name, and the functions awaiting a caller are
+    exempt."""
     sample = ast.parse(PARAMETERS_SAMPLE)
     parameters = defaulted_parameters(sample, bool)
-    found = unpassed_parameters(parameters, passed_arguments([sample]))
-    assert found == ["K.__init__:x", "f:c"]
+    found = unchanged_parameters(parameters, passed_arguments([sample]))
+    assert found == ["K.__init__:x", "f:c", "h:b"]
     parameters = {}
     for path in SRC.glob("*.py"):
         name = f"gqclab.{path.stem}".removesuffix(".__init__")
@@ -435,18 +467,11 @@ def test_every_parameter_is_passed_outside_the_tests():
         for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
         for path in folder.glob("*.py")
     )
-    assert unpassed_parameters(parameters, passed) == []
+    assert unchanged_parameters(parameters, passed) == []
 
 
 #: the library modules whose entry points take numbers
 NUMERIC = ("noise", "adiabatic", "ensemble", "gate", "shor")
-
-#: entry points that compare an argument with a fixed bound and raise, each
-#: a structural check rather than a number's range
-STRUCTURAL = {
-    "ensemble.decoherence_sweep": "the level index lies in [0, n_levels)",
-    "shor.ShorInstance.__post_init__": "the order r lies in (0, N)",
-}
 
 #: two hand-written number checks, one through an alias, a NaN test, and
 #: two comparisons that are not range checks (with another argument, and
@@ -584,9 +609,9 @@ def test_one_owner_of_the_argument_checks():
     """errors._check_count and errors._check_real, defined there alone, check
     every count and real number: no __post_init__ or exported function of
     the numeric modules compares an argument with a fixed bound in an
-    ``if`` that raises, or tests it for NaN or inf, but the STRUCTURAL
-    ones.  The lag grid, the time-grid uniformity and the Shor register
-    relate arguments to each other, and are left as they are.  cli.py
+    ``if`` that raises, or tests it for NaN or inf.  The lag grid and the
+    time-grid uniformity relate arguments to each other, and are left as
+    they are.  cli.py
     passes each config value to those checkers: none of its config checks
     compares a single value with a fixed bound, and it mentions no
     finiteness or float-range test.  Its cross-field rules (the power pair,
@@ -622,5 +647,4 @@ def test_one_owner_of_the_argument_checks():
             for name, function in functions:
                 if hand_checks(function):
                     found[f"{module}.{name}"] = hand_checks(function)
-    assert sorted(found) == sorted(STRUCTURAL)
-    assert all(len(lines) == 1 for lines in found.values()), found
+    assert found == {}
