@@ -183,6 +183,12 @@ COUNTS = {
     "ShorInstance-modulus": (15, 3, 2**16, lambda v: ShorInstance(v, 7)),
     "ShorInstance-base": (7, None, None, lambda v: ShorInstance(15, v)),
     "ShorInstance-offset": (0, None, None, lambda v: ShorInstance(15, 7, v)),
+    # ``replace`` builds a new instance from SHOR, so its period, register
+    # and offset are derived, and the replaced argument checked, again
+    "ShorInstance.build-base": (7, None, None, lambda v: replace(SHOR, base=v)),
+    "ShorInstance.build-offset": (
+        0, None, None, lambda v: replace(SHOR, offset=v)
+    ),
     "dft_phase_variance-bits": (
         8, 2, None, lambda v: dft_phase_variance(v, 1.0, 1.0, 0.01, 1.0, 1.0)
     ),
